@@ -113,8 +113,8 @@ class PtmChannel:
     def __post_init__(self) -> None:
         self.support = tuple(int(q) for q in self.support)
         m = len(self.support)
-        if not 1 <= m <= 4:
-            raise ValueError(f"channel support must be 1..4 qubits, got {m}")
+        if not 1 <= m <= 3:
+            raise ValueError(f"channel support must be 1..3 qubits, got {m}")
         if len(set(self.support)) != m:
             raise ValueError("repeated qubit in channel support")
         ptm = np.array(self.ptm, dtype=np.float64)

@@ -254,8 +254,11 @@ class Circuit:
 
         sites = sorted(self.noise_sites, key=lambda s: s.position)
         for s in sites:
-            if not 0 <= s.position < max(1, len(self.ops)):
-                raise ValueError("noise site position out of range")
+            if not 0 <= s.position < len(self.ops):
+                raise ValueError(
+                    f"noise site {s.site_id} at position {s.position} is out "
+                    f"of range: a site acts after one of the circuit's "
+                    f"{len(self.ops)} op(s)")
             if any(not 0 <= q < self.n for q in s.channel.support):
                 raise ValueError("noise channel qubit out of range")
             flags = validate(s.channel)

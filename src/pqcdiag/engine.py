@@ -21,6 +21,19 @@ trajectories draw for draw, independent of batching or worker count.
 Channels with diagonal PTMs never branch: their column action is a
 deterministic factor, applied without consuming randomness.  A PTM column
 that is entirely zero kills the walk (weight 0, "terminal").
+
+A batched backward walk runs only the steps inside the conservative light
+cone of its input words: walking backward from the qubits those words act
+on, a step is kept when it touches a live qubit, and its qubits become live.
+This is exact.  A rotation or Clifford meets the identity on every qubit
+outside the live set and maps it to itself with sign +1; a channel whose
+identity column is e_I multiplies by exactly 1.0 and leaves the word alone;
+and since a branch uniform is keyed by its site's ordinal, skipping a site
+moves no other site's draw.  Channels whose identity column is not e_I (a
+non-trace-preserving raw PTM) are always kept and widen the cone.  Forward
+walks run the full program: there the identity *row* matters, and it
+branches under amplitude damping.  The scalar walker always runs the full
+program; it is the reference the cone is checked against.
 """
 
 from __future__ import annotations
@@ -68,6 +81,8 @@ class _RotStep:
     param: "int | None"
     fixed_k: int
     sites: list  # [(word_idx, bit, axis_code), ...]
+    mask: int  # qubits acted on, as a bit mask
+    pinned = False  # never dropped from a light cone
 
 
 @dataclass(eq=False)
@@ -77,6 +92,8 @@ class _CliffStep:
     out_idx: np.ndarray
     sign: np.ndarray
     sites: list  # [(word_idx, bit), ...]
+    mask: int
+    pinned = False
 
 
 @dataclass(eq=False)
@@ -84,6 +101,8 @@ class _ChanStep:
     ordinal: int  # global noise-site index, doubles as the RNG slot
     channel: object
     sites: list  # [(word_idx, bit), ...]
+    mask: int
+    pinned: bool  # does not map the identity word to itself with weight 1
 
 
 def _rot_sites(axis: PauliString) -> list:
@@ -99,6 +118,19 @@ def _qubit_sites(qubits) -> list:
     return [(q // 64, q % 64) for q in qubits]
 
 
+def _qubit_mask(qubits) -> int:
+    return sum(1 << q for q in qubits)
+
+
+def _fixes_identity(channel, direction: str) -> bool:
+    """True when walking ``direction`` maps the identity word to itself with
+    weight exactly 1: the PTM's identity column (backward) or row (forward)
+    is e_I.  Trace-preserving channels pass backward; a non-trace-preserving
+    raw PTM does not, and neither does amplitude damping forward."""
+    line = channel.ptm[:, 0] if direction == "backward" else channel.ptm[0]
+    return line[0] == 1.0 and not np.any(line[1:])
+
+
 def _compile(circuit: Circuit, direction: str) -> list:
     sites_at: dict[int, list] = {}
     for ordinal, s in enumerate(circuit.noise_sites):
@@ -108,14 +140,18 @@ def _compile(circuit: Circuit, direction: str) -> list:
         if isinstance(op, Rotation):
             fixed = op.param.k if isinstance(op.param, FixedAngle) else 0
             param = None if isinstance(op.param, FixedAngle) else op.param
-            return _RotStep(op.axis, param, fixed, _rot_sites(op.axis))
+            return _RotStep(op.axis, param, fixed, _rot_sites(op.axis),
+                            op.axis.x_bits | op.axis.z_bits)
         out_idx, sign = clifford_table(op.kind, direction)
         return _CliffStep(op.kind, op.qubits, out_idx,
-                          sign.astype(np.float64), _qubit_sites(op.qubits))
+                          sign.astype(np.float64), _qubit_sites(op.qubits),
+                          _qubit_mask(op.qubits))
 
     def chan_step(ordinal, site):
-        return _ChanStep(ordinal, site.channel,
-                         _qubit_sites(site.channel.support))
+        ch = site.channel
+        return _ChanStep(ordinal, ch, _qubit_sites(ch.support),
+                         _qubit_mask(ch.support),
+                         not _fixes_identity(ch, direction))
 
     prog: list = []
     if direction == "backward":
@@ -133,11 +169,58 @@ def _compile(circuit: Circuit, direction: str) -> list:
     return prog
 
 
-def _program(circuit: Circuit, direction: str) -> list:
+def _light_cone(prog: list, live: int) -> list:
+    """The steps of a backward program inside the conservative light cone
+    of words supported on the qubit mask ``live``.
+
+    Walking backward, a step touching a live qubit is kept and makes all of
+    its qubits live; a step touching none of them meets the identity there
+    and is dropped, unless it is pinned (its identity word does not map to
+    itself), in which case it is kept and its qubits become live too.
+    """
+    kept = []
+    for step in prog:
+        if step.pinned or step.mask & live:
+            kept.append(step)
+            live |= step.mask
+    return kept
+
+
+def _program(circuit: Circuit, direction: str, support: "int | None" = None
+             ) -> list:
+    """The compiled walk program; for a backward walk with a ``support``
+    mask, only the steps inside that support's light cone.  Both are cached
+    on the circuit, the cone by (direction, support); a cone that keeps
+    every step is the full program itself."""
     cache = circuit.__dict__.setdefault("_walk_programs", {})
     if direction not in cache:
         cache[direction] = _compile(circuit, direction)
-    return cache[direction]
+    full = cache[direction]
+    if support is None or direction != "backward":
+        return full
+    key = (direction, support)
+    if key not in cache:
+        cone = _light_cone(full, support)
+        cache[key] = full if len(cone) == len(full) else cone
+    return cache[key]
+
+
+def _support_mask(x, z) -> int:
+    """Qubits on which any lane's word acts, as a bit mask."""
+    words = np.bitwise_or.reduce(x | z, axis=0)
+    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
+def cone_params(circuit: Circuit, words) -> set:
+    """Parameters that drive a rotation inside the backward light cone of
+    at least one of the PauliStrings ``words``.  The expectation of such a
+    word cannot depend on any other parameter."""
+    out = set()
+    for w in words:
+        for step in _program(circuit, "backward", w.x_bits | w.z_bits):
+            if isinstance(step, _RotStep) and step.param is not None:
+                out.add(step.param)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +599,9 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     the channel acted (the factor sensitivity analysis differentiates).
     Flags are None unless requested, and are per expanded lane in exact mode.
     """
-    prog = _program(circuit, direction)
     x = np.array(x0, dtype=np.uint64, copy=True)
     z = np.array(z0, dtype=np.uint64, copy=True)
+    prog = _program(circuit, direction, _support_mask(x, z))
     b0 = x.shape[0]
     w = np.ones(b0) if w0 is None else np.array(w0, dtype=np.float64,
                                                 copy=True)

@@ -132,6 +132,11 @@ class TestConstructors:
         with pytest.raises(ValueError):
             ch.make_mmff("XYZ", (0, 1, 2, 3))
 
+    def test_support_is_capped_at_three_qubits(self):
+        assert ch.make_raw_ptm(np.eye(64), (0, 1, 2)).m == 3
+        with pytest.raises(ValueError, match=r"1\.\.3 qubits, got 4"):
+            ch.make_raw_ptm(np.eye(256), (0, 1, 2, 3))
+
     def test_strength_range(self):
         for bad in (-0.1, 1.1):
             with pytest.raises(ValueError):

@@ -96,6 +96,13 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit(1, ops, [bad])
 
+    def test_site_needs_an_op_to_follow(self):
+        # no walker or oracle would apply a site in a circuit without ops
+        site = NoiseSite(0, make_amplitude_damping(1.0), (2, 5), "gamma")
+        with pytest.raises(ValueError, match=r"noise site \(2, 5\)"):
+            Circuit(1, [], [site])
+        assert Circuit(1, [], []).noise_sites == []
+
     def test_non_pcs1_channel_refused(self):
         # an amplifying column: l1 of column X is 1.5
         ptm = np.diag([1.0, 1.5, 0.5, 0.5])

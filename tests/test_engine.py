@@ -3,12 +3,18 @@ bit-identity between the scalar and vectorized routes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import axis, random_circuit, rotations_only, rx_dep_circuit
 from pqcdiag import engine, oracle
-from pqcdiag.channels import make_amplitude_damping, make_mmff
-from pqcdiag.circuits import (Circuit, NoiseSite, Rotation, ThetaAssignment,
+from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
+                              make_mmff, make_pauli_channel, make_raw_ptm,
+                              make_thermal)
+from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
+                              Rotation, SparseState, ThetaAssignment,
                               observable_from_terms, zero_state)
+from pqcdiag.paulis import CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS
 from pqcdiag.rng import RngStream, angle_indices, compose_stream
 
 
@@ -203,3 +209,228 @@ class TestThetaContainers:
         t = m.take(np.array([2, 0]))
         assert np.array_equal(t.values, m.values[[2, 0]])
         assert len(t) == 2
+
+
+# ---------------------------------------------------------------------------
+# light cones: generated circuits over the loader's whole grammar
+# ---------------------------------------------------------------------------
+
+#: qubit slots of the padded registers, straddling the 64- and 128-bit edges
+_PAD_SLOTS = {70: (0, 1, 62, 63, 64, 69), 130: (0, 63, 64, 127, 128, 129)}
+_EIGHTHS = st.integers(1, 7).map(lambda i: i / 8)
+
+
+@st.composite
+def _raw_ptm(draw, m):
+    """A sparse PCS1 transfer matrix, often not trace preserving."""
+    d = 4 ** m
+    ptm = np.zeros((d, d))
+    for j in range(d):
+        rows = draw(st.lists(st.integers(0, d - 1), max_size=2, unique=True))
+        for r in rows:
+            ptm[r, j] = draw(st.sampled_from((-0.5, -0.25, 0.25, 0.5)))
+    if draw(st.booleans()):
+        ptm[:, 0] = 0.0
+        ptm[0, 0] = 1.0
+    return ptm
+
+
+@st.composite
+def _channel(draw, n):
+    kind = draw(st.sampled_from(("dep", "amp", "thermal", "pauli", "mmff",
+                                 "raw")))
+    m = 1 if kind in ("amp", "thermal") else \
+        draw(st.integers(1, min(2 if kind in ("pauli", "raw") else 3, n)))
+    support = tuple(draw(st.permutations(range(n)))[:m])
+    if kind == "dep":
+        return make_depolarizing(draw(_EIGHTHS), support)
+    if kind == "amp":
+        return make_amplitude_damping(draw(_EIGHTHS), support)
+    if kind == "thermal":
+        gamma = draw(_EIGHTHS)
+        return make_thermal(gamma, draw(_EIGHTHS) * (1 - gamma), support)
+    if kind == "pauli":
+        labels = draw(st.lists(st.text("IXYZ", min_size=m, max_size=m),
+                               min_size=1, max_size=3, unique=True))
+        p = 1.0 / len(labels)
+        return make_pauli_channel({lbl: p for lbl in labels}, support)
+    if kind == "mmff":
+        return make_mmff(draw(st.text("IXYZ", min_size=m - 1,
+                                      max_size=m - 1)), support)
+    return make_raw_ptm(draw(_raw_ptm(m)), support)
+
+
+@st.composite
+def _spec(draw):
+    """A circuit on at most 5 qubits as register-free pieces: ops, noise
+    sites, observable terms and a basis state, placed on a register by
+    :func:`_place`."""
+    n = draw(st.integers(2, 5))
+    ops, sites, n_params = [], [], 0
+    for pos in range(draw(st.integers(1, 9))):
+        if draw(st.integers(0, 3)) == 0:
+            kind = draw(st.sampled_from(CLIFFORD_1Q_KINDS + CLIFFORD_2Q_KINDS))
+            nq = 1 if kind in CLIFFORD_1Q_KINDS else 2
+            ops.append(("cliff", kind,
+                        tuple(draw(st.permutations(range(n)))[:nq])))
+        else:
+            nq = draw(st.integers(1, min(3, n)))
+            qubits = tuple(draw(st.permutations(range(n)))[:nq])
+            letters = draw(st.text("XYZ", min_size=nq, max_size=nq))
+            if draw(st.integers(0, 3)) == 0:
+                param = FixedAngle(draw(st.integers(0, 3)))
+            else:  # a new parameter or a shared earlier one
+                param = draw(st.integers(0, n_params))
+                n_params = max(n_params, param + 1)
+            ops.append(("rot", letters, qubits, param))
+        for _ in range(draw(st.integers(0, 1))):
+            sites.append((pos, draw(_channel(n))))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        nq = draw(st.integers(1, 2))
+        qubits = tuple(draw(st.permutations(range(n)))[:nq])
+        letters = draw(st.text("XYZ", min_size=nq, max_size=nq))
+        terms.append((draw(st.sampled_from((1.0, -0.5, 0.75))), letters,
+                      qubits))
+    basis = draw(st.integers(0, 2 ** n - 1))
+    theta = draw(st.lists(st.integers(0, 3), min_size=n_params,
+                          max_size=n_params))
+    return n, ops, sites, terms, basis, np.array(theta, dtype=np.uint8)
+
+
+def _place(spec, n_reg=None, slots=None):
+    """(circuit, [(coeff, word)], state) with qubit q on ``slots[q]`` of an
+    ``n_reg``-qubit register (the bare register by default)."""
+    n, ops, sites, terms, basis, _ = spec
+    n_reg = n if n_reg is None else n_reg
+    slot = list(range(n)) if slots is None else list(slots)
+
+    def at(qs):
+        return tuple(slot[q] for q in qs)
+
+    gates = [Clifford(op[1], at(op[2])) if op[0] == "cliff" else
+             Rotation(axis(n_reg, op[1], at(op[2])), op[3]) for op in ops]
+    noise = [NoiseSite(pos, ch.with_support(at(ch.support)), (0, i), None)
+             for i, (pos, ch) in enumerate(sites)]
+    words = [(cf, axis(n_reg, letters, at(qs))) for cf, letters, qs in terms]
+    b = sum(((basis >> q) & 1) << slot[q] for q in range(n))
+    return Circuit(n_reg, gates, noise), words, SparseState(n_reg,
+                                                            [(b, b, 1.0)])
+
+
+def _trace_flags(circuit, trace, n_visited):
+    """Per-site flags from a scalar walk's trace: the word met the site's
+    channel non-identity (only for steps the walk reached)."""
+    flags = {}
+    for i, step in enumerate(engine._program(circuit, "backward")):
+        if i >= n_visited:
+            break
+        if isinstance(step, engine._ChanStep):
+            flags[step.ordinal] = any(
+                trace[i].pauli.code_at(q) for q in step.channel.support)
+    return flags
+
+
+class TestLightCone:
+    @settings(max_examples=60, deadline=None)
+    @given(_spec(), st.sampled_from(sorted(_PAD_SLOTS)), st.randoms())
+    def test_cone_walks_match_scalar_walker_and_dense(self, spec, n_reg,
+                                                      rnd):
+        theta = ThetaAssignment(spec[5])
+        slots = rnd.sample(_PAD_SLOTS[n_reg], spec[0])
+        values = {}
+        for key, placed in (("bare", _place(spec)),
+                            ("padded", _place(spec, n_reg, slots))):
+            c, words, state = placed
+            x0, z0 = engine.words_for_paulis(
+                [w for _, w in words for _ in range(4)], c.n)
+            lanes = x0.shape[0]
+            streams = np.arange(lanes, dtype=np.uint64) * np.uint64(7919)
+            theta_b = engine.MaterializedTheta(np.tile(theta.values,
+                                                       (lanes, 1)))
+            sampled, flags = engine.run_backward_batch(
+                c, state, x0, z0, theta_b, seed=5, stream_ids=streams,
+                collect_flags=True)
+            for lane in range(lanes):
+                ref = engine.backprop_term(
+                    c, theta, words[lane // 4][1], state,
+                    RngStream(seed=5, stream_id=int(streams[lane])),
+                    collect_trace=True)
+                assert sampled[lane] == ref.value  # bit for bit
+                # the trace holds the start word and one word per step
+                for site, flag in _trace_flags(c, ref.trace,
+                                               len(ref.trace) - 1).items():
+                    assert flags[lane, site] == flag
+            x1, z1 = engine.words_for_paulis([w for _, w in words], c.n)
+            exact = engine.run_backward_batch(
+                c, state, x1, z1, engine.MaterializedTheta(
+                    np.tile(theta.values, (len(words), 1))), exact=True)
+            values[key] = (sampled, flags, exact)
+        bare, padded = values["bare"], values["padded"]
+        for a, b in zip(bare, padded):
+            assert np.array_equal(a, b)  # padding moves no bit
+        c, words, state = _place(spec)
+        obs = observable_from_terms([(cf, w) for cf, w in words], n=c.n)
+        want = oracle.dense_expectation(c, theta, obs, state)
+        got = float(np.array([cf for cf, _ in words]) @ bare[2])
+        assert got == pytest.approx(want, abs=1e-10)
+
+    def test_non_trace_preserving_channel_off_the_cone_is_kept(self):
+        # the channel on qubit 1 maps I to Z there: with qubit 1 in |1> it
+        # flips <Z_0>, although Z_0's cone never reaches qubit 1 otherwise
+        ptm = np.zeros((4, 4))
+        ptm[3, 0] = 1.0
+        ops = [Rotation(axis(2, "X", (0,)), 0)]
+        site = NoiseSite(0, make_raw_ptm(ptm, (1,)), (0, 0), None)
+        state = SparseState(2, [(2, 2, 1.0)])
+        x0, z0 = engine.words_for_paulis([axis(2, "Z", (0,))], 2)
+        theta = engine.MaterializedTheta(np.zeros((1, 1), dtype=np.uint8))
+        for sites, want in (([], 1.0), ([site], -1.0)):
+            c = Circuit(2, ops, sites)
+            for exact in (False, True):
+                got = engine.run_backward_batch(
+                    c, state, x0, z0, theta, exact=exact,
+                    stream_ids=np.zeros(1, dtype=np.uint64))
+                assert got[0] == want
+            assert oracle.dense_expectation(
+                c, ThetaAssignment(np.zeros(1, dtype=np.uint8)),
+                observable_from_terms([(1.0, "ZI")]), state) \
+                == pytest.approx(want, abs=1e-12)
+
+    def test_cone_drops_steps_off_the_support(self):
+        ops = [Rotation(axis(3, "X", (q,)), q) for q in range(3)]
+        sites = [NoiseSite(q, make_amplitude_damping(0.1, (q,)), (0, q),
+                           "gamma") for q in range(3)]
+        c = Circuit(3, ops + [Clifford("cnot", (0, 1))], sites)
+        prog = engine._program(c, "backward", 0b001)
+        assert len(prog) == 5  # cnot, then both qubits' rotations and noise
+        assert engine.cone_params(c, [axis(3, "Z", (0,))]) == {0, 1}
+        assert engine._program(c, "backward", 0b111) \
+            is engine._program(c, "backward")
+        assert engine._program(c, "forward", 0b001) \
+            is engine._program(c, "forward")
+
+    def test_threads_share_the_cone_cache(self):
+        # workers compiling cones of one circuit at once see the serial values
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        c, _, st_ = random_circuit(6, 24, seed=5)
+        words = [axis(6, "Z", (q,)) for q in range(6)] * 4
+        theta = engine.MaterializedTheta(np.zeros((8, c.n_params),
+                                                  dtype=np.uint8))
+        streams = np.arange(8, dtype=np.uint64)
+
+        def walk(word):
+            x0, z0 = engine.words_for_paulis([word] * 8, 6)
+            return engine.run_backward_batch(c, st_, x0, z0, theta,
+                                             stream_ids=streams)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(walk, words, timeout=60))
+        finally:
+            sys.setswitchinterval(old)
+        serial = [walk(w) for w in words]
+        assert all(np.array_equal(a, b) for a, b in zip(got, serial))
