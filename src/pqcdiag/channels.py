@@ -323,17 +323,6 @@ def validate(channel: PtmChannel) -> dict:
     }
 
 
-def _sample_tables(tables, s_local: int, rng) -> AdjointSample:
-    l1 = tables.l1[s_local]
-    if l1 <= 0.0:
-        return AdjointSample(0, 0.0)
-    u = rng.uniform()
-    j = int(np.searchsorted(tables.cdf[s_local], u, side="right"))
-    j = min(j, tables.cdf.shape[1] - 1)
-    return AdjointSample(int(tables.tau[s_local, j]),
-                         float(tables.sign[s_local, j] * l1))
-
-
 def adjoint_sample(channel: PtmChannel, s_local: int, rng) -> AdjointSample:
     """Draw a predecessor word from PTM column ``s_local``.
 
@@ -342,32 +331,15 @@ def adjoint_sample(channel: PtmChannel, s_local: int, rng) -> AdjointSample:
     the exact column action.  An all-zero column yields a terminal sample of
     weight 0.  ``rng`` must expose ``uniform()`` in [0, 1).
     """
-    return _sample_tables(channel.cols, s_local, rng)
-
-
-def forward_sample(channel: PtmChannel, s_local: int, rng) -> AdjointSample:
-    """Row-direction analogue of :func:`adjoint_sample` (forward walks).
-
-    Draws a successor from PTM row ``s_local``; weights stay bounded by 1
-    only for PRS1 channels, which forward-walking estimators must check.
-    """
-    return _sample_tables(channel.rows, s_local, rng)
-
-
-def enumerate_adjoint_branches(channel: PtmChannel, s_local: int
-                               ) -> list[tuple[int, float]]:
-    """All non-zero (tau, signed entry) pairs of PTM column ``s_local``."""
-    col = channel.ptm[:, s_local]
-    rows = np.nonzero(np.abs(col) > 0.0)[0]
-    return [(int(r), float(col[r])) for r in rows]
-
-
-def enumerate_forward_branches(channel: PtmChannel, s_local: int
-                               ) -> list[tuple[int, float]]:
-    """All non-zero (tau, signed entry) pairs of PTM row ``s_local``."""
-    row = channel.ptm[s_local, :]
-    cols = np.nonzero(np.abs(row) > 0.0)[0]
-    return [(int(c), float(row[c])) for c in cols]
+    tables = channel.cols
+    l1 = tables.l1[s_local]
+    if l1 <= 0.0:
+        return AdjointSample(0, 0.0)
+    u = rng.uniform()
+    j = int(np.searchsorted(tables.cdf[s_local], u, side="right"))
+    j = min(j, tables.cdf.shape[1] - 1)
+    return AdjointSample(int(tables.tau[s_local, j]),
+                         float(tables.sign[s_local, j] * l1))
 
 
 # ---------------------------------------------------------------------------

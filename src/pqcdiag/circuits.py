@@ -125,11 +125,17 @@ def observable_from_terms(terms, n: "int | None" = None) -> ObservableSum:
     """Merge duplicates, strip the identity component into the offset.
 
     ``terms`` is an iterable of (coeff, PauliString) or (coeff, label-string)
-    pairs; ``n`` is only needed when all labels are identity.
+    pairs; ``n`` is only needed when all labels are identity.  Complex
+    coefficients are accepted only with a zero imaginary part (ValueError
+    otherwise).
     """
     merged: dict[PauliString, float] = {}
     offset = 0.0
     for coeff, word in terms:
+        if isinstance(coeff, (complex, np.complexfloating)):
+            if coeff.imag != 0:
+                raise ValueError(f"coefficients must be real, got {coeff!r}")
+            coeff = coeff.real
         c = float(coeff)
         if isinstance(word, str):
             word = PauliString.from_text(word)
@@ -137,8 +143,6 @@ def observable_from_terms(terms, n: "int | None" = None) -> ObservableSum:
             n = word.n
         elif word.n != n:
             raise ValueError("observable terms on different register sizes")
-        if abs(c.imag if isinstance(c, complex) else 0.0) > 0:
-            raise ValueError("coefficients must be real")
         if word.is_identity():
             offset += c
         else:
@@ -433,19 +437,6 @@ def structurally_equal(a: Circuit, b: Circuit) -> bool:
 # builtin generators
 # ---------------------------------------------------------------------------
 
-def _attach_gate_noise(ops, sites, template: "PtmChannel | None",
-                       layer: int, element: int, qubits) -> None:
-    """Per-gate noise: one single-qubit copy of the template per gate qubit."""
-    if template is None:
-        return
-    pos = len(ops) - 1
-    pname = DEFAULT_NOISE_PARAM.get(template.label)
-    for q in qubits:
-        sites.append(NoiseSite(pos, template.with_support((q,)),
-                               (layer, element), pname))
-        element += 1
-
-
 def gen_line_benchmark(n: int, p: int):
     """Nearest-neighbour benchmark chain, noiseless.
 
@@ -495,6 +486,47 @@ def grid_edge_layers(rows: int, cols: int):
     return layers
 
 
+def _layered_circuit(n: int, edge_layers, blocks: int, two_qubit: str,
+                     noise: "PtmChannel | None", noise_mode: str) -> Circuit:
+    """Blocks of [R_X on every qubit, one ``two_qubit`` gate per edge of each
+    edge layer, R_Z on every qubit].
+
+    ``two_qubit`` is "cz" (fixed) or rotation letters such as "ZZ" (one
+    parameter per gate).  Every gate layer, an empty one too, gets the next
+    site-layer index.  ``noise_mode`` "gate" puts one single-qubit copy of
+    ``noise`` on each gate qubit right after the gate, numbered by qubit
+    within the layer; "qubit" puts one copy per qubit after each layer,
+    numbered by qubit.
+    """
+    if noise_mode not in ("gate", "qubit"):
+        raise ValueError(f"unknown noise_mode {noise_mode!r}")
+    pname = DEFAULT_NOISE_PARAM.get(noise.label) if noise is not None else None
+    singles = [(q,) for q in range(n)]
+    block = [("X", singles), *((two_qubit, e) for e in edge_layers),
+             ("Z", singles)]
+    ops: list = []
+    sites: list = []
+    k = 0
+    for layer, (gate, targets) in enumerate(block * blocks):
+        element = 0
+        for qubits in targets:
+            if gate == "cz":
+                ops.append(Clifford("cz", qubits))
+            else:
+                ops.append(Rotation(_axis_on_register(n, gate, qubits), k))
+                k += 1
+            if noise is not None and noise_mode == "gate":
+                for q in qubits:
+                    sites.append(NoiseSite(len(ops) - 1,
+                                           noise.with_support((q,)),
+                                           (layer, element), pname))
+                    element += 1
+        if noise is not None and noise_mode == "qubit":
+            sites.extend(NoiseSite(len(ops) - 1, noise.with_support((q,)),
+                                   (layer, q), pname) for q in range(n))
+    return Circuit(n, ops, sites)
+
+
 def gen_grid_chip(rows: int, cols: int, blocks: int, two_qubit: str = "rzz",
                   noise: "PtmChannel | None" = None,
                   noise_mode: str = "gate") -> Circuit:
@@ -508,50 +540,9 @@ def gen_grid_chip(rows: int, cols: int, blocks: int, two_qubit: str = "rzz",
         raise ValueError("grid needs at least 2x2")
     if two_qubit not in ("rzz", "cz"):
         raise ValueError(f"two_qubit must be 'rzz' or 'cz', got {two_qubit!r}")
-    if noise_mode not in ("gate", "qubit"):
-        raise ValueError(f"unknown noise_mode {noise_mode!r}")
-    n = rows * cols
-    edge_layers = grid_edge_layers(rows, cols)
-    ops: list = []
-    sites: list = []
-    k = 0
-    layer = 0
-    pname = DEFAULT_NOISE_PARAM.get(noise.label) if noise is not None else None
-
-    def finish_layer_qubit_noise():
-        nonlocal layer
-        if noise is not None and noise_mode == "qubit" and ops:
-            pos = len(ops) - 1
-            for q in range(n):
-                sites.append(NoiseSite(pos, noise.with_support((q,)),
-                                       (layer, q), pname))
-        layer += 1
-
-    for _ in range(blocks):
-        for q in range(n):
-            ops.append(Rotation(_axis_on_register(n, "X", (q,)), k))
-            if noise_mode == "gate":
-                _attach_gate_noise(ops, sites, noise, layer, q, (q,))
-            k += 1
-        finish_layer_qubit_noise()
-        for edges in edge_layers:
-            for e_idx, (a, b) in enumerate(edges):
-                if two_qubit == "rzz":
-                    ops.append(Rotation(_axis_on_register(n, "ZZ", (a, b)), k))
-                    k += 1
-                else:
-                    ops.append(Clifford("cz", (a, b)))
-                if noise_mode == "gate":
-                    _attach_gate_noise(ops, sites, noise, layer,
-                                       2 * e_idx, (a, b))
-            finish_layer_qubit_noise()
-        for q in range(n):
-            ops.append(Rotation(_axis_on_register(n, "Z", (q,)), k))
-            if noise_mode == "gate":
-                _attach_gate_noise(ops, sites, noise, layer, q, (q,))
-            k += 1
-        finish_layer_qubit_noise()
-    return Circuit(n, ops, sites)
+    return _layered_circuit(rows * cols, grid_edge_layers(rows, cols), blocks,
+                            "ZZ" if two_qubit == "rzz" else "cz", noise,
+                            noise_mode)
 
 
 def gen_ring(n: int, blocks: int, noise: "PtmChannel | None" = None,
@@ -562,43 +553,6 @@ def gen_ring(n: int, blocks: int, noise: "PtmChannel | None" = None,
     """
     if n < 4 or n % 2:
         raise ValueError("ring size must be even and at least 4")
-    if noise_mode not in ("gate", "qubit"):
-        raise ValueError(f"unknown noise_mode {noise_mode!r}")
-    ops: list = []
-    sites: list = []
-    k = 0
-    layer = 0
-    pname = DEFAULT_NOISE_PARAM.get(noise.label) if noise is not None else None
-    even_edges = [(q, (q + 1) % n) for q in range(0, n, 2)]
-    odd_edges = [(q, (q + 1) % n) for q in range(1, n, 2)]
-
-    def finish_layer_qubit_noise():
-        nonlocal layer
-        if noise is not None and noise_mode == "qubit" and ops:
-            pos = len(ops) - 1
-            for q in range(n):
-                sites.append(NoiseSite(pos, noise.with_support((q,)),
-                                       (layer, q), pname))
-        layer += 1
-
-    for _ in range(blocks):
-        for q in range(n):
-            ops.append(Rotation(_axis_on_register(n, "X", (q,)), k))
-            if noise_mode == "gate":
-                _attach_gate_noise(ops, sites, noise, layer, q, (q,))
-            k += 1
-        finish_layer_qubit_noise()
-        for edges in (even_edges, odd_edges):
-            for e_idx, (a, b) in enumerate(edges):
-                ops.append(Clifford("cz", (a, b)))
-                if noise_mode == "gate":
-                    _attach_gate_noise(ops, sites, noise, layer,
-                                       2 * e_idx, (a, b))
-            finish_layer_qubit_noise()
-        for q in range(n):
-            ops.append(Rotation(_axis_on_register(n, "Z", (q,)), k))
-            if noise_mode == "gate":
-                _attach_gate_noise(ops, sites, noise, layer, q, (q,))
-            k += 1
-        finish_layer_qubit_noise()
-    return Circuit(n, ops, sites)
+    edges = [(q, (q + 1) % n) for q in range(n)]
+    return _layered_circuit(n, (edges[0::2], edges[1::2]), blocks, "cz",
+                            noise, noise_mode)

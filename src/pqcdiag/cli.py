@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid input or configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,8 +44,7 @@ from .reports import DiagnosticConfig, canonical_json, payload_digest
 #: environment variable read for the default worker count
 THREADS_ENV = "PQCDIAG_THREADS"
 
-_CONFIG_KEYS = ("n_theta", "n_tau", "n_sigma", "seed", "threads",
-                "epsilon", "delta")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(DiagnosticConfig))
 
 
 class CliError(Exception):

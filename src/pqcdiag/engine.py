@@ -1,22 +1,21 @@
-"""Pauli-path walkers: observable back-propagation with channel sampling.
+"""Pauli-path walker: observable back-propagation with channel sampling.
 
 An expectation tr(O C(rho)) unrolls into a sum over Pauli paths: pull each
 observable word backward through the circuit (rotations and Cliffords map one
 word to one signed word on the quarter-turn angle grid; each noise channel
 fans out into its PTM-column entries) and close the surviving word against
-the initial state.  The engines here realize that sum two ways:
+the initial state.  One engine computes that sum: the batched walker
+(`run_backward_batch` / `run_forward_batch`) drives thousands of independent
+walks as uint64 bit-plane arrays, one sampled path per lane or, in exact
+mode, every branch as its own lane.  The estimators and the per-theta
+functions (`estimate_expectation`, `enumerate_expectation_exact`) all call
+it.  `backprop_term` is a one-path scalar walk on PauliStrings, kept only as
+the reference the batched walker is tested against bit for bit.
 
-* a scalar reference walker (`backprop_term`, `enumerate_expectation_exact`)
-  built on the PauliString layer — slow, obvious, used directly by the spec'd
-  per-theta operations and as the ground truth in tests;
-* a batched walker (`run_backward_batch` / `run_forward_batch`) that drives
-  thousands of independent walks as uint64 bit-plane arrays — what the
-  estimators actually call.
-
-Both consume randomness through the same counter-based keying: the uniform
-that decides a channel's branch is a pure function of (seed, walk stream id,
-noise-site ordinal), so the scalar and batched walkers reproduce each other's
-trajectories draw for draw, independent of batching or worker count.
+Randomness is counter-based: the uniform that decides a channel's branch is
+a pure function of (seed, walk stream id, noise-site ordinal), so a walk's
+trajectory does not depend on batching or worker count, and the reference
+walk reproduces a batched lane draw for draw.
 
 Channels with diagonal PTMs never branch: their column action is a
 deterministic factor, applied without consuming randomness.  A PTM column
@@ -32,8 +31,8 @@ and since a branch uniform is keyed by its site's ordinal, skipping a site
 moves no other site's draw.  Channels whose identity column is not e_I (a
 non-trace-preserving raw PTM) are always kept and widen the cone.  Forward
 walks run the full program: there the identity *row* matters, and it
-branches under amplitude damping.  The scalar walker always runs the full
-program; it is the reference the cone is checked against.
+branches under amplitude damping.  The reference walk always runs the full
+program; it is what the cone is checked against.
 """
 
 from __future__ import annotations
@@ -44,14 +43,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import adjoint_sample, enumerate_adjoint_branches, forward_sample
+from .channels import adjoint_sample
 from .circuits import Circuit, FixedAngle, Rotation, ThetaAssignment
 from .paulis import (CODE_TO_X_ARR, CODE_TO_Z_ARR, XZ_TO_CODE_ARR,
                      PauliString, SignedPauli, backprop_rotation, clifford_table,
                      conjugate_clifford, mask_to_words, n_words,
                      phase_exponent, popcount_words, trace_pauli_with_entries)
 from .reports import EstimateReport
-from .rng import (DOMAIN_TAU, RngStream, compose_stream, hash_words,
+from .rng import (DOMAIN_TAU, RngStream, compose_stream,
+                  compose_stream_array, grid_angle, hash_words,
                   uniform_from_hash)
 
 _U64 = np.uint64
@@ -224,7 +224,7 @@ def cone_params(circuit: Circuit, words) -> set:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference walker
+# scalar reference walk
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -235,17 +235,6 @@ class PathSample:
     value: float
     terminal: bool
     trace: "list | None" = None
-
-
-class _SlotRng:
-    """Adapter handing a channel exactly one positionally-keyed uniform."""
-
-    def __init__(self, stream: RngStream, slot: int):
-        self._stream = stream
-        self._slot = slot
-
-    def uniform(self) -> float:
-        return self._stream.uniform_at(self._slot)
 
 
 def _replace_local(p: PauliString, support, local_idx: int) -> PauliString:
@@ -264,97 +253,81 @@ def _local_index(p: PauliString, support) -> int:
     return idx
 
 
-def _walk_term(circuit: Circuit, theta: ThetaAssignment, start: PauliString,
-               stream: "RngStream | None", direction: str, slot_offset: int,
-               collect_trace: bool):
-    """Shared scalar walk; returns (signed_pauli, weight, terminal, trace)."""
-    prog = _program(circuit, direction)
-    sp = SignedPauli(start, 0)
+def backprop_term(circuit: Circuit, theta: ThetaAssignment, term: PauliString,
+                  state, stream: RngStream, collect_trace: bool = False,
+                  ) -> PathSample:
+    """Back-propagate a single observable word and close it against rho.
+
+    The test reference for the batched walker: one sampled path, walked over
+    the full backward program on PauliStrings.  Returns the signed path
+    value c-free (multiply by the term coefficient outside): weight x sign x
+    tr(P_final rho).  The walk consumes one uniform per non-diagonal noise
+    site, keyed by the site's ordinal.
+    """
+    circuit.check_theta(theta)
+    sp = SignedPauli(term, 0)
     w = 1.0
     trace = [sp] if collect_trace else None
-    for step in prog:
+    for step in _program(circuit, "backward"):
         if isinstance(step, _RotStep):
             k = step.fixed_k if step.param is None \
                 else int(theta.values[step.param])
-            sp = backprop_rotation(step.axis, k, sp, direction)
+            sp = backprop_rotation(step.axis, k, sp, "backward")
         elif isinstance(step, _CliffStep):
-            sp = conjugate_clifford(step.kind, step.qubits, sp, direction)
+            sp = conjugate_clifford(step.kind, step.qubits, sp, "backward")
         else:
             ch = step.channel
             idx = _local_index(sp.pauli, ch.support)
             if ch.diagonal:
                 w *= float(ch.ptm[idx, idx])
             else:
-                rng = _SlotRng(stream, slot_offset + step.ordinal)
-                smp = adjoint_sample(ch, idx, rng) if direction == "backward" \
-                    else forward_sample(ch, idx, rng)
+                smp = adjoint_sample(ch, idx, RngStream(
+                    stream.seed, stream.stream_id, counter=step.ordinal))
                 w *= smp.weight
                 if w != 0.0:
                     sp = SignedPauli(_replace_local(sp.pauli, ch.support,
                                                     smp.tau), sp.phase_q)
-            if w == 0.0:
-                if collect_trace:
-                    trace.append(sp)
-                return sp, 0.0, True, trace
         if collect_trace:
             trace.append(sp)
-    return sp, w, False, trace
-
-
-def backprop_term(circuit: Circuit, theta: ThetaAssignment, term: PauliString,
-                  state, stream: RngStream, collect_trace: bool = False,
-                  ) -> PathSample:
-    """Back-propagate a single observable word and close it against rho.
-
-    Returns the signed path value c-free (multiply by the term coefficient
-    outside): weight x sign x tr(P_final rho).  The walk consumes one uniform
-    per non-diagonal noise site, keyed by the site's ordinal.
-    """
-    circuit.check_theta(theta)
-    sp, w, dead, trace = _walk_term(circuit, theta, term, stream, "backward",
-                                    0, collect_trace)
-    if dead:
-        return PathSample(0.0, True, trace)
+        if w == 0.0:
+            return PathSample(0.0, True, trace)
     value = w * sp.real_sign() * trace_pauli_with_entries(sp.pauli,
                                                           state.entries)
     return PathSample(value, False, trace)
 
 
-def forward_term(circuit: Circuit, theta: ThetaAssignment, start: PauliString,
-                 stream: RngStream, slot_offset: int = 0):
-    """Push a word forward through the circuit (Heisenberg map applied to it).
-
-    Row-sampling analogue of :func:`backprop_term` used by the two-circuit
-    expressibility walk; returns (SignedPauli, weight, terminal).
-    """
-    circuit.check_theta(theta)
-    sp, w, dead, _ = _walk_term(circuit, theta, start, stream, "forward",
-                                slot_offset, False)
-    return sp, w, dead
-
+# ---------------------------------------------------------------------------
+# per-theta expectations on the batched walker
+# ---------------------------------------------------------------------------
 
 def estimate_expectation(circuit: Circuit, obs, state, theta: ThetaAssignment,
                          *, n_tau: int = 1, seed: int = 0,
                          outer_index: int = 0) -> EstimateReport:
     """Monte-Carlo estimate of <O> at one theta (exact when nothing branches).
 
-    Each observable term gets its own independent inner draws (walk streams
-    are keyed (outer_index, draw, term)).  When every noise channel is
-    diagonal the walk is deterministic, so a single pass is the exact value,
+    Each observable term gets its own independent inner draws: one batched
+    walk with a lane per (draw, term), its stream keyed by
+    ``compose_stream(outer_index, draw, term)`` (ValueError when any index
+    is out of that packing's range).  When every noise channel is diagonal
+    the walk is deterministic, so a single pass is the exact value,
     ``n_tau`` is forced to 1 and the stderr is 0.
     """
     t0 = time.perf_counter()
     circuit.check_theta(theta)
     stochastic = any(not s.channel.diagonal for s in circuit.noise_sites)
     n_eff = max(1, int(n_tau)) if stochastic else 1
-    draws = np.empty(n_eff)
-    for it in range(n_eff):
-        acc = obs.identity_offset
-        for h, (coeff, word) in enumerate(obs.terms):
-            stream = RngStream(seed, compose_stream(outer_index, it, h))
-            acc += coeff * backprop_term(circuit, theta, word, state,
-                                         stream).value
-        draws[it] = acc
+    n_terms = len(obs.terms)
+    draws = np.full(n_eff, obs.identity_offset, dtype=np.float64)
+    if n_terms:
+        compose_stream(outer_index, n_eff - 1, n_terms - 1)  # bounds check
+        x0, z0 = words_for_paulis([w for _, w in obs.terms], circuit.n)
+        streams = compose_stream_array(
+            outer_index, np.arange(n_eff)[:, None], np.arange(n_terms))
+        vals = run_backward_batch(
+            circuit, state, np.tile(x0, (n_eff, 1)), np.tile(z0, (n_eff, 1)),
+            _SharedTheta(theta), seed=seed, stream_ids=streams.ravel())
+        for h, (coeff, _) in enumerate(obs.terms):
+            draws += coeff * vals[h::n_terms]
     mean = float(draws.mean())
     stderr = float(draws.std(ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else 0.0
     return EstimateReport(
@@ -378,10 +351,11 @@ def exact_branch_estimate(circuit: Circuit) -> int:
 def enumerate_expectation_exact(circuit: Circuit, obs, state,
                                 theta: ThetaAssignment, *,
                                 branch_cap: int = 200_000) -> float:
-    """Exact <O> at one theta by depth-first enumeration of channel branches.
+    """Exact <O> at one theta: every channel branch of every term walked.
 
     Refuses upfront (RuntimeError) if the worst-case branch count per
-    observable term exceeds ``branch_cap``.
+    observable term exceeds ``branch_cap``.  Terms are walked one at a time,
+    so no walk holds more than ``branch_cap`` lanes.
     """
     circuit.check_theta(theta)
     est = exact_branch_estimate(circuit)
@@ -389,51 +363,31 @@ def enumerate_expectation_exact(circuit: Circuit, obs, state,
         raise RuntimeError(
             f"exact enumeration would visit up to {est} paths per term "
             f"(cap {branch_cap}); use the sampling estimator instead")
-    prog = _program(circuit, "backward")
     total = obs.identity_offset
     for coeff, word in obs.terms:
-        acc = 0.0
-        stack = [(0, SignedPauli(word, 0), 1.0)]
-        while stack:
-            i, sp, w = stack.pop()
-            dead = False
-            while i < len(prog):
-                step = prog[i]
-                i += 1
-                if isinstance(step, _RotStep):
-                    k = step.fixed_k if step.param is None \
-                        else int(theta.values[step.param])
-                    sp = backprop_rotation(step.axis, k, sp, "backward")
-                elif isinstance(step, _CliffStep):
-                    sp = conjugate_clifford(step.kind, step.qubits, sp,
-                                            "backward")
-                else:
-                    ch = step.channel
-                    idx = _local_index(sp.pauli, ch.support)
-                    if ch.diagonal:
-                        w *= float(ch.ptm[idx, idx])
-                        if w == 0.0:
-                            dead = True
-                            break
-                    else:
-                        branches = enumerate_adjoint_branches(ch, idx)
-                        for tau, val in branches:
-                            stack.append(
-                                (i, SignedPauli(_replace_local(
-                                    sp.pauli, ch.support, tau), sp.phase_q),
-                                 w * val))
-                        dead = True  # this frame handed off to its branches
-                        break
-            if not dead:
-                acc += w * sp.real_sign() * trace_pauli_with_entries(
-                    sp.pauli, state.entries)
-        total += coeff * acc
-    return total
+        x0, z0 = words_for_paulis([word], circuit.n)
+        vals = run_backward_batch(circuit, state, x0, z0, _SharedTheta(theta),
+                                  exact=True, lane_cap=branch_cap)
+        total += coeff * float(vals[0])
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
 # theta sources for the batched walker
 # ---------------------------------------------------------------------------
+
+class _SharedTheta:
+    """One grid-angle assignment shared by every lane, branch copies too."""
+
+    def __init__(self, theta: ThetaAssignment):
+        self.values = theta.values
+
+    def k_for(self, param: int) -> int:
+        return int(self.values[param])
+
+    def take(self, idx: np.ndarray) -> "_SharedTheta":
+        return self
+
 
 class MaterializedTheta:
     """Per-lane grid angles held as an explicit (B, N_g) uint8 array."""
@@ -471,13 +425,11 @@ class HashedTheta:
             np.ascontiguousarray(shift_delta, dtype=np.int64)
 
     def k_for(self, param: int) -> np.ndarray:
-        from .rng import DOMAIN_THETA
-        h = hash_words(self.seed, DOMAIN_THETA, self.uids, np.uint64(param))
-        k = (h & np.uint64(3)).astype(np.int64)
+        k = grid_angle(self.seed, self.uids, np.uint64(param))
         if self.shift_param is not None:
-            k = (k + np.where(self.shift_param == param,
-                              self.shift_delta, 0)) % 4
-        return k.astype(np.uint8)
+            k = ((k + np.where(self.shift_param == param,
+                               self.shift_delta, 0)) % 4).astype(np.uint8)
+        return k
 
     def take(self, idx: np.ndarray) -> "HashedTheta":
         return HashedTheta(

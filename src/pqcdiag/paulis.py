@@ -16,8 +16,9 @@ qubit-0).  Text form prints qubit 0 first: ``+XIZ`` means X on qubit 0, Z on
 qubit 2.
 
 The same algebra is exposed twice: an object layer (PauliString/SignedPauli)
-used by the scalar reference walker and everything user-facing, and a handful
-of vectorized helpers operating on uint64 word arrays used by the batched
+for everything user-facing, the oracle, and ``engine.backprop_term`` (the
+scalar walk the tests check the engine against), and a handful of vectorized
+helpers operating on uint64 word arrays for the one walk engine, the batched
 walker.  Both share the one phase formula, ``phase_exponent_words``.
 """
 

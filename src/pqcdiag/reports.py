@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 VOLATILE_FIELDS = ("wall_time_s",)
 
@@ -26,6 +26,51 @@ def payload_digest(payload: dict) -> str:
     """SHA-256 over the canonical form with volatile fields removed."""
     trimmed = {k: v for k, v in payload.items() if k not in VOLATILE_FIELDS}
     return hashlib.sha256(canonical_json(trimmed).encode()).hexdigest()
+
+
+class _JsonRecord:
+    """JSON form derived from the dataclass fields, in field order.
+
+    A class-level ``QUANTITY`` leads the dict as its ``quantity`` tag.
+    Tuples become lists (and lists tuples again on the way back), a field
+    named in ``ITEMS`` holds a list of that record type, and a field with a
+    default is left out while it is empty.
+    """
+
+    QUANTITY = None
+    ITEMS: dict = {}
+
+    def to_json_dict(self) -> dict:
+        out = {} if self.QUANTITY is None else {"quantity": self.QUANTITY}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.default_factory is not MISSING and not v:
+                continue
+            if f.name in self.ITEMS:
+                v = [e.to_json_dict() for e in v]
+            elif isinstance(v, tuple):
+                v = list(v)
+            out[f.name] = v
+        return out
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        kw = {}
+        for f in fields(cls):
+            if f.name not in d:
+                continue
+            v = d[f.name]
+            if f.name in cls.ITEMS:
+                v = [cls.ITEMS[f.name].from_json_dict(e) for e in v]
+            elif isinstance(v, list):
+                v = tuple(v)
+            elif isinstance(v, dict):
+                v = dict(v)
+            kw[f.name] = v
+        return cls(**kw)
+
+    def digest(self) -> str:
+        return payload_digest(self.to_json_dict())
 
 
 @dataclass
@@ -85,7 +130,7 @@ class DiagnosticConfig:
 
 
 @dataclass
-class EstimateReport:
+class EstimateReport(_JsonRecord):
     """One scalar diagnostic: mean +- stderr plus full sampling provenance.
 
     ``stats`` carries auxiliary consistency statistics the estimator wants
@@ -104,36 +149,9 @@ class EstimateReport:
     config: dict
     stats: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "quantity": self.quantity,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n_theta": self.n_theta,
-            "n_tau": self.n_tau,
-            "n_sigma": self.n_sigma,
-            "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
-            "config": self.config,
-        }
-        if self.stats:
-            out["stats"] = self.stats
-        return out
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EstimateReport":
-        return cls(quantity=d["quantity"], mean=d["mean"], stderr=d["stderr"],
-                   n_theta=d["n_theta"], n_tau=d["n_tau"],
-                   n_sigma=d["n_sigma"], seed=d["seed"],
-                   wall_time_s=d["wall_time_s"], config=dict(d["config"]),
-                   stats=dict(d.get("stats", {})))
-
-    def digest(self) -> str:
-        return payload_digest(self.to_json_dict())
-
 
 @dataclass
-class SiteGradient:
+class SiteGradient(_JsonRecord):
     """Sensitivity of the MSE to one noise site's strength parameter."""
 
     layer: int
@@ -144,16 +162,13 @@ class SiteGradient:
     gradient: float
     stderr: float
 
-    def to_json_dict(self) -> dict:
-        return {"layer": self.layer, "element": self.element,
-                "qubits": list(self.qubits), "channel": self.channel,
-                "param": self.param, "gradient": self.gradient,
-                "stderr": self.stderr}
-
 
 @dataclass
-class SensitivityMap:
+class SensitivityMap(_JsonRecord):
     """Per-site MSE gradients, one entry per noise site of the circuit."""
+
+    QUANTITY = "sensitivity_map"
+    ITEMS = {"entries": SiteGradient}
 
     entries: list
     n_theta: int
@@ -161,28 +176,6 @@ class SensitivityMap:
     seed: int
     wall_time_s: float
     config: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "quantity": "sensitivity_map",
-            "entries": [e.to_json_dict() for e in self.entries],
-            "n_theta": self.n_theta,
-            "n_tau": self.n_tau,
-            "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
-            "config": self.config,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SensitivityMap":
-        entries = [SiteGradient(layer=e["layer"], element=e["element"],
-                                qubits=tuple(e["qubits"]),
-                                channel=e["channel"], param=e["param"],
-                                gradient=e["gradient"], stderr=e["stderr"])
-                   for e in d["entries"]]
-        return cls(entries=entries, n_theta=d["n_theta"], n_tau=d["n_tau"],
-                   seed=d["seed"], wall_time_s=d["wall_time_s"],
-                   config=dict(d["config"]))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -198,7 +191,7 @@ class SensitivityMap:
 
 
 @dataclass
-class PlanStep:
+class PlanStep(_JsonRecord):
     """One greedy intervention: a site's strength lowered to a new value."""
 
     layer: int
@@ -211,17 +204,13 @@ class PlanStep:
     mse_after: float
     mse_stderr: float
 
-    def to_json_dict(self) -> dict:
-        return {"layer": self.layer, "element": self.element,
-                "qubits": list(self.qubits), "channel": self.channel,
-                "param": self.param, "old_value": self.old_value,
-                "new_value": self.new_value, "mse_after": self.mse_after,
-                "mse_stderr": self.mse_stderr}
-
 
 @dataclass
-class InterventionPlan:
+class InterventionPlan(_JsonRecord):
     """Ordered bottleneck-first interventions with the measured MSE path."""
+
+    QUANTITY = "intervention_plan"
+    ITEMS = {"steps": PlanStep}
 
     baseline_mse: float
     baseline_stderr: float
@@ -235,30 +224,6 @@ class InterventionPlan:
             if s.new_value > s.old_value + 1e-15:
                 raise ValueError("interventions must not raise a site's "
                                  "noise strength")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "quantity": "intervention_plan",
-            "baseline_mse": self.baseline_mse,
-            "baseline_stderr": self.baseline_stderr,
-            "steps": [s.to_json_dict() for s in self.steps],
-            "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
-            "config": self.config,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "InterventionPlan":
-        steps = [PlanStep(layer=s["layer"], element=s["element"],
-                          qubits=tuple(s["qubits"]), channel=s["channel"],
-                          param=s["param"], old_value=s["old_value"],
-                          new_value=s["new_value"], mse_after=s["mse_after"],
-                          mse_stderr=s["mse_stderr"])
-                 for s in d["steps"]]
-        return cls(baseline_mse=d["baseline_mse"],
-                   baseline_stderr=d["baseline_stderr"], steps=steps,
-                   seed=d["seed"], wall_time_s=d["wall_time_s"],
-                   config=dict(d["config"]))
 
     def trajectory_csv(self) -> str:
         """MSE after each intervention, step 0 being the untouched circuit."""

@@ -69,16 +69,27 @@ def uniforms(seed: int, domain: int, stream, slot) -> np.ndarray:
     return uniform_from_hash(hash_words(seed, domain, stream, slot))
 
 
+def grid_angle(seed: int, uid, param) -> np.ndarray:
+    """Grid-angle index k in {0,1,2,3} (theta_k = (pi/2)*k) of parameter
+    ``param`` in outer sample ``uid``, as uint8.
+
+    The one place a uid turns into angles: every other angle source calls
+    it.  ``uid`` and ``param`` broadcast against each other.
+    """
+    return (hash_words(seed, DOMAIN_THETA, uid, param) & _U64(3)).astype(
+        np.uint8)
+
+
 def angle_indices(seed: int, outer_uid, n_params: int) -> np.ndarray:
-    """Grid angles theta_k = (pi/2)*k with k drawn uniformly from {0,1,2,3}.
+    """Grid angles of the first ``n_params`` parameters, k uniform on
+    {0,1,2,3}.
 
     ``outer_uid`` may be a scalar or an array of outer-sample uids; the result
     has shape ``outer_uid.shape + (n_params,)`` and dtype uint8.
     """
     uid = np.asarray(outer_uid, dtype=np.uint64)
-    ks = np.arange(n_params, dtype=np.uint64)
-    h = hash_words(seed, DOMAIN_THETA, uid[..., None], ks)
-    return (h & _U64(3)).astype(np.uint8)
+    return grid_angle(seed, uid[..., None],
+                      np.arange(n_params, dtype=np.uint64))
 
 
 def pauli_codes(seed: int, outer_uid, n: int, *, zx_only: bool = False) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Circuit containers, JSON round trips, and the builtin generators."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
                               load_bundle, observable_from_terms, serialize,
                               shift_theta, structurally_equal, zero_state)
 from pqcdiag.paulis import PauliString
+from pqcdiag.reports import canonical_json
 
 
 class TestOps:
@@ -69,6 +73,18 @@ class TestObservable:
     def test_pauli_string_terms(self):
         obs = observable_from_terms([(1.0, axis(2, "Z", (1,)))])
         assert obs.n == 2
+
+    @pytest.mark.parametrize("coeff", [np.complex128(1 + 2j), 1 + 2j, 0.5j,
+                                       np.complex64(-1j)])
+    def test_complex_coefficients_refused(self, coeff):
+        with pytest.raises(ValueError, match="must be real"):
+            observable_from_terms([(coeff, "Z")])
+
+    def test_real_valued_complex_coefficients_accepted(self):
+        obs = observable_from_terms([(np.complex128(0.5 + 0j), "Z"),
+                                     (0.25 + 0j, "X"), (1 + 0j, "I")])
+        assert [c for c, _ in obs.terms] == [0.5, 0.25]
+        assert obs.identity_offset == 1.0
 
     def test_identity_only_sum(self):
         obs = observable_from_terms([(3.0, "II")])
@@ -210,7 +226,138 @@ class TestSerialization:
         assert structurally_equal(s1, s1.with_sites(s1.noise_sites))
 
 
+#: SHA-256 of canonical_json(serialize(circuit)) per generator call,
+#: "ring-<n>-<blocks>-<noise>-<mode>" and
+#: "chip-<rows>x<cols>-<blocks>-<entangler>-<noise>-<mode>"; recorded with
+#: the separate ring and chip loops the shared layered generator replaced
+GENERATOR_DIGESTS = {
+    "ring-4-1-none-gate":
+        "653e98f0b100f829a61ca24915af4028a0cc61a7d7ac2396dccc7d7a12a2390b",
+    "ring-4-1-none-qubit":
+        "653e98f0b100f829a61ca24915af4028a0cc61a7d7ac2396dccc7d7a12a2390b",
+    "ring-4-1-dep-gate":
+        "c06d4224b88b25ee2d46063077ba561398250fe3e3373c853b87c65852adcc18",
+    "ring-4-1-dep-qubit":
+        "c60db620a698027a767352f8ed238c14ae1021b9f31178d85113b360cbbe5093",
+    "ring-4-1-amp-gate":
+        "3c14f9baea3274e557b077adcae7ce6f3a9466b7318f7a0802007de06e95d280",
+    "ring-4-1-amp-qubit":
+        "96d66adf0425f9a022d990d0ea75fe9a46466c380ffe828e1ddc79c8b514b29c",
+    "ring-6-2-none-gate":
+        "3cf1ef4164e35598c06c46f35d8988ad2115d423b4838dd770295dcbf1ca0bab",
+    "ring-6-2-none-qubit":
+        "3cf1ef4164e35598c06c46f35d8988ad2115d423b4838dd770295dcbf1ca0bab",
+    "ring-6-2-dep-gate":
+        "0bb03ba0162b05b63e582dac64c0086fcda8fc3d555d85f3ffcdc08f466e66c4",
+    "ring-6-2-dep-qubit":
+        "e4d50a665db0f35dcb1f71143b2e96919a9dca5de04ede344abf936e2b1c18aa",
+    "ring-6-2-amp-gate":
+        "21b24287f092872069933fa0f6b91b93aee77cb11d85fc60aa430beb1bd61cfb",
+    "ring-6-2-amp-qubit":
+        "5a6c4fd5f82ed580f7b01a8213dfa93a6be1b5b68d9c1e084e1cf365fd069516",
+    "chip-2x2-2-rzz-none-gate":
+        "cbdca8ae5b82dbc3ac2c5cd26f1193eeb36b4660f3c85dfc51a19a4ec7bf953e",
+    "chip-2x2-2-rzz-none-qubit":
+        "cbdca8ae5b82dbc3ac2c5cd26f1193eeb36b4660f3c85dfc51a19a4ec7bf953e",
+    "chip-2x2-2-rzz-dep-gate":
+        "98e61ebf125d6a56db76562d77598f6a70b4cdfd3a15fb3f60cc8a0c9a6fb721",
+    "chip-2x2-2-rzz-dep-qubit":
+        "619344cc10d3de1795c650c868459da3e93941b263c7b3d17369a1f31469512e",
+    "chip-2x2-2-rzz-amp-gate":
+        "1d1f67cccb0ba90c5b808a2e799e1d3b389f4b0af249ecb234fb02b531baf00f",
+    "chip-2x2-2-rzz-amp-qubit":
+        "40ae5da908077b6c75e04200e3a213f5bd651d8018bda782c6b942acdad7233d",
+    "chip-2x2-2-cz-none-gate":
+        "63e759058f689ceb67eaa0fa7018edd813c91453f680a054251d6bd9357b6d62",
+    "chip-2x2-2-cz-none-qubit":
+        "63e759058f689ceb67eaa0fa7018edd813c91453f680a054251d6bd9357b6d62",
+    "chip-2x2-2-cz-dep-gate":
+        "c859e1f88c14258d2faee265fb4ea3c3aa3a65719e12dc11e4389b0e65ee932c",
+    "chip-2x2-2-cz-dep-qubit":
+        "9a7b4b02e56c726a6694ea0f093f5d86536373da357cff92610c1af007b77cf4",
+    "chip-2x2-2-cz-amp-gate":
+        "1587d92a99fef8dd9991130872a978d6a7d2f6cc1f810c8eaaa6477620d2390b",
+    "chip-2x2-2-cz-amp-qubit":
+        "891ec879d6420be9025497132ba40286c5c7c0a5a4f6fc729886b721f671800e",
+    "chip-2x3-2-rzz-none-gate":
+        "921475ae1c83ad44c2ea0d3512b65ecf26fbc83f0918fd5d103322b2b1153cd4",
+    "chip-2x3-2-rzz-none-qubit":
+        "921475ae1c83ad44c2ea0d3512b65ecf26fbc83f0918fd5d103322b2b1153cd4",
+    "chip-2x3-2-rzz-dep-gate":
+        "8369f401bbd97f84f48e65efd2adac9a654aa53c3004215d403f6dee083dd85e",
+    "chip-2x3-2-rzz-dep-qubit":
+        "156486f9bca0d64ae9c7ede54c2720a8c6a15cf152750075d381b34ec74c52a8",
+    "chip-2x3-2-rzz-amp-gate":
+        "9a984d5dcd70d316023d3bc55b385bff2b1973f243a083b894dbd7609d6c51d8",
+    "chip-2x3-2-rzz-amp-qubit":
+        "f334cd7ac57b86ff043cd8c3e9ae47920367a95940955d3273e5c2f8a8fe4e8e",
+    "chip-2x3-2-cz-none-gate":
+        "d1f04633f3cdeae0e639688a4c382fd389c051cf3faf1169a0f1134fa7437af1",
+    "chip-2x3-2-cz-none-qubit":
+        "d1f04633f3cdeae0e639688a4c382fd389c051cf3faf1169a0f1134fa7437af1",
+    "chip-2x3-2-cz-dep-gate":
+        "090b35f3acdf5efe094e432ed04466a7d5710864202ba8960f02f881ffe2810a",
+    "chip-2x3-2-cz-dep-qubit":
+        "155f8f18dbb860088233186e94e4acc7ceaca3f76aff11609ead01b8dc65a711",
+    "chip-2x3-2-cz-amp-gate":
+        "61aa88128009a9753da3a8052c3bbac04a863ea85df263e1f570281acdc2f054",
+    "chip-2x3-2-cz-amp-qubit":
+        "3a05a9c6512d6bb3f382dbbffd3af1055c2c11395bd42534ce11469205a75214",
+    "chip-3x3-1-rzz-none-gate":
+        "9d61e462886124c778a9d767e99c0330459ec92833cb335a61b0ec48928d6497",
+    "chip-3x3-1-rzz-none-qubit":
+        "9d61e462886124c778a9d767e99c0330459ec92833cb335a61b0ec48928d6497",
+    "chip-3x3-1-rzz-dep-gate":
+        "039490981390cc6d73c1611586759904d4b939bd8c0ecfdb2aa62956800f2cc5",
+    "chip-3x3-1-rzz-dep-qubit":
+        "8f61547417fe927337e96030237babe8bd95fd745233146129ca7e3096c63978",
+    "chip-3x3-1-rzz-amp-gate":
+        "76ec4e12c1217dcf1ece03d50174d3478d3e0066edb176a2992190afbd9f8fea",
+    "chip-3x3-1-rzz-amp-qubit":
+        "deea5dd2485feee31ebfec9b2d3a737bb58c6781601ca4f5e379ec2d03f7ad24",
+    "chip-3x3-1-cz-none-gate":
+        "b6f2f4022e11b91e15faae7d52623da36fb22227a18c2d05fcaa64b82decb236",
+    "chip-3x3-1-cz-none-qubit":
+        "b6f2f4022e11b91e15faae7d52623da36fb22227a18c2d05fcaa64b82decb236",
+    "chip-3x3-1-cz-dep-gate":
+        "f01d20c689946ffab33d94c7d5e193884c4a9d527d1c468e1d812e95bf4f98b3",
+    "chip-3x3-1-cz-dep-qubit":
+        "de31b24cc88c8b6b1ef9cf4a41b29ebe780e9e7f1c9c0155d486d0c319f34401",
+    "chip-3x3-1-cz-amp-gate":
+        "959fbed10cfc2532e8f3c2a3707cfab5d83762baa93ab2ff70e216b00c984aae",
+    "chip-3x3-1-cz-amp-qubit":
+        "e83d73686601bddd4381c75e82387e5ea64e804322bc5e2096254d2bb1eec615",
+}
+
+_NOISE = {"none": None, "dep": make_depolarizing(0.05),
+          "amp": make_amplitude_damping(0.1)}
+
+
+def _generated(key):
+    family, shape, blocks, *rest = key.split("-")
+    noise, mode = _NOISE[rest[-2]], rest[-1]
+    if family == "ring":
+        return gen_ring(int(shape), int(blocks), noise, mode)
+    rows, cols = (int(v) for v in shape.split("x"))
+    return gen_grid_chip(rows, cols, int(blocks), rest[0], noise, mode)
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("key", sorted(GENERATOR_DIGESTS))
+    def test_serialized_digest_is_pinned(self, key):
+        blob = canonical_json(serialize(_generated(key))).encode()
+        assert hashlib.sha256(blob).hexdigest() == GENERATOR_DIGESTS[key]
+
+    def test_digest_table_covers_every_variant(self):
+        want = {f"ring-{n}-{b}-{z}-{m}"
+                for (n, b), z, m in itertools.product(
+                    ((4, 1), (6, 2)), _NOISE, ("gate", "qubit"))}
+        want |= {f"chip-{s}-{b}-{e}-{z}-{m}"
+                 for (s, b), e, z, m in itertools.product(
+                     (("2x2", 2), ("2x3", 2), ("3x3", 1)), ("rzz", "cz"),
+                     _NOISE, ("gate", "qubit"))}
+        assert set(GENERATOR_DIGESTS) == want
+
     def test_line_benchmark_shape(self):
         c, obs, st = gen_line_benchmark(5, 3)
         assert c.n == 5 and c.n_params == 3 * (2 * 5 - 1)

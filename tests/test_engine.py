@@ -1,5 +1,5 @@
 """Path walker: exactness without branching, unbiasedness with it, and
-bit-identity between the scalar and vectorized routes."""
+bit-identity between the batched walker and the scalar reference walk."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
 from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
                               Rotation, SparseState, ThetaAssignment,
                               observable_from_terms, zero_state)
-from pqcdiag.paulis import CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS
+from pqcdiag.paulis import CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, PauliString
 from pqcdiag.rng import RngStream, angle_indices, compose_stream
 
 
@@ -107,6 +107,107 @@ class TestSampling:
         assert out.trace is not None and len(out.trace) >= 2
 
 
+def mixed_circuit():
+    """3 qubits: Cliffords, a 2-qubit mmff channel, thermal and amplitude
+    damping, a three-term observable and a state with coherences."""
+    n = 3
+    ops = [Rotation(axis(n, "X", (0,)), 0), Clifford("cz", (0, 1)),
+           Rotation(axis(n, "YZ", (1, 2)), 1), Rotation(axis(n, "Y", (2,)), 2),
+           Clifford("h", (2,)), Rotation(axis(n, "XX", (0, 2)), 3)]
+    sites = [NoiseSite(0, make_amplitude_damping(0.2, (0,)), (0, 0), "gamma"),
+             NoiseSite(2, make_mmff("X", (1, 2)), (1, 0), None),
+             NoiseSite(3, make_thermal(0.15, 0.1, (2,)), (2, 0), "gamma"),
+             NoiseSite(5, make_amplitude_damping(0.3, (1,)), (3, 0), "gamma")]
+    obs = observable_from_terms([(0.7, "ZIZ"), (-0.4, "XYI"), (0.25, "IIZ")])
+    state = SparseState(n, [(0, 0, 0.5), (5, 5, 0.5), (0, 5, 0.25j),
+                            (5, 0, -0.25j)])
+    return Circuit(n, ops, sites), obs, state
+
+
+#: (circuit, theta seed) per case; theta = integers(0, 4) from that seed
+PINNED_CASES = {
+    "random-2-5-72": (lambda: random_circuit(2, 5, seed=72), 5),
+    "random-3-6-41": (lambda: random_circuit(3, 6, seed=41), 5),
+    "mixed-3": (mixed_circuit, 0),
+}
+
+#: estimate_expectation(seed=23) as (mean, stderr) float hex, recorded with
+#: the scalar per-draw walk loop the batched call replaced
+PINNED_EXPECTATIONS = {
+    ("random-2-5-72", 1, 0): ("0x1.8eeda2f2630f5p-4", "0x0.0p+0"),
+    ("random-2-5-72", 1, 4294967295): ("0x1.8eeda2f2630f5p-4", "0x0.0p+0"),
+    ("random-2-5-72", 7, 0): ("-0x1.55f042869e0d2p-5",
+                              "0x1.264b378f88e16p-5"),
+    ("random-2-5-72", 7, 4294967295): ("0x1.c7eb035e2811ap-7",
+                                       "0x1.4261fa2e44d0bp-5"),
+    ("random-2-5-72", 64, 0): ("-0x1.f2a90baefbd33p-7",
+                               "0x1.8d24b23d4fc3ap-7"),
+    ("random-2-5-72", 64, 4294967295): ("-0x1.2b323a35ca4b7p-6",
+                                        "0x1.8af368c934bdfp-7"),
+    ("random-3-6-41", 1, 0): ("0x1.1aaa0309a6b00p-1", "0x0.0p+0"),
+    ("random-3-6-41", 1, 4294967295): ("0x1.1aaa0309a6b00p-1", "0x0.0p+0"),
+    ("random-3-6-41", 7, 0): ("0x1.e49129c766e49p-2", "0x1.430b712f99edbp-4"),
+    ("random-3-6-41", 7, 4294967295): ("0x1.e49129c766e49p-2",
+                                       "0x1.430b712f99edbp-4"),
+    ("random-3-6-41", 64, 0): ("0x1.7bd47414f7fc8p-2",
+                               "0x1.0b8989f220491p-5"),
+    ("random-3-6-41", 64, 4294967295): ("0x1.dcfee52049490p-2",
+                                        "0x1.9dc72394b9b28p-6"),
+    ("mixed-3", 1, 0): ("0x1.9988292e7456fp-2", "0x0.0p+0"),
+    ("mixed-3", 1, 4294967295): ("0x1.9988292e7456fp-2", "0x0.0p+0"),
+    ("mixed-3", 7, 0): ("0x1.6d30fe211a42bp-2", "0x1.62b9586ad0a21p-5"),
+    ("mixed-3", 7, 4294967295): ("0x1.6d30fe211a42bp-2",
+                                 "0x1.62b9586ad0a22p-5"),
+    ("mixed-3", 64, 0): ("0x1.4bef9dd716b38p-2", "0x1.0eecc87dbfa54p-6"),
+    ("mixed-3", 64, 4294967295): ("0x1.7c6ef4edb139ap-2",
+                                  "0x1.6cbe6d4d8576fp-7"),
+}
+
+
+def pinned_case(name):
+    build, theta_seed = PINNED_CASES[name]
+    c, obs, st = build()
+    th = ThetaAssignment(np.random.default_rng(theta_seed).integers(
+        0, 4, size=c.n_params))
+    return c, obs, st, th
+
+
+class TestPinnedExpectation:
+    @pytest.mark.parametrize("key", sorted(PINNED_EXPECTATIONS))
+    def test_mean_and_stderr_bit_for_bit(self, key):
+        name, n_tau, outer = key
+        c, obs, st, th = pinned_case(name)
+        rep = engine.estimate_expectation(c, obs, st, th, n_tau=n_tau,
+                                          seed=23, outer_index=outer)
+        assert (rep.mean.hex(), rep.stderr.hex()) == PINNED_EXPECTATIONS[key]
+        assert rep.n_tau == n_tau and rep.config == {"outer_index": outer}
+
+    @pytest.mark.parametrize("kw", [{"outer_index": 1 << 32},
+                                    {"outer_index": -1},
+                                    {"n_tau": (1 << 20) + 1}])
+    def test_stream_ranges_refused(self, kw):
+        c, obs, st, th = pinned_case("mixed-3")
+        with pytest.raises(ValueError):
+            engine.estimate_expectation(c, obs, st, th, **kw)
+
+    def test_too_many_terms_refused(self):
+        words = [PauliString.from_codes([(i >> (2 * q)) & 3 for q in range(7)])
+                 for i in range(1, 4098)]
+        c = Circuit(7, [Rotation(axis(7, "X", (0,)), 0)], [])
+        obs = observable_from_terms([(1.0, w) for w in words])
+        with pytest.raises(ValueError, match="term index"):
+            engine.estimate_expectation(c, obs, zero_state(7),
+                                        ThetaAssignment(np.array([1])))
+
+    def test_identity_only_observable(self):
+        c, _, st, th = pinned_case("mixed-3")
+        obs = observable_from_terms([(0.5, "III")])
+        rep = engine.estimate_expectation(c, obs, st, th, n_tau=5,
+                                          outer_index=1 << 32)
+        assert (rep.mean, rep.stderr) == (0.5, 0.0)
+        assert engine.enumerate_expectation_exact(c, obs, st, th) == 0.5
+
+
 class TestBatchedWalker:
     def test_scalar_and_batch_are_bit_identical(self):
         c, obs, st = random_circuit(3, 6, seed=55)
@@ -135,7 +236,7 @@ class TestBatchedWalker:
         vals = engine.run_backward_batch(c, st, x0, z0, theta_b, exact=True)
         got = float(coeffs @ vals) + obs.identity_offset
         assert got == pytest.approx(
-            engine.enumerate_expectation_exact(c, obs, st, th), abs=1e-12)
+            oracle.dense_expectation(c, th.as_radians(), obs, st), abs=1e-12)
 
     def test_collect_flags_sees_site_words(self):
         # site sits on qubit 1; a Z0 observable never touches it, a Z1 does

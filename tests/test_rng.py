@@ -66,6 +66,17 @@ def test_angle_indices_shape_and_range():
     assert np.array_equal(rng.angle_indices(4, 17, 6), ks[17])
 
 
+def test_grid_angle_is_the_angle_hash():
+    uids = np.arange(50, dtype=np.uint64)
+    ks = rng.angle_indices(3, uids, 5)
+    for p in range(5):
+        got = rng.grid_angle(3, uids, np.uint64(p))
+        assert got.dtype == np.uint8 and np.array_equal(got, ks[:, p])
+    h = rng.hash_words(3, rng.DOMAIN_THETA, uids[:, None],
+                       np.arange(5, dtype=np.uint64))
+    assert np.array_equal(ks, h & np.uint64(3))
+
+
 def test_pauli_codes_full_and_zx():
     c = rng.pauli_codes(8, np.arange(4000, dtype=np.uint64), 3)
     assert c.shape == (4000, 3)
