@@ -25,6 +25,7 @@ gamma in the identity *row* instead, which is fine).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -111,12 +112,8 @@ class PtmChannel:
     diagonal: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        self.support = tuple(int(q) for q in self.support)
+        self.support = _checked_support(self.support)
         m = len(self.support)
-        if not 1 <= m <= 3:
-            raise ValueError(f"channel support must be 1..3 qubits, got {m}")
-        if len(set(self.support)) != m:
-            raise ValueError("repeated qubit in channel support")
         ptm = np.array(self.ptm, dtype=np.float64)
         if ptm.shape != (4 ** m, 4 ** m):
             raise ValueError(f"PTM must be {4**m}x{4**m} for support {m}")
@@ -131,8 +128,29 @@ class PtmChannel:
         return len(self.support)
 
     def with_support(self, support) -> "PtmChannel":
-        """Same channel, re-attached to other qubits."""
-        return PtmChannel(tuple(support), self.ptm, self.label, dict(self.params))
+        """Same channel, re-attached to other qubits of the same number.
+
+        The copy shares this channel's validated PTM and branch tables,
+        which do not depend on where the channel sits.
+        """
+        support = _checked_support(support)
+        if len(support) != self.m:
+            raise ValueError(f"channel acts on {self.m} qubit(s), got "
+                             f"support {support}")
+        out = copy.copy(self)
+        out.support = support
+        out.params = dict(self.params)
+        return out
+
+
+def _checked_support(support) -> tuple:
+    support = tuple(int(q) for q in support)
+    if not 1 <= len(support) <= 3:
+        raise ValueError(f"channel support must be 1..3 qubits, got "
+                         f"{len(support)}")
+    if len(set(support)) != len(support):
+        raise ValueError("repeated qubit in channel support")
+    return support
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +330,22 @@ def rebuild_with(channel: PtmChannel, name: str, value: float) -> PtmChannel:
 # ---------------------------------------------------------------------------
 
 def validate(channel: PtmChannel) -> dict:
-    """PCS1 / PRS1 / trace-preservation flags at tolerance 1e-12."""
-    s = channel.ptm
-    e_i = np.zeros(s.shape[0])
-    e_i[0] = 1.0
-    return {
-        "pcs1": bool(np.abs(s).sum(axis=0).max() <= 1.0 + _TOL),
-        "prs1": bool(np.abs(s).sum(axis=1).max() <= 1.0 + _TOL),
-        "tp": bool(np.abs(s[:, 0] - e_i).max() <= _TOL),
-    }
+    """PCS1 / PRS1 / trace-preservation flags at tolerance 1e-12.
+
+    Cached on the channel, so copies made by ``with_support`` share it.
+    """
+    flags = channel.__dict__.get("_flags")
+    if flags is None:
+        s = channel.ptm
+        e_i = np.zeros(s.shape[0])
+        e_i[0] = 1.0
+        flags = {
+            "pcs1": bool(np.abs(s).sum(axis=0).max() <= 1.0 + _TOL),
+            "prs1": bool(np.abs(s).sum(axis=1).max() <= 1.0 + _TOL),
+            "tp": bool(np.abs(s[:, 0] - e_i).max() <= _TOL),
+        }
+        channel.__dict__["_flags"] = flags
+    return dict(flags)
 
 
 def adjoint_sample(channel: PtmChannel, s_local: int, rng) -> AdjointSample:

@@ -292,6 +292,15 @@ class Circuit:
     def all_depolarizing(self) -> bool:
         return all(s.channel.label == "depolarizing" for s in self.noise_sites)
 
+    def branching(self) -> bool:
+        """True when some noise channel is not diagonal, so that walks
+        through the circuit sample branches (cached)."""
+        cached = self.__dict__.get("_branching")
+        if cached is None:
+            cached = any(not s.channel.diagonal for s in self.noise_sites)
+            self.__dict__["_branching"] = cached
+        return cached
+
     def without_noise(self) -> "Circuit":
         """Noiseless copy (cached; self when already noiseless)."""
         cached = self.__dict__.get("_clean")
@@ -447,15 +456,9 @@ def gen_line_benchmark(n: int, p: int):
     if n < 3 or p < 1:
         raise ValueError("need n >= 3 qubits (the middle qubit must have a "
                          "right neighbour) and p >= 1 blocks")
-    ops = []
-    k = 0
-    for _ in range(p):
-        for q in range(n):
-            ops.append(Rotation(_axis_on_register(n, "Z", (q,)), k))
-            k += 1
-        for q in range(n - 1):
-            ops.append(Rotation(_axis_on_register(n, "XX", (q, q + 1)), k))
-            k += 1
+    block = [_axis_on_register(n, "Z", (q,)) for q in range(n)] + \
+        [_axis_on_register(n, "XX", (q, q + 1)) for q in range(n - 1)]
+    ops = [Rotation(block[k % len(block)], k) for k in range(p * len(block))]
     circuit = Circuit(n, ops, [])
     q = n // 2
     obs = observable_from_terms([

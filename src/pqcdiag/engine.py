@@ -6,11 +6,24 @@ word to one signed word on the quarter-turn angle grid; each noise channel
 fans out into its PTM-column entries) and close the surviving word against
 the initial state.  One engine computes that sum: the batched walker
 (`run_backward_batch` / `run_forward_batch`) drives thousands of independent
-walks as uint64 bit-plane arrays, one sampled path per lane or, in exact
-mode, every branch as its own lane.  The estimators and the per-theta
-functions (`estimate_expectation`, `enumerate_expectation_exact`) all call
-it.  `backprop_term` is a one-path scalar walk on PauliStrings, kept only as
-the reference the batched walker is tested against bit for bit.
+walks, one sampled path per lane or, in exact mode, every branch as its own
+lane.  The estimators and the per-theta functions (`estimate_expectation`,
+`enumerate_expectation_exact`) all call it.  `backprop_term` is a one-path
+scalar walk on PauliStrings, kept only as the reference the batched walker
+is tested against bit for bit.
+
+The walk state is bit-sliced (the Pauli-frame layout of Gidney's Stim,
+arXiv:2103.02202): each qubit has one row of x bits and one of z bits, and a
+sign row holds the rotations' sign flips; every row is a uint64 lane plane,
+bit i % 64 of word i // 64 belonging to lane i, with the padding bits of the
+last word always 0.  A grid rotation is then a few AND/XOR operations over
+B/64 words.  Clifford and channel steps unpack only their support rows to
+per-lane codes, look those up in their tables and pack the rows back.  The
+sign row is folded into the float weights once, at the end of the walk;
+negation is exact, so that is bit-identical to negating along the way.
+Callers see lane-major words, a (B, W) uint64 array per x and z with bit
+q % 64 of word q // 64 belonging to qubit q: walks convert at entry and
+exit only.
 
 Randomness is counter-based: the uniform that decides a channel's branch is
 a pure function of (seed, walk stream id, noise-site ordinal), so a walk's
@@ -40,22 +53,24 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .channels import adjoint_sample
 from .circuits import Circuit, FixedAngle, Rotation, ThetaAssignment
-from .paulis import (CODE_TO_X_ARR, CODE_TO_Z_ARR, XZ_TO_CODE_ARR,
-                     PauliString, SignedPauli, backprop_rotation, clifford_table,
+from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
+                     SignedPauli, backprop_rotation, clifford_table,
                      conjugate_clifford, mask_to_words, n_words,
                      phase_exponent, popcount_words, trace_pauli_with_entries)
 from .reports import EstimateReport
-from .rng import (DOMAIN_TAU, RngStream, compose_stream,
-                  compose_stream_array, grid_angle, hash_words,
+from .rng import (DOMAIN_TAU, RngStream, angles_from_keys, compose_stream,
+                  compose_stream_array, hash_words, theta_keys,
                   uniform_from_hash)
 
-_U64 = np.uint64
-_ONE = np.uint64(1)
+_LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
+_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
+_NONE = np.uint64(0)
 
 # per-site phase/anticommutation tables: entry [a, b] looks at axis code a
 # against walk-word code b on one qubit
@@ -68,7 +83,41 @@ for _a in range(4):
         _QTAB[_a, _b] = phase_exponent(_xa, _za, _xb, _zb)
         _ATAB[_a, _b] = (_xa & _zb) ^ (_za & _xb)
 
+
+def _xor_form(by_code) -> tuple:
+    """A one-qubit table (indexed by the walk word's code there) as a XOR of
+    the word's x, z and x & z bits: the three coefficients.  Every table
+    here scores the identity word 0, so no constant term (which would set
+    the padding bits of a lane plane) is needed."""
+    f = {(xb, zb): int(by_code[XZ_TO_CODE[xb + 2 * zb]])
+         for xb in (0, 1) for zb in (0, 1)}
+    assert f[0, 0] == 0
+    return f[1, 0], f[0, 1], f[1, 1] ^ f[1, 0] ^ f[0, 1]
+
+
+#: [axis code] -> XOR forms of a rotation site's anticommutation bit and of
+#: bits 0 and 1 of its phase exponent
+_SITE_FORMS = [(_xor_form(_ATAB[a]), _xor_form(_QTAB[a] & 1),
+                _xor_form(_QTAB[a] >> 1)) for a in range(4)]
+
 _I_POWS = np.array([1.0, 1.0j, -1.0, -1.0j])
+_CODE_BITS = np.array([CODE_TO_X, CODE_TO_Z], dtype=np.uint8)
+
+
+def _row_tables(m: int) -> tuple:
+    """Local word indices on m qubits against their 2m plane-row bits (the
+    x rows, then the z rows): (row-bit index -> local index, (2m, 4^m) row
+    bits of each local index)."""
+    local = np.arange(4 ** m)
+    codes = (local >> (2 * np.arange(m)[:, None])) & 3
+    bits = _CODE_BITS[:, codes].reshape(2 * m, -1)
+    to_local = np.empty(4 ** m, dtype=np.intp)
+    to_local[(1 << np.arange(2 * m)) @ bits] = local
+    return to_local, bits
+
+
+#: [m] -> _row_tables(m), for the 1..3 qubits a Clifford or channel acts on
+_ROW_TABLES = {m: _row_tables(m) for m in (1, 2, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +129,7 @@ class _RotStep:
     axis: PauliString
     param: "int | None"
     fixed_k: int
-    sites: list  # [(word_idx, bit, axis_code), ...]
+    sites: list  # [(qubit, axis_code), ...] where the axis is not I
     mask: int  # qubits acted on, as a bit mask
     pinned = False  # never dropped from a light cone
 
@@ -91,7 +140,7 @@ class _CliffStep:
     qubits: tuple
     out_idx: np.ndarray
     sign: np.ndarray
-    sites: list  # [(word_idx, bit), ...]
+    rows: list  # plane rows: the qubits' x rows, then their z rows
     mask: int
     pinned = False
 
@@ -100,22 +149,19 @@ class _CliffStep:
 class _ChanStep:
     ordinal: int  # global noise-site index, doubles as the RNG slot
     channel: object
-    sites: list  # [(word_idx, bit), ...]
+    rows: list
     mask: int
     pinned: bool  # does not map the identity word to itself with weight 1
 
 
 def _rot_sites(axis: PauliString) -> list:
-    out = []
-    for q in range(axis.n):
-        c = axis.code_at(q)
-        if c:
-            out.append((q // 64, q % 64, c))
-    return out
+    mask = axis.x_bits | axis.z_bits
+    return [(q, axis.code_at(q)) for q in range(mask.bit_length())
+            if mask >> q & 1]
 
 
-def _qubit_sites(qubits) -> list:
-    return [(q // 64, q % 64) for q in qubits]
+def _plane_rows(qubits, n: int) -> list:
+    return list(qubits) + [n + q for q in qubits]
 
 
 def _qubit_mask(qubits) -> int:
@@ -144,12 +190,13 @@ def _compile(circuit: Circuit, direction: str) -> list:
                             op.axis.x_bits | op.axis.z_bits)
         out_idx, sign = clifford_table(op.kind, direction)
         return _CliffStep(op.kind, op.qubits, out_idx,
-                          sign.astype(np.float64), _qubit_sites(op.qubits),
+                          sign.astype(np.float64),
+                          _plane_rows(op.qubits, circuit.n),
                           _qubit_mask(op.qubits))
 
     def chan_step(ordinal, site):
         ch = site.channel
-        return _ChanStep(ordinal, ch, _qubit_sites(ch.support),
+        return _ChanStep(ordinal, ch, _plane_rows(ch.support, circuit.n),
                          _qubit_mask(ch.support),
                          not _fixes_identity(ch, direction))
 
@@ -314,7 +361,7 @@ def estimate_expectation(circuit: Circuit, obs, state, theta: ThetaAssignment,
     """
     t0 = time.perf_counter()
     circuit.check_theta(theta)
-    stochastic = any(not s.channel.diagonal for s in circuit.noise_sites)
+    stochastic = circuit.branching()
     n_eff = max(1, int(n_tau)) if stochastic else 1
     n_terms = len(obs.terms)
     draws = np.full(n_eff, obs.identity_offset, dtype=np.float64)
@@ -410,8 +457,10 @@ class HashedTheta:
 
     Regenerating angles on demand keeps memory flat for huge parameter
     counts; the same (seed, uid) always yields the same assignment, so outer
-    samples are reproducible without storing them.  ``shift_param``/``delta``
-    implement the quarter-turn parameter shift per lane (-1 = no shift).
+    samples are reproducible without storing them.  The uid part of the
+    hash is computed once, here (``rng.theta_keys``), which leaves one mix
+    per parameter and lane.  ``shift_param``/``delta`` implement the
+    quarter-turn parameter shift per lane (-1 = no shift).
     """
 
     def __init__(self, seed: int, uids: np.ndarray,
@@ -419,13 +468,14 @@ class HashedTheta:
                  shift_delta: "np.ndarray | None" = None):
         self.seed = seed
         self.uids = np.ascontiguousarray(uids, dtype=np.uint64)
+        self.keys = theta_keys(seed, self.uids)
         self.shift_param = None if shift_param is None else \
             np.ascontiguousarray(shift_param, dtype=np.int64)
         self.shift_delta = None if shift_delta is None else \
             np.ascontiguousarray(shift_delta, dtype=np.int64)
 
     def k_for(self, param: int) -> np.ndarray:
-        k = grid_angle(self.seed, self.uids, np.uint64(param))
+        k = angles_from_keys(self.keys, param)
         if self.shift_param is not None:
             k = ((k + np.where(self.shift_param == param,
                                self.shift_delta, 0)) % 4).astype(np.uint8)
@@ -441,20 +491,23 @@ class HashedTheta:
         return self.uids.shape[0]
 
 
+class TiledTheta:
+    """``reps`` copies of a theta source's lanes, one after the other: the
+    angles of a walk that puts several words on each lane's assignment.
+    Each parameter's angles are drawn once and tiled."""
+
+    def __init__(self, theta, reps: int):
+        self.theta = theta
+        self.reps = reps
+
+    def k_for(self, param: int) -> np.ndarray:
+        return np.tile(self.theta.k_for(param), self.reps)
+
+
 def codes_to_words(codes: np.ndarray):
     """(B, n) per-qubit codes -> ((B, W) x-words, (B, W) z-words)."""
-    codes = np.asarray(codes)
-    b, n = codes.shape
-    w = n_words(n)
-    x = np.zeros((b, w), dtype=np.uint64)
-    z = np.zeros((b, w), dtype=np.uint64)
-    xb = CODE_TO_X_ARR[codes.astype(np.intp)]
-    zb = CODE_TO_Z_ARR[codes.astype(np.intp)]
-    for j in range(n):
-        wi, bit = divmod(j, 64)
-        x[:, wi] |= xb[:, j] << _U64(bit)
-        z[:, wi] |= zb[:, j] << _U64(bit)
-    return x, z
+    bits = _CODE_BITS[:, np.asarray(codes, dtype=np.intp)]
+    return _pack(bits[0]), _pack(bits[1])
 
 
 def words_for_paulis(paulis, n: int):
@@ -468,50 +521,98 @@ def words_for_paulis(paulis, n: int):
 # batched walker
 # ---------------------------------------------------------------------------
 
-def _gather_codes(x, z, sites) -> np.ndarray:
-    """Local word index per lane from the (word, bit) sites."""
-    idx = np.zeros(x.shape[0], dtype=np.int64)
-    for i, (wi, bit) in enumerate(sites):
-        xq = ((x[:, wi] >> _U64(bit)) & _ONE).astype(np.int64)
-        zq = ((z[:, wi] >> _U64(bit)) & _ONE).astype(np.int64)
-        idx |= XZ_TO_CODE_ARR[xq + 2 * zq].astype(np.int64) << (2 * i)
-    return idx
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(..., B) 0/1 values -> (..., ceil(B/64)) uint64 words, bit i % 64 of
+    word i // 64 holding value i; the padding bits of the last word are 0."""
+    *lead, b = bits.shape
+    n_bytes, n_words_ = (b + 7) // 8, (b + 63) // 64
+    if b % 8:
+        bits = np.concatenate(
+            (bits, np.zeros((*lead, 8 * n_bytes - b), dtype=np.uint8)), -1)
+    packed = np.packbits(np.ascontiguousarray(bits), axis=None,
+                         bitorder="little").reshape(*lead, n_bytes)
+    if n_bytes % 8:
+        out = np.zeros((*lead, 8 * n_words_), dtype=np.uint8)
+        out[..., :n_bytes] = packed
+        packed = out
+    return packed.view(_LANE)
 
 
-def _scatter_codes(x, z, sites, idx) -> None:
-    for i, (wi, bit) in enumerate(sites):
-        c = (idx >> (2 * i)) & 3
-        keep = ~_U64(1 << bit)
-        x[:, wi] = (x[:, wi] & keep) | (CODE_TO_X_ARR[c] << _U64(bit))
-        z[:, wi] = (z[:, wi] & keep) | (CODE_TO_Z_ARR[c] << _U64(bit))
+def _unpack(words: np.ndarray, count: int) -> np.ndarray:
+    """Inverse of :func:`_pack`: the first ``count`` bits of each row of
+    unsigned words, as (..., count) uint8."""
+    words = np.ascontiguousarray(words)
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=count,
+                         bitorder="little")
 
 
-def _rot_batch(x, z, w, step: _RotStep, k, backward: bool) -> None:
-    """Grid rotation on all lanes; k is scalar or (B,) angle indices."""
-    anti = np.zeros(x.shape[0], dtype=np.int64)
-    q = np.zeros(x.shape[0], dtype=np.int64)
-    codes = []
-    for wi, bit, a_code in step.sites:
-        xq = ((x[:, wi] >> _U64(bit)) & _ONE).astype(np.int64)
-        zq = ((z[:, wi] >> _U64(bit)) & _ONE).astype(np.int64)
-        c = (XZ_TO_CODE_ARR[xq + 2 * zq]).astype(np.int64)
-        codes.append(c)
-        anti ^= _ATAB[a_code, c]
-        q += _QTAB[a_code, c]
-    kk = np.where(anti == 1, k, 0).astype(np.int64)
-    odd = (kk & 1) == 1
-    ph = (q + kk + (0 if backward else 2)) & 3
-    if np.any(odd & ((ph & 1) == 1)):
+def _transpose(words: np.ndarray, count: int) -> np.ndarray:
+    """Bit-matrix transpose: (R, C) words holding ``count`` bits a row ->
+    (count, ceil(R/64)) words.  Lane-major walk words (a row per lane, a bit
+    per qubit) become per-qubit lane planes (a row per qubit, a bit per
+    lane), and back."""
+    return _pack(np.ascontiguousarray(_unpack(words, count).T))
+
+
+def _local_codes(planes: np.ndarray, rows: list, b: int) -> np.ndarray:
+    """Local word index per lane on a step's qubits (first qubit lowest),
+    from their x and z plane rows."""
+    bits = _unpack(planes[rows], b).astype(np.intp)
+    index = bits[0]
+    for r in range(1, len(rows)):
+        index |= bits[r] << r
+    return _ROW_TABLES[len(rows) // 2][0][index]
+
+
+def _set_codes(planes: np.ndarray, rows: list, idx: np.ndarray) -> None:
+    """Write per-lane local word indices back into the step's plane rows."""
+    planes[rows] = _pack(_ROW_TABLES[len(rows) // 2][1][:, idx])
+
+
+def _rotate(planes: np.ndarray, n: int, step: _RotStep, k, b: int,
+            backward: bool) -> None:
+    """Grid rotation on all lanes, as AND/XOR over lane planes.
+
+    ``k`` is a scalar or (B,) angle indices.  A lane whose word anticommutes
+    with the axis takes k; its 2-bit phase exponent q (summed per site from
+    _QTAB) plus k plus the direction's offset must stay even when k is odd,
+    then k odd flips the word by the axis, and k == 2 or an odd k with phase
+    2 negates the lane's sign.
+    """
+    if np.ndim(k):
+        bits = np.empty((2, b), dtype=np.uint8)
+        np.bitwise_and(k, 1, out=bits[0], casting="unsafe")
+        np.bitwise_and(k, 2, out=bits[1], casting="unsafe")
+        k0, k1 = _pack(bits)
+    else:
+        k0, k1 = (_ALL if k & 1 else _NONE), (_ALL if k & 2 else _NONE)
+    anti = q0 = q1 = None
+    for q, a in step.sites:
+        x, z = planes[q], planes[n + q]
+        terms = (x, z, x & z)
+        site, v0, v1 = (reduce(np.bitwise_xor,
+                               [t for t, c in zip(terms, form) if c])
+                        for form in _SITE_FORMS[a])
+        if anti is None:
+            anti, q0, q1 = site, v0, v1
+        else:  # 2-bit add of the site's exponent
+            anti = anti ^ site
+            q1 = q1 ^ v1 ^ (q0 & v0)
+            q0 = q0 ^ v0
+    # kk = k where the word anticommutes, else 0; ph = q + kk + offset
+    # (mod 4), whose bit 0 is q0 ^ kk0 and whose bit 1 takes the carry
+    kk0, kk1 = anti & k0, anti & k1
+    if np.any(kk0 & (q0 ^ kk0)):
         raise AssertionError("imaginary phase escaped a grid rotation")
-    neg = (kk == 2) | (odd & (ph == 2))
-    np.negative(w, out=w, where=neg)
-    if np.any(odd):
-        flip = odd.astype(np.uint64)
-        for wi, bit, a_code in step.sites:
-            if a_code in (1, 2):  # axis has X here
-                x[:, wi] ^= flip << _U64(bit)
-            if a_code in (2, 3):  # axis has Z here
-                z[:, wi] ^= flip << _U64(bit)
+    ph1 = q1 ^ kk1 ^ (q0 & kk0)
+    if not backward:  # offset 2
+        ph1 = ~ph1
+    planes[2 * n] ^= (kk1 & ~kk0) | (kk0 & ph1)
+    for q, a in step.sites:
+        if a in (1, 2):  # axis has X here
+            planes[q] ^= kk0
+        if a in (2, 3):  # axis has Z here
+            planes[n + q] ^= kk0
 
 
 def _terminal_values(x, z, w, state) -> np.ndarray:
@@ -521,19 +622,15 @@ def _terminal_values(x, z, w, state) -> np.ndarray:
     acc = np.zeros(b, dtype=np.complex128)
     for r, c, amp in state.entries:
         t = mask_to_words(r ^ c, 64 * width)[None, :width]
-        match = np.all(x == t, axis=1)
+        match = np.flatnonzero(np.all(x == t, axis=1))
         rz = mask_to_words(r, 64 * width)[None, :width]
-        sign = 1.0 - 2.0 * (popcount_words(z & rz) & 1)
-        acc += np.where(match, sign * amp, 0.0)
+        sign = 1.0 - 2.0 * (popcount_words(z[match] & rz) & 1)
+        acc[match] += sign * amp
     acc *= _I_POWS[e]
     scale = max(1.0, float(np.abs(acc.real).max(initial=0.0)))
     if float(np.abs(acc.imag).max(initial=0.0)) > 1e-9 * scale:
         raise AssertionError("complex trace against a Hermitian state")
     return w * acc.real
-
-
-def _split_lanes(arrs, rep):
-    return [a[rep] for a in arrs]
 
 
 def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
@@ -550,68 +647,88 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     the walking word was non-identity on the channel's support at the moment
     the channel acted (the factor sensitivity analysis differentiates).
     Flags are None unless requested, and are per expanded lane in exact mode.
+
+    The walk state is bit-sliced: ``planes`` holds the x row of every qubit,
+    then every z row, then the sign row, each a lane plane (see
+    :func:`_transpose`).  Lane-major words exist only at entry and exit.
     """
-    x = np.array(x0, dtype=np.uint64, copy=True)
-    z = np.array(z0, dtype=np.uint64, copy=True)
-    prog = _program(circuit, direction, _support_mask(x, z))
-    b0 = x.shape[0]
-    w = np.ones(b0) if w0 is None else np.array(w0, dtype=np.float64,
-                                                copy=True)
+    n = circuit.n
+    x0 = np.asarray(x0, dtype=np.uint64)
+    z0 = np.asarray(z0, dtype=np.uint64)
+    if x0.shape[1:] != (n_words(n),) or z0.shape != x0.shape:
+        raise ValueError(f"walk words must be (lanes, {n_words(n)}) arrays "
+                         f"for {n} qubits, got {x0.shape} and {z0.shape}")
+    support = _support_mask(x0, z0)
+    if support >> n:
+        raise ValueError(f"walk words act on qubits beyond the {n}-qubit "
+                         "register")
+    prog = _program(circuit, direction, support)
+    b = x0.shape[0]
+    planes = np.concatenate((_transpose(x0, n), _transpose(z0, n),
+                             np.zeros((1, (b + 63) // 64), dtype=_LANE)))
+    w = np.ones(b) if w0 is None else np.array(w0, dtype=np.float64,
+                                               copy=True)
     if not exact:
-        if any(not s.channel.diagonal for s in circuit.noise_sites):
+        if circuit.branching():
             if stream_ids is None:
                 raise ValueError("sampled walk through branching channels "
                                  "needs per-lane stream ids")
             stream_ids = np.ascontiguousarray(stream_ids, dtype=np.uint64)
-    origin = np.arange(b0, dtype=np.int64) if exact else None
-    flags = np.zeros((b0, len(circuit.noise_sites)), dtype=bool) \
+    origin = np.arange(b, dtype=np.int64) if exact else None
+    flags = np.zeros((b, len(circuit.noise_sites)), dtype=bool) \
         if collect_flags else None
 
     for step in prog:
         if isinstance(step, _RotStep):
             k = step.fixed_k if step.param is None else theta.k_for(step.param)
-            _rot_batch(x, z, w, step, k, direction == "backward")
-        elif isinstance(step, _CliffStep):
-            idx = _gather_codes(x, z, step.sites)
-            w *= step.sign[idx]
-            _scatter_codes(x, z, step.sites, step.out_idx[idx])
-        else:
-            ch = step.channel
-            tabs = ch.cols if direction == "backward" else ch.rows
-            col = _gather_codes(x, z, step.sites)
+            _rotate(planes, n, step, k, b, direction == "backward")
+            continue
+        col = _local_codes(planes, step.rows, b)
+        if isinstance(step, _CliffStep):
+            w *= step.sign[col]
+            _set_codes(planes, step.rows, step.out_idx[col])
+            continue
+        ch = step.channel
+        tabs = ch.cols if direction == "backward" else ch.rows
+        if flags is not None:
+            flags[:, step.ordinal] = col != 0
+        if ch.diagonal:
+            w *= np.diagonal(ch.ptm)[col]
+        elif exact:
+            counts = tabs.count[col]
+            total = int(counts.sum())
+            if total > lane_cap:
+                raise RuntimeError(
+                    f"branch expansion needs {total} lanes "
+                    f"(cap {lane_cap})")
+            rep = np.repeat(np.arange(b), counts)
+            starts = np.cumsum(counts) - counts
+            within = np.arange(total, dtype=np.int64) \
+                - np.repeat(starts, counts)
+            planes = _pack(_unpack(planes, b)[:, rep])
+            origin = origin[rep]
             if flags is not None:
-                flags[:, step.ordinal] = col != 0
-            if ch.diagonal:
-                w *= ch.ptm[col, col]
-            elif exact:
-                counts = tabs.count[col]
-                total = int(counts.sum())
-                if total > lane_cap:
-                    raise RuntimeError(
-                        f"branch expansion needs {total} lanes "
-                        f"(cap {lane_cap})")
-                rep = np.repeat(np.arange(col.size), counts)
-                starts = np.cumsum(counts) - counts
-                within = np.arange(total, dtype=np.int64) \
-                    - np.repeat(starts, counts)
-                x, z, origin = _split_lanes((x, z, origin), rep)
-                if flags is not None:
-                    flags = flags[rep]
-                colr = col[rep]
-                w = w[rep] * tabs.val[colr, within]
-                theta = theta.take(rep)
-                _scatter_codes(x, z, step.sites, tabs.tau[colr, within])
-            else:
-                u = uniform_from_hash(hash_words(
-                    seed, DOMAIN_TAU, stream_ids,
-                    np.uint64(slot_offset + step.ordinal)))
-                jj = np.minimum((u[:, None] >= tabs.cdf[col]).sum(axis=1),
-                                tabs.cdf.shape[1] - 1)
-                w *= tabs.sign[col, jj] * tabs.l1[col]
-                _scatter_codes(x, z, step.sites, tabs.tau[col, jj])
-            if not np.any(w):
-                break
-    return x, z, w, origin, flags
+                flags = flags[rep]
+            colr = col[rep]
+            w = w[rep] * tabs.val[colr, within]
+            theta = theta.take(rep)
+            b = total
+            _set_codes(planes, step.rows, tabs.tau[colr, within])
+        else:
+            u = uniform_from_hash(hash_words(
+                seed, DOMAIN_TAU, stream_ids,
+                np.uint64(slot_offset + step.ordinal)))
+            jj = np.minimum((u[:, None] >= tabs.cdf[col]).sum(axis=1),
+                            tabs.cdf.shape[1] - 1)
+            w *= tabs.sign[col, jj] * tabs.l1[col]
+            _set_codes(planes, step.rows, tabs.tau[col, jj])
+        if not np.any(w):
+            break
+    # negation is exact, so folding the sign row in now is bit-identical to
+    # negating each lane's weight at the rotation that flipped it
+    np.negative(w, out=w, where=_unpack(planes[2 * n], b).astype(bool))
+    return (_transpose(planes[:n], b), _transpose(planes[n:2 * n], b), w,
+            origin, flags)
 
 
 def run_backward_batch(circuit: Circuit, state, x0, z0, theta, *,
@@ -626,8 +743,7 @@ def run_backward_batch(circuit: Circuit, state, x0, z0, theta, *,
     where flags[i, s] says walk i met noise site s with a non-identity word
     (sampled mode only: per-branch flags have no single aggregate).
     """
-    if collect_flags and exact and \
-            any(not s.channel.diagonal for s in circuit.noise_sites):
+    if collect_flags and exact and circuit.branching():
         raise ValueError("site flags are per path; use sampled walks when "
                          "channels branch")
     x, z, w, origin, flags = _run_batch(

@@ -29,9 +29,9 @@ import numpy as np
 from .channels import rebuild_with
 from .circuits import (Circuit, NoiseSite, ObservableSum, gen_line_benchmark,
                        zero_state)
-from .engine import (HashedTheta, MaterializedTheta, codes_to_words,
-                     cone_params, run_backward_batch, run_forward_batch,
-                     words_for_paulis)
+from .engine import (HashedTheta, MaterializedTheta, TiledTheta,
+                     codes_to_words, cone_params, run_backward_batch,
+                     run_forward_batch, words_for_paulis)
 from .reports import (DiagnosticConfig, EstimateReport, InterventionPlan,
                       PlanStep, SensitivityMap, SiteGradient)
 from .rng import compose_stream_array, pauli_codes
@@ -128,10 +128,6 @@ def _check_stream_budget(n_outer: int, n_inner: int, n_terms: int) -> None:
                          "stream budget")
 
 
-def _branching(circuit: Circuit) -> bool:
-    return any(not s.channel.diagonal for s in circuit.noise_sites)
-
-
 def _default_state(circuit: Circuit, state):
     return state if state is not None else zero_state(circuit.n)
 
@@ -144,28 +140,36 @@ def _walk_values(circuit: Circuit, obs: ObservableSum, state, theta, *,
                  seed: int, outer=None, inner=None, collect: bool = False):
     """One inner estimate of <O> per lane of ``theta``.
 
-    Each observable term is walked in its own pass with stream ids composed
-    from the per-lane (outer, inner) indices and the term number; when no
-    channel branches the ids are unused and the value is exact.  With
-    ``collect`` also returns the (lanes, n_sites) matrix of signed path
-    values restricted to walks that met each site with a non-identity word —
-    the raw material of the sensitivity map.
+    Every observable term is walked on every lane, in one pass with the
+    lanes term-major (up to ``_CHUNK * 4`` lanes a pass), so each
+    parameter's angles are drawn once and tiled across the terms.  Stream
+    ids are composed from the per-lane (outer, inner) indices and the term
+    number; when no channel branches the ids are unused and the value is
+    exact.  With ``collect`` also returns the (lanes, n_sites) matrix of
+    signed path values restricted to walks that met each site with a
+    non-identity word — the raw material of the sensitivity map.
     """
     b = len(theta)
     vals = np.full(b, float(obs.identity_offset))
     wsum = np.zeros((b, len(circuit.noise_sites))) if collect else None
-    branching = _branching(circuit)
-    for h, (coeff, word) in enumerate(obs.terms):
-        xw, zw = words_for_paulis([word], circuit.n)
-        x0 = np.broadcast_to(xw, (b, xw.shape[1]))
-        z0 = np.broadcast_to(zw, (b, zw.shape[1]))
-        sids = compose_stream_array(outer, inner, h) if branching else None
-        out = run_backward_batch(circuit, state, x0, z0, theta, seed=seed,
+    branching = circuit.branching()
+    per_pass = max(1, (4 * _CHUNK) // max(1, b))
+    for lo in range(0, len(obs.terms), per_pass):
+        terms = obs.terms[lo:lo + per_pass]
+        xw, zw = words_for_paulis([word for _, word in terms], circuit.n)
+        h = np.arange(lo, lo + len(terms), dtype=np.uint64)[:, None]
+        sids = compose_stream_array(outer, inner, h).ravel() \
+            if branching else None
+        th = theta if len(terms) == 1 else TiledTheta(theta, len(terms))
+        out = run_backward_batch(circuit, state, np.repeat(xw, b, axis=0),
+                                 np.repeat(zw, b, axis=0), th, seed=seed,
                                  stream_ids=sids, collect_flags=collect)
         v, flags = out if collect else (out, None)
-        vals += coeff * v
-        if collect:
-            wsum += coeff * (v[:, None] * flags)
+        for t, (coeff, _) in enumerate(terms):
+            vt = v[t * b:(t + 1) * b]
+            vals += coeff * vt
+            if collect:
+                wsum += coeff * (vt[:, None] * flags[t * b:(t + 1) * b])
     if collect:
         return vals, wsum
     return vals
@@ -228,7 +232,7 @@ def _mse_samples(circuit, clean, obs, state, cfg, span, *, vclean=None):
     th = HashedTheta(cfg.seed, outer)
     if vclean is None:
         vclean = _walk_values(clean, obs, state, th, seed=cfg.seed)
-    if not _branching(circuit):
+    if not circuit.branching():
         d = vclean - _walk_values(circuit, obs, state, th, seed=cfg.seed)
         return vclean, d * d
     da = vclean - _replicate_means(circuit, obs, state, outer, cfg.seed,
@@ -253,7 +257,7 @@ def estimate_mse(circuit: Circuit, obs: ObservableSum, state=None,
                          "expectation to compare against")
     state = _default_state(circuit, state)
     cfg = _effective_config(config, obs.pauli_l1)
-    branching = _branching(circuit)
+    branching = circuit.branching()
     n_tau = cfg.n_tau if branching else 1
     _check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
     clean = circuit.without_noise()
@@ -321,7 +325,7 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
                 f"which its {s.channel.label!r} channel does not have")
     state = _default_state(circuit, state)
     cfg = _effective_config(config, obs.pauli_l1)
-    branching = _branching(circuit)
+    branching = circuit.branching()
     n_tau = cfg.n_tau if branching else 1
     _check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
     clean = circuit.without_noise()
@@ -460,7 +464,7 @@ def _gradvar_chunk(circuit, obs, state, cfg, span, params, live):
     outer = np.arange(lo, hi, dtype=np.uint64)
     walked = np.asarray(params, dtype=np.int64)[live]
     p = walked.size
-    branching = _branching(circuit)
+    branching = circuit.branching()
     nt = cfg.n_tau if branching else 1
     uids = np.repeat(outer, p * nt)
     param_lane = np.tile(np.repeat(walked, nt), b)
@@ -490,7 +494,7 @@ def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
     t0 = time.perf_counter()
     state = _default_state(circuit, state)
     cfg = _effective_config(config, obs.pauli_l1)
-    branching = _branching(circuit)
+    branching = circuit.branching()
     n_tau = cfg.n_tau if branching else 1
     _check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
     if not params:
@@ -598,7 +602,7 @@ def estimate_expressibility_hs(circuit: Circuit,
     state = zero_state(n)
     ns = cfg.n_sigma
     _check_stream_budget(cfg.n_theta * ns, 1, 4)
-    branching = _branching(circuit)
+    branching = circuit.branching()
     n_sites = len(circuit.noise_sites)
     c2 = 2.0 / (2 ** n + 1.0)
     sigma_block = np.uint64(cfg.n_theta) * np.uint64(ns)
@@ -676,7 +680,7 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
     n = circuit.n
     state = zero_state(n)
     total = cfg.n_theta * cfg.n_sigma
-    branching = _branching(circuit)
+    branching = circuit.branching()
     nt = cfg.n_tau if branching else 1
     _check_stream_budget(2 * total, 4 * nt, 1)
     c2 = 2.0 / (2 ** n + 1.0)

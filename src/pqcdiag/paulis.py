@@ -19,7 +19,8 @@ The same algebra is exposed twice: an object layer (PauliString/SignedPauli)
 for everything user-facing, the oracle, and ``engine.backprop_term`` (the
 scalar walk the tests check the engine against), and a handful of vectorized
 helpers operating on uint64 word arrays for the one walk engine, the batched
-walker.  Both share the one phase formula, ``phase_exponent_words``.
+walker.  Both take their phases from the one formula, :func:`phase_exponent`
+(the batched walker tabulates it per qubit).
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ CODE_TO_X = (0, 1, 1, 0)
 CODE_TO_Z = (0, 0, 1, 1)
 # indexed by x + 2*z
 XZ_TO_CODE = (0, 1, 3, 2)
-
-CODE_TO_X_ARR = np.array(CODE_TO_X, dtype=np.uint64)
-CODE_TO_Z_ARR = np.array(CODE_TO_Z, dtype=np.uint64)
-XZ_TO_CODE_ARR = np.array(XZ_TO_CODE, dtype=np.uint8)
 
 _PAULI_MATS = (
     np.eye(2, dtype=complex),

@@ -36,13 +36,21 @@ DOMAIN_SIGMA = 0x7369
 _INV_2_53 = float(2.0 ** -53)
 
 
-def mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on uint64 arrays (wrapping arithmetic)."""
+def mix64(z, out=None):
+    """SplitMix64 finalizer on uint64 arrays (wrapping arithmetic).
+
+    With ``out`` (which may be ``z`` itself) the result is written there, so
+    mixing a fresh array in place allocates one temporary per shift and no
+    result array.
+    """
     with np.errstate(over="ignore"):
-        z = (z + _U64(_GOLDEN)) & _U64(_MASK64)
-        z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
-        z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
-        return z ^ (z >> _U64(31))
+        z = np.add(z, _U64(_GOLDEN), out=out)
+        z ^= z >> _U64(30)
+        z *= _U64(_MIX1)
+        z ^= z >> _U64(27)
+        z *= _U64(_MIX2)
+        z ^= z >> _U64(31)
+    return z
 
 
 def hash_words(seed: int, *words) -> np.ndarray:
@@ -50,7 +58,9 @@ def hash_words(seed: int, *words) -> np.ndarray:
 
     Words broadcast against each other, so a single call can produce a whole
     lattice of independent values, e.g. ``hash_words(s, tag, outer[:, None],
-    k[None, :])``.
+    k[None, :])``.  Appending a word mixes it into the hash of the words
+    before it: ``hash_words(s, *ws, w) == mix64(hash_words(s, *ws) ^ w)``,
+    which is what lets :func:`theta_keys` hash a uid prefix once.
     """
     h = mix64(np.asarray(seed & _MASK64, dtype=np.uint64))
     for w in words:
@@ -69,15 +79,31 @@ def uniforms(seed: int, domain: int, stream, slot) -> np.ndarray:
     return uniform_from_hash(hash_words(seed, domain, stream, slot))
 
 
+def theta_keys(seed: int, uid) -> np.ndarray:
+    """Per-uid prefix of the angle hash, ``hash_words(seed, DOMAIN_THETA,
+    uid)``: computed once per outer sample, it turns every parameter's angle
+    into one :func:`mix64` (see :func:`angles_from_keys`)."""
+    return hash_words(seed, DOMAIN_THETA, uid)
+
+
+def angles_from_keys(keys, param) -> np.ndarray:
+    """Grid-angle indices of ``param`` (broadcast against ``keys``) from the
+    :func:`theta_keys` of their uids, as uint8: one in-place mix64."""
+    h = np.asarray(np.bitwise_xor(keys, np.asarray(param, dtype=np.uint64)))
+    mix64(h, out=h)
+    return (h & _U64(3)).astype(np.uint8)
+
+
 def grid_angle(seed: int, uid, param) -> np.ndarray:
     """Grid-angle index k in {0,1,2,3} (theta_k = (pi/2)*k) of parameter
     ``param`` in outer sample ``uid``, as uint8.
 
-    The one place a uid turns into angles: every other angle source calls
-    it.  ``uid`` and ``param`` broadcast against each other.
+    The one place a uid turns into angles, together with the
+    :func:`theta_keys` / :func:`angles_from_keys` split it is made of: every
+    other angle source calls these.  ``uid`` and ``param`` broadcast against
+    each other.
     """
-    return (hash_words(seed, DOMAIN_THETA, uid, param) & _U64(3)).astype(
-        np.uint8)
+    return angles_from_keys(theta_keys(seed, uid), param)
 
 
 def angle_indices(seed: int, outer_uid, n_params: int) -> np.ndarray:

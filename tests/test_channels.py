@@ -169,6 +169,23 @@ def test_with_support_moves_qubits():
         c.ptm, ch.make_amplitude_damping(0.2).ptm)
 
 
+def test_with_support_shares_the_tables():
+    parent = ch.make_mmff("X", (0, 1))
+    c = parent.with_support([7, 3])
+    assert c.support == (7, 3) and parent.support == (0, 1)
+    assert c.ptm is parent.ptm and c.diagonal == parent.diagonal
+    assert c.cols is parent.cols and c.rows is parent.rows
+    assert c.label == parent.label and c.params == parent.params
+    assert c.params is not parent.params
+
+
+@pytest.mark.parametrize("parent, support", [
+    ((0,), ()), ((0,), (1, 2)), ((0, 1), (3, 3)), ((0, 1, 2), (0, 1, 2, 4))])
+def test_with_support_refuses_a_bad_support(parent, support):
+    with pytest.raises(ValueError):
+        ch.make_depolarizing(0.1, parent).with_support(support)
+
+
 def branches(tables, j):
     """{tau: signed entry} of the branches that ``tables`` lists for j."""
     n = int(tables.count[j])

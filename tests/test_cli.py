@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ class TestDiagnose:
         out = str(tmp_path / "sens")
         assert main(["diagnose", "sensitivity", circ, "--n-theta", "500",
                      "-o", out]) == 0
-        lines = open(out + ".csv").read().splitlines()
+        lines = Path(out + ".csv").read_text().splitlines()
         assert lines[0].startswith("# run_id: ")
         assert lines[1] == "layer,element,qubits,gradient,stderr"
         assert len(lines) == 3
@@ -238,7 +239,7 @@ class TestDiagnose:
         doc = read_json(out + ".json")
         assert doc["quantity"] == "gradient_variance_set"
         assert len(doc["reports"]) == 8
-        lines = open(out + ".csv").read().splitlines()
+        lines = Path(out + ".csv").read_text().splitlines()
         assert lines[1] == "param,mean,stderr"
         assert lines[-1].startswith("sum,")
 
@@ -331,7 +332,7 @@ class TestBenchmarkPlanOracle:
         rc = main(["benchmark", "--n", "3", "--p", "2",
                    "--samples", "50,100", "--seed", "1", "-o", out])
         assert rc == 0
-        lines = open(out + ".csv").read().splitlines()
+        lines = Path(out + ".csv").read_text().splitlines()
         assert lines[1] == "n_samples,mean,std,rel_error"
         assert len(lines) == 4
         assert all(row.split(",")[2] == "" for row in lines[2:])
@@ -342,7 +343,7 @@ class TestBenchmarkPlanOracle:
         out = str(tmp_path / "bench3")
         main(["benchmark", "--n", "3", "--p", "2", "--samples", "50",
               "--trials", "3", "--seed", "1", "-o", out])
-        rows = open(out + ".csv").read().splitlines()[2:]
+        rows = Path(out + ".csv").read_text().splitlines()[2:]
         assert all(float(r.split(",")[2]) > 0 for r in rows)
 
     def test_benchmark_bad_samples(self, tmp_path):
@@ -395,9 +396,9 @@ class TestBottleneck:
         plan = read_json(out + ".plan.json")
         assert plan["quantity"] == "intervention_plan"
         assert len(plan["steps"]) == 1
-        traj = open(out + ".trajectory.csv").read().splitlines()
+        traj = Path(out + ".trajectory.csv").read_text().splitlines()
         assert traj[1] == "step,layer,element,qubits,param,new_value,mse,stderr"
-        hot = open(out + ".hotspots.csv").read().splitlines()
+        hot = Path(out + ".hotspots.csv").read_text().splitlines()
         assert hot[1] == "layer,element,qubits,gradient,stderr"
         man = read_json(out + ".manifest.json")
         assert len(man["outputs"]) == 3

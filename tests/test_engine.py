@@ -535,3 +535,140 @@ class TestLightCone:
             sys.setswitchinterval(old)
         serial = [walk(w) for w in words]
         assert all(np.array_equal(a, b) for a, b in zip(got, serial))
+
+
+# ---------------------------------------------------------------------------
+# lane planes: counts around the 64-lane word edges, registers around the
+# 64-qubit word edges
+# ---------------------------------------------------------------------------
+
+_LANE_COUNTS = (0, 1, 63, 64, 65, 16385)
+#: where the three logical qubits of _PLANE_SPEC sit on each register
+_REGISTERS = {3: (0, 1, 2), 64: (0, 62, 63), 65: (0, 63, 64),
+              130: (63, 64, 129)}
+#: ops, branching / diagonal / two-qubit channels and words on 3 qubits
+_PLANE_SPEC = (
+    3,
+    [("rot", "X", (0,), 0), ("rot", "YZ", (1, 2), 1),
+     ("cliff", "cnot", (0, 2)), ("rot", "ZX", (0, 1), 2),
+     ("cliff", "h", (1,)), ("rot", "Y", (2,), FixedAngle(1)),
+     ("rot", "XYZ", (2, 0, 1), 3)],
+    [(0, make_amplitude_damping(0.3, (0,))),
+     (2, make_depolarizing(0.25, (1, 2))),
+     (4, make_thermal(0.2, 0.1, (2,)))],
+    [(1.0, "Z", (0,)), (1.0, "XZ", (1, 2)), (1.0, "YY", (0, 2)),
+     (1.0, "Z", (1,))],
+    0b101, None)
+_THETAS = np.random.default_rng(12).integers(0, 4, size=(7, 4)).astype(
+    np.uint8)
+
+
+def _plane_state(n_reg, slots):
+    """|psi><psi| for |psi> = (|b> + |b^s1> + |b^s2> + i|b^s1^s2>) / 2 with
+    b = |101> on the logical qubits: X and Y words close to non-zero values
+    too."""
+    s0, s1, s2 = (1 << q for q in slots)
+    b = s0 | s2
+    amps = {b: 0.5, b ^ s1: 0.5, b ^ s2: 0.5, b ^ s1 ^ s2: 0.5j}
+    return SparseState(n_reg, [(r, c, ar * ac.conjugate())
+                               for r, ar in amps.items()
+                               for c, ac in amps.items()])
+
+
+def _plane_lanes(n_reg, lanes):
+    """The spec on ``n_reg`` qubits and its per-lane inputs: lane i walks
+    word i % 4 at angles _THETAS[i % 7] with stream 7919 i."""
+    c, words, _ = _place(_PLANE_SPEC, n_reg, _REGISTERS[n_reg])
+    state = _plane_state(n_reg, _REGISTERS[n_reg])
+    x1, z1 = engine.words_for_paulis([w for _, w in words], c.n)
+    idx = np.arange(lanes)
+    theta = engine.MaterializedTheta(_THETAS[idx % 7])
+    streams = idx.astype(np.uint64) * np.uint64(7919)
+    return c, words, state, x1[idx % 4], z1[idx % 4], theta, streams
+
+
+@pytest.fixture(scope="module")
+def plane_dense():
+    """Dense expectation of each (word, angles) pair on the bare register."""
+    c, words, _ = _place(_PLANE_SPEC)
+    state = _plane_state(3, _REGISTERS[3])
+    return np.array([[oracle.dense_expectation(
+        c, ThetaAssignment(th), observable_from_terms([(1.0, w)], n=3),
+        state) for th in _THETAS] for _, w in words])
+
+
+def _checked_lanes(lanes):
+    """Every lane of a small batch; the word edges and a sample otherwise."""
+    if lanes <= 65:
+        return range(lanes)
+    picks = {0, 1, 62, 63, 64, 65, 127, 128, lanes - 65, lanes - 64,
+             lanes - 2, lanes - 1}
+    return sorted(picks | set(np.random.default_rng(lanes).integers(
+        0, lanes, 16).tolist()))
+
+
+class TestLanePlanes:
+    @pytest.mark.parametrize("lanes", _LANE_COUNTS)
+    @pytest.mark.parametrize("n_reg", sorted(_REGISTERS))
+    def test_plane_word_round_trip(self, n_reg, lanes):
+        r = np.random.default_rng(lanes + n_reg)
+        width = (n_reg + 63) // 64
+        words = r.integers(0, 2 ** 63, size=(lanes, width), dtype=np.uint64)
+        words ^= r.integers(0, 2, size=(lanes, width), dtype=np.uint64) << 63
+        if n_reg % 64:
+            words[:, -1] &= np.uint64((1 << (n_reg % 64)) - 1)
+        planes = engine._transpose(words, n_reg)
+        assert planes.shape == (n_reg, (lanes + 63) // 64)
+        for q in (0, n_reg - 1):
+            want = (words[:, q // 64] >> np.uint64(q % 64)) & np.uint64(1)
+            got = (planes[q, np.arange(lanes) // 64]
+                   >> (np.arange(lanes) % 64).astype(np.uint64)) \
+                & np.uint64(1)
+            assert np.array_equal(got, want)
+        if lanes % 64:  # the padding bits of the last word stay 0
+            assert not np.any(planes[:, -1] >> np.uint64(lanes % 64))
+        assert np.array_equal(engine._transpose(planes, lanes), words)
+
+    @pytest.mark.parametrize("lanes", _LANE_COUNTS)
+    @pytest.mark.parametrize("n_reg", sorted(_REGISTERS))
+    def test_walks_at_every_lane_count(self, n_reg, lanes, plane_dense):
+        c, words, state, x0, z0, theta, streams = _plane_lanes(n_reg, lanes)
+        vals, flags = engine.run_backward_batch(
+            c, state, x0, z0, theta, seed=5, stream_ids=streams,
+            collect_flags=True)
+        assert vals.shape == (lanes,) and flags.shape == (lanes, 3)
+        for i in _checked_lanes(lanes):
+            ref = engine.backprop_term(
+                c, ThetaAssignment(_THETAS[i % 7]), words[i % 4][1], state,
+                RngStream(seed=5, stream_id=int(streams[i])),
+                collect_trace=True)
+            assert vals[i] == ref.value  # bit for bit
+            for site, flag in _trace_flags(c, ref.trace,
+                                           len(ref.trace) - 1).items():
+                assert flags[i, site] == flag
+        exact = engine.run_backward_batch(c, state, x0, z0, theta,
+                                          exact=True)
+        assert exact.shape == (lanes,)
+        idx = np.arange(lanes)
+        assert np.allclose(exact, plane_dense[idx % 4, idx % 7], rtol=0,
+                           atol=1e-12)
+        if n_reg != 3:  # padding the register moves no bit
+            bare = _plane_lanes(3, lanes)
+            assert np.array_equal(exact, engine.run_backward_batch(
+                bare[0], bare[2], *bare[3:6], exact=True))
+            b_vals, b_flags = engine.run_backward_batch(
+                bare[0], bare[2], *bare[3:6], seed=5, stream_ids=bare[6],
+                collect_flags=True)
+            assert np.array_equal(vals, b_vals)
+            assert np.array_equal(flags, b_flags)
+
+    def test_words_must_fit_the_register(self):
+        c, _, state, x0, z0, theta, streams = _plane_lanes(65, 3)
+        with pytest.raises(ValueError, match="lanes"):
+            engine.run_backward_batch(c, state, x0[:, :1], z0[:, :1], theta,
+                                      stream_ids=streams)
+        x0 = x0.copy()
+        x0[0, 1] |= np.uint64(1 << 5)  # qubit 69 of a 65-qubit register
+        with pytest.raises(ValueError, match="beyond"):
+            engine.run_backward_batch(c, state, x0, z0, theta,
+                                      stream_ids=streams)

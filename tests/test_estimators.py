@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from conftest import axis, random_circuit, rx_dep_circuit
+from pqcdiag import engine, oracle
 from pqcdiag import estimators as est
-from pqcdiag import oracle
 from pqcdiag.channels import make_depolarizing
 from pqcdiag.circuits import (Circuit, NoiseSite, Rotation,
                               observable_from_terms, zero_state)
 from pqcdiag.reports import DiagnosticConfig
+from pqcdiag.rng import compose_stream_array
 
 
 class TestPlanner:
@@ -291,6 +292,38 @@ class TestExpectationSamples:
         a = est.expectation_samples(c, obs, st, count=64, seed=1, threads=1)
         b = est.expectation_samples(c, obs, st, count=64, seed=1, threads=4)
         assert np.array_equal(a, b)
+
+
+def _per_term_walk_values(circuit, obs, state, theta, seed, outer, inner):
+    """Reference for ``_walk_values``: one walk per observable term."""
+    vals = np.full(len(theta), float(obs.identity_offset))
+    wsum = np.zeros((len(theta), len(circuit.noise_sites)))
+    for h, (coeff, word) in enumerate(obs.terms):
+        xw, zw = engine.words_for_paulis([word], circuit.n)
+        v, flags = engine.run_backward_batch(
+            circuit, state, np.repeat(xw, len(theta), axis=0),
+            np.repeat(zw, len(theta), axis=0), theta, seed=seed,
+            stream_ids=compose_stream_array(outer, inner, h),
+            collect_flags=True)
+        vals += coeff * v
+        wsum += coeff * (v[:, None] * flags)
+    return vals, wsum
+
+
+@pytest.mark.parametrize("chunk", [est._CHUNK, 1])
+def test_term_major_walk_matches_per_term_walks(chunk, monkeypatch):
+    # three terms through branching channels; chunk 1 walks one term a pass
+    c, _, st = random_circuit(3, 6, seed=44)
+    assert c.branching()
+    obs = observable_from_terms([(0.5, "ZII"), (-1.25, "XYI"), (2.0, "IZZ")])
+    outer = np.repeat(np.arange(5, dtype=np.uint64), 3)
+    inner = np.tile(np.arange(3, dtype=np.uint64), 5)
+    theta = engine.HashedTheta(7, outer)
+    want = _per_term_walk_values(c, obs, st, theta, 7, outer, inner)
+    monkeypatch.setattr(est, "_CHUNK", chunk)
+    got = est._walk_values(c, obs, st, theta, seed=7, outer=outer,
+                           inner=inner, collect=True)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestLineBenchmark:

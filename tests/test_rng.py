@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqcdiag import rng
+from pqcdiag import engine, rng
 
 u64 = st.integers(0, 2 ** 64 - 1)
 
@@ -75,6 +75,50 @@ def test_grid_angle_is_the_angle_hash():
     h = rng.hash_words(3, rng.DOMAIN_THETA, uids[:, None],
                        np.arange(5, dtype=np.uint64))
     assert np.array_equal(ks, h & np.uint64(3))
+
+
+def _splitmix64(v: int) -> int:
+    """SplitMix64's finalizer on Python integers (the reference mix64)."""
+    m = (1 << 64) - 1
+    z = (v + 0x9E3779B97F4A7C15) & m
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m
+    return z ^ (z >> 31)
+
+
+def test_in_place_mix64_is_splitmix64():
+    vals = [0, 1, 2 ** 63, 2 ** 64 - 1]
+    a = np.array(vals, dtype=np.uint64)
+    assert rng.mix64(a, out=a) is a
+    assert [int(v) for v in a] == [_splitmix64(v) for v in vals]
+    for v in vals:
+        assert int(rng.mix64(np.uint64(v))) == _splitmix64(v)
+
+
+def test_keyed_angles_are_the_angle_hash():
+    uids = np.array([0, 1, 63, 64, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    keys = rng.theta_keys(9, uids)
+    assert np.array_equal(keys, rng.hash_words(9, rng.DOMAIN_THETA, uids))
+    for p in (0, 1, 5, 2 ** 40):
+        want = rng.hash_words(9, rng.DOMAIN_THETA, uids, p) & np.uint64(3)
+        got = rng.angles_from_keys(keys, p)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert np.array_equal(got, rng.grid_angle(9, uids, p))
+    assert int(rng.angles_from_keys(keys[2], 5)) == int(
+        rng.grid_angle(9, uids[2], 5))
+
+
+def test_hashed_theta_lanes_use_the_angle_hash():
+    uids = np.arange(100, 140, dtype=np.uint64)
+    shift = np.where(np.arange(40) % 3 == 0, 2, -1)
+    delta = np.where(np.arange(40) % 2 == 0, 1, -1)
+    plain = engine.HashedTheta(4, uids)
+    shifted = engine.HashedTheta(4, uids, shift, delta)
+    for p in range(4):
+        base = rng.grid_angle(4, uids, p)
+        assert np.array_equal(plain.k_for(p), base)
+        moved = (base.astype(np.int64) + np.where(shift == p, delta, 0)) % 4
+        assert np.array_equal(shifted.k_for(p), moved)
 
 
 def test_pauli_codes_full_and_zx():
