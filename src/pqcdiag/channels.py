@@ -99,7 +99,8 @@ class PtmChannel:
         The constructor parameters, for serialization and reports.
 
     ``cols`` feeds adjoint (backward) sampling, ``rows`` feeds forward
-    sampling (built on the transpose).
+    sampling (built on the transpose).  ``flags`` holds the :func:`validate`
+    flags, fixed with the PTM.
     """
 
     support: tuple[int, ...]
@@ -110,6 +111,7 @@ class PtmChannel:
     cols: _BranchTables = field(init=False, repr=False)
     rows: _BranchTables = field(init=False, repr=False)
     diagonal: bool = field(init=False)
+    flags: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.support = _checked_support(self.support)
@@ -122,6 +124,13 @@ class PtmChannel:
         self.diagonal = bool(np.count_nonzero(ptm - np.diag(np.diag(ptm))) == 0)
         self.cols = _BranchTables(ptm)
         self.rows = _BranchTables(ptm.T.copy())
+        e_i = np.zeros(ptm.shape[0])
+        e_i[0] = 1.0
+        self.flags = {
+            "pcs1": bool(np.abs(ptm).sum(axis=0).max() <= 1.0 + _TOL),
+            "prs1": bool(np.abs(ptm).sum(axis=1).max() <= 1.0 + _TOL),
+            "tp": bool(np.abs(ptm[:, 0] - e_i).max() <= _TOL),
+        }
 
     @property
     def m(self) -> int:
@@ -330,22 +339,8 @@ def rebuild_with(channel: PtmChannel, name: str, value: float) -> PtmChannel:
 # ---------------------------------------------------------------------------
 
 def validate(channel: PtmChannel) -> dict:
-    """PCS1 / PRS1 / trace-preservation flags at tolerance 1e-12.
-
-    Cached on the channel, so copies made by ``with_support`` share it.
-    """
-    flags = channel.__dict__.get("_flags")
-    if flags is None:
-        s = channel.ptm
-        e_i = np.zeros(s.shape[0])
-        e_i[0] = 1.0
-        flags = {
-            "pcs1": bool(np.abs(s).sum(axis=0).max() <= 1.0 + _TOL),
-            "prs1": bool(np.abs(s).sum(axis=1).max() <= 1.0 + _TOL),
-            "tp": bool(np.abs(s[:, 0] - e_i).max() <= _TOL),
-        }
-        channel.__dict__["_flags"] = flags
-    return dict(flags)
+    """PCS1 / PRS1 / trace-preservation flags at tolerance 1e-12."""
+    return dict(channel.flags)
 
 
 def adjoint_sample(channel: PtmChannel, s_local: int, rng) -> AdjointSample:

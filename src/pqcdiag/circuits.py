@@ -456,9 +456,15 @@ def gen_line_benchmark(n: int, p: int):
     if n < 3 or p < 1:
         raise ValueError("need n >= 3 qubits (the middle qubit must have a "
                          "right neighbour) and p >= 1 blocks")
-    block = [_axis_on_register(n, "Z", (q,)) for q in range(n)] + \
-        [_axis_on_register(n, "XX", (q, q + 1)) for q in range(n - 1)]
-    ops = [Rotation(block[k % len(block)], k) for k in range(p * len(block))]
+    ops = []
+    k = 0
+    for _ in range(p):
+        for q in range(n):
+            ops.append(Rotation(_axis_on_register(n, "Z", (q,)), k))
+            k += 1
+        for q in range(n - 1):
+            ops.append(Rotation(_axis_on_register(n, "XX", (q, q + 1)), k))
+            k += 1
     circuit = Circuit(n, ops, [])
     q = n // 2
     obs = observable_from_terms([

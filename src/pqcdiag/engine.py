@@ -45,7 +45,10 @@ moves no other site's draw.  Channels whose identity column is not e_I (a
 non-trace-preserving raw PTM) are always kept and widen the cone.  Forward
 walks run the full program: there the identity *row* matters, and it
 branches under amplitude damping.  The reference walk always runs the full
-program; it is what the cone is checked against.
+program; it is what the cone is checked against.  A batch walks the joint
+cone of all of its lanes' words, so callers that walk several words put them
+in one batch only when that joint cone is barely longer than each word's own
+(`cone_runs`).
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .rng import (DOMAIN_TAU, RngStream, angles_from_keys, compose_stream,
 _LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _NONE = np.uint64(0)
+_TILE_BITS = 1 << 20  # unpacked bits (bytes) in one tile of _transpose
 
 # per-site phase/anticommutation tables: entry [a, b] looks at axis code a
 # against walk-word code b on one qubit
@@ -256,6 +260,32 @@ def _support_mask(x, z) -> int:
     """Qubits on which any lane's word acts, as a bit mask."""
     words = np.bitwise_or.reduce(x | z, axis=0)
     return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
+def cone_runs(circuit: Circuit, words, limit: int) -> list:
+    """Split the PauliStrings ``words`` into runs of consecutive indices, at
+    most ``limit`` long, each to be walked backward in one batch.
+
+    A batch walks the light cone of its lanes' joint support, so a word
+    joins the current run only while that joint cone stays within 1/16 of
+    the shortest cone of the run's own words.  Words that share nearly all
+    of their cone (the terms of a local observable) then share one walk and
+    one draw of every angle, and words spread over a large register are
+    walked apart, each in its own cone.
+    """
+    runs, mask, shortest = [], 0, 0
+    for i, w in enumerate(words):
+        own = w.x_bits | w.z_bits
+        steps = len(_program(circuit, "backward", own))
+        if runs and len(runs[-1]) < limit:
+            joint = len(_program(circuit, "backward", mask | own))
+            if 16 * joint <= 17 * min(shortest, steps):
+                runs[-1].append(i)
+                mask, shortest = mask | own, min(shortest, steps)
+                continue
+        runs.append([i])
+        mask, shortest = own, steps
+    return runs
 
 
 def cone_params(circuit: Circuit, words) -> set:
@@ -550,8 +580,30 @@ def _transpose(words: np.ndarray, count: int) -> np.ndarray:
     """Bit-matrix transpose: (R, C) words holding ``count`` bits a row ->
     (count, ceil(R/64)) words.  Lane-major walk words (a row per lane, a bit
     per qubit) become per-qubit lane planes (a row per qubit, a bit per
-    lane), and back."""
-    return _pack(np.ascontiguousarray(_unpack(words, count).T))
+    lane), and back.  Done in tiles of at most ``_TILE_BITS`` bits, so the
+    unpacked temporaries stay small however many lanes a walk holds."""
+    rows = words.shape[0]
+    out = np.empty((count, (rows + 63) // 64), dtype=_LANE)
+    tc = max(64, min(count, _TILE_BITS // max(1, rows)) // 64 * 64)
+    tr = max(64, _TILE_BITS // tc // 64 * 64)
+    for r in range(0, rows, tr):
+        for c in range(0, count, tc):
+            bits = _unpack(words[r:r + tr, c // 64:(c + tc) // 64],
+                           min(tc, count - c))
+            out[c:c + tc, r // 64:(r + tr) // 64] = _pack(
+                np.ascontiguousarray(bits.T))
+    return out
+
+
+def _take_lanes(planes: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Planes whose lane i is lane ``idx[i]`` of ``planes``, gathered a row
+    at a time from the packed words; rows with no bit set stay zero."""
+    word, shift = idx >> 6, (idx & 63).astype(_LANE)
+    out = np.zeros((planes.shape[0], (idx.size + 63) // 64), dtype=_LANE)
+    for r in np.flatnonzero(planes.any(axis=1)):
+        out[r] = _pack(((planes[r, word] >> shift) & np.uint64(1))
+                       .astype(np.uint8))
+    return out
 
 
 def _local_codes(planes: np.ndarray, rows: list, b: int) -> np.ndarray:
@@ -705,7 +757,7 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
             starts = np.cumsum(counts) - counts
             within = np.arange(total, dtype=np.int64) \
                 - np.repeat(starts, counts)
-            planes = _pack(_unpack(planes, b)[:, rep])
+            planes = _take_lanes(planes, rep)
             origin = origin[rep]
             if flags is not None:
                 flags = flags[rep]

@@ -175,6 +175,7 @@ def test_with_support_shares_the_tables():
     assert c.support == (7, 3) and parent.support == (0, 1)
     assert c.ptm is parent.ptm and c.diagonal == parent.diagonal
     assert c.cols is parent.cols and c.rows is parent.rows
+    assert c.flags is parent.flags and ch.validate(c) == ch.validate(parent)
     assert c.label == parent.label and c.params == parent.params
     assert c.params is not parent.params
 

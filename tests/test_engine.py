@@ -13,7 +13,8 @@ from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
                               make_thermal)
 from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
                               Rotation, SparseState, ThetaAssignment,
-                              observable_from_terms, zero_state)
+                              gen_line_benchmark, observable_from_terms,
+                              zero_state)
 from pqcdiag.paulis import CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, PauliString
 from pqcdiag.rng import RngStream, angle_indices, compose_stream
 
@@ -526,15 +527,20 @@ class TestLightCone:
             return engine.run_backward_batch(c, st_, x0, z0, theta,
                                              stream_ids=streams)
 
+        def runs(i):
+            return engine.cone_runs(c, words[i % 6:], 1 + i % 5)
+
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
+                got_runs = list(pool.map(runs, range(24), timeout=60))
                 got = list(pool.map(walk, words, timeout=60))
         finally:
             sys.setswitchinterval(old)
         serial = [walk(w) for w in words]
         assert all(np.array_equal(a, b) for a, b in zip(got, serial))
+        assert got_runs == [runs(i) for i in range(24)]
 
 
 # ---------------------------------------------------------------------------
@@ -672,3 +678,68 @@ class TestLanePlanes:
         with pytest.raises(ValueError, match="beyond"):
             engine.run_backward_batch(c, state, x0, z0, theta,
                                       stream_ids=streams)
+
+    @pytest.mark.parametrize("lanes", _LANE_COUNTS)
+    def test_take_lanes_gathers_each_row(self, lanes):
+        r = np.random.default_rng(lanes)
+        bits = r.integers(0, 2, size=(5, lanes), dtype=np.uint8)
+        bits[2] = 0  # a row with no bit set
+        planes = engine._pack(bits)
+        idx = np.sort(r.integers(0, max(lanes, 1), size=3 * lanes + 1)) \
+            if lanes else np.zeros(0, dtype=np.int64)
+        got = engine._take_lanes(planes, idx)
+        assert np.array_equal(got, engine._pack(bits[:, idx]))
+        if idx.size % 64:  # the padding bits of the last word stay 0
+            assert not np.any(got[:, -1] >> np.uint64(idx.size % 64))
+
+    @pytest.mark.parametrize("rows, count", [(1000, 130), (130, 1000),
+                                             (65, 4097), (0, 70)])
+    def test_transpose_in_tiles(self, rows, count, monkeypatch):
+        r = np.random.default_rng(rows + count)
+        bits = r.integers(0, 2, size=(rows, count), dtype=np.uint8)
+        words = engine._pack(bits)
+        want = engine._pack(np.ascontiguousarray(bits.T))
+        monkeypatch.setattr(engine, "_TILE_BITS", 1 << 12)
+        got = engine._transpose(words, count)
+        assert np.array_equal(got, want)
+        assert np.array_equal(engine._transpose(got, rows), words)
+
+
+class TestConeRuns:
+    def test_terms_sharing_a_cone_share_a_run(self):
+        c, obs, _ = gen_line_benchmark(8, 64)  # the deep chain
+        words = [w for _, w in obs.terms]
+        assert engine.cone_runs(c, words, 4) == [[0, 1]]
+        assert engine.cone_runs(c, words, 1) == [[0], [1]]
+
+    def test_terms_far_apart_are_walked_apart(self):
+        c, _, _ = gen_line_benchmark(12, 1)
+        words = [PauliString.from_codes([3 if i == q else 0
+                                         for i in range(12)])
+                 for q in (11, 10, 0, 5)]
+        # backward from the chain's right end the XX rotations reach every
+        # qubit, so Z_11 and Z_10 share the whole program; Z_0 and Z_5 have
+        # small cones of their own
+        assert engine.cone_runs(c, words, 8) == [[0, 1], [2], [3]]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+    def test_a_run_walks_little_beyond_each_word(self, seed, limit):
+        c, _, _ = random_circuit(6, 14, seed=seed % 1000)
+        r = np.random.default_rng(seed)
+        words = [PauliString.from_codes(r.integers(0, 4, 6) *
+                                        (r.random(6) < 0.3))
+                 for _ in range(7)]
+
+        def steps(mask):
+            return len(engine._program(c, "backward", mask))
+
+        runs = engine.cone_runs(c, words, limit)
+        assert [i for run in runs for i in run] == list(range(7))
+        for run in runs:
+            assert 1 <= len(run) <= limit
+            masks = [words[i].x_bits | words[i].z_bits for i in run]
+            joint = 0
+            for m in masks:
+                joint |= m
+            assert 16 * steps(joint) <= 17 * min(steps(m) for m in masks)

@@ -12,9 +12,10 @@ import pytest
 from conftest import axis, random_circuit, rx_dep_circuit
 from pqcdiag import engine, oracle
 from pqcdiag import estimators as est
-from pqcdiag.channels import make_depolarizing
-from pqcdiag.circuits import (Circuit, NoiseSite, Rotation,
+from pqcdiag.channels import make_amplitude_damping, make_depolarizing
+from pqcdiag.circuits import (Circuit, NoiseSite, Rotation, gen_grid_chip,
                               observable_from_terms, zero_state)
+from pqcdiag.paulis import PauliString
 from pqcdiag.reports import DiagnosticConfig
 from pqcdiag.rng import compose_stream_array
 
@@ -310,12 +311,32 @@ def _per_term_walk_values(circuit, obs, state, theta, seed, outer, inner):
     return vals, wsum
 
 
-@pytest.mark.parametrize("chunk", [est._CHUNK, 1])
-def test_term_major_walk_matches_per_term_walks(chunk, monkeypatch):
-    # three terms through branching channels; chunk 1 walks one term a pass
+def _local_terms():
+    # three terms through branching channels
     c, _, st = random_circuit(3, 6, seed=44)
+    return c, st, observable_from_terms([(0.5, "ZII"), (-1.25, "XYI"),
+                                         (2.0, "IZZ")])
+
+
+def _spread_terms():
+    # a 9-qubit chip through amplitude damping: Z_0, then Z_8 and X_8 on
+    # one cone, then Z_4, walked in three runs
+    c = gen_grid_chip(3, 3, 1, "rzz", make_amplitude_damping(0.1))
+    words = [PauliString.from_codes([code if i == q else 0
+                                     for i in range(9)])
+             for q, code in ((0, 3), (8, 3), (8, 1), (4, 3))]
+    assert engine.cone_runs(c, words, 4) == [[0], [1, 2], [3]]
+    return c, zero_state(9), observable_from_terms(
+        [(0.75, words[0]), (-1.0, words[1]), (0.5, words[2]),
+         (1.5, words[3])])
+
+
+@pytest.mark.parametrize("case", [_local_terms, _spread_terms])
+@pytest.mark.parametrize("chunk", [est._CHUNK, 1])
+def test_term_major_walk_matches_per_term_walks(case, chunk, monkeypatch):
+    # chunk 1 walks one term a pass
+    c, st, obs = case()
     assert c.branching()
-    obs = observable_from_terms([(0.5, "ZII"), (-1.25, "XYI"), (2.0, "IZZ")])
     outer = np.repeat(np.arange(5, dtype=np.uint64), 3)
     inner = np.tile(np.arange(3, dtype=np.uint64), 5)
     theta = engine.HashedTheta(7, outer)
