@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paulis import CODE_CHARS, PauliString, commutes
+from .paulis import PauliString, commutes
 
 _TOL = 1e-12
 
@@ -317,9 +317,8 @@ def make_raw_ptm(matrix, support, label: str = "ptm",
 def rebuild_with(channel: PtmChannel, name: str, value: float) -> PtmChannel:
     """Same channel kind and support with scalar parameter ``name`` moved.
 
-    This is what finite-difference sensitivity and intervention planning use
-    to nudge a site's strength; channels without a named strength (pauli,
-    mmff, raw ptm) are rejected.
+    This is what intervention planning uses to set a site's strength;
+    channels without a named strength (pauli, mmff, raw ptm) are rejected.
     """
     sup = channel.support
     kind = channel.label
@@ -332,6 +331,25 @@ def rebuild_with(channel: PtmChannel, name: str, value: float) -> PtmChannel:
         kept[name] = value
         return make_thermal(kept["gamma"], kept["lambda"], sup)
     raise ValueError(f"channel {kind!r} has no tunable parameter {name!r}")
+
+
+def ptm_derivative(channel: PtmChannel, name: str) -> np.ndarray:
+    """d PTM / d ``name`` in closed form, for the pairs :func:`rebuild_with`
+    accepts.  The coherence sqrt(1 - gamma - lambda) has an unbounded
+    derivative at gamma + lambda = 1, so such a channel is rejected."""
+    pair = (channel.label, name)
+    if pair == ("depolarizing", "lambda"):
+        return np.diag(np.r_[0.0, np.full(len(channel.ptm) - 1, -1.0)])
+    if pair not in (("amplitude_damping", "gamma"), ("thermal", "gamma"),
+                    ("thermal", "lambda")):
+        raise ValueError(f"channel {pair[0]!r} has no tunable parameter "
+                         f"{name!r}")
+    c = channel.ptm[1, 1]  # sqrt(1 - gamma - lambda)
+    if c == 0.0:
+        raise ValueError(f"{pair[0]} at gamma + lambda = 1 has no derivative")
+    g = float(name == "gamma")
+    return np.array([[0.0, 0.0, 0.0, g], [0.0, -0.5 / c, 0.0, 0.0],
+                     [0.0, 0.0, -0.5 / c, 0.0], [0.0, 0.0, 0.0, -g]])
 
 
 # ---------------------------------------------------------------------------

@@ -361,9 +361,8 @@ def backprop_term(circuit: Circuit, theta: ThetaAssignment, term: PauliString,
                 smp = adjoint_sample(ch, idx, RngStream(
                     stream.seed, stream.stream_id, counter=step.ordinal))
                 w *= smp.weight
-                if w != 0.0:
-                    sp = SignedPauli(_replace_local(sp.pauli, ch.support,
-                                                    smp.tau), sp.phase_q)
+                sp = SignedPauli(_replace_local(sp.pauli, ch.support,
+                                                smp.tau), sp.phase_q)
         if collect_trace:
             trace.append(sp)
         if w == 0.0:
@@ -695,10 +694,12 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     mode every branching channel splits lanes into all nonzero column (or
     row) entries; ``origin[i]`` maps expanded lane i back to its input lane.
 
-    ``collect_flags`` additionally records, per lane and noise site, whether
-    the walking word was non-identity on the channel's support at the moment
-    the channel acted (the factor sensitivity analysis differentiates).
-    Flags are None unless requested, and are per expanded lane in exact mode.
+    ``collect_flags`` additionally records, per lane and noise site, the
+    matrix entry the lane used there, as its index tau * 4^m + s into the
+    sampled matrix (the PTM backward, its transpose forward): s is the word
+    the lane brought (the entry's input word), tau the word it left with
+    (its output word).  A site outside the light cone records 0, the
+    identity entry.  None unless requested; per expanded lane in exact mode.
 
     The walk state is bit-sliced: ``planes`` holds the x row of every qubit,
     then every z row, then the sign row, each a lane plane (see
@@ -727,7 +728,7 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
                                  "needs per-lane stream ids")
             stream_ids = np.ascontiguousarray(stream_ids, dtype=np.uint64)
     origin = np.arange(b, dtype=np.int64) if exact else None
-    flags = np.zeros((b, len(circuit.noise_sites)), dtype=bool) \
+    flags = np.zeros((b, len(circuit.noise_sites)), dtype=np.int32) \
         if collect_flags else None
 
     for step in prog:
@@ -742,10 +743,9 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
             continue
         ch = step.channel
         tabs = ch.cols if direction == "backward" else ch.rows
-        if flags is not None:
-            flags[:, step.ordinal] = col != 0
         if ch.diagonal:
             w *= np.diagonal(ch.ptm)[col]
+            tau = col
         elif exact:
             counts = tabs.count[col]
             total = int(counts.sum())
@@ -761,11 +761,12 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
             origin = origin[rep]
             if flags is not None:
                 flags = flags[rep]
-            colr = col[rep]
-            w = w[rep] * tabs.val[colr, within]
+            col = col[rep]
+            tau = tabs.tau[col, within]
+            w = w[rep] * tabs.val[col, within]
             theta = theta.take(rep)
             b = total
-            _set_codes(planes, step.rows, tabs.tau[colr, within])
+            _set_codes(planes, step.rows, tau)
         else:
             u = uniform_from_hash(hash_words(
                 seed, DOMAIN_TAU, stream_ids,
@@ -773,7 +774,10 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
             jj = np.minimum((u[:, None] >= tabs.cdf[col]).sum(axis=1),
                             tabs.cdf.shape[1] - 1)
             w *= tabs.sign[col, jj] * tabs.l1[col]
-            _set_codes(planes, step.rows, tabs.tau[col, jj])
+            tau = tabs.tau[col, jj]
+            _set_codes(planes, step.rows, tau)
+        if flags is not None:
+            flags[:, step.ordinal] = tau * len(ch.ptm) + col
         if not np.any(w):
             break
     # negation is exact, so folding the sign row in now is bit-identical to
@@ -791,12 +795,12 @@ def run_backward_batch(circuit: Circuit, state, x0, z0, theta, *,
 
     Returns one value per input lane: weight x sign x tr(P_final rho),
     branch-exact when ``exact`` (all channel branches summed), otherwise one
-    sampled path per lane.  With ``collect_flags`` returns (values, flags)
-    where flags[i, s] says walk i met noise site s with a non-identity word
-    (sampled mode only: per-branch flags have no single aggregate).
+    sampled path per lane.  With ``collect_flags`` returns (values, flags),
+    flags[i, j] the index into ``ptm.ravel()`` of the entry walk i used at
+    noise site j (sampled mode only when channels branch; see _run_batch).
     """
     if collect_flags and exact and circuit.branching():
-        raise ValueError("site flags are per path; use sampled walks when "
+        raise ValueError("site entries are per path; use sampled walks when "
                          "channels branch")
     x, z, w, origin, flags = _run_batch(
         circuit, "backward", x0, z0, theta, seed=seed, stream_ids=stream_ids,

@@ -20,6 +20,7 @@ run's output is byte-identical for any ``threads`` setting.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import time
@@ -27,9 +28,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .channels import rebuild_with
-from .circuits import (Circuit, NoiseSite, ObservableSum, gen_line_benchmark,
-                       zero_state)
+from .channels import make_raw_ptm, ptm_derivative, rebuild_with
+from .circuits import Circuit, ObservableSum, gen_line_benchmark, zero_state
 from .engine import (HashedTheta, MaterializedTheta, TiledTheta,
                      codes_to_words, cone_params, cone_runs,
                      run_backward_batch, run_forward_batch, words_for_paulis)
@@ -44,12 +44,6 @@ _CHUNK = 16384
 
 #: ceiling on 4^{n_params} for the exact grid enumerators
 _GRID_POINT_CAP = 1 << 22
-
-#: smallest distance from lambda = 1 at which the closed-form sensitivity
-#: route is still numerically safe; closer sites fall back to differencing
-_DEPOL_EDGE = 1e-9
-
-_FD_STEP = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +143,16 @@ def _walk_values(circuit: Circuit, obs: ObservableSum, state, theta, *,
     ids are composed from the per-lane (outer, inner) indices and the term
     number; when no channel branches the ids are unused and the value is
     exact.  With ``collect`` also returns the (lanes, n_sites) matrix of
-    signed path values restricted to walks that met each site with a
-    non-identity word — the raw material of the sensitivity map.
+    path values times the score dT/T of the PTM entry T each walk used at
+    each site (:func:`_score_table`) — the raw material of the sensitivity
+    map.
     """
     b = len(theta)
     vals = np.full(b, float(obs.identity_offset))
-    wsum = np.zeros((b, len(circuit.noise_sites))) if collect else None
+    if collect:
+        scores = _score_table(circuit)
+        at = np.arange(len(scores))
+        wsum = np.zeros((b, at.size))
     branching = circuit.branching()
     per_pass = max(1, (4 * _CHUNK) // max(1, b))
     for run in cone_runs(circuit, [word for _, word in obs.terms], per_pass):
@@ -172,7 +170,8 @@ def _walk_values(circuit: Circuit, obs: ObservableSum, state, theta, *,
             vt = v[t * b:(t + 1) * b]
             vals += coeff * vt
             if collect:
-                wsum += coeff * (vt[:, None] * flags[t * b:(t + 1) * b])
+                wsum += coeff * (vt[:, None]
+                                 * scores[at, flags[t * b:(t + 1) * b]])
     if collect:
         return vals, wsum
     return vals
@@ -228,21 +227,20 @@ def plan_samples(epsilon: float, delta: float, pauli_l1: float):
 # noise robustness (mean squared error against the noiseless circuit)
 # ---------------------------------------------------------------------------
 
-def _mse_samples(circuit, clean, obs, state, cfg, span, *, vclean=None):
+def _mse_samples(circuit, clean, obs, state, cfg, span):
     """Per-outer-draw unbiased samples of (<O> - <O~>)^2 for one chunk."""
     lo, hi = span
     outer = np.arange(lo, hi, dtype=np.uint64)
     th = HashedTheta(cfg.seed, outer)
-    if vclean is None:
-        vclean = _walk_values(clean, obs, state, th, seed=cfg.seed)
+    vclean = _walk_values(clean, obs, state, th, seed=cfg.seed)
     if not circuit.branching():
         d = vclean - _walk_values(circuit, obs, state, th, seed=cfg.seed)
-        return vclean, d * d
+        return d * d
     da = vclean - _replicate_means(circuit, obs, state, outer, cfg.seed,
                                    cfg.n_tau, 0)
     db = vclean - _replicate_means(circuit, obs, state, outer, cfg.seed,
                                    cfg.n_tau, 1)
-    return vclean, da * db
+    return da * db
 
 
 def estimate_mse(circuit: Circuit, obs: ObservableSum, state=None,
@@ -268,8 +266,7 @@ def estimate_mse(circuit: Circuit, obs: ObservableSum, state=None,
     mom = _Moments()
 
     def job(span):
-        _, samples = _mse_samples(circuit, clean, obs, state, cfg, span)
-        return samples
+        return _mse_samples(circuit, clean, obs, state, cfg, span)
 
     for samples in _map_ordered(job, _spans(cfg.n_theta, chunk), cfg.threads):
         mom.add(samples)
@@ -287,37 +284,24 @@ def estimate_mse(circuit: Circuit, obs: ObservableSum, state=None,
 # per-site noise sensitivity
 # ---------------------------------------------------------------------------
 
-def _rebuilt_at(circuit, j, value):
-    """Circuit copy with site j's strength parameter set to ``value``."""
+def _with_channel(circuit, j, channel):
+    """Circuit copy with site j's channel replaced by ``channel``."""
     sites = list(circuit.noise_sites)
-    s = sites[j]
-    sites[j] = NoiseSite(s.position, rebuild_with(s.channel,
-                                                  s.noise_param_name, value),
-                         s.site_id, s.noise_param_name)
+    sites[j] = dataclasses.replace(sites[j], channel=channel)
     return circuit.with_sites(sites)
 
 
-def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
-                             config: "DiagnosticConfig | None" = None,
-                             ) -> SensitivityMap:
-    """Gradient of the MSE with respect to each noise site's strength.
+def _rebuilt_at(circuit, j, value):
+    """Circuit copy with site j's strength parameter set to ``value``."""
+    s = circuit.noise_sites[j]
+    return _with_channel(circuit, j, rebuild_with(s.channel,
+                                                  s.noise_param_name, value))
 
-    Single-qubit (or joint) depolarizing sites use the closed-form path
-    route: a depolarizing factor (1 - lambda) multiplies a walk exactly when
-    the walking word is non-identity on the site's support, so the noisy
-    expectation's lambda-derivative is the indicator-weighted path sum
-    divided by (1 - lambda), and the MSE gradient per draw is twice the
-    (independent-replicate) product of that with the noiseless-minus-noisy
-    difference.  Sites carrying any other tracked parameter — amplitude
-    damping, thermal, or a depolarizing strength within ~1e-9 of 1 — are
-    differenced instead: two full MSE passes at strength +-1e-3 sharing
-    seeds, streams and draws, so the difference is taken sample by sample.
-    """
-    t0 = time.perf_counter()
-    sites = circuit.noise_sites
-    if not sites:
-        raise ValueError("circuit has no noise sites to differentiate")
-    for s in sites:
+
+def _check_tracked(circuit):
+    """Reject circuits with a site whose strength cannot be differentiated:
+    the sensitivity map and the plan built on it cover every site."""
+    for s in circuit.noise_sites:
         if s.noise_param_name is None:
             raise ValueError(
                 f"noise site {s.site_id} ({s.channel.label}) has no tracked "
@@ -326,6 +310,50 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
             raise ValueError(
                 f"noise site {s.site_id} tracks {s.noise_param_name!r}, "
                 f"which its {s.channel.label!r} channel does not have")
+
+
+def _score_table(circuit):
+    """[site j, e] -> the score dT/T of T = ptm.ravel()[e] at site j, with
+    respect to its tracked strength (0 where T = 0)."""
+    sites = circuit.noise_sites
+    table = np.zeros((len(sites), max(s.channel.ptm.size for s in sites)))
+    for j, s in enumerate(sites):
+        t = s.channel.ptm
+        dt = ptm_derivative(s.channel, s.noise_param_name)
+        table[j, :t.size] = np.divide(dt, t, out=np.zeros_like(dt),
+                                      where=t != 0).ravel()
+    return table
+
+
+def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
+                             config: "DiagnosticConfig | None" = None,
+                             ) -> SensitivityMap:
+    """Gradient of the MSE with respect to each noise site's strength.
+
+    One likelihood-ratio (score-function) pass serves every channel kind: a
+    walk's value V is a product of the PTM entries T_j it used, so
+    d<O~>/d s_j = E[V dT_j/T_j], and the MSE gradient per draw is
+    -2 (noiseless - noisy) d<O~>/d s_j, the two factors taken from
+    independent inner replicates.  A site outside every term's light cone
+    only meets its identity entry (score 0) and reports exactly 0.0.
+    Entries with T = 0 < |dT| are never sampled (gamma = 0, the value
+    :func:`bottleneck_first_plan` writes; depolarizing lambda = 1), so each
+    such boundary site adds one walk, on the second replicate's stream ids,
+    of the circuit with its channel replaced by that residual of dT.  Sites
+    at gamma + lambda = 1 have no derivative (ValueError).
+    """
+    t0 = time.perf_counter()
+    _check_tracked(circuit)
+    sites = circuit.noise_sites
+    if not sites:
+        raise ValueError("circuit has no noise sites to differentiate")
+    residuals = {}
+    for j, s in enumerate(sites):
+        edge = np.where(s.channel.ptm == 0.0,
+                        ptm_derivative(s.channel, s.noise_param_name), 0.0)
+        if np.any(edge):
+            residuals[j] = _with_channel(circuit, j, make_raw_ptm(
+                edge, s.channel.support, "residual"))
     state = _default_state(circuit, state)
     cfg = _effective_config(config, obs.pauli_l1)
     branching = circuit.branching()
@@ -333,63 +361,27 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
     _check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
     clean = circuit.without_noise()
     chunk = max(1, _CHUNK // n_tau)
-    spans = _spans(cfg.n_theta, chunk)
-
-    path_sites = [j for j, s in enumerate(sites)
-                  if s.channel.label == "depolarizing"
-                  and s.noise_param_name == "lambda"
-                  and s.channel.params["lambda"] < 1.0 - _DEPOL_EDGE]
-    fd_sites = [j for j in range(len(sites)) if j not in path_sites]
-    scale = np.ones(len(sites))
-    for j in path_sites:
-        scale[j] = 1.0 / (1.0 - sites[j].channel.params["lambda"])
-
     mom = _Moments(width=len(sites))
 
-    def path_job(span):
+    def job(span):
         lo, hi = span
         outer = np.arange(lo, hi, dtype=np.uint64)
-        th = HashedTheta(cfg.seed, outer)
-        vclean = _walk_values(clean, obs, state, th, seed=cfg.seed)
+        vclean = _walk_values(clean, obs, state, HashedTheta(cfg.seed, outer),
+                              seed=cfg.seed)
+        vals, dsum = _replicate_means(circuit, obs, state, outer, cfg.seed,
+                                      n_tau, 1, collect=True)
         if branching:
-            da = vclean - _replicate_means(circuit, obs, state, outer,
-                                           cfg.seed, cfg.n_tau, 0)
-            _, wsum = _replicate_means(circuit, obs, state, outer, cfg.seed,
-                                       cfg.n_tau, 1, collect=True)
-        else:
-            vals, wsum = _walk_values(circuit, obs, state, th, seed=cfg.seed,
-                                      collect=True)
-            da = vclean - vals
-        return 2.0 * da[:, None] * wsum * scale
+            vals = _replicate_means(circuit, obs, state, outer, cfg.seed,
+                                    n_tau, 0)
+        for j, res in residuals.items():
+            dsum[:, j] += _replicate_means(res, obs, state, outer, cfg.seed,
+                                           n_tau, 1)
+        return -2.0 * (vclean - vals)[:, None] * dsum
 
-    if path_sites or not fd_sites:
-        for samples in _map_ordered(path_job, spans, cfg.threads):
-            mom.add(samples)
-        grad = np.asarray(mom.mean(), dtype=float)
-        serr = np.asarray(mom.stderr(), dtype=float)
-    else:
-        grad = np.zeros(len(sites))
-        serr = np.zeros(len(sites))
-
-    for j in fd_sites:
-        v = float(sites[j].channel.params[sites[j].noise_param_name])
-        hi_v = min(1.0, v + _FD_STEP)
-        lo_v = max(0.0, v - _FD_STEP)
-        c_hi = _rebuilt_at(circuit, j, hi_v)
-        c_lo = _rebuilt_at(circuit, j, lo_v)
-        fd_mom = _Moments()
-
-        def fd_job(span, c_hi=c_hi, c_lo=c_lo, width=hi_v - lo_v):
-            vclean, s_hi = _mse_samples(c_hi, clean, obs, state, cfg, span)
-            _, s_lo = _mse_samples(c_lo, clean, obs, state, cfg, span,
-                                   vclean=vclean)
-            return (s_hi - s_lo) / width
-
-        for samples in _map_ordered(fd_job, spans, cfg.threads):
-            fd_mom.add(samples)
-        grad[j] = float(fd_mom.mean())
-        serr[j] = float(fd_mom.stderr())
-
+    for samples in _map_ordered(job, _spans(cfg.n_theta, chunk), cfg.threads):
+        mom.add(samples)
+    grad = np.asarray(mom.mean(), dtype=float)
+    serr = np.asarray(mom.stderr(), dtype=float)
     entries = [SiteGradient(layer=s.site_id[0], element=s.site_id[1],
                             qubits=tuple(s.channel.support),
                             channel=s.channel.label, param=s.noise_param_name,
@@ -415,6 +407,7 @@ def bottleneck_first_plan(circuit: Circuit, obs: ObservableSum, state=None,
     numbers.  Stops early once no site sits above the target.
     """
     t0 = time.perf_counter()
+    _check_tracked(circuit)
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if not 0.0 <= target <= 1.0:

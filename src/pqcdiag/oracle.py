@@ -106,17 +106,6 @@ def observable_dense(obs: ObservableSum) -> np.ndarray:
     return out
 
 
-def check_density(rho: np.ndarray, tol: float = 1e-9) -> None:
-    """Assert Hermiticity, unit trace, and positivity within ``tol``."""
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        raise ValueError(f"trace {np.trace(rho)} != 1")
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValueError("state is not Hermitian")
-    evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if evals.min() < -tol:
-        raise ValueError(f"state has negative eigenvalue {evals.min()}")
-
-
 # ---------------------------------------------------------------------------
 # dense evolution
 # ---------------------------------------------------------------------------
@@ -305,13 +294,6 @@ def _clifford_backmap(kind: str, m: int) -> np.ndarray:
         for j in range(4 ** m):
             lk[j, i] = (np.trace(words[j].conj().T @ back) / d).real
     return lk
-
-
-def _vec_apply(vec: np.ndarray, lmat: np.ndarray, perm, iperm) -> np.ndarray:
-    """Apply a local word map to a 4^n coefficient vector."""
-    loc = lmat.shape[0]
-    w = vec[iperm].reshape(-1, loc)
-    return (w @ lmat.T).reshape(-1)[perm]
 
 
 def _pair_apply(ten: np.ndarray, lmat: np.ndarray, perm, iperm,
@@ -571,19 +553,3 @@ def rotation_2design_check(axis: PauliString, grid_angles=None) -> float:
                 * np.kron(basis[u], basis[v])
     return float(np.abs(grid_avg - cont).max())
 
-
-# ---------------------------------------------------------------------------
-# continuous-angle Monte Carlo (grid-vs-continuum cross-checks)
-# ---------------------------------------------------------------------------
-
-def continuum_expectation_samples(circuit: Circuit, obs: ObservableSum,
-                                  n_samples: int, seed: int = 0,
-                                  state: "SparseState | None" = None,
-                                  ) -> np.ndarray:
-    """Dense <O> at ``n_samples`` i.i.d. uniform continuous angle vectors."""
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_samples)
-    for i in range(n_samples):
-        angles = rng.uniform(0.0, 2 * np.pi, size=circuit.n_params)
-        out[i] = dense_expectation(circuit, angles, obs, state)
-    return out

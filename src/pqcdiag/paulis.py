@@ -442,16 +442,3 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     """Total set bits per lane, summing over the word axis (last axis)."""
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
-
-def parity_words(words: np.ndarray) -> np.ndarray:
-    """popcount mod 2 per lane (0/1, int64)."""
-    return popcount_words(words) & 1
-
-
-def phase_exponent_words(xa, za, xb, zb) -> np.ndarray:
-    """Vectorized :func:`phase_exponent` over (..., W) uint64 word arrays."""
-    t = (popcount_words(xa & za)
-         + popcount_words(xb & zb)
-         + 2 * popcount_words(za & xb)
-         - popcount_words((xa ^ xb) & (za ^ zb)))
-    return t % 4

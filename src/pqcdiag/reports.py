@@ -186,9 +186,6 @@ class SensitivityMap(_JsonRecord):
                       f"{e.gradient!r},{e.stderr!r}\n")
         return buf.getvalue()
 
-    def digest(self) -> str:
-        return payload_digest(self.to_json_dict())
-
 
 @dataclass
 class PlanStep(_JsonRecord):
@@ -235,6 +232,3 @@ class InterventionPlan(_JsonRecord):
             buf.write(f"{i},{s.layer},{s.element},{qs},{s.param},"
                       f"{s.new_value!r},{s.mse_after!r},{s.mse_stderr!r}\n")
         return buf.getvalue()
-
-    def digest(self) -> str:
-        return payload_digest(self.to_json_dict())

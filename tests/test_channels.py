@@ -163,6 +163,41 @@ def test_rebuild_with():
         ch.rebuild_with(c, "gamma", 0.1)
 
 
+@pytest.mark.parametrize("channel, name", [
+    (ch.make_depolarizing(0.3), "lambda"),
+    (ch.make_depolarizing(0.3, (0, 1)), "lambda"),
+    (ch.make_amplitude_damping(0.3), "gamma"),
+    (ch.make_thermal(0.3, 0.2), "gamma"),
+    (ch.make_thermal(0.3, 0.2), "lambda"),
+])
+def test_ptm_derivative_matches_central_difference(channel, name):
+    h = 1e-6
+    v = channel.params[name]
+    want = (ch.rebuild_with(channel, name, v + h).ptm
+            - ch.rebuild_with(channel, name, v - h).ptm) / (2 * h)
+    got = ch.ptm_derivative(channel, name)
+    assert got.shape == channel.ptm.shape
+    assert np.allclose(got, want, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("channel, name", [
+    (ch.make_thermal(0.4, 0.6), "gamma"), (ch.make_thermal(0.4, 0.6), "lambda"),
+    (ch.make_thermal(0.0, 1.0), "lambda"),
+    (ch.make_amplitude_damping(1.0), "gamma"),
+])
+def test_ptm_derivative_rejects_gamma_plus_lambda_one(channel, name):
+    with pytest.raises(ValueError, match="gamma \\+ lambda = 1"):
+        ch.ptm_derivative(channel, name)
+
+
+def test_ptm_derivative_needs_a_tunable_pair():
+    for channel, name in ((ch.make_mmff(""), "gamma"),
+                          (ch.make_depolarizing(0.1), "gamma"),
+                          (ch.make_amplitude_damping(0.1), "lambda")):
+        with pytest.raises(ValueError, match="no tunable"):
+            ch.ptm_derivative(channel, name)
+
+
 def test_with_support_moves_qubits():
     c = ch.make_amplitude_damping(0.2, (0,)).with_support((5,))
     assert c.support == (5,) and np.allclose(

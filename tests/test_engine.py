@@ -420,17 +420,21 @@ def _place(spec, n_reg=None, slots=None):
                                                             [(b, b, 1.0)])
 
 
-def _trace_flags(circuit, trace, n_visited):
-    """Per-site flags from a scalar walk's trace: the word met the site's
-    channel non-identity (only for steps the walk reached)."""
-    flags = {}
+def _trace_entries(circuit, trace, n_visited):
+    """Per-site PTM entries from a scalar walk's trace (only for steps the
+    walk reached): tau * 4^m + s for the local word s the walk brought to
+    the site and the word tau it left with.  The old per-site flag, "the
+    word met the channel non-identity", is s != 0."""
+    entries = {}
     for i, step in enumerate(engine._program(circuit, "backward")):
         if i >= n_visited:
             break
         if isinstance(step, engine._ChanStep):
-            flags[step.ordinal] = any(
-                trace[i].pauli.code_at(q) for q in step.channel.support)
-    return flags
+            sup = step.channel.support
+            s, tau = (engine._local_index(trace[k].pauli, sup)
+                      for k in (i, i + 1))
+            entries[step.ordinal] = tau * 4 ** len(sup) + s
+    return entries
 
 
 class TestLightCone:
@@ -460,9 +464,9 @@ class TestLightCone:
                     collect_trace=True)
                 assert sampled[lane] == ref.value  # bit for bit
                 # the trace holds the start word and one word per step
-                for site, flag in _trace_flags(c, ref.trace,
-                                               len(ref.trace) - 1).items():
-                    assert flags[lane, site] == flag
+                for site, entry in _trace_entries(c, ref.trace,
+                                                  len(ref.trace) - 1).items():
+                    assert flags[lane, site] == entry
             x1, z1 = engine.words_for_paulis([w for _, w in words], c.n)
             exact = engine.run_backward_batch(
                 c, state, x1, z1, engine.MaterializedTheta(
@@ -649,9 +653,9 @@ class TestLanePlanes:
                 RngStream(seed=5, stream_id=int(streams[i])),
                 collect_trace=True)
             assert vals[i] == ref.value  # bit for bit
-            for site, flag in _trace_flags(c, ref.trace,
-                                           len(ref.trace) - 1).items():
-                assert flags[i, site] == flag
+            for site, entry in _trace_entries(c, ref.trace,
+                                              len(ref.trace) - 1).items():
+                assert flags[i, site] == entry
         exact = engine.run_backward_batch(c, state, x0, z0, theta,
                                           exact=True)
         assert exact.shape == (lanes,)

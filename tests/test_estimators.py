@@ -6,17 +6,20 @@ estimate within 4 stderr of the exact grid enumeration, and the package's
 own fast grid path against the dense oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import axis, random_circuit, rx_dep_circuit
 from pqcdiag import engine, oracle
 from pqcdiag import estimators as est
-from pqcdiag.channels import make_amplitude_damping, make_depolarizing
+from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
+                              make_mmff, make_thermal, ptm_derivative)
 from pqcdiag.circuits import (Circuit, NoiseSite, Rotation, gen_grid_chip,
                               observable_from_terms, zero_state)
 from pqcdiag.paulis import PauliString
-from pqcdiag.reports import DiagnosticConfig
+from pqcdiag.reports import DiagnosticConfig, payload_digest
 from pqcdiag.rng import compose_stream_array
 
 
@@ -87,6 +90,59 @@ class TestMse:
         assert a.mean != other.mean
 
 
+def _chip(channel):
+    return gen_grid_chip(2, 2, 1, "rzz", channel)
+
+
+def _tracking(circuit, names):
+    """The circuit with site j tracking parameter names[j % len(names)]."""
+    return circuit.with_sites(
+        [dataclasses.replace(s, noise_param_name=names[j % len(names)])
+         for j, s in enumerate(circuit.noise_sites)])
+
+
+def _grid_derivative(circuit, obs, j, h=1e-5):
+    """dMSE / d(site j's strength) from the grid oracle: a central
+    difference, one-sided at a bound of [0, 1]."""
+    s = circuit.noise_sites[j]
+    v = float(s.channel.params[s.noise_param_name])
+    lo, hi = max(0.0, v - h), min(1.0, v + h)
+    lo_mse, hi_mse = (oracle.grid_enumerate(est._rebuilt_at(circuit, j, x),
+                                            obs, "mse") for x in (lo, hi))
+    return (hi_mse - lo_mse) / (hi - lo)
+
+
+def _cone_sites(circuit, obs):
+    """Ordinals of the noise sites inside the observable's light cone."""
+    mask = 0
+    for _, w in obs.terms:
+        mask |= w.x_bits | w.z_bits
+    return {step.ordinal for step in engine._program(circuit, "backward", mask)
+            if isinstance(step, engine._ChanStep)}
+
+
+#: 2x2 chips for the score route, each with an observable on qubit 1, whose
+#: light cone holds sites 0, 1, 5 and 11.  At amplitude-damping gamma = 0
+#: the Z -> I entry of site 5 is 0 with a non-zero derivative, and so is
+#: each coherence entry at depolarizing lambda = 1.  Pure dephasing (thermal
+#: gamma = 0) never branches, but its gamma sites are boundary sites whose
+#: residual walk does.
+SCORE_CASES = {
+    "amplitude_damping_gamma0": lambda: (
+        est._rebuilt_at(_chip(make_amplitude_damping(0.1)), 5, 0.0),
+        [(1.0, "IZII")]),
+    "thermal": lambda: (
+        _tracking(_chip(make_thermal(0.1, 0.05)), ("gamma", "lambda", "gamma")),
+        [(1.0, "IZII"), (0.5, "IXII")]),
+    "thermal_dephasing_gamma0": lambda: (
+        _tracking(_chip(make_thermal(0.0, 0.1)), ("gamma", "lambda", "gamma")),
+        [(0.5, "IXII"), (1.0, "IZII")]),
+    "depolarizing_lambda1": lambda: (
+        est._rebuilt_at(_chip(make_depolarizing(0.1)), 5, 1.0),
+        [(1.0, "IZII")]),
+}
+
+
 class TestSensitivity:
     def test_toy_closed_form_gradient(self):
         # MSE(lam) = lam^2/2, so dMSE/dlam at 0.1 is 0.1 (path route, exact
@@ -124,6 +180,62 @@ class TestSensitivity:
         with pytest.raises(ValueError, match="no tracked"):
             est.estimate_sensitivity_map(
                 c, observable_from_terms([(1.0, "Z")]), zero_state(1))
+
+    @pytest.mark.parametrize("site", [
+        NoiseSite(0, make_mmff(""), (0, 0), None),
+        NoiseSite(0, make_depolarizing(0.1), (0, 0), "gamma")])
+    def test_map_and_plan_reject_an_untracked_site_alike(self, site):
+        c = Circuit(1, [Rotation(axis(1, "X", (0,)), 0)], [site])
+        obs = observable_from_terms([(1.0, "Z")])
+        messages = []
+        for run in (est.estimate_sensitivity_map, est.bottleneck_first_plan):
+            with pytest.raises(ValueError) as info:
+                run(c, obs, zero_state(1))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_unbounded_derivative_rejected(self):
+        c = _chip(make_thermal(0.4, 0.6))
+        with pytest.raises(ValueError, match="gamma \\+ lambda = 1"):
+            est.estimate_sensitivity_map(
+                c, observable_from_terms([(1.0, "IZII")]), None,
+                DiagnosticConfig(n_theta=4, n_tau=2))
+
+    @pytest.mark.parametrize("case", sorted(SCORE_CASES))
+    def test_score_route_matches_grid_derivative(self, case):
+        c, terms = SCORE_CASES[case]()
+        obs = observable_from_terms(terms)
+        smap = est.estimate_sensitivity_map(
+            c, obs, None, DiagnosticConfig(n_theta=2000, n_tau=4, seed=1))
+        cone = _cone_sites(c, obs)
+        assert cone == {0, 1, 5, 11}
+        for j, e in enumerate(smap.entries):
+            if j not in cone:  # the grid derivative is 0 there too
+                assert e.gradient == 0.0 and e.stderr == 0.0
+                continue
+            want = _grid_derivative(c, obs, j)
+            assert abs(e.gradient - want) <= 4 * e.stderr + 1e-6, \
+                (j, e.gradient, e.stderr, want)
+
+    def test_digest_ignores_threads_across_chunks(self, monkeypatch):
+        # 300 draws of 4 replicates at 64 lanes a chunk: 19 chunks, and
+        # site 5 (gamma = 0) adds a residual walk to each of them
+        c, terms = SCORE_CASES["amplitude_damping_gamma0"]()
+        obs = observable_from_terms(terms)
+        monkeypatch.setattr(est, "_CHUNK", 64)
+        cfg = DiagnosticConfig(n_theta=300, n_tau=4, seed=2)
+        one = est.estimate_sensitivity_map(c, obs, None, cfg)
+        two = est.estimate_sensitivity_map(c, obs, None,
+                                           cfg.replaced(threads=2))
+        assert payload_digest(one.to_json_dict()) \
+            == payload_digest(two.to_json_dict())
+        cone = _cone_sites(c, obs)
+        assert 5 in cone and len(cone) < len(c.noise_sites)
+        for j, e in enumerate(one.entries):
+            if j not in cone:
+                assert e.gradient == 0.0 and e.stderr == 0.0
+            elif j == 5:
+                assert e.gradient != 0.0 and e.stderr > 0.0
 
 
 def planted_circuit():
@@ -296,18 +408,26 @@ class TestExpectationSamples:
 
 
 def _per_term_walk_values(circuit, obs, state, theta, seed, outer, inner):
-    """Reference for ``_walk_values``: one walk per observable term."""
+    """Reference for ``_walk_values``: one walk per observable term, each
+    walk's value times the score dT/T of the PTM entry it used at each site
+    (0 where T = 0)."""
+    tables = [(s.channel.ptm.ravel(),
+               ptm_derivative(s.channel, s.noise_param_name).ravel())
+              for s in circuit.noise_sites]
     vals = np.full(len(theta), float(obs.identity_offset))
     wsum = np.zeros((len(theta), len(circuit.noise_sites)))
     for h, (coeff, word) in enumerate(obs.terms):
         xw, zw = engine.words_for_paulis([word], circuit.n)
-        v, flags = engine.run_backward_batch(
+        v, entries = engine.run_backward_batch(
             circuit, state, np.repeat(xw, len(theta), axis=0),
             np.repeat(zw, len(theta), axis=0), theta, seed=seed,
             stream_ids=compose_stream_array(outer, inner, h),
             collect_flags=True)
+        scores = np.array([[dt[e] / t[e] if t[e] else 0.0
+                            for (t, dt), e in zip(tables, row)]
+                           for row in entries])
         vals += coeff * v
-        wsum += coeff * (v[:, None] * flags)
+        wsum += coeff * (v[:, None] * scores)
     return vals, wsum
 
 

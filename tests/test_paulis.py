@@ -260,11 +260,3 @@ class TestWordArrays:
         arr = np.stack([paulis.mask_to_words(m, 70) for m in masks])
         want = np.array([bin(m).count("1") for m in masks])
         assert np.array_equal(paulis.popcount_words(arr), want)
-        assert np.array_equal(paulis.parity_words(arr), want % 2)
-
-    @given(st.tuples(*[st.integers(0, 2 ** 64 - 1) for _ in range(4)]))
-    def test_phase_exponent_words_matches_scalar(self, t):
-        xa, za, xb, zb = t
-        arrs = [paulis.mask_to_words(v, 64) for v in t]
-        got = paulis.phase_exponent_words(*[a[None, :] for a in arrs])
-        assert got[0] == phase_exponent(xa, za, xb, zb)
