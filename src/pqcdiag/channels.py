@@ -99,8 +99,9 @@ class PtmChannel:
         The constructor parameters, for serialization and reports.
 
     ``cols`` feeds adjoint (backward) sampling, ``rows`` feeds forward
-    sampling (built on the transpose).  ``flags`` holds the :func:`validate`
-    flags, fixed with the PTM.
+    sampling (built on the transpose).  ``flags`` holds the PCS1 / PRS1 /
+    trace-preservation tests ("pcs1", "prs1", "tp") at tolerance 1e-12,
+    fixed with the PTM; circuits read it to refuse non-PCS1 channels.
     """
 
     support: tuple[int, ...]
@@ -353,13 +354,8 @@ def ptm_derivative(channel: PtmChannel, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# validation and sampling
+# sampling
 # ---------------------------------------------------------------------------
-
-def validate(channel: PtmChannel) -> dict:
-    """PCS1 / PRS1 / trace-preservation flags at tolerance 1e-12."""
-    return dict(channel.flags)
-
 
 def adjoint_sample(channel: PtmChannel, s_local: int, rng) -> AdjointSample:
     """Draw a predecessor word from PTM column ``s_local``.

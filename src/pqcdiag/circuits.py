@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import PtmChannel, channel_from_spec, channel_to_spec, validate
+from .channels import PtmChannel, channel_from_spec, channel_to_spec
 from .paulis import (CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, PauliString)
 
 AngleIndex = int  # grid angle theta = k * pi/2, k in {0,1,2,3}
@@ -102,23 +102,17 @@ class ObservableSum:
 
     Duplicate words are merged at build time and any identity component is
     moved into ``identity_offset`` (its expectation is exactly that constant,
-    so estimators add it back at the end and never sample it).
+    so estimators add it back at the end and never sample it).  ``n`` is the
+    register size, which an identity-only sum has no term to carry.
     """
 
     terms: list
+    n: int
     identity_offset: float = 0.0
     pauli_l1: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.pauli_l1 = float(sum(abs(c) for c, _ in self.terms))
-
-    @property
-    def n(self) -> int:
-        return self.terms[0][1].n
-
-    def linf_norm_bound(self) -> float:
-        """Cheap upper bound on the spectral norm: sum |c_h| (+ offset)."""
-        return self.pauli_l1 + abs(self.identity_offset)
 
 
 def observable_from_terms(terms, n: "int | None" = None) -> ObservableSum:
@@ -150,7 +144,7 @@ def observable_from_terms(terms, n: "int | None" = None) -> ObservableSum:
     out = [(c, w) for w, c in merged.items() if c != 0.0]
     if not out and n is None:
         raise ValueError("cannot infer qubit count from an identity-only sum")
-    return ObservableSum(out, identity_offset=offset)
+    return ObservableSum(out, n, identity_offset=offset)
 
 
 @dataclass
@@ -210,17 +204,6 @@ class ThetaAssignment:
         return self.values.astype(np.float64) * (np.pi / 2.0)
 
 
-def shift_theta(t: ThetaAssignment, k: int, delta: int) -> ThetaAssignment:
-    """Bump parameter k by delta quarter-turns (stays on the grid, mod 4)."""
-    if not 0 <= k < len(t):
-        raise IndexError(f"parameter index {k} out of range")
-    if delta not in (-1, 1):
-        raise ValueError("delta must be +1 or -1")
-    v = t.values.copy()
-    v[k] = (int(v[k]) + delta) % 4
-    return ThetaAssignment(v)
-
-
 # ---------------------------------------------------------------------------
 # the circuit itself
 # ---------------------------------------------------------------------------
@@ -265,8 +248,7 @@ class Circuit:
                     f"{len(self.ops)} op(s)")
             if any(not 0 <= q < self.n for q in s.channel.support):
                 raise ValueError("noise channel qubit out of range")
-            flags = validate(s.channel)
-            if not flags["pcs1"]:
+            if not s.channel.flags["pcs1"]:
                 raise ValueError(
                     f"channel {s.channel.label!r} at site {s.site_id} is not "
                     f"PCS1; refusing to build (estimator bounds rely on it)")
@@ -287,10 +269,7 @@ class Circuit:
 
     def is_prs1(self) -> bool:
         """True when every noise channel also passes the row-sum test."""
-        return all(validate(s.channel)["prs1"] for s in self.noise_sites)
-
-    def all_depolarizing(self) -> bool:
-        return all(s.channel.label == "depolarizing" for s in self.noise_sites)
+        return all(s.channel.flags["prs1"] for s in self.noise_sites)
 
     def branching(self) -> bool:
         """True when some noise channel is not diagonal, so that walks
@@ -422,24 +401,6 @@ def load_bundle(spec: dict):
                 circuit.n,
                 [(int(r), int(c), complex(re, im)) for r, c, re, im in raw])
     return circuit, obs, state
-
-
-def structurally_equal(a: Circuit, b: Circuit) -> bool:
-    """Field-by-field equality (PTMs compared numerically)."""
-    if (a.n, a.n_params, len(a.ops), len(a.noise_sites)) != \
-            (b.n, b.n_params, len(b.ops), len(b.noise_sites)):
-        return False
-    if a.ops != b.ops:
-        return False
-    for sa, sb in zip(a.noise_sites, b.noise_sites):
-        if (sa.position, sa.site_id, sa.noise_param_name) != \
-                (sb.position, sb.site_id, sb.noise_param_name):
-            return False
-        if sa.channel.support != sb.channel.support:
-            return False
-        if not np.array_equal(sa.channel.ptm, sb.channel.ptm):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -232,11 +232,11 @@ def cmd_diagnose(args) -> int:
                               _require_observable(obs, args.circuit),
                               state, cfg)
         elif args.kind == "expressibility":
-            try:
-                rep = estimate_expressibility_hs(circuit, cfg)
-            except ValueError as exc:
-                raise CliError(f"{exc}; run 'pqcdiag diagnose "
-                               f"expressibility-lb' on this circuit instead")
+            if not circuit.is_prs1():
+                raise CliError("a noise channel fails the row-sum condition; "
+                               "run 'pqcdiag diagnose expressibility-lb' on "
+                               "this circuit instead")
+            rep = estimate_expressibility_hs(circuit, cfg)
             run.write_json(".json", rep.to_json_dict())
         else:  # expressibility-lb
             rep = estimate_expressibility_lower_bound(circuit, cfg)
@@ -296,10 +296,13 @@ def cmd_benchmark(args) -> int:
     lines = ["n_samples,mean,std,rel_error"]
     table = []
     for count in sample_counts:
-        vals = np.array([
-            line_variance_benchmark(args.n, args.p, count,
-                                    seed=seed + t, threads=threads).mean
-            for t in range(args.trials)])
+        try:
+            vals = np.array([
+                line_variance_benchmark(args.n, args.p, count,
+                                        seed=seed + t, threads=threads).mean
+                for t in range(args.trials)])
+        except ValueError as exc:  # the chain's size or the stream budget
+            raise CliError(str(exc))
         mean = float(vals.mean())
         std = float(vals.std(ddof=1)) if args.trials > 1 else None
         rel = (mean - target) / target

@@ -7,10 +7,11 @@ fans out into its PTM-column entries) and close the surviving word against
 the initial state.  One engine computes that sum: the batched walker
 (`run_backward_batch` / `run_forward_batch`) drives thousands of independent
 walks, one sampled path per lane or, in exact mode, every branch as its own
-lane.  The estimators and the per-theta functions (`estimate_expectation`,
-`enumerate_expectation_exact`) all call it.  `backprop_term` is a one-path
-scalar walk on PauliStrings, kept only as the reference the batched walker
-is tested against bit for bit.
+lane.  Every estimator calls it, and there is no per-theta entry point:
+one theta is a batch whose lanes share one angle row, and
+`oracle.dense_expectation` gives the exact value at any angles.
+`backprop_term` is a one-path scalar walk on PauliStrings, kept only as the
+reference the batched walker is tested against bit for bit.
 
 The walk state is bit-sliced (the Pauli-frame layout of Gidney's Stim,
 arXiv:2103.02202): each qubit has one row of x bits and one of z bits, and a
@@ -53,8 +54,6 @@ in one batch only when that joint cone is barely longer than each word's own
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 from functools import reduce
 
@@ -66,10 +65,8 @@ from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
                      SignedPauli, backprop_rotation, clifford_table,
                      conjugate_clifford, mask_to_words, n_words,
                      phase_exponent, popcount_words, trace_pauli_with_entries)
-from .reports import EstimateReport
-from .rng import (DOMAIN_TAU, RngStream, angles_from_keys, compose_stream,
-                  compose_stream_array, hash_words, theta_keys,
-                  uniform_from_hash)
+from .rng import (DOMAIN_TAU, RngStream, angles_from_keys, hash_words,
+                  theta_keys, uniform_from_hash)
 
 _LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -373,97 +370,9 @@ def backprop_term(circuit: Circuit, theta: ThetaAssignment, term: PauliString,
 
 
 # ---------------------------------------------------------------------------
-# per-theta expectations on the batched walker
+# theta sources for the batched walker: ``k_for(param)`` gives the (B,)
+# angle indices of one parameter, one per input lane
 # ---------------------------------------------------------------------------
-
-def estimate_expectation(circuit: Circuit, obs, state, theta: ThetaAssignment,
-                         *, n_tau: int = 1, seed: int = 0,
-                         outer_index: int = 0) -> EstimateReport:
-    """Monte-Carlo estimate of <O> at one theta (exact when nothing branches).
-
-    Each observable term gets its own independent inner draws: one batched
-    walk with a lane per (draw, term), its stream keyed by
-    ``compose_stream(outer_index, draw, term)`` (ValueError when any index
-    is out of that packing's range).  When every noise channel is diagonal
-    the walk is deterministic, so a single pass is the exact value,
-    ``n_tau`` is forced to 1 and the stderr is 0.
-    """
-    t0 = time.perf_counter()
-    circuit.check_theta(theta)
-    stochastic = circuit.branching()
-    n_eff = max(1, int(n_tau)) if stochastic else 1
-    n_terms = len(obs.terms)
-    draws = np.full(n_eff, obs.identity_offset, dtype=np.float64)
-    if n_terms:
-        compose_stream(outer_index, n_eff - 1, n_terms - 1)  # bounds check
-        x0, z0 = words_for_paulis([w for _, w in obs.terms], circuit.n)
-        streams = compose_stream_array(
-            outer_index, np.arange(n_eff)[:, None], np.arange(n_terms))
-        vals = run_backward_batch(
-            circuit, state, np.tile(x0, (n_eff, 1)), np.tile(z0, (n_eff, 1)),
-            _SharedTheta(theta), seed=seed, stream_ids=streams.ravel())
-        for h, (coeff, _) in enumerate(obs.terms):
-            draws += coeff * vals[h::n_terms]
-    mean = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else 0.0
-    return EstimateReport(
-        quantity="expectation", mean=mean, stderr=stderr, n_theta=1,
-        n_tau=n_eff, n_sigma=0, seed=seed,
-        wall_time_s=time.perf_counter() - t0,
-        config={"outer_index": outer_index})
-
-
-def exact_branch_estimate(circuit: Circuit) -> int:
-    """Upper bound on the number of paths one word can fan out into."""
-    est = 1
-    for s in circuit.noise_sites:
-        if not s.channel.diagonal:
-            est *= int(s.channel.cols.count.max())
-            if est > 10 ** 18:
-                break
-    return est
-
-
-def enumerate_expectation_exact(circuit: Circuit, obs, state,
-                                theta: ThetaAssignment, *,
-                                branch_cap: int = 200_000) -> float:
-    """Exact <O> at one theta: every channel branch of every term walked.
-
-    Refuses upfront (RuntimeError) if the worst-case branch count per
-    observable term exceeds ``branch_cap``.  Terms are walked one at a time,
-    so no walk holds more than ``branch_cap`` lanes.
-    """
-    circuit.check_theta(theta)
-    est = exact_branch_estimate(circuit)
-    if est > branch_cap:
-        raise RuntimeError(
-            f"exact enumeration would visit up to {est} paths per term "
-            f"(cap {branch_cap}); use the sampling estimator instead")
-    total = obs.identity_offset
-    for coeff, word in obs.terms:
-        x0, z0 = words_for_paulis([word], circuit.n)
-        vals = run_backward_batch(circuit, state, x0, z0, _SharedTheta(theta),
-                                  exact=True, lane_cap=branch_cap)
-        total += coeff * float(vals[0])
-    return float(total)
-
-
-# ---------------------------------------------------------------------------
-# theta sources for the batched walker
-# ---------------------------------------------------------------------------
-
-class _SharedTheta:
-    """One grid-angle assignment shared by every lane, branch copies too."""
-
-    def __init__(self, theta: ThetaAssignment):
-        self.values = theta.values
-
-    def k_for(self, param: int) -> int:
-        return int(self.values[param])
-
-    def take(self, idx: np.ndarray) -> "_SharedTheta":
-        return self
-
 
 class MaterializedTheta:
     """Per-lane grid angles held as an explicit (B, N_g) uint8 array."""
@@ -473,12 +382,6 @@ class MaterializedTheta:
 
     def k_for(self, param: int) -> np.ndarray:
         return self.values[:, param]
-
-    def take(self, idx: np.ndarray) -> "MaterializedTheta":
-        return MaterializedTheta(self.values[idx])
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 class HashedTheta:
@@ -495,9 +398,7 @@ class HashedTheta:
     def __init__(self, seed: int, uids: np.ndarray,
                  shift_param: "np.ndarray | None" = None,
                  shift_delta: "np.ndarray | None" = None):
-        self.seed = seed
-        self.uids = np.ascontiguousarray(uids, dtype=np.uint64)
-        self.keys = theta_keys(seed, self.uids)
+        self.keys = theta_keys(seed, uids)
         self.shift_param = None if shift_param is None else \
             np.ascontiguousarray(shift_param, dtype=np.int64)
         self.shift_delta = None if shift_delta is None else \
@@ -510,14 +411,8 @@ class HashedTheta:
                                self.shift_delta, 0)) % 4).astype(np.uint8)
         return k
 
-    def take(self, idx: np.ndarray) -> "HashedTheta":
-        return HashedTheta(
-            self.seed, self.uids[idx],
-            None if self.shift_param is None else self.shift_param[idx],
-            None if self.shift_delta is None else self.shift_delta[idx])
-
     def __len__(self) -> int:
-        return self.uids.shape[0]
+        return self.keys.shape[0]
 
 
 class TiledTheta:
@@ -692,7 +587,8 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
 
     In sampled mode ``origin`` is None and lanes map 1:1 to inputs.  In exact
     mode every branching channel splits lanes into all nonzero column (or
-    row) entries; ``origin[i]`` maps expanded lane i back to its input lane.
+    row) entries; ``origin[i]`` maps expanded lane i back to its input lane,
+    whose angles in ``theta`` it reads.
 
     ``collect_flags`` additionally records, per lane and noise site, the
     matrix entry the lane used there, as its index tau * 4^m + s into the
@@ -733,7 +629,12 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
 
     for step in prog:
         if isinstance(step, _RotStep):
-            k = step.fixed_k if step.param is None else theta.k_for(step.param)
+            if step.param is None:
+                k = step.fixed_k
+            else:
+                k = theta.k_for(step.param)
+                if exact:  # expanded lanes read their input lane's angles
+                    k = k[origin]
             _rotate(planes, n, step, k, b, direction == "backward")
             continue
         col = _local_codes(planes, step.rows, b)
@@ -764,7 +665,6 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
             col = col[rep]
             tau = tabs.tau[col, within]
             w = w[rep] * tabs.val[col, within]
-            theta = theta.take(rep)
             b = total
             _set_codes(planes, step.rows, tau)
         else:
@@ -815,15 +715,14 @@ def run_backward_batch(circuit: Circuit, state, x0, z0, theta, *,
 
 
 def run_forward_batch(circuit: Circuit, x0, z0, theta, *, seed: int = 0,
-                      stream_ids=None, w0=None, exact: bool = False,
-                      lane_cap: int = 1 << 22, slot_offset: int = 0):
+                      stream_ids=None, slot_offset: int = 0):
     """Batched forward (Heisenberg) push of words through the circuit.
 
-    Returns (x, z, w, origin): the evolved words and weights, to be chained
-    into a backward walk (expressibility's two-circuit overlap).
+    Returns (x, z, w, origin): the evolved words and weights, one sampled
+    path per lane (``origin`` is None), to be chained into a backward walk
+    (expressibility's two-circuit overlap).
     """
     x, z, w, origin, _ = _run_batch(circuit, "forward", x0, z0, theta,
-                                    seed=seed, stream_ids=stream_ids, w0=w0,
-                                    exact=exact, lane_cap=lane_cap,
+                                    seed=seed, stream_ids=stream_ids,
                                     slot_offset=slot_offset)
     return x, z, w, origin

@@ -30,20 +30,17 @@ import numpy as np
 
 from .channels import make_raw_ptm, ptm_derivative, rebuild_with
 from .circuits import Circuit, ObservableSum, gen_line_benchmark, zero_state
-from .engine import (HashedTheta, MaterializedTheta, TiledTheta,
-                     codes_to_words, cone_params, cone_runs,
-                     run_backward_batch, run_forward_batch, words_for_paulis)
+from .engine import (HashedTheta, TiledTheta, codes_to_words, cone_params,
+                     cone_runs, run_backward_batch, run_forward_batch,
+                     words_for_paulis)
 from .reports import (DiagnosticConfig, EstimateReport, InterventionPlan,
                       PlanStep, SensitivityMap, SiteGradient)
-from .rng import compose_stream_array, pauli_codes
+from .rng import check_stream_budget, compose_stream_array, pauli_codes
 
 #: outer draws per work chunk; fixed (never derived from the thread count)
 #: so that chunk boundaries, and therefore reduction order and every float,
 #: are identical no matter how the chunks are scheduled.
 _CHUNK = 16384
-
-#: ceiling on 4^{n_params} for the exact grid enumerators
-_GRID_POINT_CAP = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +107,15 @@ def _effective_config(config, pauli_l1: float) -> DiagnosticConfig:
     return cfg
 
 
-def _check_stream_budget(n_outer: int, n_inner: int, n_terms: int) -> None:
-    """Stream ids pack (outer, inner, term) into 32/20/12 bits; enforce it."""
-    if n_outer > (1 << 32):
-        raise ValueError(f"{n_outer} outer draws exceed the 32-bit stream "
-                         "budget")
-    if n_inner > (1 << 20):
-        raise ValueError(f"{n_inner} inner draws per outer sample exceed the "
-                         "20-bit stream budget")
-    if n_terms > (1 << 12):
-        raise ValueError(f"{n_terms} observable terms exceed the 12-bit "
-                         "stream budget")
+def _sample_counts_only(config) -> DiagnosticConfig:
+    """Defaults for the expressibility estimators, which take their sample
+    counts as given: the planner has no bound for their functionals, so an
+    accuracy target is refused rather than recorded and ignored."""
+    cfg = config if config is not None else DiagnosticConfig()
+    if cfg.epsilon is not None or cfg.delta is not None:
+        raise ValueError("epsilon/delta targets have no sample planner for "
+                         "expressibility; set n_theta and n_sigma instead")
+    return cfg
 
 
 def _default_state(circuit: Circuit, state):
@@ -260,7 +255,7 @@ def estimate_mse(circuit: Circuit, obs: ObservableSum, state=None,
     cfg = _effective_config(config, obs.pauli_l1)
     branching = circuit.branching()
     n_tau = cfg.n_tau if branching else 1
-    _check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
+    check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
     clean = circuit.without_noise()
     chunk = max(1, _CHUNK // n_tau)
     mom = _Moments()
@@ -358,7 +353,7 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
     cfg = _effective_config(config, obs.pauli_l1)
     branching = circuit.branching()
     n_tau = cfg.n_tau if branching else 1
-    _check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
+    check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
     clean = circuit.without_noise()
     chunk = max(1, _CHUNK // n_tau)
     mom = _Moments(width=len(sites))
@@ -492,7 +487,7 @@ def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
     cfg = _effective_config(config, obs.pauli_l1)
     branching = circuit.branching()
     n_tau = cfg.n_tau if branching else 1
-    _check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
+    check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
     if not params:
         return EstimateReport(
             quantity=quantity, mean=0.0, stderr=0.0, n_theta=cfg.n_theta,
@@ -589,7 +584,7 @@ def estimate_expressibility_hs(circuit: Circuit,
     Ensemble states start from the all-zeros computational state.
     """
     t0 = time.perf_counter()
-    cfg = config if config is not None else DiagnosticConfig()
+    cfg = _sample_counts_only(config)
     if not circuit.is_prs1():
         raise ValueError(
             "a noise channel fails the row-sum condition, so its forward "
@@ -597,7 +592,7 @@ def estimate_expressibility_hs(circuit: Circuit,
     n = circuit.n
     state = zero_state(n)
     ns = cfg.n_sigma
-    _check_stream_budget(cfg.n_theta * ns, 1, 4)
+    check_stream_budget(cfg.n_theta * ns, 1, 4)
     branching = circuit.branching()
     n_sites = len(circuit.noise_sites)
     c2 = 2.0 / (2 ** n + 1.0)
@@ -672,13 +667,13 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
     Ensemble states start from the all-zeros computational state.
     """
     t0 = time.perf_counter()
-    cfg = config if config is not None else DiagnosticConfig()
+    cfg = _sample_counts_only(config)
     n = circuit.n
     state = zero_state(n)
     total = cfg.n_theta * cfg.n_sigma
     branching = circuit.branching()
     nt = cfg.n_tau if branching else 1
-    _check_stream_budget(2 * total, 4 * nt, 1)
+    check_stream_budget(2 * total, 4 * nt, 1)
     c2 = 2.0 / (2 ** n + 1.0)
     chunk = max(1, _CHUNK // (4 * nt))
     mom = _Moments()
@@ -739,77 +734,6 @@ def l1_expressibility_bound(var_estimate: float, obs: ObservableSum) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact grid enumeration (the slow literal route, for cross-validation)
-# ---------------------------------------------------------------------------
-
-def exact_grid_values(circuit: Circuit, obs: ObservableSum, state=None, *,
-                      point_cap: int = _GRID_POINT_CAP,
-                      lane_cap: int = 1 << 22) -> np.ndarray:
-    """<O~> at every grid point, by branch-exact walks; index = base-4 theta.
-
-    Grid point g assigns parameter k the angle index (g >> 2k) & 3.  This
-    enumerates all 4^{n_params} points, so it is a test fixture, not an
-    estimator: its one job is to agree with the closed-form oracle to
-    machine precision while sharing no code with it.
-    """
-    p = circuit.n_params
-    total = 4 ** p
-    if total > point_cap:
-        raise ValueError(f"grid has {total} points (cap {point_cap})")
-    state = _default_state(circuit, state)
-    shifts = 2 * np.arange(p, dtype=np.int64)
-    out = np.full(total, float(obs.identity_offset))
-    for lo, hi in _spans(total, _CHUNK):
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = ((idx[:, None] >> shifts[None, :]) & 3).astype(np.uint8)
-        th = MaterializedTheta(digits.reshape(hi - lo, p))
-        for coeff, word in obs.terms:
-            xw, zw = words_for_paulis([word], circuit.n)
-            x0 = np.broadcast_to(xw, (hi - lo, xw.shape[1]))
-            z0 = np.broadcast_to(zw, (hi - lo, zw.shape[1]))
-            out[lo:hi] += coeff * run_backward_batch(
-                circuit, state, x0, z0, th, exact=True, lane_cap=lane_cap)
-    return out
-
-
-def exact_grid_mse(circuit: Circuit, obs: ObservableSum, state=None, *,
-                   point_cap: int = _GRID_POINT_CAP,
-                   lane_cap: int = 1 << 22) -> float:
-    """Exact grid-averaged MSE by literal enumeration of all grid points."""
-    state = _default_state(circuit, state)
-    noisy = exact_grid_values(circuit, obs, state, point_cap=point_cap,
-                              lane_cap=lane_cap)
-    ideal = exact_grid_values(circuit.without_noise(), obs, state,
-                              point_cap=point_cap, lane_cap=lane_cap)
-    d = ideal - noisy
-    return float(np.mean(d * d))
-
-
-def exact_grid_gradient_variance(circuit: Circuit, obs: ObservableSum,
-                                 state=None, param_k: int = 0, *,
-                                 point_cap: int = _GRID_POINT_CAP,
-                                 lane_cap: int = 1 << 22) -> float:
-    """Exact grid average of the squared parameter-shift gradient.
-
-    The shifted evaluations are lookups: adding one quarter turn to
-    parameter k moves grid point g to the point whose k-th base-4 digit is
-    bumped mod 4.  (The grid mean of the gradient is identically zero, so
-    the mean square is the variance.)
-    """
-    if not 0 <= param_k < circuit.n_params:
-        raise IndexError(f"parameter {param_k} out of range")
-    vals = exact_grid_values(circuit, obs, state, point_cap=point_cap,
-                             lane_cap=lane_cap)
-    idx = np.arange(vals.size, dtype=np.int64)
-    digit = (idx >> (2 * param_k)) & 3
-    base = idx - (digit << (2 * param_k))
-    up = base + (((digit + 1) & 3) << (2 * param_k))
-    down = base + (((digit - 1) & 3) << (2 * param_k))
-    g = (vals[up] - vals[down]) / 2.0
-    return float(np.mean(g * g))
-
-
-# ---------------------------------------------------------------------------
 # deep-circuit variance benchmark
 # ---------------------------------------------------------------------------
 
@@ -823,7 +747,7 @@ def expectation_samples(circuit: Circuit, obs: ObservableSum, state=None,
     outer uids so disjoint sample pools can be grown incrementally.
     """
     state = _default_state(circuit, state)
-    _check_stream_budget(start + count, 1, len(obs.terms))
+    check_stream_budget(start + count, 1, len(obs.terms))
     out = np.empty(count)
 
     def job(span):

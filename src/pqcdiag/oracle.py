@@ -21,24 +21,22 @@ import numpy as np
 
 from .circuits import (Circuit, FixedAngle, ObservableSum, Rotation,
                        SparseState, ThetaAssignment, zero_state)
-from .paulis import CODE_CHARS, PauliString
+from .paulis import PauliString
 
 DENSE_QUBIT_CAP = 10
 TWO_COPY_QUBIT_CAP = 5
 
-_I2 = np.eye(2, dtype=complex)
-_PAULI = {
-    "I": _I2,
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+#: one-qubit Pauli matrices by code (0=I, 1=X, 2=Y, 3=Z)
+_PAULI = (np.eye(2, dtype=complex),
+          np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CLIFF_MATS = {
-    "i": _I2,
-    "x": _PAULI["X"],
-    "y": _PAULI["Y"],
-    "z": _PAULI["Z"],
+    "i": _PAULI[0],
+    "x": _PAULI[1],
+    "y": _PAULI[2],
+    "z": _PAULI[3],
     "h": _H,
     "s": np.diag([1, 1j]).astype(complex),
     "sdg": np.diag([1, -1j]).astype(complex),
@@ -56,20 +54,16 @@ _CLIFF_MATS = {
 # embedding helpers
 # ---------------------------------------------------------------------------
 
-def _bit_perm(n: int, support) -> np.ndarray:
-    """Index permutation moving ``support`` bits to the low positions."""
-    new_pos = {}
-    for j, q in enumerate(support):
-        new_pos[q] = j
-    nxt = len(support)
-    for q in range(n):
-        if q not in new_pos:
-            new_pos[q] = nxt
-            nxt += 1
-    idx = np.arange(2 ** n)
+def _support_perm(n: int, support, bits: int) -> np.ndarray:
+    """Index permutation moving the digits of the ``support`` qubits to the
+    low positions, in support order, the other qubits' digits after them in
+    qubit order.  A digit is ``bits`` bits wide: 1 over basis-state indices,
+    2 over Pauli-word indices."""
+    order = list(support) + [q for q in range(n) if q not in support]
+    idx = np.arange(1 << (bits * n))
     out = np.zeros_like(idx)
-    for q in range(n):
-        out |= ((idx >> q) & 1) << new_pos[q]
+    for j, q in enumerate(order):
+        out |= ((idx >> (bits * q)) & ((1 << bits) - 1)) << (bits * j)
     return out
 
 
@@ -79,16 +73,33 @@ def embed_operator(op_local: np.ndarray, n: int, support) -> np.ndarray:
     if op_local.shape != (2 ** m, 2 ** m):
         raise ValueError("operator size does not match support")
     full = np.kron(np.eye(2 ** (n - m), dtype=complex), op_local)
-    perm = _bit_perm(n, support)
+    perm = _support_perm(n, support, 1)
     return full[np.ix_(perm, perm)]
 
 
 def pauli_dense(p: PauliString) -> np.ndarray:
-    """Dense matrix of a Pauli word by explicit kron (qubit 0 innermost)."""
+    """Dense 2^n x 2^n matrix of a Pauli word by explicit kron (qubit 0
+    least significant, the innermost factor).  The one dense word builder:
+    every other dense Pauli matrix here comes from it."""
     out = np.array([[1]], dtype=complex)
     for q in range(p.n - 1, -1, -1):
-        out = np.kron(out, _PAULI[CODE_CHARS[p.code_at(q)]])
+        out = np.kron(out, _PAULI[p.code_at(q)])
     return out
+
+
+def _local_words(m: int):
+    """Dense matrices of the 4^m words on m qubits, in local-index order
+    (qubit j's code in base-4 digit j)."""
+    for idx in range(4 ** m):
+        yield pauli_dense(PauliString.from_codes(
+            [(idx >> (2 * j)) & 3 for j in range(m)]))
+
+
+def _on_support(p: PauliString):
+    """(support, p restricted to it): the qubits a word acts on, in order,
+    and the word on just those qubits."""
+    support = tuple(q for q in range(p.n) if p.code_at(q))
+    return support, PauliString.from_codes([p.code_at(q) for q in support])
 
 
 def state_dense(state: SparseState) -> np.ndarray:
@@ -110,21 +121,16 @@ def observable_dense(obs: ObservableSum) -> np.ndarray:
 # dense evolution
 # ---------------------------------------------------------------------------
 
-def _axis_local(axis: PauliString):
-    """(support tuple, local dense matrix) of a rotation axis."""
-    support = tuple(q for q in range(axis.n) if axis.code_at(q))
-    loc = np.array([[1]], dtype=complex)
-    for q in reversed(support):
-        loc = np.kron(loc, _PAULI[CODE_CHARS[axis.code_at(q)]])
-    return support, loc
+def _rot_local(loc: np.ndarray, angle: float) -> np.ndarray:
+    """exp(-i angle/2 P) for the local dense axis matrix P."""
+    return np.cos(angle / 2) * np.eye(len(loc)) - 1j * np.sin(angle / 2) * loc
 
 
 def rotation_unitary(axis: PauliString, angle: float) -> np.ndarray:
     """Full-register exp(-i angle/2 P) for Pauli axis P."""
-    support, loc = _axis_local(axis)
-    m = len(support)
-    u = np.cos(angle / 2) * np.eye(2 ** m) - 1j * np.sin(angle / 2) * loc
-    return embed_operator(u, axis.n, support)
+    support, local = _on_support(axis)
+    return embed_operator(_rot_local(pauli_dense(local), angle), axis.n,
+                          support)
 
 
 def channel_superop_local(channel) -> np.ndarray:
@@ -139,12 +145,7 @@ def channel_superop_local(channel) -> np.ndarray:
         return cached
     m = len(channel.support)
     d = 2 ** m
-    words = []
-    for idx in range(4 ** m):
-        p = np.array([[1]], dtype=complex)
-        for j in range(m - 1, -1, -1):
-            p = np.kron(p, _PAULI[CODE_CHARS[(idx >> (2 * j)) & 3]])
-        words.append(p)
+    words = list(_local_words(m))
     k = np.zeros((d, d, d, d), dtype=complex)
     s_mat = channel.ptm
     for s in range(4 ** m):
@@ -162,9 +163,8 @@ def apply_channel_dense(rho: np.ndarray, channel, n: int) -> np.ndarray:
     support = channel.support
     m = len(support)
     h, low = 2 ** (n - m), 2 ** m
-    perm = _bit_perm(n, support)
-    iperm = np.empty_like(perm)
-    iperm[perm] = np.arange(perm.size)
+    perm = _support_perm(n, support, 1)
+    iperm = np.argsort(perm)
     k = channel_superop_local(channel)
     work = rho[np.ix_(iperm, iperm)].reshape(h, low, h, low)
     out = np.einsum("abcd,hcgd->hagb", k, work)
@@ -229,70 +229,19 @@ def dense_expectation(circuit: Circuit, theta, obs: ObservableSum,
 # is averaged in closed form, which is what makes the grid sum tractable
 # without enumerating 4^{N_g} points.
 
-def _word_index(p: PauliString) -> int:
-    idx = 0
-    for q in range(p.n):
-        idx |= p.code_at(q) << (2 * q)
-    return idx
-
-
-def _digit_perm(n: int, support) -> tuple[np.ndarray, np.ndarray]:
-    """Base-4 analogue of _bit_perm over Pauli word indices."""
-    new_pos = {}
-    for j, q in enumerate(support):
-        new_pos[q] = j
-    nxt = len(support)
-    for q in range(n):
-        if q not in new_pos:
-            new_pos[q] = nxt
-            nxt += 1
-    idx = np.arange(4 ** n)
-    out = np.zeros_like(idx)
-    for q in range(n):
-        out |= ((idx >> (2 * q)) & 3) << (2 * new_pos[q])
-    iperm = np.empty_like(out)
-    iperm[out] = np.arange(out.size)
-    return out, iperm
-
-
-def _local_word(idx: int, m: int) -> np.ndarray:
-    p = np.array([[1]], dtype=complex)
-    for j in range(m - 1, -1, -1):
-        p = np.kron(p, _PAULI[CODE_CHARS[(idx >> (2 * j)) & 3]])
-    return p
-
-
-def _rotation_backmaps(axis: PauliString):
-    """support, [L_0..L_3]: L_k[j,i] = tr(P_j R_k^dag P_i R_k)/2^m locally."""
-    support, loc = _axis_local(axis)
-    m = len(support)
-    d = 2 ** m
-    words = [_local_word(i, m) for i in range(4 ** m)]
-    maps = []
-    for k in range(4):
-        ang = k * np.pi / 2
-        u = np.cos(ang / 2) * np.eye(d) - 1j * np.sin(ang / 2) * loc
-        lk = np.zeros((4 ** m, 4 ** m))
-        for i in range(4 ** m):
-            back = u.conj().T @ words[i] @ u
-            for j in range(4 ** m):
-                v = np.trace(words[j].conj().T @ back) / d
-                if abs(v.imag) > 1e-12:
-                    raise AssertionError("grid rotation left the real span")
-                lk[j, i] = v.real
-        maps.append(lk)
-    return support, maps
-
-
-def _clifford_backmap(kind: str, m: int) -> np.ndarray:
-    u = _CLIFF_MATS[kind]
-    d = 2 ** m
-    words = [_local_word(i, m) for i in range(4 ** m)]
+def _transfer_backmap(u: np.ndarray, m: int) -> np.ndarray:
+    """L[j, i] = tr(P_j U^dag P_i U) / 2^m over the m-qubit local words: the
+    backward (Heisenberg) action of the local unitary U on Pauli
+    coefficients."""
+    words = list(_local_words(m))
     lk = np.zeros((4 ** m, 4 ** m))
-    for i in range(4 ** m):
-        back = u.conj().T @ words[i] @ u
-        for j in range(4 ** m):
-            lk[j, i] = (np.trace(words[j].conj().T @ back) / d).real
+    for i, word in enumerate(words):
+        back = u.conj().T @ word @ u
+        for j, other in enumerate(words):
+            v = np.trace(other.conj().T @ back) / 2 ** m
+            if abs(v.imag) > 1e-12:
+                raise AssertionError("conjugation left the real span")
+            lk[j, i] = v.real
     return lk
 
 
@@ -325,27 +274,31 @@ class _GridPrograms:
                 steps.append(("chan", ch.support, [np.asarray(ch.ptm)], None))
             op = circuit.ops[pos]
             if isinstance(op, Rotation):
-                support, maps = _rotation_backmaps(op.axis)
+                support, local = _on_support(op.axis)
+                loc = pauli_dense(local)
+                maps = [_transfer_backmap(_rot_local(loc, k * np.pi / 2),
+                                          local.n) for k in range(4)]
                 param = None if isinstance(op.param, FixedAngle) else op.param
                 fixed = op.param.k if isinstance(op.param, FixedAngle) else 0
                 steps.append(("rot", support, maps, (param, fixed)))
             else:
-                lk = _clifford_backmap(op.kind, len(op.qubits))
+                lk = _transfer_backmap(_CLIFF_MATS[op.kind], len(op.qubits))
                 steps.append(("cliff", op.qubits, [lk], None))
         self.steps = steps
         self.perms = {}
         for _, support, _, _ in steps:
             key = tuple(support)
             if key not in self.perms:
-                self.perms[key] = _digit_perm(n, key)
+                perm = _support_perm(n, key, 2)
+                self.perms[key] = perm, np.argsort(perm)
 
 
 def _closure_vector(n: int, state: SparseState) -> np.ndarray:
     """c[p] = tr(P_p rho) over all 4^n words, by dense traces."""
     rho = state_dense(state)
     out = np.zeros(4 ** n)
-    for idx in range(4 ** n):
-        v = np.trace(_local_word(idx, n) @ rho)
+    for idx, word in enumerate(_local_words(n)):
+        v = np.trace(word @ rho)
         if abs(v.imag) > 1e-9:
             raise AssertionError("complex closure")
         out[idx] = v.real
@@ -355,7 +308,7 @@ def _closure_vector(n: int, state: SparseState) -> np.ndarray:
 def _obs_vector(obs: ObservableSum) -> np.ndarray:
     v = np.zeros(4 ** obs.n)
     for coeff, word in obs.terms:
-        v[_word_index(word)] += coeff
+        v[sum(word.code_at(q) << (2 * q) for q in range(obs.n))] += coeff
     return v
 
 
@@ -467,40 +420,30 @@ def haar_2moment(n: int) -> np.ndarray:
 
 
 def second_moment_matrix(circuit: Circuit, state: "SparseState | None" = None,
-                         thetas=None, grid_cap: int = 65536) -> np.ndarray:
-    """Average of rho(theta) (x) rho(theta) over grid points or given thetas.
-
-    ``thetas=None`` enumerates the full 4^{N_g} grid (capped); otherwise pass
-    an iterable of radian vectors (used for continuum comparisons).
-    """
+                         grid_cap: int = 65536) -> np.ndarray:
+    """Average of rho(theta) (x) rho(theta) over the full 4^{N_g} angle grid
+    (capped at ``grid_cap`` points)."""
     n = circuit.n
     if n > TWO_COPY_QUBIT_CAP:
         raise ValueError(f"two-copy objects capped at {TWO_COPY_QUBIT_CAP} "
                          f"qubits (asked {n})")
     state = state if state is not None else zero_state(n)
-    if thetas is None:
-        total = 4 ** circuit.n_params
-        if total > grid_cap:
-            raise ValueError(f"grid has {total} points (cap {grid_cap})")
-        thetas = (ThetaAssignment(np.array(ks, dtype=np.uint8))
-                  for ks in itertools.product(range(4),
-                                              repeat=circuit.n_params))
+    total = 4 ** circuit.n_params
+    if total > grid_cap:
+        raise ValueError(f"grid has {total} points (cap {grid_cap})")
     acc = np.zeros((4 ** n, 4 ** n), dtype=complex)
-    count = 0
-    for theta in thetas:
+    for ks in itertools.product(range(4), repeat=circuit.n_params):
+        theta = ThetaAssignment(np.array(ks, dtype=np.uint8))
         rho = dense_evolve(circuit, theta, state)
         acc += np.kron(rho, rho)
-        count += 1
-    if count == 0:
-        raise ValueError("no theta points")
-    return acc / count
+    return acc / total
 
 
 def dense_moment_deviation(circuit: Circuit,
                            state: "SparseState | None" = None,
-                           thetas=None, grid_cap: int = 65536) -> float:
+                           grid_cap: int = 65536) -> float:
     """Squared HS distance between the circuit's second moment and Haar's."""
-    mom = second_moment_matrix(circuit, state, thetas, grid_cap)
+    mom = second_moment_matrix(circuit, state, grid_cap)
     delta = mom - haar_2moment(circuit.n)
     return float(np.sum(np.abs(delta) ** 2))
 
@@ -516,17 +459,14 @@ def rotation_2design_check(axis: PauliString, grid_angles=None) -> float:
     analytic uniform-angle integral; the quarter-turn grid should match to
     machine precision, coarser grids should not.
     """
-    support, loc = _axis_local(axis)
+    support, local = _on_support(axis)
+    loc = pauli_dense(local)
     if len(support) > 2:
         raise ValueError("check supports axes on at most 2 qubits")
-    d = 2 ** len(support)
-    eye = np.eye(d)
+    eye = np.eye(2 ** len(support))
 
     def q_of(theta):
-        c, s = np.cos(theta / 2), np.sin(theta / 2)
-        r_plus = c * eye - 1j * s * loc
-        r_minus = c * eye + 1j * s * loc
-        return np.kron(r_plus, r_minus)
+        return np.kron(_rot_local(loc, theta), _rot_local(loc, -theta))
 
     if grid_angles is None:
         grid_angles = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]

@@ -15,12 +15,15 @@ computational-basis indices (so dense kroneckers are built qubit-(n-1) down to
 qubit-0).  Text form prints qubit 0 first: ``+XIZ`` means X on qubit 0, Z on
 qubit 2.
 
-The same algebra is exposed twice: an object layer (PauliString/SignedPauli)
-for everything user-facing, the oracle, and ``engine.backprop_term`` (the
-scalar walk the tests check the engine against), and a handful of vectorized
-helpers operating on uint64 word arrays for the one walk engine, the batched
-walker.  Both take their phases from the one formula, :func:`phase_exponent`
-(the batched walker tabulates it per qubit).
+The same algebra is exposed twice.  The object layer (PauliString /
+SignedPauli) describes circuits, observables and their text form, builds the
+Clifford tables the batched walker looks up (:func:`clifford_table`, from
+:func:`multiply`), and carries ``engine.backprop_term``, the scalar walk the
+tests check the engine against.  It has no dense form: ``oracle.pauli_dense``
+is the one dense reference.  A handful of vectorized helpers on uint64 word
+arrays serve the one walk engine, the batched walker.  Both layers take their
+phases from the one formula, :func:`phase_exponent` (the batched walker
+tabulates it per qubit).
 """
 
 from __future__ import annotations
@@ -42,13 +45,6 @@ CODE_TO_X = (0, 1, 1, 0)
 CODE_TO_Z = (0, 0, 1, 1)
 # indexed by x + 2*z
 XZ_TO_CODE = (0, 1, 3, 2)
-
-_PAULI_MATS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 @dataclass(frozen=True)
@@ -121,25 +117,12 @@ class PauliString:
         z = (self.z_bits >> qubit) & 1
         return XZ_TO_CODE[x + 2 * z]
 
-    def to_codes(self) -> np.ndarray:
-        return np.array([self.code_at(j) for j in range(self.n)],
-                        dtype=np.uint8)
-
     def to_text(self) -> str:
         return "+" + "".join(CODE_CHARS[self.code_at(j)]
                              for j in range(self.n))
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def to_dense(self) -> np.ndarray:
-        """2^n x 2^n complex matrix (qubit 0 least significant). n <= 12."""
-        if self.n > 12:
-            raise ValueError("dense form capped at 12 qubits")
-        m = np.array([[1.0 + 0j]])
-        for j in range(self.n):
-            m = np.kron(_PAULI_MATS[self.code_at(j)], m)
-        return m
 
 
 @dataclass(frozen=True)
@@ -182,9 +165,6 @@ class SignedPauli:
                 body = body[len(prefix):]
                 break
         return cls(PauliString.from_text(body), q)
-
-    def to_dense(self) -> np.ndarray:
-        return (1j ** self.phase_q) * self.pauli.to_dense()
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +380,6 @@ def trace_pauli_with_entries(p: PauliString, entries) -> float:
     return float(acc.real)
 
 
-def trace_with_sparse_state(p: PauliString, entries,
-                            normalized: bool = True) -> float:
-    """Inner product of a Pauli word with a sparse density operator.
-
-    With ``normalized=True`` (default) the word is scaled to unit
-    Hilbert-Schmidt norm, i.e. the value is tr(P rho) / 2^{n/2}; e.g. Z...Z
-    against |0...0> gives 2^{-n/2}.
-    """
-    val = trace_pauli_with_entries(p, entries)
-    if normalized:
-        val /= 2.0 ** (p.n / 2.0)
-    return val
-
-
 # ---------------------------------------------------------------------------
 # vectorized word-array helpers (batched walker)
 # ---------------------------------------------------------------------------
@@ -429,13 +395,6 @@ def mask_to_words(mask: int, n: int) -> np.ndarray:
     w = n_words(n)
     return np.array([(mask >> (64 * i)) & 0xFFFFFFFFFFFFFFFF
                      for i in range(w)], dtype=np.uint64)
-
-
-def words_to_mask(words: np.ndarray) -> int:
-    mask = 0
-    for i, w in enumerate(np.asarray(words, dtype=np.uint64).ravel()):
-        mask |= int(w) << (64 * i)
-    return mask
 
 
 def popcount_words(words: np.ndarray) -> np.ndarray:

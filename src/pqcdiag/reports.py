@@ -79,8 +79,9 @@ class DiagnosticConfig:
 
     n_theta counts outer parameter draws, n_tau inner path replicates per
     draw, n_sigma Pauli-word draws (expressibility only).  epsilon/delta are
-    optional accuracy targets that, when given, override the counts via the
-    Hoeffding planner downstream.
+    optional accuracy targets that, when both are given, override the
+    counts via the Hoeffding planner downstream; the expressibility
+    estimators have no planner and refuse them.
     """
 
     n_theta: int = 1000
@@ -114,14 +115,6 @@ class DiagnosticConfig:
         if self.delta is not None:
             out["delta"] = self.delta
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiagnosticConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
-        if bad:
-            raise ValueError(f"unknown config keys: {sorted(bad)}")
-        return cls(**d)
 
     def replaced(self, **kw) -> "DiagnosticConfig":
         d = {f: getattr(self, f) for f in self.__dataclass_fields__}

@@ -133,27 +133,35 @@ def pauli_codes(seed: int, outer_uid, n: int, *, zx_only: bool = False) -> np.nd
     return (h & _U64(3)).astype(np.uint8)
 
 
-def compose_stream(outer: int, inner: int = 0, term: int = 0) -> int:
-    """Pack (outer sample, inner sample, observable term) into one stream id.
+#: bit widths of a stream id's fields: (outer sample, inner sample, term),
+#: packed in that order from the top bit down
+_STREAM_BITS = (32, 20, 12)
 
-    Layout: outer in the top 32 bits, inner in the next 20, term in the low 12.
-    Bounds are validated so distinct triples can never collide.
-    """
-    if not 0 <= outer < (1 << 32):
-        raise ValueError(f"outer sample index {outer} out of 32-bit range")
-    if not 0 <= inner < (1 << 20):
-        raise ValueError(f"inner sample index {inner} out of 20-bit range")
-    if not 0 <= term < (1 << 12):
-        raise ValueError(f"term index {term} out of 12-bit range")
-    return (outer << 32) | (inner << 12) | term
+
+def check_stream_budget(n_outer: int, n_inner: int, n_terms: int) -> None:
+    """Refuse (ValueError) counts whose indices do not fit the stream-id
+    fields of :func:`compose_stream_array`, so that distinct triples can
+    never collide."""
+    for count, bits, what in zip(
+            (n_outer, n_inner, n_terms), _STREAM_BITS,
+            ("outer draws", "inner draws per outer sample",
+             "observable terms")):
+        if count > (1 << bits):
+            raise ValueError(f"{count} {what} exceed the {bits}-bit stream "
+                             "budget")
 
 
 def compose_stream_array(outer, inner, term) -> np.ndarray:
-    """Vectorized :func:`compose_stream` (no bounds re-check per element)."""
+    """Pack (outer sample, inner sample, observable term) indices, which
+    broadcast against each other, into stream ids, in the fields of
+    ``_STREAM_BITS``.  Indices are not re-checked here;
+    :func:`check_stream_budget` bounds their counts."""
+    _, inner_bits, term_bits = _STREAM_BITS
     outer = np.asarray(outer, dtype=np.uint64)
     inner = np.asarray(inner, dtype=np.uint64)
     term = np.asarray(term, dtype=np.uint64)
-    return (outer << _U64(32)) | (inner << _U64(12)) | term
+    return (outer << _U64(inner_bits + term_bits)) \
+        | (inner << _U64(term_bits)) | term
 
 
 @dataclass

@@ -6,10 +6,14 @@ sys.path).  Everything here is deterministic given its seed arguments.
 
 import numpy as np
 
+from pqcdiag import engine
 from pqcdiag.channels import make_amplitude_damping, make_depolarizing
 from pqcdiag.circuits import (Circuit, NoiseSite, Rotation,
                               observable_from_terms, zero_state)
 from pqcdiag.paulis import PauliString
+
+#: ceiling on 4^{n_params} for the exact grid enumerators
+_GRID_POINT_CAP = 1 << 22
 
 
 def axis(n, letters, qubits):
@@ -75,3 +79,96 @@ def rotations_only(n, n_rot, seed):
     """Noise-free random rotation circuit (same gate law as random_circuit)."""
     c, obs, st = random_circuit(n, n_rot, seed, channels=())
     return c, obs, st
+
+
+def exact_expectation(circuit, obs, state, theta):
+    """Exact <O> at one grid ``theta``: each term walked on its own lane in
+    the walker's exact mode, where every channel branch gets a lane."""
+    total = obs.identity_offset
+    angles = engine.MaterializedTheta(theta.values[None, :])
+    for coeff, word in obs.terms:
+        x0, z0 = engine.words_for_paulis([word], circuit.n)
+        total += coeff * float(engine.run_backward_batch(
+            circuit, state, x0, z0, angles, exact=True)[0])
+    return float(total)
+
+
+def structurally_equal(a, b):
+    """Field-by-field equality of two circuits (PTMs compared
+    numerically)."""
+    if (a.n, a.n_params, len(a.ops), len(a.noise_sites)) != \
+            (b.n, b.n_params, len(b.ops), len(b.noise_sites)):
+        return False
+    if a.ops != b.ops:
+        return False
+    for sa, sb in zip(a.noise_sites, b.noise_sites):
+        if (sa.position, sa.site_id, sa.noise_param_name) != \
+                (sb.position, sb.site_id, sb.noise_param_name):
+            return False
+        if sa.channel.support != sb.channel.support:
+            return False
+        if not np.array_equal(sa.channel.ptm, sb.channel.ptm):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# exact grid enumeration (the slow literal route, for cross-validation)
+# ---------------------------------------------------------------------------
+
+def exact_grid_values(circuit, obs, state=None, *,
+                      point_cap=_GRID_POINT_CAP):
+    """<O~> at every grid point, by branch-exact walks; index = base-4 theta.
+
+    Grid point g assigns parameter k the angle index (g >> 2k) & 3.  This
+    enumerates all 4^{n_params} points: its one job is to agree with the
+    closed-form oracle to machine precision while sharing no code with it.
+    """
+    p = circuit.n_params
+    total = 4 ** p
+    if total > point_cap:
+        raise ValueError(f"grid has {total} points (cap {point_cap})")
+    state = state if state is not None else zero_state(circuit.n)
+    shifts = 2 * np.arange(p, dtype=np.int64)
+    out = np.full(total, float(obs.identity_offset))
+    chunk = 16384
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        digits = ((idx[:, None] >> shifts[None, :]) & 3).astype(np.uint8)
+        th = engine.MaterializedTheta(digits.reshape(hi - lo, p))
+        for coeff, word in obs.terms:
+            xw, zw = engine.words_for_paulis([word], circuit.n)
+            x0 = np.broadcast_to(xw, (hi - lo, xw.shape[1]))
+            z0 = np.broadcast_to(zw, (hi - lo, zw.shape[1]))
+            out[lo:hi] += coeff * engine.run_backward_batch(
+                circuit, state, x0, z0, th, exact=True)
+    return out
+
+
+def exact_grid_mse(circuit, obs, state=None):
+    """Exact grid-averaged MSE by literal enumeration of all grid points."""
+    noisy = exact_grid_values(circuit, obs, state)
+    ideal = exact_grid_values(circuit.without_noise(), obs, state)
+    d = ideal - noisy
+    return float(np.mean(d * d))
+
+
+def exact_grid_gradient_variance(circuit, obs, state=None, param_k=0):
+    """Exact grid average of the squared parameter-shift gradient.
+
+    The shifted evaluations are lookups: adding one quarter turn to
+    parameter k moves grid point g to the point whose k-th base-4 digit is
+    bumped mod 4.  (The grid mean of the gradient is identically zero, so
+    the mean square is the variance.)
+    """
+    if not 0 <= param_k < circuit.n_params:
+        raise IndexError(f"parameter {param_k} out of range")
+    vals = exact_grid_values(circuit, obs, state)
+    idx = np.arange(vals.size, dtype=np.int64)
+    digit = (idx >> (2 * param_k)) & 3
+    base = idx - (digit << (2 * param_k))
+    up = base + (((digit + 1) & 3) << (2 * param_k))
+    down = base + (((digit - 1) & 3) << (2 * param_k))
+    g = (vals[up] - vals[down]) / 2.0
+    return float(np.mean(g * g))

@@ -39,7 +39,7 @@ class TestConstructors:
         c = ch.make_depolarizing(lam)
         want = np.diag([1.0, 1 - lam, 1 - lam, 1 - lam])
         assert np.allclose(c.ptm, want)
-        flags = ch.validate(c)
+        flags = c.flags
         assert flags == {"pcs1": True, "prs1": True, "tp": True}
 
     @given(strength)
@@ -48,10 +48,10 @@ class TestConstructors:
         k0 = np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex)
         k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
         assert np.allclose(c.ptm, ptm_from_kraus([k0, k1], 1), atol=1e-12)
-        flags = ch.validate(c)
+        flags = c.flags
         assert flags["pcs1"] and flags["tp"]
         # the identity row picks up a gamma, so rows are the broken direction
-        # (validate flags at tolerance 1e-12)
+        # (flags at tolerance 1e-12)
         assert flags["prs1"] == (gamma <= 1e-12)
 
     @given(st.tuples(strength, strength).filter(lambda t: t[0] + t[1] <= 1.0))
@@ -62,7 +62,7 @@ class TestConstructors:
              np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex),
              np.array([[0, 0], [0, np.sqrt(lam)]], dtype=complex)]
         assert np.allclose(c.ptm, ptm_from_kraus(k, 1), atol=1e-12)
-        assert ch.validate(c)["pcs1"]
+        assert c.flags["pcs1"]
 
     def test_thermal_limits(self):
         assert np.allclose(ch.make_thermal(0.3, 0.0).ptm,
@@ -88,7 +88,7 @@ class TestConstructors:
             sum("IXYZ".index(l) << (2 * j) for j, l in enumerate(lbl)), 2)
             for lbl, p in probs.items()]
         assert np.allclose(c.ptm, ptm_from_kraus(kraus, 2), atol=1e-12)
-        flags = ch.validate(c)
+        flags = c.flags
         assert flags == {"pcs1": True, "prs1": True, "tp": True}
 
     def test_pauli_channel_validation(self):
@@ -123,7 +123,7 @@ class TestConstructors:
             for j in range(d):
                 s[i, j] = np.trace(out @ dense_word(j, m)).real / 2 ** (m / 2)
         assert np.allclose(c.ptm, s, atol=1e-12)
-        flags = ch.validate(c)
+        flags = c.flags
         assert flags["pcs1"] and flags["prs1"] and flags["tp"]
 
     def test_mmff_arity_checks(self):
@@ -210,7 +210,7 @@ def test_with_support_shares_the_tables():
     assert c.support == (7, 3) and parent.support == (0, 1)
     assert c.ptm is parent.ptm and c.diagonal == parent.diagonal
     assert c.cols is parent.cols and c.rows is parent.rows
-    assert c.flags is parent.flags and ch.validate(c) == ch.validate(parent)
+    assert c.flags is parent.flags and c.flags == parent.flags
     assert c.label == parent.label and c.params == parent.params
     assert c.params is not parent.params
 

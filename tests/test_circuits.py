@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import axis, random_circuit
+from conftest import axis, random_circuit, structurally_equal
 from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
                               make_raw_ptm)
 from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
@@ -14,7 +14,7 @@ from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
                               build_circuit, gen_grid_chip,
                               gen_line_benchmark, gen_ring, grid_edge_layers,
                               load_bundle, observable_from_terms, serialize,
-                              shift_theta, structurally_equal, zero_state)
+                              zero_state)
 from pqcdiag.paulis import PauliString
 from pqcdiag.reports import canonical_json
 
@@ -50,15 +50,6 @@ class TestTheta:
         t = ThetaAssignment(np.array([0, 1, 2, 3]))
         assert np.allclose(t.as_radians(), [0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
-    def test_shift_wraps(self):
-        t = ThetaAssignment(np.array([3, 0]))
-        assert shift_theta(t, 0, 1).values[0] == 0
-        assert shift_theta(t, 1, -1).values[1] == 3
-        with pytest.raises(IndexError):
-            shift_theta(t, 2, 1)
-        with pytest.raises(ValueError):
-            shift_theta(t, 0, 2)
-
 
 class TestObservable:
     def test_merge_and_identity_split(self):
@@ -68,7 +59,6 @@ class TestObservable:
         got = {w.to_text(): c for c, w in obs.terms}
         assert got == {"+ZI": 0.75, "+XY": -1.0}
         assert obs.pauli_l1 == pytest.approx(1.75)
-        assert obs.linf_norm_bound() == pytest.approx(3.75)
 
     def test_pauli_string_terms(self):
         obs = observable_from_terms([(1.0, axis(2, "Z", (1,)))])
@@ -142,13 +132,6 @@ class TestCircuitValidation:
         assert clean.noise_sites == [] and clean.ops == c.ops
         assert c.without_noise() is clean  # cached
         assert clean.without_noise() is clean
-
-    def test_all_depolarizing(self):
-        ops = [Rotation(axis(1, "X", (0,)), 0)]
-        dep = NoiseSite(0, make_depolarizing(0.1), (0, 0), "lambda")
-        amp = NoiseSite(0, make_amplitude_damping(0.1), (0, 1), "gamma")
-        assert Circuit(1, ops, [dep]).all_depolarizing()
-        assert not Circuit(1, ops, [dep, amp]).all_depolarizing()
 
     def test_check_theta(self):
         c, _, _ = random_circuit(2, 3, seed=0, channels=())

@@ -265,6 +265,12 @@ class TestDiagnose:
         assert read_json(str(tmp_path / "lb") + ".json")["quantity"] \
             .startswith("expressibility")
 
+    @pytest.mark.parametrize("kind", ["expressibility", "expressibility-lb"])
+    def test_expressibility_refuses_accuracy_targets(self, tmp_path, kind):
+        circ = gen_toy(tmp_path)
+        assert main(["diagnose", kind, circ, "--epsilon", "0.01",
+                     "--delta", "0.1", "-o", str(tmp_path / "x")]) == 2
+
     def test_missing_observable(self, tmp_path):
         out_c = str(tmp_path / "noobs")
         main(["gen", "ring", "--n", "4", "--noise", "dep:0.1", "-o", out_c])
@@ -350,6 +356,13 @@ class TestBenchmarkPlanOracle:
         assert main(["benchmark", "--n", "3", "--samples", "ten",
                      "-o", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("size", [["--n", "2"], ["--n", "3", "--p", "0"]])
+    def test_benchmark_bad_chain_size(self, tmp_path, size, capsys):
+        # the chain generator's refusal is invalid input, not a crash
+        assert main(["benchmark", *size, "--samples", "10",
+                     "-o", str(tmp_path / "x")]) == 2
+        assert "need n >= 3" in capsys.readouterr().err
+
     def test_plan_reference_counts(self, tmp_path):
         out = str(tmp_path / "plan")
         rc = main(["plan", "--epsilon", "0.05", "--delta", "0.01",
@@ -379,6 +392,15 @@ class TestBenchmarkPlanOracle:
                      "-o", out]) == 0
         assert read_json(out + ".json")["value"] \
             == pytest.approx(0.9 * np.cos(0.7))
+
+    def test_oracle_identity_only_observable(self, tmp_path):
+        circ = str(tmp_path / "idchip")
+        assert main(["gen", "chip", "--rows", "2", "--cols", "2",
+                     "--noise", "dep:0.1", "--term", "1.0:IIII",
+                     "-o", circ]) == 0
+        out = str(tmp_path / "oid")
+        assert main(["oracle", "mse", circ + ".json", "-o", out]) == 0
+        assert read_json(out + ".json")["value"] == 0.0
 
     def test_oracle_theta_length_checked(self, tmp_path):
         circ = gen_toy(tmp_path)

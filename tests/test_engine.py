@@ -1,13 +1,16 @@
 """Path walker: exactness without branching, unbiasedness with it, and
 bit-identity between the batched walker and the scalar reference walk."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import axis, random_circuit, rotations_only, rx_dep_circuit
-from pqcdiag import engine, oracle
+from conftest import (axis, exact_expectation, random_circuit, rotations_only,
+                      rx_dep_circuit)
+from pqcdiag import engine, estimators, oracle
 from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
                               make_mmff, make_pauli_channel, make_raw_ptm,
                               make_thermal)
@@ -16,7 +19,8 @@ from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
                               gen_line_benchmark, observable_from_terms,
                               zero_state)
 from pqcdiag.paulis import CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, PauliString
-from pqcdiag.rng import RngStream, angle_indices, compose_stream
+from pqcdiag.reports import DiagnosticConfig
+from pqcdiag.rng import RngStream, angle_indices, compose_stream_array
 
 
 def random_theta(circuit, seed):
@@ -24,48 +28,72 @@ def random_theta(circuit, seed):
     return ThetaAssignment(r.integers(0, 4, size=circuit.n_params))
 
 
+def sampled_expectation(circuit, obs, state, theta, n_tau, *, seed=0,
+                        outer=0):
+    """(mean, stderr, draws) of <O> at one grid ``theta`` over ``n_tau``
+    inner draws, or one draw when nothing branches (it is exact then).
+
+    One batched walk with a lane per (draw, term), the term's lane keyed by
+    ``compose_stream_array(outer, draw, term)``.
+    """
+    n_eff = n_tau if circuit.branching() else 1
+    n_terms = len(obs.terms)
+    draws = np.full(n_eff, obs.identity_offset, dtype=np.float64)
+    if n_terms:
+        x0, z0 = engine.words_for_paulis([w for _, w in obs.terms], circuit.n)
+        streams = compose_stream_array(outer, np.arange(n_eff)[:, None],
+                                       np.arange(n_terms))
+        vals = engine.run_backward_batch(
+            circuit, state, np.tile(x0, (n_eff, 1)), np.tile(z0, (n_eff, 1)),
+            engine.MaterializedTheta(np.tile(theta.values,
+                                             (n_eff * n_terms, 1))),
+            seed=seed, stream_ids=streams.ravel())
+        for h, (coeff, _) in enumerate(obs.terms):
+            draws += coeff * vals[h::n_terms]
+    stderr = draws.std(ddof=1) / math.sqrt(n_eff) if n_eff > 1 else 0.0
+    return float(draws.mean()), float(stderr), n_eff
+
+
 class TestExactness:
     def test_noiseless_walks_match_dense(self):
         for seed in range(6):
             c, obs, st = rotations_only(3, 7, seed=20 + seed)
             th = random_theta(c, seed)
-            rep = engine.estimate_expectation(c, obs, st, th, n_tau=64,
-                                              seed=seed)
+            mean, stderr, n_draws = sampled_expectation(c, obs, st, th, 64,
+                                                        seed=seed)
             want = oracle.dense_expectation(c, th.as_radians(), obs, st)
-            assert rep.mean == pytest.approx(want, abs=1e-12)
+            assert mean == pytest.approx(want, abs=1e-12)
             # nothing branches: forced to a single exact pass
-            assert rep.stderr == 0.0 and rep.n_tau == 1
+            assert stderr == 0.0 and n_draws == 1
 
     def test_diagonal_noise_is_still_exact(self):
         c, obs, st = rx_dep_circuit(0.3)
         th = ThetaAssignment(np.array([1]))
-        rep = engine.estimate_expectation(c, obs, st, th, n_tau=32)
-        assert rep.mean == pytest.approx(
+        mean, stderr, _ = sampled_expectation(c, obs, st, th, 32)
+        assert mean == pytest.approx(
             oracle.dense_expectation(c, th.as_radians(), obs, st), abs=1e-14)
-        assert rep.stderr == 0.0
+        assert stderr == 0.0
 
     def test_enumeration_matches_dense_with_branching(self):
         for seed in range(8):
             c, obs, st = random_circuit(3, 6, seed=40 + seed)
             th = random_theta(c, seed)
-            got = engine.enumerate_expectation_exact(c, obs, st, th)
+            got = exact_expectation(c, obs, st, th)
             want = oracle.dense_expectation(c, th.as_radians(), obs, st)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_branch_cap_refuses_big_fanout(self):
+        # backward, each site splits a Z lane into an I and a Z lane
         ops = [Rotation(axis(1, "X", (0,)), 0)]
         sites = [NoiseSite(0, make_amplitude_damping(0.1), (0, i), "gamma")
                  for i in range(20)]
         c = Circuit(1, ops, sites)
-        assert engine.exact_branch_estimate(c) == 2 ** 20
-        with pytest.raises(RuntimeError, match="enumeration"):
-            engine.enumerate_expectation_exact(
-                c, observable_from_terms([(1.0, "Z")]), zero_state(1),
-                ThetaAssignment(np.array([0])))
-
-    def test_exact_branch_estimate_ignores_diagonal(self):
-        c, _, _ = rx_dep_circuit(0.2)
-        assert engine.exact_branch_estimate(c) == 1
+        x0, z0 = engine.words_for_paulis([axis(1, "Z", (0,))], 1)
+        with pytest.raises(RuntimeError, match="branch expansion"):
+            engine.run_backward_batch(
+                c, zero_state(1), x0, z0,
+                engine.MaterializedTheta(np.zeros((1, 1), dtype=np.uint8)),
+                exact=True, lane_cap=16)
 
 
 class TestSampling:
@@ -73,22 +101,19 @@ class TestSampling:
         c, obs, st = random_circuit(2, 5, seed=72)
         assert any(not s.channel.diagonal for s in c.noise_sites)
         th = random_theta(c, 1)
-        exact = engine.enumerate_expectation_exact(c, obs, st, th)
-        rep = engine.estimate_expectation(c, obs, st, th, n_tau=20000, seed=3)
-        assert rep.stderr > 0.0
-        assert abs(rep.mean - exact) < 4 * rep.stderr
+        exact = exact_expectation(c, obs, st, th)
+        mean, stderr, _ = sampled_expectation(c, obs, st, th, 20000, seed=3)
+        assert stderr > 0.0
+        assert abs(mean - exact) < 4 * stderr
 
     def test_outer_index_decorrelates_draws(self):
         c, obs, st = random_circuit(2, 5, seed=72)
         th = random_theta(c, 1)
-        a = engine.estimate_expectation(c, obs, st, th, n_tau=4, seed=0,
-                                        outer_index=0)
-        b = engine.estimate_expectation(c, obs, st, th, n_tau=4, seed=0,
-                                        outer_index=1)
-        again = engine.estimate_expectation(c, obs, st, th, n_tau=4, seed=0,
-                                            outer_index=0)
-        assert a.mean == again.mean
-        assert a.mean != b.mean  # same angles, different inner draws
+        a = sampled_expectation(c, obs, st, th, 4, seed=0, outer=0)
+        b = sampled_expectation(c, obs, st, th, 4, seed=0, outer=1)
+        again = sampled_expectation(c, obs, st, th, 4, seed=0, outer=0)
+        assert a[0] == again[0]
+        assert a[0] != b[0]  # same angles, different inner draws
 
     def test_dead_branch_terminates_with_zero(self):
         # backward X hits the measure-and-reset channel's zero column
@@ -132,8 +157,8 @@ PINNED_CASES = {
     "mixed-3": (mixed_circuit, 0),
 }
 
-#: estimate_expectation(seed=23) as (mean, stderr) float hex, recorded with
-#: the scalar per-draw walk loop the batched call replaced
+#: sampled_expectation(seed=23) as (mean, stderr) float hex, recorded with
+#: a scalar per-draw walk loop before the batched walker existed
 PINNED_EXPECTATIONS = {
     ("random-2-5-72", 1, 0): ("0x1.8eeda2f2630f5p-4", "0x0.0p+0"),
     ("random-2-5-72", 1, 4294967295): ("0x1.8eeda2f2630f5p-4", "0x0.0p+0"),
@@ -178,35 +203,28 @@ class TestPinnedExpectation:
     def test_mean_and_stderr_bit_for_bit(self, key):
         name, n_tau, outer = key
         c, obs, st, th = pinned_case(name)
-        rep = engine.estimate_expectation(c, obs, st, th, n_tau=n_tau,
-                                          seed=23, outer_index=outer)
-        assert (rep.mean.hex(), rep.stderr.hex()) == PINNED_EXPECTATIONS[key]
-        assert rep.n_tau == n_tau and rep.config == {"outer_index": outer}
-
-    @pytest.mark.parametrize("kw", [{"outer_index": 1 << 32},
-                                    {"outer_index": -1},
-                                    {"n_tau": (1 << 20) + 1}])
-    def test_stream_ranges_refused(self, kw):
-        c, obs, st, th = pinned_case("mixed-3")
-        with pytest.raises(ValueError):
-            engine.estimate_expectation(c, obs, st, th, **kw)
+        mean, stderr, n_draws = sampled_expectation(c, obs, st, th, n_tau,
+                                                    seed=23, outer=outer)
+        assert (mean.hex(), stderr.hex()) == PINNED_EXPECTATIONS[key]
+        assert n_draws == n_tau
 
     def test_too_many_terms_refused(self):
         words = [PauliString.from_codes([(i >> (2 * q)) & 3 for q in range(7)])
                  for i in range(1, 4098)]
-        c = Circuit(7, [Rotation(axis(7, "X", (0,)), 0)], [])
+        c = Circuit(7, [Rotation(axis(7, "X", (0,)), 0)],
+                    [NoiseSite(0, make_depolarizing(0.1), (0, 0), "lambda")])
         obs = observable_from_terms([(1.0, w) for w in words])
-        with pytest.raises(ValueError, match="term index"):
-            engine.estimate_expectation(c, obs, zero_state(7),
-                                        ThetaAssignment(np.array([1])))
+        with pytest.raises(ValueError, match="observable terms"):
+            estimators.estimate_mse(c, obs, zero_state(7),
+                                    DiagnosticConfig(n_theta=1))
 
     def test_identity_only_observable(self):
         c, _, st, th = pinned_case("mixed-3")
         obs = observable_from_terms([(0.5, "III")])
-        rep = engine.estimate_expectation(c, obs, st, th, n_tau=5,
-                                          outer_index=1 << 32)
-        assert (rep.mean, rep.stderr) == (0.5, 0.0)
-        assert engine.enumerate_expectation_exact(c, obs, st, th) == 0.5
+        mean, stderr, _ = sampled_expectation(c, obs, st, th, 5,
+                                              outer=1 << 32)
+        assert (mean, stderr) == (0.5, 0.0)
+        assert exact_expectation(c, obs, st, th) == 0.5
 
 
 class TestBatchedWalker:
@@ -216,8 +234,7 @@ class TestBatchedWalker:
         seed = 17
         words = [w for _, w in obs.terms]
         x0, z0 = engine.words_for_paulis(words, c.n)
-        streams = np.array([compose_stream(9, 4, t)
-                            for t in range(len(words))], dtype=np.uint64)
+        streams = compose_stream_array(9, 4, np.arange(len(words)))
         theta_b = engine.MaterializedTheta(
             np.tile(th.values, (len(words), 1)))
         batch = engine.run_backward_batch(c, st, x0, z0, theta_b, seed=seed,
@@ -247,8 +264,7 @@ class TestBatchedWalker:
         words = [axis(2, "Z", (0,)), axis(2, "Z", (1,))]
         x0, z0 = engine.words_for_paulis(words, 2)
         theta_b = engine.MaterializedTheta(np.zeros((2, 2), dtype=np.uint8))
-        streams = np.array([compose_stream(0, 0, t) for t in range(2)],
-                           dtype=np.uint64)
+        streams = compose_stream_array(0, 0, np.arange(2))
         vals, flags = engine.run_backward_batch(
             c, zero_state(2), x0, z0, theta_b, stream_ids=streams,
             collect_flags=True)
@@ -290,13 +306,6 @@ class TestThetaContainers:
         for k in range(7):
             assert np.array_equal(ht.k_for(k), want[:, k])
 
-    def test_hashed_take_keeps_uids(self):
-        uids = np.arange(10, dtype=np.uint64)
-        ht = engine.HashedTheta(2, uids).take(np.array([3, 3, 8]))
-        assert np.array_equal(ht.k_for(0),
-                              angle_indices(2, np.array([3, 3, 8],
-                                                        dtype=np.uint64), 1)[:, 0])
-
     def test_hashed_shift_is_quarter_turn(self):
         uids = np.arange(16, dtype=np.uint64)
         base = engine.HashedTheta(7, uids)
@@ -306,11 +315,26 @@ class TestThetaContainers:
         assert np.array_equal(shifted.k_for(1), base.k_for(1))
         assert np.array_equal(shifted.k_for(2), (base.k_for(2) + 1) % 4)
 
-    def test_materialized_take(self):
-        m = engine.MaterializedTheta(np.arange(12, dtype=np.uint8).reshape(4, 3) % 4)
-        t = m.take(np.array([2, 0]))
-        assert np.array_equal(t.values, m.values[[2, 0]])
-        assert len(t) == 2
+    def test_exact_mode_reads_any_theta_source(self):
+        # expanded lanes read their input lane's angles: hashed and tiled
+        # sources agree with explicit rows, and each lane with the oracle
+        c, _, st = random_circuit(2, 5, seed=77)
+        assert c.branching()
+        word = axis(2, "ZX", (0, 1))
+        uids = np.arange(6, dtype=np.uint64)
+        rows = angle_indices(3, uids, c.n_params)
+        x0, z0 = engine.words_for_paulis([word] * 12, 2)
+        got = engine.run_backward_batch(
+            c, st, x0, z0, engine.TiledTheta(engine.HashedTheta(3, uids), 2),
+            exact=True)
+        want = engine.run_backward_batch(
+            c, st, x0, z0, engine.MaterializedTheta(np.tile(rows, (2, 1))),
+            exact=True)
+        assert np.array_equal(got, want)
+        obs = observable_from_terms([(1.0, word)])
+        for i in range(6):
+            assert got[i] == pytest.approx(oracle.dense_expectation(
+                c, ThetaAssignment(rows[i]), obs, st), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

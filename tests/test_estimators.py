@@ -2,8 +2,10 @@
 
 The closed forms for the toy R_X + depolarizing circuit (see test_oracle)
 give hard anchors; everything else is cross-checked route-vs-route: sampled
-estimate within 4 stderr of the exact grid enumeration, and the package's
-own fast grid path against the dense oracle.
+estimate within 4 stderr of the exact grid value, from the closed-form
+``oracle.grid_enumerate`` or from the literal enumeration by branch-exact
+walks in ``conftest`` (``exact_grid_values`` and its MSE and gradient
+variance), and those two grid routes against each other.
 """
 
 import dataclasses
@@ -11,7 +13,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import axis, random_circuit, rx_dep_circuit
+from conftest import (axis, exact_grid_gradient_variance, exact_grid_mse,
+                      exact_grid_values, random_circuit, rx_dep_circuit)
 from pqcdiag import engine, oracle
 from pqcdiag import estimators as est
 from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
@@ -54,8 +57,7 @@ class TestMse:
 
     def test_exact_grid_route_is_closed_form(self):
         c, obs, st = rx_dep_circuit(0.1)
-        assert est.exact_grid_mse(c, obs, st) == pytest.approx(0.005,
-                                                               abs=1e-12)
+        assert exact_grid_mse(c, obs, st) == pytest.approx(0.005, abs=1e-12)
 
     def test_sampled_vs_grid_cross_route(self):
         for seed in (64, 72):
@@ -286,7 +288,7 @@ class TestGradientVariance:
     def test_vs_exact_grid(self):
         c, obs, st = random_circuit(2, 4, seed=64)
         for k in range(c.n_params):
-            want = est.exact_grid_gradient_variance(c, obs, st, k)
+            want = exact_grid_gradient_variance(c, obs, st, k)
             rep = est.estimate_gradient_variance(
                 c, obs, st, k, DiagnosticConfig(n_theta=3000, n_tau=4,
                                                 seed=k))
@@ -297,14 +299,14 @@ class TestGradientVariance:
     def test_exact_grid_route_vs_oracle(self):
         c, obs, st = random_circuit(2, 4, seed=66)
         for k in range(min(2, c.n_params)):
-            assert est.exact_grid_gradient_variance(c, obs, st, k) \
+            assert exact_grid_gradient_variance(c, obs, st, k) \
                 == pytest.approx(
                     oracle.grid_enumerate(c, obs, f"gradvar({k})", st),
                     abs=1e-10)
 
     def test_sum_matches_exact_sum(self):
         c, obs, st = random_circuit(2, 3, seed=68)
-        want = sum(est.exact_grid_gradient_variance(c, obs, st, k)
+        want = sum(exact_grid_gradient_variance(c, obs, st, k)
                    for k in range(c.n_params))
         rep = est.sum_gradient_variance(
             c, obs, st, DiagnosticConfig(n_theta=4000, n_tau=4, seed=2))
@@ -324,19 +326,19 @@ class TestGradientVariance:
         with pytest.raises(IndexError):
             est.estimate_gradient_variance(c, obs, st, 5)
         with pytest.raises(IndexError):
-            est.exact_grid_gradient_variance(c, obs, st, 5)
+            exact_grid_gradient_variance(c, obs, st, 5)
 
 
 class TestExactGridValues:
     def test_toy_values_by_index(self):
         c, obs, st = rx_dep_circuit(0.1)
-        vals = est.exact_grid_values(c, obs, st)
+        vals = exact_grid_values(c, obs, st)
         assert vals.shape == (4,)
         assert np.allclose(vals, [0.9, 0.0, -0.9, 0.0], atol=1e-12)
 
     def test_matches_dense_pointwise(self):
         c, obs, st = random_circuit(2, 3, seed=80)
-        vals = est.exact_grid_values(c, obs, st)
+        vals = exact_grid_values(c, obs, st)
         r = np.random.default_rng(0)
         for idx in r.integers(0, vals.size, size=6):
             ks = [(int(idx) >> (2 * j)) & 3 for j in range(c.n_params)]
@@ -347,7 +349,7 @@ class TestExactGridValues:
     def test_point_cap(self):
         c, obs, st = random_circuit(2, 10, seed=82, channels=())
         with pytest.raises(ValueError):
-            est.exact_grid_values(c, obs, st, point_cap=100)
+            exact_grid_values(c, obs, st, point_cap=100)
 
 
 class TestExpressibility:
@@ -386,6 +388,18 @@ class TestExpressibility:
         rep = est.estimate_expressibility_lower_bound(
             c, DiagnosticConfig(n_theta=64, n_sigma=128, n_tau=2, seed=0))
         assert np.isfinite(rep.mean) and rep.quantity.startswith("express")
+
+    @pytest.mark.parametrize("target", [{"epsilon": 0.01}, {"delta": 0.1},
+                                        {"epsilon": 0.01, "delta": 0.1}])
+    @pytest.mark.parametrize("estimator", [
+        est.estimate_expressibility_hs,
+        est.estimate_expressibility_lower_bound])
+    def test_accuracy_targets_refused(self, estimator, target):
+        # the planner has no bound for these functionals: a target would be
+        # recorded in the payload and never applied
+        c = Circuit(1, [Rotation(axis(1, "Z", (0,)), 0)], [])
+        with pytest.raises(ValueError, match="epsilon/delta"):
+            estimator(c, DiagnosticConfig(n_theta=4, n_sigma=4, **target))
 
     def test_l1_bound_formula(self):
         obs = observable_from_terms([(1.0, "Z")])

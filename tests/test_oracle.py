@@ -13,7 +13,7 @@ rank-one projector whose HS distance from the Haar moment is exactly 2/3.
 import numpy as np
 import pytest
 
-from conftest import axis, random_circuit, rx_dep_circuit
+from conftest import axis, exact_expectation, random_circuit, rx_dep_circuit
 from pqcdiag import oracle
 from pqcdiag.circuits import (Circuit, Clifford, Rotation, ThetaAssignment,
                               observable_from_terms, zero_state)
@@ -35,7 +35,7 @@ class TestDenseEvolve:
     def test_observable_dense_includes_offset(self):
         obs = observable_from_terms([(0.5, "ZI"), (2.0, "II")])
         m = oracle.observable_dense(obs)
-        want = 0.5 * axis(2, "Z", (0,)).to_dense() + 2.0 * np.eye(4)
+        want = 0.5 * oracle.pauli_dense(axis(2, "Z", (0,))) + 2.0 * np.eye(4)
         assert np.allclose(m, want)
 
     def test_qubit_cap(self):
@@ -66,6 +66,15 @@ class TestGridEnumerate:
         c, obs, st = rx_dep_circuit(0.1)
         assert oracle.grid_enumerate(c, obs, "mse", st) \
             == pytest.approx(0.005, abs=1e-12)
+
+    def test_identity_only_observable(self):
+        # no Pauli term is left to carry the register size
+        c, _, st = rx_dep_circuit(0.1)
+        obs = observable_from_terms([(0.75, "I")])
+        assert obs.terms == [] and obs.n == 1
+        assert oracle.grid_enumerate(c, obs, "mse", st) == 0.0
+        assert oracle.dense_expectation(c, [0.3], obs, st) \
+            == pytest.approx(0.75, abs=1e-15)
 
     def test_mse_zero_without_noise(self):
         c, obs, st = rx_dep_circuit(0.0)
@@ -160,14 +169,6 @@ class TestSecondMoments:
         assert oracle.grid_enumerate(c, None, "moment2") \
             == pytest.approx(oracle.dense_moment_deviation(c), abs=1e-14)
 
-    def test_explicit_thetas_agree_with_grid(self):
-        c, _, _ = random_circuit(1, 2, seed=2, channels=())
-        thetas = [np.array([(i >> 0) & 3, (i >> 2) & 3]) * np.pi / 2
-                  for i in range(16)]
-        a = oracle.second_moment_matrix(c)
-        b = oracle.second_moment_matrix(c, thetas=thetas)
-        assert np.allclose(a, b, atol=1e-12)
-
     def test_grid_cap(self):
         c, _, _ = random_circuit(2, 9, seed=3, channels=())
         with pytest.raises(ValueError):
@@ -206,10 +207,9 @@ class TestRotationMoments:
 
 def test_dense_vs_walker_cross_route():
     # the two exact routes (matrix evolution vs path enumeration) agree
-    from pqcdiag.engine import enumerate_expectation_exact
     for seed in (11, 12, 13):
         c, obs, st = random_circuit(3, 5, seed=seed)
         r = np.random.default_rng(seed)
         th = ThetaAssignment(r.integers(0, 4, size=c.n_params))
-        assert enumerate_expectation_exact(c, obs, st, th) == pytest.approx(
+        assert exact_expectation(c, obs, st, th) == pytest.approx(
             oracle.dense_expectation(c, th.as_radians(), obs, st), abs=1e-10)

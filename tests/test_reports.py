@@ -28,12 +28,6 @@ class TestDiagnosticConfig:
         assert d["epsilon"] == 0.1 and d["delta"] == 0.05
         assert "epsilon" not in DiagnosticConfig().as_dict()
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown config"):
-            DiagnosticConfig.from_dict({"n_theta": 5, "samples": 2})
-        cfg = DiagnosticConfig.from_dict({"n_theta": 5, "seed": 9})
-        assert (cfg.n_theta, cfg.seed) == (5, 9)
-
     def test_replaced_ignores_none(self):
         cfg = DiagnosticConfig(n_theta=7, seed=3)
         r = cfg.replaced(n_theta=None, seed=4)

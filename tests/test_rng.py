@@ -133,7 +133,7 @@ def test_pauli_codes_full_and_zx():
 
 class TestComposeStream:
     def test_pack_unpack(self):
-        s = rng.compose_stream(77, 13, 5)
+        s = int(rng.compose_stream_array(77, 13, 5))
         assert s >> 32 == 77
         assert (s >> 12) & ((1 << 20) - 1) == 13
         assert s & 0xFFF == 5
@@ -141,18 +141,19 @@ class TestComposeStream:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 20 - 1),
            st.integers(0, 2 ** 12 - 1))
     def test_array_form_agrees(self, outer, inner, term):
-        want = rng.compose_stream(outer, inner, term)
+        want = (outer << 32) | (inner << 12) | term
         got = rng.compose_stream_array(outer, inner, term)
         assert int(got) == want
 
     def test_bounds(self):
         import pytest
-        with pytest.raises(ValueError):
-            rng.compose_stream(1 << 32)
-        with pytest.raises(ValueError):
-            rng.compose_stream(0, 1 << 20)
-        with pytest.raises(ValueError):
-            rng.compose_stream(0, 0, 1 << 12)
+        rng.check_stream_budget(1 << 32, 1 << 20, 1 << 12)  # every id fits
+        with pytest.raises(ValueError, match="32-bit"):
+            rng.check_stream_budget((1 << 32) + 1, 1, 1)
+        with pytest.raises(ValueError, match="20-bit"):
+            rng.check_stream_budget(1, (1 << 20) + 1, 1)
+        with pytest.raises(ValueError, match="12-bit"):
+            rng.check_stream_budget(1, 1, (1 << 12) + 1)
 
     def test_no_collisions_on_lattice(self):
         outs = np.arange(64, dtype=np.uint64)
