@@ -14,6 +14,9 @@ compile their own flattened programs from it.
 
 from __future__ import annotations
 
+import cmath
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +52,11 @@ class FixedAngle:
 
 @dataclass(frozen=True)
 class Rotation:
-    """exp(-i theta/2 * axis); param is a free-parameter index or FixedAngle."""
+    """exp(-i theta/2 * axis); param is a free-parameter index or FixedAngle.
+
+    Any integral index (numpy integers too) is stored as ``int``; a bool, a
+    float or anything else is a TypeError.
+    """
 
     axis: PauliString
     param: "int | FixedAngle"
@@ -57,6 +64,12 @@ class Rotation:
     def __post_init__(self) -> None:
         if self.axis.is_identity():
             raise ValueError("rotation axis must be non-identity")
+        p = self.param
+        if type(p) is not int and not isinstance(p, FixedAngle):
+            if isinstance(p, bool) or not isinstance(p, numbers.Integral):
+                raise TypeError("rotation param must be an integer index or "
+                                f"a FixedAngle, got {p!r}")
+            object.__setattr__(self, "param", int(p))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -112,6 +125,10 @@ class ObservableSum:
     pauli_l1: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, [self.identity_offset]
+                       + [c for c, _ in self.terms])):
+            raise ValueError("observable coefficients and identity offset "
+                             "must be finite")
         self.pauli_l1 = float(sum(abs(c) for c, _ in self.terms))
 
 
@@ -162,6 +179,8 @@ class SparseState:
         for r, c, a in ent:
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError("basis index out of range")
+            if not cmath.isfinite(a):
+                raise ValueError(f"state amplitude at ({r}, {c}) is {a}")
             if (r, c) in lookup:
                 raise ValueError(f"duplicate entry at ({r}, {c})")
             lookup[(r, c)] = a
@@ -322,7 +341,7 @@ def _gate_from_spec(n: int, g: dict):
         axis = _axis_on_register(n, letters, qubits)
         if "fixed" in g:
             return Rotation(axis, FixedAngle(int(g["fixed"])))
-        return Rotation(axis, int(g["param"]))
+        return Rotation(axis, g["param"])
     if kind in CLIFFORD_1Q_KINDS or kind in CLIFFORD_2Q_KINDS:
         return Clifford(kind, qubits)
     raise ValueError(f"unknown gate {kind!r}")
@@ -388,9 +407,9 @@ def load_bundle(spec: dict):
     obs = None
     if "observable" in spec:
         obs = observable_from_terms(
-            [(t["coeff"], t["pauli"]) for t in spec["observable"]],
+            [(t["coeff"], t["pauli"]) for t in spec["observable"]]
+            + [(spec.get("identity_offset", 0.0), "I" * circuit.n)],
             n=circuit.n)
-        obs.identity_offset += float(spec.get("identity_offset", 0.0))
     state = None
     if "initial_state" in spec:
         raw = spec["initial_state"]

@@ -15,7 +15,9 @@ function of (seed, outer uid) and a walk's branch decisions are a pure
 function of (seed, outer uid, inner replicate, term).  Work is split into
 fixed-size chunks whose boundaries do not depend on the worker count, and
 chunk partials are reduced in chunk order with compensated summation, so a
-run's output is byte-identical for any ``threads`` setting.
+run's output is byte-identical for any ``threads`` setting.  That outer loop
+has one home, :func:`_drive`, and every :class:`EstimateReport` is built by
+:func:`_report`.
 """
 
 from __future__ import annotations
@@ -57,15 +59,13 @@ def _kadd(total, comp, x):
 class _Moments:
     """Running (count, sum, sum of squares) with compensated addition.
 
-    ``width`` selects scalar or per-column accumulation; columns are used by
-    the sensitivity map (one per noise site).
+    Samples are a 1-D array (scalar moments) or a 2-D (draws, columns) one
+    (per-column moments; the sensitivity map keeps one per noise site).
     """
 
-    def __init__(self, width: "int | None" = None):
-        zero = 0.0 if width is None else np.zeros(width)
+    def __init__(self):
         self.count = 0
-        self._s, self._sc = zero, zero
-        self._q, self._qc = zero, zero
+        self._s = self._sc = self._q = self._qc = 0.0
 
     def add(self, samples: np.ndarray) -> None:
         self.count += samples.shape[0]
@@ -98,6 +98,46 @@ def _map_ordered(fn, spans, threads: int):
         yield from map(fn, spans)
 
 
+def _drive(job, draws: int, lanes_per_draw: int, threads: int) -> list:
+    """The outer loop of every estimator.
+
+    Outer draws 0..draws-1 are cut into chunks of
+    ``max(1, _CHUNK // lanes_per_draw)`` draws; ``job`` gets each chunk's
+    outer uids (uint64) and returns a tuple of per-draw sample arrays.  The
+    arrays are folded in chunk order into one :class:`_Moments` per tuple
+    slot, which are returned.
+    """
+    chunk = max(1, _CHUNK // max(1, lanes_per_draw))
+    moms = []
+    for parts in _map_ordered(
+            lambda span: job(np.arange(*span, dtype=np.uint64)),
+            _spans(draws, chunk), threads):
+        moms = moms or [_Moments() for _ in parts]
+        for mom, samples in zip(moms, parts):
+            mom.add(samples)
+    return moms
+
+
+def _report(quantity: str, t0: float, cfg: DiagnosticConfig, mean, stderr, *,
+            n_tau: int, n_sigma: int = 0, config=None, stats=None,
+            signed: bool = False) -> EstimateReport:
+    """The :class:`EstimateReport` of one run started at ``t0``.
+
+    A negative mean gets the ``negative_estimate`` flag in ``stats`` unless
+    the quantity is ``signed`` (may be negative in exact arithmetic).
+    ``config`` defaults to ``cfg.as_dict()``.
+    """
+    mean = float(mean)
+    stats = dict(stats or {})
+    if mean < 0.0 and not signed:
+        stats["negative_estimate"] = True
+    return EstimateReport(
+        quantity=quantity, mean=mean, stderr=float(stderr),
+        n_theta=cfg.n_theta, n_tau=n_tau, n_sigma=n_sigma, seed=cfg.seed,
+        wall_time_s=time.perf_counter() - t0,
+        config=cfg.as_dict() if config is None else config, stats=stats)
+
+
 def _effective_config(config, pauli_l1: float) -> DiagnosticConfig:
     """Fill defaults and apply the accuracy planner when targets are set."""
     cfg = config if config is not None else DiagnosticConfig()
@@ -118,8 +158,16 @@ def _sample_counts_only(config) -> DiagnosticConfig:
     return cfg
 
 
-def _default_state(circuit: Circuit, state):
-    return state if state is not None else zero_state(circuit.n)
+def _observable_setup(circuit: Circuit, obs: ObservableSum, state, config):
+    """(state, cfg, n_tau) for the estimators of an observable: the default
+    all-zeros state, the planned config, and n_tau = 1 when nothing
+    branches (every walk is then exact); checks the stream budget of two
+    inner replicates per draw."""
+    state = state if state is not None else zero_state(circuit.n)
+    cfg = _effective_config(config, obs.pauli_l1)
+    n_tau = cfg.n_tau if circuit.branching() else 1
+    check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
+    return state, cfg, n_tau
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +221,18 @@ def _walk_values(circuit: Circuit, obs: ObservableSum, state, theta, *,
 
 
 def _replicate_means(circuit, obs, state, outer, seed, n_tau, rep, *,
-                     collect=False):
+                     shift=None, collect=False):
     """Inner-replicate mean of <O> per outer draw (replicates 0 and 1 use
-    disjoint inner-draw id ranges, which is all 'independent' means here)."""
+    disjoint inner-draw id ranges, which is all 'independent' means here).
+
+    ``shift = (params, delta)`` walks draw i with parameter ``params[i]``
+    moved by ``delta`` quarter turns.
+    """
     b = outer.shape[0]
     uids = np.repeat(outer, n_tau)
-    th = HashedTheta(seed, uids)
+    th = HashedTheta(seed, uids) if shift is None else HashedTheta(
+        seed, uids, np.repeat(shift[0], n_tau),
+        np.full(uids.shape[0], shift[1], dtype=np.int64))
     inner = np.tile(np.arange(n_tau, dtype=np.uint64), b) \
         + np.uint64(rep * n_tau)
     out = _walk_values(circuit, obs, state, th, seed=seed, outer=uids,
@@ -222,57 +276,35 @@ def plan_samples(epsilon: float, delta: float, pauli_l1: float):
 # noise robustness (mean squared error against the noiseless circuit)
 # ---------------------------------------------------------------------------
 
-def _mse_samples(circuit, clean, obs, state, cfg, span):
-    """Per-outer-draw unbiased samples of (<O> - <O~>)^2 for one chunk."""
-    lo, hi = span
-    outer = np.arange(lo, hi, dtype=np.uint64)
-    th = HashedTheta(cfg.seed, outer)
-    vclean = _walk_values(clean, obs, state, th, seed=cfg.seed)
-    if not circuit.branching():
-        d = vclean - _walk_values(circuit, obs, state, th, seed=cfg.seed)
-        return d * d
-    da = vclean - _replicate_means(circuit, obs, state, outer, cfg.seed,
-                                   cfg.n_tau, 0)
-    db = vclean - _replicate_means(circuit, obs, state, outer, cfg.seed,
-                                   cfg.n_tau, 1)
-    return da * db
-
-
 def estimate_mse(circuit: Circuit, obs: ObservableSum, state=None,
                  config: "DiagnosticConfig | None" = None) -> EstimateReport:
     """Mean squared error between noiseless and noisy expectations.
 
     The noiseless value at each draw comes from the same walk run on the
     circuit with its noise sites stripped (deterministic, hence exact); the
-    noisy value is exact too when every channel is diagonal, otherwise the
-    square uses the two-replicate product.
+    square is the product of two independent inner-replicate means of the
+    difference, or the exact square when no channel branches (one exact
+    replicate then stands for both).
     """
     t0 = time.perf_counter()
     if not circuit.noise_sites:
         raise ValueError("circuit has no noise sites; there is no noisy "
                          "expectation to compare against")
-    state = _default_state(circuit, state)
-    cfg = _effective_config(config, obs.pauli_l1)
+    state, cfg, n_tau = _observable_setup(circuit, obs, state, config)
     branching = circuit.branching()
-    n_tau = cfg.n_tau if branching else 1
-    check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
     clean = circuit.without_noise()
-    chunk = max(1, _CHUNK // n_tau)
-    mom = _Moments()
 
-    def job(span):
-        return _mse_samples(circuit, clean, obs, state, cfg, span)
+    def job(outer):
+        vclean = _walk_values(clean, obs, state, HashedTheta(cfg.seed, outer),
+                              seed=cfg.seed)
+        da = vclean - _replicate_means(circuit, obs, state, outer, cfg.seed,
+                                       n_tau, 0)
+        db = vclean - _replicate_means(circuit, obs, state, outer, cfg.seed,
+                                       n_tau, 1) if branching else da
+        return (da * db,)
 
-    for samples in _map_ordered(job, _spans(cfg.n_theta, chunk), cfg.threads):
-        mom.add(samples)
-
-    mean = float(mom.mean())
-    stats = {"negative_estimate": True} if mean < 0.0 else {}
-    return EstimateReport(
-        quantity="mse", mean=mean, stderr=float(mom.stderr()),
-        n_theta=cfg.n_theta, n_tau=n_tau, n_sigma=0, seed=cfg.seed,
-        wall_time_s=time.perf_counter() - t0, config=cfg.as_dict(),
-        stats=stats)
+    mom, = _drive(job, cfg.n_theta, n_tau, cfg.threads)
+    return _report("mse", t0, cfg, mom.mean(), mom.stderr(), n_tau=n_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +381,11 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
         if np.any(edge):
             residuals[j] = _with_channel(circuit, j, make_raw_ptm(
                 edge, s.channel.support, "residual"))
-    state = _default_state(circuit, state)
-    cfg = _effective_config(config, obs.pauli_l1)
+    state, cfg, n_tau = _observable_setup(circuit, obs, state, config)
     branching = circuit.branching()
-    n_tau = cfg.n_tau if branching else 1
-    check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
     clean = circuit.without_noise()
-    chunk = max(1, _CHUNK // n_tau)
-    mom = _Moments(width=len(sites))
 
-    def job(span):
-        lo, hi = span
-        outer = np.arange(lo, hi, dtype=np.uint64)
+    def job(outer):
         vclean = _walk_values(clean, obs, state, HashedTheta(cfg.seed, outer),
                               seed=cfg.seed)
         vals, dsum = _replicate_means(circuit, obs, state, outer, cfg.seed,
@@ -371,10 +396,9 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
         for j, res in residuals.items():
             dsum[:, j] += _replicate_means(res, obs, state, outer, cfg.seed,
                                            n_tau, 1)
-        return -2.0 * (vclean - vals)[:, None] * dsum
+        return (-2.0 * (vclean - vals)[:, None] * dsum,)
 
-    for samples in _map_ordered(job, _spans(cfg.n_theta, chunk), cfg.threads):
-        mom.add(samples)
+    mom, = _drive(job, cfg.n_theta, n_tau, cfg.threads)
     grad = np.asarray(mom.mean(), dtype=float)
     serr = np.asarray(mom.stderr(), dtype=float)
     entries = [SiteGradient(layer=s.site_id[0], element=s.site_id[1],
@@ -407,7 +431,6 @@ def bottleneck_first_plan(circuit: Circuit, obs: ObservableSum, state=None,
         raise ValueError("budget must be >= 0")
     if not 0.0 <= target <= 1.0:
         raise ValueError("target strength must lie in [0, 1]")
-    state = _default_state(circuit, state)
     cfg = _effective_config(config, obs.pauli_l1)
     base = estimate_mse(circuit, obs, state, cfg)
     current = circuit
@@ -441,86 +464,47 @@ def bottleneck_first_plan(circuit: Circuit, obs: ObservableSum, state=None,
 # gradient variance (trainability)
 # ---------------------------------------------------------------------------
 
-def _gradvar_chunk(circuit, obs, state, cfg, span, params, live):
-    """Per-draw samples of sum_k g_k^2 for one chunk, plus sum_k g_k.
-
-    Lane layout is (outer draw, parameter, inner replicate); the +pi/2 and
-    -pi/2 shifts of one replicate share inner ids and stream ids, so their
-    walks see common randomness and the difference concentrates.  Only the
-    parameters at the positions ``live`` of ``params`` are walked; every
-    other gradient stays exactly 0.0 in the (draw, parameter) array.
-    """
-    lo, hi = span
-    b = hi - lo
-    outer = np.arange(lo, hi, dtype=np.uint64)
-    walked = np.asarray(params, dtype=np.int64)[live]
-    p = walked.size
-    branching = circuit.branching()
-    nt = cfg.n_tau if branching else 1
-    uids = np.repeat(outer, p * nt)
-    param_lane = np.tile(np.repeat(walked, nt), b)
-    inner_base = np.tile(np.arange(nt, dtype=np.uint64), b * p)
-
-    def shifted_means(rep):
-        g = np.zeros((b, len(params)))
-        if not p:
-            return g
-        inner = inner_base + np.uint64(rep * nt)
-        out = []
-        for delta in (1, -1):
-            th = HashedTheta(cfg.seed, uids, param_lane,
-                             np.full(uids.shape[0], delta, dtype=np.int64))
-            v = _walk_values(circuit, obs, state, th, seed=cfg.seed,
-                             outer=uids, inner=inner)
-            out.append(v.reshape(b, p, nt).mean(axis=2))
-        g[:, live] = (out[0] - out[1]) / 2.0
-        return g
-
-    ga = shifted_means(0)
-    gb = shifted_means(1) if branching else ga
-    return (ga * gb).sum(axis=1), ga.sum(axis=1)
-
-
 def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
+    """Per-draw samples of sum_k g_k^2 over ``params``, plus sum_k g_k.
+
+    Each (outer draw, walked parameter) pair is one draw of
+    :func:`_replicate_means` at the +pi/2 and the -pi/2 shift; the two
+    shifts of one replicate share inner ids and stream ids, so their walks
+    see common randomness and the difference concentrates.  A parameter
+    with no rotation in any term's light cone has gradient exactly 0.0
+    (both shifted walks are bit-identical), so only the others are walked;
+    the rest stay 0.0 in the (draw, parameter) array.
+    """
     t0 = time.perf_counter()
-    state = _default_state(circuit, state)
-    cfg = _effective_config(config, obs.pauli_l1)
-    branching = circuit.branching()
-    n_tau = cfg.n_tau if branching else 1
-    check_stream_budget(cfg.n_theta, 2 * n_tau, len(obs.terms))
-    if not params:
-        return EstimateReport(
-            quantity=quantity, mean=0.0, stderr=0.0, n_theta=cfg.n_theta,
-            n_tau=n_tau, n_sigma=0, seed=cfg.seed,
-            wall_time_s=time.perf_counter() - t0,
-            config={**cfg.as_dict(), **extra_cfg},
-            stats={"mean_gradient": 0.0, "mean_gradient_stderr": 0.0})
-    # a parameter with no rotation in any term's light cone has gradient
-    # exactly 0.0 (both shifted walks are bit-identical): walk the others
+    state, cfg, n_tau = _observable_setup(circuit, obs, state, config)
     in_cone = cone_params(circuit, [word for _, word in obs.terms])
     live = [i for i, k in enumerate(params) if k in in_cone]
-    chunk = max(1, _CHUNK // (len(params) * n_tau))
-    mom = _Moments()
-    gmom = _Moments()
+    walked = np.asarray(params, dtype=np.int64)[live]
 
-    def job(span):
-        return _gradvar_chunk(circuit, obs, state, cfg, span, params, live)
+    def job(outer):
+        b = outer.shape[0]
+        pairs = np.repeat(outer, walked.size)
+        shifted = np.tile(walked, b)
 
-    for samples, gsum in _map_ordered(job, _spans(cfg.n_theta, chunk),
-                                      cfg.threads):
-        mom.add(samples)
-        gmom.add(gsum)
+        def gradients(rep):
+            g = np.zeros((b, len(params)))
+            if walked.size:
+                plus, minus = (_replicate_means(circuit, obs, state, pairs,
+                                                cfg.seed, n_tau, rep,
+                                                shift=(shifted, delta))
+                               for delta in (1, -1))
+                g[:, live] = ((plus - minus) / 2.0).reshape(b, walked.size)
+            return g
 
-    mean = float(mom.mean())
-    stats = {"mean_gradient": float(gmom.mean()),
-             "mean_gradient_stderr": float(gmom.stderr())}
-    if mean < 0.0:
-        stats["negative_estimate"] = True
-    return EstimateReport(
-        quantity=quantity, mean=mean, stderr=float(mom.stderr()),
-        n_theta=cfg.n_theta, n_tau=n_tau, n_sigma=0, seed=cfg.seed,
-        wall_time_s=time.perf_counter() - t0,
-        config={**cfg.as_dict(), **extra_cfg}, stats=stats)
+        ga = gradients(0)
+        gb = gradients(1) if circuit.branching() else ga
+        return (ga * gb).sum(axis=1), ga.sum(axis=1)
+
+    mom, gmom = _drive(job, cfg.n_theta, len(params) * n_tau, cfg.threads)
+    return _report(quantity, t0, cfg, mom.mean(), mom.stderr(), n_tau=n_tau,
+                   config={**cfg.as_dict(), **extra_cfg},
+                   stats={"mean_gradient": float(gmom.mean()),
+                          "mean_gradient_stderr": float(gmom.stderr())})
 
 
 def estimate_gradient_variance(circuit: Circuit, obs: ObservableSum,
@@ -597,8 +581,6 @@ def estimate_expressibility_hs(circuit: Circuit,
     n_sites = len(circuit.noise_sites)
     c2 = 2.0 / (2 ** n + 1.0)
     sigma_block = np.uint64(cfg.n_theta) * np.uint64(ns)
-    chunk = max(1, _CHUNK // ns)
-    mom = _Moments()
 
     def t_walk(x0, z0, theta, role, lane_uid, slot_offset=0, w0=None):
         sids = compose_stream_array(lane_uid, 0, role) if branching else None
@@ -606,10 +588,8 @@ def estimate_expressibility_hs(circuit: Circuit,
                                   stream_ids=sids, w0=w0,
                                   slot_offset=slot_offset)
 
-    def job(span):
-        lo, hi = span
-        b = hi - lo
-        outer = np.arange(lo, hi, dtype=np.uint64)
+    def job(outer):
+        b = outer.shape[0]
         lane_uid = np.repeat(outer * np.uint64(ns), ns) \
             + np.tile(np.arange(ns, dtype=np.uint64), b)
         th1 = HashedTheta(cfg.seed, np.repeat(2 * outer, ns))
@@ -635,18 +615,11 @@ def estimate_expressibility_hs(circuit: Circuit,
             v = t_walk(x1, z1, th1, 2 + rep, lane_uid,
                        slot_offset=n_sites, w0=w1)
             t3.append(v.reshape(b, ns).mean(axis=1))
-        return t3[0] * t3[1] - c2 * t2
+        return (t3[0] * t3[1] - c2 * t2,)
 
-    for samples in _map_ordered(job, _spans(cfg.n_theta, chunk), cfg.threads):
-        mom.add(samples)
-
-    mean = float(mom.mean())
-    stats = {"negative_estimate": True} if mean < 0.0 else {}
-    return EstimateReport(
-        quantity="expressibility_hs", mean=mean, stderr=float(mom.stderr()),
-        n_theta=cfg.n_theta, n_tau=1, n_sigma=ns, seed=cfg.seed,
-        wall_time_s=time.perf_counter() - t0, config=cfg.as_dict(),
-        stats=stats)
+    mom, = _drive(job, cfg.n_theta, ns, cfg.threads)
+    return _report("expressibility_hs", t0, cfg, mom.mean(), mom.stderr(),
+                   n_tau=1, n_sigma=ns)
 
 
 def estimate_expressibility_lower_bound(circuit: Circuit,
@@ -675,13 +648,9 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
     nt = cfg.n_tau if branching else 1
     check_stream_budget(2 * total, 4 * nt, 1)
     c2 = 2.0 / (2 ** n + 1.0)
-    chunk = max(1, _CHUNK // (4 * nt))
-    mom = _Moments()
 
-    def job(span):
-        lo, hi = span
-        b = hi - lo
-        outer = np.arange(lo, hi, dtype=np.uint64)
+    def job(outer):
+        b = outer.shape[0]
         codes = pauli_codes(cfg.seed, outer, n)
         xw, zw = codes_to_words(codes)
         lanes = np.repeat(np.arange(b), nt)
@@ -703,16 +672,11 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
         tb0 = group_mean(2 * outer + 1, 2)
         tb1 = group_mean(2 * outer + 1, 3) if branching else tb0
         qa, qb = ta0 * ta1, tb0 * tb1
-        return qa * qb - c2 * (qa + qb) / 2.0
+        return (qa * qb - c2 * (qa + qb) / 2.0,)
 
-    for samples in _map_ordered(job, _spans(total, chunk), cfg.threads):
-        mom.add(samples)
-
-    return EstimateReport(
-        quantity="expressibility_lb", mean=float(mom.mean()),
-        stderr=float(mom.stderr()), n_theta=cfg.n_theta, n_tau=nt,
-        n_sigma=cfg.n_sigma, seed=cfg.seed,
-        wall_time_s=time.perf_counter() - t0, config=cfg.as_dict())
+    mom, = _drive(job, total, 4 * nt, cfg.threads)
+    return _report("expressibility_lb", t0, cfg, mom.mean(), mom.stderr(),
+                   n_tau=nt, n_sigma=cfg.n_sigma, signed=True)
 
 
 def l1_expressibility_bound(var_estimate: float, obs: ObservableSum) -> float:
@@ -738,28 +702,24 @@ def l1_expressibility_bound(var_estimate: float, obs: ObservableSum) -> float:
 # ---------------------------------------------------------------------------
 
 def expectation_samples(circuit: Circuit, obs: ObservableSum, state=None,
-                        count: int = 1, *, seed: int = 0, threads: int = 1,
-                        start: int = 0) -> np.ndarray:
+                        count: int = 1, *, seed: int = 0,
+                        threads: int = 1) -> np.ndarray:
     """<O~> at ``count`` i.i.d. grid draws, one single-path estimate each.
 
     For circuits where nothing branches (the benchmark family is noiseless)
-    each entry is the exact expectation at its draw.  ``start`` offsets the
-    outer uids so disjoint sample pools can be grown incrementally.
+    each entry is the exact expectation at its draw.
     """
-    state = _default_state(circuit, state)
-    check_stream_budget(start + count, 1, len(obs.terms))
+    state = state if state is not None else zero_state(circuit.n)
+    check_stream_budget(count, 1, len(obs.terms))
     out = np.empty(count)
 
-    def job(span):
-        lo, hi = span
-        outer = np.arange(start + lo, start + hi, dtype=np.uint64)
-        th = HashedTheta(seed, outer)
-        inner = np.zeros(hi - lo, dtype=np.uint64)
-        return lo, _walk_values(circuit, obs, state, th, seed=seed,
-                                outer=outer, inner=inner)
+    def job(outer):  # outer uids are the draws' slots in ``out``
+        out[outer] = _walk_values(circuit, obs, state,
+                                  HashedTheta(seed, outer), seed=seed,
+                                  outer=outer, inner=np.zeros_like(outer))
+        return ()
 
-    for lo, vals in _map_ordered(job, _spans(count, _CHUNK), threads):
-        out[lo:lo + vals.shape[0]] = vals
+    _drive(job, count, 1, threads)
     return out
 
 
@@ -781,14 +741,18 @@ def line_variance_benchmark(n: int, p: int, n_theta: int, *, seed: int = 0,
 
     The circuit is deep enough (p in the hundreds) that the variance should
     sit at the :func:`line_variance_target` plateau; the stderr comes from
-    the usual fourth-moment formula for a sample variance.
+    the usual fourth-moment formula for a sample variance.  A variance
+    needs ``n_theta >= 2`` (ValueError otherwise).
     """
     t0 = time.perf_counter()
+    if n_theta < 2:
+        raise ValueError(f"a sample variance needs n_theta >= 2, "
+                         f"got {n_theta}")
     circuit, obs, state = _line_case(n, p)
     vals = expectation_samples(circuit, obs, state, n_theta, seed=seed,
                                threads=threads)
     mean = float(vals.mean())
-    var = float(vals.var(ddof=1)) if n_theta > 1 else 0.0
+    var = float(vals.var(ddof=1))
     stderr = 0.0
     if n_theta > 3:
         centered = vals - mean
@@ -796,9 +760,8 @@ def line_variance_benchmark(n: int, p: int, n_theta: int, *, seed: int = 0,
         m4 = float(np.mean(centered ** 4))
         stderr = math.sqrt(max(0.0, m4 - (n_theta - 3) / (n_theta - 1)
                                * m2 * m2) / n_theta)
-    return EstimateReport(
-        quantity="benchmark_variance", mean=var, stderr=stderr,
-        n_theta=n_theta, n_tau=1, n_sigma=0, seed=seed,
-        wall_time_s=time.perf_counter() - t0,
-        config={"n": n, "p": p},
-        stats={"mean_value": mean, "target": line_variance_target(n)})
+    return _report("benchmark_variance", t0,
+                   DiagnosticConfig(n_theta=n_theta, seed=seed), var, stderr,
+                   n_tau=1, config={"n": n, "p": p},
+                   stats={"mean_value": mean,
+                          "target": line_variance_target(n)})

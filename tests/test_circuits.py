@@ -33,6 +33,18 @@ class TestOps:
         with pytest.raises(ValueError):
             FixedAngle(4)
 
+    @pytest.mark.parametrize("k", [np.int64(0), np.uint8(0), 0])
+    def test_integral_param_is_stored_as_int(self, k):
+        r = Rotation(axis(1, "X", (0,)), k)
+        assert type(r.param) is int and r.param == 0
+        assert Circuit(1, [r], []).n_params == 1
+
+    @pytest.mark.parametrize("k", [True, np.bool_(False), 1.5, 0.0, "0",
+                                   None])
+    def test_non_integer_param_refused(self, k):
+        with pytest.raises(TypeError, match="integer index"):
+            Rotation(axis(1, "X", (0,)), k)
+
     def test_clifford_validation(self):
         Clifford("cz", (0, 1))
         with pytest.raises(ValueError):
@@ -75,6 +87,14 @@ class TestObservable:
                                      (0.25 + 0j, "X"), (1 + 0j, "I")])
         assert [c for c, _ in obs.terms] == [0.5, 0.25]
         assert obs.identity_offset == 1.0
+
+    @pytest.mark.parametrize("terms", [[(float("nan"), "Z")],
+                                       [(float("inf"), "X")],
+                                       [(float("-inf"), "I")],
+                                       [(1e308, "Z"), (1e308, "Z")]])
+    def test_non_finite_coefficients_refused(self, terms):
+        with pytest.raises(ValueError, match="finite"):
+            observable_from_terms(terms)
 
     def test_identity_only_sum(self):
         obs = observable_from_terms([(3.0, "II")])
@@ -186,6 +206,34 @@ class TestSerialization:
         c = Circuit(1, [Rotation(axis(1, "X", (0,)), 0)], [])
         _, _, st2 = load_bundle(serialize(c, initial_state=st))
         assert st2.entries == st.entries
+
+    @pytest.mark.parametrize("amp", [float("nan"), complex(0.5, float("inf"))])
+    def test_non_finite_state_refused(self, amp):
+        with pytest.raises(ValueError, match="amplitude"):
+            SparseState(1, [(0, 0, 1.0), (0, 1, amp), (1, 0, amp)])
+
+    def test_fractional_param_refused(self):
+        c = Circuit(1, [Rotation(axis(1, "X", (0,)), 0)], [])
+        spec = serialize(c)
+        spec["gates"][0]["param"] = 0.5
+        with pytest.raises(TypeError, match="integer index"):
+            load_bundle(spec)
+
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf")])
+    def test_non_finite_identity_offset_refused(self, offset):
+        c, obs, st = random_circuit(2, 3, seed=9)
+        spec = serialize(c, obs, st)
+        spec["identity_offset"] = offset
+        with pytest.raises(ValueError, match="finite"):
+            load_bundle(spec)
+
+    def test_identity_offset_adds_to_identity_terms(self):
+        c, _, _ = random_circuit(2, 3, seed=9)
+        spec = serialize(c, observable_from_terms([(0.5, "ZI")]))
+        spec["observable"].append({"coeff": 0.25, "pauli": "II"})
+        spec["identity_offset"] = 1.5
+        _, obs, _ = load_bundle(spec)
+        assert obs.identity_offset == 1.75 and len(obs.terms) == 1
 
     def test_extra_keys_tolerated(self):
         # product files carry bookkeeping keys next to the circuit payload

@@ -282,6 +282,21 @@ class TestDiagnose:
                    "-o", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("key", ["coeff", "identity_offset"])
+    def test_non_finite_observable_is_validation_error(self, tmp_path, key,
+                                                       capsys):
+        spec = read_json(gen_toy(tmp_path))
+        if key == "coeff":
+            spec["observable"][0]["coeff"] = float("nan")
+        else:
+            spec[key] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(spec))  # json writes the token NaN
+        assert main(["diagnose", "mse", str(bad), "--n-theta", "8",
+                     "-o", str(tmp_path / "x")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

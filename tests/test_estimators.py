@@ -408,17 +408,49 @@ class TestExpressibility:
 
 
 class TestExpectationSamples:
-    def test_start_offset_slices_the_stream(self):
-        c, obs, st = random_circuit(2, 4, seed=60)
-        full = est.expectation_samples(c, obs, st, count=10, seed=3)
-        tail = est.expectation_samples(c, obs, st, count=6, seed=3, start=4)
-        assert np.array_equal(full[4:], tail)
-
     def test_thread_split_invariance(self):
         c, obs, st = random_circuit(2, 4, seed=60)
         a = est.expectation_samples(c, obs, st, count=64, seed=1, threads=1)
         b = est.expectation_samples(c, obs, st, count=64, seed=1, threads=4)
         assert np.array_equal(a, b)
+
+
+_AMP_CHIP = _chip(make_amplitude_damping(0.1))
+_DEP_CHIP = _chip(make_depolarizing(0.05))
+_CHIP_OBS = observable_from_terms([(1.0, "IZII"), (-0.5, "XIIZ")])
+
+#: every outer loop, each sized for at least three 64-lane chunks
+CHUNKED_RUNS = {
+    "mse_branching": lambda cfg: est.estimate_mse(
+        _AMP_CHIP, _CHIP_OBS, None, cfg.replaced(n_theta=60, n_tau=4)),
+    "mse_diagonal": lambda cfg: est.estimate_mse(
+        _DEP_CHIP, _CHIP_OBS, None, cfg.replaced(n_theta=200)),
+    "gradvar": lambda cfg: est.estimate_gradient_variance(
+        _AMP_CHIP, _CHIP_OBS, None, 1, cfg.replaced(n_theta=100, n_tau=2)),
+    "sum_gradvar": lambda cfg: est.sum_gradient_variance(
+        _AMP_CHIP, _CHIP_OBS, None, cfg.replaced(n_theta=6, n_tau=2)),
+    "expressibility_hs": lambda cfg: est.estimate_expressibility_hs(
+        _DEP_CHIP, cfg.replaced(n_theta=30, n_sigma=8)),
+    "expressibility_lb": lambda cfg: est.estimate_expressibility_lower_bound(
+        _AMP_CHIP, cfg.replaced(n_theta=10, n_sigma=4, n_tau=2)),
+    "expectation_samples": lambda cfg: est.expectation_samples(
+        _AMP_CHIP, _CHIP_OBS, None, 200, seed=cfg.seed, threads=cfg.threads),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_RUNS))
+def test_every_estimator_ignores_threads_across_chunks(name, monkeypatch):
+    monkeypatch.setattr(est, "_CHUNK", 64)
+    spans, cut = [], est._spans
+    monkeypatch.setattr(est, "_spans",
+                        lambda *args: spans.append(cut(*args)) or spans[-1])
+    out = []
+    for threads in (1, 2, 3):
+        got = CHUNKED_RUNS[name](DiagnosticConfig(seed=4, threads=threads))
+        out.append(got.tobytes() if isinstance(got, np.ndarray)
+                   else payload_digest(got.to_json_dict()))
+    assert out[0] == out[1] == out[2]
+    assert len(spans) == 3 and all(len(s) >= 3 for s in spans)
 
 
 def _per_term_walk_values(circuit, obs, state, theta, seed, outer, inner):
@@ -492,6 +524,11 @@ class TestLineBenchmark:
         assert rep.n_theta == 400
         again = est.line_variance_benchmark(3, 2, 400, seed=5, threads=4)
         assert rep.mean == again.mean  # thread count cannot move a digit
+
+    @pytest.mark.parametrize("n_theta", [0, 1])
+    def test_variance_needs_two_draws(self, n_theta):
+        with pytest.raises(ValueError, match="n_theta >= 2"):
+            est.line_variance_benchmark(3, 2, n_theta)
 
     def test_converges_loosely_at_small_n(self):
         rep = est.line_variance_benchmark(3, 64, 4000, seed=9)
