@@ -23,6 +23,7 @@ import numpy as np
 
 from .channels import PtmChannel, channel_from_spec, channel_to_spec
 from .paulis import (CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, PauliString)
+from .reports import exact_int
 
 AngleIndex = int  # grid angle theta = k * pi/2, k in {0,1,2,3}
 
@@ -326,7 +327,7 @@ def _axis_on_register(n: int, letters: str, qubits) -> PauliString:
                          "qubit(s)")
     codes = [0] * n
     for ch, q in zip(letters, qubits):
-        q = int(q)
+        q = exact_int(q, "qubit")
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range")
         codes[q] = "IXYZ".index(ch.upper())
@@ -335,12 +336,12 @@ def _axis_on_register(n: int, letters: str, qubits) -> PauliString:
 
 def _gate_from_spec(n: int, g: dict):
     kind = g["gate"]
-    qubits = tuple(int(q) for q in g.get("qubits", ()))
+    qubits = tuple(exact_int(q, "qubit") for q in g.get("qubits", ()))
     if kind in _SUGAR_AXES or kind == "rot":
         letters = _SUGAR_AXES.get(kind) or g["axis"]
         axis = _axis_on_register(n, letters, qubits)
         if "fixed" in g:
-            return Rotation(axis, FixedAngle(int(g["fixed"])))
+            return Rotation(axis, FixedAngle(exact_int(g["fixed"], "fixed")))
         return Rotation(axis, g["param"])
     if kind in CLIFFORD_1Q_KINDS or kind in CLIFFORD_2Q_KINDS:
         return Clifford(kind, qubits)
@@ -349,12 +350,12 @@ def _gate_from_spec(n: int, g: dict):
 
 def build_circuit(spec: dict) -> Circuit:
     """Construct and validate a Circuit from its dict description."""
-    n = int(spec["n"])
+    n = exact_int(spec["n"], "n")
     ops = [_gate_from_spec(n, g) for g in spec.get("gates", ())]
     sites = []
     for s in spec.get("noise", ()):
         sites.append(NoiseSite(
-            position=int(s["after"]),
+            position=exact_int(s["after"], "after"),
             channel=channel_from_spec(s["channel"]),
             site_id=tuple(s.get("site_id", (0, len(sites)))),
             noise_param_name=s.get("noise_param"),

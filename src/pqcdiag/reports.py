@@ -12,9 +12,26 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 
 VOLATILE_FIELDS = ("wall_time_s",)
+
+
+def exact_int(value, name: str) -> int:
+    """``value`` as an ``int``, refusing (ValueError) a bool and any value
+    ``int()`` would truncate, such as 40.9: counts, seeds and indices read
+    from JSON are taken as written or not at all."""
+    if isinstance(value, bool) or (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, numbers.Integral)
+            and not float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") \
+            from None
 
 
 def canonical_json(payload: dict) -> str:
@@ -94,12 +111,12 @@ class DiagnosticConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_theta", "n_tau", "n_sigma"):
-            v = int(getattr(self, name))
+            v = exact_int(getattr(self, name), name)
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
             setattr(self, name, v)
-        self.seed = int(self.seed)
-        self.threads = max(1, int(self.threads))
+        self.seed = exact_int(self.seed, "seed")
+        self.threads = max(1, exact_int(self.threads, "threads"))
         for name in ("epsilon", "delta"):
             v = getattr(self, name)
             if v is not None and not 0.0 < float(v) < 1.0:

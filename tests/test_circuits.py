@@ -219,6 +219,20 @@ class TestSerialization:
         with pytest.raises(TypeError, match="integer index"):
             load_bundle(spec)
 
+    @pytest.mark.parametrize("field, value", [
+        ("qubits", [1.7]), ("fixed", 2.9), ("n", 2.5), ("after", 0.5),
+        ("qubits", [True]), ("fixed", True), ("n", True), ("after", False)])
+    def test_non_integral_integer_field_refused(self, field, value):
+        c = Circuit(2, [Rotation(axis(2, "X", (1,)), FixedAngle(2))],
+                    [NoiseSite(0, make_depolarizing(0.1), (0, 0), "lambda")])
+        spec = serialize(c)
+        assert structurally_equal(load_bundle(spec)[0], c)
+        owner = {"qubits": spec["gates"][0], "fixed": spec["gates"][0],
+                 "n": spec, "after": spec["noise"][0]}[field]
+        owner[field] = value
+        with pytest.raises(ValueError, match="must be an integer"):
+            load_bundle(spec)
+
     @pytest.mark.parametrize("offset", [float("nan"), float("inf")])
     def test_non_finite_identity_offset_refused(self, offset):
         c, obs, st = random_circuit(2, 3, seed=9)

@@ -325,6 +325,17 @@ class TestConfigResolution:
         assert main(["diagnose", "mse", circ, "--config", str(cfg),
                      "-o", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("spec", [{"n_theta": 40.9}, {"seed": 2.5},
+                                      {"n_tau": True}])
+    def test_non_integral_config_value(self, tmp_path, spec):
+        circ = gen_toy(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "x"
+        assert main(["diagnose", "mse", circ, "--config", str(cfg),
+                     "-o", str(out)]) == 2
+        assert not (tmp_path / "x.json").exists()
+
     def test_config_file_content_enters_run_id(self, tmp_path):
         circ = gen_toy(tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -21,6 +21,18 @@ class TestDiagnosticConfig:
         with pytest.raises(ValueError):
             DiagnosticConfig(**kw)
 
+    @pytest.mark.parametrize("name", ["n_theta", "n_tau", "n_sigma", "seed",
+                                      "threads"])
+    @pytest.mark.parametrize("value", [40.9, 2.5, True, "40.9"])
+    def test_rejects_non_integral_counts(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            DiagnosticConfig(**{name: value})
+
+    def test_integral_floats_are_exact(self):
+        cfg = DiagnosticConfig(n_theta=40.0, seed=2.0)
+        assert (cfg.n_theta, cfg.seed) == (40, 2)
+        assert type(cfg.n_theta) is int and type(cfg.seed) is int
+
     def test_as_dict_hides_execution_details(self):
         cfg = DiagnosticConfig(n_theta=10, threads=8, epsilon=0.1, delta=0.05)
         d = cfg.as_dict()
