@@ -57,21 +57,30 @@ def _kadd(total, comp, x):
 
 
 class _Moments:
-    """Running (count, sum, sum of squares) with compensated addition.
+    """Running count, Kahan-compensated sum and centred second moment.
 
     Samples are a 1-D array (scalar moments) or a 2-D (draws, columns) one
     (per-column moments; the sensitivity map keeps one per noise site).
+    Each added chunk's (count, mean, M2) is taken in two passes and merged
+    into the running ones with the pairwise update of Chan, Golub & LeVeque
+    (1979), so the variance never subtracts two large squares; the mean is
+    the compensated sum over the count.
     """
 
     def __init__(self):
         self.count = 0
-        self._s = self._sc = self._q = self._qc = 0.0
+        self._s = self._sc = self._m = self._m2 = 0.0
 
     def add(self, samples: np.ndarray) -> None:
-        self.count += samples.shape[0]
-        self._s, self._sc = _kadd(self._s, self._sc, samples.sum(axis=0))
-        self._q, self._qc = _kadd(self._q, self._qc,
-                                  np.square(samples).sum(axis=0))
+        n, total = samples.shape[0], samples.sum(axis=0)
+        m = total / n
+        m2 = np.square(samples - m).sum(axis=0)
+        self._s, self._sc = _kadd(self._s, self._sc, total)
+        count = self.count + n
+        delta = m - self._m
+        self._m = self._m + delta * (n / count)
+        self._m2 = self._m2 + m2 + np.square(delta) * (self.count * n / count)
+        self.count = count
 
     def mean(self):
         return self._s / self.count
@@ -81,8 +90,7 @@ class _Moments:
         n = self.count
         if n < 2:
             return 0.0 * self._s
-        var = np.maximum(0.0, (self._q / n - self.mean() ** 2) * n / (n - 1))
-        return np.sqrt(var / n)
+        return np.sqrt(self._m2 / (n - 1) / n)
 
 
 def _spans(total: int, chunk: int):

@@ -415,6 +415,30 @@ class TestExpectationSamples:
         assert np.array_equal(a, b)
 
 
+class TestMoments:
+    @pytest.mark.parametrize("mu", [0.0, 1e4, 1e8])
+    def test_stderr_of_a_large_mean_matches_two_pass(self, mu):
+        # E[x^2] - mean^2 loses every digit at mu = 1e8 (the clamp made it
+        # 0.0); the chunk-wise Chan merge keeps the two-pass value
+        x = mu + np.random.default_rng(5).standard_normal(100_000)
+        mom, = est._drive(lambda outer: (x[outer],), x.size, 1, 1)
+        assert x.size > 6 * est._CHUNK
+        assert mom.mean() == pytest.approx(x.mean(), rel=1e-14, abs=1e-12)
+        want = x.std(ddof=1) / np.sqrt(x.size)
+        assert mom.stderr() == pytest.approx(want, rel=1e-6)
+
+    def test_per_column_stderr_and_single_sample(self):
+        x = np.random.default_rng(6).standard_normal((40, 3)) + [0, 1e8, -5]
+        mom = est._Moments()
+        for lo in range(0, 40, 7):
+            mom.add(x[lo:lo + 7])
+        assert np.allclose(mom.stderr(), x.std(axis=0, ddof=1) / np.sqrt(40),
+                           rtol=1e-6, atol=0)
+        one = est._Moments()
+        one.add(np.array([3.0]))
+        assert one.mean() == 3.0 and one.stderr() == 0.0
+
+
 _AMP_CHIP = _chip(make_amplitude_damping(0.1))
 _DEP_CHIP = _chip(make_depolarizing(0.05))
 _CHIP_OBS = observable_from_terms([(1.0, "IZII"), (-0.5, "XIIZ")])

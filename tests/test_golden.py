@@ -3,7 +3,9 @@
 Each case pins ``payload_digest(report.to_json_dict())`` of one seeded run.
 The digests were recorded before the light-cone walk programs existed
 (``sensitivity_fd`` was re-pinned when the score-function route replaced
-finite differences); a change to the engine or the estimators that moves
+finite differences, and both sensitivity maps when the variance moved to
+the Chan merge, which changed the last bits of some per-site stderrs); a
+change to the engine or the estimators that moves
 any float of any payload (reduction order, a dropped draw, a reordered
 hash) changes a digest here.  Performance work that claims to be exact
 must leave every one unchanged.
@@ -104,11 +106,11 @@ GOLDEN = {
             "e4dcba47306f3664ead0d1b271c5ca1b"
             "1e15947ce9ea171d09fdef667c4838f4"),
     "sensitivity": (run_sensitivity,
-                    "5c7981c789b990a63eaa09dfcaea675a"
-                    "8700196cbd423f67cc85cc7ac18ef43f"),
+                    "80fd3d6b547d4aa6802a9a0b70e01b7c"
+                    "ff95b78335d525e36d10370340be8422"),
     "sensitivity_fd": (run_sensitivity_fd,
-                       "cdcb3f94071bea371ca6417f9407dc65"
-                       "698ac025aadee03c74889b78d8a342e5"),
+                       "32fbce9d09190c2dfc2ae027c5b229b1"
+                       "8674dd9ee9947706daadc3a77195b7c9"),
     "gradvar_outside_cone": (run_gradvar_outside_cone,
                              "939b00feec5fa89a3f59719a15210842"
                              "0ad93a089eb537d73487849e3ff041f1"),
