@@ -65,8 +65,8 @@ from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
                      SignedPauli, backprop_rotation, clifford_table,
                      conjugate_clifford, mask_to_words, n_words,
                      phase_exponent, popcount_words, trace_pauli_with_entries)
-from .rng import (DOMAIN_TAU, RngStream, angles_from_keys, hash_words,
-                  theta_keys, uniform_from_hash)
+from .rng import (DOMAIN_TAU, RngStream, block_angles, hash_words,
+                  theta_block, theta_keys, uniform_from_hash)
 
 _LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -103,6 +103,9 @@ _SITE_FORMS = [(_xor_form(_ATAB[a]), _xor_form(_QTAB[a] & 1),
 
 _I_POWS = np.array([1.0, 1.0j, -1.0, -1.0j])
 _CODE_BITS = np.array([CODE_TO_X, CODE_TO_Z], dtype=np.uint8)
+#: the rows of _CODE_BITS as 4-bit masks, bit c holding code c's bit
+_CODE_MASKS = [np.uint8(sum(int(v) << c for c, v in enumerate(row)))
+               for row in _CODE_BITS]
 
 
 def _row_tables(m: int) -> tuple:
@@ -385,27 +388,37 @@ class MaterializedTheta:
 
 
 class HashedTheta:
-    """Lazy i.i.d. grid angles: k(lane, param) = hash(seed, uid, param) & 3.
+    """Lazy i.i.d. grid angles: k(lane, param) = rng.grid_angle(seed, uid,
+    param).
 
     Regenerating angles on demand keeps memory flat for huge parameter
     counts; the same (seed, uid) always yields the same assignment, so outer
     samples are reproducible without storing them.  The uid part of the
-    hash is computed once, here (``rng.theta_keys``), which leaves one mix
-    per parameter and lane.  ``shift_param``/``delta`` implement the
-    quarter-turn parameter shift per lane (-1 = no shift).
+    hash is computed once, here (``rng.theta_keys``), and the hash of the
+    last 32-parameter block read is kept, so a walk that reads parameters
+    in block order pays one mix per 32 parameters and lane; each
+    ``k_for`` is then a shift-and-mask.  The cache belongs to this
+    instance, which estimators build per chunk.  ``shift_param``/``delta``
+    implement the quarter-turn parameter shift per lane (-1 = no shift).
     """
 
     def __init__(self, seed: int, uids: np.ndarray,
                  shift_param: "np.ndarray | None" = None,
                  shift_delta: "np.ndarray | None" = None):
         self.keys = theta_keys(seed, uids)
+        self._block = (None, None)  # (block index, its theta_block hash)
         self.shift_param = None if shift_param is None else \
             np.ascontiguousarray(shift_param, dtype=np.int64)
         self.shift_delta = None if shift_delta is None else \
             np.ascontiguousarray(shift_delta, dtype=np.int64)
 
     def k_for(self, param: int) -> np.ndarray:
-        k = angles_from_keys(self.keys, param)
+        block, h = self._block
+        if block != param >> 5:
+            block = param >> 5
+            h = theta_block(self.keys, block)
+            self._block = (block, h)
+        k = block_angles(h, param)
         if self.shift_param is not None:
             k = ((k + np.where(self.shift_param == param,
                                self.shift_delta, 0)) % 4).astype(np.uint8)
@@ -430,8 +443,9 @@ class TiledTheta:
 
 def codes_to_words(codes: np.ndarray):
     """(B, n) per-qubit codes -> ((B, W) x-words, (B, W) z-words)."""
-    bits = _CODE_BITS[:, np.asarray(codes, dtype=np.intp)]
-    return _pack(bits[0]), _pack(bits[1])
+    codes = np.asarray(codes, dtype=np.uint8)
+    x, z = (_pack((mask >> codes) & np.uint8(1)) for mask in _CODE_MASKS)
+    return x, z
 
 
 def words_for_paulis(paulis, n: int):

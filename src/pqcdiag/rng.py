@@ -11,7 +11,8 @@ Domains keep draw families from colliding:
 
 - ``DOMAIN_TAU``    channel-branch draws inside a path walk (slot = noise-site
   ordinal within the compiled circuit)
-- ``DOMAIN_THETA``  grid-angle draws (stream = outer sample uid, slot = param)
+- ``DOMAIN_THETA``  grid-angle draws (stream = outer sample uid, slot = a
+  block of 32 parameters; each 2-bit field of the slot's hash is one angle)
 - ``DOMAIN_SIGMA``  random-Pauli draws for expressibility (slot = 64-bit word)
 """
 
@@ -81,27 +82,46 @@ def uniforms(seed: int, domain: int, stream, slot) -> np.ndarray:
 
 def theta_keys(seed: int, uid) -> np.ndarray:
     """Per-uid prefix of the angle hash, ``hash_words(seed, DOMAIN_THETA,
-    uid)``: computed once per outer sample, it turns every parameter's angle
-    into one :func:`mix64` (see :func:`angles_from_keys`)."""
+    uid)``: computed once per outer sample, it leaves one :func:`mix64` per
+    block of 32 parameters (see :func:`theta_block`)."""
     return hash_words(seed, DOMAIN_THETA, uid)
+
+
+def theta_block(keys, block) -> np.ndarray:
+    """The hash of parameter block ``block`` (parameters 32*block to
+    32*block + 31) from the :func:`theta_keys` of the uids, broadcast:
+    ``mix64(keys ^ block)``, whose 2-bit fields are the block's angles."""
+    h = np.asarray(np.bitwise_xor(keys, np.asarray(block, dtype=np.uint64)))
+    return mix64(h, out=h)
+
+
+def block_angles(h, param) -> np.ndarray:
+    """Grid-angle indices of ``param`` from the :func:`theta_block` hash of
+    its block, as uint8: the 2-bit field at bit 2 * (param % 32)."""
+    shift = (np.asarray(param, dtype=np.uint64) & _U64(31)) << _U64(1)
+    return (h >> shift).astype(np.uint8) & np.uint8(3)
 
 
 def angles_from_keys(keys, param) -> np.ndarray:
     """Grid-angle indices of ``param`` (broadcast against ``keys``) from the
-    :func:`theta_keys` of their uids, as uint8: one in-place mix64."""
-    h = np.asarray(np.bitwise_xor(keys, np.asarray(param, dtype=np.uint64)))
-    mix64(h, out=h)
-    return (h & _U64(3)).astype(np.uint8)
+    :func:`theta_keys` of their uids, as uint8: field ``param % 32`` of the
+    hash of block ``param // 32``."""
+    p = np.asarray(param, dtype=np.uint64)
+    return block_angles(theta_block(keys, p >> _U64(5)), p)
 
 
 def grid_angle(seed: int, uid, param) -> np.ndarray:
     """Grid-angle index k in {0,1,2,3} (theta_k = (pi/2)*k) of parameter
     ``param`` in outer sample ``uid``, as uint8.
 
-    The one place a uid turns into angles, together with the
-    :func:`theta_keys` / :func:`angles_from_keys` split it is made of: every
-    other angle source calls these.  ``uid`` and ``param`` broadcast against
-    each other.
+    The one definition of the angle stream: ``k = (mix64(theta_keys(seed,
+    uid) ^ (param >> 5)) >> 2 * (param & 31)) & 3``, so one counter-based
+    hash yields the angles of 32 consecutive parameters (as in Salmon et
+    al., "Parallel random numbers: as easy as 1, 2, 3", SC'11, where one
+    block cipher call gives several outputs).  Every other angle source goes
+    through it or the :func:`theta_keys` / :func:`theta_block` /
+    :func:`block_angles` steps it is made of.  ``uid`` and ``param``
+    broadcast against each other.
     """
     return angles_from_keys(theta_keys(seed, uid), param)
 

@@ -1,14 +1,16 @@
 """Golden payload digests of small seeded estimator runs.
 
 Each case pins ``payload_digest(report.to_json_dict())`` of one seeded run.
-The digests were recorded before the light-cone walk programs existed
-(``sensitivity_fd`` was re-pinned when the score-function route replaced
-finite differences, and both sensitivity maps when the variance moved to
-the Chan merge, which changed the last bits of some per-site stderrs); a
-change to the engine or the estimators that moves
-any float of any payload (reduction order, a dropped draw, a reordered
-hash) changes a digest here.  Performance work that claims to be exact
-must leave every one unchanged.
+The digests were recorded before the light-cone walk programs existed.
+Since then ``sensitivity_fd`` was re-pinned when the score-function route
+replaced finite differences, both sensitivity maps when chunk variances
+moved to the Chan merge (the last bits of some per-site stderrs), and
+every case but ``gradvar_outside_cone`` (exactly 0.0) by angle stream v2,
+which draws 32 grid angles from one block hash and so moved every angle.
+A change to the engine or the estimators that moves any
+float of any payload (reduction order, a dropped draw, a reordered hash)
+changes a digest here.  Performance work that claims to be exact must leave
+every one unchanged, at any thread count.
 """
 
 import pytest
@@ -49,33 +51,36 @@ def wide_circuit():
     return Circuit(n, ops, sites)
 
 
-def run_mse():
+def run_mse(threads=1):
     c = gen_grid_chip(3, 3, 1, "rzz", make_amplitude_damping(0.1))
     return est.estimate_mse(c, z_on(9, 4), None,
-                            DiagnosticConfig(n_theta=48, n_tau=4, seed=11))
+                            DiagnosticConfig(n_theta=48, n_tau=4, seed=11,
+                                             threads=threads))
 
 
-def run_sensitivity():
+def run_sensitivity(threads=1):
     c = gen_grid_chip(2, 3, 1, "rzz", make_depolarizing(0.05))
     return est.estimate_sensitivity_map(
         c, z_on(6, 0, 5), None, DiagnosticConfig(n_theta=64, n_tau=2,
-                                                 seed=12))
+                                                 seed=12, threads=threads))
 
 
-def run_sensitivity_fd():
+def run_sensitivity_fd(threads=1):
     # amplitude-damping sites: the score route through branching channels
     # (the key names the finite-difference route this case first pinned)
     c = gen_grid_chip(2, 2, 1, "rzz", make_amplitude_damping(0.1))
     return est.estimate_sensitivity_map(
-        c, z_on(4, 1), None, DiagnosticConfig(n_theta=16, n_tau=2, seed=18))
+        c, z_on(4, 1), None, DiagnosticConfig(n_theta=16, n_tau=2, seed=18,
+                                             threads=threads))
 
 
-def run_gradvar_outside_cone():
+def run_gradvar_outside_cone(threads=1):
     # R_X on qubit 8 is three grid hops from qubit 0: outside Z_0's cone
     c = gen_grid_chip(3, 3, 1, "rzz", make_amplitude_damping(0.1))
     return est.estimate_gradient_variance(
         c, z_on(9, 0), None, param_k=8,
-        config=DiagnosticConfig(n_theta=32, n_tau=2, seed=13))
+        config=DiagnosticConfig(n_theta=32, n_tau=2, seed=13,
+                                threads=threads))
 
 
 def run_sum_gradvar_wide(threads=1):
@@ -85,47 +90,48 @@ def run_sum_gradvar_wide(threads=1):
         DiagnosticConfig(n_theta=1200, n_tau=2, seed=14, threads=threads))
 
 
-def run_expr_hs():
+def run_expr_hs(threads=1):
     c = gen_grid_chip(2, 2, 1, "rzz", make_depolarizing(0.05))
     return est.estimate_expressibility_hs(
-        c, DiagnosticConfig(n_theta=24, n_sigma=8, seed=15))
+        c, DiagnosticConfig(n_theta=24, n_sigma=8, seed=15, threads=threads))
 
 
-def run_expr_lower_bound():
+def run_expr_lower_bound(threads=1):
     c = gen_grid_chip(2, 2, 1, "rzz", make_amplitude_damping(0.1))
     return est.estimate_expressibility_lower_bound(
-        c, DiagnosticConfig(n_theta=8, n_tau=2, n_sigma=8, seed=16))
+        c, DiagnosticConfig(n_theta=8, n_tau=2, n_sigma=8, seed=16,
+                           threads=threads))
 
 
-def run_line():
-    return est.line_variance_benchmark(4, 3, 256, seed=17)
+def run_line(threads=1):
+    return est.line_variance_benchmark(4, 3, 256, seed=17, threads=threads)
 
 
 GOLDEN = {
     "mse": (run_mse,
-            "e4dcba47306f3664ead0d1b271c5ca1b"
-            "1e15947ce9ea171d09fdef667c4838f4"),
+            "6b1799257873f2b1e3dbc8240a823c60"
+            "5f2a3b40cb151f08d437f87e4baba457"),
     "sensitivity": (run_sensitivity,
-                    "80fd3d6b547d4aa6802a9a0b70e01b7c"
-                    "ff95b78335d525e36d10370340be8422"),
+                    "8fa69cccad579e164ea7d0b504dc6bb2"
+                    "739416eb9eb158a82a058a47cc8239ee"),
     "sensitivity_fd": (run_sensitivity_fd,
-                       "32fbce9d09190c2dfc2ae027c5b229b1"
-                       "8674dd9ee9947706daadc3a77195b7c9"),
+                       "770d7b5dbc0a2fdcaf9c4464721fce0a"
+                       "e076ab75f32ff0fda71df6c4eee46f1f"),
     "gradvar_outside_cone": (run_gradvar_outside_cone,
                              "939b00feec5fa89a3f59719a15210842"
                              "0ad93a089eb537d73487849e3ff041f1"),
     "sum_gradvar_wide": (run_sum_gradvar_wide,
-                         "1f0f2eb24f60ba985243fcaf0d008652"
-                         "6c2775bad430b90b69027b1576c72301"),
+                         "82510a9b441785516f7b38ab0999f7f3"
+                         "5c90387b7a5e6d2a920d1e4cf7c93a92"),
     "expr_hs": (run_expr_hs,
-                "5fa91978f2bacfb98fe3321c16d034f6"
-                "8eb37542c888c3c7968a5f555a75be9d"),
+                "cbff3212daf026e4be72a9a16f9be237"
+                "7dcfca0bfb925b69711edbdc3cd13adb"),
     "expr_lower_bound": (run_expr_lower_bound,
-                         "73ba8f4b0c33b965de70879c0461d0a1"
-                         "a5e64c507d0d481a8c8daa60d4997e87"),
+                         "fe58de8d97e7c03980036d6026aa5d8f"
+                         "1156aad54e30d2500e5dc2ebc4fecb80"),
     "line": (run_line,
-             "9ce19f4ecc8535cff909112985b80882"
-             "7298c110fed5f6ff6f65614df20f7928"),
+             "2c986f9e0404f9b731f315d3d0476781"
+             "798667678333ac588077416c25e4b735"),
 }
 
 
@@ -133,6 +139,13 @@ GOLDEN = {
 def test_digest_is_pinned(name):
     run, want = GOLDEN[name]
     assert payload_digest(run().to_json_dict()) == want
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_digest_ignores_threads(name):
+    run, want = GOLDEN[name]
+    assert [payload_digest(run(t).to_json_dict()) for t in (2, 3)] \
+        == [want, want]
 
 
 def test_gradvar_outside_cone_is_zero():

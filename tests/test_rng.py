@@ -1,10 +1,15 @@
 """Counter-based RNG: purity, range, collisions, and rough uniformity."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqcdiag import engine, rng
+from conftest import random_circuit
+from pqcdiag import engine, oracle, rng
+from pqcdiag.circuits import (Circuit, Rotation, ThetaAssignment,
+                              observable_from_terms)
+from pqcdiag.paulis import PauliString
 
 u64 = st.integers(0, 2 ** 64 - 1)
 
@@ -66,17 +71,6 @@ def test_angle_indices_shape_and_range():
     assert np.array_equal(rng.angle_indices(4, 17, 6), ks[17])
 
 
-def test_grid_angle_is_the_angle_hash():
-    uids = np.arange(50, dtype=np.uint64)
-    ks = rng.angle_indices(3, uids, 5)
-    for p in range(5):
-        got = rng.grid_angle(3, uids, np.uint64(p))
-        assert got.dtype == np.uint8 and np.array_equal(got, ks[:, p])
-    h = rng.hash_words(3, rng.DOMAIN_THETA, uids[:, None],
-                       np.arange(5, dtype=np.uint64))
-    assert np.array_equal(ks, h & np.uint64(3))
-
-
 def _splitmix64(v: int) -> int:
     """SplitMix64's finalizer on Python integers (the reference mix64)."""
     m = (1 << 64) - 1
@@ -95,17 +89,124 @@ def test_in_place_mix64_is_splitmix64():
         assert int(rng.mix64(np.uint64(v))) == _splitmix64(v)
 
 
+def _ref_angle(seed: int, uid: int, p: int) -> int:
+    """Grid angle of parameter p in outer sample uid, from the definition:
+    field p % 32 of the SplitMix64 hash of block p // 32, keyed by the
+    uid's DOMAIN_THETA prefix (all on Python integers)."""
+    key = _splitmix64(_splitmix64(_splitmix64(seed) ^ rng.DOMAIN_THETA)
+                      ^ uid)
+    return (_splitmix64(key ^ (p >> 5)) >> 2 * (p & 31)) & 3
+
+
+#: uids and parameters at the edges of the uint64 words and the 32-angle
+#: blocks
+_EDGE_UIDS = (0, 1, 63, 64, 2 ** 63, 2 ** 64 - 1)
+_EDGE_PARAMS = (0, 1, 5, 31, 32, 33, 63, 64, 95, 96, 2 ** 40, 2 ** 40 + 31)
+
+
+def test_grid_angle_is_the_angle_hash():
+    uids = np.array(_EDGE_UIDS + tuple(range(2, 40)), dtype=np.uint64)
+    ks = rng.angle_indices(3, uids, 70)
+    assert ks.shape == (uids.size, 70) and ks.dtype == np.uint8
+    want = [[_ref_angle(3, int(u), p) for p in range(70)] for u in uids]
+    assert np.array_equal(ks, want)
+    for p in _EDGE_PARAMS:
+        got = rng.grid_angle(3, uids, p)
+        assert got.dtype == np.uint8
+        assert [int(k) for k in got] == [_ref_angle(3, int(u), p)
+                                         for u in uids]
+    assert int(rng.grid_angle(3, 2 ** 64 - 1, 2 ** 40 + 31)) \
+        == _ref_angle(3, 2 ** 64 - 1, 2 ** 40 + 31)
+
+
 def test_keyed_angles_are_the_angle_hash():
-    uids = np.array([0, 1, 63, 64, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    uids = np.array(_EDGE_UIDS, dtype=np.uint64)
     keys = rng.theta_keys(9, uids)
-    assert np.array_equal(keys, rng.hash_words(9, rng.DOMAIN_THETA, uids))
-    for p in (0, 1, 5, 2 ** 40):
-        want = rng.hash_words(9, rng.DOMAIN_THETA, uids, p) & np.uint64(3)
+    assert [int(k) for k in keys] == [
+        _splitmix64(_splitmix64(_splitmix64(9) ^ rng.DOMAIN_THETA) ^ u)
+        for u in _EDGE_UIDS]
+    for p in _EDGE_PARAMS:
+        want = [_ref_angle(9, u, p) for u in _EDGE_UIDS]
         got = rng.angles_from_keys(keys, p)
-        assert got.dtype == np.uint8 and np.array_equal(got, want)
-        assert np.array_equal(got, rng.grid_angle(9, uids, p))
-    assert int(rng.angles_from_keys(keys[2], 5)) == int(
-        rng.grid_angle(9, uids[2], 5))
+        assert got.dtype == np.uint8 and [int(k) for k in got] == want
+        block = rng.theta_block(keys, p >> 5)
+        assert [int(h) for h in block] == [
+            _splitmix64(int(k) ^ (p >> 5)) for k in keys]
+        assert np.array_equal(rng.block_angles(block, p), got)
+    assert int(rng.angles_from_keys(keys[2], 33)) == _ref_angle(9, 63, 33)
+
+
+#: chi-square critical values at a per-test level of 1e-3 / 111, the
+#: Bonferroni split of a 1e-3 family-wise level over the 111 tests below
+#: (scipy.stats.chi2.isf(1e-3 / 111, df) for df = 3 and 15)
+_CHI2_DF3, _CHI2_DF15 = 26.12, 50.77
+
+
+def _chi2(cells: np.ndarray, n_cells: int) -> float:
+    counts = np.bincount(cells, minlength=n_cells)
+    expect = cells.size / n_cells
+    return float(((counts - expect) ** 2).sum() / expect)
+
+
+def test_block_fields_are_uniform_and_pairwise_independent():
+    # 10^6 uids: each of the 32 fields of block 0 (df 3), every adjacent
+    # field pair and each (j, j + 16) pair of one hash (df 15), and field j
+    # of block 0 against field j of block 1 (df 15): 32 + 31 + 16 + 32 tests
+    keys = rng.theta_keys(2024, np.arange(10 ** 6, dtype=np.uint64))
+    f0, f1 = (np.stack([rng.block_angles(h, p) for p in range(32)])
+              for h in (rng.theta_block(keys, b) for b in (0, 1)))
+    singles = [_chi2(f0[j], 4) for j in range(32)]
+    pairs = [(f0[a], f0[b]) for a, b in zip(range(31), range(1, 32))]
+    pairs += [(f0[j], f0[j + 16]) for j in range(16)]
+    pairs += [(f0[j], f1[j]) for j in range(32)]
+    joint = [_chi2(4 * a + b, 16) for a, b in pairs]
+    assert len(singles) + len(joint) == 111
+    assert max(singles) < _CHI2_DF3, singles
+    assert max(joint) < _CHI2_DF15, joint
+
+
+#: parameters read out of order, re-reading blocks 0, 1, 2 and 2**35
+_READ_ORDER = (64, 0, 2 ** 40, 31, 63, 32, 0, 64, 31, 2 ** 40, 63)
+
+
+@pytest.mark.parametrize("delta", [0, 1, -1])
+def test_hashed_theta_reads_the_grid_angle_in_any_order(delta):
+    uids = np.arange(2 ** 40, 2 ** 40 + 50, dtype=np.uint64)
+    shift = np.array([(0, 31, 32, 63, 64, 2 ** 40, -1)[i % 7]
+                      for i in range(50)])
+    theta = engine.HashedTheta(6, uids) if delta == 0 else \
+        engine.HashedTheta(6, uids, shift, np.full(50, delta))
+    tiled = engine.TiledTheta(theta, 3)
+    for p in _READ_ORDER:
+        want = rng.grid_angle(6, uids, p)
+        if delta:
+            want = ((want.astype(np.int64) + delta * (shift == p)) % 4)
+        assert theta.k_for(p).dtype == np.uint8
+        assert np.array_equal(theta.k_for(p), want)
+        assert np.array_equal(tiled.k_for(p), np.tile(want, 3))
+
+
+def test_exact_walk_reads_the_grid_angle_in_any_order():
+    # 65 parameters across three blocks, placed in a shuffled order so the
+    # backward walk reads them out of order; amplitude damping makes exact
+    # mode expand lanes, which then read their input lane's angles
+    base, _, state = random_circuit(3, 65, seed=21)
+    perm = np.random.default_rng(4).permutation(65)
+    ops = [Rotation(op.axis, int(perm[i])) for i, op in enumerate(base.ops)]
+    circuit = Circuit(3, ops, base.noise_sites)
+    assert circuit.branching() and circuit.n_params == 65
+    words = [PauliString.from_codes(c) for c in ((3, 0, 0), (1, 2, 3))]
+    uids = np.arange(12, dtype=np.uint64)
+    xw, zw = engine.words_for_paulis(words, 3)
+    vals = engine.run_backward_batch(
+        circuit, state, np.repeat(xw, 12, axis=0), np.repeat(zw, 12, axis=0),
+        engine.TiledTheta(engine.HashedTheta(8, uids), 2), exact=True)
+    want = [oracle.dense_expectation(
+        circuit, ThetaAssignment(rng.grid_angle(8, uid, np.arange(65))),
+        observable_from_terms([(1.0, w)]), state)
+        for w in words for uid in uids]
+    assert np.allclose(vals, want, atol=1e-12)
+    assert len(np.unique(np.round(vals, 9))) > 20  # the angles matter
 
 
 def test_hashed_theta_lanes_use_the_angle_hash():
@@ -146,7 +247,6 @@ class TestComposeStream:
         assert int(got) == want
 
     def test_bounds(self):
-        import pytest
         rng.check_stream_budget(1 << 32, 1 << 20, 1 << 12)  # every id fits
         with pytest.raises(ValueError, match="32-bit"):
             rng.check_stream_budget((1 << 32) + 1, 1, 1)
