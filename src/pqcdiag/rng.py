@@ -99,7 +99,9 @@ def block_angles(h, param) -> np.ndarray:
     """Grid-angle indices of ``param`` from the :func:`theta_block` hash of
     its block, as uint8: the 2-bit field at bit 2 * (param % 32)."""
     shift = (np.asarray(param, dtype=np.uint64) & _U64(31)) << _U64(1)
-    return (h >> shift).astype(np.uint8) & np.uint8(3)
+    k = np.right_shift(h, shift).astype(np.uint8)
+    k &= np.uint8(3)
+    return k
 
 
 def angles_from_keys(keys, param) -> np.ndarray:

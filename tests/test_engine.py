@@ -317,24 +317,32 @@ class TestThetaContainers:
 
     def test_exact_mode_reads_any_theta_source(self):
         # expanded lanes read their input lane's angles: hashed and tiled
-        # sources agree with explicit rows, and each lane with the oracle
-        c, _, st = random_circuit(2, 5, seed=77)
-        assert c.branching()
-        word = axis(2, "ZX", (0, 1))
-        uids = np.arange(6, dtype=np.uint64)
-        rows = angle_indices(3, uids, c.n_params)
-        x0, z0 = engine.words_for_paulis([word] * 12, 2)
-        got = engine.run_backward_batch(
-            c, st, x0, z0, engine.TiledTheta(engine.HashedTheta(3, uids), 2),
-            exact=True)
-        want = engine.run_backward_batch(
-            c, st, x0, z0, engine.MaterializedTheta(np.tile(rows, (2, 1))),
-            exact=True)
-        assert np.array_equal(got, want)
-        obs = observable_from_terms([(1.0, word)])
-        for i in range(6):
-            assert got[i] == pytest.approx(oracle.dense_expectation(
-                c, ThetaAssignment(rows[i]), obs, st), abs=1e-12)
+        # sources agree with explicit rows, and each lane with the oracle.
+        # The second circuit has 65 parameters in shuffled order, so its
+        # walk reads blocks 0, 1 and 2 of the angle hash out of order.
+        small, _, st2 = random_circuit(2, 5, seed=77)
+        big, _, st3 = random_circuit(3, 65, seed=21)
+        perm = np.random.default_rng(4).permutation(65)
+        big = Circuit(3, [Rotation(op.axis, int(perm[i]))
+                          for i, op in enumerate(big.ops)], big.noise_sites)
+        for c, st, word in ((small, st2, axis(2, "ZX", (0, 1))),
+                            (big, st3, axis(3, "XYZ", (0, 1, 2)))):
+            assert c.branching()
+            uids = np.arange(6, dtype=np.uint64)
+            rows = angle_indices(3, uids, c.n_params)
+            x0, z0 = engine.words_for_paulis([word] * 12, c.n)
+            got = engine.run_backward_batch(
+                c, st, x0, z0,
+                engine.TiledTheta(engine.HashedTheta(3, uids), 2), exact=True)
+            want = engine.run_backward_batch(
+                c, st, x0, z0, engine.MaterializedTheta(np.tile(rows, (2, 1))),
+                exact=True)
+            assert np.array_equal(got, want)
+            obs = observable_from_terms([(1.0, word)])
+            for i in range(6):
+                assert got[i] == pytest.approx(oracle.dense_expectation(
+                    c, ThetaAssignment(rows[i]), obs, st), abs=1e-12)
+        assert len(np.unique(np.round(got, 9))) == 6  # the angles matter
 
 
 # ---------------------------------------------------------------------------

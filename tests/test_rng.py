@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_circuit
-from pqcdiag import engine, oracle, rng
-from pqcdiag.circuits import (Circuit, Rotation, ThetaAssignment,
-                              observable_from_terms)
-from pqcdiag.paulis import PauliString
+from pqcdiag import engine, rng
 
 u64 = st.integers(0, 2 ** 64 - 1)
 
@@ -166,60 +162,26 @@ def test_block_fields_are_uniform_and_pairwise_independent():
 
 
 #: parameters read out of order, re-reading blocks 0, 1, 2 and 2**35
-_READ_ORDER = (64, 0, 2 ** 40, 31, 63, 32, 0, 64, 31, 2 ** 40, 63)
-
-
-@pytest.mark.parametrize("delta", [0, 1, -1])
-def test_hashed_theta_reads_the_grid_angle_in_any_order(delta):
-    uids = np.arange(2 ** 40, 2 ** 40 + 50, dtype=np.uint64)
-    shift = np.array([(0, 31, 32, 63, 64, 2 ** 40, -1)[i % 7]
-                      for i in range(50)])
-    theta = engine.HashedTheta(6, uids) if delta == 0 else \
-        engine.HashedTheta(6, uids, shift, np.full(50, delta))
-    tiled = engine.TiledTheta(theta, 3)
-    for p in _READ_ORDER:
-        want = rng.grid_angle(6, uids, p)
-        if delta:
-            want = ((want.astype(np.int64) + delta * (shift == p)) % 4)
-        assert theta.k_for(p).dtype == np.uint8
-        assert np.array_equal(theta.k_for(p), want)
-        assert np.array_equal(tiled.k_for(p), np.tile(want, 3))
-
-
-def test_exact_walk_reads_the_grid_angle_in_any_order():
-    # 65 parameters across three blocks, placed in a shuffled order so the
-    # backward walk reads them out of order; amplitude damping makes exact
-    # mode expand lanes, which then read their input lane's angles
-    base, _, state = random_circuit(3, 65, seed=21)
-    perm = np.random.default_rng(4).permutation(65)
-    ops = [Rotation(op.axis, int(perm[i])) for i, op in enumerate(base.ops)]
-    circuit = Circuit(3, ops, base.noise_sites)
-    assert circuit.branching() and circuit.n_params == 65
-    words = [PauliString.from_codes(c) for c in ((3, 0, 0), (1, 2, 3))]
-    uids = np.arange(12, dtype=np.uint64)
-    xw, zw = engine.words_for_paulis(words, 3)
-    vals = engine.run_backward_batch(
-        circuit, state, np.repeat(xw, 12, axis=0), np.repeat(zw, 12, axis=0),
-        engine.TiledTheta(engine.HashedTheta(8, uids), 2), exact=True)
-    want = [oracle.dense_expectation(
-        circuit, ThetaAssignment(rng.grid_angle(8, uid, np.arange(65))),
-        observable_from_terms([(1.0, w)]), state)
-        for w in words for uid in uids]
-    assert np.allclose(vals, want, atol=1e-12)
-    assert len(np.unique(np.round(vals, 9))) > 20  # the angles matter
+_READ_ORDER = (64, 0, 2 ** 40, 31, 63, 32, 0, 64, 31, 2 ** 40, 63, 1)
 
 
 def test_hashed_theta_lanes_use_the_angle_hash():
-    uids = np.arange(100, 140, dtype=np.uint64)
-    shift = np.where(np.arange(40) % 3 == 0, 2, -1)
-    delta = np.where(np.arange(40) % 2 == 0, 1, -1)
+    # the cached block hash gives rng.grid_angle at block edges read in any
+    # order, plain, per-lane shifted by +-1 and tiled
+    uids = np.arange(2 ** 40, 2 ** 40 + 42, dtype=np.uint64)
+    shift = np.array([(0, 31, 32, 63, 64, 2 ** 40, -1)[i % 7]
+                      for i in range(42)])  # each target meets both signs
+    delta = np.where(np.arange(42) % 2 == 0, 1, -1)
     plain = engine.HashedTheta(4, uids)
     shifted = engine.HashedTheta(4, uids, shift, delta)
-    for p in range(4):
+    tiled = engine.TiledTheta(engine.HashedTheta(4, uids, shift, delta), 3)
+    for p in _READ_ORDER:
         base = rng.grid_angle(4, uids, p)
+        assert plain.k_for(p).dtype == np.uint8
         assert np.array_equal(plain.k_for(p), base)
         moved = (base.astype(np.int64) + np.where(shift == p, delta, 0)) % 4
         assert np.array_equal(shifted.k_for(p), moved)
+        assert np.array_equal(tiled.k_for(p), np.tile(moved, 3))
 
 
 def test_pauli_codes_full_and_zx():
