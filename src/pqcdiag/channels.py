@@ -315,39 +315,49 @@ def make_raw_ptm(matrix, support, label: str = "ptm",
                       label, dict(params or {}))
 
 
+#: kind -> (constructor, strength parameters in argument order) of each
+#: channel kind whose strength can be set; generated sites track the first
+TUNABLE_KINDS = {
+    "depolarizing": (make_depolarizing, ("lambda",)),
+    "amplitude_damping": (make_amplitude_damping, ("gamma",)),
+    "thermal": (make_thermal, ("gamma", "lambda")),
+}
+
+
+def strength_params(kind: str) -> tuple:
+    """The strength parameters of channel kind ``kind``, if it has any."""
+    return TUNABLE_KINDS.get(kind, (None, ()))[1]
+
+
+def _check_tunable(channel: PtmChannel, name: str) -> None:
+    if name not in strength_params(channel.label):
+        raise ValueError(f"channel {channel.label!r} has no tunable "
+                         f"parameter {name!r}")
+
+
 def rebuild_with(channel: PtmChannel, name: str, value: float) -> PtmChannel:
     """Same channel kind and support with scalar parameter ``name`` moved.
 
     This is what intervention planning uses to set a site's strength;
     channels without a named strength (pauli, mmff, raw ptm) are rejected.
     """
-    sup = channel.support
-    kind = channel.label
-    if kind == "depolarizing" and name == "lambda":
-        return make_depolarizing(value, sup)
-    if kind == "amplitude_damping" and name == "gamma":
-        return make_amplitude_damping(value, sup)
-    if kind == "thermal" and name in ("gamma", "lambda"):
-        kept = {k: channel.params[k] for k in ("gamma", "lambda")}
-        kept[name] = value
-        return make_thermal(kept["gamma"], kept["lambda"], sup)
-    raise ValueError(f"channel {kind!r} has no tunable parameter {name!r}")
+    _check_tunable(channel, name)
+    make, names = TUNABLE_KINDS[channel.label]
+    return make(*(value if p == name else channel.params[p] for p in names),
+                channel.support)
 
 
 def ptm_derivative(channel: PtmChannel, name: str) -> np.ndarray:
     """d PTM / d ``name`` in closed form, for the pairs :func:`rebuild_with`
     accepts.  The coherence sqrt(1 - gamma - lambda) has an unbounded
     derivative at gamma + lambda = 1, so such a channel is rejected."""
-    pair = (channel.label, name)
-    if pair == ("depolarizing", "lambda"):
+    _check_tunable(channel, name)
+    if channel.label == "depolarizing":
         return np.diag(np.r_[0.0, np.full(len(channel.ptm) - 1, -1.0)])
-    if pair not in (("amplitude_damping", "gamma"), ("thermal", "gamma"),
-                    ("thermal", "lambda")):
-        raise ValueError(f"channel {pair[0]!r} has no tunable parameter "
-                         f"{name!r}")
     c = channel.ptm[1, 1]  # sqrt(1 - gamma - lambda)
     if c == 0.0:
-        raise ValueError(f"{pair[0]} at gamma + lambda = 1 has no derivative")
+        raise ValueError(f"{channel.label} at gamma + lambda = 1 has no "
+                         "derivative")
     g = float(name == "gamma")
     return np.array([[0.0, 0.0, 0.0, g], [0.0, -0.5 / c, 0.0, 0.0],
                      [0.0, 0.0, -0.5 / c, 0.0], [0.0, 0.0, 0.0, -g]])
@@ -357,19 +367,19 @@ def ptm_derivative(channel: PtmChannel, name: str) -> np.ndarray:
 # sampling
 # ---------------------------------------------------------------------------
 
-def adjoint_sample(channel: PtmChannel, s_local: int, rng) -> AdjointSample:
-    """Draw a predecessor word from PTM column ``s_local``.
+def adjoint_sample(channel: PtmChannel, s_local: int, u: float
+                   ) -> AdjointSample:
+    """Draw a predecessor word from PTM column ``s_local`` by uniform ``u``.
 
     tau comes out with probability |S[tau, s]| / column-l1 and carries weight
     sign(S[tau, s]) * column-l1, so the expected signed contribution equals
     the exact column action.  An all-zero column yields a terminal sample of
-    weight 0.  ``rng`` must expose ``uniform()`` in [0, 1).
+    weight 0.
     """
     tables = channel.cols
     l1 = tables.l1[s_local]
     if l1 <= 0.0:
         return AdjointSample(0, 0.0)
-    u = rng.uniform()
     j = int(np.searchsorted(tables.cdf[s_local], u, side="right"))
     j = min(j, tables.cdf.shape[1] - 1)
     return AdjointSample(int(tables.tau[s_local, j]),
@@ -396,14 +406,11 @@ def channel_from_spec(spec: dict) -> PtmChannel:
     d = dict(spec)
     kind = d.pop("kind")
     support = tuple(d.pop("support", (0,)))
-    if kind == "depolarizing":
-        return make_depolarizing(d["lambda"], support)
-    if kind == "amplitude_damping":
-        return make_amplitude_damping(d["gamma"], support)
-    if kind == "thermal":
-        if "t1" in d:
-            return thermal_from_times(d["t1"], d["t2"], d["t"], support)
-        return make_thermal(d["gamma"], d["lambda"], support)
+    if kind == "thermal" and "t1" in d:
+        return thermal_from_times(d["t1"], d["t2"], d["t"], support)
+    if kind in TUNABLE_KINDS:
+        make, names = TUNABLE_KINDS[kind]
+        return make(*(d[p] for p in names), support)
     if kind == "pauli":
         return make_pauli_channel(d["probs"], support)
     if kind == "mmff":

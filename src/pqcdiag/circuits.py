@@ -21,19 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import PtmChannel, channel_from_spec, channel_to_spec
+from .channels import (TUNABLE_KINDS, PtmChannel, channel_from_spec,
+                       channel_to_spec)
 from .paulis import (CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, PauliString)
 from .reports import exact_int
 
 AngleIndex = int  # grid angle theta = k * pi/2, k in {0,1,2,3}
 
-#: which constructor parameter plays the role of the tunable noise strength,
-#: by channel kind (None = not a tunable-strength channel)
-DEFAULT_NOISE_PARAM = {
-    "depolarizing": "lambda",
-    "amplitude_damping": "gamma",
-    "thermal": "gamma",
-}
+#: the strength a generated noise site tracks, by kind (others track none)
+DEFAULT_NOISE_PARAM = {k: names[0] for k, (_, names) in TUNABLE_KINDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +278,11 @@ class Circuit:
                              f"{self.n_params} parameters")
         return t
 
+    def check_observable(self, obs: ObservableSum) -> None:
+        if obs.n != self.n:
+            raise ValueError(f"observable acts on {obs.n} qubits, circuit "
+                             f"has {self.n}")
+
     def param_occurrences(self, k: int) -> list[int]:
         """Positions of rotations driven by parameter k."""
         return [i for i, op in enumerate(self.ops)
@@ -437,16 +438,9 @@ def gen_line_benchmark(n: int, p: int):
     if n < 3 or p < 1:
         raise ValueError("need n >= 3 qubits (the middle qubit must have a "
                          "right neighbour) and p >= 1 blocks")
-    ops = []
-    k = 0
-    for _ in range(p):
-        for q in range(n):
-            ops.append(Rotation(_axis_on_register(n, "Z", (q,)), k))
-            k += 1
-        for q in range(n - 1):
-            ops.append(Rotation(_axis_on_register(n, "XX", (q, q + 1)), k))
-            k += 1
-    circuit = Circuit(n, ops, [])
+    circuit = _layered_circuit(n, [("Z", [(q,) for q in range(n)]),
+                                   ("XX", [(q, q + 1) for q in range(n - 1)])],
+                               p, None, "gate")
     q = n // 2
     obs = observable_from_terms([
         (1.0, _axis_on_register(n, "XX", (q, q + 1))),
@@ -476,24 +470,22 @@ def grid_edge_layers(rows: int, cols: int):
     return layers
 
 
-def _layered_circuit(n: int, edge_layers, blocks: int, two_qubit: str,
+def _layered_circuit(n: int, block, blocks: int,
                      noise: "PtmChannel | None", noise_mode: str) -> Circuit:
-    """Blocks of [R_X on every qubit, one ``two_qubit`` gate per edge of each
-    edge layer, R_Z on every qubit].
+    """``blocks`` repeats of ``block``, a list of (gate, targets) layers.
 
-    ``two_qubit`` is "cz" (fixed) or rotation letters such as "ZZ" (one
-    parameter per gate).  Every gate layer, an empty one too, gets the next
-    site-layer index.  ``noise_mode`` "gate" puts one single-qubit copy of
-    ``noise`` on each gate qubit right after the gate, numbered by qubit
-    within the layer; "qubit" puts one copy per qubit after each layer,
-    numbered by qubit.
+    ``gate`` is "cz" (fixed) or rotation letters such as "ZZ" (one parameter
+    per gate), applied to each qubit tuple of ``targets``.  Every gate
+    layer, an empty one too, gets the next site-layer index.  ``noise_mode``
+    "gate" puts one single-qubit copy of ``noise`` on each gate qubit right
+    after the gate, numbered by qubit within the layer; "qubit" puts one
+    copy per qubit after each layer, numbered by qubit.
     """
+    if blocks < 1:
+        raise ValueError(f"need blocks >= 1, got {blocks}")
     if noise_mode not in ("gate", "qubit"):
         raise ValueError(f"unknown noise_mode {noise_mode!r}")
     pname = DEFAULT_NOISE_PARAM.get(noise.label) if noise is not None else None
-    singles = [(q,) for q in range(n)]
-    block = [("X", singles), *((two_qubit, e) for e in edge_layers),
-             ("Z", singles)]
     ops: list = []
     sites: list = []
     k = 0
@@ -530,9 +522,11 @@ def gen_grid_chip(rows: int, cols: int, blocks: int, two_qubit: str = "rzz",
         raise ValueError("grid needs at least 2x2")
     if two_qubit not in ("rzz", "cz"):
         raise ValueError(f"two_qubit must be 'rzz' or 'cz', got {two_qubit!r}")
-    return _layered_circuit(rows * cols, grid_edge_layers(rows, cols), blocks,
-                            "ZZ" if two_qubit == "rzz" else "cz", noise,
-                            noise_mode)
+    singles = [(q,) for q in range(rows * cols)]
+    block = [("X", singles),
+             *(("ZZ" if two_qubit == "rzz" else "cz", e)
+               for e in grid_edge_layers(rows, cols)), ("Z", singles)]
+    return _layered_circuit(rows * cols, block, blocks, noise, noise_mode)
 
 
 def gen_ring(n: int, blocks: int, noise: "PtmChannel | None" = None,
@@ -543,6 +537,8 @@ def gen_ring(n: int, blocks: int, noise: "PtmChannel | None" = None,
     """
     if n < 4 or n % 2:
         raise ValueError("ring size must be even and at least 4")
+    singles = [(q,) for q in range(n)]
     edges = [(q, (q + 1) % n) for q in range(n)]
-    return _layered_circuit(n, (edges[0::2], edges[1::2]), blocks, "cz",
-                            noise, noise_mode)
+    block = [("X", singles), ("cz", edges[0::2]), ("cz", edges[1::2]),
+             ("Z", singles)]
+    return _layered_circuit(n, block, blocks, noise, noise_mode)

@@ -88,15 +88,10 @@ def resolve_config(args) -> DiagnosticConfig:
 def add_config_flags(sub) -> None:
     sub.add_argument("--config", metavar="FILE",
                      help="JSON file with any of %s" % (", ".join(_CONFIG_KEYS)))
-    sub.add_argument("--n-theta", dest="n_theta", type=int)
-    sub.add_argument("--n-tau", dest="n_tau", type=int)
-    sub.add_argument("--n-sigma", dest="n_sigma", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--threads", type=int)
-    sub.add_argument("--epsilon", type=float,
-                     help="additive error target; with --delta this overrides "
-                          "the sample counts via the planner")
-    sub.add_argument("--delta", type=float)
+    for f in dataclasses.fields(DiagnosticConfig):
+        sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                         type=int if f.type == "int" else float,
+                         help=f.metadata.get("help"))
 
 
 # ---------------------------------------------------------------------------

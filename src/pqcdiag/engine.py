@@ -72,6 +72,7 @@ _LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _NONE = np.uint64(0)
 _TILE_BITS = 1 << 20  # unpacked bits (bytes) in one tile of _transpose
+LANE_CAP = 1 << 22  # most lanes one exact-mode walk may expand into
 
 # per-site phase/anticommutation tables: entry [a, b] looks at axis code a
 # against walk-word code b on one qubit
@@ -358,8 +359,7 @@ def backprop_term(circuit: Circuit, theta: ThetaAssignment, term: PauliString,
             if ch.diagonal:
                 w *= float(ch.ptm[idx, idx])
             else:
-                smp = adjoint_sample(ch, idx, RngStream(
-                    stream.seed, stream.stream_id, counter=step.ordinal))
+                smp = adjoint_sample(ch, idx, stream.uniform_at(step.ordinal))
                 w *= smp.weight
                 sp = SignedPauli(_replace_local(sp.pauli, ch.support,
                                                 smp.tau), sp.phase_q)
@@ -595,8 +595,7 @@ def _terminal_values(x, z, w, state) -> np.ndarray:
 
 def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
                seed: int = 0, stream_ids=None, w0=None, exact: bool = False,
-               lane_cap: int = 1 << 22, slot_offset: int = 0,
-               collect_flags: bool = False):
+               slot_offset: int = 0, collect_flags: bool = False):
     """Drive B simultaneous walks; returns (x, z, w, origin, flags).
 
     In sampled mode ``origin`` is None and lanes map 1:1 to inputs.  In exact
@@ -664,10 +663,10 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
         elif exact:
             counts = tabs.count[col]
             total = int(counts.sum())
-            if total > lane_cap:
+            if total > LANE_CAP:
                 raise RuntimeError(
                     f"branch expansion needs {total} lanes "
-                    f"(cap {lane_cap})")
+                    f"(cap {LANE_CAP})")
             rep = np.repeat(np.arange(b), counts)
             starts = np.cumsum(counts) - counts
             within = np.arange(total, dtype=np.int64) \
@@ -703,8 +702,8 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
 
 def run_backward_batch(circuit: Circuit, state, x0, z0, theta, *,
                        seed: int = 0, stream_ids=None, w0=None,
-                       exact: bool = False, lane_cap: int = 1 << 22,
-                       slot_offset: int = 0, collect_flags: bool = False):
+                       exact: bool = False, slot_offset: int = 0,
+                       collect_flags: bool = False):
     """Batched observable back-propagation closed against ``state``.
 
     Returns one value per input lane: weight x sign x tr(P_final rho),
@@ -718,7 +717,7 @@ def run_backward_batch(circuit: Circuit, state, x0, z0, theta, *,
                          "channels branch")
     x, z, w, origin, flags = _run_batch(
         circuit, "backward", x0, z0, theta, seed=seed, stream_ids=stream_ids,
-        w0=w0, exact=exact, lane_cap=lane_cap, slot_offset=slot_offset,
+        w0=w0, exact=exact, slot_offset=slot_offset,
         collect_flags=collect_flags)
     vals = _terminal_values(x, z, w, state)
     if exact:
@@ -729,7 +728,7 @@ def run_backward_batch(circuit: Circuit, state, x0, z0, theta, *,
 
 
 def run_forward_batch(circuit: Circuit, x0, z0, theta, *, seed: int = 0,
-                      stream_ids=None, slot_offset: int = 0):
+                      stream_ids=None):
     """Batched forward (Heisenberg) push of words through the circuit.
 
     Returns (x, z, w, origin): the evolved words and weights, one sampled
@@ -737,6 +736,5 @@ def run_forward_batch(circuit: Circuit, x0, z0, theta, *, seed: int = 0,
     (expressibility's two-circuit overlap).
     """
     x, z, w, origin, _ = _run_batch(circuit, "forward", x0, z0, theta,
-                                    seed=seed, stream_ids=stream_ids,
-                                    slot_offset=slot_offset)
+                                    seed=seed, stream_ids=stream_ids)
     return x, z, w, origin

@@ -30,7 +30,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .channels import make_raw_ptm, ptm_derivative, rebuild_with
+from .channels import (make_raw_ptm, ptm_derivative, rebuild_with,
+                       strength_params)
 from .circuits import Circuit, ObservableSum, gen_line_benchmark, zero_state
 from .engine import (HashedTheta, TiledTheta, codes_to_words, cone_params,
                      cone_runs, run_backward_batch, run_forward_batch,
@@ -171,6 +172,7 @@ def _observable_setup(circuit: Circuit, obs: ObservableSum, state, config):
     all-zeros state, the planned config, and n_tau = 1 when nothing
     branches (every walk is then exact); checks the stream budget of two
     inner replicates per draw."""
+    circuit.check_observable(obs)
     state = state if state is not None else zero_state(circuit.n)
     cfg = _effective_config(config, obs.pauli_l1)
     n_tau = cfg.n_tau if circuit.branching() else 1
@@ -337,14 +339,11 @@ def _check_tracked(circuit):
     """Reject circuits with a site whose strength cannot be differentiated:
     the sensitivity map and the plan built on it cover every site."""
     for s in circuit.noise_sites:
-        if s.noise_param_name is None:
+        if s.noise_param_name not in strength_params(s.channel.label):
             raise ValueError(
                 f"noise site {s.site_id} ({s.channel.label}) has no tracked "
-                "strength parameter; the sensitivity map covers every site")
-        if s.noise_param_name not in s.channel.params:
-            raise ValueError(
-                f"noise site {s.site_id} tracks {s.noise_param_name!r}, "
-                f"which its {s.channel.label!r} channel does not have")
+                f"strength parameter (it tracks {s.noise_param_name!r}); the "
+                "sensitivity map covers every site")
 
 
 def _score_table(circuit):
@@ -717,6 +716,7 @@ def expectation_samples(circuit: Circuit, obs: ObservableSum, state=None,
     For circuits where nothing branches (the benchmark family is noiseless)
     each entry is the exact expectation at its draw.
     """
+    circuit.check_observable(obs)
     state = state if state is not None else zero_state(circuit.n)
     check_stream_budget(count, 1, len(obs.terms))
     out = np.empty(count)

@@ -25,6 +25,8 @@ from .paulis import PauliString
 
 DENSE_QUBIT_CAP = 10
 TWO_COPY_QUBIT_CAP = 5
+GRID_WORK_CAP = 1e9  # most (steps + 1) * 16^n pair-tensor entry updates
+MOMENT_GRID_CAP = 65536  # most angle-grid points of a second moment
 
 #: one-qubit Pauli matrices by code (0=I, 1=X, 2=Y, 3=Z)
 _PAULI = (np.eye(2, dtype=complex),
@@ -182,12 +184,12 @@ def _theta_radians(circuit: Circuit, theta) -> np.ndarray:
     return vals
 
 
-def dense_evolve(circuit: Circuit, theta, state: "SparseState | None" = None,
-                 cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def dense_evolve(circuit: Circuit, theta, state: "SparseState | None" = None
+                 ) -> np.ndarray:
     """Exact noisy evolution; ``theta`` may be grid indices or radians."""
     n = circuit.n
-    if n > cap:
-        raise ValueError(f"dense evolution capped at {cap} qubits (asked {n})")
+    if n > DENSE_QUBIT_CAP:
+        raise ValueError(f"{n} qubits exceed the dense cap {DENSE_QUBIT_CAP}")
     angles = _theta_radians(circuit, theta)
     rho = state_dense(state if state is not None else zero_state(n))
     sites_at = {}
@@ -209,10 +211,10 @@ def dense_evolve(circuit: Circuit, theta, state: "SparseState | None" = None,
 
 
 def dense_expectation(circuit: Circuit, theta, obs: ObservableSum,
-                      state: "SparseState | None" = None,
-                      cap: int = DENSE_QUBIT_CAP) -> float:
+                      state: "SparseState | None" = None) -> float:
     """tr(O rho_final), exact."""
-    rho = dense_evolve(circuit, theta, state, cap)
+    circuit.check_observable(obs)
+    rho = dense_evolve(circuit, theta, state)
     val = np.trace(observable_dense(obs) @ rho)
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise AssertionError(f"complex expectation {val}")
@@ -316,8 +318,8 @@ _GRADVAR_RE = re.compile(r"^gradvar\((\d+)\)$")
 
 
 def grid_enumerate(circuit: Circuit, obs: "ObservableSum | None",
-                   functional: str, state: "SparseState | None" = None,
-                   cap: float = 1e9) -> float:
+                   functional: str, state: "SparseState | None" = None
+                   ) -> float:
     """Exact grid-averaged diagnostics.
 
     ``functional``:
@@ -339,6 +341,7 @@ def grid_enumerate(circuit: Circuit, obs: "ObservableSum | None",
         return dense_moment_deviation(circuit, state)
     if obs is None:
         raise ValueError("mse/gradvar need an observable")
+    circuit.check_observable(obs)
     shift = None
     if functional != "mse":
         match = _GRADVAR_RE.match(functional)
@@ -354,9 +357,9 @@ def grid_enumerate(circuit: Circuit, obs: "ObservableSum | None",
                 "closed-form grid averaging needs each parameter on exactly "
                 f"one rotation; parameter {k} appears {hits} times")
     d = 4 ** circuit.n
-    n_ops = len(circuit.ops) + len(circuit.noise_sites)
-    if float(n_ops) * d * d > cap:
-        raise ValueError("grid enumeration over budget; lower n or raise cap")
+    work = float(len(circuit.ops) + len(circuit.noise_sites) + 1) * d * d
+    if work > GRID_WORK_CAP:
+        raise ValueError(f"grid enumeration over budget ({work:.3g} updates)")
 
     prog = _GridPrograms(circuit)
     v0 = _obs_vector(obs)
@@ -419,18 +422,18 @@ def haar_2moment(n: int) -> np.ndarray:
     return (np.eye(d * d) + swap) / (d * (d + 1))
 
 
-def second_moment_matrix(circuit: Circuit, state: "SparseState | None" = None,
-                         grid_cap: int = 65536) -> np.ndarray:
+def second_moment_matrix(circuit: Circuit, state: "SparseState | None" = None
+                         ) -> np.ndarray:
     """Average of rho(theta) (x) rho(theta) over the full 4^{N_g} angle grid
-    (capped at ``grid_cap`` points)."""
+    (capped at ``MOMENT_GRID_CAP`` points)."""
     n = circuit.n
     if n > TWO_COPY_QUBIT_CAP:
         raise ValueError(f"two-copy objects capped at {TWO_COPY_QUBIT_CAP} "
                          f"qubits (asked {n})")
     state = state if state is not None else zero_state(n)
     total = 4 ** circuit.n_params
-    if total > grid_cap:
-        raise ValueError(f"grid has {total} points (cap {grid_cap})")
+    if total > MOMENT_GRID_CAP:
+        raise ValueError(f"grid has {total} points (cap {MOMENT_GRID_CAP})")
     acc = np.zeros((4 ** n, 4 ** n), dtype=complex)
     for ks in itertools.product(range(4), repeat=circuit.n_params):
         theta = ThetaAssignment(np.array(ks, dtype=np.uint8))
@@ -440,10 +443,9 @@ def second_moment_matrix(circuit: Circuit, state: "SparseState | None" = None,
 
 
 def dense_moment_deviation(circuit: Circuit,
-                           state: "SparseState | None" = None,
-                           grid_cap: int = 65536) -> float:
+                           state: "SparseState | None" = None) -> float:
     """Squared HS distance between the circuit's second moment and Haar's."""
-    mom = second_moment_matrix(circuit, state, grid_cap)
+    mom = second_moment_matrix(circuit, state)
     delta = mom - haar_2moment(circuit.n)
     return float(np.sum(np.abs(delta) ** 2))
 

@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 VOLATILE_FIELDS = ("wall_time_s",)
 
@@ -106,7 +106,9 @@ class DiagnosticConfig:
     n_sigma: int = 64
     seed: int = 0
     threads: int = 1
-    epsilon: "float | None" = None
+    epsilon: "float | None" = field(default=None, metadata={
+        "help": "additive error target; with --delta this overrides the "
+                "sample counts via the planner"})
     delta: "float | None" = None
 
     def __post_init__(self) -> None:
@@ -123,20 +125,13 @@ class DiagnosticConfig:
                 raise ValueError(f"{name} must lie in (0,1), got {v}")
 
     def as_dict(self) -> dict:
-        """Serializable form; ``threads`` is an execution detail with no
-        bearing on the numbers, so it never enters payloads (or digests)."""
-        out = {"n_theta": self.n_theta, "n_tau": self.n_tau,
-               "n_sigma": self.n_sigma, "seed": self.seed}
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-        if self.delta is not None:
-            out["delta"] = self.delta
-        return out
+        """Every field that is not None but ``threads``, an execution detail
+        that never enters payloads (or digests)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "threads" and getattr(self, f.name) is not None}
 
     def replaced(self, **kw) -> "DiagnosticConfig":
-        d = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        d.update({k: v for k, v in kw.items() if v is not None})
-        return DiagnosticConfig(**d)
+        return replace(self, **{k: v for k, v in kw.items() if v is not None})
 
 
 @dataclass

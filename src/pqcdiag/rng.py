@@ -18,7 +18,7 @@ Domains keep draw families from colliding:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,20 +190,12 @@ def compose_stream_array(outer, inner, term) -> np.ndarray:
 class RngStream:
     """A named random stream: (seed, stream_id) fully determine all draws.
 
-    ``uniform()`` is a convenience for stateful-looking consumption (slot
-    auto-increments); ``uniform_at(slot)`` is the pure form the engine uses
-    (slot = noise-site ordinal), which is what makes scalar and vectorized
-    walks produce bit-identical histories.
+    ``uniform_at(slot)`` is pure (the engine's slot is the noise-site
+    ordinal), so scalar and vectorized walks draw bit-identical histories.
     """
 
     seed: int
     stream_id: int
-    counter: int = field(default=0, compare=False)
 
     def uniform_at(self, slot: int) -> float:
         return float(uniforms(self.seed, DOMAIN_TAU, self.stream_id, slot))
-
-    def uniform(self) -> float:
-        u = self.uniform_at(self.counter)
-        self.counter += 1
-        return u

@@ -190,6 +190,36 @@ def test_ptm_derivative_rejects_gamma_plus_lambda_one(channel, name):
         ch.ptm_derivative(channel, name)
 
 
+#: one channel of every kind, and every parameter name any kind carries
+_EVERY_KIND = [ch.make_depolarizing(0.2), ch.make_amplitude_damping(0.2),
+               ch.make_thermal(0.2, 0.1),
+               ch.thermal_from_times(80.0, 100.0, 5.0),
+               ch.make_pauli_channel({"I": 0.9, "X": 0.1}),
+               ch.make_mmff("X", (0, 1)), ch.make_raw_ptm(np.eye(4), (0,))]
+_EVERY_NAME = ["lambda", "gamma", "t1", "t2", "t", "probs", "feedback"]
+
+
+def test_tunable_pairs_are_exactly_the_table():
+    pairs = {(kind, name) for kind, (_, names) in ch.TUNABLE_KINDS.items()
+             for name in names}
+    assert pairs == {("depolarizing", "lambda"),
+                     ("amplitude_damping", "gamma"), ("thermal", "gamma"),
+                     ("thermal", "lambda")}
+    for channel in _EVERY_KIND:
+        for name in _EVERY_NAME:
+            if (channel.label, name) in pairs:
+                rebuilt = ch.rebuild_with(channel, name, 0.05)
+                assert rebuilt.label == channel.label
+                assert rebuilt.params[name] == 0.05
+                assert ch.ptm_derivative(channel, name).shape \
+                    == channel.ptm.shape
+                continue
+            for call in (lambda: ch.rebuild_with(channel, name, 0.05),
+                         lambda: ch.ptm_derivative(channel, name)):
+                with pytest.raises(ValueError, match="no tunable"):
+                    call()
+
+
 def test_ptm_derivative_needs_a_tunable_pair():
     for channel, name in ((ch.make_mmff(""), "gamma"),
                           (ch.make_depolarizing(0.1), "gamma"),
@@ -240,7 +270,7 @@ class TestSampling:
         c = ch.make_depolarizing(0.25)
         r = RngStream(seed=0, stream_id=9)
         for s in range(4):
-            got = ch.adjoint_sample(c, s, r)
+            got = ch.adjoint_sample(c, s, r.uniform_at(0))
             assert got.tau == s
             assert got.weight == pytest.approx(1.0 if s == 0 else 0.75)
 
@@ -251,7 +281,7 @@ class TestSampling:
         acc = np.zeros(4)
         for i in range(n):
             r = RngStream(seed=77, stream_id=i)
-            s = ch.adjoint_sample(c, 3, r)
+            s = ch.adjoint_sample(c, 3, r.uniform_at(0))
             acc[s.tau] += s.weight
         acc /= n
         col = c.ptm[:, 3]
@@ -261,14 +291,14 @@ class TestSampling:
     def test_zero_column_terminates(self):
         c = ch.make_mmff("")  # columns with X or Y on the measured qubit die
         r = RngStream(seed=1, stream_id=0)
-        out = ch.adjoint_sample(c, 1, r)
+        out = ch.adjoint_sample(c, 1, r.uniform_at(0))
         assert out.weight == 0.0
         assert c.cols.count[1] == 0 and branches(c.cols, 1) == {}
 
     def test_sample_replay_is_pure(self):
         c = ch.make_amplitude_damping(0.4)
-        a = ch.adjoint_sample(c, 3, RngStream(seed=3, stream_id=11))
-        b = ch.adjoint_sample(c, 3, RngStream(seed=3, stream_id=11))
+        a = ch.adjoint_sample(c, 3, RngStream(3, 11).uniform_at(0))
+        b = ch.adjoint_sample(c, 3, RngStream(3, 11).uniform_at(0))
         assert a == b
 
 

@@ -271,11 +271,19 @@ class TestSerialization:
         assert structurally_equal(s1, s1.with_sites(s1.noise_sites))
 
 
-#: SHA-256 of canonical_json(serialize(circuit)) per generator call,
+#: SHA-256 of canonical_json(serialize(...)) per generator call,
 #: "ring-<n>-<blocks>-<noise>-<mode>" and
 #: "chip-<rows>x<cols>-<blocks>-<entangler>-<noise>-<mode>"; recorded with
-#: the separate ring and chip loops the shared layered generator replaced
+#: the separate ring and chip loops the shared layered generator replaced.
+#: "line-<n>-<p>" serializes the chain's circuit, observable and state, as
+#: recorded with the chain's own loop.
 GENERATOR_DIGESTS = {
+    "line-3-1":
+        "38b1d2394160b16f041843ed793423c92a22bb12d80058fed665d7c4902f4ad0",
+    "line-4-2":
+        "50e81ced499b2a0aa6bce837ace041bbec524ec601186784afca19f9af7aa7a9",
+    "line-8-64":
+        "364bab00ef0fb165fd85bd1dfcccabc51806456163734cfc2308b5c5726dfa81",
     "ring-4-1-none-gate":
         "653e98f0b100f829a61ca24915af4028a0cc61a7d7ac2396dccc7d7a12a2390b",
     "ring-4-1-none-qubit":
@@ -379,18 +387,21 @@ _NOISE = {"none": None, "dep": make_depolarizing(0.05),
 
 
 def _generated(key):
+    """The ``serialize`` arguments of the generator call ``key`` names."""
     family, shape, blocks, *rest = key.split("-")
+    if family == "line":
+        return gen_line_benchmark(int(shape), int(blocks))
     noise, mode = _NOISE[rest[-2]], rest[-1]
     if family == "ring":
-        return gen_ring(int(shape), int(blocks), noise, mode)
+        return (gen_ring(int(shape), int(blocks), noise, mode),)
     rows, cols = (int(v) for v in shape.split("x"))
-    return gen_grid_chip(rows, cols, int(blocks), rest[0], noise, mode)
+    return (gen_grid_chip(rows, cols, int(blocks), rest[0], noise, mode),)
 
 
 class TestGenerators:
     @pytest.mark.parametrize("key", sorted(GENERATOR_DIGESTS))
     def test_serialized_digest_is_pinned(self, key):
-        blob = canonical_json(serialize(_generated(key))).encode()
+        blob = canonical_json(serialize(*_generated(key))).encode()
         assert hashlib.sha256(blob).hexdigest() == GENERATOR_DIGESTS[key]
 
     def test_digest_table_covers_every_variant(self):
@@ -401,6 +412,7 @@ class TestGenerators:
                  for (s, b), e, z, m in itertools.product(
                      (("2x2", 2), ("2x3", 2), ("3x3", 1)), ("rzz", "cz"),
                      _NOISE, ("gate", "qubit"))}
+        want |= {"line-3-1", "line-4-2", "line-8-64"}
         assert set(GENERATOR_DIGESTS) == want
 
     def test_line_benchmark_shape(self):
@@ -413,6 +425,14 @@ class TestGenerators:
         assert st.entries == [(0, 0, 1.0)]
         with pytest.raises(ValueError):
             gen_line_benchmark(2, 1)
+
+    @pytest.mark.parametrize("blocks", [0, -1])
+    @pytest.mark.parametrize("make", [
+        lambda b: gen_grid_chip(3, 3, b), lambda b: gen_ring(4, b),
+        lambda b: gen_line_benchmark(3, b)], ids=["chip", "ring", "line"])
+    def test_generators_refuse_fewer_than_one_block(self, make, blocks):
+        with pytest.raises(ValueError, match=">= 1"):
+            make(blocks)
 
     def test_grid_edge_layers_are_matchings(self):
         rows, cols = 3, 4

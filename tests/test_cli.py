@@ -1,5 +1,6 @@
 """End-to-end CLI runs through main(argv): products, manifests, exit codes."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from pqcdiag.cli import build_parser, main
 from pqcdiag.circuits import load_bundle, serialize
-from pqcdiag.reports import VOLATILE_FIELDS
+from pqcdiag.reports import VOLATILE_FIELDS, DiagnosticConfig
 
 
 def read_json(path):
@@ -64,6 +65,14 @@ class TestGen:
     def test_missing_n_is_validation_error(self, tmp_path):
         rc = main(["gen", "ring", "-o", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("family", [["chip"], ["ring", "--n", "4"]])
+    def test_blocks_below_one_is_validation_error(self, tmp_path, family,
+                                                  capsys):
+        assert main(["gen", *family, "--blocks", "-1",
+                     "-o", str(tmp_path / "x")]) == 2
+        assert "blocks >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_bad_noise_spec(self, tmp_path):
         rc = main(["gen", "ring", "--n", "4", "--noise", "dep0.1",
@@ -302,6 +311,37 @@ class TestDiagnose:
         bad.write_text("{not json")
         assert main(["diagnose", "mse", str(bad),
                      "-o", str(tmp_path / "x")]) == 2
+
+
+#: the type each DiagnosticConfig field's flag parses its value to
+CONFIG_FLAG_TYPES = {"n_theta": int, "n_tau": int, "n_sigma": int, "seed": int,
+                     "threads": int, "epsilon": float, "delta": float}
+CONFIG_COMMANDS = {"diagnose": ["diagnose", "mse", "c.json", "-o", "x"],
+                   "bottleneck": ["bottleneck", "c.json", "--budget", "1",
+                                  "-o", "x"]}
+
+
+class TestConfigFlags:
+    def test_every_field_has_a_typed_flag(self):
+        assert [f.name for f in dataclasses.fields(DiagnosticConfig)] \
+            == list(CONFIG_FLAG_TYPES)
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+    @pytest.mark.parametrize("name", sorted(CONFIG_FLAG_TYPES))
+    def test_flag_parses_to_the_field_type(self, command, name):
+        flag = "--" + name.replace("_", "-")
+        args = build_parser().parse_args(
+            [*CONFIG_COMMANDS[command], flag, "3"])
+        value = getattr(args, name)
+        assert type(value) is CONFIG_FLAG_TYPES[name] and value == 3
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+    def test_help_describes_epsilon(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--epsilon EPSILON additive error target; with --delta this " \
+               "overrides the sample counts via the planner" in out
 
 
 class TestConfigResolution:

@@ -82,18 +82,19 @@ class TestExactness:
             want = oracle.dense_expectation(c, th.as_radians(), obs, st)
             assert got == pytest.approx(want, abs=1e-10)
 
-    def test_branch_cap_refuses_big_fanout(self):
+    def test_branch_cap_refuses_big_fanout(self, monkeypatch):
         # backward, each site splits a Z lane into an I and a Z lane
         ops = [Rotation(axis(1, "X", (0,)), 0)]
         sites = [NoiseSite(0, make_amplitude_damping(0.1), (0, i), "gamma")
                  for i in range(20)]
         c = Circuit(1, ops, sites)
         x0, z0 = engine.words_for_paulis([axis(1, "Z", (0,))], 1)
+        monkeypatch.setattr(engine, "LANE_CAP", 16)
         with pytest.raises(RuntimeError, match="branch expansion"):
             engine.run_backward_batch(
                 c, zero_state(1), x0, z0,
                 engine.MaterializedTheta(np.zeros((1, 1), dtype=np.uint8)),
-                exact=True, lane_cap=16)
+                exact=True)
 
 
 class TestSampling:

@@ -18,7 +18,8 @@ from conftest import (axis, exact_grid_gradient_variance, exact_grid_mse,
 from pqcdiag import engine, oracle
 from pqcdiag import estimators as est
 from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
-                              make_mmff, make_thermal, ptm_derivative)
+                              make_mmff, make_thermal, ptm_derivative,
+                              thermal_from_times)
 from pqcdiag.circuits import (Circuit, NoiseSite, Rotation, gen_grid_chip,
                               observable_from_terms, zero_state)
 from pqcdiag.paulis import PauliString
@@ -45,6 +46,23 @@ class TestPlanner:
     def test_rejects_bad_ranges(self, args):
         with pytest.raises(ValueError):
             est.plan_samples(*args)
+
+
+@pytest.mark.parametrize("label", ["ZII", "ZIIII"])
+@pytest.mark.parametrize("run", [
+    est.estimate_mse, est.estimate_sensitivity_map,
+    est.bottleneck_first_plan, est.sum_gradient_variance,
+    lambda c, obs, st, cfg: est.estimate_gradient_variance(
+        c, obs, st, 0, cfg),
+    lambda c, obs, st, cfg: est.expectation_samples(c, obs, st, 8)],
+    ids=["mse", "sensitivity", "plan", "gradvar_sum", "gradvar",
+         "samples"])
+def test_observable_on_another_register_is_refused(run, label):
+    c = _chip(make_amplitude_damping(0.1))
+    obs = observable_from_terms([(1.0, label)])
+    with pytest.raises(ValueError, match=f"acts on {len(label)} qubits, "
+                                         "circuit has 4"):
+        run(c, obs, zero_state(4), DiagnosticConfig(n_theta=8, n_tau=2))
 
 
 class TestMse:
@@ -182,6 +200,13 @@ class TestSensitivity:
         with pytest.raises(ValueError, match="no tracked"):
             est.estimate_sensitivity_map(
                 c, observable_from_terms([(1.0, "Z")]), zero_state(1))
+
+    def test_device_time_is_not_a_tracked_strength(self):
+        site = NoiseSite(0, thermal_from_times(80.0, 100.0, 5.0), (0, 0), "t1")
+        c = Circuit(1, [Rotation(axis(1, "X", (0,)), 0)], [site])
+        with pytest.raises(ValueError, match="no tracked strength parameter "
+                                             "\\(it tracks 't1'\\)"):
+            est._check_tracked(c)
 
     @pytest.mark.parametrize("site", [
         NoiseSite(0, make_mmff(""), (0, 0), None),

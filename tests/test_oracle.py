@@ -62,6 +62,26 @@ class TestDenseEvolve:
 
 
 class TestGridEnumerate:
+    @pytest.mark.parametrize("label", ["Z", "ZII"])
+    @pytest.mark.parametrize("run", [
+        lambda c, obs: oracle.grid_enumerate(c, obs, "mse"),
+        lambda c, obs: oracle.grid_enumerate(c, obs, "gradvar(0)"),
+        lambda c, obs: oracle.dense_expectation(c, [0.0], obs)],
+        ids=["mse", "gradvar", "dense"])
+    def test_observable_on_another_register_is_refused(self, run, label):
+        c = Circuit(2, [Rotation(axis(2, "X", (0,)), 0)], [])
+        with pytest.raises(ValueError, match=f"acts on {len(label)} qubits, "
+                                             "circuit has 2"):
+            run(c, observable_from_terms([(1.0, label)]))
+
+    def test_work_cap_counts_the_closure(self, monkeypatch):
+        # no gates: the closure against the state is all the work there is
+        c, obs = Circuit(2, [], []), observable_from_terms([(1.0, "ZI")])
+        assert oracle.grid_enumerate(c, obs, "mse") == 0.0
+        monkeypatch.setattr(oracle, "GRID_WORK_CAP", 16.0 ** 2 - 1)
+        with pytest.raises(ValueError, match="over budget"):
+            oracle.grid_enumerate(c, obs, "mse")
+
     def test_mse_anchor(self):
         c, obs, st = rx_dep_circuit(0.1)
         assert oracle.grid_enumerate(c, obs, "mse", st) \
@@ -119,7 +139,7 @@ class TestGridEnumerate:
         assert oracle.grid_enumerate(c, obs, f"gradvar({k})", st) \
             == pytest.approx(float(np.mean(vals)), abs=1e-11)
 
-    def test_bad_functional_and_bounds(self):
+    def test_bad_functional_and_bounds(self, monkeypatch):
         c, obs, st = rx_dep_circuit(0.1)
         with pytest.raises(ValueError):
             oracle.grid_enumerate(c, obs, "gradvar(3)", st)
@@ -127,8 +147,9 @@ class TestGridEnumerate:
             oracle.grid_enumerate(c, obs, "curvature", st)
         with pytest.raises(ValueError):
             oracle.grid_enumerate(c, None, "mse", st)
+        monkeypatch.setattr(oracle, "GRID_WORK_CAP", 1.0)
         with pytest.raises(ValueError):
-            oracle.grid_enumerate(c, obs, "mse", st, cap=1.0)
+            oracle.grid_enumerate(c, obs, "mse", st)
 
     def test_shared_parameter_rejected(self):
         ops = [Rotation(axis(1, "X", (0,)), 0), Rotation(axis(1, "Z", (0,)), 0)]
@@ -169,10 +190,11 @@ class TestSecondMoments:
         assert oracle.grid_enumerate(c, None, "moment2") \
             == pytest.approx(oracle.dense_moment_deviation(c), abs=1e-14)
 
-    def test_grid_cap(self):
+    def test_grid_cap(self, monkeypatch):
         c, _, _ = random_circuit(2, 9, seed=3, channels=())
+        monkeypatch.setattr(oracle, "MOMENT_GRID_CAP", 1000)
         with pytest.raises(ValueError):
-            oracle.second_moment_matrix(c, grid_cap=1000)
+            oracle.second_moment_matrix(c)
 
     def test_two_copy_qubit_cap(self):
         with pytest.raises(ValueError):

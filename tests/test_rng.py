@@ -226,9 +226,9 @@ class TestComposeStream:
 
 def test_rng_stream_counter_and_pure_slot():
     s = rng.RngStream(seed=5, stream_id=42)
-    first, second = s.uniform(), s.uniform()
-    assert first == s.uniform_at(0)
-    assert second == s.uniform_at(1)
+    first, second = s.uniform_at(0), s.uniform_at(1)
+    assert first == rng.uniforms(5, rng.DOMAIN_TAU, 42, 0)
+    assert second == rng.uniforms(5, rng.DOMAIN_TAU, 42, 1)
     assert first != second
     # slot access is pure: a fresh stream at the same id replays it
     t = rng.RngStream(seed=5, stream_id=42)
