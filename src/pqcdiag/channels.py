@@ -56,6 +56,13 @@ class _BranchTables:
     carries ``sign[j, i] * l1[j]``; ``val[j, i]`` keeps the raw signed entry
     for exact branch enumeration.  Zero columns get cdf rows that no uniform
     in [0,1) can reach, sign/val 0 — a sampled visit weights the walk to 0.
+
+    ``stays[j]`` marks a column that maps word j to itself with weight
+    exactly 1.0 (one entry, ``tau[j, 0] == j``, ``sign * l1 == 1.0``): a
+    sampled walk leaves such lanes untouched.  ``branches[j]`` marks a
+    column with more than one entry, the only kind whose branch needs a
+    uniform; every other column has a single entry (or none) and takes
+    branch 0.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -77,8 +84,11 @@ class _BranchTables:
             self.val[j, :len(rows)] = matrix[rows, j]
             self.cdf[j, :len(rows)] = np.cumsum(p)
             self.cdf[j, len(rows) - 1] = 1.0 + 1e-9  # guard rounding
+        self.stays = (self.count == 1) & (self.tau[:, 0] == np.arange(d)) \
+            & (self.sign[:, 0] * self.l1 == 1.0)
+        self.branches = self.count > 1
         for arr in (self.l1, self.count, self.tau, self.sign, self.val,
-                    self.cdf):
+                    self.cdf, self.stays, self.branches):
             arr.setflags(write=False)
 
 

@@ -366,7 +366,8 @@ def cmd_bottleneck(args) -> int:
     try:
         smap = estimate_sensitivity_map(circuit, obs, state, cfg)
         plan = bottleneck_first_plan(circuit, obs, state, cfg,
-                                     target=args.target, budget=args.budget)
+                                     target=args.target, budget=args.budget,
+                                     first_map=smap)
     except ValueError as exc:
         raise CliError(str(exc))
     run.write_json(".plan.json", plan.to_json_dict())

@@ -29,7 +29,11 @@ exit only.
 Randomness is counter-based: the uniform that decides a channel's branch is
 a pure function of (seed, walk stream id, noise-site ordinal), so a walk's
 trajectory does not depend on batching or worker count, and the reference
-walk reproduces a batched lane draw for draw.
+walk reproduces a batched lane draw for draw.  A sampled channel step hashes
+only the lanes at columns with more than one entry: a single-entry column
+takes its one branch whatever the uniform, and a column that maps its word
+to itself with weight exactly 1 leaves the lane as it is.  Such lanes
+consume no uniform, and skipping them moves no other lane's draw.
 
 Channels with diagonal PTMs never branch: their column action is a
 deterministic factor, applied without consuming randomness.  A PTM column
@@ -173,15 +177,6 @@ def _qubit_mask(qubits) -> int:
     return sum(1 << q for q in qubits)
 
 
-def _fixes_identity(channel, direction: str) -> bool:
-    """True when walking ``direction`` maps the identity word to itself with
-    weight exactly 1: the PTM's identity column (backward) or row (forward)
-    is e_I.  Trace-preserving channels pass backward; a non-trace-preserving
-    raw PTM does not, and neither does amplitude damping forward."""
-    line = channel.ptm[:, 0] if direction == "backward" else channel.ptm[0]
-    return line[0] == 1.0 and not np.any(line[1:])
-
-
 def _compile(circuit: Circuit, direction: str) -> list:
     sites_at: dict[int, list] = {}
     for ordinal, s in enumerate(circuit.noise_sites):
@@ -201,9 +196,9 @@ def _compile(circuit: Circuit, direction: str) -> list:
 
     def chan_step(ordinal, site):
         ch = site.channel
+        tabs = ch.cols if direction == "backward" else ch.rows
         return _ChanStep(ordinal, ch, _plane_rows(ch.support, circuit.n),
-                         _qubit_mask(ch.support),
-                         not _fixes_identity(ch, direction))
+                         _qubit_mask(ch.support), not tabs.stays[0])
 
     prog: list = []
     if direction == "backward":
@@ -680,15 +675,25 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
             w = w[rep] * tabs.val[col, within]
             b = total
             _set_codes(planes, step.rows, tau)
-        else:
-            u = uniform_from_hash(hash_words(
-                seed, DOMAIN_TAU, stream_ids,
-                np.uint64(slot_offset + step.ordinal)))
-            jj = np.minimum((u[:, None] >= tabs.cdf[col]).sum(axis=1),
-                            tabs.cdf.shape[1] - 1)
-            w *= tabs.sign[col, jj] * tabs.l1[col]
-            tau = tabs.tau[col, jj]
-            _set_codes(planes, step.rows, tau)
+        else:  # sampled: only lanes off a column that stays can change
+            tau = col.copy()
+            a = np.flatnonzero(~tabs.stays[col])
+            if a.size:
+                c = col[a]
+                jj = np.zeros(a.size, dtype=np.intp)
+                hot = np.flatnonzero(tabs.branches[c])
+                if hot.size:  # single-entry columns take branch 0 unhashed
+                    u = uniform_from_hash(hash_words(
+                        seed, DOMAIN_TAU, stream_ids[a[hot]],
+                        np.uint64(slot_offset + step.ordinal)))
+                    jj[hot] = np.minimum(
+                        (u[:, None] >= tabs.cdf[c[hot]]).sum(axis=1),
+                        tabs.cdf.shape[1] - 1)
+                w[a] *= tabs.sign[c, jj] * tabs.l1[c]
+                out = tabs.tau[c, jj]
+                tau[a] = out
+                if np.any(out != c):
+                    _set_codes(planes, step.rows, tau)
         if flags is not None:
             flags[:, step.ordinal] = tau * len(ch.ptm) + col
         if not np.any(w):

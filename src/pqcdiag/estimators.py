@@ -422,6 +422,7 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
 def bottleneck_first_plan(circuit: Circuit, obs: ObservableSum, state=None,
                           config: "DiagnosticConfig | None" = None, *,
                           target: float = 0.0, budget: int = 1,
+                          first_map: "SensitivityMap | None" = None,
                           ) -> InterventionPlan:
     """Greedy noise-reduction schedule: always fix the most sensitive site.
 
@@ -431,6 +432,8 @@ def bottleneck_first_plan(circuit: Circuit, obs: ObservableSum, state=None,
     seed is reused every round, so successive MSE estimates share their
     draws and the reported trajectory is differenced under common random
     numbers.  Stops early once no site sits above the target.
+    ``first_map``, when given, is the first round's map, already estimated
+    by the caller with this circuit, observable, state and config.
     """
     t0 = time.perf_counter()
     _check_tracked(circuit)
@@ -448,7 +451,8 @@ def bottleneck_first_plan(circuit: Circuit, obs: ObservableSum, state=None,
             if float(s.channel.params[s.noise_param_name]) > target + 1e-15]
         if not candidates:
             break
-        smap = estimate_sensitivity_map(current, obs, state, cfg)
+        smap = first_map if first_map is not None and not steps else \
+            estimate_sensitivity_map(current, obs, state, cfg)
         best = max(candidates,
                    key=lambda j: abs(smap.entries[j].gradient))
         site = current.noise_sites[best]

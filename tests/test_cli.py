@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pqcdiag import cli
+from pqcdiag import estimators as est
 from pqcdiag.cli import build_parser, main
 from pqcdiag.circuits import load_bundle, serialize
 from pqcdiag.reports import VOLATILE_FIELDS, DiagnosticConfig
@@ -490,6 +492,37 @@ class TestBottleneck:
         assert hot[1] == "layer,element,qubits,gradient,stderr"
         man = read_json(out + ".manifest.json")
         assert len(man["outputs"]) == 3
+
+    @pytest.mark.parametrize("budget, target, maps, steps",
+                             [(0, "0.0", 1, 0), (1, "0.0", 1, 1),
+                              (2, "0.0", 2, 2), (2, "0.5", 1, 0)])
+    def test_round_one_map_is_estimated_once(self, tmp_path, monkeypatch,
+                                             budget, target, maps, steps):
+        # every site has gamma = 0.1, so target 0.5 leaves none above it
+        circ = str(tmp_path / "chip")
+        assert main(["gen", "chip", "--rows", "2", "--cols", "2",
+                     "--blocks", "1", "--noise", "amp:0.1", "--obs", "ZIII",
+                     "-o", circ]) == 0
+        original = est.estimate_sensitivity_map
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_sensitivity_map", counted)
+        monkeypatch.setattr(est, "estimate_sensitivity_map", counted)
+        out = str(tmp_path / "bn")
+        assert main(["bottleneck", circ + ".json", "--budget", str(budget),
+                     "--target", target, "--n-theta", "32", "--n-tau", "2",
+                     "--seed", "5", "-o", out]) == 0
+        assert len(calls) == maps
+        assert len(read_json(out + ".plan.json")["steps"]) == steps
+        circuit, obs, state = load_bundle(read_json(circ + ".json"))
+        hot = original(circuit, obs, state,
+                       DiagnosticConfig(n_theta=32, n_tau=2, seed=5))
+        assert Path(out + ".hotspots.csv").read_text().split("\n", 1)[1] \
+            == hot.to_csv()
 
 
 def test_unknown_subcommand_exits_2(tmp_path):

@@ -470,6 +470,40 @@ def _trace_entries(circuit, trace, n_visited):
     return entries
 
 
+class TestBranchTables:
+    """The per-column tables the sampled channel step reads to skip lanes:
+    ``stays`` must mean "maps its word to itself with weight exactly 1",
+    and ``branches`` "has more than one entry"."""
+
+    @staticmethod
+    def check(tabs, matrix):
+        d = len(matrix)
+        for j in range(d):
+            assert tabs.count[j] == np.count_nonzero(matrix[:, j])
+            assert tabs.stays[j] == np.array_equal(matrix[:, j],
+                                                   np.eye(d)[j])
+            if tabs.stays[j]:
+                assert tabs.count[j] == 1 and tabs.tau[j, 0] == j
+                assert tabs.sign[j, 0] * tabs.l1[j] == 1.0
+        assert np.array_equal(tabs.branches, tabs.count > 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_channel(3))
+    def test_stays_and_branches(self, ch):
+        self.check(ch.cols, ch.ptm)
+        self.check(ch.rows, ch.ptm.T)
+
+    def test_identity_of_amplitude_damping_and_raw_ptm(self):
+        amp = make_amplitude_damping(0.25)
+        assert amp.cols.stays[0] and not amp.rows.stays[0]
+        assert amp.rows.branches[0]
+        ptm = np.eye(4)
+        ptm[3, 0] = 1.0
+        raw = make_raw_ptm(ptm, (0,))
+        assert not raw.cols.stays[0] and raw.cols.branches[0]
+        assert raw.rows.stays[0]
+
+
 class TestLightCone:
     @settings(max_examples=60, deadline=None)
     @given(_spec(), st.sampled_from(sorted(_PAD_SLOTS)), st.randoms())

@@ -7,17 +7,22 @@ replaced finite differences, both sensitivity maps when chunk variances
 moved to the Chan merge (the last bits of some per-site stderrs), and
 every case but ``gradvar_outside_cone`` (exactly 0.0) by angle stream v2,
 which draws 32 grid angles from one block hash and so moved every angle.
+``expr_hs_branching`` was pinned later, on the engine that hashed every
+lane at every sampled channel step; it is the one case whose forward walks
+sample non-diagonal channels.
 A change to the engine or the estimators that moves any
 float of any payload (reduction order, a dropped draw, a reordered hash)
 changes a digest here.  Performance work that claims to be exact must leave
 every one unchanged, at any thread count.
 """
 
+import numpy as np
 import pytest
 
 from conftest import axis
 from pqcdiag import estimators as est
-from pqcdiag.channels import make_amplitude_damping, make_depolarizing
+from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
+                              make_mmff, make_raw_ptm)
 from pqcdiag.circuits import (Circuit, NoiseSite, Rotation, gen_grid_chip,
                               observable_from_terms)
 from pqcdiag.paulis import PauliString
@@ -96,6 +101,22 @@ def run_expr_hs(threads=1):
         c, DiagnosticConfig(n_theta=24, n_sigma=8, seed=15, threads=threads))
 
 
+def run_expr_hs_branching(threads=1):
+    # forward walks through sampled channels: three measure-and-feed-forward
+    # sites (rows of one entry, some zero) and a row-sum raw PTM whose X
+    # and Y rows have two entries each, on top of the depolarizing chip
+    c = gen_grid_chip(2, 2, 1, "rzz", make_depolarizing(0.05))
+    mix = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.25, 0.0],
+                    [0.0, -0.25, 0.5, 0.0], [0.0, 0.0, 0.0, 0.75]])
+    extra = [NoiseSite(p, make_mmff(fb, support), (9, i), None)
+             for i, (p, fb, support) in enumerate(
+                 [(3, "X", (0, 1)), (5, "Z", (3, 2)), (7, "Y", (1, 3))])]
+    extra.append(NoiseSite(6, make_raw_ptm(mix, (2,)), (9, 3), None))
+    c = Circuit(c.n, c.ops, c.noise_sites + extra)
+    return est.estimate_expressibility_hs(
+        c, DiagnosticConfig(n_theta=24, n_sigma=8, seed=19, threads=threads))
+
+
 def run_expr_lower_bound(threads=1):
     c = gen_grid_chip(2, 2, 1, "rzz", make_amplitude_damping(0.1))
     return est.estimate_expressibility_lower_bound(
@@ -126,6 +147,9 @@ GOLDEN = {
     "expr_hs": (run_expr_hs,
                 "cbff3212daf026e4be72a9a16f9be237"
                 "7dcfca0bfb925b69711edbdc3cd13adb"),
+    "expr_hs_branching": (run_expr_hs_branching,
+                          "bc688a81a9fb3a14de39bd9a9c28aafe"
+                          "69dfc07bcc8bd68b194ead54904dd02b"),
     "expr_lower_bound": (run_expr_lower_bound,
                          "fe58de8d97e7c03980036d6026aa5d8f"
                          "1156aad54e30d2500e5dc2ebc4fecb80"),
