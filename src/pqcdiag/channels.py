@@ -5,9 +5,9 @@ the *normalized* local Pauli basis,
 
     S[i, j] = tr( E(sigma_i) sigma_j ),    sigma_i = P_i / 2^{m/2},
 
-rows indexed by the input word, columns by the output component.  Local word
-indices pack per-qubit codes little-endian: idx = sum_j code_j * 4^j with
-support[0] in the low position (codes 0=I,1=X,2=Y,3=Z).
+rows indexed by the input word, columns by the output component, both by
+local word index on the support (:meth:`PauliString.local_index`:
+support[0] in the lowest base-4 digit).
 
 Observable back-propagation consumes *columns*: the adjoint action is
 E^dag(P_s) = sum_tau S[tau, s] P_tau, so a walk standing on word s draws its
@@ -275,7 +275,7 @@ def make_pauli_channel(probs: dict, support=(0,)) -> PtmChannel:
     d = 4 ** m
     diag = np.zeros(d)
     for s_idx in range(d):
-        s = PauliString.from_codes([(s_idx >> (2 * j)) & 3 for j in range(m)])
+        s = PauliString.from_local(s_idx, m)
         acc = 0.0
         for p_i, w in zip(ps, words):
             acc += p_i if commutes(s, w) else -p_i
@@ -307,12 +307,8 @@ def make_mmff(feedback: str, support=(0,)) -> PtmChannel:
     ptm = np.zeros((d, d))
     for s_idx in range(4 ** n_targets):
         col = s_idx << 2                      # measured-qubit code I
-        if n_targets:
-            s = PauliString.from_codes(
-                [(s_idx >> (2 * j)) & 3 for j in range(n_targets)])
-            flip = not commutes(p_word, s)
-        else:
-            flip = False
+        flip = bool(n_targets) and not commutes(
+            p_word, PauliString.from_local(s_idx, n_targets))
         row = col | (3 if flip else 0)        # I(x)s or Z(x)s
         ptm[row, col] = 1.0
     return PtmChannel(support, ptm, "mmff", {"feedback": fb})

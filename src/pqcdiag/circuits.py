@@ -8,8 +8,10 @@ of a two-qubit gate); they apply in list order.
 
 Rotation angles live on the quarter-turn grid: a :class:`ThetaAssignment`
 holds one index k in {0,1,2,3} per free parameter, meaning theta = k*pi/2.
-Everything here is declarative and immutable after build; the walk engines
-compile their own flattened programs from it.
+Everything here is declarative and immutable after build.
+:meth:`Circuit.schedule` is the one definition of the order in which ops and
+sites act; the walk engine compiles its programs from it, and the dense and
+grid oracles evolve along it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .channels import (TUNABLE_KINDS, PtmChannel, channel_from_spec,
                        channel_to_spec)
 from .paulis import (CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, PauliString)
 from .reports import exact_int
-
-AngleIndex = int  # grid angle theta = k * pi/2, k in {0,1,2,3}
 
 #: the strength a generated noise site tracks, by kind (others track none)
 DEFAULT_NOISE_PARAM = {k: names[0] for k, (_, names) in TUNABLE_KINDS.items()}
@@ -86,9 +86,6 @@ class Clifford:
             raise ValueError(f"unknown clifford kind {self.kind!r}")
         if len(self.qubits) != want:
             raise ValueError(f"{self.kind} takes {want} qubit(s)")
-
-
-GateOp = "Rotation | Clifford"
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +194,8 @@ def zero_state(n: int) -> SparseState:
 
 @dataclass
 class ThetaAssignment:
-    """Grid angles, one AngleIndex per free circuit parameter."""
+    """Grid angles: one index k in {0,1,2,3} (theta = k*pi/2) per free
+    circuit parameter."""
 
     values: np.ndarray
 
@@ -299,6 +297,21 @@ class Circuit:
         if cached is None:
             cached = any(not s.channel.diagonal for s in self.noise_sites)
             self.__dict__["_branching"] = cached
+        return cached
+
+    def schedule(self) -> tuple:
+        """The ops and noise sites in the order they act (cached): each op,
+        then the sites bound after it, in list order.  Sites come in
+        ``noise_sites`` order, so the k-th site here is noise site k.  A
+        backward walk runs the reverse."""
+        cached = self.__dict__.get("_schedule")
+        if cached is None:
+            after: dict[int, list] = {}
+            for s in self.noise_sites:
+                after.setdefault(s.position, []).append(s)
+            cached = tuple(item for p, op in enumerate(self.ops)
+                           for item in (op, *after.get(p, ())))
+            self.__dict__["_schedule"] = cached
         return cached
 
     def without_noise(self) -> "Circuit":

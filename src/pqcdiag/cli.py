@@ -14,6 +14,9 @@ Option values that begin with a minus sign are accepted space-separated for
 ``--term`` (``--term -1.0:IXXI``) and ``--theta`` (``--theta -0.5,0.2``).
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid input or configuration.
+Any ``ValueError``, whether the CLI or the library raises it, is an input
+error: :func:`main` maps it to exit code 2 in one place, so a subcommand
+catches one only to add context to its message.
 """
 from __future__ import annotations
 
@@ -47,8 +50,9 @@ THREADS_ENV = "PQCDIAG_THREADS"
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(DiagnosticConfig))
 
 
-class CliError(Exception):
-    """Invalid input or configuration; maps to exit code 2."""
+class CliError(ValueError):
+    """Invalid input or configuration, worded by the CLI; exit code 2 like
+    any ValueError."""
 
 
 # ---------------------------------------------------------------------------
@@ -212,34 +216,28 @@ def cmd_diagnose(args) -> int:
     inputs = [args.circuit] + ([args.config] if args.config else [])
     run = RunWriter(args, inputs, cfg.seed, args.out)
 
-    try:
-        if args.kind == "mse":
-            rep = estimate_mse(circuit, _require_observable(obs, args.circuit),
-                               state, cfg)
-            run.write_json(".json", rep.to_json_dict())
-        elif args.kind == "sensitivity":
-            smap = estimate_sensitivity_map(
-                circuit, _require_observable(obs, args.circuit), state, cfg)
-            run.write_json(".json", smap.to_json_dict())
-            run.write_csv(".csv", smap.to_csv())
-        elif args.kind == "gradvar":
-            _diagnose_gradvar(args, run, circuit,
-                              _require_observable(obs, args.circuit),
-                              state, cfg)
-        elif args.kind == "expressibility":
-            if not circuit.is_prs1():
-                raise CliError("a noise channel fails the row-sum condition; "
-                               "run 'pqcdiag diagnose expressibility-lb' on "
-                               "this circuit instead")
-            rep = estimate_expressibility_hs(circuit, cfg)
-            run.write_json(".json", rep.to_json_dict())
-        else:  # expressibility-lb
-            rep = estimate_expressibility_lower_bound(circuit, cfg)
-            run.write_json(".json", rep.to_json_dict())
-    except ValueError as exc:
-        # estimator-level rejections (PRS1 gate, missing noise, bad params)
-        # are input problems, not crashes
-        raise CliError(str(exc))
+    if args.kind == "mse":
+        rep = estimate_mse(circuit, _require_observable(obs, args.circuit),
+                           state, cfg)
+        run.write_json(".json", rep.to_json_dict())
+    elif args.kind == "sensitivity":
+        smap = estimate_sensitivity_map(
+            circuit, _require_observable(obs, args.circuit), state, cfg)
+        run.write_json(".json", smap.to_json_dict())
+        run.write_csv(".csv", smap.to_csv())
+    elif args.kind == "gradvar":
+        _diagnose_gradvar(args, run, circuit,
+                          _require_observable(obs, args.circuit), state, cfg)
+    elif args.kind == "expressibility":
+        if not circuit.is_prs1():
+            raise CliError("a noise channel fails the row-sum condition; "
+                           "run 'pqcdiag diagnose expressibility-lb' on "
+                           "this circuit instead")
+        rep = estimate_expressibility_hs(circuit, cfg)
+        run.write_json(".json", rep.to_json_dict())
+    else:  # expressibility-lb
+        rep = estimate_expressibility_lower_bound(circuit, cfg)
+        run.write_json(".json", rep.to_json_dict())
     run.finish()
     return 0
 
@@ -291,13 +289,10 @@ def cmd_benchmark(args) -> int:
     lines = ["n_samples,mean,std,rel_error"]
     table = []
     for count in sample_counts:
-        try:
-            vals = np.array([
-                line_variance_benchmark(args.n, args.p, count,
-                                        seed=seed + t, threads=threads).mean
-                for t in range(args.trials)])
-        except ValueError as exc:  # the chain's size or the stream budget
-            raise CliError(str(exc))
+        vals = np.array([
+            line_variance_benchmark(args.n, args.p, count,
+                                    seed=seed + t, threads=threads).mean
+            for t in range(args.trials)])
         mean = float(vals.mean())
         std = float(vals.std(ddof=1)) if args.trials > 1 else None
         rel = (mean - target) / target
@@ -339,10 +334,7 @@ def cmd_plan(args) -> int:
         l1, inputs = args.pauli_l1, []
     else:
         raise CliError("plan needs a circuit file or --pauli-l1")
-    try:
-        n_theta, n_tau = plan_samples(args.epsilon, args.delta, l1)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    n_theta, n_tau = plan_samples(args.epsilon, args.delta, l1)
     run = RunWriter(args, inputs, None, args.out)
     run.write_json(".json", {
         "quantity": "sample_plan", "epsilon": args.epsilon,
@@ -363,13 +355,9 @@ def cmd_bottleneck(args) -> int:
     cfg = resolve_config(args)
     inputs = [args.circuit] + ([args.config] if args.config else [])
     run = RunWriter(args, inputs, cfg.seed, args.out)
-    try:
-        smap = estimate_sensitivity_map(circuit, obs, state, cfg)
-        plan = bottleneck_first_plan(circuit, obs, state, cfg,
-                                     target=args.target, budget=args.budget,
-                                     first_map=smap)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    smap = estimate_sensitivity_map(circuit, obs, state, cfg)
+    plan = bottleneck_first_plan(circuit, obs, state, cfg, target=args.target,
+                                 budget=args.budget, first_map=smap)
     run.write_json(".plan.json", plan.to_json_dict())
     run.write_csv(".trajectory.csv", plan.trajectory_csv())
     run.write_csv(".hotspots.csv", smap.to_csv())
@@ -384,25 +372,22 @@ def cmd_bottleneck(args) -> int:
 def cmd_oracle(args) -> int:
     circuit, obs, state = _load_bundle_file(args.circuit)
     run = RunWriter(args, [args.circuit], None, args.out)
-    try:
-        if args.kind == "expectation":
-            if args.theta is None:
-                raise CliError("oracle expectation needs --theta")
-            theta = np.array([float(t) for t in args.theta.split(",")])
-            if theta.size != circuit.n_params:
-                raise CliError(f"--theta has {theta.size} angles, circuit "
-                               f"has {circuit.n_params} parameters")
-            value = dense_expectation(
-                circuit, theta, _require_observable(obs, args.circuit), state)
-        else:
-            functional = args.kind
-            if args.kind == "gradvar":
-                functional = f"gradvar({args.param_k})"
-            if args.kind != "moment2":
-                obs = _require_observable(obs, args.circuit)
-            value = grid_enumerate(circuit, obs, functional, state)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if args.kind == "expectation":
+        if args.theta is None:
+            raise CliError("oracle expectation needs --theta")
+        theta = np.array([float(t) for t in args.theta.split(",")])
+        if theta.size != circuit.n_params:
+            raise CliError(f"--theta has {theta.size} angles, circuit "
+                           f"has {circuit.n_params} parameters")
+        value = dense_expectation(
+            circuit, theta, _require_observable(obs, args.circuit), state)
+    else:
+        functional = args.kind
+        if args.kind == "gradvar":
+            functional = f"gradvar({args.param_k})"
+        if args.kind != "moment2":
+            obs = _require_observable(obs, args.circuit)
+        value = grid_enumerate(circuit, obs, functional, state)
     doc = {"quantity": f"oracle_{args.kind}", "value": value}
     if args.kind == "gradvar":
         doc["param_k"] = args.param_k
@@ -443,30 +428,23 @@ def _parse_terms(args, n: int):
         terms = [(1.0, args.obs)]
     else:
         terms = [(1.0, "Z" + "I" * (n - 1))]
-    try:
-        return observable_from_terms(terms, n=n)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return observable_from_terms(terms, n=n)
 
 
 def cmd_gen(args) -> int:
     if args.family in ("line", "ring") and args.n is None:
         raise CliError(f"gen {args.family} needs --n")
-    try:
-        if args.family == "line":
-            circuit, obs, state = gen_line_benchmark(args.n, args.p)
+    if args.family == "line":
+        circuit, obs, state = gen_line_benchmark(args.n, args.p)
+    else:
+        noise = _parse_noise(args.noise)
+        if args.family == "ring":
+            circuit = gen_ring(args.n, args.blocks, noise, args.noise_mode)
         else:
-            noise = _parse_noise(args.noise)
-            if args.family == "ring":
-                circuit = gen_ring(args.n, args.blocks, noise, args.noise_mode)
-            else:
-                circuit = gen_grid_chip(args.rows, args.cols, args.blocks,
-                                        args.two_qubit, noise,
-                                        args.noise_mode)
-            obs = _parse_terms(args, circuit.n)
-            state = None
-    except ValueError as exc:
-        raise CliError(str(exc))
+            circuit = gen_grid_chip(args.rows, args.cols, args.blocks,
+                                    args.two_qubit, noise, args.noise_mode)
+        obs = _parse_terms(args, circuit.n)
+        state = None
     run = RunWriter(args, [], None, args.out)
     run.write_json(".json", serialize(circuit, obs, state))
     run.finish()
@@ -637,7 +615,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:  # invalid input, CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 — the CLI boundary

@@ -58,13 +58,14 @@ in one batch only when that joint cone is barely longer than each word's own
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .channels import adjoint_sample
-from .circuits import Circuit, FixedAngle, Rotation, ThetaAssignment
+from .circuits import Circuit, FixedAngle, NoiseSite, Rotation, ThetaAssignment
 from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
                      SignedPauli, backprop_rotation, clifford_table,
                      conjugate_clifford, mask_to_words, n_words,
@@ -158,6 +159,7 @@ class _CliffStep:
 class _ChanStep:
     ordinal: int  # global noise-site index, doubles as the RNG slot
     channel: object
+    tabs: object  # the direction's branch tables: channel.cols or .rows
     rows: list
     mask: int
     pinned: bool  # does not map the identity word to itself with weight 1
@@ -178,42 +180,33 @@ def _qubit_mask(qubits) -> int:
 
 
 def _compile(circuit: Circuit, direction: str) -> list:
-    sites_at: dict[int, list] = {}
-    for ordinal, s in enumerate(circuit.noise_sites):
-        sites_at.setdefault(s.position, []).append((ordinal, s))
-
-    def op_step(op):
-        if isinstance(op, Rotation):
-            fixed = op.param.k if isinstance(op.param, FixedAngle) else 0
-            param = None if isinstance(op.param, FixedAngle) else op.param
-            return _RotStep(op.axis, param, fixed, _rot_sites(op.axis),
-                            op.axis.x_bits | op.axis.z_bits)
-        out_idx, sign = clifford_table(op.kind, direction)
-        return _CliffStep(op.kind, op.qubits, out_idx,
-                          sign.astype(np.float64),
-                          _plane_rows(op.qubits, circuit.n),
-                          _qubit_mask(op.qubits))
-
-    def chan_step(ordinal, site):
-        ch = site.channel
-        tabs = ch.cols if direction == "backward" else ch.rows
-        return _ChanStep(ordinal, ch, _plane_rows(ch.support, circuit.n),
-                         _qubit_mask(ch.support), not tabs.stays[0])
-
-    prog: list = []
-    if direction == "backward":
-        for p in range(len(circuit.ops) - 1, -1, -1):
-            for ordinal, s in reversed(sites_at.get(p, ())):
-                prog.append(chan_step(ordinal, s))
-            prog.append(op_step(circuit.ops[p]))
-    elif direction == "forward":
-        for p, op in enumerate(circuit.ops):
-            prog.append(op_step(op))
-            for ordinal, s in sites_at.get(p, ()):
-                prog.append(chan_step(ordinal, s))
-    else:
+    """One step per item of ``circuit.schedule()``, in that order forward
+    and in reverse backward; steps carry the direction's tables."""
+    if direction not in ("backward", "forward"):
         raise ValueError(f"unknown direction {direction!r}")
-    return prog
+    backward = direction == "backward"
+    ordinals = itertools.count()  # the k-th scheduled site is noise site k
+    prog: list = []
+    for item in circuit.schedule():
+        if isinstance(item, NoiseSite):
+            ch = item.channel
+            tabs = ch.cols if backward else ch.rows
+            prog.append(_ChanStep(next(ordinals), ch, tabs,
+                                  _plane_rows(ch.support, circuit.n),
+                                  _qubit_mask(ch.support), not tabs.stays[0]))
+        elif isinstance(item, Rotation):
+            fixed = isinstance(item.param, FixedAngle)
+            prog.append(_RotStep(item.axis, None if fixed else item.param,
+                                 item.param.k if fixed else 0,
+                                 _rot_sites(item.axis),
+                                 item.axis.x_bits | item.axis.z_bits))
+        else:
+            out_idx, sign = clifford_table(item.kind, direction)
+            prog.append(_CliffStep(item.kind, item.qubits, out_idx,
+                                   sign.astype(np.float64),
+                                   _plane_rows(item.qubits, circuit.n),
+                                   _qubit_mask(item.qubits)))
+    return prog[::-1] if backward else prog
 
 
 def _light_cone(prog: list, live: int) -> list:
@@ -310,22 +303,6 @@ class PathSample:
     trace: "list | None" = None
 
 
-def _replace_local(p: PauliString, support, local_idx: int) -> PauliString:
-    x, z = p.x_bits, p.z_bits
-    for i, q in enumerate(support):
-        c = (local_idx >> (2 * i)) & 3
-        x = (x & ~(1 << q)) | (((c == 1) | (c == 2)) << q)
-        z = (z & ~(1 << q)) | (((c == 2) | (c == 3)) << q)
-    return PauliString(p.n, x, z)
-
-
-def _local_index(p: PauliString, support) -> int:
-    idx = 0
-    for i, q in enumerate(support):
-        idx |= p.code_at(q) << (2 * i)
-    return idx
-
-
 def backprop_term(circuit: Circuit, theta: ThetaAssignment, term: PauliString,
                   state, stream: RngStream, collect_trace: bool = False,
                   ) -> PathSample:
@@ -350,14 +327,14 @@ def backprop_term(circuit: Circuit, theta: ThetaAssignment, term: PauliString,
             sp = conjugate_clifford(step.kind, step.qubits, sp, "backward")
         else:
             ch = step.channel
-            idx = _local_index(sp.pauli, ch.support)
+            idx = sp.pauli.local_index(ch.support)
             if ch.diagonal:
                 w *= float(ch.ptm[idx, idx])
             else:
                 smp = adjoint_sample(ch, idx, stream.uniform_at(step.ordinal))
                 w *= smp.weight
-                sp = SignedPauli(_replace_local(sp.pauli, ch.support,
-                                                smp.tau), sp.phase_q)
+                sp = SignedPauli(sp.pauli.with_local(ch.support, smp.tau),
+                                 sp.phase_q)
         if collect_trace:
             trace.append(sp)
         if w == 0.0:
@@ -620,6 +597,7 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
         raise ValueError(f"walk words act on qubits beyond the {n}-qubit "
                          "register")
     prog = _program(circuit, direction, support)
+    backward = direction == "backward"
     b = x0.shape[0]
     planes = np.concatenate((_transpose(x0, n), _transpose(z0, n),
                              np.zeros((1, (b + 63) // 64), dtype=_LANE)))
@@ -643,15 +621,14 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
                 k = theta.k_for(step.param)
                 if exact:  # expanded lanes read their input lane's angles
                     k = k[origin]
-            _rotate(planes, n, step, k, b, direction == "backward")
+            _rotate(planes, n, step, k, b, backward)
             continue
         col = _local_codes(planes, step.rows, b)
         if isinstance(step, _CliffStep):
             w *= step.sign[col]
             _set_codes(planes, step.rows, step.out_idx[col])
             continue
-        ch = step.channel
-        tabs = ch.cols if direction == "backward" else ch.rows
+        ch, tabs = step.channel, step.tabs
         if ch.diagonal:
             w *= np.diagonal(ch.ptm)[col]
             tau = col
@@ -736,10 +713,10 @@ def run_forward_batch(circuit: Circuit, x0, z0, theta, *, seed: int = 0,
                       stream_ids=None):
     """Batched forward (Heisenberg) push of words through the circuit.
 
-    Returns (x, z, w, origin): the evolved words and weights, one sampled
-    path per lane (``origin`` is None), to be chained into a backward walk
-    (expressibility's two-circuit overlap).
+    Returns (x, z, w): the evolved words and weights, one sampled path per
+    lane, to be chained into a backward walk (expressibility's two-circuit
+    overlap).
     """
-    x, z, w, origin, _ = _run_batch(circuit, "forward", x0, z0, theta,
-                                    seed=seed, stream_ids=stream_ids)
-    return x, z, w, origin
+    x, z, w, _, _ = _run_batch(circuit, "forward", x0, z0, theta, seed=seed,
+                               stream_ids=stream_ids)
+    return x, z, w

@@ -621,8 +621,8 @@ def estimate_expressibility_hs(circuit: Circuit,
             xf, zf = codes_to_words(codes)
             sids = compose_stream_array(lane_uid, 0, 2 + rep) \
                 if branching else None
-            x1, z1, w1, _ = run_forward_batch(circuit, xf, zf, th2,
-                                              seed=cfg.seed, stream_ids=sids)
+            x1, z1, w1 = run_forward_batch(circuit, xf, zf, th2,
+                                           seed=cfg.seed, stream_ids=sids)
             v = t_walk(x1, z1, th1, 2 + rep, lane_uid,
                        slot_offset=n_sites, w0=w1)
             t3.append(v.reshape(b, ns).mean(axis=1))
@@ -688,24 +688,6 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
     mom, = _drive(job, total, 4 * nt, cfg.threads)
     return _report("expressibility_lb", t0, cfg, mom.mean(), mom.stderr(),
                    n_tau=nt, n_sigma=cfg.n_sigma, signed=True)
-
-
-def l1_expressibility_bound(var_estimate: float, obs: ObservableSum) -> float:
-    """Expressibility lower bound from one observable's grid variance.
-
-    For traceless O,  (Var - tr(O^2)/(2^n (2^n+1))) / ||O||_inf^2  bounds
-    the second-moment deviation from below; the spectral norm is replaced
-    by the Pauli-coefficient l1 norm (an upper bound), which keeps the
-    result valid but conservative.  May be negative — then it says nothing.
-    """
-    if obs.identity_offset != 0.0:
-        raise ValueError("observable must be traceless (identity component "
-                         f"{obs.identity_offset} present)")
-    if not obs.terms:
-        raise ValueError("observable has no Pauli terms")
-    d = 2.0 ** obs.n
-    tr_o2 = d * sum(c * c for c, _ in obs.terms)
-    return (float(var_estimate) - tr_o2 / (d * (d + 1.0))) / obs.pauli_l1 ** 2
 
 
 # ---------------------------------------------------------------------------

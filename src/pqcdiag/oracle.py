@@ -5,7 +5,9 @@ coefficient tensors), deliberately sharing no machinery with the sampling
 engine: gates are dense unitaries, channels are dense superoperators built
 from their transfer matrices, and quarter-turn averages are taken in closed
 form.  It is the ground truth the estimators are tested against, honest but
-capped at small n.
+capped at small n.  What it shares with the engine is the circuit's own
+definition: the order ops and sites act in (:meth:`Circuit.schedule`) and
+the local word index its tables use (:meth:`PauliString.local_index`).
 
 Conventions match the rest of the package: qubit 0 is the least-significant
 basis-index bit, gate/channel support tuples list their least-significant
@@ -19,8 +21,8 @@ import re
 
 import numpy as np
 
-from .circuits import (Circuit, FixedAngle, ObservableSum, Rotation,
-                       SparseState, ThetaAssignment, zero_state)
+from .circuits import (Circuit, FixedAngle, NoiseSite, ObservableSum,
+                       Rotation, SparseState, ThetaAssignment, zero_state)
 from .paulis import PauliString
 
 DENSE_QUBIT_CAP = 10
@@ -89,14 +91,6 @@ def pauli_dense(p: PauliString) -> np.ndarray:
     return out
 
 
-def _local_words(m: int):
-    """Dense matrices of the 4^m words on m qubits, in local-index order
-    (qubit j's code in base-4 digit j)."""
-    for idx in range(4 ** m):
-        yield pauli_dense(PauliString.from_codes(
-            [(idx >> (2 * j)) & 3 for j in range(m)]))
-
-
 def _on_support(p: PauliString):
     """(support, p restricted to it): the qubits a word acts on, in order,
     and the word on just those qubits."""
@@ -147,7 +141,7 @@ def channel_superop_local(channel) -> np.ndarray:
         return cached
     m = len(channel.support)
     d = 2 ** m
-    words = list(_local_words(m))
+    words = [pauli_dense(PauliString.from_local(i, m)) for i in range(4 ** m)]
     k = np.zeros((d, d, d, d), dtype=complex)
     s_mat = channel.ptm
     for s in range(4 ** m):
@@ -192,21 +186,19 @@ def dense_evolve(circuit: Circuit, theta, state: "SparseState | None" = None
         raise ValueError(f"{n} qubits exceed the dense cap {DENSE_QUBIT_CAP}")
     angles = _theta_radians(circuit, theta)
     rho = state_dense(state if state is not None else zero_state(n))
-    sites_at = {}
-    for s in circuit.noise_sites:
-        sites_at.setdefault(s.position, []).append(s)
-    for pos, op in enumerate(circuit.ops):
-        if isinstance(op, Rotation):
-            if isinstance(op.param, FixedAngle):
-                angle = op.param.k * np.pi / 2
+    for item in circuit.schedule():
+        if isinstance(item, NoiseSite):
+            rho = apply_channel_dense(rho, item.channel, n)
+            continue
+        if isinstance(item, Rotation):
+            if isinstance(item.param, FixedAngle):
+                angle = item.param.k * np.pi / 2
             else:
-                angle = angles[op.param]
-            u = rotation_unitary(op.axis, angle)
+                angle = angles[item.param]
+            u = rotation_unitary(item.axis, angle)
         else:
-            u = embed_operator(_CLIFF_MATS[op.kind], n, op.qubits)
+            u = embed_operator(_CLIFF_MATS[item.kind], n, item.qubits)
         rho = u @ rho @ u.conj().T
-        for site in sites_at.get(pos, ()):
-            rho = apply_channel_dense(rho, site.channel, n)
     return rho
 
 
@@ -235,7 +227,7 @@ def _transfer_backmap(u: np.ndarray, m: int) -> np.ndarray:
     """L[j, i] = tr(P_j U^dag P_i U) / 2^m over the m-qubit local words: the
     backward (Heisenberg) action of the local unitary U on Pauli
     coefficients."""
-    words = list(_local_words(m))
+    words = [pauli_dense(PauliString.from_local(i, m)) for i in range(4 ** m)]
     lk = np.zeros((4 ** m, 4 ** m))
     for i, word in enumerate(words):
         back = u.conj().T @ word @ u
@@ -266,26 +258,24 @@ class _GridPrograms:
 
     def __init__(self, circuit: Circuit):
         n = circuit.n
-        sites_at = {}
-        for s in circuit.noise_sites:
-            sites_at.setdefault(s.position, []).append(s)
         steps = []
-        for pos in range(len(circuit.ops) - 1, -1, -1):
-            for site in reversed(sites_at.get(pos, [])):
-                ch = site.channel
+        for item in reversed(circuit.schedule()):
+            if isinstance(item, NoiseSite):
+                ch = item.channel
                 steps.append(("chan", ch.support, [np.asarray(ch.ptm)], None))
-            op = circuit.ops[pos]
-            if isinstance(op, Rotation):
-                support, local = _on_support(op.axis)
+            elif isinstance(item, Rotation):
+                support, local = _on_support(item.axis)
                 loc = pauli_dense(local)
                 maps = [_transfer_backmap(_rot_local(loc, k * np.pi / 2),
                                           local.n) for k in range(4)]
-                param = None if isinstance(op.param, FixedAngle) else op.param
-                fixed = op.param.k if isinstance(op.param, FixedAngle) else 0
-                steps.append(("rot", support, maps, (param, fixed)))
+                fixed = isinstance(item.param, FixedAngle)
+                steps.append(("rot", support, maps,
+                              (None if fixed else item.param,
+                               item.param.k if fixed else 0)))
             else:
-                lk = _transfer_backmap(_CLIFF_MATS[op.kind], len(op.qubits))
-                steps.append(("cliff", op.qubits, [lk], None))
+                lk = _transfer_backmap(_CLIFF_MATS[item.kind],
+                                       len(item.qubits))
+                steps.append(("cliff", item.qubits, [lk], None))
         self.steps = steps
         self.perms = {}
         for _, support, _, _ in steps:
@@ -299,19 +289,12 @@ def _closure_vector(n: int, state: SparseState) -> np.ndarray:
     """c[p] = tr(P_p rho) over all 4^n words, by dense traces."""
     rho = state_dense(state)
     out = np.zeros(4 ** n)
-    for idx, word in enumerate(_local_words(n)):
-        v = np.trace(word @ rho)
+    for idx in range(4 ** n):
+        v = np.trace(pauli_dense(PauliString.from_local(idx, n)) @ rho)
         if abs(v.imag) > 1e-9:
             raise AssertionError("complex closure")
         out[idx] = v.real
     return out
-
-
-def _obs_vector(obs: ObservableSum) -> np.ndarray:
-    v = np.zeros(4 ** obs.n)
-    for coeff, word in obs.terms:
-        v[sum(word.code_at(q) << (2 * q) for q in range(obs.n))] += coeff
-    return v
 
 
 _GRADVAR_RE = re.compile(r"^gradvar\((\d+)\)$")
@@ -362,7 +345,9 @@ def grid_enumerate(circuit: Circuit, obs: "ObservableSum | None",
         raise ValueError(f"grid enumeration over budget ({work:.3g} updates)")
 
     prog = _GridPrograms(circuit)
-    v0 = _obs_vector(obs)
+    v0 = np.zeros(d)
+    for coeff, word in obs.terms:
+        v0[word.local_index(range(circuit.n))] += coeff
     closure = _closure_vector(circuit.n, state)
 
     def pair_run(noisy0: bool, noisy1: bool, shift_param: "int | None",
@@ -448,50 +433,3 @@ def dense_moment_deviation(circuit: Circuit,
     mom = second_moment_matrix(circuit, state)
     delta = mom - haar_2moment(circuit.n)
     return float(np.sum(np.abs(delta) ** 2))
-
-
-# ---------------------------------------------------------------------------
-# rotation grid 2-design check
-# ---------------------------------------------------------------------------
-
-def rotation_2design_check(axis: PauliString, grid_angles=None) -> float:
-    """Max-entry gap between grid-averaged and continuum rotation 2-moments.
-
-    Compares (1/|grid|) sum_theta (R(theta) (x) R(-theta))^{(x)2} with the
-    analytic uniform-angle integral; the quarter-turn grid should match to
-    machine precision, coarser grids should not.
-    """
-    support, local = _on_support(axis)
-    loc = pauli_dense(local)
-    if len(support) > 2:
-        raise ValueError("check supports axes on at most 2 qubits")
-    eye = np.eye(2 ** len(support))
-
-    def q_of(theta):
-        return np.kron(_rot_local(loc, theta), _rot_local(loc, -theta))
-
-    if grid_angles is None:
-        grid_angles = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
-    grid_avg = sum(np.kron(q_of(t), q_of(t)) for t in grid_angles) \
-        / len(grid_angles)
-
-    # continuum: expand Q = c^2 B0 + i c s B1 - i c s B2 + s^2 B3 with
-    # B0 = I(x)I, B1 = I(x)A, B2 = A(x)I, B3 = A(x)A; half-angle moments
-    # E[c^4] = E[s^4] = 3/8, E[c^2 s^2] = 1/8, odd powers vanish.
-    basis = [np.kron(eye, eye), np.kron(eye, loc),
-             np.kron(loc, eye), np.kron(loc, loc)]
-    phase = {0: 1.0, 1: 1.0j, 2: -1.0j, 3: 1.0}
-    cs_deg = {0: 0, 1: 1, 2: 1, 3: 2}  # power of (c s); rest goes to c
-    mom = {(0, 0): 3 / 8, (0, 2): 1 / 8, (2, 0): 1 / 8, (2, 2): 3 / 8,
-           (1, 1): 1 / 8}
-
-    cont = np.zeros_like(grid_avg)
-    for u in range(4):
-        for v in range(4):
-            key = (cs_deg[u], cs_deg[v])
-            if key not in mom:
-                continue
-            cont += (phase[u] * phase[v]).real * mom[key] \
-                * np.kron(basis[u], basis[v])
-    return float(np.abs(grid_avg - cont).max())
-

@@ -20,10 +20,13 @@ SignedPauli) describes circuits, observables and their text form, builds the
 Clifford tables the batched walker looks up (:func:`clifford_table`, from
 :func:`multiply`), and carries ``engine.backprop_term``, the scalar walk the
 tests check the engine against.  It has no dense form: ``oracle.pauli_dense``
-is the one dense reference.  A handful of vectorized helpers on uint64 word
-arrays serve the one walk engine, the batched walker.  Both layers take their
-phases from the one formula, :func:`phase_exponent` (the batched walker
-tabulates it per qubit).
+is the one dense reference.  It also owns the local word index that every
+gate, channel and transfer-matrix table is indexed by
+(:meth:`PauliString.local_index`, :meth:`~PauliString.with_local`,
+:meth:`~PauliString.from_local`).  A handful of vectorized helpers on uint64
+word arrays serve the one walk engine, the batched walker, which reads the
+same index off its lane planes.  Both layers take their phases from the one
+formula, :func:`phase_exponent` (the batched walker tabulates it per qubit).
 """
 
 from __future__ import annotations
@@ -102,6 +105,11 @@ class PauliString:
             raise ValueError(f"bad Pauli text {text!r}") from None
         return cls.from_codes(codes)
 
+    @classmethod
+    def from_local(cls, idx: int, m: int) -> "PauliString":
+        """The m-qubit word with local index ``idx``."""
+        return cls.identity(m).with_local(range(m), idx)
+
     # -- views -------------------------------------------------------------
 
     @property
@@ -123,6 +131,26 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.to_text()
+
+    # -- local word indices ------------------------------------------------
+    #
+    # A word's codes on an ordered ``support`` pack little-endian into a
+    # local index, idx = sum_i code(support[i]) * 4^i: the index of the
+    # gate, channel and transfer-matrix tables.
+
+    def local_index(self, support) -> int:
+        """This word's local index on ``support``."""
+        return sum(self.code_at(q) << (2 * i) for i, q in enumerate(support))
+
+    def with_local(self, support, idx: int) -> "PauliString":
+        """This word with its codes on ``support`` set from local index
+        ``idx``; the other qubits keep theirs."""
+        x, z = self.x_bits, self.z_bits
+        for i, q in enumerate(support):
+            c = (idx >> (2 * i)) & 3
+            x = (x & ~(1 << q)) | (CODE_TO_X[c] << q)
+            z = (z & ~(1 << q)) | (CODE_TO_Z[c] << q)
+        return PauliString(self.n, x, z)
 
 
 @dataclass(frozen=True)
@@ -278,8 +306,7 @@ def _build_table(m: int, images: dict) -> tuple[np.ndarray, np.ndarray]:
     out_idx = np.zeros(size, dtype=np.int64)
     out_sign = np.zeros(size, dtype=np.int8)
     for idx in range(size):
-        codes = [(idx >> (2 * j)) & 3 for j in range(m)]
-        p = PauliString.from_codes(codes)
+        p = PauliString.from_local(idx, m)
         # image of i^{|x&z|} X^x Z^z, factor by factor
         acc = SignedPauli(PauliString.identity(m),
                           _popcount(p.x_bits & p.z_bits) % 4)
@@ -296,10 +323,7 @@ def _build_table(m: int, images: dict) -> tuple[np.ndarray, np.ndarray]:
                 acc = SignedPauli(prod.pauli,
                                   (acc.phase_q + img.phase_q + prod.phase_q) % 4)
         assert acc.phase_q % 2 == 0, "clifford image must stay Hermitian"
-        j_idx = 0
-        for j in range(m):
-            j_idx |= acc.pauli.code_at(j) << (2 * j)
-        out_idx[idx] = j_idx
+        out_idx[idx] = acc.pauli.local_index(range(m))
         out_sign[idx] = 1 if acc.phase_q == 0 else -1
     return out_idx, out_sign
 
@@ -313,10 +337,8 @@ for _kind, _imgs in _GEN_IMAGES_2Q.items():
 
 def clifford_table(kind: str, direction: str = "backward"
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(out_code_index, sign) arrays over local code indices.
-
-    Local index packs per-qubit codes little-endian: idx = sum_j code_j 4^j
-    with gate qubit 0 in the low bits.
+    """(out_code_index, sign) arrays over the local word indices on the
+    gate's qubits (:meth:`PauliString.local_index`, gate qubit 0 lowest).
     """
     if direction == "backward":
         kind = _INVERSE_KIND.get(kind, kind)
@@ -342,19 +364,10 @@ def conjugate_clifford(kind: str, qubits: tuple[int, ...], p: SignedPauli,
                          f" qubit(s), got {m}")
     if len(set(qubits)) != m:
         raise ValueError("repeated qubit")
-    ps = p.pauli
-    idx = 0
-    for i, q in enumerate(qubits):
-        idx |= ps.code_at(q) << (2 * i)
-    new_idx = int(out_idx[idx])
-    sign = int(out_sign[idx])
-    x, z = ps.x_bits, ps.z_bits
-    for i, q in enumerate(qubits):
-        c = (new_idx >> (2 * i)) & 3
-        x = (x & ~(1 << q)) | (CODE_TO_X[c] << q)
-        z = (z & ~(1 << q)) | (CODE_TO_Z[c] << q)
-    return SignedPauli(PauliString(ps.n, x, z),
-                       p.phase_q if sign == 1 else (p.phase_q + 2) % 4)
+    idx = p.pauli.local_index(qubits)
+    return SignedPauli(p.pauli.with_local(qubits, int(out_idx[idx])),
+                       p.phase_q if out_sign[idx] == 1
+                       else (p.phase_q + 2) % 4)
 
 
 # ---------------------------------------------------------------------------

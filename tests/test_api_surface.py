@@ -1,0 +1,45 @@
+"""Every public module-level function and class of the library has a caller.
+
+A public ``def`` or ``class`` in ``src/pqcdiag`` that nothing in ``src/``
+or ``bench/`` names outside its own definition is API that only tests
+reach, and tests alone are no reason to keep code.  A name counts as
+referenced when it appears as a whole word anywhere else in those files, a
+docstring included: ``engine.backprop_term`` stays because the engine and
+``paulis`` docstrings name it as the reference the batched walker is
+checked against.  What has no such mention is listed in ``ALLOWED``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "pqcdiag").glob("*.py"))
+SOURCES = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
+
+#: test-only names kept on purpose: the walker's exact theta source
+ALLOWED = {"MaterializedTheta"}
+
+
+def unreferenced() -> set:
+    """Public module-level defs and classes of the library that no line of
+    ``src/`` or ``bench/`` outside their own definition names."""
+    lines = {p: p.read_text(encoding="utf-8").splitlines() for p in SOURCES}
+    out = set()
+    for path in LIBRARY:
+        for node in ast.parse("\n".join(lines[path])).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            own = range(node.lineno - 1, node.end_lineno)
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(line)
+                       for p, text in lines.items()
+                       for i, line in enumerate(text)
+                       if p != path or i not in own):
+                out.add(node.name)
+    return out
+
+
+def test_public_names_have_a_library_or_bench_reference():
+    assert unreferenced() == ALLOWED

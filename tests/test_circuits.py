@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import axis, random_circuit, structurally_equal
+from pqcdiag import engine
 from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
                               make_raw_ptm)
 from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
@@ -157,6 +158,51 @@ class TestCircuitValidation:
         c, _, _ = random_circuit(2, 3, seed=0, channels=())
         with pytest.raises(ValueError):
             c.check_theta(ThetaAssignment.zeros(c.n_params + 1))
+
+
+class TestSchedule:
+    """``Circuit.schedule`` is the one definition of the order in which ops
+    and noise sites act."""
+
+    @staticmethod
+    def case(order):
+        ops = [Rotation(axis(2, "X", (0,)), 0), Clifford("cz", (0, 1)),
+               Rotation(axis(2, "ZZ", (0, 1)), 1)]
+        sites = {"a": NoiseSite(0, make_depolarizing(0.1, (0,)), (0, 0),
+                                "lambda"),
+                 "b": NoiseSite(0, make_amplitude_damping(0.2, (1,)), (0, 1),
+                                "gamma"),
+                 "last": NoiseSite(2, make_depolarizing(0.3, (1,)), (2, 0),
+                                   "lambda")}
+        return Circuit(2, ops, [sites[k] for k in order]), ops, sites
+
+    @pytest.mark.parametrize("order", [("last", "a", "b"), ("b", "last", "a")])
+    def test_ops_then_their_sites_in_list_order(self, order):
+        c, (r0, cz, r2), sites = self.case(order)
+        first = [sites[k] for k in order if k != "last"]
+        assert c.schedule() == (r0, *first, cz, r2, sites["last"])
+        assert c.schedule() is c.schedule()  # cached
+        # the k-th scheduled site is noise site k, the walker's RNG ordinal
+        assert [s for s in c.schedule() if isinstance(s, NoiseSite)] \
+            == c.noise_sites
+
+    def test_backward_program_is_the_forward_one_reversed(self):
+        c, _, sites = self.case(("b", "last", "a"))
+        fwd = engine._program(c, "forward")
+        bwd = engine._program(c, "backward")
+
+        def key(step):
+            return (type(step), step.mask, getattr(step, "ordinal", None),
+                    getattr(step, "channel", None))
+
+        assert [key(s) for s in bwd] == [key(s) for s in reversed(fwd)]
+        chans = [s for s in fwd if isinstance(s, engine._ChanStep)]
+        assert [s.ordinal for s in chans] == [0, 1, 2]
+        assert [s.channel for s in chans] \
+            == [sites[k].channel for k in ("b", "a", "last")]
+        assert all(s.tabs is s.channel.rows for s in chans)
+        assert all(s.tabs is s.channel.cols for s in bwd
+                   if isinstance(s, engine._ChanStep))
 
 
 class TestSerialization:

@@ -476,6 +476,40 @@ class TestBenchmarkPlanOracle:
                      "-o", str(tmp_path / "x")]) == 2
 
 
+class TestLibraryInputErrors:
+    """A ValueError the library raises is an input error: exit code 2, an
+    ``error:`` line on stderr, and no product or manifest written."""
+
+    @staticmethod
+    def gen_shared(tmp_path):
+        # two rotations driven by one parameter: no closed-form grid average
+        spec = {"format": 1, "n": 1,
+                "gates": [{"gate": "rx", "qubits": [0], "param": 0},
+                          {"gate": "rz", "qubits": [0], "param": 0}],
+                "noise": [], "observable": [{"coeff": 1.0, "pauli": "Z"}]}
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(spec))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["plan", "--epsilon", "2", "--delta", "0.1", "--pauli-l1", "1"],
+         "epsilon must lie in (0,1)"),
+        (["bottleneck", "{toy}", "--budget", "-1", "--n-theta", "8"],
+         "budget must be >= 0"),
+        (["oracle", "mse", "{shared}"], "parameter 0 appears 2 times"),
+    ], ids=["plan", "bottleneck", "oracle"])
+    def test_exit_2_and_nothing_written(self, tmp_path, capsys, argv,
+                                        message):
+        files = {"toy": gen_toy(tmp_path),
+                 "shared": self.gen_shared(tmp_path)}
+        out = tmp_path / "products" / "run"
+        assert main([a.format(**files) for a in argv]
+                    + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not list(tmp_path.glob("products/*"))
+
+
 class TestBottleneck:
     def test_products(self, tmp_path):
         circ = gen_toy(tmp_path)

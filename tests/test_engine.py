@@ -292,7 +292,7 @@ class TestBatchedWalker:
         w0 = axis(2, "ZZ", (0, 1))
         x0, z0 = engine.words_for_paulis([w0], 2)
         theta_b = engine.MaterializedTheta(th.values[None, :])
-        x1, z1, w1, _ = engine.run_forward_batch(c, x0, z0, theta_b)
+        x1, z1, w1 = engine.run_forward_batch(c, x0, z0, theta_b)
         v = engine.run_backward_batch(c, st, x1, z1, theta_b, w0=w1)
         from pqcdiag.paulis import trace_pauli_with_entries
         assert v[0] == pytest.approx(
@@ -464,8 +464,7 @@ def _trace_entries(circuit, trace, n_visited):
             break
         if isinstance(step, engine._ChanStep):
             sup = step.channel.support
-            s, tau = (engine._local_index(trace[k].pauli, sup)
-                      for k in (i, i + 1))
+            s, tau = (trace[k].pauli.local_index(sup) for k in (i, i + 1))
             entries[step.ordinal] = tau * 4 ** len(sup) + s
     return entries
 

@@ -426,11 +426,6 @@ class TestExpressibility:
         with pytest.raises(ValueError, match="epsilon/delta"):
             estimator(c, DiagnosticConfig(n_theta=4, n_sigma=4, **target))
 
-    def test_l1_bound_formula(self):
-        obs = observable_from_terms([(1.0, "Z")])
-        got = est.l1_expressibility_bound(0.5, obs)
-        assert got == pytest.approx(0.5 - 2.0 / 6.0)
-
 
 class TestExpectationSamples:
     def test_thread_split_invariance(self):

@@ -201,28 +201,69 @@ class TestSecondMoments:
             oracle.haar_2moment(6)
 
 
+def rotation_2design_check(axis, grid_angles=None) -> float:
+    """Max-entry gap between grid-averaged and continuum rotation 2-moments.
+
+    Compares (1/|grid|) sum_theta (R(theta) (x) R(-theta))^{(x)2} with the
+    analytic uniform-angle integral; the quarter-turn grid should match to
+    machine precision, coarser grids should not.
+    """
+    support, local = oracle._on_support(axis)
+    loc = oracle.pauli_dense(local)
+    eye = np.eye(2 ** len(support))
+
+    def q_of(theta):
+        return np.kron(oracle._rot_local(loc, theta),
+                       oracle._rot_local(loc, -theta))
+
+    if grid_angles is None:
+        grid_angles = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
+    grid_avg = sum(np.kron(q_of(t), q_of(t)) for t in grid_angles) \
+        / len(grid_angles)
+
+    # continuum: expand Q = c^2 B0 + i c s B1 - i c s B2 + s^2 B3 with
+    # B0 = I(x)I, B1 = I(x)A, B2 = A(x)I, B3 = A(x)A; half-angle moments
+    # E[c^4] = E[s^4] = 3/8, E[c^2 s^2] = 1/8, odd powers vanish.
+    basis = [np.kron(eye, eye), np.kron(eye, loc),
+             np.kron(loc, eye), np.kron(loc, loc)]
+    phase = {0: 1.0, 1: 1.0j, 2: -1.0j, 3: 1.0}
+    cs_deg = {0: 0, 1: 1, 2: 1, 3: 2}  # power of (c s); rest goes to c
+    mom = {(0, 0): 3 / 8, (0, 2): 1 / 8, (2, 0): 1 / 8, (2, 2): 3 / 8,
+           (1, 1): 1 / 8}
+
+    cont = np.zeros_like(grid_avg)
+    for u in range(4):
+        for v in range(4):
+            key = (cs_deg[u], cs_deg[v])
+            if key not in mom:
+                continue
+            cont += (phase[u] * phase[v]).real * mom[key] \
+                * np.kron(basis[u], basis[v])
+    return float(np.abs(grid_avg - cont).max())
+
+
 class TestRotationMoments:
     def test_quarter_grid_is_exact(self):
         for letters, qubits, n in (("X", (0,), 1), ("Y", (0,), 1),
                                    ("ZZ", (0, 1), 2), ("XY", (0, 1), 2)):
-            gap = oracle.rotation_2design_check(axis(n, letters, qubits))
+            gap = rotation_2design_check(axis(n, letters, qubits))
             assert gap < 1e-12
 
     def test_uniform_three_point_grid_also_exact(self):
         # second moments only hold frequencies up to 2, so any uniform grid
         # with N >= 3 integrates them exactly — not a special grid property
-        gap = oracle.rotation_2design_check(
+        gap = rotation_2design_check(
             axis(1, "X", (0,)), grid_angles=[0, 2 * np.pi / 3, 4 * np.pi / 3])
         assert gap < 1e-12
 
     def test_two_point_grid_fails(self):
         # {0, pi} aliases the frequency-2 component (cos 2theta -> 1)
-        gap = oracle.rotation_2design_check(axis(1, "X", (0,)),
-                                            grid_angles=[0, np.pi])
+        gap = rotation_2design_check(axis(1, "X", (0,)),
+                                     grid_angles=[0, np.pi])
         assert gap > 1e-3
 
     def test_nonuniform_grid_fails(self):
-        gap = oracle.rotation_2design_check(
+        gap = rotation_2design_check(
             axis(1, "Z", (0,)), grid_angles=[0, np.pi / 3, np.pi / 2])
         assert gap > 1e-3
 

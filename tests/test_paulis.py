@@ -76,6 +76,35 @@ class TestBasics:
     def test_dense_matches_convention(self, codes):
         assert np.allclose(pauli_dense(word(codes)), dense(codes))
 
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_local_index_round_trip(self, data):
+        # every support straddles qubit 64, where the masks pass a uint64
+        n = data.draw(st.integers(65, 140))
+        picks = [data.draw(st.integers(0, 63)),
+                 data.draw(st.integers(64, n - 1)),
+                 *data.draw(st.lists(st.integers(0, n - 1), max_size=1))]
+        support = data.draw(st.permutations(list(dict.fromkeys(picks))))
+        m = len(support)
+        full = (1 << n) - 1
+        p = PauliString(n, data.draw(st.integers(0, full)),
+                        data.draw(st.integers(0, full)))
+        idx = p.local_index(support)
+        assert [(idx >> 2 * i) & 3 for i in range(m)] \
+            == [p.code_at(q) for q in support]
+        assert p.with_local(support, idx) == p
+        new = data.draw(st.integers(0, 4 ** m - 1))
+        want = {q: (new >> 2 * i) & 3 for i, q in enumerate(support)}
+        moved = p.with_local(support, new)
+        assert [moved.code_at(q) for q in range(n)] \
+            == [want.get(q, p.code_at(q)) for q in range(n)]
+        assert moved.local_index(support) == new
+        local = PauliString.from_local(new, m)
+        assert local.n == m
+        assert [local.code_at(j) for j in range(m)] \
+            == [want[q] for q in support]
+        assert local.local_index(range(m)) == new
+
 
 class TestProducts:
     @given(codes_strategy.flatmap(
