@@ -35,7 +35,8 @@ from . import __version__
 from .channels import make_amplitude_damping, make_depolarizing
 from .circuits import (gen_grid_chip, gen_line_benchmark, gen_ring,
                        load_bundle, observable_from_terms, serialize)
-from .estimators import (bottleneck_first_plan, estimate_expressibility_hs,
+from .estimators import (bottleneck_first_plan, check_plan_limits,
+                         estimate_expressibility_hs,
                          estimate_expressibility_lower_bound,
                          estimate_gradient_variance, estimate_mse,
                          estimate_sensitivity_map, line_variance_benchmark,
@@ -353,6 +354,7 @@ def cmd_bottleneck(args) -> int:
     circuit, obs, state = _load_bundle_file(args.circuit)
     obs = _require_observable(obs, args.circuit)
     cfg = resolve_config(args)
+    check_plan_limits(args.target, args.budget)
     inputs = [args.circuit] + ([args.config] if args.config else [])
     run = RunWriter(args, inputs, cfg.seed, args.out)
     smap = estimate_sensitivity_map(circuit, obs, state, cfg)

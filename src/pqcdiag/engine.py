@@ -17,14 +17,27 @@ The walk state is bit-sliced (the Pauli-frame layout of Gidney's Stim,
 arXiv:2103.02202): each qubit has one row of x bits and one of z bits, and a
 sign row holds the rotations' sign flips; every row is a uint64 lane plane,
 bit i % 64 of word i // 64 belonging to lane i, with the padding bits of the
-last word always 0.  A grid rotation is then a few AND/XOR operations over
-B/64 words.  Clifford and channel steps unpack only their support rows to
-per-lane codes, look those up in their tables and pack the rows back.  The
-sign row is folded into the float weights once, at the end of the walk;
-negation is exact, so that is bit-identical to negating along the way.
-Callers see lane-major words, a (B, W) uint64 array per x and z with bit
-q % 64 of word q // 64 belonging to qubit q: walks convert at entry and
+last word always 0.  Clifford and channel steps unpack only their support
+rows to per-lane codes, look those up in their tables and pack the rows
+back.  Callers see lane-major words, a (B, W) uint64 array per x and z with
+bit q % 64 of word q // 64 belonging to qubit q: walks convert at entry and
 exit only.
+
+Rotations are walked a layer at a time, as Stim applies one instruction to
+all of its targets at once.  A compile pass (`_fuse`) groups the rotations
+of each cached walk program into layers on pairwise disjoint qubits, moving
+a rotation only across steps on other qubits and across rotations about
+commuting axes; channel and Clifford steps keep their order.  A layer step
+gathers its rotations' rows into (L, W) slabs and applies all L grid
+rotations in a few AND/XOR operations.  Its angles arrive as packed bit
+planes, two per rotation (`k_for`): the hashed source transposes each
+32-parameter block hash into 64 lane planes once, so a layer's angles are
+a row gather.  Grid rotations change no weight, and their sign flips XOR
+into the sign row, which is folded into the float weights once, at the end
+of the walk; negation is exact, so that is bit-identical to negating along
+the way, and the fused walk is bit-identical to walking one rotation at a
+time.  A batch whose every lane has died stops early; its words, and the
+sign of its zero weights, are then unspecified.
 
 Randomness is counter-based: the uniform that decides a channel's branch is
 a pure function of (seed, walk stream id, noise-site ordinal), so a walk's
@@ -50,7 +63,9 @@ moves no other site's draw.  Channels whose identity column is not e_I (a
 non-trace-preserving raw PTM) are always kept and widen the cone.  Forward
 walks run the full program: there the identity *row* matters, and it
 branches under amplitude damping.  The reference walk always runs the full
-program; it is what the cone is checked against.  A batch walks the joint
+unfused program; it is what the cone and the layers are checked against.
+The cone is cut from the unfused program and fused afterwards, so the cone,
+`cone_runs` and `cone_params` never see a layer.  A batch walks the joint
 cone of all of its lanes' words, so callers that walk several words put them
 in one batch only when that joint cone is barely longer than each word's own
 (`cone_runs`).
@@ -58,20 +73,21 @@ in one batch only when that joint cone is barely longer than each word's own
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .channels import adjoint_sample
 from .circuits import Circuit, FixedAngle, NoiseSite, Rotation, ThetaAssignment
 from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
-                     SignedPauli, backprop_rotation, clifford_table,
+                     SignedPauli, backprop_rotation, clifford_table, commutes,
                      conjugate_clifford, mask_to_words, n_words,
                      phase_exponent, popcount_words, trace_pauli_with_entries)
-from .rng import (DOMAIN_TAU, RngStream, block_angles, hash_words,
-                  theta_block, theta_keys, uniform_from_hash)
+from .rng import (DOMAIN_TAU, RngStream, hash_words, theta_block,
+                  theta_keys, uniform_from_hash)
 
 _LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -103,9 +119,11 @@ def _xor_form(by_code) -> tuple:
 
 
 #: [axis code] -> XOR forms of a rotation site's anticommutation bit and of
-#: bits 0 and 1 of its phase exponent
-_SITE_FORMS = [(_xor_form(_ATAB[a]), _xor_form(_QTAB[a] & 1),
-                _xor_form(_QTAB[a] >> 1)) for a in range(4)]
+#: bit 1 of its phase exponent.  Bit 0 of the exponent needs no form of its
+#: own: it is odd exactly where the word anticommutes with the axis there.
+_SITE_FORMS = [(_xor_form(_ATAB[a]), _xor_form(_QTAB[a] >> 1))
+               for a in range(4)]
+assert all(_SITE_FORMS[a][0] == _xor_form(_QTAB[a] & 1) for a in range(4))
 
 _I_POWS = np.array([1.0, 1.0j, -1.0, -1.0j])
 _CODE_BITS = np.array([CODE_TO_X, CODE_TO_Z], dtype=np.uint8)
@@ -142,6 +160,26 @@ class _RotStep:
     sites: list  # [(qubit, axis_code), ...] where the axis is not I
     mask: int  # qubits acted on, as a bit mask
     pinned = False  # never dropped from a light cone
+
+
+@dataclass(eq=False)
+class _RotLayer:
+    """Grid rotations on pairwise disjoint qubits, walked as one step.
+
+    Row r of every (L, ...) array below belongs to rotation r.  Each site
+    slot j lists the j-th site of every rotation: its qubits (L,) and the
+    XOR terms of its anticommutation bit and of bit 1 of its phase, as
+    (part, mask) pairs over the parts (x, z, x & z); a rotation with fewer
+    sites has mask 0 there.  ``flip_rows``/``flip_of`` are the plane rows
+    its axis flips and the rotation flipping each.
+    """
+    rots: list  # the program's _RotSteps, one per row
+    params: np.ndarray  # (P,) parameters of the parameterized rotations
+    param_at: np.ndarray  # (P,) their rows
+    fixed_k: np.ndarray  # (L, 2, 1) angle bits of the fixed rows, else 0
+    slots: list  # [(qubits, anti terms, phase-bit-1 terms), ...]
+    flip_rows: np.ndarray
+    flip_of: np.ndarray
 
 
 @dataclass(eq=False)
@@ -245,6 +283,126 @@ def _program(circuit: Circuit, direction: str, support: "int | None" = None
     return cache[key]
 
 
+def _mask_qubits(mask: int) -> list:
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
+
+
+def _fuse(prog: list, n: int, backward: bool) -> list:
+    """The walk program ``prog`` with its rotation steps grouped into
+    :class:`_RotLayer` steps; every other step stays as it is, and channel
+    and Clifford steps keep their order.
+
+    Layers are scheduled as early as possible in forward order, so a
+    backward program is fused reversed (as late as possible in walk order,
+    where each rotation follows its own noise site).  A rotation moves
+    earlier across any step on disjoint qubits that is not pinned, and
+    across rotations whose axes commute with its own (grid rotations about
+    commuting axes map words identically in either order); it joins the
+    earliest layer it reaches that shares none of its qubits, or else opens
+    a new layer at the end.  Every moved step acts on other qubits or
+    commutes, and channel weights are multiplied in the same order, so the
+    walk is bit-identical to the unfused one.
+    """
+    items: list = []  # steps, and lists of rotation steps (the layers)
+    layers: list = []  # positions of the layers in ``items``, increasing
+    # qubit -> [(position, rotation axis or None)] of the items acting on it,
+    # sorted; a qubit meets at most one item per position
+    on: dict = {}
+    fence = -1  # position of the last pinned step
+    for step in (prog[::-1] if backward else prog):
+        if not isinstance(step, _RotStep):
+            pos = len(items)
+            items.append(step)
+            for q in _mask_qubits(step.mask):
+                on.setdefault(q, []).append((pos, None))
+            if step.pinned:
+                fence = pos
+            continue
+        stop, shared = fence, set()
+        for q, _ in step.sites:
+            for pos, axis in reversed(on.get(q, ())):
+                if pos <= stop:
+                    break
+                if axis is None or not commutes(axis, step.axis):
+                    stop = pos
+                    break
+                shared.add(pos)
+        i = bisect.bisect_right(layers, stop)
+        while i < len(layers) and layers[i] in shared:
+            i += 1
+        if i == len(layers):
+            layers.append(len(items))
+            items.append([])
+        pos = layers[i]
+        items[pos].append(step)
+        for q, _ in step.sites:
+            bisect.insort(on.setdefault(q, []), (pos, step.axis))
+    fused = [_rot_layer(it, n) if isinstance(it, list) else it
+             for it in items]
+    return fused[::-1] if backward else fused
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_terms(codes: tuple) -> tuple:
+    """The XOR terms of a site slot whose rotations have axis ``codes``
+    there (0 for a rotation without that site): (anticommutation bit terms,
+    phase bit 1 terms), each a list of (part, mask) over the parts used by
+    some row, with mask None when every row uses it.  Shared between layers
+    and read only."""
+    def terms(form):
+        out = []
+        for t in range(3):
+            use = [_SITE_FORMS[a][form][t] for a in codes]
+            if any(use):
+                out.append((t, None if all(use) else
+                            np.where(use, _ALL, _NONE)[:, None]))
+        return out
+    return terms(0), terms(1)
+
+
+def _rot_layer(rots: list, n: int) -> _RotLayer:
+    """Compile rotations on pairwise disjoint qubits into one step."""
+    slots = []
+    for j in range(max(len(r.sites) for r in rots)):
+        sites = [r.sites[j] if j < len(r.sites) else (0, 0) for r in rots]
+        slots.append((np.array([q for q, _ in sites], dtype=np.intp),
+                      *_slot_terms(tuple(a for _, a in sites))))
+    flip_rows, flip_of = [], []
+    fixed_k = np.zeros((len(rots), 2, 1), dtype=_LANE)
+    for r, rot in enumerate(rots):
+        for q, a in rot.sites:
+            if a in (1, 2):  # the axis has X here
+                flip_rows.append(q)
+                flip_of.append(r)
+            if a in (2, 3):  # the axis has Z here
+                flip_rows.append(n + q)
+                flip_of.append(r)
+        if rot.param is None:
+            fixed_k[r, :, 0] = [_ALL if rot.fixed_k >> b & 1 else _NONE
+                                for b in (0, 1)]
+    at = [r for r, rot in enumerate(rots) if rot.param is not None]
+    return _RotLayer(rots,
+                     np.array([rots[r].param for r in at], dtype=np.int64),
+                     np.array(at, dtype=np.intp), fixed_k, slots,
+                     np.array(flip_rows, dtype=np.intp),
+                     np.array(flip_of, dtype=np.intp))
+
+
+def _fused_program(circuit: Circuit, direction: str,
+                   support: "int | None" = None) -> list:
+    """:func:`_program` with its rotations fused into layers (:func:`_fuse`),
+    cached beside it.  Only the batched walker walks it; the light cone,
+    ``cone_runs``, ``cone_params`` and the reference walk read the unfused
+    program."""
+    prog = _program(circuit, direction, support)
+    cache = circuit.__dict__["_walk_programs"]
+    key = ("fused", direction,
+           None if prog is cache[direction] else support)
+    if key not in cache:
+        cache[key] = _fuse(prog, circuit.n, direction == "backward")
+    return cache[key]
+
+
 def _support_mask(x, z) -> int:
     """Qubits on which any lane's word acts, as a bit mask."""
     words = np.bitwise_or.reduce(x | z, axis=0)
@@ -345,8 +503,10 @@ def backprop_term(circuit: Circuit, theta: ThetaAssignment, term: PauliString,
 
 
 # ---------------------------------------------------------------------------
-# theta sources for the batched walker: ``k_for(param)`` gives the (B,)
-# angle indices of one parameter, one per input lane
+# theta sources for the batched walker: ``k_for(params)`` gives the angle
+# planes of the (L,) parameters ``params``, an (L, 2, W) uint64 array of lane
+# planes over the input lanes: [r, 0] the low bit of parameter params[r]'s
+# grid angle index, [r, 1] its high bit
 # ---------------------------------------------------------------------------
 
 class MaterializedTheta:
@@ -355,8 +515,12 @@ class MaterializedTheta:
     def __init__(self, values: np.ndarray):
         self.values = np.ascontiguousarray(values, dtype=np.uint8)
 
-    def k_for(self, param: int) -> np.ndarray:
-        return self.values[:, param]
+    def k_for(self, params) -> np.ndarray:
+        k = self.values[:, params].T
+        return _pack(np.stack((k & 1, k >> 1), axis=1))
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
 
 
 class HashedTheta:
@@ -366,35 +530,77 @@ class HashedTheta:
     Regenerating angles on demand keeps memory flat for huge parameter
     counts; the same (seed, uid) always yields the same assignment, so outer
     samples are reproducible without storing them.  The uid part of the
-    hash is computed once, here (``rng.theta_keys``), and the hash of the
-    last 32-parameter block read is kept, so a walk that reads parameters
-    in block order pays one mix per 32 parameters and lane; each
-    ``k_for`` is then a shift-and-mask.  The cache belongs to this
-    instance, which estimators build per chunk.  ``shift_param``/``delta``
-    implement the quarter-turn parameter shift per lane (-1 = no shift).
+    hash is computed once, here (``rng.theta_keys``).  Each 32-parameter
+    block's hash (``rng.theta_block``, one uint64 per lane) becomes lane
+    planes in one bit-matrix transpose: rows 2p and 2p + 1 hold the low and
+    high bit of the block's parameter p.  The planes of the blocks read by
+    the last two ``k_for`` calls are kept, so a walk whose layers read
+    parameters in block order (each layer within two adjacent blocks) pays
+    one mix and one transpose per block; each ``k_for`` is then a row
+    gather.  The cache belongs to this instance, which estimators build per
+    chunk.  ``shift_param``/``shift_delta`` implement the quarter-turn
+    parameter shift per lane (-1 = no shift): +delta mod 4, added with a
+    2-bit carry to the planes of the shifted lanes.
     """
 
     def __init__(self, seed: int, uids: np.ndarray,
                  shift_param: "np.ndarray | None" = None,
                  shift_delta: "np.ndarray | None" = None):
         self.keys = theta_keys(seed, uids)
-        self._block = (None, None)  # (block index, its theta_block hash)
-        self.shift_param = None if shift_param is None else \
-            np.ascontiguousarray(shift_param, dtype=np.int64)
-        self.shift_delta = None if shift_delta is None else \
-            np.ascontiguousarray(shift_delta, dtype=np.int64)
+        self._planes: dict = {}  # block -> its planes, (32, 2, W)
+        self._last: list = []  # blocks of the previous k_for call
+        self._shift = None
+        if shift_param is not None:  # lanes sorted by the parameter shifted
+            shift_param = np.asarray(shift_param, dtype=np.int64)
+            order = np.argsort(shift_param, kind="stable")
+            self._shift = (order, shift_param[order],
+                           np.asarray(shift_delta, dtype=np.int64)[order] & 3)
 
-    def k_for(self, param: int) -> np.ndarray:
-        block, h = self._block
-        if block != param >> 5:
-            block = param >> 5
-            h = theta_block(self.keys, block)
-            self._block = (block, h)
-        k = block_angles(h, param)
-        if self.shift_param is not None:
-            k = ((k + np.where(self.shift_param == param,
-                               self.shift_delta, 0)) % 4).astype(np.uint8)
+    def k_for(self, params) -> np.ndarray:
+        """(L, 2, W) angle planes of the (L,) parameters ``params``: rows
+        gathered from their blocks' planes, then shifted."""
+        params = np.asarray(params, dtype=np.int64)
+        blocks, fields = params >> 5, params & 31
+        read = {}
+        width = (len(self) + 63) // 64
+        for block in set(blocks.tolist()):
+            planes = self._planes.get(block)
+            read[block] = _transpose_words(theta_block(
+                self.keys, block)).reshape(32, 2, width) \
+                if planes is None else planes
+        self._planes = {blk: self._planes[blk] for blk in self._last} | read
+        self._last = list(read)
+        if len(read) == 1:
+            (planes,) = read.values()
+            k = planes[fields]
+        else:
+            k = np.empty((params.size, 2, width), dtype=_LANE)
+            for block, planes in read.items():
+                at = blocks == block
+                k[at] = planes[fields[at]]
+        if self._shift is not None:
+            self._add_shift(k, params)
         return k
+
+    def _add_shift(self, k: np.ndarray, params: np.ndarray) -> None:
+        """k += delta (mod 4) on the lanes whose shift parameter is
+        params[r], row r by row r, in place."""
+        order, shifted, delta = self._shift
+        lo = np.searchsorted(shifted, params, "left")
+        count = np.searchsorted(shifted, params, "right") - lo
+        if not count.any():
+            return
+        row = np.repeat(np.arange(params.size), count)
+        at = np.repeat(lo - np.cumsum(count) + count, count) \
+            + np.arange(row.size)
+        lane = order[at]
+        d = np.zeros_like(k)
+        bit = np.left_shift(np.uint64(1), (lane & 63).astype(_LANE))
+        for b in (0, 1):
+            on = (delta[at] >> b & 1).astype(bool)
+            np.bitwise_or.at(d, (row[on], b, lane[on] >> 6), bit[on])
+        k[:, 1] ^= d[:, 1] ^ (k[:, 0] & d[:, 0])
+        k[:, 0] ^= d[:, 0]
 
     def __len__(self) -> int:
         return self.keys.shape[0]
@@ -403,14 +609,23 @@ class HashedTheta:
 class TiledTheta:
     """``reps`` copies of a theta source's lanes, one after the other: the
     angles of a walk that puts several words on each lane's assignment.
-    Each parameter's angles are drawn once and tiled."""
+    Each layer's angle planes are drawn once and tiled."""
 
     def __init__(self, theta, reps: int):
         self.theta = theta
         self.reps = reps
 
-    def k_for(self, param: int) -> np.ndarray:
-        return np.tile(self.theta.k_for(param), self.reps)
+    def k_for(self, params) -> np.ndarray:
+        k = self.theta.k_for(params)
+        b = len(self.theta)
+        if b % 64 == 0:
+            return np.tile(k, self.reps)
+        lanes = np.tile(np.arange(b), self.reps)
+        return _take_lanes(k.reshape(-1, k.shape[-1]), lanes).reshape(
+            *k.shape[:-1], -1)
+
+    def __len__(self) -> int:
+        return self.reps * len(self.theta)
 
 
 def codes_to_words(codes: np.ndarray):
@@ -475,6 +690,39 @@ def _transpose(words: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+#: (distance d, mask) of the six rounds of a 64x64 bit-matrix transpose:
+#: within each group of 2d rows, row i < d swaps its bits above the mask (the
+#: high d of every 2d) with the masked bits of row i + d
+_TRANSPOSE_ROUNDS = [(np.uint64(d), np.uint64(m)) for d, m in (
+    (32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333), (1, 0x5555555555555555))]
+
+
+def _transpose_words(words: np.ndarray) -> np.ndarray:
+    """(B,) uint64 words -> (64, ceil(B/64)) lane planes: row j holds bit j
+    of every word, bit i % 64 of word i // 64 for word i; padding bits are
+    0.  Each group of 64 words is a 64x64 bit matrix, transposed by six
+    rounds of masked swaps (Warren, Hacker's Delight, 2nd ed., section 7-3),
+    all groups at once: column g of the (64, groups) work array holds group
+    g's rows, so every round runs on contiguous rows."""
+    b = words.shape[0]
+    groups = (b + 63) // 64
+    m = np.zeros((groups, 64), dtype=_LANE)
+    m.reshape(-1)[:b] = words
+    m = np.ascontiguousarray(m.T)
+    for d, mask in _TRANSPOSE_ROUNDS:
+        pairs = m.reshape(32 // int(d), 2, int(d), groups)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        t = lo >> d
+        t ^= hi
+        t &= mask
+        hi ^= t
+        t <<= d
+        lo ^= t
+    return m
+
+
 def _take_lanes(planes: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Planes whose lane i is lane ``idx[i]`` of ``planes``, gathered a row
     at a time from the packed words; rows with no bit set stay zero."""
@@ -501,50 +749,69 @@ def _set_codes(planes: np.ndarray, rows: list, idx: np.ndarray) -> None:
     planes[rows] = _pack(_ROW_TABLES[len(rows) // 2][1][:, idx])
 
 
-def _rotate(planes: np.ndarray, n: int, step: _RotStep, k, b: int,
+def _rotate(planes: np.ndarray, n: int, layer: _RotLayer, k,
             backward: bool) -> None:
-    """Grid rotation on all lanes, as AND/XOR over lane planes.
+    """One layer of grid rotations on all lanes, as AND/XOR over (L, W)
+    slabs: row r of a slab belongs to the layer's rotation r.
 
-    ``k`` is a scalar or (B,) angle indices.  A lane whose word anticommutes
-    with the axis takes k; its 2-bit phase exponent q (summed per site from
-    _QTAB) plus k plus the direction's offset must stay even when k is odd,
-    then k odd flips the word by the axis, and k == 2 or an odd k with phase
-    2 negates the lane's sign.
+    ``k`` holds the layer's angle planes, (L, 2, W) or broadcast (L, 2, 1):
+    k[r, 0] the low bit of rotation r's angle index, k[r, 1] the high bit.  A
+    lane whose word anticommutes with rotation r's axis takes k there; its
+    2-bit phase exponent q (summed over the axis's sites from _QTAB) plus k
+    plus the direction's offset must stay even when k is odd, then k odd
+    flips the word by the axis, and k == 2 or an odd k with phase 2 negates
+    the lane's sign.  The layer's rotations act on disjoint qubits, so each
+    reads only rows no other one writes, and their sign flips XOR into the
+    sign row in any order.
     """
-    if np.ndim(k):
-        bits = np.empty((2, b), dtype=np.uint8)
-        np.bitwise_and(k, 1, out=bits[0], casting="unsafe")
-        np.bitwise_and(k, 2, out=bits[1], casting="unsafe")
-        k0, k1 = _pack(bits)
-    else:
-        k0, k1 = (_ALL if k & 1 else _NONE), (_ALL if k & 2 else _NONE)
-    anti = q0 = q1 = None
-    for q, a in step.sites:
-        x, z = planes[q], planes[n + q]
-        terms = (x, z, x & z)
-        site, v0, v1 = (reduce(np.bitwise_xor,
-                               [t for t, c in zip(terms, form) if c])
-                        for form in _SITE_FORMS[a])
+    anti = q1 = None
+    for qubits, anti_terms, v1_terms in layer.slots:
+        x, z = planes[qubits], planes[n + qubits]
+        parts = (x, z, x & z)
+        site, v1 = _xor_terms(parts, anti_terms), _xor_terms(parts, v1_terms)
         if anti is None:
-            anti, q0, q1 = site, v0, v1
-        else:  # 2-bit add of the site's exponent
+            anti, q1 = site, v1
+        else:  # 2-bit add of the site's exponent, whose bit 0 is ``site``
+            q1 = q1 ^ v1 ^ (anti & site)
             anti = anti ^ site
-            q1 = q1 ^ v1 ^ (q0 & v0)
-            q0 = q0 ^ v0
     # kk = k where the word anticommutes, else 0; ph = q + kk + offset
-    # (mod 4), whose bit 0 is q0 ^ kk0 and whose bit 1 takes the carry
-    kk0, kk1 = anti & k0, anti & k1
-    if np.any(kk0 & (q0 ^ kk0)):
+    # (mod 4), whose bit 0 is q0 ^ kk0 (q0 is ``anti``) and whose bit 1
+    # takes the carry
+    kk0, kk1 = anti & k[:, 0], anti & k[:, 1]
+    if np.any(kk0 & (anti ^ kk0)):
         raise AssertionError("imaginary phase escaped a grid rotation")
-    ph1 = q1 ^ kk1 ^ (q0 & kk0)
+    ph1 = q1 ^ kk1 ^ kk0
     if not backward:  # offset 2
         ph1 = ~ph1
-    planes[2 * n] ^= (kk1 & ~kk0) | (kk0 & ph1)
-    for q, a in step.sites:
-        if a in (1, 2):  # axis has X here
-            planes[q] ^= kk0
-        if a in (2, 3):  # axis has Z here
-            planes[n + q] ^= kk0
+    planes[2 * n] ^= np.bitwise_xor.reduce((kk1 & ~kk0) | (kk0 & ph1),
+                                           axis=0)
+    planes[layer.flip_rows] ^= kk0[layer.flip_of]
+
+
+def _xor_terms(parts, terms):
+    """XOR of the (L, W) slabs ``parts[t]``, each masked to the rows whose
+    form uses it (``mask`` None: every row)."""
+    out = None
+    for t, mask in terms:
+        v = parts[t] if mask is None else parts[t] & mask
+        out = v if out is None else out ^ v
+    return out
+
+
+def _angles(layer: _RotLayer, theta, origin, width: int) -> np.ndarray:
+    """The layer's (L, 2, W) angle planes, or (L, 2, 1) when every angle
+    is fixed; expanded exact-mode lanes read their input lane's angles."""
+    if not layer.params.size:
+        return layer.fixed_k
+    k = theta.k_for(layer.params)
+    if origin is not None:
+        k = _take_lanes(k.reshape(-1, k.shape[-1]), origin).reshape(
+            -1, 2, width)
+    if layer.params.size == len(layer.fixed_k):
+        return k
+    out = np.repeat(layer.fixed_k, width, axis=2)
+    out[layer.param_at] = k
+    return out
 
 
 def _terminal_values(x, z, w, state) -> np.ndarray:
@@ -585,6 +852,8 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     The walk state is bit-sliced: ``planes`` holds the x row of every qubit,
     then every z row, then the sign row, each a lane plane (see
     :func:`_transpose`).  Lane-major words exist only at entry and exit.
+    The walk follows the fused program (:func:`_fused_program`): one step
+    per layer of rotations, and per Clifford and channel.
     """
     n = circuit.n
     x0 = np.asarray(x0, dtype=np.uint64)
@@ -596,7 +865,7 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     if support >> n:
         raise ValueError(f"walk words act on qubits beyond the {n}-qubit "
                          "register")
-    prog = _program(circuit, direction, support)
+    prog = _fused_program(circuit, direction, support)
     backward = direction == "backward"
     b = x0.shape[0]
     planes = np.concatenate((_transpose(x0, n), _transpose(z0, n),
@@ -614,14 +883,9 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
         if collect_flags else None
 
     for step in prog:
-        if isinstance(step, _RotStep):
-            if step.param is None:
-                k = step.fixed_k
-            else:
-                k = theta.k_for(step.param)
-                if exact:  # expanded lanes read their input lane's angles
-                    k = k[origin]
-            _rotate(planes, n, step, k, b, backward)
+        if isinstance(step, _RotLayer):
+            _rotate(planes, n, step,
+                    _angles(step, theta, origin, planes.shape[1]), backward)
             continue
         col = _local_codes(planes, step.rows, b)
         if isinstance(step, _CliffStep):

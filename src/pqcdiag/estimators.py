@@ -419,6 +419,16 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
                           config=cfg.as_dict())
 
 
+def check_plan_limits(target: float, budget: int) -> None:
+    """Refuse (ValueError) a :func:`bottleneck_first_plan` budget below 0 or
+    a target strength outside [0, 1]; callers that estimate a map before
+    planning check first."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    if not 0.0 <= target <= 1.0:
+        raise ValueError("target strength must lie in [0, 1]")
+
+
 def bottleneck_first_plan(circuit: Circuit, obs: ObservableSum, state=None,
                           config: "DiagnosticConfig | None" = None, *,
                           target: float = 0.0, budget: int = 1,
@@ -437,10 +447,7 @@ def bottleneck_first_plan(circuit: Circuit, obs: ObservableSum, state=None,
     """
     t0 = time.perf_counter()
     _check_tracked(circuit)
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    if not 0.0 <= target <= 1.0:
-        raise ValueError("target strength must lie in [0, 1]")
+    check_plan_limits(target, budget)
     cfg = _effective_config(config, obs.pauli_l1)
     base = estimate_mse(circuit, obs, state, cfg)
     current = circuit

@@ -24,6 +24,16 @@ def axis(n, letters, qubits):
     return PauliString.from_codes(codes)
 
 
+def plane_angles(theta, params, lanes):
+    """(L, lanes) uint8 grid-angle indices a theta source's ``k_for`` gives
+    for the parameters ``params``, unpacked from its angle planes."""
+    k = theta.k_for(np.asarray(params, dtype=np.int64))
+    assert k.dtype == np.uint64 and k.shape == (len(params), 2,
+                                                (lanes + 63) // 64)
+    return engine._unpack(k[:, 0], lanes) \
+        | engine._unpack(k[:, 1], lanes) << 1
+
+
 def rx_dep_circuit(lam):
     """1-qubit R_X then depolarizing(lam); measure Z from |0>.
 

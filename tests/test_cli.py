@@ -558,6 +558,27 @@ class TestBottleneck:
         assert Path(out + ".hotspots.csv").read_text().split("\n", 1)[1] \
             == hot.to_csv()
 
+    @pytest.mark.parametrize("limits, message", [
+        (["--budget", "-1"], "budget must be >= 0"),
+        (["--budget", "1", "--target", "1.5"],
+         "target strength must lie in [0, 1]")])
+    def test_limits_are_checked_before_any_map(self, tmp_path, monkeypatch,
+                                               capsys, limits, message):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a map was estimated")
+
+        monkeypatch.setattr(cli, "estimate_sensitivity_map", counted)
+        monkeypatch.setattr(est, "estimate_sensitivity_map", counted)
+        out = tmp_path / "products" / "bn"
+        assert main(["bottleneck", gen_toy(tmp_path), *limits,
+                     "--n-theta", "1000000", "-o", str(out)]) == 2
+        assert calls == []
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "products").exists()
+
 
 def test_unknown_subcommand_exits_2(tmp_path):
     with pytest.raises(SystemExit) as e:

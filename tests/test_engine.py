@@ -1,26 +1,31 @@
 """Path walker: exactness without branching, unbiasedness with it, and
 bit-identity between the batched walker and the scalar reference walk."""
 
+import functools
 import math
+import operator
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (axis, exact_expectation, random_circuit, rotations_only,
-                      rx_dep_circuit)
-from pqcdiag import engine, estimators, oracle
+from conftest import (axis, exact_expectation, plane_angles, random_circuit,
+                      rotations_only, rx_dep_circuit)
+from pqcdiag import engine, estimators, oracle, rng
 from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
                               make_mmff, make_pauli_channel, make_raw_ptm,
                               make_thermal)
 from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
                               Rotation, SparseState, ThetaAssignment,
-                              gen_line_benchmark, observable_from_terms,
-                              zero_state)
-from pqcdiag.paulis import CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, PauliString
+                              gen_grid_chip, gen_line_benchmark,
+                              observable_from_terms, zero_state)
+from pqcdiag.paulis import (CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, PauliString,
+                            commutes)
 from pqcdiag.reports import DiagnosticConfig
-from pqcdiag.rng import RngStream, angle_indices, compose_stream_array
+from pqcdiag.rng import (RngStream, angle_indices, compose_stream_array,
+                         theta_block)
 
 
 def random_theta(circuit, seed):
@@ -305,7 +310,7 @@ class TestThetaContainers:
         ht = engine.HashedTheta(5, uids)
         want = angle_indices(5, uids, 7)
         for k in range(7):
-            assert np.array_equal(ht.k_for(k), want[:, k])
+            assert np.array_equal(plane_angles(ht, [k], 40)[0], want[:, k])
 
     def test_hashed_shift_is_quarter_turn(self):
         uids = np.arange(16, dtype=np.uint64)
@@ -313,8 +318,10 @@ class TestThetaContainers:
         shifted = engine.HashedTheta(
             7, uids, shift_param=np.full(16, 2, dtype=np.int64),
             shift_delta=np.full(16, 1, dtype=np.int64))
-        assert np.array_equal(shifted.k_for(1), base.k_for(1))
-        assert np.array_equal(shifted.k_for(2), (base.k_for(2) + 1) % 4)
+        assert np.array_equal(plane_angles(shifted, [1], 16),
+                              plane_angles(base, [1], 16))
+        assert np.array_equal(plane_angles(shifted, [2], 16),
+                              (plane_angles(base, [2], 16) + 1) % 4)
 
     def test_exact_mode_reads_any_theta_source(self):
         # expanded lanes read their input lane's angles: hashed and tiled
@@ -813,3 +820,292 @@ class TestConeRuns:
             for m in masks:
                 joint |= m
             assert 16 * steps(joint) <= 17 * min(steps(m) for m in masks)
+
+
+# ---------------------------------------------------------------------------
+# layer fusion: the batched walker walks each program with its rotations
+# grouped into layers on disjoint qubits, bit-identical to one rotation a step
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _layered_spec(draw):
+    """A layered circuit on at most 6 qubits, in the form :func:`_place`
+    takes: wide rotation layers whose parameters straddle a 32-parameter
+    block edge, parameters shared within a layer, fixed angles, overlapping
+    commuting XX (or YY, ZZ) chains, and channels and Cliffords between and
+    inside the layers."""
+    n = draw(st.integers(2, 6))
+    ops, sites = [], []
+    # parameters are numbered from 0: the ones below the first layer's
+    # drive single-qubit rotations before it
+    param = draw(st.sampled_from((0, 27, 29, 61)))
+    ops += [("rot", "Z", (p % n,), p) for p in range(param)]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("single", "chain", "random")))
+        if kind == "single":
+            layer = [(draw(st.sampled_from("XYZ")), (q,)) for q in range(n)]
+        elif kind == "chain":
+            pair = draw(st.sampled_from(("XX", "YY", "ZZ")))
+            layer = [(pair, (q, q + 1)) for q in range(n - 1)]
+        else:
+            layer = []
+            for _ in range(draw(st.integers(1, 3))):
+                nq = draw(st.integers(1, min(3, n)))
+                layer.append((draw(st.text("XYZ", min_size=nq, max_size=nq)),
+                              tuple(draw(st.permutations(range(n)))[:nq])))
+        used = []
+        for letters, qubits in layer:
+            pick = draw(st.integers(0, 5))
+            if pick == 0:
+                p = FixedAngle(draw(st.integers(0, 3)))
+            elif pick == 1 and used:  # shared within the layer
+                p = draw(st.sampled_from(used))
+            else:
+                p, param = param, param + 1
+                used.append(p)
+            ops.append(("rot", letters, qubits, p))
+            if draw(st.integers(0, 5)) == 0:
+                sites.append((len(ops) - 1, draw(_channel(n))))
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.booleans()):
+                kind = draw(st.sampled_from(CLIFFORD_1Q_KINDS
+                                            + CLIFFORD_2Q_KINDS))
+                nq = 1 if kind in CLIFFORD_1Q_KINDS else 2
+                ops.append(("cliff", kind,
+                            tuple(draw(st.permutations(range(n)))[:nq])))
+            else:
+                sites.append((len(ops) - 1, draw(_channel(n))))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        nq = draw(st.integers(1, 2))
+        terms.append((1.0, draw(st.text("XYZ", min_size=nq, max_size=nq)),
+                      tuple(draw(st.permutations(range(n)))[:nq])))
+    return (n, ops, sites, terms, draw(st.integers(0, 2 ** n - 1)),
+            np.zeros(param, dtype=np.uint8))
+
+
+def _unfused(prog, n, backward):
+    """The fusion pass as the identity: one rotation a layer, in order."""
+    return [engine._rot_layer([s], n) if isinstance(s, engine._RotStep)
+            else s for s in prog]
+
+
+def _assert_same_walk(got, want):
+    """Bit-identical walk outputs (x, z, w[, origin, flags]).  A batch whose
+    every lane died stops early, so only its weights (all zero) and flags
+    are defined then."""
+    for a, b in zip(got[3:], want[3:]):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    if not np.any(want[2]):
+        assert not np.any(got[2])
+        return
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _theta_sources(lanes, n_params, rnd):
+    """Fresh angle sources of ``lanes`` lanes: hashed, hashed with a
+    per-lane parameter shift, and twice a source of lanes // 2 lanes (the
+    walk then has lanes rounded down to even)."""
+    uids = np.arange(11, 11 + lanes, dtype=np.uint64)
+    shift = np.array([rnd.choice([-1, *range(n_params)])
+                      for _ in range(lanes)])
+    delta = np.array([rnd.choice((1, -1)) for _ in range(lanes)])
+    half = lanes // 2
+    return {"hashed": lambda: engine.HashedTheta(9, uids),
+            "shifted": lambda: engine.HashedTheta(9, uids, shift, delta),
+            "tiled": lambda: engine.TiledTheta(
+                engine.HashedTheta(9, uids[:half]), 2)}
+
+
+def _check_schedule(prog, fused):
+    """The fusion pass's rules on one program: every step once; channel and
+    Clifford steps in their order, as the same objects (so with their
+    ordinals); each layer on pairwise disjoint qubits; no step moved across
+    an overlapping or pinned one unless both are rotations with commuting
+    axes."""
+    at = {}
+    for i, step in enumerate(fused):
+        rots = step.rots if isinstance(step, engine._RotLayer) else [step]
+        if isinstance(step, engine._RotLayer):
+            masks = [r.mask for r in rots]
+            assert sum(masks) == functools.reduce(operator.or_, masks)
+        for r in rots:
+            assert id(r) not in at
+            at[id(r)] = i
+    assert sorted(at) == sorted(map(id, prog))
+    others = [s for s in prog if not isinstance(s, engine._RotStep)]
+    assert [s for s in fused if not isinstance(s, engine._RotLayer)] \
+        == others
+    for i, a in enumerate(prog):
+        for b in prog[i + 1:]:
+            if at[id(a)] < at[id(b)]:
+                continue
+            both = isinstance(a, engine._RotStep) \
+                and isinstance(b, engine._RotStep)
+            if a.mask & b.mask or a.pinned or b.pinned:
+                assert both and commutes(a.axis, b.axis) \
+                    and at[id(a)] > at[id(b)], (a, b)
+
+
+class TestFusion:
+    @settings(max_examples=40, deadline=None)
+    @given(_layered_spec(), st.sampled_from(sorted(_PAD_SLOTS)),
+           st.integers(2, 70), st.randoms())
+    def test_fused_walks_are_bit_identical(self, spec, n_reg, lanes, rnd):
+        slots = rnd.sample(_PAD_SLOTS[n_reg], spec[0])
+        sources = _theta_sources(lanes, len(spec[5]), rnd)
+        for args in ((spec,), (spec, n_reg, slots)):
+            fused, words, _ = _place(*args)
+            reference = _place(*args)[0]
+            for direction in ("backward", "forward"):
+                _check_schedule(engine._program(fused, direction),
+                                engine._fused_program(fused, direction))
+            for name, make in sources.items():
+                b = lanes - lanes % 2 if name == "tiled" else lanes
+                x0, z0 = engine.words_for_paulis(
+                    [words[i % len(words)][1] for i in range(b)], fused.n)
+                streams = np.arange(b, dtype=np.uint64) * np.uint64(7919)
+                walks = {}
+                for key, c in (("fused", fused), ("reference", reference)):
+                    with mock.patch.object(
+                            engine, "_fuse",
+                            _unfused if key == "reference" else engine._fuse):
+                        walks[key] = (
+                            engine._run_batch(c, "backward", x0, z0, make(),
+                                              seed=5, stream_ids=streams,
+                                              collect_flags=True),
+                            engine._run_batch(c, "backward", x0[:4], z0[:4],
+                                              make(), exact=True),
+                            engine.run_forward_batch(c, x0, z0, make(),
+                                                     seed=5,
+                                                     stream_ids=streams))
+                for got, want in zip(walks["fused"], walks["reference"]):
+                    _assert_same_walk(got, want)
+
+    def test_chain_fuses_into_three_layers_a_block(self):
+        c, obs, _ = gen_line_benchmark(8, 64)
+        for direction in ("backward", "forward"):
+            prog = engine._program(c, direction)
+            fused = engine._fused_program(c, direction)
+            assert (len(prog), len(fused)) == (960, 192)
+            assert all(isinstance(s, engine._RotLayer) for s in fused)
+        for _, w in obs.terms:
+            assert len(engine._fused_program(c, "backward",
+                                             w.x_bits | w.z_bits)) == 192
+        _check_schedule(engine._program(c, "backward")[:150],
+                        engine._fuse(engine._program(c, "backward")[:150],
+                                     c.n, True))
+
+    def test_chip_rotations_fuse_across_noise_sites(self):
+        chip = gen_grid_chip(3, 3, 2, "rzz", make_amplitude_damping(0.05))
+        backward = engine._program(chip, "backward",
+                                   axis(9, "Z", (4,)).z_bits)
+        fused = engine._fused_program(chip, "backward",
+                                      axis(9, "Z", (4,)).z_bits)
+        assert (len(engine._program(chip, "backward")),
+                len(engine._fused_program(chip, "backward"))) == (126, 82)
+        _check_schedule(backward, fused)
+        # forward, amplitude damping's identity row branches: every site is
+        # pinned, and no rotation crosses one
+        assert len(engine._fused_program(chip, "forward")) == 126
+
+    def test_walks_leave_the_unfused_programs_as_they_were(self):
+        # recorded before fusion existed: cone lengths, batching runs and
+        # cone parameters of the chain and the 3x3 amplitude-damping chip
+        line, obs, state = gen_line_benchmark(8, 64)
+        chip = gen_grid_chip(3, 3, 2, "rzz", make_amplitude_damping(0.05))
+        cases = [(line, [w for _, w in obs.terms], (958, 954), [[0, 1]],
+                  958),
+                 (chip, [axis(9, "Z", (q,)) for q in (4, 0, 8)],
+                  (78, 61, 42), [[0], [1], [2]], 44)]
+        for c, words, cones, runs, n_params in cases:
+            def snapshot():
+                return ([list(engine._program(c, d)) for d in
+                         ("backward", "forward")],
+                        [list(engine._program(c, "backward",
+                                              w.x_bits | w.z_bits))
+                         for w in words],
+                        engine.cone_runs(c, words, 4),
+                        engine.cone_params(c, words))
+            before = snapshot()
+            assert tuple(map(len, before[1])) == cones
+            assert before[2] == runs and len(before[3]) == n_params
+            x0, z0 = engine.words_for_paulis(words, c.n)
+            engine.run_backward_batch(
+                c, zero_state(c.n), x0, z0,
+                engine.HashedTheta(1, np.arange(len(words), dtype=np.uint64)),
+                stream_ids=np.arange(len(words), dtype=np.uint64))
+            assert snapshot() == before
+            assert not any(isinstance(s, engine._RotLayer)
+                           for prog in before[0] + before[1] for s in prog)
+
+
+class TestAnglePlanes:
+    #: read out of order, across the edges of blocks 0, 1 and 2, twice
+    PARAMS = np.array([30, 31, 32, 33, 63, 64, 0, 31, 65, 2])
+
+    def test_every_source_gives_the_grid_angles(self):
+        for lanes in (0, 1, 64, 100):
+            uids = np.arange(2 ** 33, 2 ** 33 + lanes, dtype=np.uint64)
+            want = rng.grid_angle(3, uids[None, :], self.PARAMS[:, None])
+            r = np.random.default_rng(lanes)
+            shift = r.choice(np.append(self.PARAMS, -1), size=lanes)
+            delta = r.choice((1, -1), size=lanes)
+            moved = (want + np.where(shift == self.PARAMS[:, None], delta,
+                                     0)) % 4
+            for params in (self.PARAMS, self.PARAMS[:3], [2 ** 40]):
+                plain = engine.HashedTheta(3, uids)
+                assert np.array_equal(
+                    plane_angles(plain, params, lanes),
+                    rng.grid_angle(3, uids[None, :],
+                                   np.asarray(params)[:, None]))
+            shifted = engine.HashedTheta(3, uids, shift, delta)
+            assert np.array_equal(plane_angles(shifted, self.PARAMS, lanes),
+                                  moved)
+            tiled = engine.TiledTheta(
+                engine.HashedTheta(3, uids, shift, delta), 3)
+            assert np.array_equal(
+                plane_angles(tiled, self.PARAMS, 3 * lanes),
+                np.tile(moved, 3))
+            values = rng.angle_indices(3, uids, 66)
+            assert np.array_equal(
+                plane_angles(engine.MaterializedTheta(values), self.PARAMS,
+                             lanes), want)
+
+    def test_exact_mode_gathers_planes_by_origin(self):
+        lanes = 70
+        uids = np.arange(lanes, dtype=np.uint64)
+        origin = np.sort(np.random.default_rng(2).integers(0, lanes, 201))
+        rots = [engine._RotStep(axis(4, "X", (q,)), p, k, [(q, 1)], 1 << q)
+                for q, (p, k) in enumerate([(31, 0), (None, 3), (32, 0),
+                                            (31, 0)])]
+        layer = engine._rot_layer(rots, 4)
+        k = engine._angles(layer, engine.HashedTheta(6, uids), origin,
+                           (origin.size + 63) // 64)
+        got = engine._unpack(k[:, 0], origin.size) \
+            | engine._unpack(k[:, 1], origin.size) << 1
+        want = rng.grid_angle(6, uids[None, origin],
+                              np.array([31, 0, 32, 31])[:, None])
+        want[1] = 3  # the fixed angle
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("b", [0, 1, 63, 64, 65, 16384])
+    def test_block_transpose_matches_transpose(self, b):
+        words = np.random.default_rng(b).integers(
+            0, 2 ** 64, size=b, dtype=np.uint64)
+        assert np.array_equal(engine._transpose_words(words),
+                              engine._transpose(words[:, None], 64))
+
+    def test_line_walk_hashes_each_block_once_a_chunk(self, monkeypatch):
+        # the chain's 960 parameters are 30 blocks; 16448 draws make two
+        # chunks, each with one HashedTheta
+        calls = []
+
+        def counted(keys, block):
+            calls.append((int(keys[0]), int(block)))
+            return theta_block(keys, block)
+
+        monkeypatch.setattr(engine, "theta_block", counted)
+        estimators.line_variance_benchmark(8, 64, 16448, seed=2)
+        assert len(set(calls)) == len(calls) == 2 * 30

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import plane_angles
 from pqcdiag import engine, rng
 
 u64 = st.integers(0, 2 ** 64 - 1)
@@ -177,11 +178,11 @@ def test_hashed_theta_lanes_use_the_angle_hash():
     tiled = engine.TiledTheta(engine.HashedTheta(4, uids, shift, delta), 3)
     for p in _READ_ORDER:
         base = rng.grid_angle(4, uids, p)
-        assert plain.k_for(p).dtype == np.uint8
-        assert np.array_equal(plain.k_for(p), base)
+        assert np.array_equal(plane_angles(plain, [p], 42)[0], base)
         moved = (base.astype(np.int64) + np.where(shift == p, delta, 0)) % 4
-        assert np.array_equal(shifted.k_for(p), moved)
-        assert np.array_equal(tiled.k_for(p), np.tile(moved, 3))
+        assert np.array_equal(plane_angles(shifted, [p], 42)[0], moved)
+        assert np.array_equal(plane_angles(tiled, [p], 126)[0],
+                              np.tile(moved, 3))
 
 
 def test_pauli_codes_full_and_zx():
