@@ -197,17 +197,24 @@ def make_depolarizing(lam: float, support=(0,)) -> PtmChannel:
     return PtmChannel(support, np.diag(diag), "depolarizing", {"lambda": lam})
 
 
-def make_amplitude_damping(gamma: float, support=(0,)) -> PtmChannel:
-    """Amplitude damping toward |0>, decay probability gamma."""
-    gamma = _check_unit("gamma", gamma)
-    c = math.sqrt(1.0 - gamma)
+def _relaxation_ptm(gamma: float, lam: float) -> np.ndarray:
+    """PTM of decay toward |0> with probability gamma plus extra dephasing
+    lam; the one home of amplitude damping (lam = 0) and thermal noise."""
+    c = math.sqrt(max(0.0, 1.0 - lam - gamma))
     ptm = np.zeros((4, 4))
     ptm[0, 0] = 1.0
     ptm[0, 3] = gamma       # identity row picks up gamma * Z (non-unital)
     ptm[1, 1] = c
     ptm[2, 2] = c
     ptm[3, 3] = 1.0 - gamma
-    return PtmChannel(support, ptm, "amplitude_damping", {"gamma": gamma})
+    return ptm
+
+
+def make_amplitude_damping(gamma: float, support=(0,)) -> PtmChannel:
+    """Amplitude damping toward |0>, decay probability gamma."""
+    gamma = _check_unit("gamma", gamma)
+    return PtmChannel(support, _relaxation_ptm(gamma, 0.0),
+                      "amplitude_damping", {"gamma": gamma})
 
 
 def make_thermal(gamma: float, lam: float, support=(0,)) -> PtmChannel:
@@ -220,14 +227,7 @@ def make_thermal(gamma: float, lam: float, support=(0,)) -> PtmChannel:
     lam = _check_unit("lambda", lam)
     if gamma + lam > 1.0 + _TOL:
         raise ValueError(f"need gamma + lambda <= 1, got {gamma + lam}")
-    c = math.sqrt(max(0.0, 1.0 - lam - gamma))
-    ptm = np.zeros((4, 4))
-    ptm[0, 0] = 1.0
-    ptm[0, 3] = gamma
-    ptm[1, 1] = c
-    ptm[2, 2] = c
-    ptm[3, 3] = 1.0 - gamma
-    return PtmChannel(support, ptm, "thermal",
+    return PtmChannel(support, _relaxation_ptm(gamma, lam), "thermal",
                       {"gamma": gamma, "lambda": lam})
 
 

@@ -437,6 +437,11 @@ def cmd_gen(args) -> int:
     if args.family in ("line", "ring") and args.n is None:
         raise CliError(f"gen {args.family} needs --n")
     if args.family == "line":
+        if args.noise != "none" or args.obs is not None \
+                or args.term is not None:
+            raise CliError("gen line is the noiseless chain with its own "
+                           "observable; --noise, --obs and --term do not "
+                           "apply")
         circuit, obs, state = gen_line_benchmark(args.n, args.p)
     else:
         noise = _parse_noise(args.noise)

@@ -21,7 +21,10 @@ last word always 0.  Clifford and channel steps unpack only their support
 rows to per-lane codes, look those up in their tables and pack the rows
 back.  Callers see lane-major words, a (B, W) uint64 array per x and z with
 bit q % 64 of word q // 64 belonging to qubit q: walks convert at entry and
-exit only.
+exit only.  One bit-matrix transpose (`_transpose`, six rounds of masked
+swaps on 64x64 blocks) does every such conversion: words to planes and
+back, block hashes to angle planes, and exact mode's lane expansion, a row
+gather between two transposes.
 
 Rotations are walked a layer at a time, as Stim applies one instruction to
 all of its targets at once.  A compile pass (`_fuse`) groups the rotations
@@ -92,7 +95,6 @@ from .rng import (DOMAIN_TAU, RngStream, hash_words, theta_block,
 _LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _NONE = np.uint64(0)
-_TILE_BITS = 1 << 20  # unpacked bits (bytes) in one tile of _transpose
 LANE_CAP = 1 << 22  # most lanes one exact-mode walk may expand into
 
 # per-site phase/anticommutation tables: entry [a, b] looks at axis code a
@@ -565,8 +567,8 @@ class HashedTheta:
         width = (len(self) + 63) // 64
         for block in set(blocks.tolist()):
             planes = self._planes.get(block)
-            read[block] = _transpose_words(theta_block(
-                self.keys, block)).reshape(32, 2, width) \
+            read[block] = _transpose(theta_block(
+                self.keys, block)[:, None], 64).reshape(32, 2, width) \
                 if planes is None else planes
         self._planes = {blk: self._planes[blk] for blk in self._last} | read
         self._last = list(read)
@@ -671,25 +673,6 @@ def _unpack(words: np.ndarray, count: int) -> np.ndarray:
                          bitorder="little")
 
 
-def _transpose(words: np.ndarray, count: int) -> np.ndarray:
-    """Bit-matrix transpose: (R, C) words holding ``count`` bits a row ->
-    (count, ceil(R/64)) words.  Lane-major walk words (a row per lane, a bit
-    per qubit) become per-qubit lane planes (a row per qubit, a bit per
-    lane), and back.  Done in tiles of at most ``_TILE_BITS`` bits, so the
-    unpacked temporaries stay small however many lanes a walk holds."""
-    rows = words.shape[0]
-    out = np.empty((count, (rows + 63) // 64), dtype=_LANE)
-    tc = max(64, min(count, _TILE_BITS // max(1, rows)) // 64 * 64)
-    tr = max(64, _TILE_BITS // tc // 64 * 64)
-    for r in range(0, rows, tr):
-        for c in range(0, count, tc):
-            bits = _unpack(words[r:r + tr, c // 64:(c + tc) // 64],
-                           min(tc, count - c))
-            out[c:c + tc, r // 64:(r + tr) // 64] = _pack(
-                np.ascontiguousarray(bits.T))
-    return out
-
-
 #: (distance d, mask) of the six rounds of a 64x64 bit-matrix transpose:
 #: within each group of 2d rows, row i < d swaps its bits above the mask (the
 #: high d of every 2d) with the masked bits of row i + d
@@ -699,20 +682,25 @@ _TRANSPOSE_ROUNDS = [(np.uint64(d), np.uint64(m)) for d, m in (
     (2, 0x3333333333333333), (1, 0x5555555555555555))]
 
 
-def _transpose_words(words: np.ndarray) -> np.ndarray:
-    """(B,) uint64 words -> (64, ceil(B/64)) lane planes: row j holds bit j
-    of every word, bit i % 64 of word i // 64 for word i; padding bits are
-    0.  Each group of 64 words is a 64x64 bit matrix, transposed by six
-    rounds of masked swaps (Warren, Hacker's Delight, 2nd ed., section 7-3),
-    all groups at once: column g of the (64, groups) work array holds group
-    g's rows, so every round runs on contiguous rows."""
-    b = words.shape[0]
-    groups = (b + 63) // 64
-    m = np.zeros((groups, 64), dtype=_LANE)
-    m.reshape(-1)[:b] = words
-    m = np.ascontiguousarray(m.T)
+def _transpose(words: np.ndarray, count: int) -> np.ndarray:
+    """Bit-matrix transpose: (R, C) words holding ``count`` bits a row ->
+    (count, ceil(R/64)) words, whose padding bits are 0.  Lane-major walk
+    words (a row per lane, a bit per qubit) become per-qubit lane planes (a
+    row per qubit, a bit per lane), and back; a (B, 1) column of block
+    hashes becomes 64 planes, one per hash bit.
+
+    Word c of each group of 64 rows is a 64x64 bit matrix, transposed by
+    six rounds of masked swaps (Warren, Hacker's Delight, 2nd ed., section
+    7-3), all at once: the (64, groups, C) work array holds row i of every
+    matrix in its row i, so each round runs on long contiguous rows."""
+    rows, c = words.shape
+    full, rest = divmod(rows, 64)
+    groups = full + (rest > 0)
+    m = np.zeros((64, groups, c), dtype=_LANE)
+    m[:, :full] = words[:64 * full].reshape(full, 64, c).swapaxes(0, 1)
+    m[:rest, full:] = words[64 * full:, None]
     for d, mask in _TRANSPOSE_ROUNDS:
-        pairs = m.reshape(32 // int(d), 2, int(d), groups)
+        pairs = m.reshape(32 // int(d), 2, int(d), -1)
         lo, hi = pairs[:, 0], pairs[:, 1]
         t = lo >> d
         t ^= hi
@@ -720,18 +708,14 @@ def _transpose_words(words: np.ndarray) -> np.ndarray:
         hi ^= t
         t <<= d
         lo ^= t
-    return m
+    return m.transpose(2, 0, 1).reshape(64 * c, groups)[:count]
 
 
 def _take_lanes(planes: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Planes whose lane i is lane ``idx[i]`` of ``planes``, gathered a row
-    at a time from the packed words; rows with no bit set stay zero."""
-    word, shift = idx >> 6, (idx & 63).astype(_LANE)
-    out = np.zeros((planes.shape[0], (idx.size + 63) // 64), dtype=_LANE)
-    for r in np.flatnonzero(planes.any(axis=1)):
-        out[r] = _pack(((planes[r, word] >> shift) & np.uint64(1))
-                       .astype(np.uint8))
-    return out
+    """Planes whose lane i is lane ``idx[i]`` of ``planes``: a row gather
+    between two transposes."""
+    lanes = _transpose(planes, 64 * planes.shape[1])
+    return _transpose(lanes[idx], planes.shape[0])
 
 
 def _local_codes(planes: np.ndarray, rows: list, b: int) -> np.ndarray:
@@ -847,13 +831,16 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     sampled matrix (the PTM backward, its transpose forward): s is the word
     the lane brought (the entry's input word), tau the word it left with
     (its output word).  A site outside the light cone records 0, the
-    identity entry.  None unless requested; per expanded lane in exact mode.
+    identity entry.  None unless requested.  An exact walk through branching
+    channels has no entry per input lane, so it refuses ``collect_flags``.
 
     The walk state is bit-sliced: ``planes`` holds the x row of every qubit,
-    then every z row, then the sign row, each a lane plane (see
-    :func:`_transpose`).  Lane-major words exist only at entry and exit.
-    The walk follows the fused program (:func:`_fused_program`): one step
-    per layer of rotations, and per Clifford and channel.
+    then every z row, then the sign row, each a lane plane.  Lane-major
+    words exist only at entry and exit, and one bit-matrix transpose
+    (:func:`_transpose`) converts both ways; exact mode's lane expansion is
+    a row gather between two of them (:func:`_take_lanes`).  The walk
+    follows the fused program (:func:`_fused_program`): one step per layer
+    of rotations, and per Clifford and channel.
     """
     n = circuit.n
     x0 = np.asarray(x0, dtype=np.uint64)
@@ -861,6 +848,9 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     if x0.shape[1:] != (n_words(n),) or z0.shape != x0.shape:
         raise ValueError(f"walk words must be (lanes, {n_words(n)}) arrays "
                          f"for {n} qubits, got {x0.shape} and {z0.shape}")
+    if collect_flags and exact and circuit.branching():
+        raise ValueError("site entries are per path; use sampled walks when "
+                         "channels branch")
     support = _support_mask(x0, z0)
     if support >> n:
         raise ValueError(f"walk words act on qubits beyond the {n}-qubit "
@@ -909,8 +899,6 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
                 - np.repeat(starts, counts)
             planes = _take_lanes(planes, rep)
             origin = origin[rep]
-            if flags is not None:
-                flags = flags[rep]
             col = col[rep]
             tau = tabs.tau[col, within]
             w = w[rep] * tabs.val[col, within]
@@ -958,9 +946,6 @@ def run_backward_batch(circuit: Circuit, state, x0, z0, theta, *,
     flags[i, j] the index into ``ptm.ravel()`` of the entry walk i used at
     noise site j (sampled mode only when channels branch; see _run_batch).
     """
-    if collect_flags and exact and circuit.branching():
-        raise ValueError("site entries are per path; use sampled walks when "
-                         "channels branch")
     x, z, w, origin, flags = _run_batch(
         circuit, "backward", x0, z0, theta, seed=seed, stream_ids=stream_ids,
         w0=w0, exact=exact, slot_offset=slot_offset,

@@ -148,9 +148,13 @@ def _report(quantity: str, t0: float, cfg: DiagnosticConfig, mean, stderr, *,
 
 
 def _effective_config(config, pauli_l1: float) -> DiagnosticConfig:
-    """Fill defaults and apply the accuracy planner when targets are set."""
+    """Fill defaults and apply the accuracy planner when targets are set.
+    The planner needs both, so a lone epsilon or delta is refused rather
+    than recorded and ignored."""
     cfg = config if config is not None else DiagnosticConfig()
-    if cfg.epsilon is not None and cfg.delta is not None:
+    if (cfg.epsilon is None) != (cfg.delta is None):
+        raise ValueError("the sample planner needs both epsilon and delta")
+    if cfg.epsilon is not None:
         n_theta, n_tau = plan_samples(cfg.epsilon, cfg.delta, pauli_l1)
         cfg = cfg.replaced(n_theta=n_theta, n_tau=n_tau)
     return cfg

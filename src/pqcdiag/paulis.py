@@ -35,11 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    _popcount = int.bit_count  # type: ignore[attr-defined]
-except AttributeError:  # python 3.10
-    def _popcount(v: int) -> int:
-        return bin(v).count("1")
+_popcount = int.bit_count
 
 
 # local single-qubit codes: 0=I, 1=X, 2=Y, 3=Z

@@ -104,14 +104,6 @@ def block_angles(h, param) -> np.ndarray:
     return k
 
 
-def angles_from_keys(keys, param) -> np.ndarray:
-    """Grid-angle indices of ``param`` (broadcast against ``keys``) from the
-    :func:`theta_keys` of their uids, as uint8: field ``param % 32`` of the
-    hash of block ``param // 32``."""
-    p = np.asarray(param, dtype=np.uint64)
-    return block_angles(theta_block(keys, p >> _U64(5)), p)
-
-
 def grid_angle(seed: int, uid, param) -> np.ndarray:
     """Grid-angle index k in {0,1,2,3} (theta_k = (pi/2)*k) of parameter
     ``param`` in outer sample ``uid``, as uint8.
@@ -125,7 +117,8 @@ def grid_angle(seed: int, uid, param) -> np.ndarray:
     :func:`block_angles` steps it is made of.  ``uid`` and ``param``
     broadcast against each other.
     """
-    return angles_from_keys(theta_keys(seed, uid), param)
+    p = np.asarray(param, dtype=np.uint64)
+    return block_angles(theta_block(theta_keys(seed, uid), p >> _U64(5)), p)
 
 
 def angle_indices(seed: int, outer_uid, n_params: int) -> np.ndarray:

@@ -65,8 +65,8 @@ class TestConstructors:
         assert c.flags["pcs1"]
 
     def test_thermal_limits(self):
-        assert np.allclose(ch.make_thermal(0.3, 0.0).ptm,
-                           ch.make_amplitude_damping(0.3).ptm)
+        assert np.array_equal(ch.make_thermal(0.3, 0.0).ptm,
+                              ch.make_amplitude_damping(0.3).ptm)
         with pytest.raises(ValueError):
             ch.make_thermal(0.7, 0.5)
 

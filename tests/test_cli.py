@@ -76,6 +76,16 @@ class TestGen:
         assert "blocks >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("flag", [["--noise", "amp:0.3"],
+                                      ["--obs", "XXXX"],
+                                      ["--term", "0.5:ZIII"]])
+    def test_line_refuses_noise_and_observable(self, tmp_path, flag, capsys):
+        # the chain is noiseless and carries its own observable
+        assert main(["gen", "line", "--n", "4", *flag,
+                     "-o", str(tmp_path / "line")]) == 2
+        assert "do not apply" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_bad_noise_spec(self, tmp_path):
         rc = main(["gen", "ring", "--n", "4", "--noise", "dep0.1",
                    "-o", str(tmp_path / "x")])
@@ -281,6 +291,16 @@ class TestDiagnose:
         circ = gen_toy(tmp_path)
         assert main(["diagnose", kind, circ, "--epsilon", "0.01",
                      "--delta", "0.1", "-o", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("target", [["--epsilon", "0.1"],
+                                        ["--delta", "0.1"]])
+    def test_lone_accuracy_target_is_validation_error(self, tmp_path, target,
+                                                      capsys):
+        circ = gen_toy(tmp_path)
+        assert main(["diagnose", "mse", circ, *target, "--n-theta", "50",
+                     "-o", str(tmp_path / "x")]) == 2
+        assert "both epsilon and delta" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_missing_observable(self, tmp_path):
         out_c = str(tmp_path / "noobs")

@@ -756,6 +756,16 @@ class TestLanePlanes:
             engine.run_backward_batch(c, state, x0, z0, theta,
                                       stream_ids=streams)
 
+    def test_exact_branching_walks_refuse_flags(self):
+        c, _, state, x0, z0, theta, _ = _plane_lanes(3, 4)
+        assert c.branching()
+        with pytest.raises(ValueError, match="per path"):
+            engine._run_batch(c, "backward", x0, z0, theta, exact=True,
+                              collect_flags=True)
+        with pytest.raises(ValueError, match="per path"):
+            engine.run_backward_batch(c, state, x0, z0, theta, exact=True,
+                                      collect_flags=True)
+
     @pytest.mark.parametrize("lanes", _LANE_COUNTS)
     def test_take_lanes_gathers_each_row(self, lanes):
         r = np.random.default_rng(lanes)
@@ -769,17 +779,18 @@ class TestLanePlanes:
         if idx.size % 64:  # the padding bits of the last word stay 0
             assert not np.any(got[:, -1] >> np.uint64(idx.size % 64))
 
-    @pytest.mark.parametrize("rows, count", [(1000, 130), (130, 1000),
-                                             (65, 4097), (0, 70)])
-    def test_transpose_in_tiles(self, rows, count, monkeypatch):
-        r = np.random.default_rng(rows + count)
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 1000])
+    def test_transpose_round_trip(self, rows, words):
+        r = np.random.default_rng(rows + 7 * words)
+        count = 64 * words - 5 * (rows % 2)  # a partial last word when odd
         bits = r.integers(0, 2, size=(rows, count), dtype=np.uint8)
-        words = engine._pack(bits)
-        want = engine._pack(np.ascontiguousarray(bits.T))
-        monkeypatch.setattr(engine, "_TILE_BITS", 1 << 12)
-        got = engine._transpose(words, count)
-        assert np.array_equal(got, want)
-        assert np.array_equal(engine._transpose(got, rows), words)
+        packed = engine._pack(bits)
+        kept = packed.copy()
+        got = engine._transpose(packed, count)
+        assert np.array_equal(packed, kept)  # the input is left as it was
+        assert np.array_equal(got, engine._pack(bits.T))
+        assert np.array_equal(engine._transpose(got, rows), packed)
 
 
 class TestConeRuns:
@@ -1089,13 +1100,6 @@ class TestAnglePlanes:
                               np.array([31, 0, 32, 31])[:, None])
         want[1] = 3  # the fixed angle
         assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("b", [0, 1, 63, 64, 65, 16384])
-    def test_block_transpose_matches_transpose(self, b):
-        words = np.random.default_rng(b).integers(
-            0, 2 ** 64, size=b, dtype=np.uint64)
-        assert np.array_equal(engine._transpose_words(words),
-                              engine._transpose(words[:, None], 64))
 
     def test_line_walk_hashes_each_block_once_a_chunk(self, monkeypatch):
         # the chain's 960 parameters are 30 blocks; 16448 draws make two

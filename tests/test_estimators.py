@@ -100,6 +100,14 @@ class TestMse:
         assert rep.n_theta == n_theta and rep.n_tau == n_tau
         assert rep.config["epsilon"] == 0.5
 
+    @pytest.mark.parametrize("target", [{"epsilon": 0.1}, {"delta": 0.1}])
+    def test_lone_accuracy_target_refused(self, target):
+        # the planner needs both; one alone would be recorded and ignored
+        c, obs, st = random_circuit(2, 4, seed=60)
+        with pytest.raises(ValueError, match="both epsilon and delta"):
+            est.estimate_mse(c, obs, st,
+                             DiagnosticConfig(n_theta=50, **target))
+
     def test_seed_reproducibility_and_seed_sensitivity(self):
         c, obs, st = random_circuit(2, 5, seed=64)
         a = est.estimate_mse(c, obs, st, DiagnosticConfig(n_theta=300, seed=5))

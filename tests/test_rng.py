@@ -124,13 +124,13 @@ def test_keyed_angles_are_the_angle_hash():
         for u in _EDGE_UIDS]
     for p in _EDGE_PARAMS:
         want = [_ref_angle(9, u, p) for u in _EDGE_UIDS]
-        got = rng.angles_from_keys(keys, p)
-        assert got.dtype == np.uint8 and [int(k) for k in got] == want
         block = rng.theta_block(keys, p >> 5)
         assert [int(h) for h in block] == [
             _splitmix64(int(k) ^ (p >> 5)) for k in keys]
-        assert np.array_equal(rng.block_angles(block, p), got)
-    assert int(rng.angles_from_keys(keys[2], 33)) == _ref_angle(9, 63, 33)
+        got = rng.block_angles(block, p)
+        assert got.dtype == np.uint8 and [int(k) for k in got] == want
+    assert int(rng.block_angles(rng.theta_block(keys[2], 1), 33)) \
+        == _ref_angle(9, 63, 33)
 
 
 #: chi-square critical values at a per-test level of 1e-3 / 111, the
