@@ -792,6 +792,18 @@ class TestLanePlanes:
         assert np.array_equal(got, engine._pack(bits.T))
         assert np.array_equal(engine._transpose(got, rows), packed)
 
+    @pytest.mark.parametrize("rows, count", [(1000, 130), (130, 1000),
+                                             (65, 4097), (0, 70)])
+    def test_transpose_in_tiles(self, rows, count):
+        # many 64x64 tiles a side, with a partial last word both ways
+        r = np.random.default_rng(rows + count)
+        bits = r.integers(0, 2, size=(rows, count), dtype=np.uint8)
+        words = engine._pack(bits)
+        want = engine._pack(np.ascontiguousarray(bits.T))
+        got = engine._transpose(words, count)
+        assert np.array_equal(got, want)
+        assert np.array_equal(engine._transpose(got, rows), words)
+
 
 class TestConeRuns:
     def test_terms_sharing_a_cone_share_a_run(self):
