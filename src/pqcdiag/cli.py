@@ -433,23 +433,43 @@ def _parse_terms(args, n: int):
     return observable_from_terms(terms, n=n)
 
 
+#: the options each ``gen`` family takes, with their defaults (None: none);
+#: the parser's defaults are all None, so an option given to a family that
+#: does not take it is refused rather than ignored and recorded
+_GEN_OPTIONS = {
+    "line": {"n": None, "p": 8},
+    "ring": {"n": None, "blocks": 1, "noise": "none", "noise_mode": "gate",
+             "obs": None, "term": None},
+    "chip": {"rows": 3, "cols": 3, "blocks": 1, "two_qubit": "rzz",
+             "noise": "none", "noise_mode": "gate", "obs": None,
+             "term": None},
+}
+
+
 def cmd_gen(args) -> int:
-    if args.family in ("line", "ring") and args.n is None:
+    takes = _GEN_OPTIONS[args.family]
+    stray = [f"--{key.replace('_', '-')}"
+             for key in dict.fromkeys(k for opts in _GEN_OPTIONS.values()
+                                      for k in opts)
+             if key not in takes and getattr(args, key) is not None]
+    if stray:
+        raise CliError(f"options that do not apply to gen {args.family}: "
+                       f"{', '.join(stray)}")
+    opt = {key: default if getattr(args, key) is None else getattr(args, key)
+           for key, default in takes.items()}
+    if args.family in ("line", "ring") and opt["n"] is None:
         raise CliError(f"gen {args.family} needs --n")
     if args.family == "line":
-        if args.noise != "none" or args.obs is not None \
-                or args.term is not None:
-            raise CliError("gen line is the noiseless chain with its own "
-                           "observable; --noise, --obs and --term do not "
-                           "apply")
-        circuit, obs, state = gen_line_benchmark(args.n, args.p)
+        circuit, obs, state = gen_line_benchmark(opt["n"], opt["p"])
     else:
-        noise = _parse_noise(args.noise)
+        noise = _parse_noise(opt["noise"])
         if args.family == "ring":
-            circuit = gen_ring(args.n, args.blocks, noise, args.noise_mode)
+            circuit = gen_ring(opt["n"], opt["blocks"], noise,
+                               opt["noise_mode"])
         else:
-            circuit = gen_grid_chip(args.rows, args.cols, args.blocks,
-                                    args.two_qubit, noise, args.noise_mode)
+            circuit = gen_grid_chip(opt["rows"], opt["cols"], opt["blocks"],
+                                    opt["two_qubit"], noise,
+                                    opt["noise_mode"])
         obs = _parse_terms(args, circuit.n)
         state = None
     run = RunWriter(args, [], None, args.out)
@@ -470,6 +490,9 @@ def _reconstruct(args, for_identity: bool) -> list:
     key, defaults included (a list value gives one flag per item).  The
     ``=`` form keeps values such as ``-1.0:IXXI`` attached to their flag, so
     ``build_parser().parse_args(tokens)`` gives back the run's arguments.
+
+    ``gen`` has no parser defaults (its families' defaults differ, see
+    ``_GEN_OPTIONS``), so only the options given are recorded for it.
 
     The manifest records the full command; the run identity instead drops
     everything that cannot change the numbers — the thread count, the output
@@ -599,19 +622,22 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="write a circuit bundle")
     g.add_argument("family", choices=["ring", "chip", "line"])
     g.add_argument("--n", type=int, help="qubits (ring, line)")
-    g.add_argument("--rows", type=int, default=3)
-    g.add_argument("--cols", type=int, default=3)
-    g.add_argument("--blocks", type=int, default=1)
-    g.add_argument("--p", type=int, default=8, help="blocks (line)")
-    g.add_argument("--two-qubit", dest="two_qubit", default="rzz",
-                   choices=["rzz", "cz"])
-    g.add_argument("--noise", default="none", help="dep:S, amp:S or none")
-    g.add_argument("--noise-mode", dest="noise_mode", default="gate",
-                   choices=["gate", "qubit"])
-    g.add_argument("--obs", help="single Pauli term, e.g. ZIIZ")
+    g.add_argument("--rows", type=int, help="grid rows (chip; default 3)")
+    g.add_argument("--cols", type=int, help="grid columns (chip; default 3)")
+    g.add_argument("--blocks", type=int, help="blocks (ring, chip; default 1)")
+    g.add_argument("--p", type=int, help="blocks (line; default 8)")
+    g.add_argument("--two-qubit", dest="two_qubit", choices=["rzz", "cz"],
+                   help="entangler (chip; default rzz)")
+    g.add_argument("--noise", help="dep:S, amp:S or none (ring, chip; "
+                                   "default none)")
+    g.add_argument("--noise-mode", dest="noise_mode",
+                   choices=["gate", "qubit"],
+                   help="noise per gate qubit or per qubit and layer (ring, "
+                        "chip; default gate)")
+    g.add_argument("--obs", help="single Pauli term, e.g. ZIIZ (ring, chip)")
     g.add_argument("--term", action="append",
                    help="COEFF:PAULIS, repeatable (overrides --obs); COEFF "
-                        "may be negative, e.g. --term -1.0:IXXI")
+                        "may be negative, e.g. --term -1.0:IXXI (ring, chip)")
     g.add_argument("-o", "--out", required=True)
     g.set_defaults(func=cmd_gen)
 

@@ -15,16 +15,23 @@ reference the batched walker is tested against bit for bit.
 
 The walk state is bit-sliced (the Pauli-frame layout of Gidney's Stim,
 arXiv:2103.02202): each qubit has one row of x bits and one of z bits, and a
-sign row holds the rotations' sign flips; every row is a uint64 lane plane,
-bit i % 64 of word i // 64 belonging to lane i, with the padding bits of the
-last word always 0.  Clifford and channel steps unpack only their support
-rows to per-lane codes, look those up in their tables and pack the rows
-back.  Callers see lane-major words, a (B, W) uint64 array per x and z with
-bit q % 64 of word q // 64 belonging to qubit q: walks convert at entry and
-exit only.  One bit-matrix transpose (`_transpose`, six rounds of masked
-swaps on 64x64 blocks) does every such conversion: words to planes and
-back, block hashes to angle planes, and exact mode's lane expansion, a row
-gather between two transposes.
+sign row holds the rotations' and Cliffords' sign flips; every row is a
+uint64 lane plane, bit i % 64 of word i // 64 belonging to lane i, with the
+padding bits of the last word always 0.  Clifford steps are AND/XOR work on
+their support rows: each output x and z row is a XOR of input rows (a
+Clifford is linear there), and the sign bit, a XOR of ANDs of those rows
+(the table's algebraic normal form), XORs into the sign row.  A diagonal
+channel step computes, from its rows, the bit planes of each lane's class
+among the channel's distinct diagonal entries, unpacks only those, and
+multiplies each weight by its class's entry.  Only branching channel steps
+(and site-entry collection) unpack support rows to per-lane codes, look
+those up in their tables and pack the rows back.  Callers see lane-major
+words, a (B, W) uint64 array per x and z with bit q % 64 of word q // 64
+belonging to qubit q: walks convert at entry and exit only.  One
+bit-matrix transpose (`_transpose`, six rounds of masked swaps on 64x64
+blocks) does every such conversion: words to planes and back, block hashes
+to angle planes, and exact mode's lane expansion, a row gather between two
+transposes.
 
 Rotations are walked a layer at a time, as Stim applies one instruction to
 all of its targets at once.  A compile pass (`_fuse`) groups the rotations
@@ -36,11 +43,12 @@ rotations in a few AND/XOR operations.  Its angles arrive as packed bit
 planes, two per rotation (`k_for`): the hashed source transposes each
 32-parameter block hash into 64 lane planes once, so a layer's angles are
 a row gather.  Grid rotations change no weight, and their sign flips XOR
-into the sign row, which is folded into the float weights once, at the end
-of the walk; negation is exact, so that is bit-identical to negating along
-the way, and the fused walk is bit-identical to walking one rotation at a
-time.  A batch whose every lane has died stops early; its words, and the
-sign of its zero weights, are then unspecified.
+into the sign row, as do Clifford signs; the row is folded into the float
+weights once, at the end of the walk.  Negation is exact, so that is
+bit-identical to negating along the way, and the fused walk is
+bit-identical to walking one rotation at a time.  A batch whose every lane
+has died stops early; its words, and the sign of its zero weights, are then
+unspecified.
 
 Randomness is counter-based: the uniform that decides a channel's branch is
 a pure function of (seed, walk stream id, noise-site ordinal), so a walk's
@@ -79,6 +87,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +159,114 @@ def _row_tables(m: int) -> tuple:
 _ROW_TABLES = {m: _row_tables(m) for m in (1, 2, 3)}
 
 
+def _anf(truth) -> list:
+    """The algebraic normal form of a boolean function of a step's plane
+    rows, given by its truth table over row-bit vectors (bit r of the index
+    is row r): the monomials XORed together, each a mask of ANDed rows."""
+    f = np.array(truth, dtype=bool)
+    for r in range(f.size.bit_length() - 1):  # Moebius transform
+        pairs = f.reshape(-1, 2, 1 << r)
+        pairs[:, 1] ^= pairs[:, 0]
+    return np.flatnonzero(f).tolist()
+
+
+@dataclass(frozen=True)
+class _Form:
+    """A boolean function of a step's plane rows, as a few AND/OR/XOR
+    operations on lane planes: the OR of the rows ``any_of`` when it is one;
+    else the AND of the rows ``common`` with the XOR of the monomials
+    ``terms`` (tuples of ANDed rows), complemented first when ``negate``.
+    ``common`` holds the rows every monomial of the algebraic normal form
+    shares, so CZ's sign bit x0 x1 z0 ^ x0 x1 z1 is (x0 & x1) & (z0 ^ z1).
+    A form has no constant term (it is 0 on the identity word), so its
+    value keeps a plane's padding bits 0."""
+    any_of: tuple
+    common: tuple
+    terms: tuple
+    negate: bool
+
+    @staticmethod
+    def of(truth) -> "_Form | None":
+        """The form of a truth table (see :func:`_anf`); None when it is
+        identically 0."""
+        truth = np.asarray(truth, dtype=bool)
+        monos = _anf(truth)
+        if not monos:
+            return None
+        assert not truth[0], "a form has no constant term"
+        union = functools.reduce(operator.or_, monos)
+        if np.array_equal(truth, np.arange(truth.size) & union != 0):
+            return _Form(tuple(_mask_qubits(union)), (), (), False)
+        common = functools.reduce(operator.and_, monos)
+        rest = [mono & ~common for mono in monos]
+        return _Form((), tuple(_mask_qubits(common)),
+                     tuple(tuple(_mask_qubits(r)) for r in rest if r),
+                     0 in rest)
+
+    def value(self, v) -> np.ndarray:
+        """The form's lane plane from the step's rows (row r is v[r])."""
+        if self.any_of:
+            return functools.reduce(np.bitwise_or,
+                                    [v[r] for r in self.any_of])
+        acc = None  # None stands for all ones until a term is seen
+        for t in self.terms:
+            mono = functools.reduce(np.bitwise_and, [v[r] for r in t])
+            acc = mono if acc is None else acc ^ mono
+        if self.negate and acc is not None:
+            acc = ~acc  # the common rows, never empty here, clear the padding
+        for r in self.common:
+            acc = v[r] if acc is None else acc & v[r]
+        return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _clifford_form(kind: str, direction: str) -> tuple:
+    """The table ``clifford_table(kind, direction)`` as work on the step's
+    plane rows: (updates, sign form, snapshot).  Every output x and z row is
+    a XOR of input rows; an update (j, copy, xors) sets row j to input row
+    ``copy`` when that is not None (else row j keeps its own input bits)
+    and XORs in the input rows ``xors``.  Rows that map to themselves have
+    no update.  The sign form gives the lanes the table negates.
+    ``snapshot`` says an update reads a row another one writes, so the
+    input rows must be copied first.  Shared between steps, read only."""
+    out_idx, sign = clifford_table(kind, direction)
+    to_local, bits = _ROW_TABLES[(out_idx.size.bit_length() - 1) // 2]
+    updates = []
+    for j, row in enumerate(bits[:, out_idx[to_local]]):
+        monos = _anf(row)
+        assert all(mono & (mono - 1) == 0 for mono in monos), "not linear"
+        srcs = [mono.bit_length() - 1 for mono in monos]
+        if srcs == [j]:
+            continue
+        if j in srcs:
+            updates.append((j, None, tuple(r for r in srcs if r != j)))
+        else:
+            updates.append((j, srcs[0], tuple(srcs[1:])))
+    written = {j for j, _, _ in updates}
+    snapshot = any(r in written for _, copy, xors in updates
+                   for r in (copy, *xors))
+    return tuple(updates), _Form.of(sign[to_local] < 0), snapshot
+
+
+@functools.lru_cache(maxsize=256)
+def _diag_form(diag: bytes) -> tuple:
+    """A diagonal PTM, given as its diagonal's float64 bytes, as (values,
+    class-bit forms): each lane's class indexes ``values``, the diagonal's
+    distinct entries (distinct bit patterns, so 0.0 and -0.0 differ) in
+    order of first appearance, and form k gives bit k of the class from
+    the step's plane rows.  The identity word is in class 0, so no form
+    has a constant term.  Shared between steps, read only."""
+    d = np.frombuffer(diag, dtype=np.float64)
+    classes: dict = {}  # bit pattern -> class
+    cls = np.array([classes.setdefault(key, len(classes))
+                    for key in d.view(np.uint64).tolist()])
+    values = np.array(list(classes), dtype=np.uint64).view(np.float64)
+    values.setflags(write=False)
+    to_local = _ROW_TABLES[(d.size.bit_length() - 1) // 2][0]
+    return values, tuple(_Form.of(cls[to_local] >> k & 1)
+                         for k in range((len(values) - 1).bit_length()))
+
+
 # ---------------------------------------------------------------------------
 # compiled walk programs
 # ---------------------------------------------------------------------------
@@ -186,10 +303,11 @@ class _RotLayer:
 
 @dataclass(eq=False)
 class _CliffStep:
+    """A Clifford gate, walked as AND/XOR work on its plane rows (the
+    shared :func:`_clifford_form` of its kind and direction)."""
     kind: str
     qubits: tuple
-    out_idx: np.ndarray
-    sign: np.ndarray
+    form: tuple  # _clifford_form(kind, direction)
     rows: list  # plane rows: the qubits' x rows, then their z rows
     mask: int
     pinned = False
@@ -200,6 +318,7 @@ class _ChanStep:
     ordinal: int  # global noise-site index, doubles as the RNG slot
     channel: object
     tabs: object  # the direction's branch tables: channel.cols or .rows
+    diag: "tuple | None"  # _diag_form of a diagonal channel, else None
     rows: list
     mask: int
     pinned: bool  # does not map the identity word to itself with weight 1
@@ -226,12 +345,16 @@ def _compile(circuit: Circuit, direction: str) -> list:
         raise ValueError(f"unknown direction {direction!r}")
     backward = direction == "backward"
     ordinals = itertools.count()  # the k-th scheduled site is noise site k
+    diags: dict = {}  # id of a PTM -> its _diag_form, for sites sharing it
     prog: list = []
     for item in circuit.schedule():
         if isinstance(item, NoiseSite):
             ch = item.channel
             tabs = ch.cols if backward else ch.rows
+            if ch.diagonal and id(ch.ptm) not in diags:
+                diags[id(ch.ptm)] = _diag_form(ch.ptm.diagonal().tobytes())
             prog.append(_ChanStep(next(ordinals), ch, tabs,
+                                  diags.get(id(ch.ptm)),
                                   _plane_rows(ch.support, circuit.n),
                                   _qubit_mask(ch.support), not tabs.stays[0]))
         elif isinstance(item, Rotation):
@@ -241,9 +364,8 @@ def _compile(circuit: Circuit, direction: str) -> list:
                                  _rot_sites(item.axis),
                                  item.axis.x_bits | item.axis.z_bits))
         else:
-            out_idx, sign = clifford_table(item.kind, direction)
-            prog.append(_CliffStep(item.kind, item.qubits, out_idx,
-                                   sign.astype(np.float64),
+            prog.append(_CliffStep(item.kind, item.qubits,
+                                   _clifford_form(item.kind, direction),
                                    _plane_rows(item.qubits, circuit.n),
                                    _qubit_mask(item.qubits)))
     return prog[::-1] if backward else prog
@@ -733,6 +855,34 @@ def _set_codes(planes: np.ndarray, rows: list, idx: np.ndarray) -> None:
     planes[rows] = _pack(_ROW_TABLES[len(rows) // 2][1][:, idx])
 
 
+def _clifford(planes: np.ndarray, n: int, step: _CliffStep) -> None:
+    """One Clifford step on all lanes: its sign form XORs into the sign
+    row, and its updates rewrite the x and z rows it moves."""
+    updates, sign, snapshot = step.form
+    v = planes[step.rows] if snapshot else [planes[r] for r in step.rows]
+    if sign is not None:
+        planes[2 * n] ^= sign.value(v)
+    for j, copy, xors in updates:
+        out = planes[step.rows[j]]
+        if copy is not None:
+            out[...] = v[copy]
+        for r in xors:
+            out ^= v[r]
+
+
+def _diag_factors(planes: np.ndarray, step: _ChanStep, b: int):
+    """Each lane's factor at a diagonal channel step: the diagonal entry of
+    the lane's class, read from the unpacked class-bit planes."""
+    values, forms = step.diag
+    if not forms:
+        return values[0]
+    v = [planes[r] for r in step.rows]
+    cls = _unpack(forms[0].value(v), b)
+    for k, form in enumerate(forms[1:], 1):
+        cls |= _unpack(form.value(v), b) << k
+    return values.take(cls)
+
+
 def _rotate(planes: np.ndarray, n: int, layer: _RotLayer, k,
             backward: bool) -> None:
     """One layer of grid rotations on all lanes, as AND/XOR over (L, W)
@@ -840,7 +990,10 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     (:func:`_transpose`) converts both ways; exact mode's lane expansion is
     a row gather between two of them (:func:`_take_lanes`).  The walk
     follows the fused program (:func:`_fused_program`): one step per layer
-    of rotations, and per Clifford and channel.
+    of rotations, and per Clifford and channel.  Rotation layers, Clifford
+    steps (:func:`_clifford`) and diagonal channel steps
+    (:func:`_diag_factors`) work on the planes; only branching channel
+    steps, and ``collect_flags``, unpack a step's rows to per-lane codes.
     """
     n = circuit.n
     x0 = np.asarray(x0, dtype=np.uint64)
@@ -877,14 +1030,14 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
             _rotate(planes, n, step,
                     _angles(step, theta, origin, planes.shape[1]), backward)
             continue
-        col = _local_codes(planes, step.rows, b)
         if isinstance(step, _CliffStep):
-            w *= step.sign[col]
-            _set_codes(planes, step.rows, step.out_idx[col])
+            _clifford(planes, n, step)
             continue
         ch, tabs = step.channel, step.tabs
+        col = None if ch.diagonal and flags is None \
+            else _local_codes(planes, step.rows, b)
         if ch.diagonal:
-            w *= np.diagonal(ch.ptm)[col]
+            w *= _diag_factors(planes, step, b)
             tau = col
         elif exact:
             counts = tabs.count[col]
@@ -925,7 +1078,7 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
                     _set_codes(planes, step.rows, tau)
         if flags is not None:
             flags[:, step.ordinal] = tau * len(ch.ptm) + col
-        if not np.any(w):
+        if not w.any():
             break
     # negation is exact, so folding the sign row in now is bit-identical to
     # negating each lane's weight at the rotation that flipped it

@@ -86,6 +86,28 @@ class TestGen:
         assert "do not apply" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, stray", [
+        (["line", "--n", "4", "--p", "2", "--blocks", "7",
+          "--two-qubit", "cz", "--noise-mode", "qubit"],
+         "--blocks, --noise-mode, --two-qubit"),
+        (["ring", "--n", "4", "--p", "9"], "--p"),
+        (["chip", "--n", "5"], "--n")])
+    def test_refuses_options_of_other_families(self, tmp_path, argv, stray,
+                                               capsys):
+        assert main(["gen", *argv, "-o", str(tmp_path / "x")]) == 2
+        assert f"do not apply to gen {argv[0]}: {stray}" \
+            in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_manifest_records_only_given_options(self, tmp_path):
+        out = str(tmp_path / "chip")
+        assert main(["gen", "chip", "--rows", "2", "--cols", "2",
+                     "-o", out]) == 0
+        assert read_json(out + ".manifest.json")["command"] \
+            == ["gen", "chip", "--cols=2", f"--out={out}", "--rows=2"]
+        circuit, _, _ = load_bundle(read_json(out + ".json"))
+        assert circuit.n == 4 and not circuit.noise_sites  # the defaults
+
     def test_bad_noise_spec(self, tmp_path):
         rc = main(["gen", "ring", "--n", "4", "--noise", "dep0.1",
                    "-o", str(tmp_path / "x")])

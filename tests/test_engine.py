@@ -21,8 +21,8 @@ from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
                               Rotation, SparseState, ThetaAssignment,
                               gen_grid_chip, gen_line_benchmark,
                               observable_from_terms, zero_state)
-from pqcdiag.paulis import (CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, PauliString,
-                            commutes)
+from pqcdiag.paulis import (CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, CODE_TO_X,
+                            CODE_TO_Z, PauliString, clifford_table, commutes)
 from pqcdiag.reports import DiagnosticConfig
 from pqcdiag.rng import (RngStream, angle_indices, compose_stream_array,
                          theta_block)
@@ -803,6 +803,114 @@ class TestLanePlanes:
         got = engine._transpose(words, count)
         assert np.array_equal(got, want)
         assert np.array_equal(engine._transpose(got, rows), words)
+
+
+#: a step's qubits on a 130-qubit register: either side of the 64-qubit word
+#: edge, the higher one first
+_STEP_QUBITS = {1: (64,), 2: (64, 63), 3: (64, 63, 129)}
+_STEP_N = 130
+
+#: diagonal channels; the Pauli channels' dyadic probabilities make the
+#: one-qubit diagonal exactly (1, 0.625, 0.625, 0.75)
+_DIAG_CHANNELS = {
+    "depolarizing": make_depolarizing(0.3, _STEP_QUBITS[1]),
+    "depolarizing_2q": make_depolarizing(0.2, _STEP_QUBITS[2]),
+    "pauli_three_values": make_pauli_channel(
+        {"I": 0.75, "X": 0.0625, "Y": 0.0625, "Z": 0.125}, _STEP_QUBITS[1]),
+    "pauli_2q": make_pauli_channel(
+        {"II": 0.7, "XZ": 0.1, "YY": 0.15, "ZI": 0.05}, _STEP_QUBITS[2]),
+    "mmff": make_mmff("II", _STEP_QUBITS[3]),
+    "raw_not_tp": make_raw_ptm(np.diag([0.9, -0.5, 0.5, 0.25]),
+                               _STEP_QUBITS[1]),
+    "raw_zeros": make_raw_ptm(np.diag([1.0, 0.0, -0.0, 0.4]),
+                              _STEP_QUBITS[1]),
+}
+
+
+def _set_local(bits, qubits, local):
+    """Write local word ``local[i]`` on ``qubits`` into lane i's bits."""
+    for i, q in enumerate(qubits):
+        code = local >> 2 * i & 3
+        bits[q] = np.take(CODE_TO_X, code)
+        bits[_STEP_N + q] = np.take(CODE_TO_Z, code)
+
+
+def _step_bits(qubits, seed):
+    """(2n + 1, lanes) plane bits, lane i carrying local word i % 4^m on
+    ``qubits`` and random bits on every other row (the sign row too), and
+    the lanes' local words; 20 rounds of every word plus 19 lanes leave a
+    partial last word."""
+    lanes = 20 * 4 ** len(qubits) + 19
+    bits = np.random.default_rng(seed).integers(
+        0, 2, size=(2 * _STEP_N + 1, lanes), dtype=np.uint8)
+    local = np.arange(lanes) % 4 ** len(qubits)
+    _set_local(bits, qubits, local)
+    return bits, local
+
+
+class TestPlaneSteps:
+    """Clifford and diagonal-channel steps on lane planes against their
+    tables, with every local word of the step's qubits in the lanes."""
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    @pytest.mark.parametrize("kind", CLIFFORD_1Q_KINDS + CLIFFORD_2Q_KINDS)
+    def test_clifford_step_is_its_table(self, kind, direction):
+        qubits = _STEP_QUBITS[1 if kind in CLIFFORD_1Q_KINDS else 2]
+        (step,) = engine._program(
+            Circuit(_STEP_N, [Clifford(kind, qubits)], []), direction)
+        bits, local = _step_bits(qubits, len(kind))
+        planes = engine._pack(bits)
+        engine._clifford(planes, _STEP_N, step)
+        out_idx, sign = clifford_table(kind, direction)
+        want = bits.copy()
+        _set_local(want, qubits, out_idx[local])
+        want[2 * _STEP_N] ^= (sign[local] < 0).astype(np.uint8)
+        assert np.array_equal(planes, engine._pack(want))  # padding too
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    @pytest.mark.parametrize("name", sorted(_DIAG_CHANNELS))
+    def test_diagonal_step_scales_by_the_diagonal(self, name, direction):
+        ch = _DIAG_CHANNELS[name]
+        c = Circuit(_STEP_N, [Rotation(axis(_STEP_N, "Z", (0,)), 0)],
+                    [NoiseSite(0, ch, (0, 0), None)])
+        (step,) = [s for s in engine._program(c, direction)
+                   if isinstance(s, engine._ChanStep)]
+        bits, local = _step_bits(ch.support, len(name))
+        planes = engine._pack(bits)
+        kept = planes.copy()
+        w = np.random.default_rng(len(name)).standard_normal(local.size)
+        got = w * engine._diag_factors(planes, step, local.size)
+        want = w * np.diagonal(ch.ptm)[local]
+        assert got.tobytes() == want.tobytes()  # -0.0 is not 0.0 here
+        assert np.array_equal(planes, kept)
+
+    def test_class_planes(self):
+        # depolarizing needs one class plane, x | z; the Pauli channel's
+        # three values need two
+        values, forms = engine._diag_form(
+            np.diagonal(_DIAG_CHANNELS["depolarizing"].ptm).tobytes())
+        assert values.tolist() == [1.0, 0.7] and len(forms) == 1
+        assert forms[0] == engine._Form((0, 1), (), (), False)
+        values, forms = engine._diag_form(
+            np.diagonal(_DIAG_CHANNELS["pauli_three_values"].ptm).tobytes())
+        assert values.tolist() == [1.0, 0.625, 0.75] and len(forms) == 2
+
+    def test_cz_sign_is_factored(self):
+        # rows x0, x1, z0, z1: z0 ^= x1, z1 ^= x0, and the sign
+        # x0 x1 z0 ^ x0 x1 z1 is (x0 & x1) & (z0 ^ z1)
+        updates, sign, snapshot = engine._clifford_form("cz", "backward")
+        assert updates == ((2, None, (1,)), (3, None, (0,)))
+        assert sign == engine._Form((), (0, 1), ((2,), (3,)), False)
+        assert not snapshot
+        assert engine._clifford_form("h", "forward")[2]  # x and z swap
+
+    def test_steps_share_their_forms(self):
+        c = gen_grid_chip(2, 2, 1, "cz", make_depolarizing(0.1))
+        prog = engine._program(c, "backward")
+        cliffs = [s for s in prog if isinstance(s, engine._CliffStep)]
+        chans = [s for s in prog if isinstance(s, engine._ChanStep)]
+        assert len({id(s.form) for s in cliffs}) == 1 < len(cliffs)
+        assert len({id(s.diag) for s in chans}) == 1 < len(chans)
 
 
 class TestConeRuns:

@@ -10,6 +10,8 @@ which draws 32 grid angles from one block hash and so moved every angle.
 ``expr_hs_branching`` was pinned later, on the engine that hashed every
 lane at every sampled channel step; it is the one case whose forward walks
 sample non-diagonal channels.
+The three ``_cz`` cases, the only ones that walk Clifford steps, were
+pinned on the engine that walked Cliffords through per-lane code tables.
 A change to the engine or the estimators that moves any
 float of any payload (reduction order, a dropped draw, a reordered hash)
 changes a digest here.  Performance work that claims to be exact must leave
@@ -128,6 +130,37 @@ def run_line(threads=1):
     return est.line_variance_benchmark(4, 3, 256, seed=17, threads=threads)
 
 
+def cz_chip():
+    # CZ entanglers: the walks cross Clifford steps, and X and Y words
+    # reach them through the R_Z layer, so the CZ tables flip signs
+    return gen_grid_chip(2, 3, 1, "cz", make_depolarizing(0.05))
+
+
+def xy_obs():
+    return observable_from_terms([(1.0, PauliString.from_text("XIIIII")),
+                                  (0.75, PauliString.from_text("IIIIIY"))])
+
+
+def run_mse_cz(threads=1):
+    return est.estimate_mse(cz_chip(), xy_obs(), None,
+                            DiagnosticConfig(n_theta=48, n_tau=2, seed=20,
+                                             threads=threads))
+
+
+def run_gradvar_cz(threads=1):
+    return est.estimate_gradient_variance(
+        cz_chip(), xy_obs(), None, param_k=1,
+        config=DiagnosticConfig(n_theta=32, n_tau=2, seed=21,
+                                threads=threads))
+
+
+def run_expr_hs_cz(threads=1):
+    # forward walks of random words through CZ steps
+    c = gen_grid_chip(2, 2, 1, "cz", make_depolarizing(0.05))
+    return est.estimate_expressibility_hs(
+        c, DiagnosticConfig(n_theta=24, n_sigma=8, seed=22, threads=threads))
+
+
 GOLDEN = {
     "mse": (run_mse,
             "6b1799257873f2b1e3dbc8240a823c60"
@@ -156,6 +189,15 @@ GOLDEN = {
     "line": (run_line,
              "2c986f9e0404f9b731f315d3d0476781"
              "798667678333ac588077416c25e4b735"),
+    "mse_cz": (run_mse_cz,
+               "5f81663b1d994c863ebea7d8a03357a7"
+               "18dd65dd3ef163a04f567de784a21b5d"),
+    "gradvar_cz": (run_gradvar_cz,
+                   "8b6704df97dac0d91740b11eec9c8a38"
+                   "8818a6ed7d8f4aa2d4a6ffd3906588af"),
+    "expr_hs_cz": (run_expr_hs_cz,
+                   "ba58f96ac6e581057675f2a6a70d1503"
+                   "ba1eb046ccb3e62c6ff35bdf7d8d809a"),
 }
 
 
