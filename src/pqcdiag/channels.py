@@ -55,7 +55,8 @@ class _BranchTables:
     column j lands on word ``tau[j, i]`` with probability |entry| / l1[j] and
     carries ``sign[j, i] * l1[j]``; ``val[j, i]`` keeps the raw signed entry
     for exact branch enumeration.  Zero columns get cdf rows that no uniform
-    in [0,1) can reach, sign/val 0 — a sampled visit weights the walk to 0.
+    in [0,1) can reach, sign/val 0 and tau 0 — a sampled visit weights the
+    walk to 0 and leaves it on the identity word.
 
     ``stays[j]`` marks a column that maps word j to itself with weight
     exactly 1.0 (one entry, ``tau[j, 0] == j``, ``sign * l1 == 1.0``): a
@@ -63,6 +64,15 @@ class _BranchTables:
     column with more than one entry, the only kind whose branch needs a
     uniform; every other column has a single entry (or none) and takes
     branch 0.
+
+    The batched walker does not read these tables lane by lane.  It turns
+    each one, once, into work on its lane planes (``engine._branch_form``):
+    the set of lanes at branching columns, the row bits a single-entry
+    column flips, and that entry's factor by class.  Only the lanes at
+    branching columns are looked up in flattened copies of ``cdf``,
+    ``sign * l1`` and ``tau``; exact enumeration reads ``count`` and
+    ``val`` per lane.  The forms are keyed by the matrix's bytes, so
+    channels with equal matrices share them.
     """
 
     def __init__(self, matrix: np.ndarray):

@@ -22,16 +22,20 @@ their support rows: each output x and z row is a XOR of input rows (a
 Clifford is linear there), and the sign bit, a XOR of ANDs of those rows
 (the table's algebraic normal form), XORs into the sign row.  A diagonal
 channel step computes, from its rows, the bit planes of each lane's class
-among the channel's distinct diagonal entries, unpacks only those, and
-multiplies each weight by its class's entry.  Only branching channel steps
-(and site-entry collection) unpack support rows to per-lane codes, look
-those up in their tables and pack the rows back.  Callers see lane-major
-words, a (B, W) uint64 array per x and z with bit q % 64 of word q // 64
-belonging to qubit q: walks convert at entry and exit only.  One
-bit-matrix transpose (`_transpose`, six rounds of masked swaps on 64x64
-blocks) does every such conversion: words to planes and back, block hashes
-to angle planes, and exact mode's lane expansion, a row gather between two
-transposes.
+among the channel's distinct diagonal entries and multiplies each weight
+by its class's entry.  A sampled branching channel step does the same for
+the lanes at columns with a single entry, and XORs in planes of the row
+bits that entry flips.  Only the lanes at columns with more than one entry
+become indices: their columns are read from the unpacked step rows, they
+draw their branches, and the bits of the words that moved are scattered
+back into the rows, as Stim XORs a sampled error into the frames it hits.
+Per-lane codes remain only in exact mode's branch expansion and in
+site-entry collection.  Callers see lane-major words, a (B, W) uint64
+array per x and z with bit q % 64 of word q // 64 belonging to qubit q:
+walks convert at entry and exit only.  One bit-matrix transpose
+(`_transpose`, six rounds of masked swaps on 64x64 blocks) does every such
+conversion: words to planes and back, block hashes to angle planes, and
+exact mode's lane expansion, a row gather between two transposes.
 
 Rotations are walked a layer at a time, as Stim applies one instruction to
 all of its targets at once.  A compile pass (`_fuse`) groups the rotations
@@ -92,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import adjoint_sample
+from .channels import _BranchTables, adjoint_sample
 from .circuits import Circuit, FixedAngle, NoiseSite, Rotation, ThetaAssignment
 from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
                      SignedPauli, backprop_rotation, clifford_table, commutes,
@@ -144,15 +148,15 @@ _CODE_MASKS = [np.uint8(sum(int(v) << c for c, v in enumerate(row)))
 
 
 def _row_tables(m: int) -> tuple:
-    """Local word indices on m qubits against their 2m plane-row bits (the
-    x rows, then the z rows): (row-bit index -> local index, (2m, 4^m) row
-    bits of each local index)."""
+    """Local word indices on m qubits against their row indices, the 2m-bit
+    vectors of their plane-row bits (bit r is row r: the x rows, then the z
+    rows): (row index -> local index, local index -> row index)."""
     local = np.arange(4 ** m)
     codes = (local >> (2 * np.arange(m)[:, None])) & 3
-    bits = _CODE_BITS[:, codes].reshape(2 * m, -1)
+    row_of = (1 << np.arange(2 * m)) @ _CODE_BITS[:, codes].reshape(2 * m, -1)
     to_local = np.empty(4 ** m, dtype=np.intp)
-    to_local[(1 << np.arange(2 * m)) @ bits] = local
-    return to_local, bits
+    to_local[row_of] = local
+    return to_local, row_of
 
 
 #: [m] -> _row_tables(m), for the 1..3 qubits a Clifford or channel acts on
@@ -230,10 +234,11 @@ def _clifford_form(kind: str, direction: str) -> tuple:
     ``snapshot`` says an update reads a row another one writes, so the
     input rows must be copied first.  Shared between steps, read only."""
     out_idx, sign = clifford_table(kind, direction)
-    to_local, bits = _ROW_TABLES[(out_idx.size.bit_length() - 1) // 2]
+    to_local, row_of = _ROW_TABLES[(out_idx.size.bit_length() - 1) // 2]
+    out = row_of[out_idx[to_local]]
     updates = []
-    for j, row in enumerate(bits[:, out_idx[to_local]]):
-        monos = _anf(row)
+    for j in range(out.size.bit_length() - 1):
+        monos = _anf(out >> j & 1)
         assert all(mono & (mono - 1) == 0 for mono in monos), "not linear"
         srcs = [mono.bit_length() - 1 for mono in monos]
         if srcs == [j]:
@@ -248,23 +253,110 @@ def _clifford_form(kind: str, direction: str) -> tuple:
     return tuple(updates), _Form.of(sign[to_local] < 0), snapshot
 
 
-@functools.lru_cache(maxsize=256)
-def _diag_form(diag: bytes) -> tuple:
-    """A diagonal PTM, given as its diagonal's float64 bytes, as (values,
-    class-bit forms): each lane's class indexes ``values``, the diagonal's
-    distinct entries (distinct bit patterns, so 0.0 and -0.0 differ) in
-    order of first appearance, and form k gives bit k of the class from
-    the step's plane rows.  The identity word is in class 0, so no form
-    has a constant term.  Shared between steps, read only."""
-    d = np.frombuffer(diag, dtype=np.float64)
+def _class_forms(factors: np.ndarray) -> tuple:
+    """Per-local-word float factors as (values, class-bit forms, byte
+    table): each lane's class indexes ``values``, the distinct factors
+    (distinct bit patterns, so 0.0 and -0.0 differ) in order of first
+    appearance, and form k gives bit k of the class from the step's plane
+    rows.  The identity word is in class 0, so no form has a constant term.
+    With one form, row y of the (256, 8) byte table holds the factors of
+    eight lanes whose class bits are the bits of y, so lanes are looked up
+    a byte at a time; it is None otherwise."""
     classes: dict = {}  # bit pattern -> class
-    cls = np.array([classes.setdefault(key, len(classes))
-                    for key in d.view(np.uint64).tolist()])
+    cls = np.array([classes.setdefault(key, len(classes)) for key in
+                    np.ascontiguousarray(factors).view(np.uint64).tolist()])
     values = np.array(list(classes), dtype=np.uint64).view(np.float64)
     values.setflags(write=False)
-    to_local = _ROW_TABLES[(d.size.bit_length() - 1) // 2][0]
-    return values, tuple(_Form.of(cls[to_local] >> k & 1)
-                         for k in range((len(values) - 1).bit_length()))
+    to_local = _ROW_TABLES[(factors.size.bit_length() - 1) // 2][0]
+    forms = tuple(_Form.of(cls[to_local] >> k & 1)
+                  for k in range((len(values) - 1).bit_length()))
+    by_byte = None
+    if len(forms) == 1:
+        by_byte = values[np.arange(256)[:, None] >> np.arange(8) & 1]
+        by_byte.setflags(write=False)
+    return values, forms, by_byte
+
+
+@functools.lru_cache(maxsize=256)
+def _diag_form(diag: bytes) -> tuple:
+    """A diagonal PTM, given as its diagonal's float64 bytes, as the class
+    forms of its diagonal (:func:`_class_forms`).  Shared between steps,
+    read only."""
+    return _class_forms(np.frombuffer(diag, dtype=np.float64))
+
+
+def _lane_form(truth) -> tuple:
+    """A set of lanes, given by a truth table over a step's row indices, as
+    (form, constant): the lanes of ``form`` (None: no lanes), complemented
+    when ``constant``, that is when the set holds the identity word.  A
+    form has no constant term, so a complemented one is ANDed with the live
+    lanes to keep the padding bits 0 (:func:`_lane_set`)."""
+    truth = np.asarray(truth, dtype=bool)
+    return _Form.of(truth ^ truth[0]), bool(truth[0])
+
+
+@dataclass(frozen=True, eq=False)
+class _BranchForm:
+    """The branch tables (``channels._BranchTables``) of one direction of a
+    channel as work on a sampled step's plane rows.  Lane sets are
+    :func:`_lane_form` pairs.
+
+    ``hot`` is the set of lanes at columns with more than one entry, the
+    only lanes that draw a uniform.  Every other lane takes its column's
+    single entry, or dies at an empty column, whose word becomes the
+    identity: ``moves`` pairs each row that entry changes with the set of
+    lanes whose bit there flips, and ``classes`` are the class forms
+    (:func:`_class_forms`) of its factor sign * l1, set to 1.0 at hot
+    columns (it is 1.0 at staying columns).
+
+    The hot lanes' tables are indexed by the lane's row index p (see
+    :func:`_row_tables`) and, flattened, by p * width + j for branch j:
+    ``cdf[k]`` is the cdf column k < width - 1 a uniform is compared with,
+    ``factor`` the branch's sign * l1 and ``move`` the XOR of p with the
+    row index of the branch's output word.  ``row_of`` maps local word
+    indices to row indices, for exact expansion.
+    """
+    hot: tuple
+    moves: tuple  # ((row, lane set), ...)
+    classes: tuple
+    width: int
+    cdf: np.ndarray  # (width - 1, 4^m)
+    factor: np.ndarray  # (4^m * width,)
+    move: np.ndarray  # (4^m * width,)
+    row_of: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)
+def _branch_form(matrix: bytes) -> _BranchForm:
+    """The branch tables of a square matrix whose columns a walk samples
+    (the PTM backward, its transpose forward), given as its float64 bytes,
+    as a :class:`_BranchForm`.  Keyed by content, like :func:`_diag_form`,
+    so circuits built afresh with the same channels share their forms;
+    shared between steps, read only."""
+    flat = np.frombuffer(matrix, dtype=np.float64)
+    d = round(flat.size ** 0.5)
+    tabs = _BranchTables(flat.reshape(d, d))
+    width = tabs.tau.shape[1]
+    to_local, row_of = _ROW_TABLES[(d.bit_length() - 1) // 2]
+    hot = tabs.branches
+    # a single-entry column's output word (an empty column's is 0) and the
+    # row bits that flip on the way there
+    flips = (row_of ^ row_of[np.where(hot, np.arange(d), tabs.tau[:, 0])]
+             )[to_local]
+    moves = []
+    for r in range(d.bit_length() - 1):
+        lanes = _lane_form(flips >> r & 1)
+        if lanes != (None, False):
+            moves.append((r, lanes))
+    cdf = np.ascontiguousarray(tabs.cdf[to_local, :-1].T)
+    factor = (tabs.sign * tabs.l1[:, None])[to_local].ravel()
+    move = (np.arange(d)[:, None] ^ row_of[tabs.tau[to_local]]).ravel()
+    for t in (cdf, factor, move):
+        t.setflags(write=False)
+    return _BranchForm(_lane_form(hot[to_local]), tuple(moves),
+                       _class_forms(np.where(hot, 1.0,
+                                             tabs.sign[:, 0] * tabs.l1)),
+                       width, cdf, factor, move, row_of)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +410,7 @@ class _ChanStep:
     ordinal: int  # global noise-site index, doubles as the RNG slot
     channel: object
     tabs: object  # the direction's branch tables: channel.cols or .rows
-    diag: "tuple | None"  # _diag_form of a diagonal channel, else None
+    form: object  # _diag_form of a diagonal channel, else its _branch_form
     rows: list
     mask: int
     pinned: bool  # does not map the identity word to itself with weight 1
@@ -345,16 +437,21 @@ def _compile(circuit: Circuit, direction: str) -> list:
         raise ValueError(f"unknown direction {direction!r}")
     backward = direction == "backward"
     ordinals = itertools.count()  # the k-th scheduled site is noise site k
-    diags: dict = {}  # id of a PTM -> its _diag_form, for sites sharing it
+    forms: dict = {}  # id of a PTM -> the step form of sites sharing it
     prog: list = []
     for item in circuit.schedule():
         if isinstance(item, NoiseSite):
             ch = item.channel
             tabs = ch.cols if backward else ch.rows
-            if ch.diagonal and id(ch.ptm) not in diags:
-                diags[id(ch.ptm)] = _diag_form(ch.ptm.diagonal().tobytes())
+            if id(ch.ptm) not in forms:
+                if ch.diagonal:
+                    form = _diag_form(ch.ptm.diagonal().tobytes())
+                else:  # the matrix whose columns the walk samples
+                    form = _branch_form(
+                        (ch.ptm if backward else ch.ptm.T).tobytes())
+                forms[id(ch.ptm)] = form
             prog.append(_ChanStep(next(ordinals), ch, tabs,
-                                  diags.get(id(ch.ptm)),
+                                  forms[id(ch.ptm)],
                                   _plane_rows(ch.support, circuit.n),
                                   _qubit_mask(ch.support), not tabs.stays[0]))
         elif isinstance(item, Rotation):
@@ -840,19 +937,30 @@ def _take_lanes(planes: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return _transpose(lanes[idx], planes.shape[0])
 
 
+def _row_index(v: np.ndarray, b: int) -> np.ndarray:
+    """Row index per lane (see :func:`_row_tables`) from a step's rows
+    ``v``, as (b,) uint8."""
+    bits = _unpack(v, b)
+    index = bits[0]
+    for r in range(1, len(bits)):
+        index |= bits[r] << r
+    return index
+
+
 def _local_codes(planes: np.ndarray, rows: list, b: int) -> np.ndarray:
     """Local word index per lane on a step's qubits (first qubit lowest),
     from their x and z plane rows."""
-    bits = _unpack(planes[rows], b).astype(np.intp)
-    index = bits[0]
-    for r in range(1, len(rows)):
-        index |= bits[r] << r
-    return _ROW_TABLES[len(rows) // 2][0][index]
+    return _ROW_TABLES[len(rows) // 2][0][_row_index(planes[rows], b)]
 
 
-def _set_codes(planes: np.ndarray, rows: list, idx: np.ndarray) -> None:
-    """Write per-lane local word indices back into the step's plane rows."""
-    planes[rows] = _pack(_ROW_TABLES[len(rows) // 2][1][:, idx])
+def _xor_lanes(planes: np.ndarray, rows: list, lanes: np.ndarray,
+               delta: np.ndarray) -> None:
+    """XOR bit r of ``delta[i]`` into plane row ``rows[r]`` at lane
+    ``lanes[i]``, for distinct lanes."""
+    bits = np.zeros((len(rows), 64 * planes.shape[1]), dtype=np.uint8)
+    for r in range(len(rows)):
+        bits[r, lanes] = delta >> r & 1
+    planes[rows] ^= np.packbits(bits, axis=-1, bitorder="little").view(_LANE)
 
 
 def _clifford(planes: np.ndarray, n: int, step: _CliffStep) -> None:
@@ -870,17 +978,86 @@ def _clifford(planes: np.ndarray, n: int, step: _CliffStep) -> None:
             out ^= v[r]
 
 
-def _diag_factors(planes: np.ndarray, step: _ChanStep, b: int):
-    """Each lane's factor at a diagonal channel step: the diagonal entry of
-    the lane's class, read from the unpacked class-bit planes."""
-    values, forms = step.diag
+def _class_factors(classes: tuple, v, b: int):
+    """Each of the ``b`` lanes' factor by class, from the class forms
+    ``classes`` (:func:`_class_forms`) and the step's rows ``v``: the one
+    value when there is one class; else the entry of ``values`` the class
+    bits select, read from the byte table when there is one class plane
+    and from the unpacked class planes otherwise."""
+    values, forms, by_byte = classes
     if not forms:
         return values[0]
-    v = [planes[r] for r in step.rows]
+    if by_byte is not None:
+        return by_byte.take(forms[0].value(v).view(np.uint8),
+                            axis=0).reshape(-1)[:b]
     cls = _unpack(forms[0].value(v), b)
     for k, form in enumerate(forms[1:], 1):
         cls |= _unpack(form.value(v), b) << k
     return values.take(cls)
+
+
+def _diag_factors(planes: np.ndarray, step: _ChanStep, b: int):
+    """Each lane's factor at a diagonal channel step: the diagonal entry of
+    the lane's class."""
+    return _class_factors(step.form, [planes[r] for r in step.rows], b)
+
+
+def _lane_set(lanes: tuple, v: np.ndarray, b: int):
+    """The lane plane of a :func:`_lane_form` set over ``b`` lanes, from a
+    step's rows ``v``; None when the set is empty."""
+    form, constant = lanes
+    out = None if form is None else form.value(v)
+    if constant:
+        live = np.full(v.shape[1], _ALL)
+        if b % 64:
+            live[-1] = _ALL >> np.uint64(64 - b % 64)
+        out = live if out is None else ~out & live
+    return out
+
+
+def _branch(planes: np.ndarray, step: _ChanStep, w: np.ndarray,
+            uniforms) -> None:
+    """One sampled branching channel step on all lanes, in place.
+
+    Lanes at columns with one entry (or none) take it: the step's ``moves``
+    planes XOR into the rows they change, and the entry's factor comes from
+    class planes.  Only the hot lanes, at columns with more than one
+    entry, become indices: ``uniforms(lanes, ordinal)`` gives their branch
+    uniforms at the step's noise site, and the branch is the number of the
+    column's cdf entries at or below the uniform, as in ``adjoint_sample``.
+    A column's last cdf entry is 1 + 1e-9 and its padding 2.0, both above
+    any uniform, so the last cdf column is never compared.  The hot lanes'
+    factors replace the class factor (1.0 there) in the full-lane factor
+    array, so every weight is multiplied once, by the same sign * l1 double
+    as in the reference walk; and the row bits of the hot lanes whose word
+    moved are XORed in by a scatter (:func:`_xor_lanes`).
+    """
+    f = step.form
+    b = w.size
+    v = planes[step.rows]  # a copy: the rows are written below
+    factors = _class_factors(f.classes, v, b)
+    if not f.classes[1]:
+        factors = None if factors == 1.0 else np.full(b, factors)
+    hot = _lane_set(f.hot, v, b)
+    lanes = () if hot is None else np.flatnonzero(_unpack(hot, b).view(bool))
+    if len(lanes):
+        p = _row_index(v, b)[lanes]
+        u = uniforms(lanes, step.ordinal)
+        at = p.astype(np.intp) * f.width
+        for col in f.cdf:
+            at += u >= col[p]
+        if factors is None:
+            w[lanes] *= f.factor[at]
+        else:
+            factors[lanes] = f.factor[at]
+        delta = f.move[at]
+        moved = delta != 0
+        if moved.any():
+            _xor_lanes(planes, step.rows, lanes[moved], delta[moved])
+    if factors is not None:
+        w *= factors
+    for r, lanes_r in f.moves:
+        planes[step.rows[r]] ^= _lane_set(lanes_r, v, b)
 
 
 def _rotate(planes: np.ndarray, n: int, layer: _RotLayer, k,
@@ -991,9 +1168,12 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     a row gather between two of them (:func:`_take_lanes`).  The walk
     follows the fused program (:func:`_fused_program`): one step per layer
     of rotations, and per Clifford and channel.  Rotation layers, Clifford
-    steps (:func:`_clifford`) and diagonal channel steps
-    (:func:`_diag_factors`) work on the planes; only branching channel
-    steps, and ``collect_flags``, unpack a step's rows to per-lane codes.
+    steps (:func:`_clifford`), diagonal channel steps
+    (:func:`_diag_factors`) and sampled branching channel steps
+    (:func:`_branch`) work on the planes; only exact mode's branch
+    expansion, and ``collect_flags``, unpack a step's rows to per-lane
+    codes (:func:`_local_codes`).  Expanded lanes' new words are XORed into
+    the rows by the branching step's scatter (:func:`_xor_lanes`).
     """
     n = circuit.n
     x0 = np.asarray(x0, dtype=np.uint64)
@@ -1025,6 +1205,11 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     flags = np.zeros((b, len(circuit.noise_sites)), dtype=np.int32) \
         if collect_flags else None
 
+    def uniforms(lanes, ordinal):
+        return uniform_from_hash(hash_words(
+            seed, DOMAIN_TAU, stream_ids[lanes],
+            np.uint64(slot_offset + ordinal)))
+
     for step in prog:
         if isinstance(step, _RotLayer):
             _rotate(planes, n, step,
@@ -1033,13 +1218,13 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
         if isinstance(step, _CliffStep):
             _clifford(planes, n, step)
             continue
-        ch, tabs = step.channel, step.tabs
-        col = None if ch.diagonal and flags is None \
-            else _local_codes(planes, step.rows, b)
+        ch = step.channel
+        col = None if flags is None else _local_codes(planes, step.rows, b)
         if ch.diagonal:
             w *= _diag_factors(planes, step, b)
-            tau = col
-        elif exact:
+        elif exact:  # every lane splits into all entries of its column
+            tabs, f = step.tabs, step.form
+            col = _local_codes(planes, step.rows, b)
             counts = tabs.count[col]
             total = int(counts.sum())
             if total > LANE_CAP:
@@ -1053,30 +1238,14 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
             planes = _take_lanes(planes, rep)
             origin = origin[rep]
             col = col[rep]
-            tau = tabs.tau[col, within]
             w = w[rep] * tabs.val[col, within]
             b = total
-            _set_codes(planes, step.rows, tau)
-        else:  # sampled: only lanes off a column that stays can change
-            tau = col.copy()
-            a = np.flatnonzero(~tabs.stays[col])
-            if a.size:
-                c = col[a]
-                jj = np.zeros(a.size, dtype=np.intp)
-                hot = np.flatnonzero(tabs.branches[c])
-                if hot.size:  # single-entry columns take branch 0 unhashed
-                    u = uniform_from_hash(hash_words(
-                        seed, DOMAIN_TAU, stream_ids[a[hot]],
-                        np.uint64(slot_offset + step.ordinal)))
-                    jj[hot] = np.minimum(
-                        (u[:, None] >= tabs.cdf[c[hot]]).sum(axis=1),
-                        tabs.cdf.shape[1] - 1)
-                w[a] *= tabs.sign[c, jj] * tabs.l1[c]
-                out = tabs.tau[c, jj]
-                tau[a] = out
-                if np.any(out != c):
-                    _set_codes(planes, step.rows, tau)
+            _xor_lanes(planes, step.rows, np.arange(b),
+                       f.move[f.row_of[col] * f.width + within])
+        else:
+            _branch(planes, step, w, uniforms)
         if flags is not None:
+            tau = col if ch.diagonal else _local_codes(planes, step.rows, b)
             flags[:, step.ordinal] = tau * len(ch.ptm) + col
         if not w.any():
             break

@@ -4,11 +4,12 @@ bit-identity between the batched walker and the scalar reference walk."""
 import functools
 import math
 import operator
+import random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (axis, exact_expectation, plane_angles, random_circuit,
@@ -835,17 +836,30 @@ def _set_local(bits, qubits, local):
         bits[_STEP_N + q] = np.take(CODE_TO_Z, code)
 
 
-def _step_bits(qubits, seed):
-    """(2n + 1, lanes) plane bits, lane i carrying local word i % 4^m on
-    ``qubits`` and random bits on every other row (the sign row too), and
-    the lanes' local words; 20 rounds of every word plus 19 lanes leave a
-    partial last word."""
-    lanes = 20 * 4 ** len(qubits) + 19
+def _lane_bits(qubits, local, seed):
+    """(2n + 1, lanes) plane bits, lane i carrying local word ``local[i]``
+    on ``qubits`` and random bits on every other row (the sign row too)."""
     bits = np.random.default_rng(seed).integers(
-        0, 2, size=(2 * _STEP_N + 1, lanes), dtype=np.uint8)
-    local = np.arange(lanes) % 4 ** len(qubits)
+        0, 2, size=(2 * _STEP_N + 1, len(local)), dtype=np.uint8)
     _set_local(bits, qubits, local)
-    return bits, local
+    return bits
+
+
+def _step_bits(qubits, seed):
+    """:func:`_lane_bits` with lane i carrying local word i % 4^m, and the
+    lanes' local words; 20 rounds of every word plus 19 lanes leave a
+    partial last word."""
+    local = np.arange(20 * 4 ** len(qubits) + 19) % 4 ** len(qubits)
+    return _lane_bits(qubits, local, seed), local
+
+
+def _chan_step(ch, direction):
+    """The channel step of a one-site circuit on the step register."""
+    c = Circuit(_STEP_N, [Rotation(axis(_STEP_N, "Z", (0,)), 0)],
+                [NoiseSite(0, ch, (0, 0), None)])
+    (step,) = [s for s in engine._program(c, direction)
+               if isinstance(s, engine._ChanStep)]
+    return step
 
 
 class TestPlaneSteps:
@@ -871,10 +885,7 @@ class TestPlaneSteps:
     @pytest.mark.parametrize("name", sorted(_DIAG_CHANNELS))
     def test_diagonal_step_scales_by_the_diagonal(self, name, direction):
         ch = _DIAG_CHANNELS[name]
-        c = Circuit(_STEP_N, [Rotation(axis(_STEP_N, "Z", (0,)), 0)],
-                    [NoiseSite(0, ch, (0, 0), None)])
-        (step,) = [s for s in engine._program(c, direction)
-                   if isinstance(s, engine._ChanStep)]
+        step = _chan_step(ch, direction)
         bits, local = _step_bits(ch.support, len(name))
         planes = engine._pack(bits)
         kept = planes.copy()
@@ -885,15 +896,18 @@ class TestPlaneSteps:
         assert np.array_equal(planes, kept)
 
     def test_class_planes(self):
-        # depolarizing needs one class plane, x | z; the Pauli channel's
-        # three values need two
-        values, forms = engine._diag_form(
+        # depolarizing needs one class plane, x | z, read a byte of lanes at
+        # a time; the Pauli channel's three values need two
+        values, forms, by_byte = engine._diag_form(
             np.diagonal(_DIAG_CHANNELS["depolarizing"].ptm).tobytes())
         assert values.tolist() == [1.0, 0.7] and len(forms) == 1
         assert forms[0] == engine._Form((0, 1), (), (), False)
-        values, forms = engine._diag_form(
+        assert by_byte[0b10000101].tolist() == [0.7, 1.0, 0.7] + [1.0] * 4 \
+            + [0.7]
+        values, forms, by_byte = engine._diag_form(
             np.diagonal(_DIAG_CHANNELS["pauli_three_values"].ptm).tobytes())
         assert values.tolist() == [1.0, 0.625, 0.75] and len(forms) == 2
+        assert by_byte is None
 
     def test_cz_sign_is_factored(self):
         # rows x0, x1, z0, z1: z0 ^= x1, z1 ^= x0, and the sign
@@ -910,7 +924,145 @@ class TestPlaneSteps:
         cliffs = [s for s in prog if isinstance(s, engine._CliffStep)]
         chans = [s for s in prog if isinstance(s, engine._ChanStep)]
         assert len({id(s.form) for s in cliffs}) == 1 < len(cliffs)
-        assert len({id(s.diag) for s in chans}) == 1 < len(chans)
+        assert len({id(s.form) for s in chans}) == 1 < len(chans)
+        c = gen_grid_chip(2, 2, 1, "rzz", make_amplitude_damping(0.1))
+        for direction in ("backward", "forward"):
+            chans = [s for s in engine._program(c, direction)
+                     if isinstance(s, engine._ChanStep)]
+            assert len({id(s.form) for s in chans}) == 1 < len(chans)
+
+
+def _raw_2q():
+    """A two-qubit PCS1 transfer matrix with negative entries: column j has
+    (j + 1) % 4 entries, so columns 3, 7, 11 and 15 are zero."""
+    r = np.random.default_rng(3)
+    ptm = np.zeros((16, 16))
+    for j in range(16):
+        rows = r.choice(16, size=(j + 1) % 4, replace=False)
+        ptm[rows, j] = r.choice((-0.25, 0.25, -0.125, 0.3), size=rows.size)
+    return ptm
+
+
+#: branching channels: one- to three-qubit, single-entry columns that move
+#: the word, zero columns, negative entries, and identity columns and rows
+#: that branch (amplitude damping forward) or move
+_BRANCH_CHANNELS = {
+    "amplitude_damping": make_amplitude_damping(0.3, _STEP_QUBITS[1]),
+    "thermal": make_thermal(0.2, 0.1, _STEP_QUBITS[1]),
+    "mmff": make_mmff("XZ", _STEP_QUBITS[3]),
+    "raw_2q_negative": make_raw_ptm(_raw_2q(), _STEP_QUBITS[2]),
+    "raw_zero_column": make_raw_ptm(
+        [[1, 0, 0, 0], [0, 0, 0.5, 0], [0, 0.25, -0.5, 0], [0, 0.5, 0, 0]],
+        _STEP_QUBITS[1]),
+    # backward the identity column is zero; forward the identity row moves
+    # the identity word to Z
+    "raw_identity_moves": make_raw_ptm(
+        [[0, 0, 0, -0.5], [0] * 4, [0] * 4, [0] * 4], _STEP_QUBITS[1]),
+    "raw_identity_branches": make_raw_ptm(
+        [[0.5, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0.75, 0], [-0.5, 0, 0, 0.25]],
+        _STEP_QUBITS[1]),
+}
+
+
+def _branch_reference(tabs, local, u, w):
+    """A sampled branching step lane by lane, from the branch tables: the
+    lanes' output words and weights, and the lanes that drew a uniform."""
+    out, w, drew = local.copy(), w.copy(), []
+    for i, c in enumerate(local):
+        if tabs.stays[c]:
+            continue
+        j = 0
+        if tabs.branches[c]:
+            drew.append(i)
+            j = min(int((u[i] >= tabs.cdf[c]).sum()), tabs.cdf.shape[1] - 1)
+        w[i] *= tabs.sign[c, j] * tabs.l1[c]
+        out[i] = tabs.tau[c, j]
+    return out, w, drew
+
+
+def _walk_branch(step, bits, u, w):
+    """Run the plane step on ``bits``: (planes, weights, the lane arrays
+    the step asked uniforms for)."""
+    planes, w, drew = engine._pack(bits), w.copy(), []
+
+    def uniforms(lanes, ordinal):
+        assert ordinal == step.ordinal
+        drew.append(lanes.tolist())
+        return u[lanes]
+    engine._branch(planes, step, w, uniforms)
+    return planes, w, drew
+
+
+class TestBranchSteps:
+    """Sampled branching channel steps on lane planes against a lane-by-lane
+    walk of their branch tables."""
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    @pytest.mark.parametrize("name", sorted(_BRANCH_CHANNELS))
+    def test_branch_step_is_its_table(self, name, direction):
+        ch = _BRANCH_CHANNELS[name]
+        step = _chan_step(ch, direction)
+        bits, local = _step_bits(ch.support, len(name))
+        r = np.random.default_rng(len(name))
+        u, w = r.random(local.size), r.standard_normal(local.size)
+        planes, got, drew = _walk_branch(step, bits, u, w)
+        out, want, want_drew = _branch_reference(step.tabs, local, u, w)
+        assert drew == ([want_drew] if want_drew else [])
+        assert got.tobytes() == want.tobytes()
+        _set_local(bits, ch.support, out)
+        assert np.array_equal(planes, engine._pack(bits))
+        assert local.size % 64 and not np.any(
+            planes[:, -1] >> np.uint64(local.size % 64))
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    @pytest.mark.parametrize("name", [
+        name for name, ch in sorted(_BRANCH_CHANNELS.items())
+        if ch.cols.branches.any() and ch.rows.branches.any()])
+    def test_branch_choice_at_boundary_uniforms(self, name, direction):
+        # the cdf column loop picks min((u >= cdf[c]).sum(), width - 1) at
+        # 0, 1 - 2^-53 and each cdf entry below 1 and the double under it,
+        # and a branch's factor is sign[c, j] * l1[c] byte for byte
+        ch = _BRANCH_CHANNELS[name]
+        step = _chan_step(ch, direction)
+        tabs, form = step.tabs, step.form
+        d, width = tabs.tau.shape
+        for c in range(d):
+            for j in range(width):
+                at = form.row_of[c] * width + j
+                assert form.factor[at].tobytes() \
+                    == (tabs.sign[c, j] * tabs.l1[c]).tobytes()
+        local, u = [], []
+        for c in np.flatnonzero(tabs.branches):
+            edges = tabs.cdf[c, :tabs.count[c]]
+            us = [x for x in (0.0, 1.0 - 2.0 ** -53, *edges,
+                              *np.nextafter(edges, 0.0)) if x < 1.0]
+            local += [c] * len(us)
+            u += us
+        local, u = np.array(local, dtype=np.intp), np.array(u)
+        planes, w, drew = _walk_branch(
+            step, _lane_bits(ch.support, local, d), u, np.ones(local.size))
+        assert drew == [list(range(local.size))]
+        j = np.minimum((u[:, None] >= tabs.cdf[local]).sum(axis=1),
+                       width - 1)
+        assert w.tobytes() == (tabs.sign[local, j]
+                               * tabs.l1[local]).tobytes()
+        want = _lane_bits(ch.support, tabs.tau[local, j], d)
+        assert np.array_equal(planes, engine._pack(want))
+
+    def test_forms_are_keyed_by_content(self):
+        # a channel built afresh with the same PTM shares its forms, and
+        # tables built after earlier ones are freed still get their own
+        forms = {}
+        for gamma in (0.36, 0.19, 0.51, 0.36):
+            ch = make_amplitude_damping(gamma)
+            for direction in ("backward", "forward"):
+                step = _chan_step(ch, direction)
+                assert step.form is forms.setdefault((gamma, direction),
+                                                     step.form)
+                damped = [math.sqrt(1 - gamma)] + \
+                    ([1 - gamma] if direction == "forward" else [])
+                assert step.form.classes[0].tolist() == [1.0, *damped]
+        assert len({id(f) for f in forms.values()}) == 6
 
 
 class TestConeRuns:
@@ -1079,10 +1231,20 @@ def _check_schedule(prog, fused):
                     and at[id(a)] > at[id(b)], (a, b)
 
 
+#: a layered spec whose channel's identity column is zero and whose
+#: identity row moves the identity word to Z: its forward walk's plane step
+#: ANDs a constant-term form with the live lanes
+_IDENTITY_MOVES_SPEC = (
+    4, [("rot", "XX", (q, q + 1), q) for q in range(3)],
+    [(0, make_raw_ptm([[0, 0, 0, -0.5], [0] * 4, [0] * 4, [0] * 4], (0,)))],
+    [(1.0, "Z", (1,))], 0, np.zeros(3, dtype=np.uint8))
+
+
 class TestFusion:
     @settings(max_examples=40, deadline=None)
     @given(_layered_spec(), st.sampled_from(sorted(_PAD_SLOTS)),
            st.integers(2, 70), st.randoms())
+    @example(_IDENTITY_MOVES_SPEC, 70, 2, random.Random(0))
     def test_fused_walks_are_bit_identical(self, spec, n_reg, lanes, rnd):
         slots = rnd.sample(_PAD_SLOTS[n_reg], spec[0])
         sources = _theta_sources(lanes, len(spec[5]), rnd)
