@@ -15,9 +15,10 @@ function of (seed, outer uid) and a walk's branch decisions are a pure
 function of (seed, outer uid, inner replicate, term).  Work is split into
 fixed-size chunks whose boundaries do not depend on the worker count, and
 chunk partials are reduced in chunk order with compensated summation, so a
-run's output is byte-identical for any ``threads`` setting.  That outer loop
-has one home, :func:`_drive`, and every :class:`EstimateReport` is built by
-:func:`_report`.
+run's output is byte-identical for any ``threads`` setting (consecutive
+chunks are walked together in groups, which only widens the walks).  That
+outer loop has one home, :func:`_drive`, and every :class:`EstimateReport`
+is built by :func:`_report`.
 """
 
 from __future__ import annotations
@@ -40,9 +41,12 @@ from .reports import (DiagnosticConfig, EstimateReport, InterventionPlan,
                       PlanStep, SensitivityMap, SiteGradient)
 from .rng import check_stream_budget, compose_stream_array, pauli_codes
 
-#: outer draws per work chunk; fixed (never derived from the thread count)
-#: so that chunk boundaries, and therefore reduction order and every float,
-#: are identical no matter how the chunks are scheduled.
+#: walk lanes per reduction chunk (a chunk holds ``_CHUNK // lanes_per_draw``
+#: outer draws); fixed, never derived from the thread count, so that chunk
+#: boundaries, and therefore reduction order and every float, are identical
+#: no matter how the chunks are grouped or scheduled.  A job walks up to
+#: ``4 * _CHUNK`` lanes: narrower walks pay every step's numpy call overhead
+#: on fewer lanes.
 _CHUNK = 16384
 
 
@@ -98,32 +102,44 @@ def _spans(total: int, chunk: int):
     return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
-def _map_ordered(fn, spans, threads: int):
-    """Apply fn to spans, yielding results in span order (any worker count)."""
-    if threads > 1 and len(spans) > 1:
+def _map_ordered(fn, items, threads: int):
+    """Apply fn to items, yielding results in item order (any worker count);
+    a pool is started only when there are two or more items."""
+    if threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(fn, spans)
+            yield from pool.map(fn, items)
     else:
-        yield from map(fn, spans)
+        yield from map(fn, items)
 
 
 def _drive(job, draws: int, lanes_per_draw: int, threads: int) -> list:
     """The outer loop of every estimator.
 
     Outer draws 0..draws-1 are cut into chunks of
-    ``max(1, _CHUNK // lanes_per_draw)`` draws; ``job`` gets each chunk's
-    outer uids (uint64) and returns a tuple of per-draw sample arrays.  The
-    arrays are folded in chunk order into one :class:`_Moments` per tuple
-    slot, which are returned.
+    ``max(1, _CHUNK // lanes_per_draw)`` draws, the unit of the reduction.
+    Consecutive chunks form a group of up to ``4 * _CHUNK`` lanes (at least
+    one chunk), the unit of work: ``job`` gets each group's outer uids
+    (uint64) and returns a tuple of per-draw sample arrays, and groups are
+    mapped over ``threads`` workers.  Each array is split back at chunk
+    boundaries and the pieces are folded in chunk order into one
+    :class:`_Moments` per tuple slot, which are returned; so neither the
+    grouping nor the worker count moves a float.  A job's walks may in turn
+    be cut into passes (see :func:`_walk_values`).
     """
-    chunk = max(1, _CHUNK // max(1, lanes_per_draw))
+    lanes = max(1, lanes_per_draw)
+    chunk = max(1, _CHUNK // lanes)
+    spans = _spans(draws, chunk)
+    per_group = max(1, 4 * _CHUNK // (chunk * lanes))
+    groups = [spans[i:i + per_group] for i in range(0, len(spans), per_group)]
     moms = []
-    for parts in _map_ordered(
-            lambda span: job(np.arange(*span, dtype=np.uint64)),
-            _spans(draws, chunk), threads):
+    for group, parts in zip(groups, _map_ordered(
+            lambda g: job(np.arange(g[0][0], g[-1][1], dtype=np.uint64)),
+            groups, threads)):
         moms = moms or [_Moments() for _ in parts]
-        for mom, samples in zip(moms, parts):
-            mom.add(samples)
+        base = group[0][0]
+        for lo, hi in group:
+            for mom, samples in zip(moms, parts):
+                mom.add(samples[lo - base:hi - base])
     return moms
 
 
@@ -192,17 +208,19 @@ def _walk_values(circuit: Circuit, obs: ObservableSum, state, theta, *,
                  seed: int, outer=None, inner=None, collect: bool = False):
     """One inner estimate of <O> per lane of ``theta``.
 
-    Every observable term is walked on every lane.  Consecutive terms whose
-    light cones nearly coincide (see :func:`engine.cone_runs`) are walked in
-    one pass with the lanes term-major (up to ``_CHUNK * 4`` lanes a pass),
-    so each parameter's angles are drawn once and tiled across them; other
-    terms are walked in passes of their own, each in its own cone.  Stream
-    ids are composed from the per-lane (outer, inner) indices and the term
-    number; when no channel branches the ids are unused and the value is
-    exact.  With ``collect`` also returns the (lanes, n_sites) matrix of
-    path values times the score dT/T of the PTM entry T each walk used at
-    each site (:func:`_score_table`) — the raw material of the sensitivity
-    map.
+    Every observable term is walked on every lane.  A pass is one engine
+    walk: consecutive terms whose light cones nearly coincide (see
+    :func:`engine.cone_runs`) are walked in one pass with the lanes
+    term-major, as many terms as keep the pass within ``4 * _CHUNK`` lanes
+    (the lane budget of one :func:`_drive` group; a single term is walked
+    whole however many lanes ``theta`` has), so each parameter's angles are
+    drawn once and tiled across them; other terms are walked in passes of
+    their own, each in its own cone.  Stream ids are composed from the
+    per-lane (outer, inner) indices and the term number; when no channel
+    branches the ids are unused and the value is exact.  With ``collect``
+    also returns the (lanes, n_sites) matrix of path values times the score
+    dT/T of the PTM entry T each walk used at each site
+    (:func:`_score_table`) — the raw material of the sensitivity map.
     """
     b = len(theta)
     vals = np.full(b, float(obs.identity_offset))

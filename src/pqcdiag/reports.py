@@ -105,7 +105,10 @@ class DiagnosticConfig:
     n_tau: int = 16
     n_sigma: int = 64
     seed: int = 0
-    threads: int = 1
+    threads: int = field(default=1, metadata={
+        "help": "worker threads; a run is walked in jobs of up to 65536 "
+                "lanes, so threads act only on runs longer than one job, "
+                "and they never change results"})
     epsilon: "float | None" = field(default=None, metadata={
         "help": "additive error target; with --delta this overrides the "
                 "sample counts via the planner"})

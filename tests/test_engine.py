@@ -1383,9 +1383,8 @@ class TestAnglePlanes:
         want[1] = 3  # the fixed angle
         assert np.array_equal(got, want)
 
-    def test_line_walk_hashes_each_block_once_a_chunk(self, monkeypatch):
-        # the chain's 960 parameters are 30 blocks; 16448 draws make two
-        # chunks, each with one HashedTheta
+    @staticmethod
+    def _line_block_hashes(monkeypatch):
         calls = []
 
         def counted(keys, block):
@@ -1394,4 +1393,23 @@ class TestAnglePlanes:
 
         monkeypatch.setattr(engine, "theta_block", counted)
         estimators.line_variance_benchmark(8, 64, 16448, seed=2)
-        assert len(set(calls)) == len(calls) == 2 * 30
+        return calls
+
+    def test_line_walk_hashes_each_block_once_a_chunk(self, monkeypatch):
+        # the chain's 960 parameters are 30 blocks; 16448 draws make two
+        # chunks, walked in one job with one HashedTheta
+        calls = self._line_block_hashes(monkeypatch)
+        assert len(set(calls)) == len(calls) == 1 * 30
+
+    def test_line_walk_hashes_each_block_once_a_pass(self, monkeypatch):
+        # at 4096 lanes a chunk the 16448 draws make five chunks, walked in
+        # two jobs, each with one HashedTheta: four chunks, whose 16384
+        # lanes fill a pass (4 * 4096 lanes), so the chain's two terms take
+        # a pass each, and then one chunk, whose terms share a pass
+        monkeypatch.setattr(estimators, "_CHUNK", 4096)
+        calls = self._line_block_hashes(monkeypatch)
+        keys = list(dict.fromkeys(key for key, _ in calls))
+        assert len(keys) == 2 and len(calls) == (2 + 1) * 30
+        for key, passes in zip(keys, (2, 1)):
+            assert sorted(b for k, b in calls if k == key) \
+                == sorted(list(range(30)) * passes)

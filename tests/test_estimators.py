@@ -467,6 +467,66 @@ class TestMoments:
         assert one.mean() == 3.0 and one.stderr() == 0.0
 
 
+class TestDrive:
+    @pytest.mark.parametrize("draws, lanes_per_draw, jobs", [
+        (1000, 1, 4),     # 64-draw chunks, four a job: 16 chunks
+        (1000, 3, 12),    # 21-draw chunks (63 lanes), four a job
+        (1000, 100, 500),  # one-draw chunks (100 lanes), two a job
+        (7, 1000, 7),     # a chunk wider than a job's lanes walks alone
+        (200, 1, 1),      # one job
+        (0, 1, 0),
+    ])
+    def test_folds_every_chunk_in_order_whatever_the_grouping(
+            self, monkeypatch, draws, lanes_per_draw, jobs):
+        monkeypatch.setattr(est, "_CHUNK", 64)
+        added, add = [], est._Moments.add
+        monkeypatch.setattr(est._Moments, "add", lambda mom, samples: (
+            added.append(samples.copy()), add(mom, samples)))
+        calls = []
+
+        def job(outer):
+            calls.append(outer)
+            return outer.astype(float), -2.0 * outer
+
+        moms = est._drive(job, draws, lanes_per_draw, 1)
+        chunk = max(1, 64 // lanes_per_draw)
+        want = [np.arange(lo, hi) for lo, hi in est._spans(draws, chunk)]
+        assert len(calls) == jobs
+        assert len(added) == 2 * len(want)
+        for i, w in enumerate(want):
+            assert np.array_equal(added[2 * i], w)
+            assert np.array_equal(added[2 * i + 1], -2.0 * w)
+        if draws:
+            assert np.array_equal(np.concatenate(calls), np.arange(draws))
+            assert all(c.size * lanes_per_draw <= 4 * 64
+                       or c.size == chunk for c in calls)
+            assert moms[0].count == draws
+            assert moms[0].mean() == pytest.approx((draws - 1) / 2)
+
+    def test_pool_only_for_two_or_more_jobs(self, monkeypatch):
+        monkeypatch.setattr(est, "_CHUNK", 64)
+        job = lambda outer: (np.sqrt(outer.astype(float)),)
+        pools, pool = [], est.ThreadPoolExecutor
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(est, "ThreadPoolExecutor", refused)
+        one = est._drive(job, 256, 1, 2)[0]  # four chunks, one job
+        assert one.count == 256
+
+        def counted(*args, **kwargs):
+            pools.append(kwargs)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(est, "ThreadPoolExecutor", counted)
+        two = est._drive(job, 257, 1, 2)[0]  # five chunks, two jobs
+        assert pools == [{"max_workers": 2}]
+        ref = est._drive(job, 257, 1, 1)[0]
+        assert len(pools) == 1
+        assert (two.mean(), two.stderr()) == (ref.mean(), ref.stderr())
+
+
 _AMP_CHIP = _chip(make_amplitude_damping(0.1))
 _DEP_CHIP = _chip(make_depolarizing(0.05))
 _CHIP_OBS = observable_from_terms([(1.0, "IZII"), (-0.5, "XIIZ")])

@@ -12,6 +12,9 @@ lane at every sampled channel step; it is the one case whose forward walks
 sample non-diagonal channels.
 The three ``_cz`` cases, the only ones that walk Clifford steps, were
 pinned on the engine that walked Cliffords through per-lane code tables.
+Every ``GOLDEN`` case fits in one reduction chunk; the ``MULTI_GROUP``
+cases run at 64 lanes a chunk, so each spans at least nine chunks and
+several jobs, and were pinned when every job still walked a single chunk.
 A change to the engine or the estimators that moves any
 float of any payload (reduction order, a dropped draw, a reordered hash)
 changes a digest here.  Performance work that claims to be exact must leave
@@ -225,3 +228,57 @@ def test_wide_gradvar_spans_chunks_and_ignores_threads():
     one = payload_digest(run_sum_gradvar_wide(threads=1).to_json_dict())
     two = payload_digest(run_sum_gradvar_wide(threads=2).to_json_dict())
     assert one == two == GOLDEN["sum_gradvar_wide"][1]
+
+
+def _amp_chip_2x2():
+    return gen_grid_chip(2, 2, 1, "rzz", make_amplitude_damping(0.1))
+
+
+def run_mse_groups(threads=1):
+    # 2 lanes a draw: 32-draw chunks, jobs of four chunks
+    return est.estimate_mse(_amp_chip_2x2(), z_on(4, 1, 2), None,
+                            DiagnosticConfig(n_theta=298, n_tau=2, seed=31,
+                                             threads=threads))
+
+
+def run_sum_gradvar_groups(threads=1):
+    # 11 parameters x 2 replicates: 2-draw chunks, jobs of five chunks
+    return est.sum_gradient_variance(
+        _amp_chip_2x2(), z_on(4, 3), None,
+        DiagnosticConfig(n_theta=23, n_tau=2, seed=32, threads=threads))
+
+
+def run_expr_hs_groups(threads=1):
+    # 8 Pauli words a draw: 8-draw chunks, jobs of four chunks
+    c = gen_grid_chip(2, 2, 1, "rzz", make_depolarizing(0.05))
+    return est.estimate_expressibility_hs(
+        c, DiagnosticConfig(n_theta=75, n_sigma=8, seed=33, threads=threads))
+
+
+#: run with ``_CHUNK`` = 64 lanes
+MULTI_GROUP = {
+    "mse_groups": (run_mse_groups,
+                   "57ecab533a433ebd1ae301a7c639f65a"
+                   "f02d6273e44e30f0880007b6f9dec63b"),
+    "sum_gradvar_groups": (run_sum_gradvar_groups,
+                           "fe34656675dfff021b752b6f3bb770db"
+                           "ae158836702c39f03cb7b7d0e2e7a274"),
+    "expr_hs_groups": (run_expr_hs_groups,
+                       "701d4ecd5fbc06ac2ec68239475c927d"
+                       "173872cf11ea5d163409427d326bb0b6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_GROUP))
+def test_multi_group_digest_is_pinned_at_any_threads(name, monkeypatch):
+    monkeypatch.setattr(est, "_CHUNK", 64)
+    jobs, mapped = [], est._map_ordered
+    monkeypatch.setattr(est, "_map_ordered", lambda fn, items, threads: (
+        jobs.append(items) or mapped(fn, items, threads)))
+    run, want = MULTI_GROUP[name]
+    assert [payload_digest(run(t).to_json_dict()) for t in (1, 2, 3)] \
+        == [want] * 3
+    chunks = [span for job in jobs[0] for span in job]
+    width = chunks[0][1] - chunks[0][0]
+    assert len(chunks) >= 9 and chunks[-1][1] - chunks[-1][0] < width
+    assert len(jobs[0]) >= 3 and len(jobs[0][-1]) < len(jobs[0][0])
