@@ -142,9 +142,6 @@ assert all(_SITE_FORMS[a][0] == _xor_form(_QTAB[a] & 1) for a in range(4))
 
 _I_POWS = np.array([1.0, 1.0j, -1.0, -1.0j])
 _CODE_BITS = np.array([CODE_TO_X, CODE_TO_Z], dtype=np.uint8)
-#: the rows of _CODE_BITS as 4-bit masks, bit c holding code c's bit
-_CODE_MASKS = [np.uint8(sum(int(v) << c for c, v in enumerate(row)))
-               for row in _CODE_BITS]
 
 
 def _row_tables(m: int) -> tuple:
@@ -847,13 +844,6 @@ class TiledTheta:
 
     def __len__(self) -> int:
         return self.reps * len(self.theta)
-
-
-def codes_to_words(codes: np.ndarray):
-    """(B, n) per-qubit codes -> ((B, W) x-words, (B, W) z-words)."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    x, z = (_pack((mask >> codes) & np.uint8(1)) for mask in _CODE_MASKS)
-    return x, z
 
 
 def words_for_paulis(paulis, n: int):

@@ -34,9 +34,8 @@ import numpy as np
 from .channels import (make_raw_ptm, ptm_derivative, rebuild_with,
                        strength_params)
 from .circuits import Circuit, ObservableSum, gen_line_benchmark, zero_state
-from .engine import (HashedTheta, TiledTheta, codes_to_words, cone_params,
-                     cone_runs, run_backward_batch, run_forward_batch,
-                     words_for_paulis)
+from .engine import (HashedTheta, TiledTheta, cone_params, cone_runs,
+                     run_backward_batch, run_forward_batch, words_for_paulis)
 from .reports import (DiagnosticConfig, EstimateReport, InterventionPlan,
                       PlanStep, SensitivityMap, SiteGradient)
 from .rng import check_stream_budget, compose_stream_array, pauli_codes
@@ -636,8 +635,7 @@ def estimate_expressibility_hs(circuit: Circuit,
         th2 = HashedTheta(cfg.seed, np.repeat(2 * outer + 1, ns))
 
         # quadratic piece: same sigma, independent paths per replicate
-        codes = pauli_codes(cfg.seed, lane_uid, n)
-        x0, z0 = codes_to_words(codes)
+        x0, z0 = pauli_codes(cfg.seed, lane_uid, n)
         ta = t_walk(x0, z0, th1, 0, lane_uid)
         tb = t_walk(x0, z0, th1, 1, lane_uid) if branching else ta
         t2 = (ta * tb).reshape(b, ns).mean(axis=1)
@@ -646,8 +644,7 @@ def estimate_expressibility_hs(circuit: Circuit,
         t3 = []
         for rep in (0, 1):
             sig_uid = sigma_block * np.uint64(1 + rep) + lane_uid
-            codes = pauli_codes(cfg.seed, sig_uid, n, zx_only=True)
-            xf, zf = codes_to_words(codes)
+            xf, zf = pauli_codes(cfg.seed, sig_uid, n, zx_only=True)
             sids = compose_stream_array(lane_uid, 0, 2 + rep) \
                 if branching else None
             x1, z1, w1 = run_forward_batch(circuit, xf, zf, th2,
@@ -691,8 +688,7 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
 
     def job(outer):
         b = outer.shape[0]
-        codes = pauli_codes(cfg.seed, outer, n)
-        xw, zw = codes_to_words(codes)
+        xw, zw = pauli_codes(cfg.seed, outer, n)
         lanes = np.repeat(np.arange(b), nt)
         x0, z0 = xw[lanes], zw[lanes]
         outer_rep = np.repeat(outer, nt)

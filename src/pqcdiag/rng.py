@@ -13,7 +13,8 @@ Domains keep draw families from colliding:
   ordinal within the compiled circuit)
 - ``DOMAIN_THETA``  grid-angle draws (stream = outer sample uid, slot = a
   block of 32 parameters; each 2-bit field of the slot's hash is one angle)
-- ``DOMAIN_SIGMA``  random-Pauli draws for expressibility (slot = 64-bit word)
+- ``DOMAIN_SIGMA``  random-Pauli draws for expressibility (stream = word uid,
+  slot = qubit index)
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .paulis import n_words
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
@@ -61,7 +64,8 @@ def hash_words(seed: int, *words) -> np.ndarray:
     lattice of independent values, e.g. ``hash_words(s, tag, outer[:, None],
     k[None, :])``.  Appending a word mixes it into the hash of the words
     before it: ``hash_words(s, *ws, w) == mix64(hash_words(s, *ws) ^ w)``,
-    which is what lets :func:`theta_keys` hash a uid prefix once.
+    which is what lets :func:`theta_keys` and :func:`pauli_codes` hash a uid
+    prefix once.
     """
     h = mix64(np.asarray(seed & _MASK64, dtype=np.uint64))
     for w in words:
@@ -133,19 +137,44 @@ def angle_indices(seed: int, outer_uid, n_params: int) -> np.ndarray:
                       np.arange(n_params, dtype=np.uint64))
 
 
-def pauli_codes(seed: int, outer_uid, n: int, *, zx_only: bool = False) -> np.ndarray:
-    """Random Pauli words as per-qubit codes (0=I,1=X,2=Y,3=Z).
+def pauli_codes(seed: int, uids, n: int, *, zx_only: bool = False) -> tuple:
+    """Random Pauli words for the 1-D array ``uids``, one word per uid, as
+    the walk's lane-major ``(x, z)`` words: two (B, ``n_words(n)``) uint64
+    arrays, bit ``q & 63`` of word ``q >> 6`` holding qubit q and the
+    padding bits 0.
 
-    Uniform over all 4^n words, or over {I,Z}^n with ``zx_only``.  Result
-    shape: ``outer_uid.shape + (n,)``, dtype uint8.
+    The one definition of the sigma stream: qubit q of word ``uid`` has code
+    ``mix64(hash_words(seed, DOMAIN_SIGMA, uid) ^ q) & 3`` (0=I, 1=X, 2=Y,
+    3=Z), uniform over all 4^n words; with ``zx_only`` the code is ``& 1``
+    mapped to {I, Z}, uniform over {I,Z}^n.  The uid prefix is hashed once
+    and each qubit costs one :func:`mix64`, whose code bits go straight into
+    the words, so no per-qubit code array is built.
     """
-    uid = np.asarray(outer_uid, dtype=np.uint64)
-    qs = np.arange(n, dtype=np.uint64)
-    h = hash_words(seed, DOMAIN_SIGMA, uid[..., None], qs)
-    if zx_only:
-        # map a single bit to {0, 3} = {I, Z}
-        return ((h & _U64(1)).astype(np.uint8)) * np.uint8(3)
-    return (h & _U64(3)).astype(np.uint8)
+    key = hash_words(seed, DOMAIN_SIGMA, np.asarray(uids, dtype=np.uint64))
+    b = key.shape[0]
+    x = np.zeros((b, n_words(n)), dtype=np.uint64)
+    z = np.zeros_like(x)
+    h = np.empty_like(key)
+    t = np.empty_like(key)
+    one = _U64(1)
+    for q in range(n):
+        np.bitwise_xor(key, _U64(q), out=h)
+        mix64(h, out=h)
+        s, w = _U64(q & 63), q >> 6
+        if zx_only:  # z = bit 0
+            h &= one
+            h <<= s
+            z[:, w] |= h
+        else:  # x = bit 0 ^ bit 1, z = bit 1
+            np.right_shift(h, one, out=t)
+            h ^= t
+            h &= one
+            h <<= s
+            x[:, w] |= h
+            t &= one
+            t <<= s
+            z[:, w] |= t
+    return x, z
 
 
 #: bit widths of a stream id's fields: (outer sample, inner sample, term),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import plane_angles
 from pqcdiag import engine, rng
+from pqcdiag.paulis import XZ_TO_CODE, PauliString, n_words
 
 u64 = st.integers(0, 2 ** 64 - 1)
 
@@ -185,14 +186,49 @@ def test_hashed_theta_lanes_use_the_angle_hash():
                               np.tile(moved, 3))
 
 
+def _word_codes(x, z, n: int) -> np.ndarray:
+    """(B, n) per-qubit codes (0=I,1=X,2=Y,3=Z) of lane-major words."""
+    q = np.arange(n)
+    xb, zb = ((w[:, q >> 6] >> (q & 63).astype(np.uint64)) & np.uint64(1)
+              for w in (x, z))
+    return np.asarray(XZ_TO_CODE, dtype=np.uint8)[xb + 2 * zb]
+
+
 def test_pauli_codes_full_and_zx():
-    c = rng.pauli_codes(8, np.arange(4000, dtype=np.uint64), 3)
-    assert c.shape == (4000, 3)
+    x, z = rng.pauli_codes(8, np.arange(4000, dtype=np.uint64), 3)
+    assert x.shape == z.shape == (4000, 1)
+    c = _word_codes(x, z, 3)
     assert set(np.unique(c)) == {0, 1, 2, 3}
-    zx = rng.pauli_codes(8, np.arange(4000, dtype=np.uint64), 3, zx_only=True)
+    xz, zz = rng.pauli_codes(8, np.arange(4000, dtype=np.uint64), 3,
+                             zx_only=True)
+    assert not xz.any()
+    zx = _word_codes(xz, zz, 3)
     assert set(np.unique(zx)) <= {0, 3}
     frac = (zx == 3).mean()
     assert abs(frac - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("n", [1, 9, 63, 64, 65, 130])
+@pytest.mark.parametrize("zx_only", [False, True])
+def test_pauli_codes_are_the_sigma_stream(n, zx_only):
+    # the reference hashes every (uid, qubit) pair in full, takes its codes
+    # and packs them one PauliString at a time
+    for b in (1, 63, 64, 65, 1000):
+        uid = np.uint64(2 ** 40) + np.arange(b, dtype=np.uint64) \
+            * np.uint64(7919)
+        h = rng.hash_words(6, rng.DOMAIN_SIGMA, uid[:, None],
+                           np.arange(n, dtype=np.uint64))
+        codes = (h & np.uint64(1)) * np.uint64(3) if zx_only \
+            else h & np.uint64(3)
+        ref = engine.words_for_paulis(
+            [PauliString.from_codes(row) for row in codes], n)
+        words = rng.pauli_codes(6, uid, n, zx_only=zx_only)
+        for got, want in zip(words, ref):
+            assert got.dtype == np.uint64
+            assert got.shape == (b, n_words(n))
+            assert np.array_equal(got, want)
+            if n % 64:  # the padding bits of the last word are 0
+                assert not (got[:, -1] >> np.uint64(n % 64)).any()
 
 
 class TestComposeStream:
