@@ -151,8 +151,7 @@ def pauli_codes(seed: int, uids, n: int, *, zx_only: bool = False) -> tuple:
     the words, so no per-qubit code array is built.
     """
     key = hash_words(seed, DOMAIN_SIGMA, np.asarray(uids, dtype=np.uint64))
-    b = key.shape[0]
-    x = np.zeros((b, n_words(n)), dtype=np.uint64)
+    x = np.zeros((key.shape[0], n_words(n)), dtype=np.uint64)
     z = np.zeros_like(x)
     h = np.empty_like(key)
     t = np.empty_like(key)
