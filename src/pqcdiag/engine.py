@@ -34,8 +34,9 @@ site-entry collection.  Callers see lane-major words, a (B, W) uint64
 array per x and z with bit q % 64 of word q // 64 belonging to qubit q:
 walks convert at entry and exit only.  One bit-matrix transpose
 (`_transpose`, six rounds of masked swaps on 64x64 blocks) does every such
-conversion: words to planes and back, block hashes to angle planes, and
-exact mode's lane expansion, a row gather between two transposes.
+conversion: words to planes and back, block hashes to angle planes when
+an outer draw has fewer than 16 lanes, and exact mode's lane expansion, a
+row gather between two transposes.
 
 Rotations are walked a layer at a time, as Stim applies one instruction to
 all of its targets at once.  A compile pass (`_fuse`) groups the rotations
@@ -44,15 +45,16 @@ a rotation only across steps on other qubits and across rotations about
 commuting axes; channel and Clifford steps keep their order.  A layer step
 gathers its rotations' rows into (L, W) slabs and applies all L grid
 rotations in a few AND/XOR operations.  Its angles arrive as packed bit
-planes, two per rotation (`k_for`): the hashed source transposes each
-32-parameter block hash into 64 lane planes once, so a layer's angles are
-a row gather.  Grid rotations change no weight, and their sign flips XOR
-into the sign row, as do Clifford signs; the row is folded into the float
-weights once, at the end of the walk.  Negation is exact, so that is
-bit-identical to negating along the way, and the fused walk is
-bit-identical to walking one rotation at a time.  A batch whose every lane
-has died stops early; its words, and the sign of its zero weights, are then
-unspecified.
+planes, two per rotation (`k_for`): the hashed source hashes each outer
+draw once per 32-parameter block and turns those hashes into 64 lane
+planes once, broadcasting each draw's bits to all of its lanes, so a
+layer's angles are a row gather.  Grid rotations change no weight, and
+their sign flips XOR into the sign row, as do Clifford signs; the row is
+folded into the float weights once, at the end of the walk.  Negation is
+exact, so that is bit-identical to negating along the way, and the fused
+walk is bit-identical to walking one rotation at a time.  A batch whose
+every lane has died stops early; its words, and the sign of its zero
+weights, are then unspecified.
 
 Randomness is counter-based: the uniform that decides a channel's branch is
 a pure function of (seed, walk stream id, noise-site ordinal), so a walk's
@@ -747,87 +749,165 @@ class HashedTheta:
 
     Regenerating angles on demand keeps memory flat for huge parameter
     counts; the same (seed, uid) always yields the same assignment, so outer
-    samples are reproducible without storing them.  The uid part of the
-    hash is computed once, here (``rng.theta_keys``).  Each 32-parameter
-    block's hash (``rng.theta_block``, one uint64 per lane) becomes lane
-    planes in one bit-matrix transpose: rows 2p and 2p + 1 hold the low and
-    high bit of the block's parameter p.  The planes of the blocks read by
-    the last two ``k_for`` calls are kept, so a walk whose layers read
+    samples are reproducible without storing them.  Estimators give every
+    inner lane of an outer draw its draw's uid, so the uids come in runs of
+    r adjacent lanes (``np.repeat(outer, r)``).  The constructor finds r
+    (:func:`_run_length`; 1 when the runs are not even) and hashes the uid
+    part once per run (``rng.theta_keys``).  Each 32-parameter block's
+    hash (``rng.theta_block``, one uint64 per run) becomes 64 lane planes,
+    row 2p and 2p + 1 the low and high bit of the block's parameter p
+    (:func:`_block_planes`), once per block: the planes of the blocks read
+    by the last two ``k_for`` calls are kept, so a walk whose layers read
     parameters in block order (each layer within two adjacent blocks) pays
-    one mix and one transpose per block; each ``k_for`` is then a row
-    gather.  The cache belongs to this instance, which estimators build per
-    chunk.  ``shift_param``/``shift_delta`` implement the quarter-turn
+    one mix per run and one plane build per block; each ``k_for`` is then a
+    row gather.  The cache belongs to this instance, which estimators build
+    per job.  ``shift_param``/``shift_delta`` implement the quarter-turn
     parameter shift per lane (-1 = no shift): +delta mod 4, added with a
-    2-bit carry to the planes of the shifted lanes.
+    2-bit carry to a block's planes as they are built (:meth:`_add_shift`),
+    so the cached planes hold the shifted angles.
     """
 
     def __init__(self, seed: int, uids: np.ndarray,
                  shift_param: "np.ndarray | None" = None,
                  shift_delta: "np.ndarray | None" = None):
-        self.keys = theta_keys(seed, uids)
+        uids = np.asarray(uids, dtype=np.uint64)
+        self._lanes = uids.shape[0]
+        self._reps = _run_length(uids)  # lanes a run
+        self._keys = theta_keys(seed, uids[::self._reps])
+        self._selects = None  # _run_selects of the runs, for r >= 16
         self._planes: dict = {}  # block -> its planes, (32, 2, W)
         self._last: list = []  # blocks of the previous k_for call
-        self._shift = None
-        if shift_param is not None:  # lanes sorted by the parameter shifted
-            shift_param = np.asarray(shift_param, dtype=np.int64)
-            order = np.argsort(shift_param, kind="stable")
-            self._shift = (order, shift_param[order],
-                           np.asarray(shift_delta, dtype=np.int64)[order] & 3)
+        self._shift = None if shift_param is None else (
+            np.asarray(shift_param, dtype=np.int64),
+            np.asarray(shift_delta, dtype=np.int64))
+        self._deltas = None  # the planes of the lanes' deltas, on first use
 
     def k_for(self, params) -> np.ndarray:
         """(L, 2, W) angle planes of the (L,) parameters ``params``: rows
-        gathered from their blocks' planes, then shifted."""
+        gathered from their blocks' planes."""
         params = np.asarray(params, dtype=np.int64)
         blocks, fields = params >> 5, params & 31
         read = {}
-        width = (len(self) + 63) // 64
         for block in set(blocks.tolist()):
             planes = self._planes.get(block)
-            read[block] = _transpose(theta_block(
-                self.keys, block)[:, None], 64).reshape(32, 2, width) \
-                if planes is None else planes
+            read[block] = self._block_planes(block) if planes is None \
+                else planes
         self._planes = {blk: self._planes[blk] for blk in self._last} | read
         self._last = list(read)
         if len(read) == 1:
             (planes,) = read.values()
             k = planes[fields]
         else:
-            k = np.empty((params.size, 2, width), dtype=_LANE)
+            k = np.empty((params.size, 2, (len(self) + 63) // 64),
+                         dtype=_LANE)
             for block, planes in read.items():
                 at = blocks == block
                 k[at] = planes[fields[at]]
-        if self._shift is not None:
-            self._add_shift(k, params)
         return k
 
-    def _add_shift(self, k: np.ndarray, params: np.ndarray) -> None:
-        """k += delta (mod 4) on the lanes whose shift parameter is
-        params[r], row r by row r, in place."""
-        order, shifted, delta = self._shift
-        lo = np.searchsorted(shifted, params, "left")
-        count = np.searchsorted(shifted, params, "right") - lo
-        if not count.any():
+    def _block_planes(self, block: int) -> np.ndarray:
+        """The (32, 2, W) planes of one block, from its hash of each run:
+        word j of bit b's plane holds bit b of the hashes of the runs its
+        64 lanes belong to, then the block's shifts.  Runs of r < 16 lanes
+        repeat their hashes and transpose them.  Longer runs broadcast bit
+        b of hash h as the word -(h >> b & 1) (:func:`_bit_words`): to
+        r // 64 words each when r is a multiple of 64, else through a few
+        masked selects a word (see :func:`_run_selects`)."""
+        h = theta_block(self._keys, block)
+        r, width = self._reps, (len(self) + 63) // 64
+        if r < 16:
+            planes = _transpose((np.repeat(h, r) if r > 1 else h)[:, None],
+                                64)
+        elif r % 64 == 0:
+            planes = _bit_words(h)
+            if r > 64:
+                planes = np.repeat(planes, r // 64, axis=1)
+        else:
+            if self._selects is None:
+                self._selects = _run_selects(h.size, r)
+            run, mask = self._selects
+            planes = _bit_words(h[run[0]]) & mask[0]
+            for run_s, mask_s in zip(run[1:], mask[1:]):
+                planes |= _bit_words(h[run_s]) & mask_s
+        planes = planes.reshape(32, 2, width)
+        if self._shift is not None:
+            self._add_shift(planes, block)
+        return planes
+
+    def _add_shift(self, planes: np.ndarray, block: int) -> None:
+        """planes += delta (mod 4) in place, on each lane whose shift
+        parameter is in ``block``, at that parameter's row: the lanes of
+        each of the block's 32 parameters become one mask row, and the
+        mask rows ANDed with the planes of the lanes' deltas are added with
+        a 2-bit carry."""
+        param, delta = self._shift
+        lanes = np.flatnonzero(param >> 5 == block)
+        if not lanes.size:
             return
-        row = np.repeat(np.arange(params.size), count)
-        at = np.repeat(lo - np.cumsum(count) + count, count) \
-            + np.arange(row.size)
-        lane = order[at]
-        d = np.zeros_like(k)
-        bit = np.left_shift(np.uint64(1), (lane & 63).astype(_LANE))
-        for b in (0, 1):
-            on = (delta[at] >> b & 1).astype(bool)
-            np.bitwise_or.at(d, (row[on], b, lane[on] >> 6), bit[on])
-        k[:, 1] ^= d[:, 1] ^ (k[:, 0] & d[:, 0])
-        k[:, 0] ^= d[:, 0]
+        width = planes.shape[-1]
+        if self._deltas is None:  # bit i of each lane's delta, (2, W)
+            d = (delta & 3).astype(np.uint8)
+            self._deltas = _pack(np.stack((d & 1, d >> 1)))
+        on = np.zeros((32, width), dtype=_LANE)
+        # each lane's bit is its word's only one there, so adding ORs it
+        np.add.at(on.reshape(-1), (param[lanes] & 31) * width + (lanes >> 6),
+                  np.left_shift(np.uint64(1), (lanes & 63).astype(_LANE)))
+        d0, d1 = on & self._deltas[0], on & self._deltas[1]
+        planes[:, 1] ^= d1 ^ (planes[:, 0] & d0)
+        planes[:, 0] ^= d0
 
     def __len__(self) -> int:
-        return self.keys.shape[0]
+        return self._lanes
+
+
+def _run_length(uids: np.ndarray) -> int:
+    """The length r of the first run of equal uids when every uid comes in
+    a run of r adjacent lanes (``uids == np.repeat(uids[::r], r)``), else
+    1."""
+    b = uids.shape[0]
+    if b < 2 or uids[1] != uids[0]:
+        return 1
+    r = int(np.argmax(uids != uids[0])) or b
+    runs = uids.reshape(-1, r) if b % r == 0 else None
+    return r if runs is not None and (runs == runs[:, :1]).all() else 1
+
+
+def _bit_words(h: np.ndarray) -> np.ndarray:
+    """(64, n) words of the n hashes ``h``: word j of row b is all ones
+    where bit b of h[j] is set, else 0."""
+    bits = np.unpackbits(h.view(np.uint8).reshape(-1, 8).T, axis=0,
+                         bitorder="little").astype(_LANE)
+    return np.negative(bits, out=bits)
+
+
+#: [k] -> the mask of the low k bits of a word, k = 0..64
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=_LANE)
+
+
+def _run_selects(u: int, r: int) -> tuple:
+    """Plane selects for ``u`` runs of ``r`` lanes: (run, mask), two (S, W)
+    arrays such that word j of a plane is the OR over s of ``mask[s, j]``
+    where the hash of run ``run[s, j]`` has the plane's bit set.  Select s
+    picks in word j the run that covers its first lane, plus s, and masks
+    the lanes that run covers there; a word meets at most ceil(63 / r) + 1
+    runs, and selects that mask no lane anywhere are dropped.  The lanes
+    past the last run are in no mask."""
+    lane0 = np.arange(0, u * r, 64)
+    end = np.minimum(lane0 + 64, u * r) - lane0
+    run = lane0 // r + np.arange(-(-63 // r) + 1)[:, None]
+    lo = np.minimum(np.maximum(run * r - lane0, 0), end)
+    hi = np.maximum(np.minimum((run + 1) * r - lane0, end), lo)
+    keep = (hi > lo).any(axis=1)
+    return (np.minimum(run[keep], u - 1),
+            _LOW_BITS[hi[keep]] ^ _LOW_BITS[lo[keep]])
 
 
 class TiledTheta:
     """``reps`` copies of a theta source's lanes, one after the other: the
     angles of a walk that puts several words on each lane's assignment.
-    Each layer's angle planes are drawn once and tiled."""
+    Each layer's angle planes are drawn once and copied ``reps`` times into
+    one new array, a word-aligned broadcast when the source's lanes fill
+    whole words."""
 
     def __init__(self, theta, reps: int):
         self.theta = theta
@@ -837,7 +917,10 @@ class TiledTheta:
         k = self.theta.k_for(params)
         b = len(self.theta)
         if b % 64 == 0:
-            return np.tile(k, self.reps)
+            out = np.empty((*k.shape[:-1], self.reps, k.shape[-1]),
+                           dtype=k.dtype)
+            out[...] = k[..., None, :]
+            return out.reshape(*k.shape[:-1], -1)
         lanes = np.tile(np.arange(b), self.reps)
         return _take_lanes(k.reshape(-1, k.shape[-1]), lanes).reshape(
             *k.shape[:-1], -1)

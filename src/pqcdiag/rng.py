@@ -86,8 +86,9 @@ def uniforms(seed: int, domain: int, stream, slot) -> np.ndarray:
 
 def theta_keys(seed: int, uid) -> np.ndarray:
     """Per-uid prefix of the angle hash, ``hash_words(seed, DOMAIN_THETA,
-    uid)``: computed once per outer sample, it leaves one :func:`mix64` per
-    block of 32 parameters (see :func:`theta_block`)."""
+    uid)``: computed once per outer sample (``engine.HashedTheta`` hashes
+    each run of lanes that share a uid once), it leaves one :func:`mix64`
+    per block of 32 parameters (see :func:`theta_block`)."""
     return hash_words(seed, DOMAIN_THETA, uid)
 
 

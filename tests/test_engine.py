@@ -26,7 +26,7 @@ from pqcdiag.paulis import (CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, CODE_TO_X,
                             CODE_TO_Z, PauliString, clifford_table, commutes)
 from pqcdiag.reports import DiagnosticConfig
 from pqcdiag.rng import (RngStream, angle_indices, compose_stream_array,
-                         theta_block)
+                         hash_words, theta_block)
 
 
 def random_theta(circuit, seed):
@@ -1365,6 +1365,56 @@ class TestAnglePlanes:
             assert np.array_equal(
                 plane_angles(engine.MaterializedTheta(values), self.PARAMS,
                              lanes), want)
+
+    @pytest.mark.parametrize("r", [1, 8, 45, 64, 65, 128])
+    @pytest.mark.parametrize("draws", [1, 7])
+    def test_runs_of_a_uid_give_the_grid_angles(self, r, draws):
+        # each uid on r adjacent lanes, as the estimators lay out inner
+        # lanes; 7 draws of 1, 8, 45 or 65 lanes end in a partial word
+        uids = np.repeat(2 ** 33 + 7 * np.arange(draws, dtype=np.uint64), r)
+        lanes = uids.size
+        params = np.append(self.PARAMS, 2 ** 40)
+        want = rng.grid_angle(3, uids[None, :], params[:, None])
+        shift = np.random.default_rng(r).choice(np.append(params, -1),
+                                                size=lanes)
+        for delta in (1, -1):
+            moved = (want + np.where(shift == params[:, None], delta, 0)) % 4
+            for theta, got in (
+                    (engine.HashedTheta(3, uids), want),
+                    (engine.HashedTheta(3, uids, shift,
+                                        np.full(lanes, delta)), moved)):
+                assert len(theta) == lanes
+                assert np.array_equal(plane_angles(theta, params, lanes), got)
+                # again, from the cached blocks and out of block order
+                assert np.array_equal(
+                    plane_angles(theta, params[::-1], lanes), got[::-1])
+                k = theta.k_for(params)
+                if lanes % 64:  # padding bits of the last word stay 0
+                    assert not (k[..., -1] >> np.uint64(lanes % 64)).any()
+            tiled = engine.TiledTheta(
+                engine.HashedTheta(3, uids, shift, np.full(lanes, delta)), 3)
+            assert len(tiled) == 3 * lanes
+            assert np.array_equal(plane_angles(tiled, params, 3 * lanes),
+                                  np.tile(moved, 3))
+
+    def test_a_uid_is_hashed_once_for_all_of_its_lanes(self, monkeypatch):
+        hashed = []
+
+        def counted(seed, *words):
+            out = hash_words(seed, *words)
+            hashed.append(out.size)
+            return out
+
+        monkeypatch.setattr(rng, "hash_words", counted)
+        u = np.arange(40, dtype=np.uint64) * 3
+        theta = engine.HashedTheta(5, np.repeat(u, 45))
+        plane_angles(theta, self.PARAMS, 45 * u.size)
+        assert sum(hashed) == u.size
+        # uids that do not come in even runs are hashed one per lane
+        hashed.clear()
+        ragged = np.repeat(u[:3], [2, 2, 3])
+        plane_angles(engine.HashedTheta(5, ragged), self.PARAMS, 7)
+        assert sum(hashed) == ragged.size
 
     def test_exact_mode_gathers_planes_by_origin(self):
         lanes = 70

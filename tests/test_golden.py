@@ -12,6 +12,11 @@ lane at every sampled channel step; it is the one case whose forward walks
 sample non-diagonal channels.
 The three ``_cz`` cases, the only ones that walk Clifford steps, were
 pinned on the engine that walked Cliffords through per-lane code tables.
+``sum_gradvar_cz_runs``, ``expr_hs_sigma64`` and ``mse_tau20`` give each
+outer draw's uid to 22, 64 and 20 adjacent lanes, so their angle planes
+come from one hash per draw broadcast to its lanes (a draw straddles plane
+words in the first and last); every other case has fewer than 16 lanes a
+draw.  They were pinned on the engine that hashed every lane's uid.
 Every ``GOLDEN`` case fits in one reduction chunk; the ``MULTI_GROUP``
 cases run at 64 lanes a chunk, so each spans at least nine chunks and
 several jobs, and were pinned when every job still walked a single chunk.
@@ -164,6 +169,29 @@ def run_expr_hs_cz(threads=1):
         c, DiagnosticConfig(n_theta=24, n_sigma=8, seed=22, threads=threads))
 
 
+def run_sum_gradvar_cz_runs(threads=1):
+    # Z_2's cone holds 22 of the 36 parameters: 22 lanes a draw
+    c = gen_grid_chip(3, 3, 2, "cz", make_depolarizing(0.05))
+    return est.sum_gradient_variance(
+        c, z_on(9, 2), None,
+        DiagnosticConfig(n_theta=40, seed=23, threads=threads))
+
+
+def run_expr_hs_sigma64(threads=1):
+    # 64 Pauli words a draw: each draw's lanes fill one plane word
+    c = gen_grid_chip(2, 2, 1, "rzz", make_depolarizing(0.05))
+    return est.estimate_expressibility_hs(
+        c, DiagnosticConfig(n_theta=10, n_sigma=64, seed=24, threads=threads))
+
+
+def run_mse_tau20(threads=1):
+    # 20 inner paths a draw on the noisy walks, one on the noiseless ones
+    c = gen_grid_chip(2, 2, 1, "rzz", make_amplitude_damping(0.1))
+    return est.estimate_mse(c, z_on(4, 1, 2), None,
+                            DiagnosticConfig(n_theta=30, n_tau=20, seed=25,
+                                             threads=threads))
+
+
 GOLDEN = {
     "mse": (run_mse,
             "6b1799257873f2b1e3dbc8240a823c60"
@@ -201,6 +229,15 @@ GOLDEN = {
     "expr_hs_cz": (run_expr_hs_cz,
                    "ba58f96ac6e581057675f2a6a70d1503"
                    "ba1eb046ccb3e62c6ff35bdf7d8d809a"),
+    "sum_gradvar_cz_runs": (run_sum_gradvar_cz_runs,
+                            "d20839094b15f9623c10f525044c0ecb"
+                            "99b0ef915cf064d6930cea9eef45d19d"),
+    "expr_hs_sigma64": (run_expr_hs_sigma64,
+                        "9d4e9ce186496ef3f48232afb003541b"
+                        "efcef1e59de676dc0be1536b66a14091"),
+    "mse_tau20": (run_mse_tau20,
+                  "a39799564c3062f82110c6c4010413ef"
+                  "f0772397043d798d81df119864232dd0"),
 }
 
 
