@@ -810,18 +810,14 @@ class HashedTheta:
         word j of bit b's plane holds bit b of the hashes of the runs its
         64 lanes belong to, then the block's shifts.  Runs of r < 16 lanes
         repeat their hashes and transpose them.  Longer runs broadcast bit
-        b of hash h as the word -(h >> b & 1) (:func:`_bit_words`): to
-        r // 64 words each when r is a multiple of 64, else through a few
-        masked selects a word (see :func:`_run_selects`)."""
+        b of hash h as the word -(h >> b & 1) (:func:`_bit_words`) through
+        a few masked selects a word (see :func:`_run_selects`); when r is a
+        multiple of 64 that is one select, each run's word r // 64 times."""
         h = theta_block(self._keys, block)
         r, width = self._reps, (len(self) + 63) // 64
         if r < 16:
             planes = _transpose((np.repeat(h, r) if r > 1 else h)[:, None],
                                 64)
-        elif r % 64 == 0:
-            planes = _bit_words(h)
-            if r > 64:
-                planes = np.repeat(planes, r // 64, axis=1)
         else:
             if self._selects is None:
                 self._selects = _run_selects(h.size, r)
@@ -867,9 +863,14 @@ def _run_length(uids: np.ndarray) -> int:
     b = uids.shape[0]
     if b < 2 or uids[1] != uids[0]:
         return 1
-    r = int(np.argmax(uids != uids[0])) or b
-    runs = uids.reshape(-1, r) if b % r == 0 else None
-    return r if runs is not None and (runs == runs[:, :1]).all() else 1
+    step = uids[1:] != uids[:-1]  # step[i]: lane i + 1 starts a run
+    r = int(step.argmax()) + 1
+    if not step[r - 1]:
+        return b
+    if b % r:
+        return 1
+    step[r - 1::r] = False  # the steps between runs of r
+    return 1 if step.any() else r
 
 
 def _bit_words(h: np.ndarray) -> np.ndarray:
@@ -905,9 +906,7 @@ def _run_selects(u: int, r: int) -> tuple:
 class TiledTheta:
     """``reps`` copies of a theta source's lanes, one after the other: the
     angles of a walk that puts several words on each lane's assignment.
-    Each layer's angle planes are drawn once and copied ``reps`` times into
-    one new array, a word-aligned broadcast when the source's lanes fill
-    whole words."""
+    Each layer's angle planes are drawn once and tiled."""
 
     def __init__(self, theta, reps: int):
         self.theta = theta
@@ -917,10 +916,7 @@ class TiledTheta:
         k = self.theta.k_for(params)
         b = len(self.theta)
         if b % 64 == 0:
-            out = np.empty((*k.shape[:-1], self.reps, k.shape[-1]),
-                           dtype=k.dtype)
-            out[...] = k[..., None, :]
-            return out.reshape(*k.shape[:-1], -1)
+            return np.tile(k, self.reps)
         lanes = np.tile(np.arange(b), self.reps)
         return _take_lanes(k.reshape(-1, k.shape[-1]), lanes).reshape(
             *k.shape[:-1], -1)

@@ -1410,11 +1410,16 @@ class TestAnglePlanes:
         theta = engine.HashedTheta(5, np.repeat(u, 45))
         plane_angles(theta, self.PARAMS, 45 * u.size)
         assert sum(hashed) == u.size
-        # uids that do not come in even runs are hashed one per lane
-        hashed.clear()
-        ragged = np.repeat(u[:3], [2, 2, 3])
-        plane_angles(engine.HashedTheta(5, ragged), self.PARAMS, 7)
-        assert sum(hashed) == ragged.size
+        # uids that do not come in even runs are hashed one per lane, also
+        # when the first run's length divides the lanes
+        for runs in ([2, 2, 3], [2, 3, 3]):
+            hashed.clear()
+            ragged = np.repeat(u[:3], runs)
+            got = plane_angles(engine.HashedTheta(5, ragged), self.PARAMS,
+                               ragged.size)
+            assert sum(hashed) == ragged.size
+            assert np.array_equal(got, rng.grid_angle(
+                5, ragged[None, :], self.PARAMS[:, None]))
 
     def test_exact_mode_gathers_planes_by_origin(self):
         lanes = 70
