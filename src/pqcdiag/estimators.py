@@ -18,7 +18,11 @@ chunk partials are reduced in chunk order with compensated summation, so a
 run's output is byte-identical for any ``threads`` setting (consecutive
 chunks are walked together in groups, which only widens the walks).  That
 outer loop has one home, :func:`_drive`, and every :class:`EstimateReport`
-is built by :func:`_report`.
+is built by :func:`_report`.  Within a job, the sibling walks of one
+circuit over the same draws, its inner replicates and parameter shifts, are
+walked as one engine walk while together they fit a chunk
+(:func:`_replicate_means`); each lane keeps its own angles and stream id,
+so this too only widens the walks.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ from .rng import check_stream_budget, compose_stream_array, pauli_codes
 #: boundaries, and therefore reduction order and every float, are identical
 #: no matter how the chunks are grouped or scheduled.  A job walks up to
 #: ``4 * _CHUNK`` lanes: narrower walks pay every step's numpy call overhead
-#: on fewer lanes.
+#: on fewer lanes.  It also bounds a merged sibling walk: a job's sibling
+#: walks are walked as one while together they fit ``_CHUNK`` lanes (see
+#: :func:`_replicate_means`), since past that merging no longer pays.
 _CHUNK = 16384
 
 
@@ -251,28 +257,65 @@ def _walk_values(circuit: Circuit, obs: ObservableSum, state, theta, *,
     return vals
 
 
-def _replicate_means(circuit, obs, state, outer, seed, n_tau, rep, *,
-                     shift=None, collect=False):
-    """Inner-replicate mean of <O> per outer draw (replicates 0 and 1 use
-    disjoint inner-draw id ranges, which is all 'independent' means here).
+def _replicate_means(circuit, obs, state, outer, seed, n_tau, variants, *,
+                     theta=None, collect=False):
+    """Inner-replicate mean of <O> per outer draw, for each of ``variants``.
 
-    ``shift = (params, delta)`` walks draw i with parameter ``params[i]``
-    moved by ``delta`` quarter turns.
+    The variants are sibling walks of the same outer draws, each a pair
+    ``(rep, shift)``.  Replicates 0 and 1 use disjoint inner-draw id
+    ranges, which is all 'independent' means here.  ``shift = (params,
+    delta)`` walks draw i with parameter ``params[i]`` moved by ``delta``
+    quarter turns; a call's variants are either all shifted or all
+    ``None``.  Consecutive variants are walked together, in groups of
+    ``max(1, _CHUNK // lanes)`` where ``lanes = len(outer) * n_tau`` is a
+    variant's lane count, one :func:`_walk_values` call a group: a narrow
+    walk pays each step's numpy call overhead on few lanes, and past a
+    chunk merging stops paying.  A group's lanes are its variants' lanes
+    end to end, each keeping its own stream id (inner ids offset by
+    ``rep * n_tau``); walks are per-lane pure, so grouping moves no float.
+    Unshifted variants read ``theta``, the angles of
+    ``np.repeat(outer, n_tau)`` (built once here when not given; a job
+    that walks other circuits over the same draws passes one in), tiled
+    across a group.  A shifted group reads one :class:`HashedTheta` on its
+    tiled uids, with its variants' shift parameters and deltas end to end.
+
+    Returns one per-draw mean array per variant, or with ``collect`` one
+    (means, score sums) pair per variant.
     """
     b = outer.shape[0]
     uids = np.repeat(outer, n_tau)
-    th = HashedTheta(seed, uids) if shift is None else HashedTheta(
-        seed, uids, np.repeat(shift[0], n_tau),
-        np.full(uids.shape[0], shift[1], dtype=np.int64))
-    inner = np.tile(np.arange(n_tau, dtype=np.uint64), b) \
-        + np.uint64(rep * n_tau)
-    out = _walk_values(circuit, obs, state, th, seed=seed, outer=uids,
-                       inner=inner, collect=collect)
-    if collect:
-        vals, wsum = out
-        return (vals.reshape(b, n_tau).mean(axis=1),
-                wsum.reshape(b, n_tau, -1).mean(axis=1))
-    return out.reshape(b, n_tau).mean(axis=1)
+    lanes = uids.shape[0]
+    if theta is None and variants[0][1] is None:
+        theta = HashedTheta(seed, uids)
+
+    def walk(group):  # a generator, so a group's lanes die before the next
+        k = len(group)
+        tiled = uids if k == 1 else np.tile(uids, k)
+        if group[0][1] is None:
+            th = theta if k == 1 else TiledTheta(theta, k)
+        else:
+            th = HashedTheta(
+                seed, tiled,
+                np.concatenate([np.repeat(params, n_tau)
+                                for _, (params, _) in group]),
+                np.repeat(np.array([delta for _, (_, delta) in group],
+                                   dtype=np.int64), lanes))
+        reps = np.array([rep for rep, _ in group], dtype=np.uint64)
+        inner = (reps[:, None] * np.uint64(n_tau) + np.tile(
+            np.arange(n_tau, dtype=np.uint64), b)).ravel()
+        out = _walk_values(circuit, obs, state, th, seed=seed, outer=tiled,
+                           inner=inner, collect=collect)
+        vals, wsum = out if collect else (out, None)
+        for v in range(k):
+            part = slice(v * lanes, (v + 1) * lanes)
+            mean = vals[part].reshape(b, n_tau).mean(axis=1)
+            if collect:
+                mean = (mean, wsum[part].reshape(b, n_tau, -1).mean(axis=1))
+            yield mean
+
+    size = max(1, _CHUNK // max(1, lanes))
+    return [mean for lo in range(0, len(variants), size)
+            for mean in walk(variants[lo:lo + size])]
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +367,14 @@ def estimate_mse(circuit: Circuit, obs: ObservableSum, state=None,
     state, cfg, n_tau = _observable_setup(circuit, obs, state, config)
     branching = circuit.branching()
     clean = circuit.without_noise()
+    reps = [(0, None), (1, None)] if branching else [(0, None)]
 
     def job(outer):
         vclean = _walk_values(clean, obs, state, HashedTheta(cfg.seed, outer),
                               seed=cfg.seed)
-        da = vclean - _replicate_means(circuit, obs, state, outer, cfg.seed,
-                                       n_tau, 0)
-        db = vclean - _replicate_means(circuit, obs, state, outer, cfg.seed,
-                                       n_tau, 1) if branching else da
-        return (da * db,)
+        d = [vclean - m for m in _replicate_means(
+            circuit, obs, state, outer, cfg.seed, n_tau, reps)]
+        return (d[0] * d[-1],)
 
     mom, = _drive(job, cfg.n_theta, n_tau, cfg.threads)
     return _report("mse", t0, cfg, mom.mean(), mom.stderr(), n_tau=n_tau)
@@ -416,14 +458,18 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
     def job(outer):
         vclean = _walk_values(clean, obs, state, HashedTheta(cfg.seed, outer),
                               seed=cfg.seed)
-        vals, dsum = _replicate_means(circuit, obs, state, outer, cfg.seed,
-                                      n_tau, 1, collect=True)
+        th = HashedTheta(cfg.seed, np.repeat(outer, n_tau))
+
+        def means(circ, rep, collect=False):
+            return _replicate_means(circ, obs, state, outer, cfg.seed, n_tau,
+                                    [(rep, None)], theta=th,
+                                    collect=collect)[0]
+
+        vals, dsum = means(circuit, 1, collect=True)
         if branching:
-            vals = _replicate_means(circuit, obs, state, outer, cfg.seed,
-                                    n_tau, 0)
+            vals = means(circuit, 0)
         for j, res in residuals.items():
-            dsum[:, j] += _replicate_means(res, obs, state, outer, cfg.seed,
-                                           n_tau, 1)
+            dsum[:, j] += means(res, 1)
         return (-2.0 * (vclean - vals)[:, None] * dsum,)
 
     mom, = _drive(job, cfg.n_theta, n_tau, cfg.threads)
@@ -509,7 +555,10 @@ def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
     Each (outer draw, walked parameter) pair is one draw of
     :func:`_replicate_means` at the +pi/2 and the -pi/2 shift; the two
     shifts of one replicate share inner ids and stream ids, so their walks
-    see common randomness and the difference concentrates.  A parameter
+    see common randomness and the difference concentrates.  The shifts of
+    every replicate (two when channels branch, else one) are the job's
+    sibling variants, in the order (rep 0, +), (rep 0, -), (rep 1, +),
+    (rep 1, -), so narrow ones are walked as one engine walk.  A parameter
     with no rotation in any term's light cone has gradient exactly 0.0
     (both shifted walks are bit-identical), so only the others are walked;
     the rest stay 0.0 in the (draw, parameter) array.
@@ -519,24 +568,19 @@ def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
     in_cone = cone_params(circuit, [word for _, word in obs.terms])
     live = [i for i, k in enumerate(params) if k in in_cone]
     walked = np.asarray(params, dtype=np.int64)[live]
+    reps = (0, 1) if circuit.branching() else (0,)
 
     def job(outer):
         b = outer.shape[0]
-        pairs = np.repeat(outer, walked.size)
-        shifted = np.tile(walked, b)
-
-        def gradients(rep):
-            g = np.zeros((b, len(params)))
-            if walked.size:
-                plus, minus = (_replicate_means(circuit, obs, state, pairs,
-                                                cfg.seed, n_tau, rep,
-                                                shift=(shifted, delta))
-                               for delta in (1, -1))
+        grads = [np.zeros((b, len(params))) for _ in reps]
+        if walked.size:
+            means = _replicate_means(
+                circuit, obs, state, np.repeat(outer, walked.size), cfg.seed,
+                n_tau, [(rep, (np.tile(walked, b), delta))
+                        for rep in reps for delta in (1, -1)])
+            for g, plus, minus in zip(grads, means[::2], means[1::2]):
                 g[:, live] = ((plus - minus) / 2.0).reshape(b, walked.size)
-            return g
-
-        ga = gradients(0)
-        gb = gradients(1) if circuit.branching() else ga
+        ga, gb = grads[0], grads[-1]
         return (ga * gb).sum(axis=1), ga.sum(axis=1)
 
     mom, gmom = _drive(job, cfg.n_theta, len(params) * n_tau, cfg.threads)
@@ -579,7 +623,9 @@ def sum_gradient_variance(circuit: Circuit, obs: ObservableSum, state=None,
     are bit-identical), so its lanes are never walked: its slot of the
     per-draw gradient array is left at 0.0, which keeps the summation order
     and every reported float unchanged.  For Z on the middle qubit of a
-    two-block 10x10 CZ chip this walks 45 of its 400 parameters.
+    two-block 10x10 CZ chip this walks 45 of its 400 parameters: at 80
+    draws, each shift has 3,600 lanes, and both shifts are one walk of
+    7,200 lanes (see :func:`_replicate_means`).
     """
     return _gradvar_report(circuit, obs, state, config,
                            list(range(circuit.n_params)),

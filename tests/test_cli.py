@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -637,3 +639,16 @@ def test_version_flag():
 def test_missing_file_is_validation_error(tmp_path):
     assert main(["diagnose", "mse", str(tmp_path / "nope.json"),
                  "-o", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0),
+                                        (["benchmark", "--n", "2"], 2)])
+def test_package_runs_as_a_module(argv, code):
+    # ``python -m pqcdiag`` from a checkout, without the console script
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "pqcdiag", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert "usage: pqcdiag" in done.stdout + done.stderr

@@ -625,6 +625,62 @@ def test_term_major_walk_matches_per_term_walks(case, chunk, monkeypatch):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+class TestSiblingWalks:
+    """A job's sibling walks (replicates and parameter shifts of one
+    circuit over the same draws) are one engine walk while they fit one
+    chunk together, and stay apart when they do not."""
+
+    @staticmethod
+    def _walk_lanes(monkeypatch, run):
+        lanes, walk = [], est.run_backward_batch
+
+        def counted(circuit, state, x0, *args, **kwargs):
+            lanes.append(len(x0))
+            return walk(circuit, state, x0, *args, **kwargs)
+
+        monkeypatch.setattr(est, "run_backward_batch", counted)
+        run()
+        return lanes
+
+    def test_both_shifts_of_the_wide_chip_are_one_walk(self, monkeypatch):
+        # Z_45's cone holds 45 parameters: each shift walks 80 x 45 lanes
+        c = gen_grid_chip(10, 10, 2, "cz", make_depolarizing(0.01))
+        obs = observable_from_terms([(1.0, PauliString.from_codes(
+            [3 if q == 45 else 0 for q in range(100)]))])
+        lanes = self._walk_lanes(monkeypatch, lambda: est.sum_gradient_variance(
+            c, obs, None, DiagnosticConfig(n_theta=80, seed=1)))
+        assert lanes == [2 * 3600]
+
+    def test_two_replicates_by_two_shifts_are_one_walk(self, monkeypatch):
+        from test_golden import run_sum_gradvar_siblings
+        lanes = self._walk_lanes(monkeypatch, run_sum_gradvar_siblings)
+        assert lanes == [4 * 2080]
+
+    def test_siblings_wider_than_a_chunk_stay_apart(self, monkeypatch):
+        # 4096 draws x 8 paths: each replicate fills two chunks
+        c = gen_grid_chip(3, 3, 2, "rzz", make_amplitude_damping(0.05))
+        obs = observable_from_terms([(1.0, PauliString.from_codes(
+            [3 if q == 4 else 0 for q in range(9)]))])
+        lanes = self._walk_lanes(monkeypatch, lambda: est.estimate_mse(
+            c, obs, None, DiagnosticConfig(n_theta=4096, n_tau=8, seed=1)))
+        assert lanes == [4096, 32768, 32768]
+
+
+    @pytest.mark.parametrize("run", [est.estimate_mse,
+                                     est.estimate_sensitivity_map])
+    def test_replicate_walks_share_one_angle_source(self, monkeypatch, run):
+        # the noiseless walk hashes the 50 draws once, and every noisy walk
+        # of the job (two replicates, and the map's residual walk for its
+        # gamma = 0 site) reads one more source
+        c, terms = SCORE_CASES["amplitude_damping_gamma0"]()
+        hashed, keys = engine.theta_keys, []
+        monkeypatch.setattr(engine, "theta_keys", lambda seed, uids: (
+            keys.append(len(uids)), hashed(seed, uids))[1])
+        run(c, observable_from_terms(terms), None,
+            DiagnosticConfig(n_theta=50, n_tau=4, seed=3))
+        assert keys == [50, 50]
+
+
 class TestLineBenchmark:
     def test_target_formula(self):
         assert est.line_variance_target(4) == pytest.approx(2.0 / 7.0)

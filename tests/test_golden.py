@@ -17,6 +17,9 @@ outer draw's uid to 22, 64 and 20 adjacent lanes, so their angle planes
 come from one hash per draw broadcast to its lanes (a draw straddles plane
 words in the first and last); every other case has fewer than 16 lanes a
 draw.  They were pinned on the engine that hashed every lane's uid.
+``sum_gradvar_siblings`` is the one case whose four sibling walks (two
+inner replicates x two parameter shifts) fit one chunk, so they are walked
+as one; it was pinned when each sibling was still its own walk.
 Every ``GOLDEN`` case fits in one reduction chunk; the ``MULTI_GROUP``
 cases run at 64 lanes a chunk, so each spans at least nine chunks and
 several jobs, and were pinned when every job still walked a single chunk.
@@ -192,6 +195,16 @@ def run_mse_tau20(threads=1):
                                              threads=threads))
 
 
+def run_sum_gradvar_siblings(threads=1):
+    # amplitude damping branches, so the job has four sibling walks (two
+    # replicates x two shifts) of 40 draws x 13 walked parameters x 4
+    # paths = 2080 lanes each: one chunk holds all four
+    c = gen_grid_chip(2, 2, 2, "rzz", make_amplitude_damping(0.1))
+    return est.sum_gradient_variance(
+        c, z_on(4, 1), None,
+        DiagnosticConfig(n_theta=40, n_tau=4, seed=34, threads=threads))
+
+
 GOLDEN = {
     "mse": (run_mse,
             "6b1799257873f2b1e3dbc8240a823c60"
@@ -238,6 +251,9 @@ GOLDEN = {
     "mse_tau20": (run_mse_tau20,
                   "a39799564c3062f82110c6c4010413ef"
                   "f0772397043d798d81df119864232dd0"),
+    "sum_gradvar_siblings": (run_sum_gradvar_siblings,
+                             "3c34bb449874152e0f5ceb6cc7608b35"
+                             "cf2201d417cf4a6703aa4a39bade10dc"),
 }
 
 
