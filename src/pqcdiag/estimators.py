@@ -313,7 +313,7 @@ def _replicate_means(circuit, obs, state, outer, seed, n_tau, variants, *,
                 mean = (mean, wsum[part].reshape(b, n_tau, -1).mean(axis=1))
             yield mean
 
-    size = max(1, _CHUNK // max(1, lanes))
+    size = max(1, _CHUNK // lanes)
     return [mean for lo in range(0, len(variants), size)
             for mean in walk(variants[lo:lo + size])]
 
@@ -367,13 +367,13 @@ def estimate_mse(circuit: Circuit, obs: ObservableSum, state=None,
     state, cfg, n_tau = _observable_setup(circuit, obs, state, config)
     branching = circuit.branching()
     clean = circuit.without_noise()
-    reps = [(0, None), (1, None)] if branching else [(0, None)]
+    variants = [(0, None), (1, None)] if branching else [(0, None)]
 
     def job(outer):
         vclean = _walk_values(clean, obs, state, HashedTheta(cfg.seed, outer),
                               seed=cfg.seed)
         d = [vclean - m for m in _replicate_means(
-            circuit, obs, state, outer, cfg.seed, n_tau, reps)]
+            circuit, obs, state, outer, cfg.seed, n_tau, variants)]
         return (d[0] * d[-1],)
 
     mom, = _drive(job, cfg.n_theta, n_tau, cfg.threads)
@@ -574,9 +574,10 @@ def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
         b = outer.shape[0]
         grads = [np.zeros((b, len(params))) for _ in reps]
         if walked.size:
+            shifted = np.tile(walked, b)
             means = _replicate_means(
                 circuit, obs, state, np.repeat(outer, walked.size), cfg.seed,
-                n_tau, [(rep, (np.tile(walked, b), delta))
+                n_tau, [(rep, (shifted, delta))
                         for rep in reps for delta in (1, -1)])
             for g, plus, minus in zip(grads, means[::2], means[1::2]):
                 g[:, live] = ((plus - minus) / 2.0).reshape(b, walked.size)

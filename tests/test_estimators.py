@@ -647,8 +647,9 @@ class TestSiblingWalks:
         c = gen_grid_chip(10, 10, 2, "cz", make_depolarizing(0.01))
         obs = observable_from_terms([(1.0, PauliString.from_codes(
             [3 if q == 45 else 0 for q in range(100)]))])
-        lanes = self._walk_lanes(monkeypatch, lambda: est.sum_gradient_variance(
-            c, obs, None, DiagnosticConfig(n_theta=80, seed=1)))
+        lanes = self._walk_lanes(
+            monkeypatch, lambda: est.sum_gradient_variance(
+                c, obs, None, DiagnosticConfig(n_theta=80, seed=1)))
         assert lanes == [2 * 3600]
 
     def test_two_replicates_by_two_shifts_are_one_walk(self, monkeypatch):
@@ -664,7 +665,6 @@ class TestSiblingWalks:
         lanes = self._walk_lanes(monkeypatch, lambda: est.estimate_mse(
             c, obs, None, DiagnosticConfig(n_theta=4096, n_tau=8, seed=1)))
         assert lanes == [4096, 32768, 32768]
-
 
     @pytest.mark.parametrize("run", [est.estimate_mse,
                                      est.estimate_sensitivity_map])
