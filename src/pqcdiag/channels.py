@@ -1,4 +1,4 @@
-"""Local noise channels as Pauli transfer matrices, plus adjoint sampling.
+"""Local noise channels as Pauli transfer matrices, with sampling tables.
 
 A channel on m <= 3 qubits is stored as its 4^m x 4^m transfer matrix over
 the *normalized* local Pauli basis,
@@ -40,23 +40,15 @@ _TOL = 1e-12
 # channel container
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AdjointSample:
-    """One inner-layer draw: predecessor word and its importance weight."""
-
-    tau: int
-    weight: float
-
-
 class _BranchTables:
     """Per-column sampling tables of a matrix (padded to the widest column).
 
     Column j of ``matrix`` is read as an importance distribution: branch i of
     column j lands on word ``tau[j, i]`` with probability |entry| / l1[j] and
-    carries ``sign[j, i] * l1[j]``; ``val[j, i]`` keeps the raw signed entry
-    for exact branch enumeration.  Zero columns get cdf rows that no uniform
-    in [0,1) can reach, sign/val 0 and tau 0 — a sampled visit weights the
-    walk to 0 and leaves it on the identity word.
+    carries ``sign[j, i] * l1[j]``; ``count[j]`` is the number of entries.
+    Zero columns get cdf rows that no uniform in [0,1) can reach, sign 0
+    and tau 0 — a sampled visit weights the walk to 0 and leaves it on the
+    identity word.
 
     ``stays[j]`` marks a column that maps word j to itself with weight
     exactly 1.0 (one entry, ``tau[j, 0] == j``, ``sign * l1 == 1.0``): a
@@ -70,9 +62,8 @@ class _BranchTables:
     the set of lanes at branching columns, the row bits a single-entry
     column flips, and that entry's factor by class.  Only the lanes at
     branching columns are looked up in flattened copies of ``cdf``,
-    ``sign * l1`` and ``tau``; exact enumeration reads ``count`` and
-    ``val`` per lane.  The forms are keyed by the matrix's bytes, so
-    channels with equal matrices share them.
+    ``sign * l1`` and ``tau``.  The forms are keyed by the matrix's bytes,
+    so channels with equal matrices share them.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -83,7 +74,6 @@ class _BranchTables:
         self.count = np.array([len(b) for b in branches], dtype=np.int64)
         self.tau = np.zeros((d, width), dtype=np.int64)
         self.sign = np.zeros((d, width), dtype=np.float64)
-        self.val = np.zeros((d, width), dtype=np.float64)
         self.cdf = np.full((d, width), 2.0)  # padding > any uniform
         for j, rows in enumerate(branches):
             if len(rows) == 0:
@@ -91,14 +81,13 @@ class _BranchTables:
             p = np.abs(matrix[rows, j]) / self.l1[j]
             self.tau[j, :len(rows)] = rows
             self.sign[j, :len(rows)] = np.sign(matrix[rows, j])
-            self.val[j, :len(rows)] = matrix[rows, j]
             self.cdf[j, :len(rows)] = np.cumsum(p)
             self.cdf[j, len(rows) - 1] = 1.0 + 1e-9  # guard rounding
         self.stays = (self.count == 1) & (self.tau[:, 0] == np.arange(d)) \
             & (self.sign[:, 0] * self.l1 == 1.0)
         self.branches = self.count > 1
-        for arr in (self.l1, self.count, self.tau, self.sign, self.val,
-                    self.cdf, self.stays, self.branches):
+        for arr in (self.l1, self.count, self.tau, self.sign, self.cdf,
+                    self.stays, self.branches):
             arr.setflags(write=False)
 
 
@@ -377,29 +366,6 @@ def ptm_derivative(channel: PtmChannel, name: str) -> np.ndarray:
     g = float(name == "gamma")
     return np.array([[0.0, 0.0, 0.0, g], [0.0, -0.5 / c, 0.0, 0.0],
                      [0.0, 0.0, -0.5 / c, 0.0], [0.0, 0.0, 0.0, -g]])
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-def adjoint_sample(channel: PtmChannel, s_local: int, u: float
-                   ) -> AdjointSample:
-    """Draw a predecessor word from PTM column ``s_local`` by uniform ``u``.
-
-    tau comes out with probability |S[tau, s]| / column-l1 and carries weight
-    sign(S[tau, s]) * column-l1, so the expected signed contribution equals
-    the exact column action.  An all-zero column yields a terminal sample of
-    weight 0.
-    """
-    tables = channel.cols
-    l1 = tables.l1[s_local]
-    if l1 <= 0.0:
-        return AdjointSample(0, 0.0)
-    j = int(np.searchsorted(tables.cdf[s_local], u, side="right"))
-    j = min(j, tables.cdf.shape[1] - 1)
-    return AdjointSample(int(tables.tau[s_local, j]),
-                         float(tables.sign[s_local, j] * l1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,11 @@ An expectation tr(O C(rho)) unrolls into a sum over Pauli paths: pull each
 observable word backward through the circuit (rotations and Cliffords map one
 word to one signed word on the quarter-turn angle grid; each noise channel
 fans out into its PTM-column entries) and close the surviving word against
-the initial state.  One engine computes that sum: the batched walker
+the initial state.  One engine samples that sum: the batched walker
 (`run_backward_batch` / `run_forward_batch`) drives thousands of independent
-walks, one sampled path per lane or, in exact mode, every branch as its own
-lane.  Every estimator calls it, and there is no per-theta entry point:
-one theta is a batch whose lanes share one angle row, and
-`oracle.dense_expectation` gives the exact value at any angles.
-`backprop_term` is a one-path scalar walk on PauliStrings, kept only as the
-reference the batched walker is tested against bit for bit.
+walks, one sampled path per lane.  Every estimator calls it, and there is no
+per-theta entry point: one theta is a batch whose lanes share one angle row,
+and `oracle.dense_expectation` gives the exact value at any angles.
 
 The walk state is bit-sliced (the Pauli-frame layout of Gidney's Stim,
 arXiv:2103.02202): each qubit has one row of x bits and one of z bits, and a
@@ -29,14 +26,13 @@ bits that entry flips.  Only the lanes at columns with more than one entry
 become indices: their columns are read from the unpacked step rows, they
 draw their branches, and the bits of the words that moved are scattered
 back into the rows, as Stim XORs a sampled error into the frames it hits.
-Per-lane codes remain only in exact mode's branch expansion and in
-site-entry collection.  Callers see lane-major words, a (B, W) uint64
-array per x and z with bit q % 64 of word q // 64 belonging to qubit q:
-walks convert at entry and exit only.  One bit-matrix transpose
-(`_transpose`, six rounds of masked swaps on 64x64 blocks) does every such
-conversion: words to planes and back, block hashes to angle planes when
-an outer draw has fewer than 16 lanes, and exact mode's lane expansion, a
-row gather between two transposes.
+Per-lane codes remain only in site-entry collection.  Callers see
+lane-major words, a (B, W) uint64 array per x and z with bit q % 64 of word
+q // 64 belonging to qubit q: walks convert at entry and exit only.  One
+bit-matrix transpose (`_transpose`, six rounds of masked swaps on 64x64
+blocks) does every such conversion: words to planes and back, block hashes
+to angle planes when an outer draw has fewer than 16 lanes, and a tiled
+angle source's lane gather, a row gather between two transposes.
 
 Rotations are walked a layer at a time, as Stim applies one instruction to
 all of its targets at once.  A compile pass (`_fuse`) groups the rotations
@@ -58,12 +54,13 @@ weights, are then unspecified.
 
 Randomness is counter-based: the uniform that decides a channel's branch is
 a pure function of (seed, walk stream id, noise-site ordinal), so a walk's
-trajectory does not depend on batching or worker count, and the reference
-walk reproduces a batched lane draw for draw.  A sampled channel step hashes
-only the lanes at columns with more than one entry: a single-entry column
-takes its one branch whatever the uniform, and a column that maps its word
-to itself with weight exactly 1 leaves the lane as it is.  Such lanes
-consume no uniform, and skipping them moves no other lane's draw.
+trajectory does not depend on batching or worker count, and a scalar walk
+keyed the same way reproduces a batched lane draw for draw.  A sampled
+channel step hashes only the lanes at columns with more than one entry: a
+single-entry column takes its one branch whatever the uniform, and a column
+that maps its word to itself with weight exactly 1 leaves the lane as it
+is.  Such lanes consume no uniform, and skipping them moves no other lane's
+draw.
 
 Channels with diagonal PTMs never branch: their column action is a
 deterministic factor, applied without consuming randomness.  A PTM column
@@ -79,8 +76,9 @@ and since a branch uniform is keyed by its site's ordinal, skipping a site
 moves no other site's draw.  Channels whose identity column is not e_I (a
 non-trace-preserving raw PTM) are always kept and widen the cone.  Forward
 walks run the full program: there the identity *row* matters, and it
-branches under amplitude damping.  The reference walk always runs the full
-unfused program; it is what the cone and the layers are checked against.
+branches under amplitude damping.  The scalar reference walks of the test
+suite run the full unfused program; they are what the cone and the layers
+are checked against.
 The cone is cut from the unfused program and fused afterwards, so the cone,
 `cone_runs` and `cone_params` never see a layer.  A batch walks the joint
 cone of all of its lanes' words, so callers that walk several words put them
@@ -98,19 +96,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _BranchTables, adjoint_sample
-from .circuits import Circuit, FixedAngle, NoiseSite, Rotation, ThetaAssignment
+from .channels import _BranchTables
+from .circuits import Circuit, FixedAngle, NoiseSite, Rotation
 from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
-                     SignedPauli, backprop_rotation, clifford_table, commutes,
-                     conjugate_clifford, mask_to_words, n_words,
-                     phase_exponent, popcount_words, trace_pauli_with_entries)
-from .rng import (DOMAIN_TAU, RngStream, hash_words, theta_block,
-                  theta_keys, uniform_from_hash)
+                     clifford_table, commutes, mask_to_words, n_words,
+                     phase_exponent, popcount_words)
+from .rng import (DOMAIN_TAU, hash_words, theta_block, theta_keys,
+                  uniform_from_hash)
 
 _LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _NONE = np.uint64(0)
-LANE_CAP = 1 << 22  # most lanes one exact-mode walk may expand into
 
 # per-site phase/anticommutation tables: entry [a, b] looks at axis code a
 # against walk-word code b on one qubit
@@ -312,8 +308,7 @@ class _BranchForm:
     :func:`_row_tables`) and, flattened, by p * width + j for branch j:
     ``cdf[k]`` is the cdf column k < width - 1 a uniform is compared with,
     ``factor`` the branch's sign * l1 and ``move`` the XOR of p with the
-    row index of the branch's output word.  ``row_of`` maps local word
-    indices to row indices, for exact expansion.
+    row index of the branch's output word.
     """
     hot: tuple
     moves: tuple  # ((row, lane set), ...)
@@ -322,7 +317,6 @@ class _BranchForm:
     cdf: np.ndarray  # (width - 1, 4^m)
     factor: np.ndarray  # (4^m * width,)
     move: np.ndarray  # (4^m * width,)
-    row_of: np.ndarray
 
 
 @functools.lru_cache(maxsize=256)
@@ -355,7 +349,7 @@ def _branch_form(matrix: bytes) -> _BranchForm:
     return _BranchForm(_lane_form(hot[to_local]), tuple(moves),
                        _class_forms(np.where(hot, 1.0,
                                              tabs.sign[:, 0] * tabs.l1)),
-                       width, cdf, factor, move, row_of)
+                       width, cdf, factor, move)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +402,6 @@ class _CliffStep:
 class _ChanStep:
     ordinal: int  # global noise-site index, doubles as the RNG slot
     channel: object
-    tabs: object  # the direction's branch tables: channel.cols or .rows
     form: object  # _diag_form of a diagonal channel, else its _branch_form
     rows: list
     mask: int
@@ -431,7 +424,7 @@ def _qubit_mask(qubits) -> int:
 
 def _compile(circuit: Circuit, direction: str) -> list:
     """One step per item of ``circuit.schedule()``, in that order forward
-    and in reverse backward; steps carry the direction's tables."""
+    and in reverse backward; steps carry the direction's forms."""
     if direction not in ("backward", "forward"):
         raise ValueError(f"unknown direction {direction!r}")
     backward = direction == "backward"
@@ -441,7 +434,6 @@ def _compile(circuit: Circuit, direction: str) -> list:
     for item in circuit.schedule():
         if isinstance(item, NoiseSite):
             ch = item.channel
-            tabs = ch.cols if backward else ch.rows
             if id(ch.ptm) not in forms:
                 if ch.diagonal:
                     form = _diag_form(ch.ptm.diagonal().tobytes())
@@ -449,10 +441,10 @@ def _compile(circuit: Circuit, direction: str) -> list:
                     form = _branch_form(
                         (ch.ptm if backward else ch.ptm.T).tobytes())
                 forms[id(ch.ptm)] = form
-            prog.append(_ChanStep(next(ordinals), ch, tabs,
-                                  forms[id(ch.ptm)],
+            stays = (ch.cols if backward else ch.rows).stays[0]
+            prog.append(_ChanStep(next(ordinals), ch, forms[id(ch.ptm)],
                                   _plane_rows(ch.support, circuit.n),
-                                  _qubit_mask(ch.support), not tabs.stays[0]))
+                                  _qubit_mask(ch.support), not stays))
         elif isinstance(item, Rotation):
             fixed = isinstance(item.param, FixedAngle)
             prog.append(_RotStep(item.axis, None if fixed else item.param,
@@ -612,8 +604,7 @@ def _fused_program(circuit: Circuit, direction: str,
                    support: "int | None" = None) -> list:
     """:func:`_program` with its rotations fused into layers (:func:`_fuse`),
     cached beside it.  Only the batched walker walks it; the light cone,
-    ``cone_runs``, ``cone_params`` and the reference walk read the unfused
-    program."""
+    ``cone_runs`` and ``cone_params`` read the unfused program."""
     prog = _program(circuit, direction, support)
     cache = circuit.__dict__["_walk_programs"]
     key = ("fused", direction,
@@ -668,80 +659,11 @@ def cone_params(circuit: Circuit, words) -> set:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference walk
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PathSample:
-    """One sampled Pauli path: its signed contribution, whether it died on a
-    zero-weight branch, and (optionally) the visited signed words."""
-
-    value: float
-    terminal: bool
-    trace: "list | None" = None
-
-
-def backprop_term(circuit: Circuit, theta: ThetaAssignment, term: PauliString,
-                  state, stream: RngStream, collect_trace: bool = False,
-                  ) -> PathSample:
-    """Back-propagate a single observable word and close it against rho.
-
-    The test reference for the batched walker: one sampled path, walked over
-    the full backward program on PauliStrings.  Returns the signed path
-    value c-free (multiply by the term coefficient outside): weight x sign x
-    tr(P_final rho).  The walk consumes one uniform per non-diagonal noise
-    site, keyed by the site's ordinal.
-    """
-    circuit.check_theta(theta)
-    sp = SignedPauli(term, 0)
-    w = 1.0
-    trace = [sp] if collect_trace else None
-    for step in _program(circuit, "backward"):
-        if isinstance(step, _RotStep):
-            k = step.fixed_k if step.param is None \
-                else int(theta.values[step.param])
-            sp = backprop_rotation(step.axis, k, sp, "backward")
-        elif isinstance(step, _CliffStep):
-            sp = conjugate_clifford(step.kind, step.qubits, sp, "backward")
-        else:
-            ch = step.channel
-            idx = sp.pauli.local_index(ch.support)
-            if ch.diagonal:
-                w *= float(ch.ptm[idx, idx])
-            else:
-                smp = adjoint_sample(ch, idx, stream.uniform_at(step.ordinal))
-                w *= smp.weight
-                sp = SignedPauli(sp.pauli.with_local(ch.support, smp.tau),
-                                 sp.phase_q)
-        if collect_trace:
-            trace.append(sp)
-        if w == 0.0:
-            return PathSample(0.0, True, trace)
-    value = w * sp.real_sign() * trace_pauli_with_entries(sp.pauli,
-                                                          state.entries)
-    return PathSample(value, False, trace)
-
-
-# ---------------------------------------------------------------------------
 # theta sources for the batched walker: ``k_for(params)`` gives the angle
 # planes of the (L,) parameters ``params``, an (L, 2, W) uint64 array of lane
 # planes over the input lanes: [r, 0] the low bit of parameter params[r]'s
 # grid angle index, [r, 1] its high bit
 # ---------------------------------------------------------------------------
-
-class MaterializedTheta:
-    """Per-lane grid angles held as an explicit (B, N_g) uint8 array."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = np.ascontiguousarray(values, dtype=np.uint8)
-
-    def k_for(self, params) -> np.ndarray:
-        k = self.values[:, params].T
-        return _pack(np.stack((k & 1, k >> 1), axis=1))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
 
 class HashedTheta:
     """Lazy i.i.d. grid angles: k(lane, param) = rng.grid_angle(seed, uid,
@@ -1093,13 +1015,13 @@ def _branch(planes: np.ndarray, step: _ChanStep, w: np.ndarray,
     class planes.  Only the hot lanes, at columns with more than one
     entry, become indices: ``uniforms(lanes, ordinal)`` gives their branch
     uniforms at the step's noise site, and the branch is the number of the
-    column's cdf entries at or below the uniform, as in ``adjoint_sample``.
-    A column's last cdf entry is 1 + 1e-9 and its padding 2.0, both above
-    any uniform, so the last cdf column is never compared.  The hot lanes'
-    factors replace the class factor (1.0 there) in the full-lane factor
-    array, so every weight is multiplied once, by the same sign * l1 double
-    as in the reference walk; and the row bits of the hot lanes whose word
-    moved are XORed in by a scatter (:func:`_xor_lanes`).
+    column's cdf entries at or below the uniform.  A column's last cdf entry
+    is 1 + 1e-9 and its padding 2.0, both above any uniform, so the last cdf
+    column is never compared.  The hot lanes' factors replace the class
+    factor (1.0 there) in the full-lane factor array, so every weight is
+    multiplied once, by the branch's sign * l1 double; and the row bits of
+    the hot lanes whose word moved are XORed in by a scatter
+    (:func:`_xor_lanes`).
     """
     f = step.form
     b = w.size
@@ -1178,18 +1100,15 @@ def _xor_terms(parts, terms):
     return out
 
 
-def _angles(layer: _RotLayer, theta, origin, width: int) -> np.ndarray:
+def _angles(layer: _RotLayer, theta) -> np.ndarray:
     """The layer's (L, 2, W) angle planes, or (L, 2, 1) when every angle
-    is fixed; expanded exact-mode lanes read their input lane's angles."""
+    is fixed."""
     if not layer.params.size:
         return layer.fixed_k
     k = theta.k_for(layer.params)
-    if origin is not None:
-        k = _take_lanes(k.reshape(-1, k.shape[-1]), origin).reshape(
-            -1, 2, width)
     if layer.params.size == len(layer.fixed_k):
         return k
-    out = np.repeat(layer.fixed_k, width, axis=2)
+    out = np.repeat(layer.fixed_k, k.shape[-1], axis=2)
     out[layer.param_at] = k
     return out
 
@@ -1213,36 +1132,33 @@ def _terminal_values(x, z, w, state) -> np.ndarray:
 
 
 def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
-               seed: int = 0, stream_ids=None, w0=None, exact: bool = False,
-               slot_offset: int = 0, collect_flags: bool = False):
-    """Drive B simultaneous walks; returns (x, z, w, origin, flags).
+               seed: int = 0, stream_ids=None, w0=None, slot_offset: int = 0,
+               collect_flags: bool = False):
+    """Drive B simultaneous walks, one sampled path per input lane; returns
+    (x, z, w, flags).
 
-    In sampled mode ``origin`` is None and lanes map 1:1 to inputs.  In exact
-    mode every branching channel splits lanes into all nonzero column (or
-    row) entries; ``origin[i]`` maps expanded lane i back to its input lane,
-    whose angles in ``theta`` it reads.
+    The theta source, ``stream_ids`` and ``w0`` each cover the B lanes of
+    ``x0`` and ``z0``.  A sampled channel step draws the branch of lane i
+    at noise site j from the uniform keyed by (``seed``, ``stream_ids[i]``,
+    ``slot_offset + j``), so the walks need stream ids when channels branch.
 
     ``collect_flags`` additionally records, per lane and noise site, the
     matrix entry the lane used there, as its index tau * 4^m + s into the
     sampled matrix (the PTM backward, its transpose forward): s is the word
     the lane brought (the entry's input word), tau the word it left with
     (its output word).  A site outside the light cone records 0, the
-    identity entry.  None unless requested.  An exact walk through branching
-    channels has no entry per input lane, so it refuses ``collect_flags``.
+    identity entry.  None unless requested.
 
     The walk state is bit-sliced: ``planes`` holds the x row of every qubit,
     then every z row, then the sign row, each a lane plane.  Lane-major
     words exist only at entry and exit, and one bit-matrix transpose
-    (:func:`_transpose`) converts both ways; exact mode's lane expansion is
-    a row gather between two of them (:func:`_take_lanes`).  The walk
-    follows the fused program (:func:`_fused_program`): one step per layer
-    of rotations, and per Clifford and channel.  Rotation layers, Clifford
-    steps (:func:`_clifford`), diagonal channel steps
-    (:func:`_diag_factors`) and sampled branching channel steps
-    (:func:`_branch`) work on the planes; only exact mode's branch
-    expansion, and ``collect_flags``, unpack a step's rows to per-lane
-    codes (:func:`_local_codes`).  Expanded lanes' new words are XORed into
-    the rows by the branching step's scatter (:func:`_xor_lanes`).
+    (:func:`_transpose`) converts both ways.  The walk follows the fused
+    program (:func:`_fused_program`): one step per layer of rotations, and
+    per Clifford and channel.  Rotation layers, Clifford steps
+    (:func:`_clifford`), diagonal channel steps (:func:`_diag_factors`) and
+    sampled branching channel steps (:func:`_branch`) work on the planes;
+    only ``collect_flags`` unpacks a step's rows to per-lane codes
+    (:func:`_local_codes`).
     """
     n = circuit.n
     x0 = np.asarray(x0, dtype=np.uint64)
@@ -1250,27 +1166,27 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     if x0.shape[1:] != (n_words(n),) or z0.shape != x0.shape:
         raise ValueError(f"walk words must be (lanes, {n_words(n)}) arrays "
                          f"for {n} qubits, got {x0.shape} and {z0.shape}")
-    if collect_flags and exact and circuit.branching():
-        raise ValueError("site entries are per path; use sampled walks when "
-                         "channels branch")
+    b = x0.shape[0]
+    for what, given in (("the theta source", theta),
+                        ("stream_ids", stream_ids), ("w0", w0)):
+        if given is not None and len(given) != b:
+            raise ValueError(f"{what} covers {len(given)} lanes, the walk "
+                             f"words {b}")
     support = _support_mask(x0, z0)
     if support >> n:
         raise ValueError(f"walk words act on qubits beyond the {n}-qubit "
                          "register")
     prog = _fused_program(circuit, direction, support)
     backward = direction == "backward"
-    b = x0.shape[0]
     planes = np.concatenate((_transpose(x0, n), _transpose(z0, n),
                              np.zeros((1, (b + 63) // 64), dtype=_LANE)))
     w = np.ones(b) if w0 is None else np.array(w0, dtype=np.float64,
                                                copy=True)
-    if not exact:
-        if circuit.branching():
-            if stream_ids is None:
-                raise ValueError("sampled walk through branching channels "
-                                 "needs per-lane stream ids")
-            stream_ids = np.ascontiguousarray(stream_ids, dtype=np.uint64)
-    origin = np.arange(b, dtype=np.int64) if exact else None
+    if circuit.branching():
+        if stream_ids is None:
+            raise ValueError("sampled walk through branching channels "
+                             "needs per-lane stream ids")
+        stream_ids = np.ascontiguousarray(stream_ids, dtype=np.uint64)
     flags = np.zeros((b, len(circuit.noise_sites)), dtype=np.int32) \
         if collect_flags else None
 
@@ -1281,8 +1197,7 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
 
     for step in prog:
         if isinstance(step, _RotLayer):
-            _rotate(planes, n, step,
-                    _angles(step, theta, origin, planes.shape[1]), backward)
+            _rotate(planes, n, step, _angles(step, theta), backward)
             continue
         if isinstance(step, _CliffStep):
             _clifford(planes, n, step)
@@ -1291,26 +1206,6 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
         col = None if flags is None else _local_codes(planes, step.rows, b)
         if ch.diagonal:
             w *= _diag_factors(planes, step, b)
-        elif exact:  # every lane splits into all entries of its column
-            tabs, f = step.tabs, step.form
-            col = _local_codes(planes, step.rows, b)
-            counts = tabs.count[col]
-            total = int(counts.sum())
-            if total > LANE_CAP:
-                raise RuntimeError(
-                    f"branch expansion needs {total} lanes "
-                    f"(cap {LANE_CAP})")
-            rep = np.repeat(np.arange(b), counts)
-            starts = np.cumsum(counts) - counts
-            within = np.arange(total, dtype=np.int64) \
-                - np.repeat(starts, counts)
-            planes = _take_lanes(planes, rep)
-            origin = origin[rep]
-            col = col[rep]
-            w = w[rep] * tabs.val[col, within]
-            b = total
-            _xor_lanes(planes, step.rows, np.arange(b),
-                       f.move[f.row_of[col] * f.width + within])
         else:
             _branch(planes, step, w, uniforms)
         if flags is not None:
@@ -1322,28 +1217,23 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     # negating each lane's weight at the rotation that flipped it
     np.negative(w, out=w, where=_unpack(planes[2 * n], b).astype(bool))
     return (_transpose(planes[:n], b), _transpose(planes[n:2 * n], b), w,
-            origin, flags)
+            flags)
 
 
 def run_backward_batch(circuit: Circuit, state, x0, z0, theta, *,
                        seed: int = 0, stream_ids=None, w0=None,
-                       exact: bool = False, slot_offset: int = 0,
-                       collect_flags: bool = False):
+                       slot_offset: int = 0, collect_flags: bool = False):
     """Batched observable back-propagation closed against ``state``.
 
-    Returns one value per input lane: weight x sign x tr(P_final rho),
-    branch-exact when ``exact`` (all channel branches summed), otherwise one
-    sampled path per lane.  With ``collect_flags`` returns (values, flags),
-    flags[i, j] the index into ``ptm.ravel()`` of the entry walk i used at
-    noise site j (sampled mode only when channels branch; see _run_batch).
+    Returns one value per input lane, from one sampled path per lane:
+    weight x sign x tr(P_final rho).  With ``collect_flags`` returns
+    (values, flags), flags[i, j] the index into ``ptm.ravel()`` of the entry
+    walk i used at noise site j (see :func:`_run_batch`).
     """
-    x, z, w, origin, flags = _run_batch(
+    x, z, w, flags = _run_batch(
         circuit, "backward", x0, z0, theta, seed=seed, stream_ids=stream_ids,
-        w0=w0, exact=exact, slot_offset=slot_offset,
-        collect_flags=collect_flags)
+        w0=w0, slot_offset=slot_offset, collect_flags=collect_flags)
     vals = _terminal_values(x, z, w, state)
-    if exact:
-        vals = np.bincount(origin, weights=vals, minlength=x0.shape[0])
     if collect_flags:
         return vals, flags
     return vals
@@ -1357,6 +1247,6 @@ def run_forward_batch(circuit: Circuit, x0, z0, theta, *, seed: int = 0,
     lane, to be chained into a backward walk (expressibility's two-circuit
     overlap).
     """
-    x, z, w, _, _ = _run_batch(circuit, "forward", x0, z0, theta, seed=seed,
-                               stream_ids=stream_ids)
+    x, z, w, _ = _run_batch(circuit, "forward", x0, z0, theta, seed=seed,
+                            stream_ids=stream_ids)
     return x, z, w

@@ -16,12 +16,11 @@ qubit-0).  Text form prints qubit 0 first: ``+XIZ`` means X on qubit 0, Z on
 qubit 2.
 
 The same algebra is exposed twice.  The object layer (PauliString /
-SignedPauli) describes circuits, observables and their text form, builds the
-Clifford tables the batched walker looks up (:func:`clifford_table`, from
-:func:`multiply`), and carries ``engine.backprop_term``, the scalar walk the
-tests check the engine against.  It has no dense form: ``oracle.pauli_dense``
-is the one dense reference.  It also owns the local word index that every
-gate, channel and transfer-matrix table is indexed by
+SignedPauli) describes circuits, observables and their text form, and builds
+the Clifford tables the batched walker looks up (:func:`clifford_table`,
+from :func:`multiply`).  It has no dense form: ``oracle.pauli_dense`` is the
+one dense reference.  It also owns the local word index that every gate,
+channel and transfer-matrix table is indexed by
 (:meth:`PauliString.local_index`, :meth:`~PauliString.with_local`,
 :meth:`~PauliString.from_local`).  A handful of vectorized helpers on uint64
 word arrays serve the one walk engine, the batched walker, which reads the
@@ -151,12 +150,7 @@ class PauliString:
 
 @dataclass(frozen=True)
 class SignedPauli:
-    """A Pauli word times i^phase_q.
-
-    Walk intermediates may hold any q in {0,1,2,3}; at path boundaries
-    (where a real number must come out) q must be even, which
-    :meth:`real_sign` enforces.
-    """
+    """A Pauli word times i^phase_q, q in {0,1,2,3}."""
 
     pauli: PauliString
     phase_q: int
@@ -164,13 +158,6 @@ class SignedPauli:
     def __post_init__(self) -> None:
         if self.phase_q not in (0, 1, 2, 3):
             raise ValueError("phase exponent must be in {0,1,2,3}")
-
-    def real_sign(self) -> int:
-        """+1 or -1; raises if the phase is imaginary."""
-        if self.phase_q & 1:
-            raise ValueError(f"imaginary phase i^{self.phase_q} where a real "
-                             "sign is required")
-        return 1 if self.phase_q == 0 else -1
 
     def to_text(self) -> str:
         prefix = ("+", "+i", "-", "-i")[self.phase_q]
@@ -223,39 +210,6 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     """True iff the words commute (symplectic-form parity is even)."""
     return (_popcount(a.x_bits & b.z_bits)
             + _popcount(a.z_bits & b.x_bits)) % 2 == 0
-
-
-def backprop_rotation(axis: PauliString, k: int, p: SignedPauli,
-                      direction: str = "backward") -> SignedPauli:
-    """Conjugate ``p`` through exp(-i theta/2 * axis) at theta = k*pi/2.
-
-    ``backward`` gives R^dag p R (observable pulled toward the input),
-    ``forward`` gives R p R^dag.  On the quarter-turn grid exactly one Pauli
-    word survives:
-
-        commuting axis      -> p unchanged (any k)
-        anticommuting, k=0  -> p
-        anticommuting, k=2  -> -p
-        anticommuting, k=1  -> +/- i * axis * p   (sign set by direction)
-        anticommuting, k=3  -> the other one
-    """
-    if k not in (0, 1, 2, 3):
-        raise ValueError("grid angle index must be in {0,1,2,3}")
-    if commutes(axis, p.pauli):
-        return p
-    if k == 0:
-        return p
-    if k == 2:
-        return SignedPauli(p.pauli, (p.phase_q + 2) % 4)
-    # R^dag p R = cos(theta) p + i sin(theta) (axis p); forward flips the sign
-    # of the sin term.
-    prod = multiply(axis, p.pauli)
-    q = (prod.phase_q + p.phase_q + k) % 4
-    if direction == "forward":
-        q = (q + 2) % 4
-    elif direction != "backward":
-        raise ValueError(f"unknown direction {direction!r}")
-    return SignedPauli(prod.pauli, q)
 
 
 # -- Clifford conjugation tables --------------------------------------------
@@ -344,49 +298,6 @@ def clifford_table(kind: str, direction: str = "backward"
         return _FWD_TABLES[kind]
     except KeyError:
         raise ValueError(f"unknown clifford kind {kind!r}") from None
-
-
-def conjugate_clifford(kind: str, qubits: tuple[int, ...], p: SignedPauli,
-                       direction: str = "backward") -> SignedPauli:
-    """Conjugate ``p`` through a named Clifford gate on ``qubits``.
-
-    Default direction is backward (C^dag p C), matching observable
-    back-propagation; pass ``direction="forward"`` for C p C^dag.
-    """
-    out_idx, out_sign = clifford_table(kind, direction)
-    m = len(qubits)
-    if 4 ** m != out_idx.size:
-        raise ValueError(f"{kind!r} acts on {'1' if out_idx.size == 4 else '2'}"
-                         f" qubit(s), got {m}")
-    if len(set(qubits)) != m:
-        raise ValueError("repeated qubit")
-    idx = p.pauli.local_index(qubits)
-    return SignedPauli(p.pauli.with_local(qubits, int(out_idx[idx])),
-                       p.phase_q if out_sign[idx] == 1
-                       else (p.phase_q + 2) % 4)
-
-
-# ---------------------------------------------------------------------------
-# traces against sparse states
-# ---------------------------------------------------------------------------
-
-def trace_pauli_with_entries(p: PauliString, entries) -> float:
-    """tr(P rho) for rho given as an iterable of (row, col, amplitude).
-
-    Uses <a|X^x Z^z|b> = delta_{a, b xor x} (-1)^{z.b}; the result of a trace
-    against a Hermitian operator must be real, which is asserted.
-    """
-    x, z, n = p.x_bits, p.z_bits, p.n
-    iq = 1j ** (_popcount(x & z) % 4)
-    acc = 0j
-    for row, col, amp in entries:
-        # P_{col,row} * rho_{row,col}
-        if col == row ^ x:
-            sign = -1.0 if _popcount(z & row) & 1 else 1.0
-            acc += iq * sign * amp
-    if abs(acc.imag) > 1e-9 * max(1.0, abs(acc.real)):
-        raise ValueError(f"trace came out complex ({acc}); state not Hermitian?")
-    return float(acc.real)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ Domains keep draw families from colliding:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .paulis import n_words
@@ -77,11 +75,6 @@ def hash_words(seed: int, *words) -> np.ndarray:
 def uniform_from_hash(h: np.ndarray) -> np.ndarray:
     """Map hashed uint64 values to float64 uniforms in [0, 1)."""
     return (h >> _U64(11)).astype(np.float64) * _INV_2_53
-
-
-def uniforms(seed: int, domain: int, stream, slot) -> np.ndarray:
-    """Uniform [0,1) draws, one per broadcast element of (stream, slot)."""
-    return uniform_from_hash(hash_words(seed, domain, stream, slot))
 
 
 def theta_keys(seed: int, uid) -> np.ndarray:
@@ -206,18 +199,3 @@ def compose_stream_array(outer, inner, term) -> np.ndarray:
     term = np.asarray(term, dtype=np.uint64)
     return (outer << _U64(inner_bits + term_bits)) \
         | (inner << _U64(term_bits)) | term
-
-
-@dataclass
-class RngStream:
-    """A named random stream: (seed, stream_id) fully determine all draws.
-
-    ``uniform_at(slot)`` is pure (the engine's slot is the noise-site
-    ordinal), so scalar and vectorized walks draw bit-identical histories.
-    """
-
-    seed: int
-    stream_id: int
-
-    def uniform_at(self, slot: int) -> float:
-        return float(uniforms(self.seed, DOMAIN_TAU, self.stream_id, slot))

