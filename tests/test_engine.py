@@ -84,15 +84,12 @@ class TestExactness:
         assert stderr == 0.0
 
     def test_enumeration_matches_dense_with_branching(self):
-        # (circuit, theta seed, tolerance)
-        cases = [(random_circuit(3, 6, seed=40 + seed), seed, 1e-10)
-                 for seed in range(8)]
-        cases.append((random_circuit(2, 5, seed=77), 3, 1e-12))
-        for (c, obs, st), seed, tol in cases:
+        for seed in range(8):
+            c, obs, st = random_circuit(3, 6, seed=40 + seed)
             th = random_theta(c, seed)
             got = exact_expectation(c, obs, st, th)
             want = oracle.dense_expectation(c, th.as_radians(), obs, st)
-            assert got == pytest.approx(want, abs=tol)
+            assert got == pytest.approx(want, abs=1e-10)
 
 
 class TestSampling:
@@ -241,6 +238,18 @@ class TestBatchedWalker:
             scalar = backprop_term(
                 c, th, w, st, RngStream(seed=seed, stream_id=int(streams[t])))
             assert scalar.value == batch[t]  # exactly, not approximately
+
+    def test_batch_exact_mode_sums_branches(self):
+        # the branch sum the batched walker samples: enumerated per term it
+        # matches the dense oracle, and the walker's draws average to it
+        c, obs, st = random_circuit(2, 5, seed=77)
+        assert c.branching()
+        th = random_theta(c, 3)
+        exact = exact_expectation(c, obs, st, th)
+        assert exact == pytest.approx(
+            oracle.dense_expectation(c, th.as_radians(), obs, st), abs=1e-12)
+        mean, stderr, _ = sampled_expectation(c, obs, st, th, 256, seed=5)
+        assert mean == pytest.approx(exact, abs=4 * stderr + 1e-12)
 
     def test_collect_flags_sees_site_words(self):
         # site sits on qubit 1; a Z0 observable never touches it, a Z1 does
