@@ -30,9 +30,8 @@ Per-lane codes remain only in site-entry collection.  Callers see
 lane-major words, a (B, W) uint64 array per x and z with bit q % 64 of word
 q // 64 belonging to qubit q: walks convert at entry and exit only.  One
 bit-matrix transpose (`_transpose`, six rounds of masked swaps on 64x64
-blocks) does every such conversion: words to planes and back, block hashes
-to angle planes when an outer draw has fewer than 16 lanes, and a tiled
-angle source's lane gather, a row gather between two transposes.
+blocks) does every such conversion: words to planes and back, and block
+hashes to angle planes when an outer draw has fewer than 16 lanes.
 
 Rotations are walked a layer at a time, as Stim applies one instruction to
 all of its targets at once.  A compile pass (`_fuse`) groups the rotations
@@ -41,10 +40,10 @@ a rotation only across steps on other qubits and across rotations about
 commuting axes; channel and Clifford steps keep their order.  A layer step
 gathers its rotations' rows into (L, W) slabs and applies all L grid
 rotations in a few AND/XOR operations.  Its angles arrive as packed bit
-planes, two per rotation (`k_for`): the hashed source hashes each outer
-draw once per 32-parameter block and turns those hashes into 64 lane
-planes once, broadcasting each draw's bits to all of its lanes, so a
-layer's angles are a row gather.  Grid rotations change no weight, and
+planes, two per rotation (`k_for`): a job's angle source hashes each outer
+draw once per 32-parameter block, and a view of it turns those hashes into
+64 lane planes once, broadcasting each draw's bits to all of its lanes, so
+a layer's angles are a row gather.  Grid rotations change no weight, and
 their sign flips XOR into the sign row, as do Clifford signs; the row is
 folded into the float weights once, at the end of the walk.  Negation is
 exact, so that is bit-identical to negating along the way, and the fused
@@ -60,7 +59,10 @@ channel step hashes only the lanes at columns with more than one entry: a
 single-entry column takes its one branch whatever the uniform, and a column
 that maps its word to itself with weight exactly 1 leaves the lane as it
 is.  Such lanes consume no uniform, and skipping them moves no other lane's
-draw.
+draw.  A walk hashes the (seed, DOMAIN_TAU, stream id) prefix of all of its
+lanes once, at its first step that has such a lane, and each uniform is
+then one more mix of its lane's prefix with its slot (``rng.hash_words``
+appends a word that way); a walk in which no lane draws hashes nothing.
 
 Channels with diagonal PTMs never branch: their column action is a
 deterministic factor, applied without consuming randomness.  A PTM column
@@ -101,7 +103,7 @@ from .circuits import Circuit, FixedAngle, NoiseSite, Rotation
 from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
                      clifford_table, commutes, mask_to_words, n_words,
                      phase_exponent, popcount_words)
-from .rng import (DOMAIN_TAU, hash_words, theta_block, theta_keys,
+from .rng import (DOMAIN_TAU, hash_words, mix64, theta_block, theta_keys,
                   uniform_from_hash)
 
 _LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
@@ -665,44 +667,111 @@ def cone_params(circuit: Circuit, words) -> set:
 # grid angle index, [r, 1] its high bit
 # ---------------------------------------------------------------------------
 
+class AngleSource:
+    """The grid angles of one job's outer draws, one uid a draw, hashed once
+    for every walk of the job.
+
+    The constructor hashes each uid's part of the angle hash once
+    (``rng.theta_keys``).  :meth:`block` gives the hash of one 32-parameter
+    block for every draw (``rng.theta_block``, one uint64 a draw).  With
+    ``keep`` each block is hashed once and kept, at 8 bytes a draw, for a
+    job that reads its draws through more than one view or walk; otherwise
+    each call hashes it anew.  Walks read the angles through views
+    (:meth:`view`), which lay the draws out on their lanes.
+    """
+
+    def __init__(self, seed: int, uids, keep: bool = False):
+        self.uids = np.asarray(uids, dtype=np.uint64)
+        self.keys = theta_keys(seed, self.uids)
+        self._hashes = {} if keep else None  # block -> its hashes
+
+    def block(self, block: int) -> np.ndarray:
+        """The (draws,) hashes of parameter block ``block``; read only."""
+        if self._hashes is None:
+            return theta_block(self.keys, block)
+        h = self._hashes.get(block)
+        if h is None:
+            h = self._hashes[block] = theta_block(self.keys, block)
+        return h
+
+    def view(self, reps: int = 1, copies: int = 1, shift=None,
+             keep: bool = False) -> "HashedTheta":
+        """A :class:`HashedTheta` over ``copies * reps * len(self)`` lanes:
+        each draw on ``reps`` adjacent lanes, and that period ``copies``
+        times end to end.  ``shift`` is None or (param, delta), two arrays
+        over every lane; ``keep`` keeps every block's planes, for a view
+        walked more than once."""
+        view = HashedTheta.__new__(HashedTheta)
+        view._setup(self, reps, copies, shift, keep)
+        return view
+
+    def __len__(self) -> int:
+        return self.uids.shape[0]
+
+
 class HashedTheta:
     """Lazy i.i.d. grid angles: k(lane, param) = rng.grid_angle(seed, uid,
-    param).
+    param), a view of an :class:`AngleSource`.
 
     Regenerating angles on demand keeps memory flat for huge parameter
     counts; the same (seed, uid) always yields the same assignment, so outer
-    samples are reproducible without storing them.  Estimators give every
-    inner lane of an outer draw its draw's uid, so the uids come in runs of
-    r adjacent lanes (``np.repeat(outer, r)``).  The constructor finds r
-    (:func:`_run_length`; 1 when the runs are not even) and hashes the uid
-    part once per run (``rng.theta_keys``).  Each 32-parameter block's
-    hash (``rng.theta_block``, one uint64 per run) becomes 64 lane planes,
-    row 2p and 2p + 1 the low and high bit of the block's parameter p
-    (:func:`_block_planes`), once per block: the planes of the blocks read
-    by the last two ``k_for`` calls are kept, so a walk whose layers read
-    parameters in block order (each layer within two adjacent blocks) pays
-    one mix per run and one plane build per block; each ``k_for`` is then a
-    row gather.  The cache belongs to this instance, which estimators build
-    per job.  ``shift_param``/``shift_delta`` implement the quarter-turn
-    parameter shift per lane (-1 = no shift): +delta mod 4, added with a
-    2-bit carry to a block's planes as they are built (:meth:`_add_shift`),
-    so the cached planes hold the shifted angles.
+    samples are reproducible without storing them.  A view puts each of its
+    source's draws on r adjacent lanes (``np.repeat(uids, r)``: r = 1 for a
+    noiseless walk, r = n_tau for the inner replicates of a draw), and that
+    period ``copies`` times end to end (the sibling walks of a merged walk,
+    the terms of a multi-term pass).  Each 32-parameter block's hashes
+    become 64 lane planes, row 2p and 2p + 1 the low and high bit of the
+    block's parameter p (:meth:`_block_planes`), and each ``k_for`` is a
+    row gather from them.  When the period fills whole words and no lane is
+    shifted, the planes cover one period and each read is tiled ``copies``
+    times; otherwise they cover every lane.
+
+    A kept view (``keep``) builds each block's planes once and keeps them
+    all, for a view walked more than once; its tiled views
+    (:meth:`tiled`) share them when they cover one period.  Otherwise the
+    planes of the blocks read by the last two ``k_for`` calls are kept, so
+    a walk whose layers read parameters in block order (each layer within
+    two adjacent blocks) builds each block once, and a view walked once
+    holds no more than that.  ``shift`` = (param, delta) implements the
+    quarter-turn parameter shift per lane (param -1 = no shift): +delta mod
+    4, added with a 2-bit carry to a block's planes as they are built
+    (:meth:`_add_shift`), so the cached planes hold the shifted angles.
+
+    ``HashedTheta(seed, uids, shift_param, shift_delta)`` is the view, one
+    lane a uid, of a source of its own.
     """
 
     def __init__(self, seed: int, uids: np.ndarray,
                  shift_param: "np.ndarray | None" = None,
                  shift_delta: "np.ndarray | None" = None):
-        uids = np.asarray(uids, dtype=np.uint64)
-        self._lanes = uids.shape[0]
-        self._reps = _run_length(uids)  # lanes a run
-        self._keys = theta_keys(seed, uids[::self._reps])
-        self._selects = None  # _run_selects of the runs, for r >= 16
+        self._setup(AngleSource(seed, uids), 1, 1, None if shift_param is None
+                    else (shift_param, shift_delta), False)
+
+    def _setup(self, source, reps, copies, shift, keep) -> None:
+        self._source, self._reps, self._copies = source, reps, copies
+        self._keep = keep
+        self._lanes = copies * reps * len(source)
+        self._shift = None if shift is None else (
+            np.asarray(shift[0], dtype=np.int64),
+            np.asarray(shift[1], dtype=np.int64))
+        # planes of one period, tiled at each read
+        self._periodic = shift is None and reps * len(source) % 64 == 0
+        self._selects = None  # _run_selects of the planes' runs, r >= 16
         self._planes: dict = {}  # block -> its planes, (32, 2, W)
         self._last: list = []  # blocks of the previous k_for call
-        self._shift = None if shift_param is None else (
-            np.asarray(shift_param, dtype=np.int64),
-            np.asarray(shift_delta, dtype=np.int64))
         self._deltas = None  # the planes of the lanes' deltas, on first use
+
+    def tiled(self, k: int) -> "HashedTheta":
+        """This view's lanes ``k`` times end to end: the angles of a walk
+        that puts ``k`` words on each lane's assignment."""
+        if k == 1:
+            return self
+        view = self._source.view(
+            self._reps, self._copies * k, None if self._shift is None
+            else tuple(np.tile(a, k) for a in self._shift), self._keep)
+        if self._keep and self._periodic:
+            view._planes = self._planes
+        return view
 
     def k_for(self, params) -> np.ndarray:
         """(L, 2, W) angle planes of the (L,) parameters ``params``: rows
@@ -714,29 +783,36 @@ class HashedTheta:
             planes = self._planes.get(block)
             read[block] = self._block_planes(block) if planes is None \
                 else planes
-        self._planes = {blk: self._planes[blk] for blk in self._last} | read
-        self._last = list(read)
+        if self._keep:
+            self._planes.update(read)
+        else:
+            self._planes = {blk: self._planes[blk] for blk in self._last} \
+                | read
+            self._last = list(read)
         if len(read) == 1:
             (planes,) = read.values()
             k = planes[fields]
         else:
-            k = np.empty((params.size, 2, (len(self) + 63) // 64),
+            k = np.empty((params.size, *next(iter(read.values())).shape[1:]),
                          dtype=_LANE)
             for block, planes in read.items():
                 at = blocks == block
                 k[at] = planes[fields[at]]
-        return k
+        return np.tile(k, self._copies) if self._periodic \
+            and self._copies > 1 else k
 
     def _block_planes(self, block: int) -> np.ndarray:
-        """The (32, 2, W) planes of one block, from its hash of each run:
-        word j of bit b's plane holds bit b of the hashes of the runs its
+        """The (32, 2, W) planes of one block, from its hash of each draw:
+        word j of bit b's plane holds bit b of the hashes of the draws its
         64 lanes belong to, then the block's shifts.  Runs of r < 16 lanes
         repeat their hashes and transpose them.  Longer runs broadcast bit
         b of hash h as the word -(h >> b & 1) (:func:`_bit_words`) through
         a few masked selects a word (see :func:`_run_selects`); when r is a
         multiple of 64 that is one select, each run's word r // 64 times."""
-        h = theta_block(self._keys, block)
-        r, width = self._reps, (len(self) + 63) // 64
+        h = self._source.block(block)
+        if not self._periodic and self._copies > 1:
+            h = np.tile(h, self._copies)
+        r = self._reps
         if r < 16:
             planes = _transpose((np.repeat(h, r) if r > 1 else h)[:, None],
                                 64)
@@ -747,7 +823,7 @@ class HashedTheta:
             planes = _bit_words(h[run[0]]) & mask[0]
             for run_s, mask_s in zip(run[1:], mask[1:]):
                 planes |= _bit_words(h[run_s]) & mask_s
-        planes = planes.reshape(32, 2, width)
+        planes = planes.reshape(32, 2, -1)
         if self._shift is not None:
             self._add_shift(planes, block)
         return planes
@@ -778,23 +854,6 @@ class HashedTheta:
         return self._lanes
 
 
-def _run_length(uids: np.ndarray) -> int:
-    """The length r of the first run of equal uids when every uid comes in
-    a run of r adjacent lanes (``uids == np.repeat(uids[::r], r)``), else
-    1."""
-    b = uids.shape[0]
-    if b < 2 or uids[1] != uids[0]:
-        return 1
-    step = uids[1:] != uids[:-1]  # step[i]: lane i + 1 starts a run
-    r = int(step.argmax()) + 1
-    if not step[r - 1]:
-        return b
-    if b % r:
-        return 1
-    step[r - 1::r] = False  # the steps between runs of r
-    return 1 if step.any() else r
-
-
 def _bit_words(h: np.ndarray) -> np.ndarray:
     """(64, n) words of the n hashes ``h``: word j of row b is all ones
     where bit b of h[j] is set, else 0."""
@@ -823,28 +882,6 @@ def _run_selects(u: int, r: int) -> tuple:
     keep = (hi > lo).any(axis=1)
     return (np.minimum(run[keep], u - 1),
             _LOW_BITS[hi[keep]] ^ _LOW_BITS[lo[keep]])
-
-
-class TiledTheta:
-    """``reps`` copies of a theta source's lanes, one after the other: the
-    angles of a walk that puts several words on each lane's assignment.
-    Each layer's angle planes are drawn once and tiled."""
-
-    def __init__(self, theta, reps: int):
-        self.theta = theta
-        self.reps = reps
-
-    def k_for(self, params) -> np.ndarray:
-        k = self.theta.k_for(params)
-        b = len(self.theta)
-        if b % 64 == 0:
-            return np.tile(k, self.reps)
-        lanes = np.tile(np.arange(b), self.reps)
-        return _take_lanes(k.reshape(-1, k.shape[-1]), lanes).reshape(
-            *k.shape[:-1], -1)
-
-    def __len__(self) -> int:
-        return self.reps * len(self.theta)
 
 
 def words_for_paulis(paulis, n: int):
@@ -919,13 +956,6 @@ def _transpose(words: np.ndarray, count: int) -> np.ndarray:
         t <<= d
         lo ^= t
     return m.transpose(2, 0, 1).reshape(64 * c, groups)[:count]
-
-
-def _take_lanes(planes: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Planes whose lane i is lane ``idx[i]`` of ``planes``: a row gather
-    between two transposes."""
-    lanes = _transpose(planes, 64 * planes.shape[1])
-    return _transpose(lanes[idx], planes.shape[0])
 
 
 def _row_index(v: np.ndarray, b: int) -> np.ndarray:
@@ -1141,6 +1171,8 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     ``x0`` and ``z0``.  A sampled channel step draws the branch of lane i
     at noise site j from the uniform keyed by (``seed``, ``stream_ids[i]``,
     ``slot_offset + j``), so the walks need stream ids when channels branch.
+    The walk hashes each lane's (``seed``, ``stream_ids[i]``) prefix once,
+    at the first step that draws, and a uniform is one more mix of it.
 
     ``collect_flags`` additionally records, per lane and noise site, the
     matrix entry the lane used there, as its index tau * 4^m + s into the
@@ -1190,10 +1222,15 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     flags = np.zeros((b, len(circuit.noise_sites)), dtype=np.int32) \
         if collect_flags else None
 
+    prefix = None  # every lane's hash_words(seed, DOMAIN_TAU, stream id)
+
     def uniforms(lanes, ordinal):
-        return uniform_from_hash(hash_words(
-            seed, DOMAIN_TAU, stream_ids[lanes],
-            np.uint64(slot_offset + ordinal)))
+        nonlocal prefix
+        if prefix is None:
+            prefix = hash_words(seed, DOMAIN_TAU, stream_ids)
+        h = prefix[lanes]
+        h ^= np.uint64(slot_offset + ordinal)
+        return uniform_from_hash(mix64(h, out=h))
 
     for step in prog:
         if isinstance(step, _RotLayer):

@@ -22,7 +22,8 @@ is built by :func:`_report`.  Within a job, the sibling walks of one
 circuit over the same draws, its inner replicates and parameter shifts, are
 walked as one engine walk while together they fit a chunk
 (:func:`_replicate_means`); each lane keeps its own angles and stream id,
-so this too only widens the walks.
+so this too only widens the walks.  A job hashes its draws' angles once, in
+one :class:`engine.AngleSource` whose views its walks read.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import numpy as np
 from .channels import (make_raw_ptm, ptm_derivative, rebuild_with,
                        strength_params)
 from .circuits import Circuit, ObservableSum, gen_line_benchmark, zero_state
-from .engine import (HashedTheta, TiledTheta, cone_params, cone_runs,
-                     run_backward_batch, run_forward_batch, words_for_paulis)
+from .engine import (AngleSource, cone_params, cone_runs, run_backward_batch,
+                     run_forward_batch, words_for_paulis)
 from .reports import (DiagnosticConfig, EstimateReport, InterventionPlan,
                       PlanStep, SensitivityMap, SiteGradient)
 from .rng import check_stream_budget, compose_stream_array, pauli_codes
@@ -117,24 +118,27 @@ def _map_ordered(fn, items, threads: int):
         yield from map(fn, items)
 
 
-def _drive(job, draws: int, lanes_per_draw: int, threads: int) -> list:
+def _drive(job, draws: int, lanes_per_draw: int, threads: int,
+           width: int = 1) -> list:
     """The outer loop of every estimator.
 
     Outer draws 0..draws-1 are cut into chunks of
     ``max(1, _CHUNK // lanes_per_draw)`` draws, the unit of the reduction.
-    Consecutive chunks form a group of up to ``4 * _CHUNK`` lanes (at least
-    one chunk), the unit of work: ``job`` gets each group's outer uids
-    (uint64) and returns a tuple of per-draw sample arrays, and groups are
-    mapped over ``threads`` workers.  Each array is split back at chunk
-    boundaries and the pieces are folded in chunk order into one
-    :class:`_Moments` per tuple slot, which are returned; so neither the
-    grouping nor the worker count moves a float.  A job's walks may in turn
-    be cut into passes (see :func:`_walk_values`).
+    Consecutive chunks form a group whose lanes, ``width`` times over, fit
+    ``4 * _CHUNK`` (at least one chunk), the unit of work: ``job`` gets
+    each group's outer uids (uint64) and returns a tuple of per-draw sample
+    arrays, and groups are mapped over ``threads`` workers.  ``width`` is
+    the number of observable terms the job's widest pass walks side by
+    side (:func:`_pass_width`), so a job walks each of its passes once and
+    reads each of its angle blocks once (see :func:`_walk_values`).  Each
+    array is split back at chunk boundaries and the pieces are folded in
+    chunk order into one :class:`_Moments` per tuple slot, which are
+    returned; so neither the grouping nor the worker count moves a float.
     """
     lanes = max(1, lanes_per_draw)
     chunk = max(1, _CHUNK // lanes)
     spans = _spans(draws, chunk)
-    per_group = max(1, 4 * _CHUNK // (chunk * lanes))
+    per_group = max(1, 4 * _CHUNK // (chunk * lanes * width))
     groups = [spans[i:i + per_group] for i in range(0, len(spans), per_group)]
     moms = []
     for group, parts in zip(groups, _map_ordered(
@@ -146,6 +150,19 @@ def _drive(job, draws: int, lanes_per_draw: int, threads: int) -> list:
             for mom, samples in zip(moms, parts):
                 mom.add(samples[lo - base:hi - base])
     return moms
+
+
+def _pass_width(circuit: Circuit, obs: ObservableSum,
+                lanes_per_draw: int) -> int:
+    """Observable terms walked side by side in the widest pass of a
+    one-chunk :func:`_drive` group: the longest of the terms' cone runs
+    (:func:`engine.cone_runs`) under the limit such a group leaves
+    :func:`_walk_values`."""
+    lanes = max(1, lanes_per_draw)
+    chunk = max(1, _CHUNK // lanes) * lanes
+    runs = cone_runs(circuit, [word for _, word in obs.terms],
+                     max(1, 4 * _CHUNK // chunk))
+    return max(map(len, runs), default=1)
 
 
 def _report(quantity: str, t0: float, cfg: DiagnosticConfig, mean, stderr, *,
@@ -217,11 +234,14 @@ def _walk_values(circuit: Circuit, obs: ObservableSum, state, theta, *,
     walk: consecutive terms whose light cones nearly coincide (see
     :func:`engine.cone_runs`) are walked in one pass with the lanes
     term-major, as many terms as keep the pass within ``4 * _CHUNK`` lanes
-    (the lane budget of one :func:`_drive` group; a single term is walked
-    whole however many lanes ``theta`` has), so each parameter's angles are
-    drawn once and tiled across them; other terms are walked in passes of
-    their own, each in its own cone.  Stream ids are composed from the
-    per-lane (outer, inner) indices and the term number; when no channel
+    (the lane budget of one :func:`_drive` group, which :func:`_drive`
+    sizes so that the widest such run is one pass; a single term is walked
+    whole however many lanes ``theta`` has), reading ``theta`` tiled once
+    a term (``theta.tiled``), so each parameter's angles are drawn once for
+    all of them; other terms are walked in passes of their own, each in its
+    own cone.  Stream ids are composed from the
+    per-lane (outer, inner) indices, two arrays that broadcast against each
+    other to the lanes in order, and the term number; when no channel
     branches the ids are unused and the value is exact.  With ``collect``
     also returns the (lanes, n_sites) matrix of path values times the score
     dT/T of the PTM entry T each walk used at each site
@@ -238,10 +258,12 @@ def _walk_values(circuit: Circuit, obs: ObservableSum, state, theta, *,
     for run in cone_runs(circuit, [word for _, word in obs.terms], per_pass):
         terms = [obs.terms[h] for h in run]
         xw, zw = words_for_paulis([word for _, word in terms], circuit.n)
-        h = np.asarray(run, dtype=np.uint64)[:, None]
-        sids = compose_stream_array(outer, inner, h).ravel() \
-            if branching else None
-        th = theta if len(terms) == 1 else TiledTheta(theta, len(terms))
+        sids = None
+        if branching:
+            h = np.asarray(run, dtype=np.uint64).reshape(
+                -1, *[1] * np.broadcast(outer, inner).ndim)
+            sids = compose_stream_array(outer, inner, h).ravel()
+        th = theta.tiled(len(terms))
         out = run_backward_batch(circuit, state, np.repeat(xw, b, axis=0),
                                  np.repeat(zw, b, axis=0), th, seed=seed,
                                  stream_ids=sids, collect_flags=collect)
@@ -257,53 +279,65 @@ def _walk_values(circuit: Circuit, obs: ObservableSum, state, theta, *,
     return vals
 
 
-def _replicate_means(circuit, obs, state, outer, seed, n_tau, variants, *,
-                     theta=None, collect=False):
-    """Inner-replicate mean of <O> per outer draw, for each of ``variants``.
+def _sibling_groups(variants: list, lanes: int) -> list:
+    """Consecutive ``variants`` of ``lanes`` lanes each, in groups of
+    ``max(1, _CHUNK // lanes)``: each group is one walk."""
+    size = max(1, _CHUNK // lanes)
+    return [variants[lo:lo + size] for lo in range(0, len(variants), size)]
 
-    The variants are sibling walks of the same outer draws, each a pair
-    ``(rep, shift)``.  Replicates 0 and 1 use disjoint inner-draw id
-    ranges, which is all 'independent' means here.  ``shift = (params,
-    delta)`` walks draw i with parameter ``params[i]`` moved by ``delta``
-    quarter turns; a call's variants are either all shifted or all
-    ``None``.  Consecutive variants are walked together, in groups of
-    ``max(1, _CHUNK // lanes)`` where ``lanes = len(outer) * n_tau`` is a
-    variant's lane count, one :func:`_walk_values` call a group: a narrow
-    walk pays each step's numpy call overhead on few lanes, and past a
-    chunk merging stops paying.  A group's lanes are its variants' lanes
-    end to end, each keeping its own stream id (inner ids offset by
-    ``rep * n_tau``); walks are per-lane pure, so grouping moves no float.
-    Unshifted variants read ``theta``, the angles of
-    ``np.repeat(outer, n_tau)`` (built once here when not given; a job
-    that walks other circuits over the same draws passes one in), tiled
-    across a group.  A shifted group reads one :class:`HashedTheta` on its
-    tiled uids, with its variants' shift parameters and deltas end to end.
 
-    Returns one per-draw mean array per variant, or with ``collect`` one
-    (means, score sums) pair per variant.
+def _replicate_means(circuit, obs, state, source, seed, n_tau, variants, *,
+                     spread=1, theta=None, collect=False):
+    """Inner-replicate mean of <O> per sub-draw, for each of ``variants``.
+
+    Each draw of the :class:`engine.AngleSource` ``source`` spans
+    ``spread`` consecutive sub-draws (the walked parameters of a gradient
+    job; 1 elsewhere), and each sub-draw ``n_tau`` inner lanes, so a
+    variant walks r = ``spread * n_tau`` lanes a draw.  The variants are
+    sibling walks of the same draws, each a pair ``(rep, shift)``.
+    Replicates 0 and 1 use disjoint inner-draw id ranges, which is all
+    'independent' means here.  ``shift = (params, delta)`` walks sub-draw i
+    with parameter ``params[i]`` moved by ``delta`` quarter turns; a call's
+    variants are either all shifted or all ``None``.  Consecutive variants
+    are walked together (:func:`_sibling_groups`), one :func:`_walk_values`
+    call a group: a narrow walk pays each step's numpy call overhead on few
+    lanes, and past a chunk merging stops paying.  A group's lanes are its
+    variants' lanes end to end, each keeping its own stream id (inner ids
+    offset by ``rep * n_tau``); walks are per-lane pure, so grouping moves
+    no float.  Unshifted variants read ``theta``, a view of ``source`` with
+    r lanes a draw (made here when not given, kept when it is walked more
+    than once; a job that walks other circuits over the same draws passes
+    one in), tiled once a variant of the group.  A shifted group reads a
+    view of ``source`` tiled once a variant, with its variants' shift
+    parameters and deltas end to end.
+
+    Returns one per-sub-draw mean array per variant, or with ``collect``
+    one (means, score sums) pair per variant.
     """
-    b = outer.shape[0]
-    uids = np.repeat(outer, n_tau)
-    lanes = uids.shape[0]
+    b = len(source) * spread
+    reps = spread * n_tau
+    lanes = b * n_tau
+    # each lane's draw, as (draw, sub-draw, replicate) axes
+    outer = np.broadcast_to(source.uids[:, None, None],
+                            (len(source), spread, 1))
+    groups = _sibling_groups(variants, lanes)
     if theta is None and variants[0][1] is None:
-        theta = HashedTheta(seed, uids)
+        theta = source.view(reps, keep=len(groups) > 1)
 
     def walk(group):  # a generator, so a group's lanes die before the next
         k = len(group)
-        tiled = uids if k == 1 else np.tile(uids, k)
         if group[0][1] is None:
-            th = theta if k == 1 else TiledTheta(theta, k)
+            th = theta.tiled(k)
         else:
-            th = HashedTheta(
-                seed, tiled,
+            th = source.view(reps, k, (
                 np.concatenate([np.repeat(params, n_tau)
                                 for _, (params, _) in group]),
                 np.repeat(np.array([delta for _, (_, delta) in group],
-                                   dtype=np.int64), lanes))
-        reps = np.array([rep for rep, _ in group], dtype=np.uint64)
-        inner = (reps[:, None] * np.uint64(n_tau) + np.tile(
-            np.arange(n_tau, dtype=np.uint64), b)).ravel()
-        out = _walk_values(circuit, obs, state, th, seed=seed, outer=tiled,
+                                   dtype=np.int64), lanes)))
+        # each lane's inner id, as (variant, draw, sub-draw, replicate) axes
+        inner = np.array([rep for rep, _ in group], dtype=np.uint64).reshape(
+            -1, 1, 1, 1) * np.uint64(n_tau) + np.arange(n_tau, dtype=np.uint64)
+        out = _walk_values(circuit, obs, state, th, seed=seed, outer=outer,
                            inner=inner, collect=collect)
         vals, wsum = out if collect else (out, None)
         for v in range(k):
@@ -313,9 +347,7 @@ def _replicate_means(circuit, obs, state, outer, seed, n_tau, variants, *,
                 mean = (mean, wsum[part].reshape(b, n_tau, -1).mean(axis=1))
             yield mean
 
-    size = max(1, _CHUNK // lanes)
-    return [mean for lo in range(0, len(variants), size)
-            for mean in walk(variants[lo:lo + size])]
+    return [mean for group in groups for mean in walk(group)]
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +402,14 @@ def estimate_mse(circuit: Circuit, obs: ObservableSum, state=None,
     variants = [(0, None), (1, None)] if branching else [(0, None)]
 
     def job(outer):
-        vclean = _walk_values(clean, obs, state, HashedTheta(cfg.seed, outer),
-                              seed=cfg.seed)
+        source = AngleSource(cfg.seed, outer, keep=True)
+        vclean = _walk_values(clean, obs, state, source.view(), seed=cfg.seed)
         d = [vclean - m for m in _replicate_means(
-            circuit, obs, state, outer, cfg.seed, n_tau, variants)]
+            circuit, obs, state, source, cfg.seed, n_tau, variants)]
         return (d[0] * d[-1],)
 
-    mom, = _drive(job, cfg.n_theta, n_tau, cfg.threads)
+    mom, = _drive(job, cfg.n_theta, n_tau, cfg.threads,
+                  _pass_width(circuit, obs, n_tau))
     return _report("mse", t0, cfg, mom.mean(), mom.stderr(), n_tau=n_tau)
 
 
@@ -456,12 +489,12 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
     clean = circuit.without_noise()
 
     def job(outer):
-        vclean = _walk_values(clean, obs, state, HashedTheta(cfg.seed, outer),
-                              seed=cfg.seed)
-        th = HashedTheta(cfg.seed, np.repeat(outer, n_tau))
+        source = AngleSource(cfg.seed, outer, keep=True)
+        vclean = _walk_values(clean, obs, state, source.view(), seed=cfg.seed)
+        th = source.view(n_tau, keep=True)
 
         def means(circ, rep, collect=False):
-            return _replicate_means(circ, obs, state, outer, cfg.seed, n_tau,
+            return _replicate_means(circ, obs, state, source, cfg.seed, n_tau,
                                     [(rep, None)], theta=th,
                                     collect=collect)[0]
 
@@ -472,7 +505,8 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
             dsum[:, j] += means(res, 1)
         return (-2.0 * (vclean - vals)[:, None] * dsum,)
 
-    mom, = _drive(job, cfg.n_theta, n_tau, cfg.threads)
+    mom, = _drive(job, cfg.n_theta, n_tau, cfg.threads,
+                  _pass_width(circuit, obs, n_tau))
     grad = np.asarray(mom.mean(), dtype=float)
     serr = np.asarray(mom.stderr(), dtype=float)
     entries = [SiteGradient(layer=s.site_id[0], element=s.site_id[1],
@@ -575,16 +609,21 @@ def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
         grads = [np.zeros((b, len(params))) for _ in reps]
         if walked.size:
             shifted = np.tile(walked, b)
+            variants = [(rep, (shifted, delta))
+                        for rep in reps for delta in (1, -1)]
+            groups = _sibling_groups(variants, b * walked.size * n_tau)
             means = _replicate_means(
-                circuit, obs, state, np.repeat(outer, walked.size), cfg.seed,
-                n_tau, [(rep, (shifted, delta))
-                        for rep in reps for delta in (1, -1)])
+                circuit, obs, state,
+                AngleSource(cfg.seed, outer, keep=len(groups) > 1), cfg.seed,
+                n_tau, variants, spread=walked.size)
             for g, plus, minus in zip(grads, means[::2], means[1::2]):
                 g[:, live] = ((plus - minus) / 2.0).reshape(b, walked.size)
         ga, gb = grads[0], grads[-1]
         return (ga * gb).sum(axis=1), ga.sum(axis=1)
 
-    mom, gmom = _drive(job, cfg.n_theta, len(params) * n_tau, cfg.threads)
+    lanes = len(params) * n_tau
+    mom, gmom = _drive(job, cfg.n_theta, lanes, cfg.threads,
+                       _pass_width(circuit, obs, lanes))
     return _report(quantity, t0, cfg, mom.mean(), mom.stderr(), n_tau=n_tau,
                    config={**cfg.as_dict(), **extra_cfg},
                    stats={"mean_gradient": float(gmom.mean()),
@@ -678,18 +717,18 @@ def estimate_expressibility_hs(circuit: Circuit,
         b = outer.shape[0]
         lane_uid = np.repeat(outer * np.uint64(ns), ns) \
             + np.tile(np.arange(ns, dtype=np.uint64), b)
-        th1 = HashedTheta(cfg.seed, np.repeat(2 * outer, ns))
-        th2 = HashedTheta(cfg.seed, np.repeat(2 * outer + 1, ns))
+        # each walked three or four times (th1) and twice (th2)
+        th1 = AngleSource(cfg.seed, 2 * outer).view(ns, keep=True)
+        th2 = AngleSource(cfg.seed, 2 * outer + 1).view(ns, keep=True)
 
-        # quadratic piece: same sigma, independent paths per replicate
-        x0, z0 = pauli_codes(cfg.seed, lane_uid, n)
-        ta = t_walk(x0, z0, th1, 0, lane_uid)
-        tb = t_walk(x0, z0, th1, 1, lane_uid) if branching else ta
-        t2 = (ta * tb).reshape(b, ns).mean(axis=1)
+        # one function a piece, so that its lanes die before the next one's
+        def quadratic():  # same sigma, independent paths per replicate
+            x0, z0 = pauli_codes(cfg.seed, lane_uid, n)
+            ta = t_walk(x0, z0, th1, 0, lane_uid)
+            tb = t_walk(x0, z0, th1, 1, lane_uid) if branching else ta
+            return (ta * tb).reshape(b, ns).mean(axis=1)
 
-        # overlap piece: fresh sigma AND fresh paths per replicate
-        t3 = []
-        for rep in (0, 1):
+        def overlap(rep):  # fresh sigma AND fresh paths per replicate
             sig_uid = sigma_block * np.uint64(1 + rep) + lane_uid
             xf, zf = pauli_codes(cfg.seed, sig_uid, n, zx_only=True)
             sids = compose_stream_array(lane_uid, 0, 2 + rep) \
@@ -698,8 +737,10 @@ def estimate_expressibility_hs(circuit: Circuit,
                                            seed=cfg.seed, stream_ids=sids)
             v = t_walk(x1, z1, th1, 2 + rep, lane_uid,
                        slot_offset=n_sites, w0=w1)
-            t3.append(v.reshape(b, ns).mean(axis=1))
-        return (t3[0] * t3[1] - c2 * t2,)
+            return v.reshape(b, ns).mean(axis=1)
+
+        t2 = quadratic()
+        return (overlap(0) * overlap(1) - c2 * t2,)
 
     mom, = _drive(job, cfg.n_theta, ns, cfg.threads)
     return _report("expressibility_hs", t0, cfg, mom.mean(), mom.stderr(),
@@ -741,8 +782,11 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
         outer_rep = np.repeat(outer, nt)
         inner_base = np.tile(np.arange(nt, dtype=np.uint64), b)
 
-        def group_mean(theta_uid, group):
-            th = HashedTheta(cfg.seed, np.repeat(theta_uid, nt))
+        # each angle vector walked once, or twice when channels branch
+        th_a, th_b = (AngleSource(cfg.seed, 2 * outer + i).view(
+            nt, keep=branching) for i in (0, 1))
+
+        def group_mean(th, group):
             inner = inner_base + np.uint64(group * nt)
             sids = compose_stream_array(outer_rep, inner, 0) \
                 if branching else None
@@ -750,10 +794,10 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
                                    stream_ids=sids)
             return v.reshape(b, nt).mean(axis=1)
 
-        ta0 = group_mean(2 * outer, 0)
-        ta1 = group_mean(2 * outer, 1) if branching else ta0
-        tb0 = group_mean(2 * outer + 1, 2)
-        tb1 = group_mean(2 * outer + 1, 3) if branching else tb0
+        ta0 = group_mean(th_a, 0)
+        ta1 = group_mean(th_a, 1) if branching else ta0
+        tb0 = group_mean(th_b, 2)
+        tb1 = group_mean(th_b, 3) if branching else tb0
         qa, qb = ta0 * ta1, tb0 * tb1
         return (qa * qb - c2 * (qa + qb) / 2.0,)
 
@@ -781,11 +825,11 @@ def expectation_samples(circuit: Circuit, obs: ObservableSum, state=None,
 
     def job(outer):  # outer uids are the draws' slots in ``out``
         out[outer] = _walk_values(circuit, obs, state,
-                                  HashedTheta(seed, outer), seed=seed,
-                                  outer=outer, inner=np.zeros_like(outer))
+                                  AngleSource(seed, outer).view(), seed=seed,
+                                  outer=outer, inner=0)
         return ()
 
-    _drive(job, count, 1, threads)
+    _drive(job, count, 1, threads, _pass_width(circuit, obs, 1))
     return out
 
 

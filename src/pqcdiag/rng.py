@@ -9,8 +9,9 @@ used in parallel Monte Carlo (one independent stream per sample index).
 
 Domains keep draw families from colliding:
 
-- ``DOMAIN_TAU``    channel-branch draws inside a path walk (slot = noise-site
-  ordinal within the compiled circuit)
+- ``DOMAIN_TAU``    channel-branch draws inside a path walk (stream = walk
+  stream id, whose prefix a walk hashes once; slot = noise-site ordinal
+  within the compiled circuit, one more mix of that prefix)
 - ``DOMAIN_THETA``  grid-angle draws (stream = outer sample uid, slot = a
   block of 32 parameters; each 2-bit field of the slot's hash is one angle)
 - ``DOMAIN_SIGMA``  random-Pauli draws for expressibility (stream = word uid,
@@ -79,9 +80,9 @@ def uniform_from_hash(h: np.ndarray) -> np.ndarray:
 
 def theta_keys(seed: int, uid) -> np.ndarray:
     """Per-uid prefix of the angle hash, ``hash_words(seed, DOMAIN_THETA,
-    uid)``: computed once per outer sample (``engine.HashedTheta`` hashes
-    each run of lanes that share a uid once), it leaves one :func:`mix64`
-    per block of 32 parameters (see :func:`theta_block`)."""
+    uid)``: computed once per outer sample (``engine.AngleSource`` hashes
+    each of a job's draws once), it leaves one :func:`mix64` per block of
+    32 parameters (see :func:`theta_block`)."""
     return hash_words(seed, DOMAIN_THETA, uid)
 
 

@@ -13,8 +13,9 @@ from pqcdiag.circuits import (Circuit, NoiseSite, Rotation, ThetaAssignment,
 from pqcdiag.paulis import PauliString
 from reference import exact_term
 
-#: ceiling on 4^{n_params} for the exact grid enumerators
-_GRID_POINT_CAP = 1 << 22
+#: ceiling on 4^{n_params} for the exact grid enumerators: they enumerate
+#: some tens of microseconds a point, and no test grid has more than 256
+_GRID_POINT_CAP = 4 ** 6
 
 
 def axis(n, letters, qubits):

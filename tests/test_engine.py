@@ -749,17 +749,21 @@ class TestLanePlanes:
         assert np.array_equal(got, enumerate_all(3))  # padding moves no bit
 
     @pytest.mark.parametrize("lanes", _LANE_COUNTS)
-    def test_take_lanes_gathers_each_row(self, lanes):
-        r = np.random.default_rng(lanes)
-        bits = r.integers(0, 2, size=(5, lanes), dtype=np.uint8)
-        bits[2] = 0  # a row with no bit set
-        planes = engine._pack(bits)
-        idx = np.sort(r.integers(0, max(lanes, 1), size=3 * lanes + 1)) \
-            if lanes else np.zeros(0, dtype=np.int64)
-        got = engine._take_lanes(planes, idx)
-        assert np.array_equal(got, engine._pack(bits[:, idx]))
-        if idx.size % 64:  # the padding bits of the last word stay 0
-            assert not np.any(got[:, -1] >> np.uint64(idx.size % 64))
+    def test_tiled_views_repeat_each_lane(self, lanes):
+        # a period of ``lanes`` lanes three times over: a whole-word period
+        # (0 or 64 lanes) is tiled at each read, the others are built lane
+        # for lane
+        uids = np.arange(5, 5 + lanes, dtype=np.uint64)
+        params = np.array([0, 31, 32, 70])
+        want = np.tile(rng.grid_angle(2, uids[None, :], params[:, None]), 3)
+        for theta in (engine.AngleSource(2, uids).view(copies=3),
+                      engine.HashedTheta(2, uids).tiled(3)):
+            assert len(theta) == 3 * lanes
+            assert np.array_equal(plane_angles(theta, params, 3 * lanes),
+                                  want)
+            got = theta.k_for(params)
+            if 3 * lanes % 64:  # the padding bits of the last word stay 0
+                assert not np.any(got[..., -1] >> np.uint64(3 * lanes % 64))
 
     @pytest.mark.parametrize("words", [1, 2, 3])
     @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 1000])
@@ -1053,6 +1057,76 @@ class TestBranchSteps:
         assert len({id(f) for f in forms.values()}) == 6
 
 
+def _two_damped_rotations():
+    """An X and then a Y rotation on one qubit, each followed by amplitude
+    damping.  Walked backward from X, the later site (ordinal 1) meets X
+    words only, at a single-entry column, and the earlier one (ordinal 0)
+    the Z words of the lanes whose Y angle is odd, at a column with two."""
+    ops = [Rotation(axis(1, "X", (0,)), 0), Rotation(axis(1, "Y", (0,)), 1)]
+    return Circuit(1, ops, [
+        NoiseSite(i, make_amplitude_damping(0.3, (0,)), (0, i), "gamma")
+        for i in (0, 1)])
+
+
+class TestBranchStreams:
+    """A walk hashes its lanes' (seed, DOMAIN_TAU, stream id) prefix once,
+    at its first step that draws, and each uniform it draws is the keyed
+    hash of its lane's stream id and its slot."""
+
+    @staticmethod
+    def _walk(monkeypatch, y_angles, slot_offset):
+        """Walk X back through :func:`_two_damped_rotations` from weight 0.5,
+        a lane per Y angle: (stream ids, the (ordinal, lanes, uniforms) of
+        each draw, the words of each ``hash_words`` call of the walker)."""
+        lanes = len(y_angles)
+        x0, z0 = engine.words_for_paulis([axis(1, "X", (0,))] * lanes, 1)
+        sids = compose_stream_array(3, np.arange(lanes), 1)
+        drawn, hashed = [], []
+        branch, hash_all = engine._branch, engine.hash_words
+
+        def spy(planes, step, w, uniforms):
+            def recorded(at, ordinal):
+                u = uniforms(at, ordinal)
+                drawn.append((ordinal, at.copy(), u))
+                return u
+            branch(planes, step, w, recorded)
+
+        def counted(seed, *words):
+            hashed.append(words)
+            return hash_all(seed, *words)
+
+        monkeypatch.setattr(engine, "_branch", spy)
+        monkeypatch.setattr(engine, "hash_words", counted)
+        theta = MaterializedTheta(np.stack(
+            (np.zeros(lanes, dtype=np.uint8), y_angles), axis=1))
+        engine.run_backward_batch(
+            _two_damped_rotations(), zero_state(1), x0, z0, theta, seed=11,
+            stream_ids=sids, w0=np.full(lanes, 0.5), slot_offset=slot_offset)
+        return sids, drawn, hashed
+
+    @pytest.mark.parametrize("slot_offset", [0, 2])
+    def test_uniforms_are_the_keyed_hash(self, monkeypatch, slot_offset):
+        # slot_offset 2 is the backward half of the HS overlap of a
+        # two-site circuit; the first branching step walked has no hot lane
+        y_angles = (np.arange(70) % 4).astype(np.uint8)
+        sids, drawn, hashed = self._walk(monkeypatch, y_angles, slot_offset)
+        [(ordinal, at, u)] = drawn
+        assert ordinal == 0 and np.array_equal(at, np.flatnonzero(y_angles
+                                                                  % 2))
+        assert u.tobytes() == rng.uniform_from_hash(hash_words(
+            11, rng.DOMAIN_TAU, sids[at],
+            np.uint64(slot_offset + ordinal))).tobytes()
+        [(domain, streams)] = hashed
+        assert domain == rng.DOMAIN_TAU and np.array_equal(streams, sids)
+
+    def test_a_walk_that_never_draws_hashes_nothing(self, monkeypatch):
+        # Y angles 0 and 2 keep the word X: both sites meet it at their
+        # single-entry column
+        _, drawn, hashed = self._walk(
+            monkeypatch, np.array([0, 2] * 35, dtype=np.uint8), 2)
+        assert drawn == [] and hashed == []
+
+
 class TestConeRuns:
     def test_terms_sharing_a_cone_share_a_run(self):
         c, obs, _ = gen_line_benchmark(8, 64)  # the deep chain
@@ -1185,8 +1259,7 @@ def _theta_sources(lanes, n_params, rnd):
     half = lanes // 2
     return {"hashed": lambda: engine.HashedTheta(9, uids),
             "shifted": lambda: engine.HashedTheta(9, uids, shift, delta),
-            "tiled": lambda: engine.TiledTheta(
-                engine.HashedTheta(9, uids[:half]), 2)}
+            "tiled": lambda: engine.HashedTheta(9, uids[:half]).tiled(2)}
 
 
 def _check_schedule(prog, fused):
@@ -1342,8 +1415,7 @@ class TestAnglePlanes:
             shifted = engine.HashedTheta(3, uids, shift, delta)
             assert np.array_equal(plane_angles(shifted, self.PARAMS, lanes),
                                   moved)
-            tiled = engine.TiledTheta(
-                engine.HashedTheta(3, uids, shift, delta), 3)
+            tiled = engine.HashedTheta(3, uids, shift, delta).tiled(3)
             assert np.array_equal(
                 plane_angles(tiled, self.PARAMS, 3 * lanes),
                 np.tile(moved, 3))
@@ -1357,7 +1429,9 @@ class TestAnglePlanes:
     def test_runs_of_a_uid_give_the_grid_angles(self, r, draws):
         # each uid on r adjacent lanes, as the estimators lay out inner
         # lanes; 7 draws of 1, 8, 45 or 65 lanes end in a partial word
-        uids = np.repeat(2 ** 33 + 7 * np.arange(draws, dtype=np.uint64), r)
+        draw_uids = 2 ** 33 + 7 * np.arange(draws, dtype=np.uint64)
+        source = engine.AngleSource(3, draw_uids)
+        uids = np.repeat(draw_uids, r)
         lanes = uids.size
         params = np.append(self.PARAMS, 2 ** 40)
         want = rng.grid_angle(3, uids[None, :], params[:, None])
@@ -1366,9 +1440,9 @@ class TestAnglePlanes:
         for delta in (1, -1):
             moved = (want + np.where(shift == params[:, None], delta, 0)) % 4
             for theta, got in (
-                    (engine.HashedTheta(3, uids), want),
-                    (engine.HashedTheta(3, uids, shift,
-                                        np.full(lanes, delta)), moved)):
+                    (source.view(r), want),
+                    (source.view(r, shift=(shift, np.full(lanes, delta))),
+                     moved)):
                 assert len(theta) == lanes
                 assert np.array_equal(plane_angles(theta, params, lanes), got)
                 # again, from the cached blocks and out of block order
@@ -1377,11 +1451,20 @@ class TestAnglePlanes:
                 k = theta.k_for(params)
                 if lanes % 64:  # padding bits of the last word stay 0
                     assert not (k[..., -1] >> np.uint64(lanes % 64)).any()
-            tiled = engine.TiledTheta(
-                engine.HashedTheta(3, uids, shift, np.full(lanes, delta)), 3)
+            tiled = source.view(r, shift=(shift, np.full(lanes, delta))
+                                ).tiled(3)
             assert len(tiled) == 3 * lanes
             assert np.array_equal(plane_angles(tiled, params, 3 * lanes),
                                   np.tile(moved, 3))
+        # unshifted views tiled three times, kept or not, and the tiled
+        # views of a view, read twice
+        for keep in (False, True):
+            view = source.view(r, keep=keep)
+            for theta in (source.view(r, 3, keep=keep), view.tiled(3)):
+                for _ in range(2):
+                    assert np.array_equal(
+                        plane_angles(theta, params, 3 * lanes),
+                        np.tile(want, 3))
 
     def test_a_uid_is_hashed_once_for_all_of_its_lanes(self, monkeypatch):
         hashed = []
@@ -1393,19 +1476,11 @@ class TestAnglePlanes:
 
         monkeypatch.setattr(rng, "hash_words", counted)
         u = np.arange(40, dtype=np.uint64) * 3
-        theta = engine.HashedTheta(5, np.repeat(u, 45))
-        plane_angles(theta, self.PARAMS, 45 * u.size)
+        theta = engine.AngleSource(5, u).view(45, copies=2)
+        got = plane_angles(theta, self.PARAMS, 2 * 45 * u.size)
         assert sum(hashed) == u.size
-        # uids that do not come in even runs are hashed one per lane, also
-        # when the first run's length divides the lanes
-        for runs in ([2, 2, 3], [2, 3, 3]):
-            hashed.clear()
-            ragged = np.repeat(u[:3], runs)
-            got = plane_angles(engine.HashedTheta(5, ragged), self.PARAMS,
-                               ragged.size)
-            assert sum(hashed) == ragged.size
-            assert np.array_equal(got, rng.grid_angle(
-                5, ragged[None, :], self.PARAMS[:, None]))
+        assert np.array_equal(got, np.tile(rng.grid_angle(
+            5, np.repeat(u, 45)[None, :], self.PARAMS[:, None]), 2))
 
     @staticmethod
     def _line_block_hashes(monkeypatch):
@@ -1426,14 +1501,13 @@ class TestAnglePlanes:
         assert len(set(calls)) == len(calls) == 1 * 30
 
     def test_line_walk_hashes_each_block_once_a_pass(self, monkeypatch):
-        # at 4096 lanes a chunk the 16448 draws make five chunks, walked in
-        # two jobs, each with one HashedTheta: four chunks, whose 16384
-        # lanes fill a pass (4 * 4096 lanes), so the chain's two terms take
-        # a pass each, and then one chunk, whose terms share a pass
+        # at 4096 lanes a chunk the 16448 draws make five chunks; the
+        # chain's two terms share a pass, so a job of two chunks fills one
+        # (4 * 4096 lanes): three jobs, each with one angle source and one
+        # pass, the last of one chunk
         monkeypatch.setattr(estimators, "_CHUNK", 4096)
         calls = self._line_block_hashes(monkeypatch)
         keys = list(dict.fromkeys(key for key, _ in calls))
-        assert len(keys) == 2 and len(calls) == (2 + 1) * 30
-        for key, passes in zip(keys, (2, 1)):
-            assert sorted(b for k, b in calls if k == key) \
-                == sorted(list(range(30)) * passes)
+        assert len(keys) == 3 and len(calls) == 3 * 30
+        for key in keys:
+            assert sorted(b for k, b in calls if k == key) == list(range(30))

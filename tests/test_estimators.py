@@ -669,16 +669,132 @@ class TestSiblingWalks:
     @pytest.mark.parametrize("run", [est.estimate_mse,
                                      est.estimate_sensitivity_map])
     def test_replicate_walks_share_one_angle_source(self, monkeypatch, run):
-        # the noiseless walk hashes the 50 draws once, and every noisy walk
-        # of the job (two replicates, and the map's residual walk for its
-        # gamma = 0 site) reads one more source
+        # the job hashes its 50 draws once: the noiseless walk and every
+        # noisy walk (two replicates, and the map's residual walk for its
+        # gamma = 0 site) read views of one source
         c, terms = SCORE_CASES["amplitude_damping_gamma0"]()
         hashed, keys = engine.theta_keys, []
         monkeypatch.setattr(engine, "theta_keys", lambda seed, uids: (
             keys.append(len(uids)), hashed(seed, uids))[1])
         run(c, observable_from_terms(terms), None,
             DiagnosticConfig(n_theta=50, n_tau=4, seed=3))
-        assert keys == [50, 50]
+        assert keys == [50]
+
+
+def _amp_chip_z4():
+    c = gen_grid_chip(3, 3, 2, "rzz", make_amplitude_damping(0.05))
+    return c, observable_from_terms([(1.0, axis(9, "Z", (4,)))])
+
+
+def _wide_chip_z45():
+    c = gen_grid_chip(10, 10, 2, "cz", make_depolarizing(0.01))
+    return c, observable_from_terms([(1.0, axis(100, "Z", (45,)))])
+
+
+class TestJobHashing:
+    """Each job hashes its draws' uids once (``rng.theta_keys``) and each
+    angle block once (``rng.theta_block``), and builds a block's lane
+    planes once per lane layout it walks; per job, at any thread count."""
+
+    @staticmethod
+    def _counts(monkeypatch, run):
+        """(uids hashed by each theta_keys call, theta_block calls, plane
+        builds, walk lanes) of ``run()``; a source is named by its first
+        key."""
+        keys, blocks, builds, walks = [], [], [], []
+        hash_keys, hash_block = engine.theta_keys, engine.theta_block
+        build, walk = engine.HashedTheta._block_planes, est.run_backward_batch
+
+        def counted_build(theta, block):
+            builds.append((int(theta._source.keys[0]), block))
+            return build(theta, block)
+
+        def counted_walk(circuit, state, x0, *args, **kwargs):
+            walks.append(len(x0))
+            return walk(circuit, state, x0, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "theta_keys", lambda seed, uids: (
+            keys.append(len(uids)), hash_keys(seed, uids))[1])
+        monkeypatch.setattr(engine, "theta_block", lambda k, block: (
+            blocks.append((int(k[0]), int(block))), hash_block(k, block))[1])
+        monkeypatch.setattr(engine.HashedTheta, "_block_planes",
+                            counted_build)
+        monkeypatch.setattr(est, "run_backward_batch", counted_walk)
+        run()
+        return sorted(keys), sorted(blocks), sorted(builds), sorted(walks)
+
+    def _per_thread_count(self, monkeypatch, call):
+        counts = [self._counts(monkeypatch, lambda: call(t))
+                  for t in (1, 2, 3)]
+        assert all(c == counts[0] for c in counts[1:])
+        return counts[0]
+
+    @staticmethod
+    def _blocks(circuit, obs):
+        return sorted({p >> 5 for p in engine.cone_params(
+            circuit, [w for _, w in obs.terms])})
+
+    @pytest.mark.parametrize("run", [est.estimate_mse,
+                                     est.estimate_sensitivity_map])
+    def test_noise_jobs_hash_once_and_build_once_a_layout(self, monkeypatch,
+                                                          run):
+        # 64-lane chunks of 8 draws x 8 paths, jobs of four chunks: 40
+        # draws are two jobs; each walks the noiseless circuit on one lane
+        # a draw and the noisy one on eight, twice (two replicates)
+        monkeypatch.setattr(est, "_CHUNK", 64)
+        c, obs = _amp_chip_z4()
+        keys, blocks, builds, walks = self._per_thread_count(
+            monkeypatch, lambda t: run(c, obs, None, DiagnosticConfig(
+                n_theta=40, n_tau=8, seed=5, threads=t)))
+        assert keys == [8, 32]
+        sources = sorted({key for key, _ in blocks})
+        assert len(sources) == 2
+        want = [(key, blk) for key in sources for blk in self._blocks(c, obs)]
+        assert blocks == want
+        assert builds == sorted(want * 2)
+        assert walks == [8, 32, 64, 64, 256, 256]
+
+    def test_expressibility_hashes_each_angle_vector_once(self, monkeypatch):
+        # one job, two angle vectors a draw (theta1, theta2): forward walks
+        # read every parameter, and theta1 is walked three times, theta2
+        # twice
+        c = gen_grid_chip(3, 3, 2, "rzz", make_depolarizing(0.02))
+        keys, blocks, builds, _ = self._per_thread_count(
+            monkeypatch, lambda t: est.estimate_expressibility_hs(
+                c, DiagnosticConfig(n_theta=8, n_sigma=64, seed=5,
+                                    threads=t)))
+        assert keys == [8, 8]
+        n_blocks = -(-c.n_params // 32)
+        assert n_blocks == 2
+        sources = sorted({key for key, _ in blocks})
+        want = [(key, blk) for key in sources for blk in range(n_blocks)]
+        assert len(sources) == 2 and blocks == want and builds == want
+
+    def test_merged_siblings_hash_each_draw_once(self, monkeypatch):
+        # both shifts of Z_45's 45 cone parameters at 80 draws are one
+        # 7200-lane walk of one view: 80 draws hashed, not 160
+        c, obs = _wide_chip_z45()
+        keys, blocks, builds, walks = self._per_thread_count(
+            monkeypatch, lambda t: est.sum_gradient_variance(
+                c, obs, None, DiagnosticConfig(n_theta=80, seed=5,
+                                               threads=t)))
+        assert keys == [80] and walks == [7200]
+        (key,) = {key for key, _ in blocks}
+        want = [(key, blk) for blk in self._blocks(c, obs)]
+        assert blocks == want and builds == want
+
+    def test_line_chain_walks_one_pass_a_job(self, monkeypatch):
+        # four times the benchmark's 32768 draws: the two terms share a
+        # pass, so a job is two chunks of 16384 draws, whose 65536 lanes
+        # fill one pass; four jobs, one walk each
+        c, obs, _ = est._line_case(8, 64)
+        keys, blocks, builds, walks = self._per_thread_count(
+            monkeypatch, lambda t: est.line_variance_benchmark(
+                8, 64, 4 * 32768, seed=5, threads=t))
+        assert keys == [32768] * 4 and walks == [65536] * 4
+        sources = sorted({key for key, _ in blocks})
+        want = [(key, blk) for key in sources for blk in range(30)]
+        assert len(sources) == 4 and blocks == want and builds == want
 
 
 class TestLineBenchmark:

@@ -177,7 +177,7 @@ def test_hashed_theta_lanes_use_the_angle_hash():
     delta = np.where(np.arange(42) % 2 == 0, 1, -1)
     plain = engine.HashedTheta(4, uids)
     shifted = engine.HashedTheta(4, uids, shift, delta)
-    tiled = engine.TiledTheta(engine.HashedTheta(4, uids, shift, delta), 3)
+    tiled = engine.HashedTheta(4, uids, shift, delta).tiled(3)
     for p in _READ_ORDER:
         base = rng.grid_angle(4, uids, p)
         assert np.array_equal(plane_angles(plain, [p], 42)[0], base)
