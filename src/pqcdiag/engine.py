@@ -45,11 +45,14 @@ draw once per 32-parameter block, and a view of it turns those hashes into
 64 lane planes once, broadcasting each draw's bits to all of its lanes, so
 a layer's angles are a row gather.  Grid rotations change no weight, and
 their sign flips XOR into the sign row, as do Clifford signs; the row is
-folded into the float weights once, at the end of the walk.  Negation is
-exact, so that is bit-identical to negating along the way, and the fused
-walk is bit-identical to walking one rotation at a time.  A batch whose
-every lane has died stops early; its words, and the sign of its zero
-weights, are then unspecified.
+folded into the float weights once, at the end of the walk, by XORing it
+into their sign bits.  Negation is exact, so that is bit-identical to
+negating along the way, and the fused walk is bit-identical to walking one
+rotation at a time.  A batch whose every lane has died stops early.  It
+tests for that after each channel step with a zero factor, where a lane
+can die, and after the first channel step of a walk given start weights,
+which may all be 0; its words, and the sign of its zero weights, are then
+unspecified.
 
 Randomness is counter-based: the uniform that decides a channel's branch is
 a pure function of (seed, walk stream id, noise-site ordinal), so a walk's
@@ -94,6 +97,7 @@ import bisect
 import functools
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +144,6 @@ _SITE_FORMS = [(_xor_form(_ATAB[a]), _xor_form(_QTAB[a] >> 1))
                for a in range(4)]
 assert all(_SITE_FORMS[a][0] == _xor_form(_QTAB[a] & 1) for a in range(4))
 
-_I_POWS = np.array([1.0, 1.0j, -1.0, -1.0j])
 _CODE_BITS = np.array([CODE_TO_X, CODE_TO_Z], dtype=np.uint8)
 
 
@@ -408,6 +411,7 @@ class _ChanStep:
     rows: list
     mask: int
     pinned: bool  # does not map the identity word to itself with weight 1
+    kills: bool  # some lane's class factor is 0.0: the step can zero a weight
 
 
 def _rot_sites(axis: PauliString) -> list:
@@ -431,7 +435,8 @@ def _compile(circuit: Circuit, direction: str) -> list:
         raise ValueError(f"unknown direction {direction!r}")
     backward = direction == "backward"
     ordinals = itertools.count()  # the k-th scheduled site is noise site k
-    forms: dict = {}  # id of a PTM -> the step form of sites sharing it
+    # id of a PTM -> (the step form of sites sharing it, does it kill)
+    forms: dict = {}
     prog: list = []
     for item in circuit.schedule():
         if isinstance(item, NoiseSite):
@@ -442,11 +447,13 @@ def _compile(circuit: Circuit, direction: str) -> list:
                 else:  # the matrix whose columns the walk samples
                     form = _branch_form(
                         (ch.ptm if backward else ch.ptm.T).tobytes())
-                forms[id(ch.ptm)] = form
+                values = (form if ch.diagonal else form.classes)[0]
+                forms[id(ch.ptm)] = form, bool(np.any(values == 0.0))
+            form, kills = forms[id(ch.ptm)]
             stays = (ch.cols if backward else ch.rows).stays[0]
-            prog.append(_ChanStep(next(ordinals), ch, forms[id(ch.ptm)],
+            prog.append(_ChanStep(next(ordinals), ch, form,
                                   _plane_rows(ch.support, circuit.n),
-                                  _qubit_mask(ch.support), not stays))
+                                  _qubit_mask(ch.support), not stays, kills))
         elif isinstance(item, Rotation):
             fixed = isinstance(item.param, FixedAngle)
             prog.append(_RotStep(item.axis, None if fixed else item.param,
@@ -939,23 +946,48 @@ def _transpose(words: np.ndarray, count: int) -> np.ndarray:
     Word c of each group of 64 rows is a 64x64 bit matrix, transposed by
     six rounds of masked swaps (Warren, Hacker's Delight, 2nd ed., section
     7-3), all at once: the (64, groups, C) work array holds row i of every
-    matrix in its row i, so each round runs on long contiguous rows."""
+    matrix in its row i, so each round runs on long contiguous rows.
+
+    The round of distance d swaps the bit of value d in each row index with
+    the one in each column index, so the rounds commute, and a call orders
+    them to skip rows that hold nothing it needs.  With fewer than 64 input
+    rows (a walk's exit: a row per qubit) the rounds run smallest distance
+    first, each over the rows its input can have set: the live prefix,
+    rounded up to whole groups of 2d rows.  Otherwise they run largest
+    distance first.  When the output is one word of fewer than 64 rows (a
+    walk's entry on a register under 64 qubits), a round whose distance d
+    is at least ``count`` writes only the low half of each group of 2d
+    rows: no later round moves a row whose bit of value d is set into a row
+    below d.  In the largest-first order, every later round then works on
+    those d rows only.  A transpose with nothing to skip runs all six rounds
+    on 64 rows, largest distance first."""
     rows, c = words.shape
     full, rest = divmod(rows, 64)
     groups = full + (rest > 0)
-    m = np.zeros((64, groups, c), dtype=_LANE)
+    m = np.empty((64, groups, c), dtype=_LANE)
     m[:, :full] = words[:64 * full].reshape(full, 64, c).swapaxes(0, 1)
     m[:rest, full:] = words[64 * full:, None]
-    for d, mask in _TRANSPOSE_ROUNDS:
-        pairs = m.reshape(32 // int(d), 2, int(d), -1)
+    m[rest:, full:] = 0
+    live = min(rows, 64) or 64  # input rows of a group that can be set
+    need = count if c == 1 else 64  # output rows of a group that are read
+    top = 64
+    for d, mask in (_TRANSPOSE_ROUNDS[::-1] if live < 64
+                    else _TRANSPOSE_ROUNDS):
+        if live < 64:
+            top = -(-live // (2 * int(d))) * 2 * int(d)
+        low = need <= d
+        pairs = m[:top].reshape(top // (2 * int(d)), 2, int(d), groups * c)
         lo, hi = pairs[:, 0], pairs[:, 1]
         t = lo >> d
         t ^= hi
         t &= mask
-        hi ^= t
+        if low:
+            top = int(d)
+        else:
+            hi ^= t
         t <<= d
         lo ^= t
-    return m.transpose(2, 0, 1).reshape(64 * c, groups)[:count]
+    return m[:top].transpose(2, 0, 1).reshape(top * c, groups)[:count]
 
 
 def _row_index(v: np.ndarray, b: int) -> np.ndarray:
@@ -1143,22 +1175,78 @@ def _angles(layer: _RotLayer, theta) -> np.ndarray:
     return out
 
 
+#: the byte of a float64 holding its sign bit (as bit 7)
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
+
+
+def _sign_bytes(a: np.ndarray) -> np.ndarray:
+    """The byte holding the sign bit (bit 7) of each float64 of the
+    contiguous ``a``, as a uint8 view."""
+    return a.view(np.uint8)[_SIGN_BYTE::8]
+
+
+def _fold_signs(w: np.ndarray, sign: np.ndarray) -> None:
+    """Negate, in place, the weights of the lanes set in the lane plane
+    ``sign``: XOR each lane's sign bit into the sign bit of its float64
+    weight, which is what IEEE negation does.  Negation is exact, so
+    folding the sign row in at the end of a walk is bit-identical to
+    negating each lane's weight at the step that flipped it."""
+    bits = _unpack(sign, w.size)
+    bits <<= 7
+    top = _sign_bytes(w)
+    top ^= bits
+
+
 def _terminal_values(x, z, w, state) -> np.ndarray:
-    """w * tr(P rho) per lane against a sparse state."""
+    """w * tr(P rho) per lane against a sparse state, in real arithmetic,
+    bit for bit the real part of the complex product numpy would form,
+    signed zeros included.
+
+    tr(P rho) is i^e times the sum of s * amp over the state's entries (r,
+    c, amp) with r ^ c = x, where s = (-1)^|z & r| and e is the lane's
+    count of x & z bits mod 4.  The sum's real and imaginary parts (ar, ai)
+    add the parts of (s + 0j) * amp: s * amp.real - 0.0 * amp.imag and
+    s * amp.imag + 0.0 * amp.real.  With (c, d) = i^e, which numpy holds as
+    (1, 0), (0, 1), (-1, 0) or (-0, -1), the real part re = ar*c - ai*d is
+    one part times +-1 plus a signed zero: ar, -ai, -ar or ai for e = 0..3,
+    plus the other part times +-0.  So the parts are summed straight into
+    ``main`` (ar for even e, ai for odd e) and ``other``, and main is
+    negated where e is 1 or 2.  A sum of x and a signed zero is x, except
+    that -0.0 + 0.0 is 0.0; the zero term has the sign of ``other``,
+    flipped unless e is 1, so re is main with its zeros set to 0.0 where
+    that term is 0.0.  The imaginary part im = ar*d + ai*c has the
+    magnitude of ``other``, which the Hermitian check reads."""
     b, width = x.shape
-    e = (popcount_words(x & z) & 3).astype(np.intp)
-    acc = np.zeros(b, dtype=np.complex128)
+    e = popcount_words(x & z)
+    e &= 3
+    e = e.astype(np.uint8)
+    odd = (e & 1).view(bool)
+    main, other = np.zeros(b), np.zeros(b)
     for r, c, amp in state.entries:
         t = mask_to_words(r ^ c, 64 * width)[None, :width]
         match = np.flatnonzero(np.all(x == t, axis=1))
-        rz = mask_to_words(r, 64 * width)[None, :width]
-        sign = 1.0 - 2.0 * (popcount_words(z[match] & rz) & 1)
-        acc[match] += sign * amp
-    acc *= _I_POWS[e]
-    scale = max(1.0, float(np.abs(acc.real).max(initial=0.0)))
-    if float(np.abs(acc.imag).max(initial=0.0)) > 1e-9 * scale:
+        # the parts of (s + 0j) * amp, at 2 * [s = -1] + [part is im]
+        parts = np.array([amp.real - 0.0 * amp.imag,
+                          amp.imag + 0.0 * amp.real,
+                          -amp.real - 0.0 * amp.imag,
+                          -amp.imag + 0.0 * amp.real])
+        at = odd[match].view(np.uint8)
+        if r:
+            rz = mask_to_words(r, 64 * width)[None, :width]
+            odd_z = popcount_words(z[match] & rz) & 1
+            at = at + 2 * odd_z.astype(np.uint8)
+        main[match] += parts[at]
+        other[match] += parts[at ^ 1]
+    flip = (e ^ e >> 1) & 1
+    flip <<= 7
+    top = _sign_bytes(main)
+    top ^= flip
+    main[(main == 0.0) & (_sign_bytes(other) >> 7 == (e != 1))] = 0.0
+    scale = max(1.0, float(np.abs(main).max(initial=0.0)))
+    if float(np.abs(other).max(initial=0.0)) > 1e-9 * scale:
         raise AssertionError("complex trace against a Hermitian state")
-    return w * acc.real
+    main *= w
+    return main
 
 
 def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
@@ -1184,13 +1272,22 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     The walk state is bit-sliced: ``planes`` holds the x row of every qubit,
     then every z row, then the sign row, each a lane plane.  Lane-major
     words exist only at entry and exit, and one bit-matrix transpose
-    (:func:`_transpose`) converts both ways.  The walk follows the fused
-    program (:func:`_fused_program`): one step per layer of rotations, and
-    per Clifford and channel.  Rotation layers, Clifford steps
+    (:func:`_transpose`) converts both ways, skipping the rows a register
+    under 64 qubits leaves empty.  The walk follows the fused program
+    (:func:`_fused_program`): one step per layer of rotations, and per
+    Clifford and channel.  Rotation layers, Clifford steps
     (:func:`_clifford`), diagonal channel steps (:func:`_diag_factors`) and
     sampled branching channel steps (:func:`_branch`) work on the planes;
     only ``collect_flags`` unpacks a step's rows to per-lane codes
-    (:func:`_local_codes`).
+    (:func:`_local_codes`).  The sign row is folded into the weights at the
+    end (:func:`_fold_signs`).
+
+    The walk stops early once no lane has a non-zero weight.  Only a step
+    with a zero factor (``kills``, set at compile time) can zero a weight,
+    so the test runs after such a step, and after the first channel step
+    when ``w0`` is given; a sampled branch's own factor is never 0.  A
+    product of non-zero factors can still underflow to 0, and a batch that
+    dies so walks on to its end: its weights are 0 either way.
     """
     n = circuit.n
     x0 = np.asarray(x0, dtype=np.uint64)
@@ -1232,6 +1329,7 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
         h ^= np.uint64(slot_offset + ordinal)
         return uniform_from_hash(mix64(h, out=h))
 
+    test_w0 = w0 is not None  # a given w0 may have no live lane
     for step in prog:
         if isinstance(step, _RotLayer):
             _rotate(planes, n, step, _angles(step, theta), backward)
@@ -1248,11 +1346,10 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
         if flags is not None:
             tau = col if ch.diagonal else _local_codes(planes, step.rows, b)
             flags[:, step.ordinal] = tau * len(ch.ptm) + col
-        if not w.any():
+        if (step.kills or test_w0) and not w.any():
             break
-    # negation is exact, so folding the sign row in now is bit-identical to
-    # negating each lane's weight at the rotation that flipped it
-    np.negative(w, out=w, where=_unpack(planes[2 * n], b).astype(bool))
+        test_w0 = False
+    _fold_signs(w, planes[2 * n])
     return (_transpose(planes[:n], b), _transpose(planes[n:2 * n], b), w,
             flags)
 

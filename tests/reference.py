@@ -14,7 +14,9 @@ layers:
 
 Also here are the pieces only these walks use: the scalar rotation, Clifford
 and trace rules on ``SignedPauli``, the adjoint channel draw, a named random
-stream, and an angle source that holds its angles as an explicit array.
+stream, and an angle source that holds its angles as an explicit array; and
+the batched walker's terminal closure in complex arithmetic
+(:func:`complex_terminal_values`), which its real one must match.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 
 from pqcdiag import engine
 from pqcdiag.paulis import (PauliString, SignedPauli, clifford_table,
-                            commutes, multiply)
+                            commutes, mask_to_words, multiply, popcount_words)
 from pqcdiag.rng import DOMAIN_TAU, hash_words, uniform_from_hash
 
 _popcount = int.bit_count
@@ -136,6 +138,28 @@ def trace_pauli_with_entries(p: PauliString, entries) -> float:
         raise ValueError(f"trace came out complex ({acc}); state not "
                          "Hermitian?")
     return float(acc.real)
+
+
+def complex_terminal_values(x, z, w, state) -> np.ndarray:
+    """w * tr(P rho) per lane of (B, W) walk words against a sparse state,
+    in complex arithmetic: a complex accumulator of (-1)^|z & r| amp over
+    the matching entries, times i^e from ``[1, 1j, -1, -1j]``, e the
+    lane's count of x & z bits mod 4.  ``engine._terminal_values`` forms
+    the real part of that product in real arithmetic, bit for bit."""
+    b, width = x.shape
+    e = (popcount_words(x & z) & 3).astype(np.intp)
+    acc = np.zeros(b, dtype=np.complex128)
+    for r, c, amp in state.entries:
+        t = mask_to_words(r ^ c, 64 * width)[None, :width]
+        match = np.flatnonzero(np.all(x == t, axis=1))
+        rz = mask_to_words(r, 64 * width)[None, :width]
+        sign = 1.0 - 2.0 * (popcount_words(z[match] & rz) & 1)
+        acc[match] += sign * amp
+    acc *= np.array([1.0, 1.0j, -1.0, -1.0j])[e]
+    scale = max(1.0, float(np.abs(acc.real).max(initial=0.0)))
+    if float(np.abs(acc.imag).max(initial=0.0)) > 1e-9 * scale:
+        raise AssertionError("complex trace against a Hermitian state")
+    return w * acc.real
 
 
 # ---------------------------------------------------------------------------

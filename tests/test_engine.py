@@ -25,12 +25,14 @@ from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
                               gen_grid_chip, gen_line_benchmark,
                               observable_from_terms, zero_state)
 from pqcdiag.paulis import (CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, CODE_TO_X,
-                            CODE_TO_Z, PauliString, clifford_table, commutes)
+                            CODE_TO_Z, PauliString, clifford_table, commutes,
+                            mask_to_words)
 from pqcdiag.reports import DiagnosticConfig
 from pqcdiag.rng import (angle_indices, compose_stream_array, hash_words,
                          theta_block)
 from reference import (MaterializedTheta, RngStream, backprop_term,
-                       exact_term, trace_pauli_with_entries)
+                       complex_terminal_values, exact_term,
+                       trace_pauli_with_entries)
 
 
 def random_theta(circuit, seed):
@@ -279,6 +281,137 @@ class TestBatchedWalker:
         v = engine.run_backward_batch(c, st, x1, z1, theta_b, w0=w1)
         assert v[0] == pytest.approx(
             trace_pauli_with_entries(w0, st.entries), abs=1e-12)
+
+
+def _site_circuit(channels):
+    """One qubit, a Z rotation per channel and the channel after it: noise
+    site k follows rotation k, so a backward walk meets the last site
+    first."""
+    return Circuit(1, [Rotation(axis(1, "Z", (0,)), k)
+                       for k in range(len(channels))],
+                   [NoiseSite(k, ch, (k, 0), None)
+                    for k, ch in enumerate(channels)])
+
+
+def _x_walk(c, lanes, w0=None):
+    """(values, flags) of ``lanes`` backward X walks at random angles."""
+    x0, z0 = engine.words_for_paulis([axis(1, "X", (0,))] * lanes, 1)
+    theta = MaterializedTheta(np.random.default_rng(lanes).integers(
+        0, 4, size=(lanes, c.n_params)).astype(np.uint8))
+    return engine.run_backward_batch(c, zero_state(1), x0, z0, theta,
+                                     w0=w0, collect_flags=True)
+
+
+class TestDeadBatches:
+    """A batch stops once every lane's weight is 0.  Only a step with a
+    zero factor can make that happen, and a given w0 can start it so."""
+
+    def test_steps_that_can_zero_a_weight(self):
+        # channel -> does it kill (backward, forward)
+        chans = [(make_depolarizing(0.1), (False, False)),
+                 (make_amplitude_damping(0.3), (False, False)),
+                 (make_mmff(""), (True, True)),
+                 (make_raw_ptm(np.diag([1.0, 0.0, -0.0, 0.4]), (0,)),
+                  (True, True)),
+                 # column X is empty; forward, the walk reads its rows
+                 (make_raw_ptm(np.array([[1.0, 0.0, 0.0, 0.0],
+                                         [0.0, 0.0, 0.5, 0.0],
+                                         [0.0, 0.0, 0.5, 0.0],
+                                         [0.0, 0.0, 0.0, 1.0]]), (0,)),
+                  (True, False))]
+        c = _site_circuit([ch for ch, _ in chans])
+        for d, direction in enumerate(("backward", "forward")):
+            steps = sorted((s for s in engine._program(c, direction)
+                            if isinstance(s, engine._ChanStep)),
+                           key=lambda s: s.ordinal)
+            assert [s.kills for s in steps] == [k[d] for _, k in chans]
+
+    def test_a_batch_stops_where_its_last_lane_dies(self):
+        # site 1 zeroes the X and Y columns every lane meets; site 0 lies
+        # beyond it and is never walked
+        c = _site_circuit([make_depolarizing(0.1), make_mmff(""),
+                           make_depolarizing(0.2)])
+        vals, flags = _x_walk(c, 130)
+        assert not np.any(vals)
+        assert np.all(flags[:, 2] == 5)  # X in, X out
+        assert np.all(flags[:, 1] != 0)
+        assert not np.any(flags[:, 0])
+
+    def test_a_zero_w0_stops_at_the_first_channel_step(self):
+        c = _site_circuit([make_depolarizing(0.1), make_depolarizing(0.2)])
+        vals, flags = _x_walk(c, 70, w0=np.zeros(70))
+        assert not np.any(vals)
+        assert np.all(flags[:, 1] == 5) and not np.any(flags[:, 0])
+        w0 = np.zeros(70)
+        w0[69] = 1.0  # one live lane walks the whole batch on
+        _, flags = _x_walk(c, 70, w0=w0)
+        assert np.all(flags != 0)
+
+    def test_sign_fold_is_negation(self):
+        # the sign row, XORed into the weights' sign bits, negates exactly
+        # as np.negative does: zeros, infinities and NaNs included
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                            5e-324, -1.5, 2.0 ** 1000, 1.0])
+        r = np.random.default_rng(8)
+        for lanes in (1, 10, 64, 130):
+            w = np.resize(special, lanes)
+            bits = r.integers(0, 2, size=(1, lanes), dtype=np.uint8)
+            plane = engine._pack(bits)[0]
+            want = w.copy()
+            np.negative(want, out=want, where=bits[0].astype(bool))
+            got = w.copy()
+            engine._fold_signs(got, plane)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestTerminalValues:
+    """The closure against a sparse state in real arithmetic is the real
+    part of its complex product bit for bit, signed zeros included."""
+
+    #: parts of the states' amplitudes: signed zeros and exact halves
+    _PARTS = (0.0, -0.0, 0.5, -0.5, 0.25, -1.0)
+
+    def _state(self, n, r):
+        """A Hermitian sparse state of trace 1 with signed-zero parts: two
+        diagonal entries and two conjugate pairs off the diagonal, on basis
+        states spread over the n qubits."""
+        picks = [0]
+        while len(picks) < 4:
+            row = r.getrandbits(n) & r.getrandbits(n)  # many zero bits
+            picks += [row] if row not in picks else []
+        part = lambda: r.choice(self._PARTS)
+        entries = [(picks[0], picks[0], complex(0.25, 0.0 * part())),
+                   (picks[1], picks[1], complex(0.75, -0.0))]
+        for a, b in ((picks[0], picks[2]), (picks[1], picks[3])):
+            amp = complex(part(), part())
+            entries += [(a, b, amp), (b, a, amp.conjugate())]
+        return SparseState(n, entries)
+
+    @pytest.mark.parametrize("n", [3, 70, 130])
+    def test_matches_the_complex_product(self, n):
+        r = random.Random(n)
+        width = (n + 63) // 64
+        for _ in range(40):
+            state = self._state(n, r)
+            rows = [s for e in state.entries for s in e[:2]]
+            lanes = 300
+            # x parts that meet the entries (or do not), random z parts
+            x = np.stack([mask_to_words(r.choice(rows) ^ r.choice(rows), n)
+                          for _ in range(lanes)])
+            z = np.stack([mask_to_words(r.getrandbits(n), n)
+                          for _ in range(lanes)])
+            w = np.resize(np.array([1.0, -1.0, 0.0, -0.0, 0.5]), lanes)
+            got = engine._terminal_values(x, z, w, state)
+            want = complex_terminal_values(x, z, w, state)
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_complex_trace_is_refused(self):
+        state = SparseState(1, [(0, 0, 0.5), (1, 1, 0.5), (0, 1, 0.5j),
+                                (1, 0, -0.5j)])
+        x, z = engine.words_for_paulis([axis(1, "X", (0,))], 1)
+        state.entries[3] = (1, 0, 0.5j)  # no longer Hermitian
+        with pytest.raises(AssertionError, match="complex trace"):
+            engine._terminal_values(x, z, np.ones(1), state)
 
 
 class TestThetaContainers:
@@ -778,15 +911,25 @@ class TestLanePlanes:
         assert np.array_equal(got, engine._pack(bits.T))
         assert np.array_equal(engine._transpose(got, rows), packed)
 
-    @pytest.mark.parametrize("rows, count", [(1000, 130), (130, 1000),
-                                             (65, 4097), (0, 70)])
-    def test_transpose_in_tiles(self, rows, count):
+    @pytest.mark.parametrize("rows, count", [
         # many 64x64 tiles a side, with a partial last word both ways
+        (1000, 130), (130, 1000), (65, 4097), (0, 70),
+        # one output word of fewer than 64 rows (a walk's entry): rounds
+        # that write only the low rows
+        *((rows, count) for rows in (64, 65, 1000)
+          for count in (1, 8, 9, 31, 33, 63)),
+        # fewer than 64 input rows (a walk's exit): rounds over the live
+        # prefix
+        *((rows, count) for rows in (1, 8, 9, 63)
+          for count in (65, 130, 1000))])
+    def test_transpose_in_tiles(self, rows, count):
         r = np.random.default_rng(rows + count)
         bits = r.integers(0, 2, size=(rows, count), dtype=np.uint8)
         words = engine._pack(bits)
+        kept = words.copy()
         want = engine._pack(np.ascontiguousarray(bits.T))
         got = engine._transpose(words, count)
+        assert np.array_equal(words, kept)  # the input is left as it was
         assert np.array_equal(got, want)
         assert np.array_equal(engine._transpose(got, rows), words)
 
