@@ -20,7 +20,13 @@ Clifford is linear there), and the sign bit, a XOR of ANDs of those rows
 (the table's algebraic normal form), XORs into the sign row.  A diagonal
 channel step computes, from its rows, the bit planes of each lane's class
 among the channel's distinct diagonal entries and multiplies each weight
-by its class's entry.  A sampled branching channel step does the same for
+by its class's entry.  When every channel step of a walk is diagonal,
+cannot zero a weight, and has 1.0 at the identity word and otherwise 1.0
+or one value f (uniform depolarizing or dephasing noise), the walk
+multiplies nothing there: each step adds its one class plane (x | z on its
+qubits, for depolarizing) into a byte counter per lane, and at the end
+each weight is read from the power table of |f| and signed
+(`_fold_hits`).  A sampled branching channel step does the same for
 the lanes at columns with a single entry, and XORs in planes of the row
 bits that entry flips.  Only the lanes at columns with more than one entry
 become indices: their columns are read from the unpacked step rows, they
@@ -48,11 +54,17 @@ their sign flips XOR into the sign row, as do Clifford signs; the row is
 folded into the float weights once, at the end of the walk, by XORing it
 into their sign bits.  Negation is exact, so that is bit-identical to
 negating along the way, and the fused walk is bit-identical to walking one
-rotation at a time.  A batch whose every lane has died stops early.  It
-tests for that after each channel step with a zero factor, where a lane
-can die, and after the first channel step of a walk given start weights,
-which may all be 0; its words, and the sign of its zero weights, are then
-unspecified.
+rotation at a time.  Counted factors are folded in just before, and are
+bit-identical too: multiplying by 1.0 is exact, and IEEE rounding is
+symmetric in sign, so a weight's magnitude is the same sequential product of
+|f|, the table's entry for its hits.  A start weight that is itself an entry
+P[j] (as a forward walk's weights are, for the backward walk of the HS
+overlap) goes on to P[j + hits]; start weights the table does not hold are
+multiplied out a hit at a time.  A batch whose every lane has died stops
+early.  It tests for that after each channel step with a zero factor, where
+a lane can die, and after the first channel step of a walk given start
+weights, which may all be 0; its words, and the sign of its zero weights,
+are then unspecified.
 
 Randomness is counter-based: the uniform that decides a channel's branch is
 a pure function of (seed, walk stream id, noise-site ordinal), so a walk's
@@ -610,17 +622,48 @@ def _rot_layer(rots: list, n: int) -> _RotLayer:
 
 
 def _fused_program(circuit: Circuit, direction: str,
-                   support: "int | None" = None) -> list:
+                   support: "int | None" = None) -> tuple:
     """:func:`_program` with its rotations fused into layers (:func:`_fuse`),
-    cached beside it.  Only the batched walker walks it; the light cone,
-    ``cone_runs`` and ``cone_params`` read the unfused program."""
+    and its counted factor (:func:`_counted_factor`), both cached beside it:
+    (steps, counted).  Only a counted program stores its factor, so the
+    others cost the cache nothing more.  Only the batched walker walks it;
+    the light cone, ``cone_runs`` and ``cone_params`` read the unfused
+    program."""
     prog = _program(circuit, direction, support)
     cache = circuit.__dict__["_walk_programs"]
     key = ("fused", direction,
            None if prog is cache[direction] else support)
     if key not in cache:
-        cache[key] = _fuse(prog, circuit.n, direction == "backward")
-    return cache[key]
+        fused = cache[key] = _fuse(prog, circuit.n, direction == "backward")
+        counted = _counted_factor(fused)
+        if counted is not None:
+            cache[("counted", *key[1:])] = counted
+    return cache[key], cache.get(("counted", *key[1:]))
+
+
+def _counted_factor(prog: list) -> "tuple | None":
+    """(f, counter dtype) when the channel steps of the walk program
+    ``prog`` can be counted, else None.
+
+    They can when each is diagonal and cannot kill, its identity word's
+    factor is 1.0, and every other factor of every step is 1.0 or one
+    finite value f (bit for bit), f occurring somewhere.  A walk then
+    counts each lane's hits, the steps that multiply it by f, in a byte
+    counter (two bytes past 255 counting steps) and folds them in at the
+    end (:func:`_fold_hits`)."""
+    chans = [step for step in prog if isinstance(step, _ChanStep)]
+    if not all(step.channel.diagonal and not step.kills for step in chans):
+        return None
+    # the class values of the steps' forms, which a channel's sites share;
+    # none is 0.0 or -0.0, so equal values have equal bits
+    values = {id(step.form): step.form[0] for step in chans}.values()
+    if any(v[0] != 1.0 or len(v) > 2 for v in values):
+        return None
+    fs = {float(v[1]) for v in values if len(v) == 2}
+    steps = sum(len(step.form[0]) == 2 for step in chans)
+    if len(fs) != 1 or not np.isfinite(f := fs.pop()) or steps > 0xFFFF:
+        return None
+    return f, np.uint8 if steps <= 0xFF else np.uint16
 
 
 def _support_mask(x, z) -> int:
@@ -1055,6 +1098,76 @@ def _diag_factors(planes: np.ndarray, step: _ChanStep, b: int):
     return _class_factors(step.form, [planes[r] for r in step.rows], b)
 
 
+def _diag_hits(planes: np.ndarray, step: _ChanStep, b: int) -> np.ndarray:
+    """Each lane's hit at a counted diagonal channel step (see
+    :func:`_counted_factor`): 1 where its class is the non-unit entry f,
+    as (b,) uint8."""
+    (form,) = step.form[1]
+    return _unpack(form.value([planes[r] for r in step.rows]), b)
+
+
+#: the largest power-table index a counted walk looks a start weight up
+#: at; start weights further down the table are multiplied out
+_START_CAP = 4095
+
+
+def _powers(f: float, size: int) -> np.ndarray:
+    """The (size,) power table of |f|: P[0] = 1.0 and P[k] = P[k-1] * |f|,
+    each a rounded product, as a walk forms it one step at a time."""
+    table = np.full(size, abs(f))
+    table[0] = 1.0
+    return np.multiply.accumulate(table, out=table)
+
+
+def _fold_hits(w: np.ndarray, hits: np.ndarray, f: float,
+               given: bool) -> None:
+    """Multiply each weight w[i] by f ``hits[i]`` times, in place and bit
+    for bit as one multiply a hit does, also with the walk's multiplies by
+    1.0 in between.  ``given``: w holds start weights, else it is all 1.0.
+
+    IEEE rounding is symmetric in sign, so w * f * ... * f is the product
+    of magnitudes |w| * |f| * ... * |f| with sign signbit(w) ^ (signbit(f)
+    & hits odd).  From |w| = P[j] of the power table (:func:`_powers`) that
+    product is P[j + hits].  A start weight's j is estimated as
+    log|w| / log|f|, rounded, and checked: P[j] == |w|.  The lanes the
+    check fails (NaN, a weight that is not a power of |f|, a j past
+    ``_START_CAP``) are multiplied out a hit at a time.  Every ``take``
+    clips its indices, which are in range, so that it writes straight into
+    ``out`` instead of buffering a copy."""
+    top = int(hits.max(initial=0))
+    if not given:
+        np.take(_powers(f, top + 1), hits.astype(np.intp), out=w,
+                mode="clip")
+    else:
+        log_f = np.log(abs(f))  # 0 when |f| = 1: then j = 0, P = 1
+        est = np.abs(w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(est, out=est)
+            est *= 1.0 / log_f if log_f else 0.0
+        np.rint(est, out=est)
+        np.fmax(est, 0.0, out=est)  # NaN -> 0
+        np.fmin(est, _START_CAP, out=est)
+        at = est.astype(np.intp)
+        table = _powers(f, int(est.max(initial=0.0)) + top + 1)
+        np.take(table, at, out=est, mode="clip")
+        np.copysign(est, w, out=est)
+        slow = np.flatnonzero(est != w)
+        slow_w, slow_hits = w[slow], hits[slow]
+        slow_w *= 1.0  # as a step's 1.0 quiets a signaling NaN
+        for k in range(int(slow_hits.max(initial=0))):
+            slow_w[slow_hits > k] *= f
+        at += hits
+        np.take(table, at, out=est, mode="clip")
+        np.copysign(est, w, out=w)
+    if np.signbit(f):
+        odd = (hits & 1).astype(np.uint8, copy=False)
+        odd <<= 7
+        top_bytes = _sign_bytes(w)
+        top_bytes ^= odd
+    if given:
+        w[slow] = slow_w
+
+
 def _lane_set(lanes: tuple, v: np.ndarray, b: int):
     """The lane plane of a :func:`_lane_form` set over ``b`` lanes, from a
     step's rows ``v``; None when the set is empty."""
@@ -1122,7 +1235,7 @@ def _rotate(planes: np.ndarray, n: int, layer: _RotLayer, k,
     k[r, 0] the low bit of rotation r's angle index, k[r, 1] the high bit.  A
     lane whose word anticommutes with rotation r's axis takes k there; its
     2-bit phase exponent q (summed over the axis's sites from _QTAB) plus k
-    plus the direction's offset must stay even when k is odd, then k odd
+    plus the direction's offset is even when k is odd, then k odd
     flips the word by the axis, and k == 2 or an odd k with phase 2 negates
     the lane's sign.  The layer's rotations act on disjoint qubits, so each
     reads only rows no other one writes, and their sign flips XOR into the
@@ -1139,11 +1252,10 @@ def _rotate(planes: np.ndarray, n: int, layer: _RotLayer, k,
             q1 = q1 ^ v1 ^ (anti & site)
             anti = anti ^ site
     # kk = k where the word anticommutes, else 0; ph = q + kk + offset
-    # (mod 4), whose bit 0 is q0 ^ kk0 (q0 is ``anti``) and whose bit 1
-    # takes the carry
+    # (mod 4), whose bit 0 is q0 ^ kk0 (q0 is ``anti``, as the assert after
+    # _SITE_FORMS checks) and whose bit 1 takes the carry.  kk0 is set only
+    # where anti is, so ph is even wherever k is odd: the phase stays real
     kk0, kk1 = anti & k[:, 0], anti & k[:, 1]
-    if np.any(kk0 & (anti ^ kk0)):
-        raise AssertionError("imaginary phase escaped a grid rotation")
     ph1 = q1 ^ kk1 ^ kk0
     if not backward:  # offset 2
         ph1 = ~ph1
@@ -1279,15 +1391,22 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     (:func:`_clifford`), diagonal channel steps (:func:`_diag_factors`) and
     sampled branching channel steps (:func:`_branch`) work on the planes;
     only ``collect_flags`` unpacks a step's rows to per-lane codes
-    (:func:`_local_codes`).  The sign row is folded into the weights at the
-    end (:func:`_fold_signs`).
+    (:func:`_local_codes`).  A program whose diagonal channel factors can
+    be counted (its ``counted`` factor f, see :func:`_counted_factor`) does
+    not multiply at its channel steps: each adds the lanes it multiplies by
+    f (:func:`_diag_hits`) into a per-lane counter, uint8 or past 255
+    counting steps uint16, and the weights are read from the power table
+    of |f| at the end (:func:`_fold_hits`).  The sign row is folded into
+    the weights last (:func:`_fold_signs`).
 
     The walk stops early once no lane has a non-zero weight.  Only a step
     with a zero factor (``kills``, set at compile time) can zero a weight,
     so the test runs after such a step, and after the first channel step
     when ``w0`` is given; a sampled branch's own factor is never 0.  A
     product of non-zero factors can still underflow to 0, and a batch that
-    dies so walks on to its end: its weights are 0 either way.
+    dies so walks on to its end: its weights are 0 either way.  A counted
+    walk has no step that kills, and its test after the first channel step
+    reads the start weights themselves.
     """
     n = circuit.n
     x0 = np.asarray(x0, dtype=np.uint64)
@@ -1305,7 +1424,7 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     if support >> n:
         raise ValueError(f"walk words act on qubits beyond the {n}-qubit "
                          "register")
-    prog = _fused_program(circuit, direction, support)
+    prog, counted = _fused_program(circuit, direction, support)
     backward = direction == "backward"
     planes = np.concatenate((_transpose(x0, n), _transpose(z0, n),
                              np.zeros((1, (b + 63) // 64), dtype=_LANE)))
@@ -1318,6 +1437,7 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
         stream_ids = np.ascontiguousarray(stream_ids, dtype=np.uint64)
     flags = np.zeros((b, len(circuit.noise_sites)), dtype=np.int32) \
         if collect_flags else None
+    hits = None if counted is None else np.zeros(b, dtype=counted[1])
 
     prefix = None  # every lane's hash_words(seed, DOMAIN_TAU, stream id)
 
@@ -1339,16 +1459,21 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
             continue
         ch = step.channel
         col = None if flags is None else _local_codes(planes, step.rows, b)
-        if ch.diagonal:
-            w *= _diag_factors(planes, step, b)
-        else:
+        if not ch.diagonal:
             _branch(planes, step, w, uniforms)
+        elif hits is None:
+            w *= _diag_factors(planes, step, b)
+        elif step.form[1]:  # counted; with no class plane every factor is 1
+            hits += _diag_hits(planes, step, b)
         if flags is not None:
             tau = col if ch.diagonal else _local_codes(planes, step.rows, b)
             flags[:, step.ordinal] = tau * len(ch.ptm) + col
         if (step.kills or test_w0) and not w.any():
             break
         test_w0 = False
+    if hits is not None:
+        _fold_hits(w, hits, counted[0], w0 is not None)
+        del hits  # before the exit transposes, where a walk peaks
     _fold_signs(w, planes[2 * n])
     return (_transpose(planes[:n], b), _transpose(planes[n:2 * n], b), w,
             flags)

@@ -364,6 +364,139 @@ class TestDeadBatches:
             assert got.tobytes() == want.tobytes()
 
 
+def _counted_and_per_step(build, walk):
+    """walk(circuit) on a circuit from ``build()``, whose walks count their
+    diagonal channel factors where they can, and on a fresh one whose walks
+    multiply them in at every step: (counted, per step)."""
+    counted = walk(build())
+    with mock.patch.object(engine, "_counted_factor", lambda prog: None):
+        per_step = walk(build())
+    return counted, per_step
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+#: start weights the power table of |f| does not hold, and some it does:
+#: +-1.0 for every f, and 0.9 ** 3 and -(0.9 ** 2), formed a factor at a
+#: time, for |f| = 0.9
+_SPECIAL_W0 = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan,
+                        -np.nan, -1.5, 2.0 ** 1000, 0.9 * 0.9 * 0.9,
+                        -(0.9 * 0.9), 1.0, -1.0])
+
+
+def _x_weights(c, lanes, w0=None):
+    """(x, z, w) of ``lanes`` backward X walks at random angles."""
+    x0, z0 = engine.words_for_paulis([axis(1, "X", (0,))] * lanes, 1)
+    theta = MaterializedTheta(np.random.default_rng(lanes).integers(
+        0, 4, size=(lanes, c.n_params)).astype(np.uint8))
+    return engine._run_batch(c, "backward", x0, z0, theta, w0=w0)[:3]
+
+
+def _chip_words(c, b, seed):
+    r = np.random.default_rng(seed)
+    x0, z0 = (r.integers(0, 2 ** c.n, size=(b, 1), dtype=np.uint64)
+              for _ in range(2))
+    return x0, z0, engine.HashedTheta(seed, np.arange(b, dtype=np.uint64))
+
+
+class TestCountedFactors:
+    """A walk whose channel steps are all diagonal, cannot kill, and
+    multiply by 1.0 or one value f counts each lane's hits and folds them
+    in at its end (``engine._fold_hits``), bit for bit the product of one
+    multiply a step."""
+
+    @staticmethod
+    def _chip():
+        return gen_grid_chip(2, 2, 1, "rzz", make_depolarizing(0.05))
+
+    def test_which_programs_are_counted(self):
+        dephasing = make_pauli_channel({"I": 0.9, "Z": 0.1})
+        counted = {"depolarizing": ([make_depolarizing(0.1)] * 2, 0.9),
+                   "dephasing": ([dephasing], 0.8),
+                   "negative": ([make_raw_ptm(np.diag([1, -0.5, -0.5, -0.5]),
+                                              (0,))], -0.5)}
+        for chans, f in counted.values():
+            c = _site_circuit(chans)
+            for direction in ("backward", "forward"):
+                assert engine._fused_program(c, direction)[1] == (f, np.uint8)
+        per_step = {"two values": [make_depolarizing(0.1),
+                                   make_depolarizing(0.2)],
+                    "three values": [make_pauli_channel(
+                        {"I": 0.75, "X": 0.0625, "Y": 0.0625, "Z": 0.125})],
+                    "branching": [make_depolarizing(0.1),
+                                  make_amplitude_damping(0.1)],
+                    "kills": [make_depolarizing(0.1), make_mmff("")],
+                    "identity factor": [make_raw_ptm(
+                        np.diag([0.5, 1.0, 1.0, 1.0]), (0,))],
+                    "unit factors only": [make_depolarizing(0.0)],
+                    "no channel": []}
+        for chans in per_step.values():
+            c = _site_circuit(chans) if chans else Circuit(
+                1, [Rotation(axis(1, "Z", (0,)), 0)], [])
+            for direction in ("backward", "forward"):
+                assert engine._fused_program(c, direction)[1] is None
+
+    def test_walks_from_unit_weights(self):
+        assert engine._fused_program(self._chip(), "forward")[1] == (
+            0.95, np.uint8)
+        x0, z0, theta = _chip_words(self._chip(), 200, 1)
+
+        def walk(c):
+            return (*engine._run_batch(c, "backward", x0, z0, theta)[:3],
+                    *engine.run_forward_batch(c, x0, z0, theta))
+        _assert_same_bits(*_counted_and_per_step(self._chip, walk))
+
+    def test_walks_from_a_forward_walk(self):
+        # the HS overlap: a backward walk starts from forward weights
+        x0, z0, theta = _chip_words(self._chip(), 200, 2)
+
+        def walk(c):
+            x1, z1, w1 = engine.run_forward_batch(c, x0, z0, theta)
+            assert len(np.unique(w1)) > 4
+            out = engine._run_batch(c, "backward", x1, z1, theta, w0=w1)
+            return w1, *out[:3]
+        _assert_same_bits(*_counted_and_per_step(self._chip, walk))
+
+    @pytest.mark.parametrize("f", [0.9, -0.5])
+    def test_walks_from_any_start_weights(self, f):
+        chans = [make_raw_ptm(np.diag([1.0, f, f, f]), (0,))] * 5
+        assert engine._fused_program(_site_circuit(chans), "backward")[1] \
+            == (f, np.uint8)
+        lanes = 130
+        w0 = np.resize(_SPECIAL_W0, lanes)
+        counted, per_step = _counted_and_per_step(
+            lambda: _site_circuit(chans),
+            lambda c: _x_weights(c, lanes, w0=w0.copy()))
+        _assert_same_bits(counted, per_step)
+        assert np.array_equal(np.isnan(counted[2]), np.isnan(w0))
+
+    def test_more_than_255_hits_a_lane(self):
+        # every one of 300 sites meets an X or Y word: 300 hits a lane
+        chans = [make_depolarizing(0.01)] * 300
+        assert engine._fused_program(_site_circuit(chans), "backward")[1] \
+            == (0.99, np.uint16)
+
+        def walk(c):
+            return _x_weights(c, 70) + _x_weights(c, 70, np.full(70, -0.99))
+        counted, per_step = _counted_and_per_step(
+            lambda: _site_circuit(chans), walk)
+        _assert_same_bits(counted, per_step)
+        power = functools.reduce(operator.mul, [0.99] * 300, 1.0)
+        assert np.all(np.abs(counted[2]) == power)
+        assert np.all(np.abs(counted[5]) == power * 0.99)
+
+    def test_a_zero_w0_stops_at_the_first_channel_step(self):
+        c = _site_circuit([make_depolarizing(0.1)] * 2)
+        assert engine._fused_program(c, "backward")[1] is not None
+        vals, flags = _x_walk(c, 70, w0=np.zeros(70))
+        assert not np.any(vals)
+        assert np.all(flags[:, 1] == 5) and not np.any(flags[:, 0])
+
+
 class TestTerminalValues:
     """The closure against a sparse state in real arithmetic is the real
     part of its complex product bit for bit, signed zeros included."""
@@ -1457,7 +1590,7 @@ class TestFusion:
             reference = _place(*args)[0]
             for direction in ("backward", "forward"):
                 _check_schedule(engine._program(fused, direction),
-                                engine._fused_program(fused, direction))
+                                engine._fused_program(fused, direction)[0])
             for name, make in sources.items():
                 b = lanes - lanes % 2 if name == "tiled" else lanes
                 x0, z0 = engine.words_for_paulis(
@@ -1482,12 +1615,12 @@ class TestFusion:
         c, obs, _ = gen_line_benchmark(8, 64)
         for direction in ("backward", "forward"):
             prog = engine._program(c, direction)
-            fused = engine._fused_program(c, direction)
+            fused, _ = engine._fused_program(c, direction)
             assert (len(prog), len(fused)) == (960, 192)
             assert all(isinstance(s, engine._RotLayer) for s in fused)
         for _, w in obs.terms:
             assert len(engine._fused_program(c, "backward",
-                                             w.x_bits | w.z_bits)) == 192
+                                             w.x_bits | w.z_bits)[0]) == 192
         _check_schedule(engine._program(c, "backward")[:150],
                         engine._fuse(engine._program(c, "backward")[:150],
                                      c.n, True))
@@ -1496,14 +1629,14 @@ class TestFusion:
         chip = gen_grid_chip(3, 3, 2, "rzz", make_amplitude_damping(0.05))
         backward = engine._program(chip, "backward",
                                    axis(9, "Z", (4,)).z_bits)
-        fused = engine._fused_program(chip, "backward",
-                                      axis(9, "Z", (4,)).z_bits)
+        fused, _ = engine._fused_program(chip, "backward",
+                                         axis(9, "Z", (4,)).z_bits)
         assert (len(engine._program(chip, "backward")),
-                len(engine._fused_program(chip, "backward"))) == (126, 82)
+                len(engine._fused_program(chip, "backward")[0])) == (126, 82)
         _check_schedule(backward, fused)
         # forward, amplitude damping's identity row branches: every site is
         # pinned, and no rotation crosses one
-        assert len(engine._fused_program(chip, "forward")) == 126
+        assert len(engine._fused_program(chip, "forward")[0]) == 126
 
     def test_walks_leave_the_unfused_programs_as_they_were(self):
         # recorded before fusion existed: cone lengths, batching runs and

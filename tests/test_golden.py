@@ -20,6 +20,13 @@ draw.  They were pinned on the engine that hashed every lane's uid.
 ``sum_gradvar_siblings`` is the one case whose four sibling walks (two
 inner replicates x two parameter shifts) fit one chunk, so they are walked
 as one; it was pinned when each sibling was still its own walk.
+``expr_hs``, ``expr_hs_cz``, ``expr_hs_sigma64``, ``expr_hs_groups``,
+``gradvar_cz``, ``mse_cz``, ``sum_gradvar_cz_runs`` and ``sensitivity``
+walk counted factors: their depolarizing channels have one factor other
+than 1.0, so a walk counts each lane's hits and reads its weight from a
+power table at the end, and the HS cases' backward walks find their start
+weights, the forward walks' weights, in that table.  They were pinned on
+the engine that multiplied every channel step's factor into the weights.
 Every ``GOLDEN`` case fits in one reduction chunk; the ``MULTI_GROUP``
 cases run at 64 lanes a chunk, so each spans at least nine chunks and
 several jobs, and were pinned when every job still walked a single chunk.

@@ -292,3 +292,14 @@ class TestWordArrays:
         arr = np.stack([paulis.mask_to_words(m, 70) for m in masks])
         want = np.array([bin(m).count("1") for m in masks])
         assert np.array_equal(paulis.popcount_words(arr), want)
+
+    @pytest.mark.parametrize("lanes", [0, 1, 130])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_popcount_matches_a_sum_over_the_word_axis(self, lanes, width):
+        words = np.random.default_rng(lanes + width).integers(
+            0, 2 ** 64, size=(lanes, width), dtype=np.uint64)
+        words[::3] = np.uint64(2 ** 64 - 1)
+        got = paulis.popcount_words(words)
+        want = np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+        assert got.dtype == np.int64 and got.shape == (lanes,)
+        assert np.array_equal(got, want)
