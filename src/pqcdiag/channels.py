@@ -62,8 +62,15 @@ class _BranchTables:
     the set of lanes at branching columns, the row bits a single-entry
     column flips, and that entry's factor by class.  Only the lanes at
     branching columns are looked up in flattened copies of ``cdf``,
-    ``sign * l1`` and ``tau``.  The forms are keyed by the matrix's bytes,
-    so channels with equal matrices share them.
+    ``sign * l1`` and ``tau``; when a single column branches (amplitude
+    damping's Z column backward, its I column forward), the lanes' words
+    are not read for that lookup, since every such lane is at that column.
+    The form also records whether every branch of every branching column
+    carries exactly 1.0, as amplitude damping's Z column does backward
+    (``sign * l1`` = gamma + (1 - gamma)): a walk whose other factors are
+    1.0 or one value f then counts its factors instead of multiplying them
+    (``engine._counted_factor``).  The forms are keyed by the matrix's
+    bytes, so channels with equal matrices share them.
     """
 
     def __init__(self, matrix: np.ndarray):

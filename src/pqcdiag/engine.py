@@ -20,24 +20,27 @@ Clifford is linear there), and the sign bit, a XOR of ANDs of those rows
 (the table's algebraic normal form), XORs into the sign row.  A diagonal
 channel step computes, from its rows, the bit planes of each lane's class
 among the channel's distinct diagonal entries and multiplies each weight
-by its class's entry.  When every channel step of a walk is diagonal,
-cannot zero a weight, and has 1.0 at the identity word and otherwise 1.0
-or one value f (uniform depolarizing or dephasing noise), the walk
-multiplies nothing there: each step adds its one class plane (x | z on its
-qubits, for depolarizing) into a byte counter per lane, and at the end
-each weight is read from the power table of |f| and signed
-(`_fold_hits`).  A sampled branching channel step does the same for
+by its class's entry.  A sampled branching channel step does the same for
 the lanes at columns with a single entry, and XORs in planes of the row
 bits that entry flips.  Only the lanes at columns with more than one entry
-become indices: their columns are read from the unpacked step rows, they
-draw their branches, and the bits of the words that moved are scattered
-back into the rows, as Stim XORs a sampled error into the frames it hits.
-Per-lane codes remain only in site-entry collection.  Callers see
-lane-major words, a (B, W) uint64 array per x and z with bit q % 64 of word
-q // 64 belonging to qubit q: walks convert at entry and exit only.  One
-bit-matrix transpose (`_transpose`, six rounds of masked swaps on 64x64
-blocks) does every such conversion: words to planes and back, and block
-hashes to angle planes when an outer draw has fewer than 16 lanes.
+become indices: their columns are read from the unpacked step rows (or,
+when one column branches, as under amplitude damping, are known without
+reading them), they draw their branches, and the bits of the words that
+moved are scattered back into the rows, as Stim XORs a sampled error into
+the frames it hits.  When no channel step of a walk can zero a weight,
+and every factor of every step is 1.0 or one value f (uniform
+depolarizing or dephasing noise, or backward amplitude damping, whose
+branching column carries 1.0 on both of its branches), the walk
+multiplies nothing there: each step adds its one class plane (x | z on its
+qubits, for depolarizing; x for amplitude damping) into a byte counter per
+lane, and at the end each weight is read from the power table of |f| and
+signed (`_fold_hits`).  Per-lane codes remain only in site-entry
+collection.  Callers see lane-major words, a (B, W) uint64 array per x and
+z with bit q % 64 of word q // 64 belonging to qubit q: walks convert at
+entry and exit only.  One bit-matrix transpose (`_transpose`, six rounds of
+masked swaps on 64x64 blocks) does every such conversion: words to planes
+and back, and block hashes to angle planes when an outer draw has fewer
+than 16 lanes.
 
 Rotations are walked a layer at a time, as Stim applies one instruction to
 all of its targets at once.  A compile pass (`_fuse`) groups the rotations
@@ -325,7 +328,13 @@ class _BranchForm:
     :func:`_row_tables`) and, flattened, by p * width + j for branch j:
     ``cdf[k]`` is the cdf column k < width - 1 a uniform is compared with,
     ``factor`` the branch's sign * l1 and ``move`` the XOR of p with the
-    row index of the branch's output word.
+    row index of the branch's output word.  ``hot_p`` is the row index of
+    the hot column when there is only one (amplitude damping's Z column
+    backward, its identity column forward), so that every hot lane's p is
+    known without reading its rows; else None.  ``unit_hot`` says every
+    branch of every hot column has factor exactly 1.0, so that a hot lane's
+    weight is multiplied by 1.0 whichever branch it draws: with the class
+    values of :func:`_counted_factor`, such a step's factors can be counted.
     """
     hot: tuple
     moves: tuple  # ((row, lane set), ...)
@@ -334,6 +343,8 @@ class _BranchForm:
     cdf: np.ndarray  # (width - 1, 4^m)
     factor: np.ndarray  # (4^m * width,)
     move: np.ndarray  # (4^m * width,)
+    hot_p: "int | None"
+    unit_hot: bool
 
 
 @functools.lru_cache(maxsize=256)
@@ -359,14 +370,18 @@ def _branch_form(matrix: bytes) -> _BranchForm:
         if lanes != (None, False):
             moves.append((r, lanes))
     cdf = np.ascontiguousarray(tabs.cdf[to_local, :-1].T)
-    factor = (tabs.sign * tabs.l1[:, None])[to_local].ravel()
+    factors = tabs.sign * tabs.l1[:, None]
+    factor = factors[to_local].ravel()
     move = (np.arange(d)[:, None] ^ row_of[tabs.tau[to_local]]).ravel()
     for t in (cdf, factor, move):
         t.setflags(write=False)
+    (hot_cols,) = np.nonzero(hot)
+    drawn = hot[:, None] & (np.arange(width) < tabs.count[:, None])
     return _BranchForm(_lane_form(hot[to_local]), tuple(moves),
-                       _class_forms(np.where(hot, 1.0,
-                                             tabs.sign[:, 0] * tabs.l1)),
-                       width, cdf, factor, move)
+                       _class_forms(np.where(hot, 1.0, factors[:, 0])),
+                       width, cdf, factor, move,
+                       int(row_of[hot_cols[0]]) if hot_cols.size == 1
+                       else None, bool(np.all(factors[drawn] == 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +435,7 @@ class _ChanStep:
     ordinal: int  # global noise-site index, doubles as the RNG slot
     channel: object
     form: object  # _diag_form of a diagonal channel, else its _branch_form
+    classes: tuple  # the class forms of its factors: form, or form.classes
     rows: list
     mask: int
     pinned: bool  # does not map the identity word to itself with weight 1
@@ -447,7 +463,8 @@ def _compile(circuit: Circuit, direction: str) -> list:
         raise ValueError(f"unknown direction {direction!r}")
     backward = direction == "backward"
     ordinals = itertools.count()  # the k-th scheduled site is noise site k
-    # id of a PTM -> (the step form of sites sharing it, does it kill)
+    # id of a PTM -> (the step form of sites sharing it, its class forms,
+    # does it kill)
     forms: dict = {}
     prog: list = []
     for item in circuit.schedule():
@@ -455,15 +472,16 @@ def _compile(circuit: Circuit, direction: str) -> list:
             ch = item.channel
             if id(ch.ptm) not in forms:
                 if ch.diagonal:
-                    form = _diag_form(ch.ptm.diagonal().tobytes())
+                    form = classes = _diag_form(ch.ptm.diagonal().tobytes())
                 else:  # the matrix whose columns the walk samples
                     form = _branch_form(
                         (ch.ptm if backward else ch.ptm.T).tobytes())
-                values = (form if ch.diagonal else form.classes)[0]
-                forms[id(ch.ptm)] = form, bool(np.any(values == 0.0))
-            form, kills = forms[id(ch.ptm)]
+                    classes = form.classes
+                forms[id(ch.ptm)] = (form, classes,
+                                     bool(np.any(classes[0] == 0.0)))
+            form, classes, kills = forms[id(ch.ptm)]
             stays = (ch.cols if backward else ch.rows).stays[0]
-            prog.append(_ChanStep(next(ordinals), ch, form,
+            prog.append(_ChanStep(next(ordinals), ch, form, classes,
                                   _plane_rows(ch.support, circuit.n),
                                   _qubit_mask(ch.support), not stays, kills))
         elif isinstance(item, Rotation):
@@ -645,22 +663,27 @@ def _counted_factor(prog: list) -> "tuple | None":
     """(f, counter dtype) when the channel steps of the walk program
     ``prog`` can be counted, else None.
 
-    They can when each is diagonal and cannot kill, its identity word's
-    factor is 1.0, and every other factor of every step is 1.0 or one
-    finite value f (bit for bit), f occurring somewhere.  A walk then
-    counts each lane's hits, the steps that multiply it by f, in a byte
-    counter (two bytes past 255 counting steps) and folds them in at the
-    end (:func:`_fold_hits`)."""
+    They can when none of them can kill, every factor a step multiplies by
+    is 1.0 or one finite value f (bit for bit), and f occurs somewhere.  A
+    diagonal step's factors are its class values, its identity word's 1.0
+    first.  So are a sampled step's, at its single-entry columns (the
+    identity word's, or 1.0 when that column is hot); its hot columns'
+    branches must all carry exactly 1.0 (``_BranchForm.unit_hot``, decided
+    once per form), as backward amplitude damping's Z column does.  A walk
+    then counts each lane's hits, the steps that multiply it by f, in a
+    byte counter (two bytes past 255 counting steps) and folds them in at
+    the end (:func:`_fold_hits`)."""
     chans = [step for step in prog if isinstance(step, _ChanStep)]
-    if not all(step.channel.diagonal and not step.kills for step in chans):
+    if any(step.kills or not (step.channel.diagonal or step.form.unit_hot)
+           for step in chans):
         return None
     # the class values of the steps' forms, which a channel's sites share;
     # none is 0.0 or -0.0, so equal values have equal bits
-    values = {id(step.form): step.form[0] for step in chans}.values()
+    values = {id(step.form): step.classes[0] for step in chans}.values()
     if any(v[0] != 1.0 or len(v) > 2 for v in values):
         return None
     fs = {float(v[1]) for v in values if len(v) == 2}
-    steps = sum(len(step.form[0]) == 2 for step in chans)
+    steps = sum(len(step.classes[0]) == 2 for step in chans)
     if len(fs) != 1 or not np.isfinite(f := fs.pop()) or steps > 0xFFFF:
         return None
     return f, np.uint8 if steps <= 0xFF else np.uint16
@@ -1095,15 +1118,16 @@ def _class_factors(classes: tuple, v, b: int):
 def _diag_factors(planes: np.ndarray, step: _ChanStep, b: int):
     """Each lane's factor at a diagonal channel step: the diagonal entry of
     the lane's class."""
-    return _class_factors(step.form, [planes[r] for r in step.rows], b)
+    return _class_factors(step.classes, [planes[r] for r in step.rows], b)
 
 
-def _diag_hits(planes: np.ndarray, step: _ChanStep, b: int) -> np.ndarray:
-    """Each lane's hit at a counted diagonal channel step (see
-    :func:`_counted_factor`): 1 where its class is the non-unit entry f,
-    as (b,) uint8."""
-    (form,) = step.form[1]
-    return _unpack(form.value([planes[r] for r in step.rows]), b)
+def _class_hits(classes: tuple, v, b: int) -> np.ndarray:
+    """Each of the ``b`` lanes' hit at a counted channel step (see
+    :func:`_counted_factor`), from its class forms ``classes`` and rows
+    ``v``: 1 where the lane's class is the non-unit value f, as (b,)
+    uint8."""
+    (form,) = classes[1]
+    return _unpack(form.value(v), b)
 
 
 #: the largest power-table index a counted walk looks a start weight up
@@ -1181,7 +1205,7 @@ def _lane_set(lanes: tuple, v: np.ndarray, b: int):
     return out
 
 
-def _branch(planes: np.ndarray, step: _ChanStep, w: np.ndarray,
+def _branch(planes: np.ndarray, step: _ChanStep, w: np.ndarray, hits,
             uniforms) -> None:
     """One sampled branching channel step on all lanes, in place.
 
@@ -1192,30 +1216,46 @@ def _branch(planes: np.ndarray, step: _ChanStep, w: np.ndarray,
     uniforms at the step's noise site, and the branch is the number of the
     column's cdf entries at or below the uniform.  A column's last cdf entry
     is 1 + 1e-9 and its padding 2.0, both above any uniform, so the last cdf
-    column is never compared.  The hot lanes' factors replace the class
-    factor (1.0 there) in the full-lane factor array, so every weight is
-    multiplied once, by the branch's sign * l1 double; and the row bits of
-    the hot lanes whose word moved are XORed in by a scatter
-    (:func:`_xor_lanes`).
+    column is never compared.  A step with one hot column (``hot_p``)
+    knows every hot lane's row index, so it reads none from the rows and
+    compares the uniforms with that column's cdf entries, not with a
+    gather of them.  The row bits of the hot lanes whose word moved are
+    XORed in by a scatter (:func:`_xor_lanes`).
+
+    ``hits`` is None in a walk that multiplies its factors: the hot lanes'
+    factors replace the class factor (1.0 there) in the full-lane factor
+    array, so every weight is multiplied once, by the branch's sign * l1
+    double.  In a counted walk (:func:`_counted_factor`) ``hits`` holds the
+    lanes' counters, and the step adds its class plane into them, as a
+    diagonal step does (:func:`_class_hits`).  Every other factor it has
+    is 1.0, its hot branches' included, so it neither reads the hot lanes'
+    factors nor touches ``w``.
     """
     f = step.form
     b = w.size
     v = planes[step.rows]  # a copy: the rows are written below
-    factors = _class_factors(f.classes, v, b)
-    if not f.classes[1]:
-        factors = None if factors == 1.0 else np.full(b, factors)
+    factors = None
+    if hits is not None:
+        if f.classes[1]:
+            hits += _class_hits(f.classes, v, b)
+    else:
+        factors = _class_factors(f.classes, v, b)
+        if not f.classes[1]:
+            factors = None if factors == 1.0 else np.full(b, factors)
     hot = _lane_set(f.hot, v, b)
     lanes = () if hot is None else np.flatnonzero(_unpack(hot, b).view(bool))
     if len(lanes):
-        p = _row_index(v, b)[lanes]
         u = uniforms(lanes, step.ordinal)
-        at = p.astype(np.intp) * f.width
+        p = _row_index(v, b)[lanes].astype(np.intp) if f.hot_p is None \
+            else f.hot_p
+        at = np.zeros(len(lanes), dtype=np.intp)
+        at += p * f.width
         for col in f.cdf:
             at += u >= col[p]
-        if factors is None:
-            w[lanes] *= f.factor[at]
-        else:
+        if factors is not None:
             factors[lanes] = f.factor[at]
+        elif hits is None:
+            w[lanes] *= f.factor[at]
         delta = f.move[at]
         moved = delta != 0
         if moved.any():
@@ -1391,13 +1431,13 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     (:func:`_clifford`), diagonal channel steps (:func:`_diag_factors`) and
     sampled branching channel steps (:func:`_branch`) work on the planes;
     only ``collect_flags`` unpacks a step's rows to per-lane codes
-    (:func:`_local_codes`).  A program whose diagonal channel factors can
-    be counted (its ``counted`` factor f, see :func:`_counted_factor`) does
-    not multiply at its channel steps: each adds the lanes it multiplies by
-    f (:func:`_diag_hits`) into a per-lane counter, uint8 or past 255
-    counting steps uint16, and the weights are read from the power table
-    of |f| at the end (:func:`_fold_hits`).  The sign row is folded into
-    the weights last (:func:`_fold_signs`).
+    (:func:`_local_codes`).  A program whose channel factors can be
+    counted (its ``counted`` factor f, see :func:`_counted_factor`) does
+    not multiply at its channel steps, diagonal or sampled: each adds the
+    lanes it multiplies by f (:func:`_class_hits`) into a per-lane counter,
+    uint8 or past 255 counting steps uint16, and the weights are read from
+    the power table of |f| at the end (:func:`_fold_hits`).  The sign row
+    is folded into the weights last (:func:`_fold_signs`).
 
     The walk stops early once no lane has a non-zero weight.  Only a step
     with a zero factor (``kills``, set at compile time) can zero a weight,
@@ -1460,11 +1500,12 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
         ch = step.channel
         col = None if flags is None else _local_codes(planes, step.rows, b)
         if not ch.diagonal:
-            _branch(planes, step, w, uniforms)
+            _branch(planes, step, w, hits, uniforms)
         elif hits is None:
             w *= _diag_factors(planes, step, b)
-        elif step.form[1]:  # counted; with no class plane every factor is 1
-            hits += _diag_hits(planes, step, b)
+        elif step.classes[1]:  # counted; with no class plane every factor is 1
+            hits += _class_hits(step.classes, [planes[r] for r in step.rows],
+                                b)
         if flags is not None:
             tau = col if ch.diagonal else _local_codes(planes, step.rows, b)
             flags[:, step.ordinal] = tau * len(ch.ptm) + col

@@ -47,6 +47,23 @@ def rx_dep_circuit(lam):
     return c, observable_from_terms([(1.0, "Z")]), zero_state(1)
 
 
+def wide_circuit():
+    """130 qubits, rotations straddling the 64- and 128-bit word edges,
+    amplitude damping after a few of them."""
+    n = 130
+    ops = [Rotation(axis(n, "X", (0,)), 0), Rotation(axis(n, "X", (63,)), 1),
+           Rotation(axis(n, "ZZ", (63, 64)), 2),
+           Rotation(axis(n, "Y", (129,)), 3),
+           Rotation(axis(n, "XZ", (64, 128)), 4),
+           Rotation(axis(n, "ZZ", (127, 128)), 5),
+           Rotation(axis(n, "X", (100,)), 6),
+           Rotation(axis(n, "Z", (0,)), 7)]
+    sites = [NoiseSite(p, make_amplitude_damping(0.1, (q,)), (0, i), "gamma")
+             for i, (p, q) in enumerate([(1, 63), (3, 129), (4, 128),
+                                         (6, 100)])]
+    return Circuit(n, ops, sites)
+
+
 def random_circuit(n, n_rot, seed, channels=("depolarizing", "amp"),
                    site_rate=0.6):
     """Random rotation circuit with noise sprinkled between gates.

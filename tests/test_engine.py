@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (axis, exact_expectation, plane_angles, random_circuit,
-                      rotations_only, rx_dep_circuit)
+                      rotations_only, rx_dep_circuit, wide_circuit)
 from pqcdiag import engine, estimators, oracle, rng
 from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
                               make_mmff, make_pauli_channel, make_raw_ptm,
@@ -366,8 +366,8 @@ class TestDeadBatches:
 
 def _counted_and_per_step(build, walk):
     """walk(circuit) on a circuit from ``build()``, whose walks count their
-    diagonal channel factors where they can, and on a fresh one whose walks
-    multiply them in at every step: (counted, per step)."""
+    channel factors where they can, and on a fresh one whose walks multiply
+    them in at every step: (counted, per step)."""
     counted = walk(build())
     with mock.patch.object(engine, "_counted_factor", lambda prog: None):
         per_step = walk(build())
@@ -403,11 +403,38 @@ def _chip_words(c, b, seed):
     return x0, z0, engine.HashedTheta(seed, np.arange(b, dtype=np.uint64))
 
 
+def _damped_register(n):
+    """A circuit on ``n`` qubits whose only channel is amplitude damping at
+    gamma 0.1: three qubits, a 7x10 chip, or on 130 qubits
+    ``wide_circuit``, whose rotations straddle the word edges."""
+    if n == 130:
+        return wide_circuit()
+    if n == 70:
+        return gen_grid_chip(7, 10, 1, "rzz", make_amplitude_damping(0.1))
+    ops = [Rotation(axis(3, "X", (0,)), 0), Rotation(axis(3, "ZZ", (0, 1)), 1),
+           Rotation(axis(3, "Y", (2,)), 2), Rotation(axis(3, "XZ", (1, 2)), 3),
+           Rotation(axis(3, "Z", (0,)), 4)]
+    sites = [NoiseSite(p, make_amplitude_damping(0.1, (q,)), (0, i), "gamma")
+             for i, (p, q) in enumerate([(0, 0), (1, 0), (1, 1), (2, 2),
+                                         (3, 1), (3, 2), (4, 0)])]
+    return Circuit(3, ops, sites)
+
+
+def _register_words(n, b, seed):
+    """(x, z, theta, stream ids) of ``b`` random words on all ``n`` qubits."""
+    r = np.random.default_rng(seed)
+    x0, z0 = (engine._pack(r.integers(0, 2, size=(b, n), dtype=np.uint8))
+              for _ in range(2))
+    lanes = np.arange(b, dtype=np.uint64)
+    return x0, z0, engine.HashedTheta(seed, lanes), lanes * np.uint64(7919)
+
+
 class TestCountedFactors:
-    """A walk whose channel steps are all diagonal, cannot kill, and
-    multiply by 1.0 or one value f counts each lane's hits and folds them
-    in at its end (``engine._fold_hits``), bit for bit the product of one
-    multiply a step."""
+    """A walk whose channel steps cannot kill and multiply by 1.0 or one
+    value f counts each lane's hits and folds them in at its end
+    (``engine._fold_hits``), bit for bit the product of one multiply a
+    step.  Its steps are diagonal, or sampled with every hot branch
+    carrying 1.0, as backward amplitude damping's do."""
 
     @staticmethod
     def _chip():
@@ -423,13 +450,36 @@ class TestCountedFactors:
             c = _site_circuit(chans)
             for direction in ("backward", "forward"):
                 assert engine._fused_program(c, direction)[1] == (f, np.uint8)
+        # backward, amplitude damping's X and Y columns carry sqrt(1 - gamma)
+        # and its Z column branches to I and Z, each with sign * l1 = 1.0;
+        # forward, its I column branches with 1 + gamma and its Z column
+        # carries 1 - gamma
+        for gamma in (0.05, 0.1, 0.3):
+            c = _site_circuit([make_amplitude_damping(gamma)] * 3)
+            assert engine._fused_program(c, "backward")[1] == (
+                math.sqrt(1.0 - gamma), np.uint8)
+            assert engine._fused_program(c, "forward")[1] is None
+        # backward, X's column branches three ways and Z's two ways, each
+        # branch with 1.0; Z's padding branch is never drawn
+        c = _site_circuit([make_raw_ptm(
+            [[1, 0, 0, 0.5], [0, 0.5, 0, 0], [0, 0.25, 0.9, 0],
+             [0, 0.25, 0, 0.5]], (0,))])
+        assert engine._fused_program(c, "backward")[1] == (0.9, np.uint8)
         per_step = {"two values": [make_depolarizing(0.1),
                                    make_depolarizing(0.2)],
                     "three values": [make_pauli_channel(
                         {"I": 0.75, "X": 0.0625, "Y": 0.0625, "Z": 0.125})],
-                    "branching": [make_depolarizing(0.1),
-                                  make_amplitude_damping(0.1)],
+                    "damping and depolarizing": [
+                        make_depolarizing(0.1), make_amplitude_damping(0.1)],
+                    # Z's column branches with sign * l1 = 0.8 backward
+                    "hot factor": [make_raw_ptm(
+                        [[1, 0, 0, 0.2], [0, 0.9, 0, 0], [0, 0, 0.9, 0],
+                         [0, 0, 0, 0.6]], (0,))],
                     "kills": [make_depolarizing(0.1), make_mmff("")],
+                    # X and Y columns are empty, Z's branches with 1.0
+                    "branching kills": [make_raw_ptm(
+                        [[1, 0, 0, 0.5], [0] * 4, [0] * 4, [0, 0, 0, 0.5]],
+                        (0,))],
                     "identity factor": [make_raw_ptm(
                         np.diag([0.5, 1.0, 1.0, 1.0]), (0,))],
                     "unit factors only": [make_depolarizing(0.0)],
@@ -439,6 +489,48 @@ class TestCountedFactors:
                 1, [Rotation(axis(1, "Z", (0,)), 0)], [])
             for direction in ("backward", "forward"):
                 assert engine._fused_program(c, direction)[1] is None
+
+    def test_the_amplitude_damping_workload_is_counted(self):
+        # the 3x3 two-block chip the benchmark estimates the MSE of, walked
+        # back from Z on its middle qubit, counts its sampled steps, and
+        # each of them has one hot column
+        c = gen_grid_chip(3, 3, 2, "rzz", make_amplitude_damping(0.05))
+        steps, counted = engine._fused_program(c, "backward", 1 << 4)
+        assert counted == (math.sqrt(0.95), np.uint8)
+        chans = [s for s in steps if isinstance(s, engine._ChanStep)]
+        assert chans and all(not s.channel.diagonal for s in chans)
+        assert {s.form.hot_p for s in chans} == {2}  # Z: z row set
+
+    @pytest.mark.parametrize("n", [3, 70, 130])
+    def test_damped_walks_count_bit_for_bit(self, n):
+        f = math.sqrt(0.9)
+        # the chip's 326 sites need two-byte counters
+        assert engine._fused_program(_damped_register(n), "backward")[1] \
+            == (f, np.uint16 if n == 70 else np.uint8)
+        lanes = 130
+        x0, z0, theta, sids = _register_words(n, lanes, n)
+        w0 = np.resize(np.concatenate((_SPECIAL_W0, [f * f * f, -(f * f)])),
+                       lanes)
+
+        def walk(c):
+            drew = []
+
+            def uniforms(h):
+                drew.append(h.size)
+                return rng.uniform_from_hash(h)
+            with mock.patch.object(engine, "uniform_from_hash", uniforms):
+                out = [*engine._run_batch(c, "backward", x0, z0, theta,
+                                          seed=3, stream_ids=sids)[:3],
+                       *engine._run_batch(c, "backward", x0, z0, theta,
+                                          seed=3, stream_ids=sids,
+                                          w0=w0.copy())[:3]]
+            assert sum(drew) > 0  # some lanes met a hot column
+            return out
+        counted, per_step = _counted_and_per_step(
+            functools.partial(_damped_register, n), walk)
+        _assert_same_bits(counted, per_step)
+        assert len(np.unique(np.abs(counted[2]))) > 2  # some lanes hit
+        assert np.array_equal(np.isnan(counted[5]), np.isnan(w0))
 
     def test_walks_from_unit_weights(self):
         assert engine._fused_program(self._chip(), "forward")[1] == (
@@ -1246,17 +1338,26 @@ def _branch_reference(tabs, local, u, w):
     return out, w, drew
 
 
-def _walk_branch(step, bits, u, w):
-    """Run the plane step on ``bits``: (planes, weights, the lane arrays
-    the step asked uniforms for)."""
+def _walk_branch(step, bits, u, w, hits=None):
+    """Run the plane step on ``bits``, multiplying its factors into ``w``
+    or, given ``hits``, counting them there: (planes, weights, the lane
+    arrays the step asked uniforms for)."""
     planes, w, drew = engine._pack(bits), w.copy(), []
 
     def uniforms(lanes, ordinal):
         assert ordinal == step.ordinal
         drew.append(lanes.tolist())
         return u[lanes]
-    engine._branch(planes, step, w, uniforms)
+    engine._branch(planes, step, w, hits, uniforms)
     return planes, w, drew
+
+
+#: (channel, direction) of the sampled steps whose factors a walk counts
+_COUNTED_BRANCHES = [
+    (name, direction) for name in sorted(_BRANCH_CHANNELS)
+    for direction in ("backward", "forward")
+    if engine._counted_factor([_chan_step(_BRANCH_CHANNELS[name], direction)])
+    is not None]
 
 
 class TestBranchSteps:
@@ -1280,6 +1381,30 @@ class TestBranchSteps:
         assert np.array_equal(planes, engine._pack(bits))
         assert local.size % 64 and not np.any(
             planes[:, -1] >> np.uint64(local.size % 64))
+
+    @pytest.mark.parametrize("name, direction", _COUNTED_BRANCHES)
+    def test_counted_branch_step_adds_its_hits(self, name, direction):
+        # the step moves the words as the table walk does, leaves the
+        # weights alone and counts a hit where the lane's factor is f
+        ch = _BRANCH_CHANNELS[name]
+        step = _chan_step(ch, direction)
+        f = engine._counted_factor([step])[0]
+        bits, local = _step_bits(ch.support, len(name))
+        r = np.random.default_rng(len(name))
+        u, w = r.random(local.size), r.standard_normal(local.size)
+        # a multiply, even by 1.0, would set the quiet bit of these NaNs
+        w.view(np.uint64)[::7] = 0x7FF0000000000001
+        start = r.integers(0, 200, size=local.size, dtype=np.uint8)
+        hits = start.copy()
+        planes, got, drew = _walk_branch(step, bits, u, w, hits)
+        out, factors, want_drew = _branch_reference(
+            _tables(ch, direction), local, u, np.ones(local.size))
+        assert drew == ([want_drew] if want_drew else [])
+        assert got.tobytes() == w.tobytes()
+        assert set(factors.tolist()) == {1.0, f}
+        assert np.array_equal(hits - start, factors == f)
+        _set_local(bits, ch.support, out)
+        assert np.array_equal(planes, engine._pack(bits))
 
     @pytest.mark.parametrize("direction", ["backward", "forward"])
     @pytest.mark.parametrize("name", [
@@ -1316,6 +1441,16 @@ class TestBranchSteps:
                                * tabs.l1[local]).tobytes()
         want = _lane_bits(ch.support, tabs.tau[local, j], d)
         assert np.array_equal(planes, engine._pack(want))
+
+    def test_a_single_hot_column_is_known(self):
+        # amplitude damping branches at Z backward (row index 2, the z row)
+        # and at I forward; other channels branch at several columns or none
+        damping = _BRANCH_CHANNELS["amplitude_damping"]
+        assert _chan_step(damping, "backward").form.hot_p == 2
+        assert _chan_step(damping, "forward").form.hot_p == 0
+        for name in ("raw_2q_negative", "mmff"):
+            assert _chan_step(_BRANCH_CHANNELS[name],
+                              "backward").form.hot_p is None
 
     def test_forms_are_keyed_by_content(self):
         # a channel built afresh with the same PTM shares its forms, and
@@ -1360,12 +1495,12 @@ class TestBranchStreams:
         drawn, hashed = [], []
         branch, hash_all = engine._branch, engine.hash_words
 
-        def spy(planes, step, w, uniforms):
+        def spy(planes, step, w, hits, uniforms):
             def recorded(at, ordinal):
                 u = uniforms(at, ordinal)
                 drawn.append((ordinal, at.copy(), u))
                 return u
-            branch(planes, step, w, recorded)
+            branch(planes, step, w, hits, recorded)
 
         def counted(seed, *words):
             hashed.append(words)

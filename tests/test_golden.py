@@ -27,6 +27,16 @@ than 1.0, so a walk counts each lane's hits and reads its weight from a
 power table at the end, and the HS cases' backward walks find their start
 weights, the forward walks' weights, in that table.  They were pinned on
 the engine that multiplied every channel step's factor into the weights.
+``mse``, ``mse_tau20``, ``sensitivity_fd``, ``sum_gradvar_wide``,
+``sum_gradvar_siblings``, ``expr_lower_bound``, ``mse_groups`` and
+``sum_gradvar_groups`` count the factors of sampled steps: backward,
+amplitude damping multiplies X and Y words by sqrt(1 - gamma) and draws a
+Z word's branch with weight exactly 1.0, so their walks count hits too;
+and with one branching column, the Z column, they read no lane's row
+index to look its branch up.  They were pinned on the engine that
+multiplied every sampled step's factors into the weights and read every
+hot lane's row index.  ``expr_hs_branching``'s forward walks still
+multiply.
 Every ``GOLDEN`` case fits in one reduction chunk; the ``MULTI_GROUP``
 cases run at 64 lanes a chunk, so each spans at least nine chunks and
 several jobs, and were pinned when every job still walked a single chunk.
@@ -39,7 +49,7 @@ every one unchanged, at any thread count.
 import numpy as np
 import pytest
 
-from conftest import axis
+from conftest import axis, wide_circuit
 from pqcdiag import estimators as est
 from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
                               make_mmff, make_raw_ptm)
@@ -57,23 +67,6 @@ def z_on(n, *qubits):
         codes[q] = 3
         terms.append((1.0 - 0.25 * i, PauliString.from_codes(codes)))
     return observable_from_terms(terms)
-
-
-def wide_circuit():
-    """130 qubits, rotations straddling the 64- and 128-bit word edges,
-    amplitude damping after a few of them."""
-    n = 130
-    ops = [Rotation(axis(n, "X", (0,)), 0), Rotation(axis(n, "X", (63,)), 1),
-           Rotation(axis(n, "ZZ", (63, 64)), 2),
-           Rotation(axis(n, "Y", (129,)), 3),
-           Rotation(axis(n, "XZ", (64, 128)), 4),
-           Rotation(axis(n, "ZZ", (127, 128)), 5),
-           Rotation(axis(n, "X", (100,)), 6),
-           Rotation(axis(n, "Z", (0,)), 7)]
-    sites = [NoiseSite(p, make_amplitude_damping(0.1, (q,)), (0, i), "gamma")
-             for i, (p, q) in enumerate([(1, 63), (3, 129), (4, 128),
-                                         (6, 100)])]
-    return Circuit(n, ops, sites)
 
 
 def run_mse(threads=1):
