@@ -122,8 +122,7 @@ from .circuits import Circuit, FixedAngle, NoiseSite, Rotation
 from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
                      clifford_table, commutes, mask_to_words, n_words,
                      phase_exponent, popcount_words)
-from .rng import (DOMAIN_TAU, hash_words, mix64, theta_block, theta_keys,
-                  uniform_from_hash)
+from .rng import DOMAIN_TAU, hash_words, mix64, theta_block, theta_keys
 
 _LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -326,7 +325,11 @@ class _BranchForm:
 
     The hot lanes' tables are indexed by the lane's row index p (see
     :func:`_row_tables`) and, flattened, by p * width + j for branch j:
-    ``cdf[k]`` is the cdf column k < width - 1 a uniform is compared with,
+    ``cdf[k]`` is the cdf column k < width - 1 a draw is compared with, as
+    uint64 thresholds ceil(max(e, 0) * 2^53) of its entries e: a draw is
+    the top 53 bits m of a hash, the uniform u = m * 2^-53 exactly, so
+    u >= e holds exactly when m >= ceil(e * 2^53), and m is compared with
+    the threshold in integers.
     ``factor`` the branch's sign * l1 and ``move`` the XOR of p with the
     row index of the branch's output word.  ``hot_p`` is the row index of
     the hot column when there is only one (amplitude damping's Z column
@@ -340,7 +343,7 @@ class _BranchForm:
     moves: tuple  # ((row, lane set), ...)
     classes: tuple
     width: int
-    cdf: np.ndarray  # (width - 1, 4^m)
+    cdf: np.ndarray  # (width - 1, 4^m) uint64 thresholds
     factor: np.ndarray  # (4^m * width,)
     move: np.ndarray  # (4^m * width,)
     hot_p: "int | None"
@@ -369,7 +372,8 @@ def _branch_form(matrix: bytes) -> _BranchForm:
         lanes = _lane_form(flips >> r & 1)
         if lanes != (None, False):
             moves.append((r, lanes))
-    cdf = np.ascontiguousarray(tabs.cdf[to_local, :-1].T)
+    cdf = np.ceil(np.maximum(tabs.cdf[to_local, :-1].T, 0.0)
+                  * 2.0 ** 53).astype(np.uint64)
     factors = tabs.sign * tabs.l1[:, None]
     factor = factors[to_local].ravel()
     move = (np.arange(d)[:, None] ^ row_of[tabs.tau[to_local]]).ravel()
@@ -1213,12 +1217,13 @@ def _branch(planes: np.ndarray, step: _ChanStep, w: np.ndarray, hits,
     planes XOR into the rows they change, and the entry's factor comes from
     class planes.  Only the hot lanes, at columns with more than one
     entry, become indices: ``uniforms(lanes, ordinal)`` gives their branch
-    uniforms at the step's noise site, and the branch is the number of the
-    column's cdf entries at or below the uniform.  A column's last cdf entry
+    draws at the step's noise site, uint64 values m below 2^53 standing
+    for the uniforms m * 2^-53, and the branch is the number of the
+    column's cdf thresholds at or below the draw.  A column's last cdf entry
     is 1 + 1e-9 and its padding 2.0, both above any uniform, so the last cdf
     column is never compared.  A step with one hot column (``hot_p``)
     knows every hot lane's row index, so it reads none from the rows and
-    compares the uniforms with that column's cdf entries, not with a
+    compares the draws with that column's cdf thresholds, not with a
     gather of them.  The row bits of the hot lanes whose word moved are
     XORed in by a scatter (:func:`_xor_lanes`).
 
@@ -1487,7 +1492,9 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
             prefix = hash_words(seed, DOMAIN_TAU, stream_ids)
         h = prefix[lanes]
         h ^= np.uint64(slot_offset + ordinal)
-        return uniform_from_hash(mix64(h, out=h))
+        h = mix64(h, out=h)
+        h >>= np.uint64(11)  # the draw m of the uniform m * 2^-53
+        return h
 
     test_w0 = w0 is not None  # a given w0 may have no live lane
     for step in prog:

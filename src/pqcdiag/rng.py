@@ -35,24 +35,23 @@ DOMAIN_TAU = 0x7A75
 DOMAIN_THETA = 0x7468
 DOMAIN_SIGMA = 0x7369
 
-#: 2^-53, converts the top 53 bits of a uint64 into a float64 in [0, 1)
-_INV_2_53 = float(2.0 ** -53)
-
-
-def mix64(z, out=None):
+def mix64(z, out=None, tmp=None):
     """SplitMix64 finalizer on uint64 arrays (wrapping arithmetic).
 
     With ``out`` (which may be ``z`` itself) the result is written there, so
-    mixing a fresh array in place allocates one temporary per shift and no
-    result array.
+    mixing a fresh array in place allocates no result array.  The three
+    shifts share one temporary, ``tmp`` when given (an array of the
+    result's shape, whose contents are overwritten).
     """
     with np.errstate(over="ignore"):
         z = np.add(z, _U64(_GOLDEN), out=out)
-        z ^= z >> _U64(30)
+        if tmp is None:
+            tmp = np.empty_like(z)
+        z ^= np.right_shift(z, _U64(30), out=tmp)
         z *= _U64(_MIX1)
-        z ^= z >> _U64(27)
+        z ^= np.right_shift(z, _U64(27), out=tmp)
         z *= _U64(_MIX2)
-        z ^= z >> _U64(31)
+        z ^= np.right_shift(z, _U64(31), out=tmp)
     return z
 
 
@@ -71,11 +70,6 @@ def hash_words(seed: int, *words) -> np.ndarray:
         w = np.asarray(w, dtype=np.uint64)
         h = mix64(h ^ w)
     return h
-
-
-def uniform_from_hash(h: np.ndarray) -> np.ndarray:
-    """Map hashed uint64 values to float64 uniforms in [0, 1)."""
-    return (h >> _U64(11)).astype(np.float64) * _INV_2_53
 
 
 def theta_keys(seed: int, uid) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from pqcdiag import engine
 from pqcdiag.paulis import (PauliString, SignedPauli, clifford_table,
                             commutes, mask_to_words, multiply, popcount_words)
-from pqcdiag.rng import DOMAIN_TAU, hash_words, uniform_from_hash
+from pqcdiag.rng import DOMAIN_TAU, hash_words
 
 _popcount = int.bit_count
 
@@ -36,8 +36,10 @@ _popcount = int.bit_count
 # ---------------------------------------------------------------------------
 
 def uniforms(seed: int, domain: int, stream, slot) -> np.ndarray:
-    """Uniform [0,1) draws, one per broadcast element of (stream, slot)."""
-    return uniform_from_hash(hash_words(seed, domain, stream, slot))
+    """Uniform [0,1) draws, one per broadcast element of (stream, slot):
+    the top 53 bits of the keyed hash, times 2^-53."""
+    h = hash_words(seed, domain, stream, slot) >> np.uint64(11)
+    return h.astype(np.float64) * 2.0 ** -53
 
 
 @dataclass

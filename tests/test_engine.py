@@ -514,11 +514,14 @@ class TestCountedFactors:
 
         def walk(c):
             drew = []
+            branch = engine._branch
 
-            def uniforms(h):
-                drew.append(h.size)
-                return rng.uniform_from_hash(h)
-            with mock.patch.object(engine, "uniform_from_hash", uniforms):
+            def spy(planes, step, w, hits, uniforms):
+                def counted(lanes, ordinal):
+                    drew.append(lanes.size)
+                    return uniforms(lanes, ordinal)
+                branch(planes, step, w, hits, counted)
+            with mock.patch.object(engine, "_branch", spy):
                 out = [*engine._run_batch(c, "backward", x0, z0, theta,
                                           seed=3, stream_ids=sids)[:3],
                        *engine._run_batch(c, "backward", x0, z0, theta,
@@ -1338,16 +1341,24 @@ def _branch_reference(tabs, local, u, w):
     return out, w, drew
 
 
+def _draws(u):
+    """The walk's integer draws m of the uniforms u = m * 2^-53 (each u a
+    multiple of 2^-53 in [0, 1), as ``Generator.random`` gives)."""
+    m = (np.asarray(u) * 2.0 ** 53).astype(np.uint64)
+    assert np.array_equal(m * 2.0 ** -53, u)
+    return m
+
+
 def _walk_branch(step, bits, u, w, hits=None):
-    """Run the plane step on ``bits``, multiplying its factors into ``w``
-    or, given ``hits``, counting them there: (planes, weights, the lane
-    arrays the step asked uniforms for)."""
-    planes, w, drew = engine._pack(bits), w.copy(), []
+    """Run the plane step on ``bits`` with the draws of the uniforms ``u``,
+    multiplying its factors into ``w`` or, given ``hits``, counting them
+    there: (planes, weights, the lane arrays the step asked draws for)."""
+    planes, w, drew, m = engine._pack(bits), w.copy(), [], _draws(u)
 
     def uniforms(lanes, ordinal):
         assert ordinal == step.ordinal
         drew.append(lanes.tolist())
-        return u[lanes]
+        return m[lanes]
     engine._branch(planes, step, w, hits, uniforms)
     return planes, w, drew
 
@@ -1412,8 +1423,10 @@ class TestBranchSteps:
         if ch.cols.branches.any() and ch.rows.branches.any()])
     def test_branch_choice_at_boundary_uniforms(self, name, direction):
         # the cdf column loop picks min((u >= cdf[c]).sum(), width - 1) at
-        # 0, 1 - 2^-53 and each cdf entry below 1 and the double under it,
-        # and a branch's factor is sign[c, j] * l1[c] byte for byte
+        # the uniforms 0 and 1 - 2^-53, and at the least uniform at or above
+        # each cdf entry below 1 and the one under it (uniforms are
+        # multiples of 2^-53), and a branch's factor is sign[c, j] * l1[c]
+        # byte for byte
         ch = _BRANCH_CHANNELS[name]
         step = _chan_step(ch, direction)
         tabs, form = _tables(ch, direction), step.form
@@ -1426,9 +1439,9 @@ class TestBranchSteps:
                     == (tabs.sign[c, j] * tabs.l1[c]).tobytes()
         local, u = [], []
         for c in np.flatnonzero(tabs.branches):
-            edges = tabs.cdf[c, :tabs.count[c]]
-            us = [x for x in (0.0, 1.0 - 2.0 ** -53, *edges,
-                              *np.nextafter(edges, 0.0)) if x < 1.0]
+            edges = np.ceil(tabs.cdf[c, :tabs.count[c]] * 2.0 ** 53)
+            us = [x * 2.0 ** -53 for x in (0.0, 2.0 ** 53 - 1, *edges,
+                                           *(edges - 1)) if 0 <= x < 2 ** 53]
             local += [c] * len(us)
             u += us
         local, u = np.array(local, dtype=np.intp), np.array(u)
@@ -1481,13 +1494,14 @@ def _two_damped_rotations():
 
 class TestBranchStreams:
     """A walk hashes its lanes' (seed, DOMAIN_TAU, stream id) prefix once,
-    at its first step that draws, and each uniform it draws is the keyed
-    hash of its lane's stream id and its slot."""
+    at its first step that draws, and each draw is the top 53 bits of the
+    keyed hash of its lane's stream id and its slot, m of the uniform
+    m * 2^-53."""
 
     @staticmethod
     def _walk(monkeypatch, y_angles, slot_offset):
         """Walk X back through :func:`_two_damped_rotations` from weight 0.5,
-        a lane per Y angle: (stream ids, the (ordinal, lanes, uniforms) of
+        a lane per Y angle: (stream ids, the (ordinal, lanes, draws) of
         each draw, the words of each ``hash_words`` call of the walker)."""
         lanes = len(y_angles)
         x0, z0 = engine.words_for_paulis([axis(1, "X", (0,))] * lanes, 1)
@@ -1524,9 +1538,9 @@ class TestBranchStreams:
         [(ordinal, at, u)] = drawn
         assert ordinal == 0 and np.array_equal(at, np.flatnonzero(y_angles
                                                                   % 2))
-        assert u.tobytes() == rng.uniform_from_hash(hash_words(
+        assert u.dtype == np.uint64 and np.array_equal(u, hash_words(
             11, rng.DOMAIN_TAU, sids[at],
-            np.uint64(slot_offset + ordinal))).tobytes()
+            np.uint64(slot_offset + ordinal)) >> np.uint64(11))
         [(domain, streams)] = hashed
         assert domain == rng.DOMAIN_TAU and np.array_equal(streams, sids)
 
