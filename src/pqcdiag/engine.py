@@ -38,9 +38,8 @@ signed (`_fold_hits`).  Per-lane codes remain only in site-entry
 collection.  Callers see lane-major words, a (B, W) uint64 array per x and
 z with bit q % 64 of word q // 64 belonging to qubit q: walks convert at
 entry and exit only.  One bit-matrix transpose (`_transpose`, six rounds of
-masked swaps on 64x64 blocks) does every such conversion: words to planes
-and back, and block hashes to angle planes when an outer draw has fewer
-than 16 lanes.
+masked swaps on 64x64 blocks) does every such conversion, words to planes
+and back; angles need none, since their stream is plane-major.
 
 Rotations are walked a layer at a time, as Stim applies one instruction to
 all of its targets at once.  A compile pass (`_fuse`) groups the rotations
@@ -49,10 +48,11 @@ a rotation only across steps on other qubits and across rotations about
 commuting axes; channel and Clifford steps keep their order.  A layer step
 gathers its rotations' rows into (L, W) slabs and applies all L grid
 rotations in a few AND/XOR operations.  Its angles arrive as packed bit
-planes, two per rotation (`k_for`): a job's angle source hashes each outer
-draw once per 32-parameter block, and a view of it turns those hashes into
-64 lane planes once, broadcasting each draw's bits to all of its lanes, so
-a layer's angles are a row gather.  Grid rotations change no weight, and
+planes, two per rotation (`k_for`): a job's angle source keys each group
+of 64 consecutive uids once, and a view of it hashes the layer's 2L words
+a group from those keys in one call, each word one angle bit of one
+parameter for the group's 64 uids, and lays them out on the lanes,
+spreading each draw's bits to all of its lanes.  Grid rotations change no weight, and
 their sign flips XOR into the sign row, as do Clifford signs; the row is
 folded into the float weights once, at the end of the walk, by XORing it
 into their sign bits.  Negation is exact, so that is bit-identical to
@@ -122,7 +122,7 @@ from .circuits import Circuit, FixedAngle, NoiseSite, Rotation
 from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
                      clifford_table, commutes, mask_to_words, n_words,
                      phase_exponent, popcount_words)
-from .rng import DOMAIN_TAU, hash_words, mix64, theta_block, theta_keys
+from .rng import DOMAIN_TAU, hash_words, mix64, theta_keys, theta_words
 
 _LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -745,41 +745,69 @@ def cone_params(circuit: Circuit, words) -> set:
 # ---------------------------------------------------------------------------
 
 class AngleSource:
-    """The grid angles of one job's outer draws, one uid a draw, hashed once
+    """The grid angles of one job's outer draws, one uid a draw, keyed once
     for every walk of the job.
 
-    The constructor hashes each uid's part of the angle hash once
-    (``rng.theta_keys``).  :meth:`block` gives the hash of one 32-parameter
-    block for every draw (``rng.theta_block``, one uint64 a draw).  With
-    ``keep`` each block is hashed once and kept, at 8 bytes a draw, for a
-    job that reads its draws through more than one view or walk; otherwise
-    each call hashes it anew.  Walks read the angles through views
-    (:meth:`view`), which lay the draws out on their lanes.
+    The angle stream is plane-major (``rng.grid_angle``): one hash of a
+    64-uid group's key gives one angle bit of one parameter for all 64
+    uids.  The constructor hashes the key of each group its draws meet once
+    (``rng.theta_keys``).  :meth:`draw_planes` turns the words a view
+    hashes from those keys (``rng.theta_words``) into draw planes, bit i %
+    64 of word i // 64 holding draw i's bit.  A run of consecutive uids,
+    the draws of every estimator's job, reads them straight from the
+    words, joining two adjacent group words by a funnel shift when the run
+    does not start on a multiple of 64; other uids gather each draw's bit
+    from its group's word (:meth:`_gathered`).  Walks read the angles
+    through views (:meth:`view`), which lay the draws out on their lanes.
     """
 
-    def __init__(self, seed: int, uids, keep: bool = False):
+    def __init__(self, seed: int, uids):
         self.uids = np.asarray(uids, dtype=np.uint64)
-        self.keys = theta_keys(seed, self.uids)
-        self._hashes = {} if keep else None  # block -> its hashes
+        u = self.uids.size
+        first = int(self.uids[0]) if u else 0
+        if u == 0 or (int(self.uids[-1]) - first == u - 1
+                      and bool(np.all(np.diff(self.uids) == 1))):
+            self._offset = first & 63  # the run's first lane in its group
+            self._inverse = None
+            groups = np.arange(first >> 6, (first + u + 63) >> 6,
+                               dtype=np.uint64)
+        else:
+            groups, self._inverse = np.unique(self.uids >> np.uint64(6),
+                                              return_inverse=True)
+        self.keys = theta_keys(seed, groups)
 
-    def block(self, block: int) -> np.ndarray:
-        """The (draws,) hashes of parameter block ``block``; read only."""
-        if self._hashes is None:
-            return theta_block(self.keys, block)
-        h = self._hashes.get(block)
-        if h is None:
-            h = self._hashes[block] = theta_block(self.keys, block)
-        return h
+    def draw_planes(self, words: np.ndarray) -> np.ndarray:
+        """(L, 2, ceil(draws / 64)) draw planes from the (L, 2, G) words of
+        the source's groups, their padding bits 0; may be ``words``."""
+        if self._inverse is not None:
+            return self._gathered(words)
+        u, o = len(self), self._offset
+        width = -(-u // 64)
+        if o:
+            d = words[..., :width] >> np.uint64(o)
+            n = min(width, words.shape[-1] - 1)
+            d[..., :n] |= words[..., 1:n + 1] << np.uint64(64 - o)
+        else:
+            d = words
+        if u % 64:
+            d[..., -1] &= np.uint64((1 << u % 64) - 1)
+        return d
 
-    def view(self, reps: int = 1, copies: int = 1, shift=None,
-             keep: bool = False) -> "HashedTheta":
+    def _gathered(self, words: np.ndarray) -> np.ndarray:
+        """The draw planes of uids that are not one run: each draw's bit
+        from its group's word, unpacked and packed again."""
+        bits = words[..., self._inverse] >> (self.uids & np.uint64(63))
+        bits &= np.uint64(1)
+        return _pack(bits.astype(np.uint8))
+
+    def view(self, reps: int = 1, copies: int = 1,
+             shift=None) -> "HashedTheta":
         """A :class:`HashedTheta` over ``copies * reps * len(self)`` lanes:
         each draw on ``reps`` adjacent lanes, and that period ``copies``
         times end to end.  ``shift`` is None or (param, delta), two arrays
-        over every lane; ``keep`` keeps every block's planes, for a view
-        walked more than once."""
+        over every lane."""
         view = HashedTheta.__new__(HashedTheta)
-        view._setup(self, reps, copies, shift, keep)
+        view._setup(self, reps, copies, shift)
         return view
 
     def __len__(self) -> int:
@@ -796,23 +824,22 @@ class HashedTheta:
     source's draws on r adjacent lanes (``np.repeat(uids, r)``: r = 1 for a
     noiseless walk, r = n_tau for the inner replicates of a draw), and that
     period ``copies`` times end to end (the sibling walks of a merged walk,
-    the terms of a multi-term pass).  Each 32-parameter block's hashes
-    become 64 lane planes, row 2p and 2p + 1 the low and high bit of the
-    block's parameter p (:meth:`_block_planes`), and each ``k_for`` is a
-    row gather from them.  When the period fills whole words and no lane is
-    shifted, the planes cover one period and each read is tiled ``copies``
-    times; otherwise they cover every lane.
+    the terms of a multi-term pass).
 
-    A kept view (``keep``) builds each block's planes once and keeps them
-    all, for a view walked more than once; its tiled views
-    (:meth:`tiled`) share them when they cover one period.  Otherwise the
-    planes of the blocks read by the last two ``k_for`` calls are kept, so
-    a walk whose layers read parameters in block order (each layer within
-    two adjacent blocks) builds each block once, and a view walked once
-    holds no more than that.  ``shift`` = (param, delta) implements the
+    Each ``k_for`` hashes its parameters' words for every group of the
+    source in one ``rng.theta_words`` call, takes the source's draw planes
+    from them (:meth:`AngleSource.draw_planes`) and lays those out on the
+    lanes (:meth:`_spread`); nothing is kept between calls.  With r = 1 the
+    draw planes are the lane planes.  When r divides 64, each byte of
+    draw bits becomes the 8r lane bits of its draws through a 256-entry
+    table (``_SPREAD``).  When 64 divides r, each draw's bit becomes r / 64
+    words -(bit).  Other r pick those words through a few masked selects a
+    plane word (:func:`_run_selects`).  A period that fills whole words is
+    copied word for word to each copy, and any other is shifted into place
+    (:meth:`_tile`).  ``shift`` = (param, delta) implements the
     quarter-turn parameter shift per lane (param -1 = no shift): +delta mod
-    4, added with a 2-bit carry to a block's planes as they are built
-    (:meth:`_add_shift`), so the cached planes hold the shifted angles.
+    4, added with a 2-bit carry to the rows of the lanes' shift parameters
+    (:meth:`_add_shift`).
 
     ``HashedTheta(seed, uids, shift_param, shift_delta)`` is the view, one
     lane a uid, of a source of its own.
@@ -822,108 +849,109 @@ class HashedTheta:
                  shift_param: "np.ndarray | None" = None,
                  shift_delta: "np.ndarray | None" = None):
         self._setup(AngleSource(seed, uids), 1, 1, None if shift_param is None
-                    else (shift_param, shift_delta), False)
+                    else (shift_param, shift_delta))
 
-    def _setup(self, source, reps, copies, shift, keep) -> None:
+    def _setup(self, source, reps, copies, shift) -> None:
         self._source, self._reps, self._copies = source, reps, copies
-        self._keep = keep
-        self._lanes = copies * reps * len(source)
-        self._shift = None if shift is None else (
-            np.asarray(shift[0], dtype=np.int64),
-            np.asarray(shift[1], dtype=np.int64))
-        # planes of one period, tiled at each read
-        self._periodic = shift is None and reps * len(source) % 64 == 0
-        self._selects = None  # _run_selects of the planes' runs, r >= 16
-        self._planes: dict = {}  # block -> its planes, (32, 2, W)
-        self._last: list = []  # blocks of the previous k_for call
-        self._deltas = None  # the planes of the lanes' deltas, on first use
+        self._period = reps * len(source)
+        self._lanes = copies * self._period
+        self._selects = None  # _run_selects of the runs, on first use
+        self._shift = self._lanes_by_param = None
+        if shift is not None:
+            param = np.asarray(shift[0], dtype=np.int64)
+            delta = np.asarray(shift[1], dtype=np.int64)
+            self._shift = (param, delta)
+            order = np.argsort(param, kind="stable")
+            d = (delta & 3).astype(np.uint8)
+            # the lanes in parameter order, their parameters, and the
+            # planes of bit i of each lane's delta, (2, W)
+            self._lanes_by_param = (order, param[order],
+                                    _pack(np.stack((d & 1, d >> 1))))
 
     def tiled(self, k: int) -> "HashedTheta":
         """This view's lanes ``k`` times end to end: the angles of a walk
         that puts ``k`` words on each lane's assignment."""
         if k == 1:
             return self
-        view = self._source.view(
+        return self._source.view(
             self._reps, self._copies * k, None if self._shift is None
-            else tuple(np.tile(a, k) for a in self._shift), self._keep)
-        if self._keep and self._periodic:
-            view._planes = self._planes
-        return view
+            else tuple(np.tile(a, k) for a in self._shift))
 
     def k_for(self, params) -> np.ndarray:
-        """(L, 2, W) angle planes of the (L,) parameters ``params``: rows
-        gathered from their blocks' planes."""
+        """(L, 2, W) angle planes of the (L,) parameters ``params``."""
         params = np.asarray(params, dtype=np.int64)
-        blocks, fields = params >> 5, params & 31
-        read = {}
-        for block in set(blocks.tolist()):
-            planes = self._planes.get(block)
-            read[block] = self._block_planes(block) if planes is None \
-                else planes
-        if self._keep:
-            self._planes.update(read)
-        else:
-            self._planes = {blk: self._planes[blk] for blk in self._last} \
-                | read
-            self._last = list(read)
-        if len(read) == 1:
-            (planes,) = read.values()
-            k = planes[fields]
-        else:
-            k = np.empty((params.size, *next(iter(read.values())).shape[1:]),
-                         dtype=_LANE)
-            for block, planes in read.items():
-                at = blocks == block
-                k[at] = planes[fields[at]]
-        return np.tile(k, self._copies) if self._periodic \
-            and self._copies > 1 else k
-
-    def _block_planes(self, block: int) -> np.ndarray:
-        """The (32, 2, W) planes of one block, from its hash of each draw:
-        word j of bit b's plane holds bit b of the hashes of the draws its
-        64 lanes belong to, then the block's shifts.  Runs of r < 16 lanes
-        repeat their hashes and transpose them.  Longer runs broadcast bit
-        b of hash h as the word -(h >> b & 1) (:func:`_bit_words`) through
-        a few masked selects a word (see :func:`_run_selects`); when r is a
-        multiple of 64 that is one select, each run's word r // 64 times."""
-        h = self._source.block(block)
-        if not self._periodic and self._copies > 1:
-            h = np.tile(h, self._copies)
-        r = self._reps
-        if r < 16:
-            planes = _transpose((np.repeat(h, r) if r > 1 else h)[:, None],
-                                64)
-        else:
-            if self._selects is None:
-                self._selects = _run_selects(h.size, r)
-            run, mask = self._selects
-            planes = _bit_words(h[run[0]]) & mask[0]
-            for run_s, mask_s in zip(run[1:], mask[1:]):
-                planes |= _bit_words(h[run_s]) & mask_s
-        planes = planes.reshape(32, 2, -1)
+        if not self._lanes:
+            return np.zeros((params.size, 2, 0), dtype=_LANE)
+        planes = self._spread(self._source.draw_planes(
+            theta_words(self._source.keys, params)))
+        if self._copies > 1:
+            planes = self._tile(planes)
         if self._shift is not None:
-            self._add_shift(planes, block)
+            self._add_shift(planes, params)
         return planes
 
-    def _add_shift(self, planes: np.ndarray, block: int) -> None:
-        """planes += delta (mod 4) in place, on each lane whose shift
-        parameter is in ``block``, at that parameter's row: the lanes of
-        each of the block's 32 parameters become one mask row, and the
-        mask rows ANDed with the planes of the lanes' deltas are added with
-        a 2-bit carry."""
-        param, delta = self._shift
-        lanes = np.flatnonzero(param >> 5 == block)
-        if not lanes.size:
+    def _spread(self, d: np.ndarray) -> np.ndarray:
+        """The lane planes of one period from the draw planes ``d``: each
+        draw's bit on r adjacent lanes, the padding bits 0."""
+        r = self._reps
+        if r == 1:
+            return d
+        width = -(-self._period // 64)
+        if r % 64 and 64 % r == 0:
+            lanes = _SPREAD[r][d.view(np.uint8)]
+            return lanes.reshape(*d.shape[:2], -1).view(_LANE)[..., :width]
+        bits = _unpack(d, len(self._source)).astype(_LANE)
+        np.negative(bits, out=bits)  # each draw's bit as a word, -(bit)
+        if r % 64 == 0:
+            return np.repeat(bits, r // 64, axis=-1) if r > 64 else bits
+        if self._selects is None:
+            self._selects = _run_selects(len(self._source), r)
+        run, mask = self._selects
+        planes = bits[..., run[0]] & mask[0]
+        for run_s, mask_s in zip(run[1:], mask[1:]):
+            planes |= bits[..., run_s] & mask_s
+        return planes
+
+    def _tile(self, base: np.ndarray) -> np.ndarray:
+        """The (L, 2, W) planes of one period, ``base``, ``copies`` times
+        end to end: copied word for word when the period fills whole words,
+        else each copy shifted to its first lane."""
+        c, p = self._copies, self._period
+        width = base.shape[-1]
+        if p % 64 == 0:
+            out = np.empty((*base.shape[:2], c, width), dtype=_LANE)
+            out[...] = base[:, :, None]
+            return out.reshape(*base.shape[:2], c * width)
+        out = np.zeros((*base.shape[:2], -(-c * p // 64)), dtype=_LANE)
+        for j in range(c):
+            w0, o = divmod(j * p, 64)
+            n = min(width, out.shape[-1] - w0)
+            out[..., w0:w0 + n] |= base[..., :n] << np.uint64(o)
+            n = min(width, out.shape[-1] - w0 - 1)
+            if o and n > 0:
+                out[..., w0 + 1:w0 + 1 + n] |= \
+                    base[..., :n] >> np.uint64(64 - o)
+        return out
+
+    def _add_shift(self, planes: np.ndarray, params: np.ndarray) -> None:
+        """planes += delta (mod 4) in place, at each row r, on the lanes
+        whose shift parameter is params[r]: those lanes become a mask row
+        (looked up in the lanes sorted by parameter), and the mask rows
+        ANDed with the planes of the lanes' deltas are added with a 2-bit
+        carry."""
+        order, by_param, deltas = self._lanes_by_param
+        lo = np.searchsorted(by_param, params)
+        count = np.searchsorted(by_param, params, side="right") - lo
+        total = int(count.sum())
+        if not total:
             return
-        width = planes.shape[-1]
-        if self._deltas is None:  # bit i of each lane's delta, (2, W)
-            d = (delta & 3).astype(np.uint8)
-            self._deltas = _pack(np.stack((d & 1, d >> 1)))
-        on = np.zeros((32, width), dtype=_LANE)
-        # each lane's bit is its word's only one there, so adding ORs it
-        np.add.at(on.reshape(-1), (param[lanes] & 31) * width + (lanes >> 6),
+        lanes = order[np.arange(total)
+                      + np.repeat(lo - (np.cumsum(count) - count), count)]
+        on = np.zeros((params.size, planes.shape[-1]), dtype=_LANE)
+        # each lane's bit is its word's only one in its row, so adding ORs it
+        np.add.at(on, (np.repeat(np.arange(params.size), count), lanes >> 6),
                   np.left_shift(np.uint64(1), (lanes & 63).astype(_LANE)))
-        d0, d1 = on & self._deltas[0], on & self._deltas[1]
+        d0, d1 = on & deltas[0], on & deltas[1]
         planes[:, 1] ^= d1 ^ (planes[:, 0] & d0)
         planes[:, 0] ^= d0
 
@@ -931,13 +959,18 @@ class HashedTheta:
         return self._lanes
 
 
-def _bit_words(h: np.ndarray) -> np.ndarray:
-    """(64, n) words of the n hashes ``h``: word j of row b is all ones
-    where bit b of h[j] is set, else 0."""
-    bits = np.unpackbits(h.view(np.uint8).reshape(-1, 8).T, axis=0,
-                         bitorder="little").astype(_LANE)
-    return np.negative(bits, out=bits)
+def _spread_table(r: int) -> np.ndarray:
+    """[byte of 8 draw bits] -> their 8r lane bits, each draw's bit on r
+    adjacent lanes: a uint of 8r bits for r <= 8, else r / 8 words."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                         bitorder="little")
+    lanes = np.packbits(np.repeat(bits, r, axis=1), axis=1,
+                        bitorder="little")
+    return lanes.view(f"<u{r}")[:, 0] if r <= 8 else lanes.view(_LANE)
 
+
+#: [r] -> :func:`_spread_table` of r, for each r < 64 that divides 64
+_SPREAD = {r: _spread_table(r) for r in (2, 4, 8, 16, 32)}
 
 #: [k] -> the mask of the low k bits of a word, k = 0..64
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=_LANE)
@@ -946,19 +979,19 @@ _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=_LANE)
 def _run_selects(u: int, r: int) -> tuple:
     """Plane selects for ``u`` runs of ``r`` lanes: (run, mask), two (S, W)
     arrays such that word j of a plane is the OR over s of ``mask[s, j]``
-    where the hash of run ``run[s, j]`` has the plane's bit set.  Select s
-    picks in word j the run that covers its first lane, plus s, and masks
-    the lanes that run covers there; a word meets at most ceil(63 / r) + 1
-    runs, and selects that mask no lane anywhere are dropped.  The lanes
-    past the last run are in no mask."""
+    where the bit of run ``run[s, j]`` is set.  Select s picks in word j
+    the run that covers its first lane, plus s, and masks the lanes that
+    run covers there; a word meets at most ceil(63 / r) + 1 runs, and
+    selects that mask no lane anywhere are dropped.  The lanes past the
+    last run are in no mask."""
     lane0 = np.arange(0, u * r, 64)
     end = np.minimum(lane0 + 64, u * r) - lane0
     run = lane0 // r + np.arange(-(-63 // r) + 1)[:, None]
     lo = np.minimum(np.maximum(run * r - lane0, 0), end)
     hi = np.maximum(np.minimum((run + 1) * r - lane0, end), lo)
-    keep = (hi > lo).any(axis=1)
-    return (np.minimum(run[keep], u - 1),
-            _LOW_BITS[hi[keep]] ^ _LOW_BITS[lo[keep]])
+    used = (hi > lo).any(axis=1)
+    return (np.minimum(run[used], u - 1),
+            _LOW_BITS[hi[used]] ^ _LOW_BITS[lo[used]])
 
 
 def words_for_paulis(paulis, n: int):
@@ -1010,8 +1043,7 @@ def _transpose(words: np.ndarray, count: int) -> np.ndarray:
     """Bit-matrix transpose: (R, C) words holding ``count`` bits a row ->
     (count, ceil(R/64)) words, whose padding bits are 0.  Lane-major walk
     words (a row per lane, a bit per qubit) become per-qubit lane planes (a
-    row per qubit, a bit per lane), and back; a (B, 1) column of block
-    hashes becomes 64 planes, one per hash bit.
+    row per qubit, a bit per lane), and back.
 
     Word c of each group of 64 rows is a 64x64 bit matrix, transposed by
     six rounds of masked swaps (Warren, Hacker's Delight, 2nd ed., section

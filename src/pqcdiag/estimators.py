@@ -22,8 +22,13 @@ is built by :func:`_report`.  Within a job, the sibling walks of one
 circuit over the same draws, its inner replicates and parameter shifts, are
 walked as one engine walk while together they fit a chunk
 (:func:`_replicate_means`); each lane keeps its own angles and stream id,
-so this too only widens the walks.  A job hashes its draws' angles once, in
-one :class:`engine.AngleSource` whose views its walks read.
+so this too only widens the walks.  A job hashes the angle key of each
+group of 64 consecutive uids its draws meet once, in one
+:class:`engine.AngleSource`; each walk reads a view of it, which hashes
+the angle words of the parameters the walk reads from those keys.  Every
+job's draws are a run of consecutive uids, whose angle planes are read
+straight from those words: the two circuit copies of an expressibility
+draw ``outer`` are keyed as the runs ``outer`` and ``outer + 2**63``.
 """
 
 from __future__ import annotations
@@ -54,6 +59,14 @@ from .rng import check_stream_budget, compose_stream_array, pauli_codes
 #: walks are walked as one while together they fit ``_CHUNK`` lanes (see
 #: :func:`_replicate_means`), since past that merging no longer pays.
 _CHUNK = 16384
+
+#: uid offset of the second angle vector of an expressibility draw: draw
+#: ``outer`` keys its two circuit copies as ``outer`` and ``outer + 2**63``,
+#: two runs of consecutive uids, so that each copy's angle planes come
+#: straight from the plane-major stream (``engine.AngleSource``).
+#: :func:`rng.check_stream_budget` keeps ``outer`` below 2^32, so the two
+#: ranges never meet.
+_COPY_UIDS = np.uint64(2 ** 63)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +318,10 @@ def _replicate_means(circuit, obs, state, source, seed, n_tau, variants, *,
     variants' lanes end to end, each keeping its own stream id (inner ids
     offset by ``rep * n_tau``); walks are per-lane pure, so grouping moves
     no float.  Unshifted variants read ``theta``, a view of ``source`` with
-    r lanes a draw (made here when not given, kept when it is walked more
-    than once; a job that walks other circuits over the same draws passes
-    one in), tiled once a variant of the group.  A shifted group reads a
-    view of ``source`` tiled once a variant, with its variants' shift
-    parameters and deltas end to end.
+    r lanes a draw (made here when not given; a job that walks other
+    circuits over the same draws passes one in), tiled once a variant of
+    the group.  A shifted group reads a view of ``source`` tiled once a
+    variant, with its variants' shift parameters and deltas end to end.
 
     Returns one per-sub-draw mean array per variant, or with ``collect``
     one (means, score sums) pair per variant.
@@ -322,7 +334,7 @@ def _replicate_means(circuit, obs, state, source, seed, n_tau, variants, *,
                             (len(source), spread, 1))
     groups = _sibling_groups(variants, lanes)
     if theta is None and variants[0][1] is None:
-        theta = source.view(reps, keep=len(groups) > 1)
+        theta = source.view(reps)
 
     def walk(group):  # a generator, so a group's lanes die before the next
         k = len(group)
@@ -402,7 +414,7 @@ def estimate_mse(circuit: Circuit, obs: ObservableSum, state=None,
     variants = [(0, None), (1, None)] if branching else [(0, None)]
 
     def job(outer):
-        source = AngleSource(cfg.seed, outer, keep=True)
+        source = AngleSource(cfg.seed, outer)
         vclean = _walk_values(clean, obs, state, source.view(), seed=cfg.seed)
         d = [vclean - m for m in _replicate_means(
             circuit, obs, state, source, cfg.seed, n_tau, variants)]
@@ -489,9 +501,9 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
     clean = circuit.without_noise()
 
     def job(outer):
-        source = AngleSource(cfg.seed, outer, keep=True)
+        source = AngleSource(cfg.seed, outer)
         vclean = _walk_values(clean, obs, state, source.view(), seed=cfg.seed)
-        th = source.view(n_tau, keep=True)
+        th = source.view(n_tau)
 
         def means(circ, rep, collect=False):
             return _replicate_means(circ, obs, state, source, cfg.seed, n_tau,
@@ -611,10 +623,8 @@ def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
             shifted = np.tile(walked, b)
             variants = [(rep, (shifted, delta))
                         for rep in reps for delta in (1, -1)]
-            groups = _sibling_groups(variants, b * walked.size * n_tau)
             means = _replicate_means(
-                circuit, obs, state,
-                AngleSource(cfg.seed, outer, keep=len(groups) > 1), cfg.seed,
+                circuit, obs, state, AngleSource(cfg.seed, outer), cfg.seed,
                 n_tau, variants, spread=walked.size)
             for g, plus, minus in zip(grads, means[::2], means[1::2]):
                 g[:, live] = ((plus - minus) / 2.0).reshape(b, walked.size)
@@ -690,6 +700,11 @@ def estimate_expressibility_hs(circuit: Circuit,
     row-samples the channels — hence the row-sum (PRS1) requirement; for
     channels that fail it use :func:`estimate_expressibility_lower_bound`.
 
+    Draw ``outer`` walks theta1 at angle uid ``outer`` and theta2 at
+    ``outer + 2**63`` (``_COPY_UIDS``): a job's draws key each copy with a
+    run of consecutive uids.  theta1 is walked three or four times and
+    theta2 twice, each walk hashing the angles it reads.
+
     Ensemble states start from the all-zeros computational state.
     """
     t0 = time.perf_counter()
@@ -717,9 +732,8 @@ def estimate_expressibility_hs(circuit: Circuit,
         b = outer.shape[0]
         lane_uid = np.repeat(outer * np.uint64(ns), ns) \
             + np.tile(np.arange(ns, dtype=np.uint64), b)
-        # each walked three or four times (th1) and twice (th2)
-        th1 = AngleSource(cfg.seed, 2 * outer).view(ns, keep=True)
-        th2 = AngleSource(cfg.seed, 2 * outer + 1).view(ns, keep=True)
+        th1, th2 = (AngleSource(cfg.seed, outer + _COPY_UIDS * i).view(ns)
+                    for i in (0, 1))
 
         # one function a piece, so that its lanes die before the next one's
         def quadratic():  # same sigma, independent paths per replicate
@@ -760,7 +774,10 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
     product debiases the quartic and their pairwise products the quadratic.
     A negative mean is possible and simply means the bound is uninformative
     at this depth/noise point (the bound itself may be negative, so no
-    non-negativity flag applies).
+    non-negativity flag applies).  Draw ``outer``'s two angle vectors have
+    the angle uids ``outer`` and ``outer + 2**63`` (``_COPY_UIDS``), so a
+    job keys each with a run of consecutive uids; each is walked once, or
+    twice when channels branch.
 
     Ensemble states start from the all-zeros computational state.
     """
@@ -782,9 +799,8 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
         outer_rep = np.repeat(outer, nt)
         inner_base = np.tile(np.arange(nt, dtype=np.uint64), b)
 
-        # each angle vector walked once, or twice when channels branch
-        th_a, th_b = (AngleSource(cfg.seed, 2 * outer + i).view(
-            nt, keep=branching) for i in (0, 1))
+        th_a, th_b = (AngleSource(cfg.seed, outer + _COPY_UIDS * i).view(nt)
+                      for i in (0, 1))
 
         def group_mean(th, group):
             inner = inner_base + np.uint64(group * nt)

@@ -12,8 +12,9 @@ Domains keep draw families from colliding:
 - ``DOMAIN_TAU``    channel-branch draws inside a path walk (stream = walk
   stream id, whose prefix a walk hashes once; slot = noise-site ordinal
   within the compiled circuit, one more mix of that prefix)
-- ``DOMAIN_THETA``  grid-angle draws (stream = outer sample uid, slot = a
-  block of 32 parameters; each 2-bit field of the slot's hash is one angle)
+- ``DOMAIN_THETA``  grid-angle draws (stream = a group of 64 consecutive
+  outer sample uids, slot = 2 * parameter + b; bit j of the slot's hash is
+  bit b of that parameter's angle for the group's uid j)
 - ``DOMAIN_SIGMA``  random-Pauli draws for expressibility (stream = word uid,
   slot = qubit index)
 """
@@ -72,46 +73,51 @@ def hash_words(seed: int, *words) -> np.ndarray:
     return h
 
 
-def theta_keys(seed: int, uid) -> np.ndarray:
-    """Per-uid prefix of the angle hash, ``hash_words(seed, DOMAIN_THETA,
-    uid)``: computed once per outer sample (``engine.AngleSource`` hashes
-    each of a job's draws once), it leaves one :func:`mix64` per block of
-    32 parameters (see :func:`theta_block`)."""
-    return hash_words(seed, DOMAIN_THETA, uid)
+def theta_keys(seed: int, group) -> np.ndarray:
+    """Key of the angle hash of a group of 64 uids, ``hash_words(seed,
+    DOMAIN_THETA, group)`` for ``group = uid // 64``: computed once per
+    group (``engine.AngleSource`` hashes each of a job's groups once), it
+    leaves one :func:`mix64` per angle bit of a parameter for all 64 uids
+    of the group (see :func:`theta_words`)."""
+    return hash_words(seed, DOMAIN_THETA, group)
 
 
-def theta_block(keys, block) -> np.ndarray:
-    """The hash of parameter block ``block`` (parameters 32*block to
-    32*block + 31) from the :func:`theta_keys` of the uids, broadcast:
-    ``mix64(keys ^ block)``, whose 2-bit fields are the block's angles."""
-    h = np.asarray(np.bitwise_xor(keys, np.asarray(block, dtype=np.uint64)))
+def theta_words(keys, params) -> np.ndarray:
+    """The (L, 2, G) angle words of the (L,) parameters ``params`` from the
+    :func:`theta_keys` of G groups: word [l, b, g] is ``mix64(keys[g] ^
+    (2 * params[l] + b))``, whose bit j is bit b of the grid angle of
+    parameter ``params[l]`` for uid ``64 * group + j`` (see
+    :func:`grid_angle`).  One :func:`mix64` call, in place."""
+    ctr = (np.asarray(params, dtype=np.uint64)[:, None] << _U64(1)) \
+        | np.arange(2, dtype=np.uint64)
+    h = np.bitwise_xor(np.asarray(keys, dtype=np.uint64), ctr[:, :, None])
     return mix64(h, out=h)
-
-
-def block_angles(h, param) -> np.ndarray:
-    """Grid-angle indices of ``param`` from the :func:`theta_block` hash of
-    its block, as uint8: the 2-bit field at bit 2 * (param % 32)."""
-    shift = (np.asarray(param, dtype=np.uint64) & _U64(31)) << _U64(1)
-    k = np.right_shift(h, shift).astype(np.uint8)
-    k &= np.uint8(3)
-    return k
 
 
 def grid_angle(seed: int, uid, param) -> np.ndarray:
     """Grid-angle index k in {0,1,2,3} (theta_k = (pi/2)*k) of parameter
     ``param`` in outer sample ``uid``, as uint8.
 
-    The one definition of the angle stream: ``k = (mix64(theta_keys(seed,
-    uid) ^ (param >> 5)) >> 2 * (param & 31)) & 3``, so one counter-based
-    hash yields the angles of 32 consecutive parameters (as in Salmon et
-    al., "Parallel random numbers: as easy as 1, 2, 3", SC'11, where one
-    block cipher call gives several outputs).  Every other angle source goes
-    through it or the :func:`theta_keys` / :func:`theta_block` /
-    :func:`block_angles` steps it is made of.  ``uid`` and ``param``
-    broadcast against each other.
+    The one definition of the angle stream, plane-major: bit b of k is bit
+    ``uid % 64`` of ``mix64(theta_keys(seed, uid // 64) ^ (2 * param +
+    b))``, so one counter-based hash yields bit b of one parameter's angle
+    for 64 consecutive uids (a counter-based generator may lay its counters
+    out in any injective way, and one call yields many outputs: Salmon et
+    al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A walk's
+    angle planes are those words, a bit a lane, as Stim keeps its Pauli
+    frames plane-major (Gidney, arXiv:2103.02202).  Every other angle
+    source goes through it or through :func:`theta_keys` and
+    :func:`theta_words`, which hash the same words a group at a time.
+    ``uid`` and ``param`` broadcast against each other; parameters are
+    below 2^63.
     """
-    p = np.asarray(param, dtype=np.uint64)
-    return block_angles(theta_block(theta_keys(seed, uid), p >> _U64(5)), p)
+    uid = np.asarray(uid, dtype=np.uint64)
+    ctr = np.asarray(param, dtype=np.uint64) << _U64(1)
+    key = theta_keys(seed, uid >> _U64(6))
+    bit = uid & _U64(63)
+    k = (mix64(key ^ ctr) >> bit) & _U64(1)
+    k |= ((mix64(key ^ (ctr | _U64(1))) >> bit) & _U64(1)) << _U64(1)
+    return k.astype(np.uint8)
 
 
 def angle_indices(seed: int, outer_uid, n_params: int) -> np.ndarray:

@@ -64,6 +64,9 @@ class TestGen:
         assert man["inputs"] == []
         assert [o["path"] for o in man["outputs"]] == [out + ".json"]
         assert man["versions"]["numpy"] == np.__version__
+        # 0.2.0 draws its grid angles from the plane-major angle stream (v3):
+        # the same seed gives other numbers than 0.1.0 did
+        assert man["versions"]["pqcdiag"] == "0.2.0"
         assert man["run_id"] == read_json(out + ".json")["run_id"]
 
     def test_missing_n_is_validation_error(self, tmp_path):
@@ -630,10 +633,11 @@ def test_unknown_subcommand_exits_2(tmp_path):
     assert e.value.code == 2
 
 
-def test_version_flag():
+def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])
     assert e.value.code == 0
+    assert capsys.readouterr().out.strip() == "0.2.0"
 
 
 def test_missing_file_is_validation_error(tmp_path):

@@ -29,7 +29,7 @@ from pqcdiag.paulis import (CLIFFORD_1Q_KINDS, CLIFFORD_2Q_KINDS, CODE_TO_X,
                             mask_to_words)
 from pqcdiag.reports import DiagnosticConfig
 from pqcdiag.rng import (angle_indices, compose_stream_array, hash_words,
-                         theta_block)
+                         theta_words)
 from reference import (MaterializedTheta, RngStream, backprop_term,
                        complex_terminal_values, exact_term,
                        trace_pauli_with_entries)
@@ -1881,17 +1881,108 @@ class TestAnglePlanes:
             assert len(tiled) == 3 * lanes
             assert np.array_equal(plane_angles(tiled, params, 3 * lanes),
                                   np.tile(moved, 3))
-        # unshifted views tiled three times, kept or not, and the tiled
-        # views of a view, read twice
-        for keep in (False, True):
-            view = source.view(r, keep=keep)
-            for theta in (source.view(r, 3, keep=keep), view.tiled(3)):
-                for _ in range(2):
-                    assert np.array_equal(
-                        plane_angles(theta, params, 3 * lanes),
-                        np.tile(want, 3))
+        # unshifted views tiled three times, and the tiled views of a view,
+        # read twice
+        for theta in (source.view(r, 3), source.view(r).tiled(3)):
+            for _ in range(2):
+                assert np.array_equal(plane_angles(theta, params, 3 * lanes),
+                                      np.tile(want, 3))
 
-    def test_a_uid_is_hashed_once_for_all_of_its_lanes(self, monkeypatch):
+    #: (first uid, draws) of sources that are one run of uids: aligned and
+    #: unaligned starts, a run shorter than a word and ending inside its
+    #: first group, one meeting three groups, and a one-uid source
+    RUNS = ((0, 64), (5, 7), (2 ** 40 + 63, 130), (2 ** 63 - 3, 2), (9, 1))
+
+    @pytest.mark.parametrize("r", [1, 2, 8, 20, 64, 128])
+    def test_every_read_path_gives_the_grid_angles(self, r):
+        # r = 1 reads the words (shifted when unaligned, masked when short),
+        # 2 and 8 a spread table, 64 and 128 -(bit) words, 20 run selects;
+        # each one, two and three copies, plain and shifted
+        params = np.append(self.PARAMS, 2 ** 40)
+        for first, draws in self.RUNS:
+            uids = np.uint64(first) + np.arange(draws, dtype=np.uint64)
+            source = engine.AngleSource(6, uids)
+            for copies in (1, 2, 3):
+                lane_uids = np.tile(np.repeat(uids, r), copies)
+                lanes = lane_uids.size
+                want = rng.grid_angle(6, lane_uids[None, :], params[:, None])
+                rnd = np.random.default_rng(lanes)
+                shift = rnd.choice(np.append(params, -1), size=lanes)
+                delta = rnd.choice((1, -1), size=lanes)
+                moved = (want + np.where(shift == params[:, None], delta,
+                                         0)) % 4
+                for theta, got in ((source.view(r, copies), want),
+                                   (source.view(r, copies, (shift, delta)),
+                                    moved)):
+                    assert len(theta) == lanes
+                    assert np.array_equal(plane_angles(theta, params, lanes),
+                                          got)
+                    k = theta.k_for(params)
+                    if lanes % 64:  # padding bits of the last word stay 0
+                        assert not (k[..., -1] >> np.uint64(lanes % 64)).any()
+
+    @pytest.mark.parametrize("n", [70, 130])
+    def test_walks_past_a_word_of_qubits_read_the_grid_angles(self, n):
+        # walks on registers past 64 and 128 qubits with views of every
+        # read path, shifted, are bit for bit the walks of their lanes' grid
+        # angles held in full
+        c = _damped_register(n)
+        for (first, draws), r, copies in zip(self.RUNS[1:] + self.RUNS[:1],
+                                             (1, 8, 20, 64, 128), (3, 2, 2,
+                                                                   1, 1)):
+            uids = np.uint64(first) + np.arange(draws, dtype=np.uint64)
+            lane_uids = np.tile(np.repeat(uids, r), copies)
+            b = lane_uids.size
+            x0, z0, _, sids = _register_words(n, b, r)
+            rnd = np.random.default_rng(r)
+            shift = rnd.choice(np.arange(-1, c.n_params), size=b)
+            delta = rnd.choice((1, -1), size=b)
+            values = angle_indices(2, lane_uids, c.n_params).astype(np.int64)
+            values[np.flatnonzero(shift >= 0), shift[shift >= 0]] += \
+                delta[shift >= 0]
+            walks = [engine._run_batch(c, "backward", x0, z0, theta, seed=4,
+                                       stream_ids=sids)
+                     for theta in (engine.AngleSource(2, uids).view(
+                         r, copies, (shift, delta)),
+                         MaterializedTheta(values % 4))]
+            _assert_same_walk(*walks)
+
+    def test_estimators_never_gather_a_draw_at_a_time(self, monkeypatch):
+        # every job's draws are one run of uids, at any chunk size: the
+        # chain, MSE at n_tau 8, HS and its lower bound at n_sigma 64,
+        # shifted gradient walks and the one-lane set-up walk of the
+        # benchmark never take the gathering path, which uids that are not
+        # one run do take
+        def refuse(source, words):
+            raise AssertionError("angles gathered a draw at a time")
+
+        monkeypatch.setattr(engine.AngleSource, "_gathered", refuse)
+        with pytest.raises(AssertionError, match="gathered"):
+            engine.HashedTheta(1, np.array([0, 2], dtype=np.uint64)).k_for(
+                [0])
+        damped = gen_grid_chip(3, 3, 1, "rzz", make_amplitude_damping(0.05))
+        depol = gen_grid_chip(3, 3, 1, "rzz", make_depolarizing(0.05))
+        obs = observable_from_terms([(1.0, axis(9, "Z", (4,)))])
+        for chunk in (estimators._CHUNK, 64):
+            monkeypatch.setattr(estimators, "_CHUNK", chunk)
+            estimators.line_variance_benchmark(4, 2, 200, seed=1)
+            estimators.estimate_mse(damped, obs, None, DiagnosticConfig(
+                n_theta=100, n_tau=8, seed=1))
+            cfg = DiagnosticConfig(n_theta=9, n_sigma=64, n_tau=2, seed=1)
+            estimators.estimate_expressibility_hs(depol, cfg)
+            for circuit in (damped, depol):
+                estimators.estimate_expressibility_lower_bound(circuit, cfg)
+                estimators.sum_gradient_variance(circuit, obs, None,
+                                                 DiagnosticConfig(
+                                                     n_theta=30, n_tau=2,
+                                                     seed=1))
+        x0, z0 = engine.words_for_paulis([axis(9, "Z", (4,))], 9)
+        engine.run_backward_batch(
+            damped, zero_state(9), x0, z0,
+            engine.HashedTheta(1, np.zeros(1, dtype=np.uint64)), seed=1,
+            stream_ids=np.zeros(1, dtype=np.uint64))
+
+    def test_a_group_is_hashed_once_for_all_of_its_lanes(self, monkeypatch):
         hashed = []
 
         def counted(seed, *words):
@@ -1900,39 +1991,59 @@ class TestAnglePlanes:
             return out
 
         monkeypatch.setattr(rng, "hash_words", counted)
-        u = np.arange(40, dtype=np.uint64) * 3
+        u = np.arange(40, dtype=np.uint64) * 3  # uids 0 to 117: two groups
         theta = engine.AngleSource(5, u).view(45, copies=2)
         got = plane_angles(theta, self.PARAMS, 2 * 45 * u.size)
-        assert sum(hashed) == u.size
+        assert hashed == [2]
         assert np.array_equal(got, np.tile(rng.grid_angle(
             5, np.repeat(u, 45)[None, :], self.PARAMS[:, None]), 2))
 
     @staticmethod
-    def _line_block_hashes(monkeypatch):
-        calls = []
+    def _line_angle_hashes(monkeypatch):
+        """(the groups, first group key and parameters of each
+        ``theta_words`` call, the number of ``_transpose`` calls, the
+        number of walks, the parameters in the terms' light cones) of a
+        16448-draw chain benchmark."""
+        calls, transposes, walks = [], [], []
+        transpose, walk = engine._transpose, engine._run_batch
 
-        def counted(keys, block):
-            calls.append((int(keys[0]), int(block)))
-            return theta_block(keys, block)
+        def counted(keys, params):
+            calls.append((len(keys), int(keys[0]), list(params)))
+            return theta_words(keys, params)
 
-        monkeypatch.setattr(engine, "theta_block", counted)
+        monkeypatch.setattr(engine, "theta_words", counted)
+        monkeypatch.setattr(engine, "_transpose", lambda *a: (
+            transposes.append(1), transpose(*a))[1])
+        monkeypatch.setattr(engine, "_run_batch", lambda *a, **k: (
+            walks.append(1), walk(*a, **k))[1])
         estimators.line_variance_benchmark(8, 64, 16448, seed=2)
-        return calls
+        c, obs, _ = estimators._line_case(8, 64)
+        return calls, len(transposes), len(walks), sorted(
+            engine.cone_params(c, [word for _, word in obs.terms]))
 
-    def test_line_walk_hashes_each_block_once_a_chunk(self, monkeypatch):
-        # the chain's 960 parameters are 30 blocks; 16448 draws make two
-        # chunks, walked in one job with one HashedTheta
-        calls = self._line_block_hashes(monkeypatch)
-        assert len(set(calls)) == len(calls) == 1 * 30
+    def test_line_walk_hashes_each_parameter_once_a_job(self, monkeypatch):
+        # 16448 draws make two chunks, walked in one job: 257 groups, keyed
+        # once, and one walk that hashes each of the 958 of the chain's 960
+        # parameters in its light cone once, for all groups at a time, and
+        # transposes only its words at entry and exit
+        calls, transposes, walks, cone = self._line_angle_hashes(monkeypatch)
+        assert len(cone) == 958
+        assert {(groups, key) for groups, key, _ in calls} \
+            == {(257, calls[0][1])}
+        assert sorted(p for *_, params in calls for p in params) == cone
+        assert walks == 1 and transposes == 4
 
-    def test_line_walk_hashes_each_block_once_a_pass(self, monkeypatch):
+    def test_line_walk_hashes_each_parameter_once_a_pass(self, monkeypatch):
         # at 4096 lanes a chunk the 16448 draws make five chunks; the
         # chain's two terms share a pass, so a job of two chunks fills one
-        # (4 * 4096 lanes): three jobs, each with one angle source and one
-        # pass, the last of one chunk
+        # (4 * 4096 lanes): three jobs of 128, 128 and 1 groups, each with
+        # one angle source and one pass, the last of one chunk
         monkeypatch.setattr(estimators, "_CHUNK", 4096)
-        calls = self._line_block_hashes(monkeypatch)
-        keys = list(dict.fromkeys(key for key, _ in calls))
-        assert len(keys) == 3 and len(calls) == 3 * 30
+        calls, transposes, walks, cone = self._line_angle_hashes(monkeypatch)
+        keys = list(dict.fromkeys(key for _, key, _ in calls))
+        assert len(keys) == 3 and walks == 3 and transposes == 3 * 4
+        assert sorted({(groups, key) for groups, key, _ in calls}) \
+            == sorted(zip((128, 128, 1), keys))
         for key in keys:
-            assert sorted(b for k, b in calls if k == key) == list(range(30))
+            assert sorted(p for _, k, params in calls if k == key
+                          for p in params) == cone

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import (axis, exact_grid_gradient_variance, exact_grid_mse,
                       exact_grid_values, random_circuit, rx_dep_circuit)
-from pqcdiag import engine, oracle
+from pqcdiag import engine, oracle, rng
 from pqcdiag import estimators as est
 from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
                               make_mmff, make_thermal, ptm_derivative,
@@ -669,16 +669,16 @@ class TestSiblingWalks:
     @pytest.mark.parametrize("run", [est.estimate_mse,
                                      est.estimate_sensitivity_map])
     def test_replicate_walks_share_one_angle_source(self, monkeypatch, run):
-        # the job hashes its 50 draws once: the noiseless walk and every
-        # noisy walk (two replicates, and the map's residual walk for its
-        # gamma = 0 site) read views of one source
+        # the job keys the one group of its 50 draws once: the noiseless
+        # walk and every noisy walk (two replicates, and the map's residual
+        # walk for its gamma = 0 site) read views of one source
         c, terms = SCORE_CASES["amplitude_damping_gamma0"]()
         hashed, keys = engine.theta_keys, []
-        monkeypatch.setattr(engine, "theta_keys", lambda seed, uids: (
-            keys.append(len(uids)), hashed(seed, uids))[1])
+        monkeypatch.setattr(engine, "theta_keys", lambda seed, groups: (
+            keys.append(len(groups)), hashed(seed, groups))[1])
         run(c, observable_from_terms(terms), None,
             DiagnosticConfig(n_theta=50, n_tau=4, seed=3))
-        assert keys == [50]
+        assert keys == [1]
 
 
 def _amp_chip_z4():
@@ -692,36 +692,41 @@ def _wide_chip_z45():
 
 
 class TestJobHashing:
-    """Each job hashes its draws' uids once (``rng.theta_keys``) and each
-    angle block once (``rng.theta_block``), and builds a block's lane
-    planes once per lane layout it walks; per job, at any thread count."""
+    """Each job keys its draws' groups of 64 uids once (``rng.theta_keys``),
+    and each walk hashes the angle words of each parameter in its light
+    cone once (``rng.theta_words``), for every group at a time, and
+    transposes only its walk words, at entry and exit; per job, at any
+    thread count."""
 
     @staticmethod
     def _counts(monkeypatch, run):
-        """(uids hashed by each theta_keys call, theta_block calls, plane
-        builds, walk lanes) of ``run()``; a source is named by its first
-        key."""
-        keys, blocks, builds, walks = [], [], [], []
-        hash_keys, hash_block = engine.theta_keys, engine.theta_block
-        build, walk = engine.HashedTheta._block_planes, est.run_backward_batch
+        """(groups keyed by each theta_keys call, a (source, parameter)
+        pair per parameter hashed by a theta_words call, the backward walks'
+        lanes) of ``run()``; a source is named by its first key."""
+        keys, words, walks, batches, transposes = [], [], [], [], []
+        hash_keys, hash_words = engine.theta_keys, engine.theta_words
+        walk, batch = est.run_backward_batch, engine._run_batch
+        transpose = engine._transpose
 
-        def counted_build(theta, block):
-            builds.append((int(theta._source.keys[0]), block))
-            return build(theta, block)
+        def counted_words(k, params):
+            words.extend((int(k[0]), int(p)) for p in params)
+            return hash_words(k, params)
 
         def counted_walk(circuit, state, x0, *args, **kwargs):
             walks.append(len(x0))
             return walk(circuit, state, x0, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "theta_keys", lambda seed, uids: (
-            keys.append(len(uids)), hash_keys(seed, uids))[1])
-        monkeypatch.setattr(engine, "theta_block", lambda k, block: (
-            blocks.append((int(k[0]), int(block))), hash_block(k, block))[1])
-        monkeypatch.setattr(engine.HashedTheta, "_block_planes",
-                            counted_build)
+        monkeypatch.setattr(engine, "theta_keys", lambda seed, groups: (
+            keys.append(len(groups)), hash_keys(seed, groups))[1])
+        monkeypatch.setattr(engine, "theta_words", counted_words)
         monkeypatch.setattr(est, "run_backward_batch", counted_walk)
+        monkeypatch.setattr(engine, "_run_batch", lambda *a, **k: (
+            batches.append(1), batch(*a, **k))[1])
+        monkeypatch.setattr(engine, "_transpose", lambda *a: (
+            transposes.append(1), transpose(*a))[1])
         run()
-        return sorted(keys), sorted(blocks), sorted(builds), sorted(walks)
+        assert len(transposes) == 4 * len(batches)
+        return sorted(keys), sorted(words), sorted(walks)
 
     def _per_thread_count(self, monkeypatch, call):
         counts = [self._counts(monkeypatch, lambda: call(t))
@@ -730,71 +735,69 @@ class TestJobHashing:
         return counts[0]
 
     @staticmethod
-    def _blocks(circuit, obs):
-        return sorted({p >> 5 for p in engine.cone_params(
-            circuit, [w for _, w in obs.terms])})
+    def _cone(circuit, obs):
+        return sorted(engine.cone_params(circuit,
+                                         [w for _, w in obs.terms]))
 
     @pytest.mark.parametrize("run", [est.estimate_mse,
                                      est.estimate_sensitivity_map])
-    def test_noise_jobs_hash_once_and_build_once_a_layout(self, monkeypatch,
-                                                          run):
+    def test_noise_jobs_key_once_and_hash_once_a_walk(self, monkeypatch,
+                                                      run):
         # 64-lane chunks of 8 draws x 8 paths, jobs of four chunks: 40
-        # draws are two jobs; each walks the noiseless circuit on one lane
-        # a draw and the noisy one on eight, twice (two replicates)
+        # draws are two jobs, uids 0 to 31 and 32 to 39, each keying group
+        # 0 once; each walks the noiseless circuit on one lane a draw and
+        # the noisy one on eight, twice (two replicates): six walks
         monkeypatch.setattr(est, "_CHUNK", 64)
         c, obs = _amp_chip_z4()
-        keys, blocks, builds, walks = self._per_thread_count(
+        keys, words, walks = self._per_thread_count(
             monkeypatch, lambda t: run(c, obs, None, DiagnosticConfig(
                 n_theta=40, n_tau=8, seed=5, threads=t)))
-        assert keys == [8, 32]
-        sources = sorted({key for key, _ in blocks})
-        assert len(sources) == 2
-        want = [(key, blk) for key in sources for blk in self._blocks(c, obs)]
-        assert blocks == want
-        assert builds == sorted(want * 2)
+        assert keys == [1, 1]
+        key = int(rng.theta_keys(5, np.uint64(0)))
+        assert words == sorted([(key, p) for p in self._cone(c, obs)] * 6)
         assert walks == [8, 32, 64, 64, 256, 256]
 
-    def test_expressibility_hashes_each_angle_vector_once(self, monkeypatch):
-        # one job, two angle vectors a draw (theta1, theta2): forward walks
-        # read every parameter, and theta1 is walked three times, theta2
-        # twice
+    def test_expressibility_keys_each_angle_vector_once(self, monkeypatch):
+        # one job, two angle vectors a draw, theta1 at uids 0 to 7 and
+        # theta2 at 2**63 to 2**63 + 7: one group each; every walk reads
+        # every parameter, theta1's three (backward) and theta2's two
+        # (forward)
         c = gen_grid_chip(3, 3, 2, "rzz", make_depolarizing(0.02))
-        keys, blocks, builds, _ = self._per_thread_count(
+        keys, words, _ = self._per_thread_count(
             monkeypatch, lambda t: est.estimate_expressibility_hs(
                 c, DiagnosticConfig(n_theta=8, n_sigma=64, seed=5,
                                     threads=t)))
-        assert keys == [8, 8]
-        n_blocks = -(-c.n_params // 32)
-        assert n_blocks == 2
-        sources = sorted({key for key, _ in blocks})
-        want = [(key, blk) for key in sources for blk in range(n_blocks)]
-        assert len(sources) == 2 and blocks == want and builds == want
+        assert keys == [1, 1]
+        th1, th2 = (int(rng.theta_keys(5, np.uint64(g)))
+                    for g in (0, 2 ** 57))
+        params = range(c.n_params)
+        assert words == sorted([(th1, p) for p in params] * 3
+                               + [(th2, p) for p in params] * 2)
 
-    def test_merged_siblings_hash_each_draw_once(self, monkeypatch):
+    def test_merged_siblings_key_each_group_once(self, monkeypatch):
         # both shifts of Z_45's 45 cone parameters at 80 draws are one
-        # 7200-lane walk of one view: 80 draws hashed, not 160
+        # 7200-lane walk of one view: 80 draws in two groups, keyed once
         c, obs = _wide_chip_z45()
-        keys, blocks, builds, walks = self._per_thread_count(
+        keys, words, walks = self._per_thread_count(
             monkeypatch, lambda t: est.sum_gradient_variance(
                 c, obs, None, DiagnosticConfig(n_theta=80, seed=5,
                                                threads=t)))
-        assert keys == [80] and walks == [7200]
-        (key,) = {key for key, _ in blocks}
-        want = [(key, blk) for blk in self._blocks(c, obs)]
-        assert blocks == want and builds == want
+        assert keys == [2] and walks == [7200]
+        (key,) = {key for key, _ in words}
+        assert words == [(key, p) for p in self._cone(c, obs)]
 
     def test_line_chain_walks_one_pass_a_job(self, monkeypatch):
         # four times the benchmark's 32768 draws: the two terms share a
-        # pass, so a job is two chunks of 16384 draws, whose 65536 lanes
-        # fill one pass; four jobs, one walk each
+        # pass, so a job is two chunks of 16384 draws (512 groups), whose
+        # 65536 lanes fill one pass; four jobs, one walk each
         c, obs, _ = est._line_case(8, 64)
-        keys, blocks, builds, walks = self._per_thread_count(
+        keys, words, walks = self._per_thread_count(
             monkeypatch, lambda t: est.line_variance_benchmark(
                 8, 64, 4 * 32768, seed=5, threads=t))
-        assert keys == [32768] * 4 and walks == [65536] * 4
-        sources = sorted({key for key, _ in blocks})
-        want = [(key, blk) for key in sources for blk in range(30)]
-        assert len(sources) == 4 and blocks == want and builds == want
+        assert keys == [512] * 4 and walks == [65536] * 4
+        sources = sorted({key for key, _ in words})
+        assert len(sources) == 4 and words == [
+            (key, p) for key in sources for p in self._cone(c, obs)]
 
 
 class TestLineBenchmark:

@@ -6,17 +6,25 @@ Since then ``sensitivity_fd`` was re-pinned when the score-function route
 replaced finite differences, both sensitivity maps when chunk variances
 moved to the Chan merge (the last bits of some per-site stderrs), and
 every case but ``gradvar_outside_cone`` (exactly 0.0) by angle stream v2,
-which draws 32 grid angles from one block hash and so moved every angle.
+which draws 32 grid angles from one block hash and so moved every angle,
+and again by angle stream v3, which is plane-major: one hash gives one
+angle bit of one parameter for 64 consecutive uids, and the two circuit
+copies of an expressibility draw ``outer`` have the uids ``outer`` and
+``outer + 2**63``.  The v3 digests were also reproduced by walks whose
+angle planes were built lane by lane from ``rng.grid_angle``.  The notes
+below on the engines that cases were pinned on describe the v2 digests,
+which each of those engines reproduced.
 ``expr_hs_branching`` was pinned later, on the engine that hashed every
 lane at every sampled channel step; it is the one case whose forward walks
 sample non-diagonal channels.
 The three ``_cz`` cases, the only ones that walk Clifford steps, were
 pinned on the engine that walked Cliffords through per-lane code tables.
 ``sum_gradvar_cz_runs``, ``expr_hs_sigma64`` and ``mse_tau20`` give each
-outer draw's uid to 22, 64 and 20 adjacent lanes, so their angle planes
-come from one hash per draw broadcast to its lanes (a draw straddles plane
-words in the first and last); every other case has fewer than 16 lanes a
-draw.  They were pinned on the engine that hashed every lane's uid.
+outer draw's uid to 22, 64 and 20 adjacent lanes, so their views spread
+each draw's angle bits over its lanes by run selects (22 and 20, where a
+draw straddles plane words) or by -(bit) words (64); every other case has
+fewer than 16 lanes a draw.  They were pinned on the engine that hashed
+every lane's uid.
 ``sum_gradvar_siblings`` is the one case whose four sibling walks (two
 inner replicates x two parameter shifts) fit one chunk, so they are walked
 as one; it was pinned when each sibling was still its own walk.
@@ -207,53 +215,53 @@ def run_sum_gradvar_siblings(threads=1):
 
 GOLDEN = {
     "mse": (run_mse,
-            "6b1799257873f2b1e3dbc8240a823c60"
-            "5f2a3b40cb151f08d437f87e4baba457"),
+            "e5ee90c1e39c5b2400f4445d2db704b2"
+            "65286412764056c2a52d4db69686528c"),
     "sensitivity": (run_sensitivity,
-                    "8fa69cccad579e164ea7d0b504dc6bb2"
-                    "739416eb9eb158a82a058a47cc8239ee"),
+                    "b65d531e6e791d12c6834e6aad81cc0b"
+                    "1ab5fa8cde95bf0f1e9e4f929fbe9cfe"),
     "sensitivity_fd": (run_sensitivity_fd,
-                       "770d7b5dbc0a2fdcaf9c4464721fce0a"
-                       "e076ab75f32ff0fda71df6c4eee46f1f"),
+                       "d60c2b2bd0d4d66560d32621e805a422"
+                       "0ac45ff177c37dedf87271ff77867d72"),
     "gradvar_outside_cone": (run_gradvar_outside_cone,
                              "939b00feec5fa89a3f59719a15210842"
                              "0ad93a089eb537d73487849e3ff041f1"),
     "sum_gradvar_wide": (run_sum_gradvar_wide,
-                         "82510a9b441785516f7b38ab0999f7f3"
-                         "5c90387b7a5e6d2a920d1e4cf7c93a92"),
+                         "030c317990b49fd012a1c49229bdb9a6"
+                         "aef47b5a29e2561be9439cf21799bff4"),
     "expr_hs": (run_expr_hs,
-                "cbff3212daf026e4be72a9a16f9be237"
-                "7dcfca0bfb925b69711edbdc3cd13adb"),
+                "f7e4a4f89bcec5d739dfb3321ab2ed50"
+                "6e70abd3a7c2f80d68a23032b91d5a0c"),
     "expr_hs_branching": (run_expr_hs_branching,
-                          "bc688a81a9fb3a14de39bd9a9c28aafe"
-                          "69dfc07bcc8bd68b194ead54904dd02b"),
+                          "7924a206325310e5b48185d933efc3a2"
+                          "658f86d9c72afbb6592ef4b1964eed47"),
     "expr_lower_bound": (run_expr_lower_bound,
-                         "fe58de8d97e7c03980036d6026aa5d8f"
-                         "1156aad54e30d2500e5dc2ebc4fecb80"),
+                         "a05b81fb9efc2cc790f9a817a53a8c63"
+                         "e213b940991f872581678289457b2d11"),
     "line": (run_line,
-             "2c986f9e0404f9b731f315d3d0476781"
-             "798667678333ac588077416c25e4b735"),
+             "20e2bd8b2db630af66483c8184aa4a80"
+             "a82ae8af5095e96155f76ac32a3bfb57"),
     "mse_cz": (run_mse_cz,
-               "5f81663b1d994c863ebea7d8a03357a7"
-               "18dd65dd3ef163a04f567de784a21b5d"),
+               "bcddc10bf245fff7b02cd988c82727c0"
+               "ed9b79038590d91832bdab613d4fd3bf"),
     "gradvar_cz": (run_gradvar_cz,
-                   "8b6704df97dac0d91740b11eec9c8a38"
-                   "8818a6ed7d8f4aa2d4a6ffd3906588af"),
+                   "a4031f2f87ab65c641ac92d8cc13f03a"
+                   "304ce0f9900ac54bf135503512faf6c6"),
     "expr_hs_cz": (run_expr_hs_cz,
-                   "ba58f96ac6e581057675f2a6a70d1503"
-                   "ba1eb046ccb3e62c6ff35bdf7d8d809a"),
+                   "0d643d4b2c77169c72461af95e633235"
+                   "4ec80d3588b38961128cfb0f6a212f93"),
     "sum_gradvar_cz_runs": (run_sum_gradvar_cz_runs,
-                            "d20839094b15f9623c10f525044c0ecb"
-                            "99b0ef915cf064d6930cea9eef45d19d"),
+                            "c21c08a61bba04087a25d4d7ad091685"
+                            "305dd6d2d6bfd6de4b219364c9f4e125"),
     "expr_hs_sigma64": (run_expr_hs_sigma64,
-                        "9d4e9ce186496ef3f48232afb003541b"
-                        "efcef1e59de676dc0be1536b66a14091"),
+                        "b1b81b565e5582d242f47fdf2b054c22"
+                        "65f0cff23ad02b11d2480cd258d9e220"),
     "mse_tau20": (run_mse_tau20,
-                  "a39799564c3062f82110c6c4010413ef"
-                  "f0772397043d798d81df119864232dd0"),
+                  "aaf6f3285cdc5774c1e920198316ab12"
+                  "2aff270d23a65fc7dd91e8712d5db3f9"),
     "sum_gradvar_siblings": (run_sum_gradvar_siblings,
-                             "3c34bb449874152e0f5ceb6cc7608b35"
-                             "cf2201d417cf4a6703aa4a39bade10dc"),
+                             "52cb1d2f7639ea11a7965731f85bee7d"
+                             "3da0098cd3fcb950f90ebec227bc094f"),
 }
 
 
@@ -311,14 +319,14 @@ def run_expr_hs_groups(threads=1):
 #: run with ``_CHUNK`` = 64 lanes
 MULTI_GROUP = {
     "mse_groups": (run_mse_groups,
-                   "57ecab533a433ebd1ae301a7c639f65a"
-                   "f02d6273e44e30f0880007b6f9dec63b"),
+                   "470be11c3556e604fc199199d11b8582"
+                   "2c1361fc7816d462675fa37fd20ffde6"),
     "sum_gradvar_groups": (run_sum_gradvar_groups,
-                           "fe34656675dfff021b752b6f3bb770db"
-                           "ae158836702c39f03cb7b7d0e2e7a274"),
+                           "b4f7774089ed538151f6def1a8f55ec0"
+                           "6aa1bec0cbad9539f5b8467cb95aeeb5"),
     "expr_hs_groups": (run_expr_hs_groups,
-                       "701d4ecd5fbc06ac2ec68239475c927d"
-                       "173872cf11ea5d163409427d326bb0b6"),
+                       "74e1bc8c776e20b87023c0e2d8d970a8"
+                       "77010f4519225e19783c719182976769"),
 }
 
 

@@ -90,17 +90,19 @@ def test_in_place_mix64_is_splitmix64():
 
 def _ref_angle(seed: int, uid: int, p: int) -> int:
     """Grid angle of parameter p in outer sample uid, from the definition:
-    field p % 32 of the SplitMix64 hash of block p // 32, keyed by the
-    uid's DOMAIN_THETA prefix (all on Python integers)."""
+    bit b of k is bit uid % 64 of the SplitMix64 hash of 2p + b, keyed by
+    the DOMAIN_THETA prefix of the uid's group uid // 64 (all on Python
+    integers)."""
     key = _splitmix64(_splitmix64(_splitmix64(seed) ^ rng.DOMAIN_THETA)
-                      ^ uid)
-    return (_splitmix64(key ^ (p >> 5)) >> 2 * (p & 31)) & 3
+                      ^ (uid >> 6))
+    return sum(((_splitmix64(key ^ (2 * p + b)) >> (uid & 63)) & 1) << b
+               for b in (0, 1))
 
 
-#: uids and parameters at the edges of the uint64 words and the 32-angle
-#: blocks
-_EDGE_UIDS = (0, 1, 63, 64, 2 ** 63, 2 ** 64 - 1)
-_EDGE_PARAMS = (0, 1, 5, 31, 32, 33, 63, 64, 95, 96, 2 ** 40, 2 ** 40 + 31)
+#: uids and parameters at the edges of the 64-uid groups, of uint64, and of
+#: the parameter counters 2p and 2p + 1
+_EDGE_UIDS = (0, 1, 63, 64, 65, 127, 2 ** 63, 2 ** 64 - 1)
+_EDGE_PARAMS = (0, 1, 5, 31, 32, 33, 63, 64, 95, 96, 2 ** 40, 2 ** 62 - 1)
 
 
 def test_grid_angle_is_the_angle_hash():
@@ -114,25 +116,27 @@ def test_grid_angle_is_the_angle_hash():
         assert got.dtype == np.uint8
         assert [int(k) for k in got] == [_ref_angle(3, int(u), p)
                                          for u in uids]
-    assert int(rng.grid_angle(3, 2 ** 64 - 1, 2 ** 40 + 31)) \
-        == _ref_angle(3, 2 ** 64 - 1, 2 ** 40 + 31)
+    assert int(rng.grid_angle(3, 2 ** 64 - 1, 2 ** 62 - 1)) \
+        == _ref_angle(3, 2 ** 64 - 1, 2 ** 62 - 1)
 
 
 def test_keyed_angles_are_the_angle_hash():
-    uids = np.array(_EDGE_UIDS, dtype=np.uint64)
-    keys = rng.theta_keys(9, uids)
+    groups = np.array([u >> 6 for u in _EDGE_UIDS], dtype=np.uint64)
+    keys = rng.theta_keys(9, groups)
     assert [int(k) for k in keys] == [
-        _splitmix64(_splitmix64(_splitmix64(9) ^ rng.DOMAIN_THETA) ^ u)
-        for u in _EDGE_UIDS]
-    for p in _EDGE_PARAMS:
-        want = [_ref_angle(9, u, p) for u in _EDGE_UIDS]
-        block = rng.theta_block(keys, p >> 5)
-        assert [int(h) for h in block] == [
-            _splitmix64(int(k) ^ (p >> 5)) for k in keys]
-        got = rng.block_angles(block, p)
-        assert got.dtype == np.uint8 and [int(k) for k in got] == want
-    assert int(rng.block_angles(rng.theta_block(keys[2], 1), 33)) \
-        == _ref_angle(9, 63, 33)
+        _splitmix64(_splitmix64(_splitmix64(9) ^ rng.DOMAIN_THETA) ^ g)
+        for g in map(int, groups)]
+    words = rng.theta_words(keys, np.array(_EDGE_PARAMS))
+    assert words.shape == (len(_EDGE_PARAMS), 2, groups.size)
+    for i, p in enumerate(_EDGE_PARAMS):
+        for b in (0, 1):
+            assert [int(w) for w in words[i, b]] == [
+                _splitmix64(int(k) ^ (2 * p + b)) for k in keys]
+        # bit uid % 64 of the two words is the uid's angle
+        for g, u in enumerate(_EDGE_UIDS):
+            k = sum(((int(words[i, b, g]) >> (u & 63)) & 1) << b
+                    for b in (0, 1))
+            assert k == _ref_angle(9, u, p)
 
 
 #: chi-square critical values at a per-test level of 1e-3 / 111, the
@@ -147,17 +151,25 @@ def _chi2(cells: np.ndarray, n_cells: int) -> float:
     return float(((counts - expect) ** 2).sum() / expect)
 
 
-def test_block_fields_are_uniform_and_pairwise_independent():
-    # 10^6 uids: each of the 32 fields of block 0 (df 3), every adjacent
-    # field pair and each (j, j + 16) pair of one hash (df 15), and field j
-    # of block 0 against field j of block 1 (df 15): 32 + 31 + 16 + 32 tests
-    keys = rng.theta_keys(2024, np.arange(10 ** 6, dtype=np.uint64))
-    f0, f1 = (np.stack([rng.block_angles(h, p) for p in range(32)])
-              for h in (rng.theta_block(keys, b) for b in (0, 1)))
-    singles = [_chi2(f0[j], 4) for j in range(32)]
-    pairs = [(f0[a], f0[b]) for a, b in zip(range(31), range(1, 32))]
-    pairs += [(f0[j], f0[j + 16]) for j in range(16)]
-    pairs += [(f0[j], f1[j]) for j in range(32)]
+def test_angles_are_uniform_and_pairwise_independent():
+    # 2^19 uids in 8192 groups, parameters 0 to 32: each of the first 32
+    # parameters' k (df 3); k of parameters p and p + 1 of one uid for
+    # p < 31 (df 15); k of one parameter at two uids of one group, adjacent
+    # (j, j + 1) and apart (j, j + 32), 8 pairs each (df 15); and k of one
+    # parameter at the same lane j of adjacent groups, for j < 32 (df 15):
+    # 32 + 31 + 16 + 32 tests
+    groups = 1 << 13
+    words = rng.theta_words(
+        rng.theta_keys(2024, np.arange(groups, dtype=np.uint64)),
+        np.arange(33))
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+    k = bits[:, 0] | bits[:, 1] << 1  # (param, uid): uid = 64 * group + j
+    lanes = k[0].reshape(groups, 64)  # parameter 0 by (group, j)
+    singles = [_chi2(k[p], 4) for p in range(32)]
+    pairs = [(k[p], k[p + 1]) for p in range(31)]
+    pairs += [(lanes[:, j], lanes[:, j + 1]) for j in range(0, 64, 8)]
+    pairs += [(lanes[:, j], lanes[:, j + 32]) for j in range(0, 32, 4)]
+    pairs += [(lanes[0::2, j], lanes[1::2, j]) for j in range(32)]
     joint = [_chi2(4 * a + b, 16) for a, b in pairs]
     assert len(singles) + len(joint) == 111
     assert max(singles) < _CHI2_DF3, singles
