@@ -52,10 +52,10 @@ planes, two per rotation (`k_for`): a job's angle source keys each group
 of 64 consecutive uids once, and a view of it hashes the layer's 2L words
 a group from those keys in one call, each word one angle bit of one
 parameter for the group's 64 uids, and lays them out on the lanes,
-spreading each draw's bits to all of its lanes.  Grid rotations change no weight, and
-their sign flips XOR into the sign row, as do Clifford signs; the row is
-folded into the float weights once, at the end of the walk, by XORing it
-into their sign bits.  Negation is exact, so that is bit-identical to
+spreading each draw's bits to all of its lanes.  Grid rotations change no
+weight, and their sign flips XOR into the sign row, as do Clifford signs;
+the row is folded into the float weights once, at the end of the walk, by
+XORing it into their sign bits.  Negation is exact, so that is bit-identical to
 negating along the way, and the fused walk is bit-identical to walking one
 rotation at a time.  Counted factors are folded in just before, and are
 bit-identical too: multiplying by 1.0 is exact, and IEEE rounding is
@@ -329,15 +329,15 @@ class _BranchForm:
     uint64 thresholds ceil(max(e, 0) * 2^53) of its entries e: a draw is
     the top 53 bits m of a hash, the uniform u = m * 2^-53 exactly, so
     u >= e holds exactly when m >= ceil(e * 2^53), and m is compared with
-    the threshold in integers.
-    ``factor`` the branch's sign * l1 and ``move`` the XOR of p with the
-    row index of the branch's output word.  ``hot_p`` is the row index of
-    the hot column when there is only one (amplitude damping's Z column
-    backward, its identity column forward), so that every hot lane's p is
-    known without reading its rows; else None.  ``unit_hot`` says every
-    branch of every hot column has factor exactly 1.0, so that a hot lane's
-    weight is multiplied by 1.0 whichever branch it draws: with the class
-    values of :func:`_counted_factor`, such a step's factors can be counted.
+    the threshold in integers.  ``factor`` is the branch's sign * l1 and
+    ``move`` the XOR of p with the row index of the branch's output word.
+    ``hot_p`` is the row index of the hot column when there is only one
+    (amplitude damping's Z column backward, its identity column forward),
+    so that every hot lane's p is known without reading its rows; else
+    None.  ``unit_hot`` says every branch of every hot column has factor
+    exactly 1.0, so that a hot lane's weight is multiplied by 1.0 whichever
+    branch it draws: with the class values of :func:`_counted_factor`, such
+    a step's factors can be counted.
     """
     hot: tuple
     moves: tuple  # ((row, lane set), ...)

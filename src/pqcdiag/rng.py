@@ -153,7 +153,7 @@ def pauli_codes(seed: int, uids, n: int, *, zx_only: bool = False) -> tuple:
     one = _U64(1)
     for q in range(n):
         np.bitwise_xor(key, _U64(q), out=h)
-        mix64(h, out=h)
+        mix64(h, out=h, tmp=t)
         s, w = _U64(q & 63), q >> 6
         if zx_only:  # z = bit 0
             h &= one

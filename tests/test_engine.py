@@ -1982,7 +1982,7 @@ class TestAnglePlanes:
             engine.HashedTheta(1, np.zeros(1, dtype=np.uint64)), seed=1,
             stream_ids=np.zeros(1, dtype=np.uint64))
 
-    def test_a_group_is_hashed_once_for_all_of_its_lanes(self, monkeypatch):
+    def test_a_uid_is_hashed_once_for_all_of_its_lanes(self, monkeypatch):
         hashed = []
 
         def counted(seed, *words):
@@ -1991,7 +1991,9 @@ class TestAnglePlanes:
             return out
 
         monkeypatch.setattr(rng, "hash_words", counted)
-        u = np.arange(40, dtype=np.uint64) * 3  # uids 0 to 117: two groups
+        # the key of each uid's group is hashed once: uids 0 to 117 are
+        # two groups
+        u = np.arange(40, dtype=np.uint64) * 3
         theta = engine.AngleSource(5, u).view(45, copies=2)
         got = plane_angles(theta, self.PARAMS, 2 * 45 * u.size)
         assert hashed == [2]

@@ -757,7 +757,7 @@ class TestJobHashing:
         assert words == sorted([(key, p) for p in self._cone(c, obs)] * 6)
         assert walks == [8, 32, 64, 64, 256, 256]
 
-    def test_expressibility_keys_each_angle_vector_once(self, monkeypatch):
+    def test_expressibility_hashes_each_angle_vector_once(self, monkeypatch):
         # one job, two angle vectors a draw, theta1 at uids 0 to 7 and
         # theta2 at 2**63 to 2**63 + 7: one group each; every walk reads
         # every parameter, theta1's three (backward) and theta2's two
@@ -774,7 +774,7 @@ class TestJobHashing:
         assert words == sorted([(th1, p) for p in params] * 3
                                + [(th2, p) for p in params] * 2)
 
-    def test_merged_siblings_key_each_group_once(self, monkeypatch):
+    def test_merged_siblings_hash_each_draw_once(self, monkeypatch):
         # both shifts of Z_45's 45 cone parameters at 80 draws are one
         # 7200-lane walk of one view: 80 draws in two groups, keyed once
         c, obs = _wide_chip_z45()
