@@ -1,3 +1,3 @@
 """Monte-Carlo diagnostics for noisy parameterized quantum circuits."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -39,7 +39,8 @@ collection.  Callers see lane-major words, a (B, W) uint64 array per x and
 z with bit q % 64 of word q // 64 belonging to qubit q: walks convert at
 entry and exit only.  One bit-matrix transpose (`_transpose`, six rounds of
 masked swaps on 64x64 blocks) does every such conversion, words to planes
-and back; angles need none, since their stream is plane-major.
+and back; angles need none, since their stream is plane-major, and the
+random Pauli words of `pauli_codes`, read as angles are, need one.
 
 Rotations are walked a layer at a time, as Stim applies one instruction to
 all of its targets at once.  A compile pass (`_fuse`) groups the rotations
@@ -122,7 +123,8 @@ from .circuits import Circuit, FixedAngle, NoiseSite, Rotation
 from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
                      clifford_table, commutes, mask_to_words, n_words,
                      phase_exponent, popcount_words)
-from .rng import DOMAIN_TAU, hash_words, mix64, theta_keys, theta_words
+from .rng import (DOMAIN_SIGMA, DOMAIN_TAU, DOMAIN_THETA, hash_words,
+                  mix64, theta_keys, theta_words)
 
 _LANE = np.dtype("<u8")  # one word of a lane plane: bit i % 64 is lane i
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -751,17 +753,19 @@ class AngleSource:
     The angle stream is plane-major (``rng.grid_angle``): one hash of a
     64-uid group's key gives one angle bit of one parameter for all 64
     uids.  The constructor hashes the key of each group its draws meet once
-    (``rng.theta_keys``).  :meth:`draw_planes` turns the words a view
-    hashes from those keys (``rng.theta_words``) into draw planes, bit i %
-    64 of word i // 64 holding draw i's bit.  A run of consecutive uids,
-    the draws of every estimator's job, reads them straight from the
-    words, joining two adjacent group words by a funnel shift when the run
-    does not start on a multiple of 64; other uids gather each draw's bit
-    from its group's word (:meth:`_gathered`).  Walks read the angles
-    through views (:meth:`view`), which lay the draws out on their lanes.
+    (``rng.theta_keys``) in ``domain``, whose ``DOMAIN_SIGMA`` gives the
+    Pauli codes of :func:`pauli_codes`, a qubit for a parameter.
+    :meth:`draw_planes` turns the words hashed from those keys
+    (``rng.theta_words``) into draw planes, bit i % 64 of word i // 64
+    holding draw i's bit.  A run of consecutive uids, the draws of every
+    estimator's job, reads them straight from the words, joining two
+    adjacent group words by a funnel shift when the run does not start on a
+    multiple of 64; other uids gather each draw's bit from its group's word
+    (:meth:`_gathered`).  Walks read the angles through views
+    (:meth:`view`), which lay the draws out on their lanes.
     """
 
-    def __init__(self, seed: int, uids):
+    def __init__(self, seed: int, uids, domain: int = DOMAIN_THETA):
         self.uids = np.asarray(uids, dtype=np.uint64)
         u = self.uids.size
         first = int(self.uids[0]) if u else 0
@@ -774,24 +778,14 @@ class AngleSource:
         else:
             groups, self._inverse = np.unique(self.uids >> np.uint64(6),
                                               return_inverse=True)
-        self.keys = theta_keys(seed, groups)
+        self.keys = theta_keys(seed, groups, domain)
 
     def draw_planes(self, words: np.ndarray) -> np.ndarray:
-        """(L, 2, ceil(draws / 64)) draw planes from the (L, 2, G) words of
+        """(L, b, ceil(draws / 64)) draw planes from the (L, b, G) words of
         the source's groups, their padding bits 0; may be ``words``."""
         if self._inverse is not None:
             return self._gathered(words)
-        u, o = len(self), self._offset
-        width = -(-u // 64)
-        if o:
-            d = words[..., :width] >> np.uint64(o)
-            n = min(width, words.shape[-1] - 1)
-            d[..., :n] |= words[..., 1:n + 1] << np.uint64(64 - o)
-        else:
-            d = words
-        if u % 64:
-            d[..., -1] &= np.uint64((1 << u % 64) - 1)
-        return d
+        return _bit_field(words, self._offset, len(self))
 
     def _gathered(self, words: np.ndarray) -> np.ndarray:
         """The draw planes of uids that are not one run: each draw's bit
@@ -994,6 +988,30 @@ def _run_selects(u: int, r: int) -> tuple:
             _LOW_BITS[hi[used]] ^ _LOW_BITS[lo[used]])
 
 
+def pauli_codes(seed: int, uids, n: int, *, zx_only: bool = False) -> tuple:
+    """Random Pauli words for the 1-D array ``uids``, one word per uid, as
+    the walk's lane-major ``(x, z)`` words: two (B, ``n_words(n)``) uint64
+    arrays, bit ``q & 63`` of word ``q >> 6`` holding qubit q and the
+    padding bits 0.  Qubit q of word ``uid`` has the code
+    ``rng.grid_angle(seed, uid, q, DOMAIN_SIGMA)`` (0=I, 1=X, 2=Y, 3=Z), so
+    (x, z) = (b0 ^ b1, b1) of its bits; with ``zx_only``, (0, b1), and
+    only the b1 words are hashed.  The codes' planes are read as angles
+    are, by an :class:`AngleSource` of the sigma domain, and one
+    :func:`_transpose` of the x and z planes makes the words.
+    """
+    source = AngleSource(seed, uids, DOMAIN_SIGMA)
+    d = source.draw_planes(theta_words(source.keys, np.arange(n),
+                                       (1,) if zx_only else (0, 1)))
+    if zx_only:
+        z = _transpose(d[:, 0], len(source))
+        return np.zeros_like(z), z
+    d[:, 0] ^= d[:, 1]  # the x planes, b0 ^ b1
+    words = _transpose(d.swapaxes(0, 1).reshape(2 * n, d.shape[-1]),
+                       len(source))
+    z = _bit_field(words, n, n)  # before x, which may mask words in place
+    return _bit_field(words, 0, n), z
+
+
 def words_for_paulis(paulis, n: int):
     """Stack PauliStrings into ((T, W), (T, W)) word arrays."""
     x = np.stack([mask_to_words(p.x_bits, n) for p in paulis])
@@ -1020,6 +1038,23 @@ def _pack(bits: np.ndarray) -> np.ndarray:
         out[..., :n_bytes] = packed
         packed = out
     return packed.view(_LANE)
+
+
+def _bit_field(words: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Bits ``start`` to ``start + count - 1`` of each row of ``words``, as
+    (..., ceil(count / 64)) words, padding bits 0: a funnel shift of
+    adjacent words, or when 64 divides ``start`` a view of ``words``, whose
+    last word is masked in place."""
+    w, o = divmod(start, 64)
+    width = -(-count // 64)
+    d = words[..., w:w + width]
+    if o:
+        d = d >> np.uint64(o)
+        n = min(width, words.shape[-1] - w - 1)
+        d[..., :n] |= words[..., w + 1:w + 1 + n] << np.uint64(64 - o)
+    if count % 64:
+        d[..., -1] &= np.uint64((1 << count % 64) - 1)
+    return d
 
 
 def _unpack(words: np.ndarray, count: int) -> np.ndarray:

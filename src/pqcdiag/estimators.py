@@ -28,7 +28,8 @@ group of 64 consecutive uids its draws meet once, in one
 the angle words of the parameters the walk reads from those keys.  Every
 job's draws are a run of consecutive uids, whose angle planes are read
 straight from those words: the two circuit copies of an expressibility
-draw ``outer`` are keyed as the runs ``outer`` and ``outer + 2**63``.
+draw ``outer`` are keyed as the runs ``outer`` and ``outer + 2**63``, and
+its random Pauli words (``engine.pauli_codes``) are runs of word uids.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ import numpy as np
 from .channels import (make_raw_ptm, ptm_derivative, rebuild_with,
                        strength_params)
 from .circuits import Circuit, ObservableSum, gen_line_benchmark, zero_state
-from .engine import (AngleSource, cone_params, cone_runs, run_backward_batch,
-                     run_forward_batch, words_for_paulis)
+from .engine import (AngleSource, cone_params, cone_runs, pauli_codes,
+                     run_backward_batch, run_forward_batch, words_for_paulis)
 from .reports import (DiagnosticConfig, EstimateReport, InterventionPlan,
                       PlanStep, SensitivityMap, SiteGradient)
-from .rng import check_stream_budget, compose_stream_array, pauli_codes
+from .rng import check_stream_budget, compose_stream_array
 
 #: walk lanes per reduction chunk (a chunk holds ``_CHUNK // lanes_per_draw``
 #: outer draws); fixed, never derived from the thread count, so that chunk
@@ -703,7 +704,10 @@ def estimate_expressibility_hs(circuit: Circuit,
     Draw ``outer`` walks theta1 at angle uid ``outer`` and theta2 at
     ``outer + 2**63`` (``_COPY_UIDS``): a job's draws key each copy with a
     run of consecutive uids.  theta1 is walked three or four times and
-    theta2 twice, each walk hashing the angles it reads.
+    theta2 twice, each walk hashing the angles it reads.  Word j of draw
+    ``outer`` has the sigma uid ``outer * n_sigma + j`` in T2, plus ``(1 +
+    rep) * n_theta * n_sigma`` in T3's replicate ``rep``: a job's words are
+    three runs of the plane-major sigma stream.
 
     Ensemble states start from the all-zeros computational state.
     """
@@ -720,7 +724,6 @@ def estimate_expressibility_hs(circuit: Circuit,
     branching = circuit.branching()
     n_sites = len(circuit.noise_sites)
     c2 = 2.0 / (2 ** n + 1.0)
-    sigma_block = np.uint64(cfg.n_theta) * np.uint64(ns)
 
     def t_walk(x0, z0, theta, role, lane_uid, slot_offset=0, w0=None):
         sids = compose_stream_array(lane_uid, 0, role) if branching else None
@@ -743,7 +746,7 @@ def estimate_expressibility_hs(circuit: Circuit,
             return (ta * tb).reshape(b, ns).mean(axis=1)
 
         def overlap(rep):  # fresh sigma AND fresh paths per replicate
-            sig_uid = sigma_block * np.uint64(1 + rep) + lane_uid
+            sig_uid = lane_uid + np.uint64(cfg.n_theta * ns * (1 + rep))
             xf, zf = pauli_codes(cfg.seed, sig_uid, n, zx_only=True)
             sids = compose_stream_array(lane_uid, 0, 2 + rep) \
                 if branching else None
@@ -777,7 +780,7 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
     non-negativity flag applies).  Draw ``outer``'s two angle vectors have
     the angle uids ``outer`` and ``outer + 2**63`` (``_COPY_UIDS``), so a
     job keys each with a run of consecutive uids; each is walked once, or
-    twice when channels branch.
+    twice when channels branch.  Its Pauli word has the sigma uid ``outer``.
 
     Ensemble states start from the all-zeros computational state.
     """

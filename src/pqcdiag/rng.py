@@ -15,15 +15,15 @@ Domains keep draw families from colliding:
 - ``DOMAIN_THETA``  grid-angle draws (stream = a group of 64 consecutive
   outer sample uids, slot = 2 * parameter + b; bit j of the slot's hash is
   bit b of that parameter's angle for the group's uid j)
-- ``DOMAIN_SIGMA``  random-Pauli draws for expressibility (stream = word uid,
-  slot = qubit index)
+- ``DOMAIN_SIGMA``  random-Pauli draws for expressibility, laid out as the
+  angles are (stream = a group of 64 consecutive word uids, slot = 2 *
+  qubit + b; bit j of the slot's hash is bit b of that qubit's 2-bit Pauli
+  code in the group's word uid j)
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .paulis import n_words
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
@@ -36,18 +36,16 @@ DOMAIN_TAU = 0x7A75
 DOMAIN_THETA = 0x7468
 DOMAIN_SIGMA = 0x7369
 
-def mix64(z, out=None, tmp=None):
+def mix64(z, out=None):
     """SplitMix64 finalizer on uint64 arrays (wrapping arithmetic).
 
     With ``out`` (which may be ``z`` itself) the result is written there, so
     mixing a fresh array in place allocates no result array.  The three
-    shifts share one temporary, ``tmp`` when given (an array of the
-    result's shape, whose contents are overwritten).
+    shifts share one temporary.
     """
     with np.errstate(over="ignore"):
         z = np.add(z, _U64(_GOLDEN), out=out)
-        if tmp is None:
-            tmp = np.empty_like(z)
+        tmp = np.empty_like(z)
         z ^= np.right_shift(z, _U64(30), out=tmp)
         z *= _U64(_MIX1)
         z ^= np.right_shift(z, _U64(27), out=tmp)
@@ -63,8 +61,7 @@ def hash_words(seed: int, *words) -> np.ndarray:
     lattice of independent values, e.g. ``hash_words(s, tag, outer[:, None],
     k[None, :])``.  Appending a word mixes it into the hash of the words
     before it: ``hash_words(s, *ws, w) == mix64(hash_words(s, *ws) ^ w)``,
-    which is what lets :func:`theta_keys` and :func:`pauli_codes` hash a uid
-    prefix once.
+    which is what lets :func:`theta_keys` hash a group's prefix once.
     """
     h = mix64(np.asarray(seed & _MASK64, dtype=np.uint64))
     for w in words:
@@ -73,28 +70,29 @@ def hash_words(seed: int, *words) -> np.ndarray:
     return h
 
 
-def theta_keys(seed: int, group) -> np.ndarray:
-    """Key of the angle hash of a group of 64 uids, ``hash_words(seed,
-    DOMAIN_THETA, group)`` for ``group = uid // 64``: computed once per
-    group (``engine.AngleSource`` hashes each of a job's groups once), it
-    leaves one :func:`mix64` per angle bit of a parameter for all 64 uids
-    of the group (see :func:`theta_words`)."""
-    return hash_words(seed, DOMAIN_THETA, group)
+def theta_keys(seed: int, group, domain: int = DOMAIN_THETA) -> np.ndarray:
+    """Key of a group of 64 uids of the plane-major stream ``domain``,
+    ``hash_words(seed, domain, group)`` for ``group = uid // 64``: computed
+    once per group (``engine.AngleSource`` hashes each of a job's groups
+    once), it leaves one :func:`mix64` per bit of a parameter's 2-bit draw
+    for all 64 uids of the group (see :func:`theta_words`)."""
+    return hash_words(seed, domain, group)
 
 
-def theta_words(keys, params) -> np.ndarray:
-    """The (L, 2, G) angle words of the (L,) parameters ``params`` from the
-    :func:`theta_keys` of G groups: word [l, b, g] is ``mix64(keys[g] ^
-    (2 * params[l] + b))``, whose bit j is bit b of the grid angle of
-    parameter ``params[l]`` for uid ``64 * group + j`` (see
+def theta_words(keys, params, bits=(0, 1)) -> np.ndarray:
+    """The (L, len(bits), G) words of the (L,) parameters ``params`` from
+    the :func:`theta_keys` of G groups: word [l, i, g] is ``mix64(keys[g] ^
+    (2 * params[l] + bits[i]))``, whose bit j is bit ``bits[i]`` of the
+    draw of parameter ``params[l]`` for uid ``64 * group + j`` (see
     :func:`grid_angle`).  One :func:`mix64` call, in place."""
     ctr = (np.asarray(params, dtype=np.uint64)[:, None] << _U64(1)) \
-        | np.arange(2, dtype=np.uint64)
+        | np.asarray(bits, dtype=np.uint64)
     h = np.bitwise_xor(np.asarray(keys, dtype=np.uint64), ctr[:, :, None])
     return mix64(h, out=h)
 
 
-def grid_angle(seed: int, uid, param) -> np.ndarray:
+def grid_angle(seed: int, uid, param, domain: int = DOMAIN_THETA
+               ) -> np.ndarray:
     """Grid-angle index k in {0,1,2,3} (theta_k = (pi/2)*k) of parameter
     ``param`` in outer sample ``uid``, as uint8.
 
@@ -109,11 +107,14 @@ def grid_angle(seed: int, uid, param) -> np.ndarray:
     source goes through it or through :func:`theta_keys` and
     :func:`theta_words`, which hash the same words a group at a time.
     ``uid`` and ``param`` broadcast against each other; parameters are
-    below 2^63.
+    below 2^63.  With ``domain`` = ``DOMAIN_SIGMA`` it defines the sigma
+    stream, the random Pauli words of ``engine.pauli_codes``: k is qubit
+    ``param``'s code (0=I, 1=X, 2=Y, 3=Z) in word ``uid``, and (x, z) = (b0
+    ^ b1, b1).
     """
     uid = np.asarray(uid, dtype=np.uint64)
     ctr = np.asarray(param, dtype=np.uint64) << _U64(1)
-    key = theta_keys(seed, uid >> _U64(6))
+    key = theta_keys(seed, uid >> _U64(6), domain)
     bit = uid & _U64(63)
     k = (mix64(key ^ ctr) >> bit) & _U64(1)
     k |= ((mix64(key ^ (ctr | _U64(1))) >> bit) & _U64(1)) << _U64(1)
@@ -130,45 +131,6 @@ def angle_indices(seed: int, outer_uid, n_params: int) -> np.ndarray:
     uid = np.asarray(outer_uid, dtype=np.uint64)
     return grid_angle(seed, uid[..., None],
                       np.arange(n_params, dtype=np.uint64))
-
-
-def pauli_codes(seed: int, uids, n: int, *, zx_only: bool = False) -> tuple:
-    """Random Pauli words for the 1-D array ``uids``, one word per uid, as
-    the walk's lane-major ``(x, z)`` words: two (B, ``n_words(n)``) uint64
-    arrays, bit ``q & 63`` of word ``q >> 6`` holding qubit q and the
-    padding bits 0.
-
-    The one definition of the sigma stream: qubit q of word ``uid`` has code
-    ``mix64(hash_words(seed, DOMAIN_SIGMA, uid) ^ q) & 3`` (0=I, 1=X, 2=Y,
-    3=Z), uniform over all 4^n words; with ``zx_only`` the code is ``& 1``
-    mapped to {I, Z}, uniform over {I,Z}^n.  The uid prefix is hashed once
-    and each qubit costs one :func:`mix64`, whose code bits go straight into
-    the words, so no per-qubit code array is built.
-    """
-    key = hash_words(seed, DOMAIN_SIGMA, np.asarray(uids, dtype=np.uint64))
-    x = np.zeros((key.shape[0], n_words(n)), dtype=np.uint64)
-    z = np.zeros_like(x)
-    h = np.empty_like(key)
-    t = np.empty_like(key)
-    one = _U64(1)
-    for q in range(n):
-        np.bitwise_xor(key, _U64(q), out=h)
-        mix64(h, out=h, tmp=t)
-        s, w = _U64(q & 63), q >> 6
-        if zx_only:  # z = bit 0
-            h &= one
-            h <<= s
-            z[:, w] |= h
-        else:  # x = bit 0 ^ bit 1, z = bit 1
-            np.right_shift(h, one, out=t)
-            h ^= t
-            h &= one
-            h <<= s
-            x[:, w] |= h
-            t &= one
-            t <<= s
-            z[:, w] |= t
-    return x, z
 
 
 #: bit widths of a stream id's fields: (outer sample, inner sample, term),

@@ -64,9 +64,11 @@ class TestGen:
         assert man["inputs"] == []
         assert [o["path"] for o in man["outputs"]] == [out + ".json"]
         assert man["versions"]["numpy"] == np.__version__
-        # 0.2.0 draws its grid angles from the plane-major angle stream (v3):
-        # the same seed gives other numbers than 0.1.0 did
-        assert man["versions"]["pqcdiag"] == "0.2.0"
+        # 0.3.0 draws its random Pauli words from the plane-major sigma
+        # stream (v2), as 0.2.0 drew its grid angles from the plane-major
+        # angle stream (v3): the same seed gives other expressibility
+        # numbers than 0.2.0 did, and other numbers than 0.1.0 everywhere
+        assert man["versions"]["pqcdiag"] == "0.3.0"
         assert man["run_id"] == read_json(out + ".json")["run_id"]
 
     def test_missing_n_is_validation_error(self, tmp_path):
@@ -637,7 +639,7 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])
     assert e.value.code == 0
-    assert capsys.readouterr().out.strip() == "0.2.0"
+    assert capsys.readouterr().out.strip() == "0.3.0"
 
 
 def test_missing_file_is_validation_error(tmp_path):

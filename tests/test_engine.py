@@ -1952,14 +1952,28 @@ class TestAnglePlanes:
         # chain, MSE at n_tau 8, HS and its lower bound at n_sigma 64,
         # shifted gradient walks and the one-lane set-up walk of the
         # benchmark never take the gathering path, which uids that are not
-        # one run do take
+        # one run do take.  Nor do their random Pauli words, whose uids
+        # are one run too: HS at n_sigma 8 and 9 draws puts the overlaps'
+        # words at 72 and 144 past the quadratic's, runs that start inside
+        # a group, and the lower bound's 64-lane chunks make jobs of 32
+        # draws on the damped chip, so its words start inside a group too
         def refuse(source, words):
             raise AssertionError("angles gathered a draw at a time")
 
+        starts, codes = set(), estimators.pauli_codes
+
+        def noted(seed, uids, n, *, zx_only=False):
+            if len(uids):
+                starts.add((zx_only, int(uids[0]) % 64 != 0))
+            return codes(seed, uids, n, zx_only=zx_only)
+
         monkeypatch.setattr(engine.AngleSource, "_gathered", refuse)
+        monkeypatch.setattr(estimators, "pauli_codes", noted)
         with pytest.raises(AssertionError, match="gathered"):
             engine.HashedTheta(1, np.array([0, 2], dtype=np.uint64)).k_for(
                 [0])
+        with pytest.raises(AssertionError, match="gathered"):
+            engine.pauli_codes(1, np.array([0, 2], dtype=np.uint64), 9)
         damped = gen_grid_chip(3, 3, 1, "rzz", make_amplitude_damping(0.05))
         depol = gen_grid_chip(3, 3, 1, "rzz", make_depolarizing(0.05))
         obs = observable_from_terms([(1.0, axis(9, "Z", (4,)))])
@@ -1970,12 +1984,16 @@ class TestAnglePlanes:
                 n_theta=100, n_tau=8, seed=1))
             cfg = DiagnosticConfig(n_theta=9, n_sigma=64, n_tau=2, seed=1)
             estimators.estimate_expressibility_hs(depol, cfg)
+            estimators.estimate_expressibility_hs(depol, DiagnosticConfig(
+                n_theta=9, n_sigma=8, seed=1))
             for circuit in (damped, depol):
                 estimators.estimate_expressibility_lower_bound(circuit, cfg)
                 estimators.sum_gradient_variance(circuit, obs, None,
                                                  DiagnosticConfig(
                                                      n_theta=30, n_tau=2,
                                                      seed=1))
+        assert starts == {(False, False), (False, True), (True, False),
+                          (True, True)}
         x0, z0 = engine.words_for_paulis([axis(9, "Z", (4,))], 9)
         engine.run_backward_batch(
             damped, zero_state(9), x0, z0,

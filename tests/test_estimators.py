@@ -674,8 +674,8 @@ class TestSiblingWalks:
         # walk for its gamma = 0 site) read views of one source
         c, terms = SCORE_CASES["amplitude_damping_gamma0"]()
         hashed, keys = engine.theta_keys, []
-        monkeypatch.setattr(engine, "theta_keys", lambda seed, groups: (
-            keys.append(len(groups)), hashed(seed, groups))[1])
+        monkeypatch.setattr(engine, "theta_keys", lambda seed, groups, *d: (
+            keys.append(len(groups)), hashed(seed, groups, *d))[1])
         run(c, observable_from_terms(terms), None,
             DiagnosticConfig(n_theta=50, n_tau=4, seed=3))
         assert keys == [1]
@@ -696,37 +696,57 @@ class TestJobHashing:
     and each walk hashes the angle words of each parameter in its light
     cone once (``rng.theta_words``), for every group at a time, and
     transposes only its walk words, at entry and exit; per job, at any
-    thread count."""
+    thread count.  A build of random Pauli words (``engine.pauli_codes``)
+    keys its uids' groups once in the sigma domain, hashes the words of all
+    of its qubits in one call and transposes once."""
 
     @staticmethod
     def _counts(monkeypatch, run):
         """(groups keyed by each theta_keys call, a (source, parameter)
         pair per parameter hashed by a theta_words call, the backward walks'
-        lanes) of ``run()``; a source is named by its first key."""
+        lanes, the Pauli word builds) of ``run()``; a source is named by
+        its first key.  The builds are (groups keyed, (source, qubit, code
+        bits) words hashed, the number of builds), in the sigma domain."""
         keys, words, walks, batches, transposes = [], [], [], [], []
+        sigma_keys, sigma_words, builds = [], [], []
         hash_keys, hash_words = engine.theta_keys, engine.theta_words
         walk, batch = est.run_backward_batch, engine._run_batch
-        transpose = engine._transpose
+        transpose, codes = engine._transpose, est.pauli_codes
 
-        def counted_words(k, params):
-            words.extend((int(k[0]), int(p)) for p in params)
-            return hash_words(k, params)
+        def counted_keys(seed, groups, domain):
+            out = hash_keys(seed, groups, domain)
+            if domain == rng.DOMAIN_SIGMA:
+                sigma_keys.append((len(groups), int(out[0])))
+            else:
+                keys.append(len(groups))
+            return out
+
+        def counted_words(k, params, bits=(0, 1)):
+            if int(k[0]) in {key for _, key in sigma_keys}:
+                sigma_words.extend((int(k[0]), int(p), tuple(bits))
+                                   for p in params)
+            else:
+                words.extend((int(k[0]), int(p)) for p in params)
+            return hash_words(k, params, bits)
 
         def counted_walk(circuit, state, x0, *args, **kwargs):
             walks.append(len(x0))
             return walk(circuit, state, x0, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "theta_keys", lambda seed, groups: (
-            keys.append(len(groups)), hash_keys(seed, groups))[1])
+        monkeypatch.setattr(engine, "theta_keys", counted_keys)
         monkeypatch.setattr(engine, "theta_words", counted_words)
+        monkeypatch.setattr(est, "pauli_codes", lambda *a, **k: (
+            builds.append(1), codes(*a, **k))[1])
         monkeypatch.setattr(est, "run_backward_batch", counted_walk)
         monkeypatch.setattr(engine, "_run_batch", lambda *a, **k: (
             batches.append(1), batch(*a, **k))[1])
         monkeypatch.setattr(engine, "_transpose", lambda *a: (
             transposes.append(1), transpose(*a))[1])
         run()
-        assert len(transposes) == 4 * len(batches)
-        return sorted(keys), sorted(words), sorted(walks)
+        assert len(transposes) == 4 * len(batches) + len(builds)
+        return sorted(keys), sorted(words), sorted(walks), (
+            sorted(n for n, _ in sigma_keys), sorted(sigma_words),
+            len(builds))
 
     def _per_thread_count(self, monkeypatch, call):
         counts = [self._counts(monkeypatch, lambda: call(t))
@@ -749,10 +769,10 @@ class TestJobHashing:
         # the noisy one on eight, twice (two replicates): six walks
         monkeypatch.setattr(est, "_CHUNK", 64)
         c, obs = _amp_chip_z4()
-        keys, words, walks = self._per_thread_count(
+        keys, words, walks, sigma = self._per_thread_count(
             monkeypatch, lambda t: run(c, obs, None, DiagnosticConfig(
                 n_theta=40, n_tau=8, seed=5, threads=t)))
-        assert keys == [1, 1]
+        assert keys == [1, 1] and sigma == ([], [], 0)
         key = int(rng.theta_keys(5, np.uint64(0)))
         assert words == sorted([(key, p) for p in self._cone(c, obs)] * 6)
         assert walks == [8, 32, 64, 64, 256, 256]
@@ -761,9 +781,13 @@ class TestJobHashing:
         # one job, two angle vectors a draw, theta1 at uids 0 to 7 and
         # theta2 at 2**63 to 2**63 + 7: one group each; every walk reads
         # every parameter, theta1's three (backward) and theta2's two
-        # (forward)
+        # (forward).  Its 8 draws x 64 Pauli words take three builds: the
+        # quadratic's full words at word uids 0 to 511 (groups 0 to 7) and
+        # the two overlaps' I/Z words at 512 to 1023 and 1024 to 1535
+        # (groups 8 to 15 and 16 to 23), each keying its 8 groups once and
+        # hashing its 9 qubits' words (both code bits, or the high one)
         c = gen_grid_chip(3, 3, 2, "rzz", make_depolarizing(0.02))
-        keys, words, _ = self._per_thread_count(
+        keys, words, _, sigma = self._per_thread_count(
             monkeypatch, lambda t: est.estimate_expressibility_hs(
                 c, DiagnosticConfig(n_theta=8, n_sigma=64, seed=5,
                                     threads=t)))
@@ -773,16 +797,22 @@ class TestJobHashing:
         params = range(c.n_params)
         assert words == sorted([(th1, p) for p in params] * 3
                                + [(th2, p) for p in params] * 2)
+        full, zx1, zx2 = (int(rng.theta_keys(5, np.uint64(g),
+                                             rng.DOMAIN_SIGMA))
+                          for g in (0, 8, 16))
+        assert sigma == ([8, 8, 8], sorted(
+            [(full, q, (0, 1)) for q in range(9)]
+            + [(key, q, (1,)) for key in (zx1, zx2) for q in range(9)]), 3)
 
     def test_merged_siblings_hash_each_draw_once(self, monkeypatch):
         # both shifts of Z_45's 45 cone parameters at 80 draws are one
         # 7200-lane walk of one view: 80 draws in two groups, keyed once
         c, obs = _wide_chip_z45()
-        keys, words, walks = self._per_thread_count(
+        keys, words, walks, sigma = self._per_thread_count(
             monkeypatch, lambda t: est.sum_gradient_variance(
                 c, obs, None, DiagnosticConfig(n_theta=80, seed=5,
                                                threads=t)))
-        assert keys == [2] and walks == [7200]
+        assert keys == [2] and walks == [7200] and sigma == ([], [], 0)
         (key,) = {key for key, _ in words}
         assert words == [(key, p) for p in self._cone(c, obs)]
 
@@ -791,10 +821,11 @@ class TestJobHashing:
         # pass, so a job is two chunks of 16384 draws (512 groups), whose
         # 65536 lanes fill one pass; four jobs, one walk each
         c, obs, _ = est._line_case(8, 64)
-        keys, words, walks = self._per_thread_count(
+        keys, words, walks, sigma = self._per_thread_count(
             monkeypatch, lambda t: est.line_variance_benchmark(
                 8, 64, 4 * 32768, seed=5, threads=t))
         assert keys == [512] * 4 and walks == [65536] * 4
+        assert sigma == ([], [], 0)
         sources = sorted({key for key, _ in words})
         assert len(sources) == 4 and words == [
             (key, p) for key in sources for p in self._cone(c, obs)]

@@ -11,7 +11,14 @@ and again by angle stream v3, which is plane-major: one hash gives one
 angle bit of one parameter for 64 consecutive uids, and the two circuit
 copies of an expressibility draw ``outer`` have the uids ``outer`` and
 ``outer + 2**63``.  The v3 digests were also reproduced by walks whose
-angle planes were built lane by lane from ``rng.grid_angle``.  The notes
+angle planes were built lane by lane from ``rng.grid_angle``.  The six
+expressibility cases (``expr_hs``, ``expr_hs_branching``, ``expr_hs_cz``,
+``expr_hs_sigma64``, ``expr_lower_bound`` and ``expr_hs_groups``) were
+re-pinned by sigma stream v2, which lays the random Pauli words out as
+angle stream v3 lays out the angles: one hash gives one code bit of one
+qubit for 64 consecutive word uids.  Those digests were also reproduced
+with words built one uid at a time from ``rng.grid_angle`` in the sigma
+domain.  The notes
 below on the engines that cases were pinned on describe the v2 digests,
 which each of those engines reproduced.
 ``expr_hs_branching`` was pinned later, on the engine that hashed every
@@ -230,14 +237,14 @@ GOLDEN = {
                          "030c317990b49fd012a1c49229bdb9a6"
                          "aef47b5a29e2561be9439cf21799bff4"),
     "expr_hs": (run_expr_hs,
-                "f7e4a4f89bcec5d739dfb3321ab2ed50"
-                "6e70abd3a7c2f80d68a23032b91d5a0c"),
+                "07c31a63542c23e0d3cb8aec098e2c8a"
+                "1efeb309c5f532515c28ba856f85d1db"),
     "expr_hs_branching": (run_expr_hs_branching,
-                          "7924a206325310e5b48185d933efc3a2"
-                          "658f86d9c72afbb6592ef4b1964eed47"),
+                          "aadd4d97b3acf9ef01dbec4e301e403d"
+                          "8fe89c9d2ffc979b6e167196266f198c"),
     "expr_lower_bound": (run_expr_lower_bound,
-                         "a05b81fb9efc2cc790f9a817a53a8c63"
-                         "e213b940991f872581678289457b2d11"),
+                         "28d91b7967d4c7f8fd46dfc17473c956"
+                         "3abe8a674d2b0dfe453eadfd6cecefc3"),
     "line": (run_line,
              "20e2bd8b2db630af66483c8184aa4a80"
              "a82ae8af5095e96155f76ac32a3bfb57"),
@@ -248,14 +255,14 @@ GOLDEN = {
                    "a4031f2f87ab65c641ac92d8cc13f03a"
                    "304ce0f9900ac54bf135503512faf6c6"),
     "expr_hs_cz": (run_expr_hs_cz,
-                   "0d643d4b2c77169c72461af95e633235"
-                   "4ec80d3588b38961128cfb0f6a212f93"),
+                   "d9f37ab56ea28370ac3a8f4c3d0d9d90"
+                   "0c4155a77978de59b47c4c0b5353b70f"),
     "sum_gradvar_cz_runs": (run_sum_gradvar_cz_runs,
                             "c21c08a61bba04087a25d4d7ad091685"
                             "305dd6d2d6bfd6de4b219364c9f4e125"),
     "expr_hs_sigma64": (run_expr_hs_sigma64,
-                        "b1b81b565e5582d242f47fdf2b054c22"
-                        "65f0cff23ad02b11d2480cd258d9e220"),
+                        "e815f90864d5d84e9993df9bd233f3b2"
+                        "47d77f010a0f65eee5f9c32a462637f0"),
     "mse_tau20": (run_mse_tau20,
                   "aaf6f3285cdc5774c1e920198316ab12"
                   "2aff270d23a65fc7dd91e8712d5db3f9"),
@@ -325,8 +332,8 @@ MULTI_GROUP = {
                            "b4f7774089ed538151f6def1a8f55ec0"
                            "6aa1bec0cbad9539f5b8467cb95aeeb5"),
     "expr_hs_groups": (run_expr_hs_groups,
-                       "74e1bc8c776e20b87023c0e2d8d970a8"
-                       "77010f4519225e19783c719182976769"),
+                       "9dbde1ad05590508d01d7dc389faa07f"
+                       "08bedfdb731e30ad701ae0305ecfc8fa"),
 }
 
 

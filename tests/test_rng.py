@@ -1,5 +1,7 @@
 """Counter-based RNG: purity, range, collisions, and rough uniformity."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import plane_angles
 from pqcdiag import engine, rng
 from reference import RngStream, uniforms
-from pqcdiag.paulis import XZ_TO_CODE, PauliString, n_words
+from pqcdiag.paulis import XZ_TO_CODE, n_words
 
 u64 = st.integers(0, 2 ** 64 - 1)
 
@@ -208,12 +210,12 @@ def _word_codes(x, z, n: int) -> np.ndarray:
 
 
 def test_pauli_codes_full_and_zx():
-    x, z = rng.pauli_codes(8, np.arange(4000, dtype=np.uint64), 3)
+    x, z = engine.pauli_codes(8, np.arange(4000, dtype=np.uint64), 3)
     assert x.shape == z.shape == (4000, 1)
     c = _word_codes(x, z, 3)
     assert set(np.unique(c)) == {0, 1, 2, 3}
-    xz, zz = rng.pauli_codes(8, np.arange(4000, dtype=np.uint64), 3,
-                             zx_only=True)
+    xz, zz = engine.pauli_codes(8, np.arange(4000, dtype=np.uint64), 3,
+                                zx_only=True)
     assert not xz.any()
     zx = _word_codes(xz, zz, 3)
     assert set(np.unique(zx)) <= {0, 3}
@@ -221,27 +223,109 @@ def test_pauli_codes_full_and_zx():
     assert abs(frac - 0.5) < 0.05
 
 
-@pytest.mark.parametrize("n", [1, 9, 63, 64, 65, 130])
+@functools.lru_cache(maxsize=None)
+def _ref_sigma_words(seed: int, group: int, n: int) -> tuple:
+    """The sigma stream's words of counters 2q + b for q < n, b in {0, 1},
+    of a group of 64 word uids, from the definition on Python integers."""
+    key = _splitmix64(_splitmix64(_splitmix64(seed) ^ rng.DOMAIN_SIGMA)
+                      ^ group)
+    return tuple(_splitmix64(key ^ ctr) for ctr in range(2 * n))
+
+
+def _ref_sigma(seed: int, uids, n: int, zx_only: bool) -> tuple:
+    """Lane-major (x, z) words of ``uids``: qubit q's code bit b is bit uid
+    % 64 of its group's word 2q + b, and (x, z) = (b0 ^ b1, b1), or (0, b1)
+    with ``zx_only``; packed by ``np.packbits``, padding bits 0."""
+    uids = [int(u) for u in uids]
+    table = np.array([_ref_sigma_words(seed, u >> 6, n) for u in uids],
+                     dtype=np.uint64).reshape(len(uids), n, 2)
+    lane = np.array([u & 63 for u in uids], dtype=np.uint64)
+    b = (table >> lane[:, None, None]) & np.uint64(1)
+    x = np.zeros_like(b[..., 0]) if zx_only else b[..., 0] ^ b[..., 1]
+    pad = ((0, 0), (0, 64 * n_words(n) - n))
+    return tuple(np.packbits(np.pad(v.astype(np.uint8), pad), axis=1,
+                             bitorder="little").view("<u8")
+                 for v in (x, b[..., 1]))
+
+
+#: uid layouts of each count: a run from a group edge; a run that starts
+#: 27 uids into a group and crosses 2**63; a run that ends at 2**64 - 1;
+#: and uids 3 apart, descending from 2**64 - 1, which are not a run
+_SIGMA_LAYOUTS = {
+    "aligned": lambda c: 2 ** 40 + np.arange(c, dtype=np.uint64),
+    "unaligned": lambda c: 2 ** 63 - 37 + np.arange(c, dtype=np.uint64),
+    "top": lambda c: np.arange(2 ** 64 - c, 2 ** 64, dtype=np.uint64),
+    "strided": lambda c: np.uint64(2 ** 64 - 1)
+    - np.uint64(3) * np.arange(c, dtype=np.uint64),
+}
+
+
+@pytest.mark.parametrize("n", [1, 9, 32, 33, 63, 64, 65, 130])
 @pytest.mark.parametrize("zx_only", [False, True])
 def test_pauli_codes_are_the_sigma_stream(n, zx_only):
-    # the reference hashes every (uid, qubit) pair in full, takes its codes
-    # and packs them one PauliString at a time
-    for b in (1, 63, 64, 65, 1000):
-        uid = np.uint64(2 ** 40) + np.arange(b, dtype=np.uint64) \
-            * np.uint64(7919)
-        h = rng.hash_words(6, rng.DOMAIN_SIGMA, uid[:, None],
-                           np.arange(n, dtype=np.uint64))
-        codes = (h & np.uint64(1)) * np.uint64(3) if zx_only \
-            else h & np.uint64(3)
-        ref = engine.words_for_paulis(
-            [PauliString.from_codes(row) for row in codes], n)
-        words = rng.pauli_codes(6, uid, n, zx_only=zx_only)
-        for got, want in zip(words, ref):
-            assert got.dtype == np.uint64
-            assert got.shape == (b, n_words(n))
-            assert np.array_equal(got, want)
-            if n % 64:  # the padding bits of the last word are 0
-                assert not (got[:, -1] >> np.uint64(n % 64)).any()
+    # every read path (an aligned run, a funnel shift of an unaligned one,
+    # a gather of uids that are not one) against the definition on Python
+    # integers, bit for bit, padding bits 0; 130 qubits are 260 x and z
+    # rows, five 64-row groups of the transpose
+    for count in (0, 1, 63, 64, 65, 1000):
+        for layout, make in _SIGMA_LAYOUTS.items():
+            uids = make(count)
+            got = engine.pauli_codes(6, uids, n, zx_only=zx_only)
+            for w, want in zip(got, _ref_sigma(6, uids, n, zx_only)):
+                assert w.dtype == np.uint64
+                assert w.shape == (count, n_words(n)), (layout, count)
+                assert np.array_equal(w, want), (layout, count)
+
+
+def test_sigma_stream_is_the_grid_angle_in_its_domain():
+    # rng.grid_angle in DOMAIN_SIGMA is qubit q's code in word uid
+    uids = np.array(_EDGE_UIDS + tuple(range(2, 40)), dtype=np.uint64)
+    q = np.arange(70, dtype=np.uint64)
+    codes = rng.grid_angle(6, uids[:, None], q, rng.DOMAIN_SIGMA)
+    for zx_only in (False, True):
+        x, z = engine.pauli_codes(6, uids, 70, zx_only=zx_only)
+        want = 3 * (codes >> 1) if zx_only else codes
+        assert np.array_equal(_word_codes(x, z, 70), want)
+
+
+#: chi-square critical values at a per-test level of 1e-3 / 143, the
+#: Bonferroni split over the 143 tests of the sigma stream below
+#: (scipy.stats.chi2.isf(1e-3 / 143, df) for df = 1, 3 and 15)
+_SIGMA_DF1, _SIGMA_DF3, _SIGMA_DF15 = 20.20, 26.64, 51.44
+
+
+def test_sigma_codes_are_uniform_and_pairwise_independent():
+    # 2^19 word uids in 8192 groups, qubits 0 to 32: each of the first 32
+    # qubits' code uniform on {0..3} (df 3) and on {I, Z} with zx_only (df
+    # 1); codes of qubits q and q + 1 of one word for q < 31 (df 15); codes
+    # of qubit 0 at two uids of one group, adjacent (j, j + 1) and apart
+    # (j, j + 32), 8 pairs each (df 15); and codes of qubit 0 at the same
+    # lane j of adjacent groups, for j < 32 (df 15): 32 + 32 + 31 + 16 + 32
+    # tests
+    groups, n = 1 << 13, 33
+    uids = np.arange(64 * groups, dtype=np.uint64)
+    full = engine.pauli_codes(2024, uids, n)
+    zx = engine.pauli_codes(2024, uids, n, zx_only=True)
+    assert not zx[0].any()
+
+    def codes(x, z):  # (qubit, uid) codes, 0=I, 1=X, 2=Y, 3=Z
+        return np.stack([_word_codes(x >> np.uint64(q), z >> np.uint64(q),
+                                     1)[:, 0] for q in range(n)])
+
+    k, kz = codes(*full), codes(*zx)
+    assert set(np.unique(kz)) == {0, 3}
+    lanes = k[0].reshape(groups, 64)  # qubit 0 by (group, j)
+    singles = [_chi2(k[q], 4) for q in range(32)]
+    halves = [_chi2(kz[q] >> 1, 2) for q in range(32)]
+    pairs = [(k[q], k[q + 1]) for q in range(31)]
+    pairs += [(lanes[:, j], lanes[:, j + 1]) for j in range(0, 64, 8)]
+    pairs += [(lanes[:, j], lanes[:, j + 32]) for j in range(0, 32, 4)]
+    pairs += [(lanes[0::2, j], lanes[1::2, j]) for j in range(32)]
+    joint = [_chi2(4 * a + b, 16) for a, b in pairs]
+    assert len(singles) + len(halves) + len(joint) == 143
+    assert max(singles) < _SIGMA_DF3, singles
+    assert max(halves) < _SIGMA_DF1, halves
+    assert max(joint) < _SIGMA_DF15, joint
 
 
 class TestComposeStream:
