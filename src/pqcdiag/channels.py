@@ -1,4 +1,4 @@
-"""Local noise channels as Pauli transfer matrices, with sampling tables.
+"""Local noise channels as Pauli transfer matrices.
 
 A channel on m <= 3 qubits is stored as its 4^m x 4^m transfer matrix over
 the *normalized* local Pauli basis,
@@ -21,6 +21,11 @@ Pauli-diagonal family and measurement channels keep it.
 Trace preservation in this convention is a statement about the identity
 *column*: S[:, I] = e_I (non-unital channels like amplitude damping have a
 gamma in the identity *row* instead, which is fine).
+
+Channels hold no sampling tables.  The walk engine samples every
+channel, a diagonal one too, by |entry| / l1 over a column, and compiles
+each PTM it meets into its tables once, keyed by the matrix's bytes
+(``engine._branch_form``).
 """
 
 from __future__ import annotations
@@ -40,67 +45,9 @@ _TOL = 1e-12
 # channel container
 # ---------------------------------------------------------------------------
 
-class _BranchTables:
-    """Per-column sampling tables of a matrix (padded to the widest column).
-
-    Column j of ``matrix`` is read as an importance distribution: branch i of
-    column j lands on word ``tau[j, i]`` with probability |entry| / l1[j] and
-    carries ``sign[j, i] * l1[j]``; ``count[j]`` is the number of entries.
-    Zero columns get cdf rows that no uniform in [0,1) can reach, sign 0
-    and tau 0 — a sampled visit weights the walk to 0 and leaves it on the
-    identity word.
-
-    ``stays[j]`` marks a column that maps word j to itself with weight
-    exactly 1.0 (one entry, ``tau[j, 0] == j``, ``sign * l1 == 1.0``): a
-    sampled walk leaves such lanes untouched.  ``branches[j]`` marks a
-    column with more than one entry, the only kind whose branch needs a
-    uniform; every other column has a single entry (or none) and takes
-    branch 0.
-
-    The batched walker does not read these tables lane by lane.  It turns
-    each one, once, into work on its lane planes (``engine._branch_form``):
-    the set of lanes at branching columns, the row bits a single-entry
-    column flips, and that entry's factor by class.  Only the lanes at
-    branching columns are looked up in flattened copies of ``cdf``,
-    ``sign * l1`` and ``tau``; when a single column branches (amplitude
-    damping's Z column backward, its I column forward), the lanes' words
-    are not read for that lookup, since every such lane is at that column.
-    The form also records whether every branch of every branching column
-    carries exactly 1.0, as amplitude damping's Z column does backward
-    (``sign * l1`` = gamma + (1 - gamma)): a walk whose other factors are
-    1.0 or one value f then counts its factors instead of multiplying them
-    (``engine._counted_factor``).  The forms are keyed by the matrix's
-    bytes, so channels with equal matrices share them.
-    """
-
-    def __init__(self, matrix: np.ndarray):
-        d = matrix.shape[0]
-        self.l1 = np.abs(matrix).sum(axis=0)
-        branches = [np.nonzero(np.abs(matrix[:, j]) > 0.0)[0] for j in range(d)]
-        width = max(1, max(len(b) for b in branches))
-        self.count = np.array([len(b) for b in branches], dtype=np.int64)
-        self.tau = np.zeros((d, width), dtype=np.int64)
-        self.sign = np.zeros((d, width), dtype=np.float64)
-        self.cdf = np.full((d, width), 2.0)  # padding > any uniform
-        for j, rows in enumerate(branches):
-            if len(rows) == 0:
-                continue
-            p = np.abs(matrix[rows, j]) / self.l1[j]
-            self.tau[j, :len(rows)] = rows
-            self.sign[j, :len(rows)] = np.sign(matrix[rows, j])
-            self.cdf[j, :len(rows)] = np.cumsum(p)
-            self.cdf[j, len(rows) - 1] = 1.0 + 1e-9  # guard rounding
-        self.stays = (self.count == 1) & (self.tau[:, 0] == np.arange(d)) \
-            & (self.sign[:, 0] * self.l1 == 1.0)
-        self.branches = self.count > 1
-        for arr in (self.l1, self.count, self.tau, self.sign, self.cdf,
-                    self.stays, self.branches):
-            arr.setflags(write=False)
-
-
 @dataclass(eq=False)
 class PtmChannel:
-    """Immutable local channel: support qubits + dense PTM + sampling tables.
+    """Immutable local channel: support qubits + dense PTM.
 
     Attributes
     ----------
@@ -114,8 +61,8 @@ class PtmChannel:
     params : dict
         The constructor parameters, for serialization and reports.
 
-    ``cols`` feeds adjoint (backward) sampling, ``rows`` feeds forward
-    sampling (built on the transpose).  ``flags`` holds the PCS1 / PRS1 /
+    ``diagonal`` says the PTM is diagonal, so that a walk through the
+    channel never draws a branch.  ``flags`` holds the PCS1 / PRS1 /
     trace-preservation tests ("pcs1", "prs1", "tp") at tolerance 1e-12,
     fixed with the PTM; circuits read it to refuse non-PCS1 channels.
     """
@@ -125,8 +72,6 @@ class PtmChannel:
     label: str
     params: dict
 
-    cols: _BranchTables = field(init=False, repr=False)
-    rows: _BranchTables = field(init=False, repr=False)
     diagonal: bool = field(init=False)
     flags: dict = field(init=False, repr=False)
 
@@ -139,8 +84,6 @@ class PtmChannel:
         ptm.setflags(write=False)
         self.ptm = ptm
         self.diagonal = bool(np.count_nonzero(ptm - np.diag(np.diag(ptm))) == 0)
-        self.cols = _BranchTables(ptm)
-        self.rows = _BranchTables(ptm.T.copy())
         e_i = np.zeros(ptm.shape[0])
         e_i[0] = 1.0
         self.flags = {
@@ -156,8 +99,8 @@ class PtmChannel:
     def with_support(self, support) -> "PtmChannel":
         """Same channel, re-attached to other qubits of the same number.
 
-        The copy shares this channel's validated PTM and branch tables,
-        which do not depend on where the channel sits.
+        The copy shares this channel's validated PTM and flags, which do
+        not depend on where the channel sits.
         """
         support = _checked_support(support)
         if len(support) != self.m:

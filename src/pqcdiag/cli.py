@@ -75,6 +75,9 @@ def resolve_config(args) -> DiagnosticConfig:
     merged = {"threads": _default_threads()}
     if getattr(args, "config", None):
         spec = _read_json(args.config)
+        if not isinstance(spec, dict):
+            raise CliError(f"{args.config} must hold a JSON object, got "
+                           f"{type(spec).__name__}")
         unknown = set(spec) - set(_CONFIG_KEYS)
         if unknown:
             raise CliError(f"unknown config keys {sorted(unknown)!r} in "

@@ -17,12 +17,14 @@ uint64 lane plane, bit i % 64 of word i // 64 belonging to lane i, with the
 padding bits of the last word always 0.  Clifford steps are AND/XOR work on
 their support rows: each output x and z row is a XOR of input rows (a
 Clifford is linear there), and the sign bit, a XOR of ANDs of those rows
-(the table's algebraic normal form), XORs into the sign row.  A diagonal
-channel step computes, from its rows, the bit planes of each lane's class
-among the channel's distinct diagonal entries and multiplies each weight
-by its class's entry.  A sampled branching channel step does the same for
-the lanes at columns with a single entry, and XORs in planes of the row
-bits that entry flips.  Only the lanes at columns with more than one entry
+(the table's algebraic normal form), XORs into the sign row.  Every
+channel step samples its PTM's columns (its rows, forward) by |entry| /
+l1, as 2MC-OBPPP does, and a diagonal PTM is the case where each column
+has one entry.  For the lanes at columns with a single entry, the step
+computes, from its rows, the bit planes of each lane's class among the
+distinct factors of those entries, multiplies each weight by its class's
+factor, and XORs in planes of the row bits that entry flips (on a
+diagonal, none).  Only the lanes at columns with more than one entry
 become indices: their columns are read from the unpacked step rows (or,
 when one column branches, as under amplitude damping, are known without
 reading them), they draw their branches, and the bits of the words that
@@ -73,8 +75,8 @@ are then unspecified.
 Randomness is counter-based: the uniform that decides a channel's branch is
 a pure function of (seed, walk stream id, noise-site ordinal), so a walk's
 trajectory does not depend on batching or worker count, and a scalar walk
-keyed the same way reproduces a batched lane draw for draw.  A sampled
-channel step hashes only the lanes at columns with more than one entry: a
+keyed the same way reproduces a batched lane draw for draw.  A channel
+step hashes only the lanes at columns with more than one entry: a
 single-entry column takes its one branch whatever the uniform, and a column
 that maps its word to itself with weight exactly 1 leaves the lane as it
 is.  Such lanes consume no uniform, and skipping them moves no other lane's
@@ -83,9 +85,11 @@ lanes once, at its first step that has such a lane, and each uniform is
 then one more mix of its lane's prefix with its slot (``rng.hash_words``
 appends a word that way); a walk in which no lane draws hashes nothing.
 
-Channels with diagonal PTMs never branch: their column action is a
-deterministic factor, applied without consuming randomness.  A PTM column
-that is entirely zero kills the walk (weight 0, "terminal").
+Channels with diagonal PTMs never branch: no column has more than one
+entry, so their column action is a deterministic factor, applied without
+consuming randomness.  A PTM column that is entirely zero kills the walk:
+its weight is multiplied by the column's diagonal entry, 0.0 or -0.0, and
+its word becomes the identity.
 
 A batched backward walk runs only the steps inside the conservative light
 cone of its input words: walking backward from the qubits those words act
@@ -118,7 +122,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _BranchTables
 from .circuits import Circuit, FixedAngle, NoiseSite, Rotation
 from .paulis import (CODE_TO_X, CODE_TO_Z, XZ_TO_CODE, PauliString,
                      clifford_table, commutes, mask_to_words, n_words,
@@ -293,14 +296,6 @@ def _class_forms(factors: np.ndarray) -> tuple:
     return values, forms, by_byte
 
 
-@functools.lru_cache(maxsize=256)
-def _diag_form(diag: bytes) -> tuple:
-    """A diagonal PTM, given as its diagonal's float64 bytes, as the class
-    forms of its diagonal (:func:`_class_forms`).  Shared between steps,
-    read only."""
-    return _class_forms(np.frombuffer(diag, dtype=np.float64))
-
-
 def _lane_form(truth) -> tuple:
     """A set of lanes, given by a truth table over a step's row indices, as
     (form, constant): the lanes of ``form`` (None: no lanes), complemented
@@ -311,19 +306,70 @@ def _lane_form(truth) -> tuple:
     return _Form.of(truth ^ truth[0]), bool(truth[0])
 
 
+class _BranchTables:
+    """Per-column sampling tables of a matrix (padded to the widest column).
+
+    Column j of ``matrix`` is read as an importance distribution: branch i of
+    column j lands on word ``tau[j, i]`` with probability |entry| / l1[j] and
+    carries ``sign[j, i] * l1[j]``; ``count[j]`` is the number of entries.
+    Zero columns get cdf rows that no uniform in [0,1) can reach, sign 0
+    and tau 0 — a sampled visit weights the walk to 0 and leaves it on the
+    identity word.
+
+    ``stays[j]`` marks a column that maps word j to itself with weight
+    exactly 1.0 (one entry, ``tau[j, 0] == j``, ``sign * l1 == 1.0``).
+    ``branches[j]`` marks a column with more than one entry, the only kind
+    whose branch needs a uniform; every other column has a single entry (or
+    none) and takes branch 0.  A diagonal matrix is the case where no column
+    branches.  The batched walker reads these tables only through
+    :func:`_branch_form`.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        d = matrix.shape[0]
+        self.l1 = np.abs(matrix).sum(axis=0)
+        branches = [np.nonzero(np.abs(matrix[:, j]) > 0.0)[0] for j in range(d)]
+        width = max(1, max(len(b) for b in branches))
+        self.count = np.array([len(b) for b in branches], dtype=np.int64)
+        self.tau = np.zeros((d, width), dtype=np.int64)
+        self.sign = np.zeros((d, width), dtype=np.float64)
+        self.cdf = np.full((d, width), 2.0)  # padding > any uniform
+        for j, rows in enumerate(branches):
+            if len(rows) == 0:
+                continue
+            p = np.abs(matrix[rows, j]) / self.l1[j]
+            self.tau[j, :len(rows)] = rows
+            self.sign[j, :len(rows)] = np.sign(matrix[rows, j])
+            self.cdf[j, :len(rows)] = np.cumsum(p)
+            self.cdf[j, len(rows) - 1] = 1.0 + 1e-9  # guard rounding
+        self.stays = (self.count == 1) & (self.tau[:, 0] == np.arange(d)) \
+            & (self.sign[:, 0] * self.l1 == 1.0)
+        self.branches = self.count > 1
+        for arr in (self.l1, self.count, self.tau, self.sign, self.cdf,
+                    self.stays, self.branches):
+            arr.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class _BranchForm:
-    """The branch tables (``channels._BranchTables``) of one direction of a
-    channel as work on a sampled step's plane rows.  Lane sets are
+    """The branch tables (:class:`_BranchTables`) of one direction of a
+    channel as work on a channel step's plane rows.  Lane sets are
     :func:`_lane_form` pairs.
 
     ``hot`` is the set of lanes at columns with more than one entry, the
-    only lanes that draw a uniform.  Every other lane takes its column's
-    single entry, or dies at an empty column, whose word becomes the
-    identity: ``moves`` pairs each row that entry changes with the set of
-    lanes whose bit there flips, and ``classes`` are the class forms
-    (:func:`_class_forms`) of its factor sign * l1, set to 1.0 at hot
-    columns (it is 1.0 at staying columns).
+    only lanes that draw a uniform; None when there is no such column, as
+    on a diagonal PTM.  Every other lane takes its column's single entry,
+    or dies at an empty column, whose word becomes the identity: ``moves``
+    pairs each row that entry changes with the set of lanes whose bit
+    there flips, and ``classes`` are the class forms (:func:`_class_forms`)
+    of its factor sign * l1, set to 1.0 at hot columns.  An empty column's
+    factor is its diagonal entry, 0.0 or -0.0, so a lane that dies there
+    carries, bit for bit, its weight times that entry.  A diagonal PTM
+    moves no word but at its empty columns, and its class values are its
+    diagonal's distinct bit patterns.  ``kills`` says some class value is
+    0.0 (or -0.0): only such a step can zero a weight.  ``stays`` says the
+    identity word maps to itself with weight exactly 1.0
+    (``_BranchTables.stays``).
 
     The hot lanes' tables are indexed by the lane's row index p (see
     :func:`_row_tables`) and, flattened, by p * width + j for branch j:
@@ -337,11 +383,12 @@ class _BranchForm:
     (amplitude damping's Z column backward, its identity column forward),
     so that every hot lane's p is known without reading its rows; else
     None.  ``unit_hot`` says every branch of every hot column has factor
-    exactly 1.0, so that a hot lane's weight is multiplied by 1.0 whichever
-    branch it draws: with the class values of :func:`_counted_factor`, such
-    a step's factors can be counted.
+    exactly 1.0 (so does a form without hot columns), so that a hot lane's
+    weight is multiplied by 1.0 whichever branch it draws: with the class
+    values of :func:`_counted_factor`, such a step's factors can be
+    counted.
     """
-    hot: tuple
+    hot: "tuple | None"
     moves: tuple  # ((row, lane set), ...)
     classes: tuple
     width: int
@@ -350,18 +397,21 @@ class _BranchForm:
     move: np.ndarray  # (4^m * width,)
     hot_p: "int | None"
     unit_hot: bool
+    kills: bool
+    stays: bool
 
 
 @functools.lru_cache(maxsize=256)
 def _branch_form(matrix: bytes) -> _BranchForm:
     """The branch tables of a square matrix whose columns a walk samples
     (the PTM backward, its transpose forward), given as its float64 bytes,
-    as a :class:`_BranchForm`.  Keyed by content, like :func:`_diag_form`,
-    so circuits built afresh with the same channels share their forms;
-    shared between steps, read only."""
+    as a :class:`_BranchForm`.  Keyed by content, so circuits built afresh
+    with the same channels share their forms; shared between steps, read
+    only."""
     flat = np.frombuffer(matrix, dtype=np.float64)
     d = round(flat.size ** 0.5)
-    tabs = _BranchTables(flat.reshape(d, d))
+    square = flat.reshape(d, d)
+    tabs = _BranchTables(square)
     width = tabs.tau.shape[1]
     to_local, row_of = _ROW_TABLES[(d.bit_length() - 1) // 2]
     hot = tabs.branches
@@ -383,11 +433,14 @@ def _branch_form(matrix: bytes) -> _BranchForm:
         t.setflags(write=False)
     (hot_cols,) = np.nonzero(hot)
     drawn = hot[:, None] & (np.arange(width) < tabs.count[:, None])
-    return _BranchForm(_lane_form(hot[to_local]), tuple(moves),
-                       _class_forms(np.where(hot, 1.0, factors[:, 0])),
-                       width, cdf, factor, move,
+    # a single entry's factor; an empty column's is its diagonal entry
+    single = np.where(tabs.count == 0, np.diagonal(square), factors[:, 0])
+    classes = _class_forms(np.where(hot, 1.0, single))
+    return _BranchForm(_lane_form(hot[to_local]) if hot.any() else None,
+                       tuple(moves), classes, width, cdf, factor, move,
                        int(row_of[hot_cols[0]]) if hot_cols.size == 1
-                       else None, bool(np.all(factors[drawn] == 1.0)))
+                       else None, bool(np.all(factors[drawn] == 1.0)),
+                       bool(np.any(classes[0] == 0.0)), bool(tabs.stays[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +493,10 @@ class _CliffStep:
 class _ChanStep:
     ordinal: int  # global noise-site index, doubles as the RNG slot
     channel: object
-    form: object  # _diag_form of a diagonal channel, else its _branch_form
-    classes: tuple  # the class forms of its factors: form, or form.classes
+    form: _BranchForm
     rows: list
     mask: int
     pinned: bool  # does not map the identity word to itself with weight 1
-    kills: bool  # some lane's class factor is 0.0: the step can zero a weight
 
 
 def _rot_sites(axis: PauliString) -> list:
@@ -469,27 +520,18 @@ def _compile(circuit: Circuit, direction: str) -> list:
         raise ValueError(f"unknown direction {direction!r}")
     backward = direction == "backward"
     ordinals = itertools.count()  # the k-th scheduled site is noise site k
-    # id of a PTM -> (the step form of sites sharing it, its class forms,
-    # does it kill)
-    forms: dict = {}
+    forms: dict = {}  # id of a PTM -> the form of the sites sharing it
     prog: list = []
     for item in circuit.schedule():
         if isinstance(item, NoiseSite):
             ch = item.channel
-            if id(ch.ptm) not in forms:
-                if ch.diagonal:
-                    form = classes = _diag_form(ch.ptm.diagonal().tobytes())
-                else:  # the matrix whose columns the walk samples
-                    form = _branch_form(
-                        (ch.ptm if backward else ch.ptm.T).tobytes())
-                    classes = form.classes
-                forms[id(ch.ptm)] = (form, classes,
-                                     bool(np.any(classes[0] == 0.0)))
-            form, classes, kills = forms[id(ch.ptm)]
-            stays = (ch.cols if backward else ch.rows).stays[0]
-            prog.append(_ChanStep(next(ordinals), ch, form, classes,
+            if id(ch.ptm) not in forms:  # the matrix the walk samples
+                forms[id(ch.ptm)] = _branch_form(
+                    (ch.ptm if backward else ch.ptm.T).tobytes())
+            form = forms[id(ch.ptm)]
+            prog.append(_ChanStep(next(ordinals), ch, form,
                                   _plane_rows(ch.support, circuit.n),
-                                  _qubit_mask(ch.support), not stays, kills))
+                                  _qubit_mask(ch.support), not form.stays))
         elif isinstance(item, Rotation):
             fixed = isinstance(item.param, FixedAngle)
             prog.append(_RotStep(item.axis, None if fixed else item.param,
@@ -671,25 +713,24 @@ def _counted_factor(prog: list) -> "tuple | None":
 
     They can when none of them can kill, every factor a step multiplies by
     is 1.0 or one finite value f (bit for bit), and f occurs somewhere.  A
-    diagonal step's factors are its class values, its identity word's 1.0
-    first.  So are a sampled step's, at its single-entry columns (the
-    identity word's, or 1.0 when that column is hot); its hot columns'
-    branches must all carry exactly 1.0 (``_BranchForm.unit_hot``, decided
-    once per form), as backward amplitude damping's Z column does.  A walk
-    then counts each lane's hits, the steps that multiply it by f, in a
-    byte counter (two bytes past 255 counting steps) and folds them in at
-    the end (:func:`_fold_hits`)."""
-    chans = [step for step in prog if isinstance(step, _ChanStep)]
-    if any(step.kills or not (step.channel.diagonal or step.form.unit_hot)
-           for step in chans):
+    step's factors are its class values at its single-entry columns, the
+    identity word's first (1.0 when that column is hot), as a diagonal
+    step's are its diagonal's; its hot columns' branches must all carry
+    exactly 1.0 (``_BranchForm.unit_hot``, decided once per form), as
+    backward amplitude damping's Z column does.  A walk then counts each
+    lane's hits, the steps that multiply it by f, in a byte counter (two
+    bytes past 255 counting steps) and folds them in at the end
+    (:func:`_fold_hits`)."""
+    forms = [step.form for step in prog if isinstance(step, _ChanStep)]
+    if any(form.kills or not form.unit_hot for form in forms):
         return None
-    # the class values of the steps' forms, which a channel's sites share;
-    # none is 0.0 or -0.0, so equal values have equal bits
-    values = {id(step.form): step.classes[0] for step in chans}.values()
+    # the class values of the forms, which a channel's sites share; none is
+    # 0.0 or -0.0, so equal values have equal bits
+    values = {id(form): form.classes[0] for form in forms}.values()
     if any(v[0] != 1.0 or len(v) > 2 for v in values):
         return None
     fs = {float(v[1]) for v in values if len(v) == 2}
-    steps = sum(len(step.classes[0]) == 2 for step in chans)
+    steps = sum(len(form.classes[0]) == 2 for form in forms)
     if len(fs) != 1 or not np.isfinite(f := fs.pop()) or steps > 0xFFFF:
         return None
     return f, np.uint8 if steps <= 0xFF else np.uint16
@@ -757,42 +798,31 @@ class AngleSource:
     Pauli codes of :func:`pauli_codes`, a qubit for a parameter.
     :meth:`draw_planes` turns the words hashed from those keys
     (``rng.theta_words``) into draw planes, bit i % 64 of word i // 64
-    holding draw i's bit.  A run of consecutive uids, the draws of every
-    estimator's job, reads them straight from the words, joining two
-    adjacent group words by a funnel shift when the run does not start on a
-    multiple of 64; other uids gather each draw's bit from its group's word
-    (:meth:`_gathered`).  Walks read the angles through views
-    (:meth:`view`), which lay the draws out on their lanes.
+    holding draw i's bit.  The uids are one run of consecutive integers, as
+    the draws of every estimator's job are, so the planes are read straight
+    from the words, joining two adjacent group words by a funnel shift when
+    the run does not start on a multiple of 64; other uids are refused.
+    Walks read the angles through views (:meth:`view`), which lay the draws
+    out on their lanes.
     """
 
     def __init__(self, seed: int, uids, domain: int = DOMAIN_THETA):
         self.uids = np.asarray(uids, dtype=np.uint64)
         u = self.uids.size
         first = int(self.uids[0]) if u else 0
-        if u == 0 or (int(self.uids[-1]) - first == u - 1
-                      and bool(np.all(np.diff(self.uids) == 1))):
-            self._offset = first & 63  # the run's first lane in its group
-            self._inverse = None
-            groups = np.arange(first >> 6, (first + u + 63) >> 6,
-                               dtype=np.uint64)
-        else:
-            groups, self._inverse = np.unique(self.uids >> np.uint64(6),
-                                              return_inverse=True)
-        self.keys = theta_keys(seed, groups, domain)
+        if u and (int(self.uids[-1]) - first != u - 1
+                  or not np.all(np.diff(self.uids) == 1)):
+            raise ValueError("angle source uids must be one run of "
+                             "consecutive integers")
+        self._offset = first & 63  # the run's first lane in its group
+        self.keys = theta_keys(seed, np.arange(first >> 6,
+                                               (first + u + 63) >> 6,
+                                               dtype=np.uint64), domain)
 
     def draw_planes(self, words: np.ndarray) -> np.ndarray:
         """(L, b, ceil(draws / 64)) draw planes from the (L, b, G) words of
         the source's groups, their padding bits 0; may be ``words``."""
-        if self._inverse is not None:
-            return self._gathered(words)
         return _bit_field(words, self._offset, len(self))
-
-    def _gathered(self, words: np.ndarray) -> np.ndarray:
-        """The draw planes of uids that are not one run: each draw's bit
-        from its group's word, unpacked and packed again."""
-        bits = words[..., self._inverse] >> (self.uids & np.uint64(63))
-        bits &= np.uint64(1)
-        return _pack(bits.astype(np.uint8))
 
     def view(self, reps: int = 1, copies: int = 1,
              shift=None) -> "HashedTheta":
@@ -835,15 +865,12 @@ class HashedTheta:
     4, added with a 2-bit carry to the rows of the lanes' shift parameters
     (:meth:`_add_shift`).
 
-    ``HashedTheta(seed, uids, shift_param, shift_delta)`` is the view, one
-    lane a uid, of a source of its own.
+    ``HashedTheta(seed, uids)`` is the view, one lane a uid, of a source of
+    its own.
     """
 
-    def __init__(self, seed: int, uids: np.ndarray,
-                 shift_param: "np.ndarray | None" = None,
-                 shift_delta: "np.ndarray | None" = None):
-        self._setup(AngleSource(seed, uids), 1, 1, None if shift_param is None
-                    else (shift_param, shift_delta))
+    def __init__(self, seed: int, uids: np.ndarray):
+        self._setup(AngleSource(seed, uids), 1, 1, None)
 
     def _setup(self, source, reps, copies, shift) -> None:
         self._source, self._reps, self._copies = source, reps, copies
@@ -989,8 +1016,9 @@ def _run_selects(u: int, r: int) -> tuple:
 
 
 def pauli_codes(seed: int, uids, n: int, *, zx_only: bool = False) -> tuple:
-    """Random Pauli words for the 1-D array ``uids``, one word per uid, as
-    the walk's lane-major ``(x, z)`` words: two (B, ``n_words(n)``) uint64
+    """Random Pauli words for ``uids``, one run of consecutive integers
+    (:class:`AngleSource` refuses any other), one word per uid, as the
+    walk's lane-major ``(x, z)`` words: two (B, ``n_words(n)``) uint64
     arrays, bit ``q & 63`` of word ``q >> 6`` holding qubit q and the
     padding bits 0.  Qubit q of word ``uid`` has the code
     ``rng.grid_angle(seed, uid, q, DOMAIN_SIGMA)`` (0=I, 1=X, 2=Y, 3=Z), so
@@ -1186,21 +1214,6 @@ def _class_factors(classes: tuple, v, b: int):
     return values.take(cls)
 
 
-def _diag_factors(planes: np.ndarray, step: _ChanStep, b: int):
-    """Each lane's factor at a diagonal channel step: the diagonal entry of
-    the lane's class."""
-    return _class_factors(step.classes, [planes[r] for r in step.rows], b)
-
-
-def _class_hits(classes: tuple, v, b: int) -> np.ndarray:
-    """Each of the ``b`` lanes' hit at a counted channel step (see
-    :func:`_counted_factor`), from its class forms ``classes`` and rows
-    ``v``: 1 where the lane's class is the non-unit value f, as (b,)
-    uint8."""
-    (form,) = classes[1]
-    return _unpack(form.value(v), b)
-
-
 #: the largest power-table index a counted walk looks a start weight up
 #: at; start weights further down the table are multiplied out
 _START_CAP = 4095
@@ -1263,59 +1276,64 @@ def _fold_hits(w: np.ndarray, hits: np.ndarray, f: float,
         w[slow] = slow_w
 
 
-def _lane_set(lanes: tuple, v: np.ndarray, b: int):
-    """The lane plane of a :func:`_lane_form` set over ``b`` lanes, from a
-    step's rows ``v``; None when the set is empty."""
+def _lane_set(lanes: tuple, v, b: int) -> np.ndarray:
+    """The lane plane of a non-empty :func:`_lane_form` set over ``b``
+    lanes, from a step's rows ``v``."""
     form, constant = lanes
-    out = None if form is None else form.value(v)
-    if constant:
-        live = np.full(v.shape[1], _ALL)
-        if b % 64:
-            live[-1] = _ALL >> np.uint64(64 - b % 64)
-        out = live if out is None else ~out & live
-    return out
+    if not constant:
+        return form.value(v)
+    live = np.full((b + 63) // 64, _ALL)
+    if b % 64:
+        live[-1] = _ALL >> np.uint64(64 - b % 64)
+    return live if form is None else ~form.value(v) & live
 
 
 def _branch(planes: np.ndarray, step: _ChanStep, w: np.ndarray, hits,
             uniforms) -> None:
-    """One sampled branching channel step on all lanes, in place.
+    """One channel step on all lanes, in place: its PTM's columns sampled
+    backward, its rows forward (``step.form``, a :class:`_BranchForm`).
 
     Lanes at columns with one entry (or none) take it: the step's ``moves``
     planes XOR into the rows they change, and the entry's factor comes from
-    class planes.  Only the hot lanes, at columns with more than one
-    entry, become indices: ``uniforms(lanes, ordinal)`` gives their branch
-    draws at the step's noise site, uint64 values m below 2^53 standing
-    for the uniforms m * 2^-53, and the branch is the number of the
-    column's cdf thresholds at or below the draw.  A column's last cdf entry
-    is 1 + 1e-9 and its padding 2.0, both above any uniform, so the last cdf
-    column is never compared.  A step with one hot column (``hot_p``)
-    knows every hot lane's row index, so it reads none from the rows and
-    compares the draws with that column's cdf thresholds, not with a
-    gather of them.  The row bits of the hot lanes whose word moved are
-    XORed in by a scatter (:func:`_xor_lanes`).
+    class planes.  A diagonal PTM is the case where every column has one
+    entry (or none) and no word moves but at an empty column.  Only the hot
+    lanes, at columns with more than one entry, become indices:
+    ``uniforms(lanes, ordinal)`` gives their branch draws at the step's
+    noise site, uint64 values m below 2^53 standing for the uniforms
+    m * 2^-53, and the branch is the number of the column's cdf thresholds
+    at or below the draw.  A column's last cdf entry is 1 + 1e-9 and its
+    padding 2.0, both above any uniform, so the last cdf column is never
+    compared.  A step with one hot column (``hot_p``) knows every hot
+    lane's row index, so it reads none from the rows and compares the draws
+    with that column's cdf thresholds, not with a gather of them.  The row
+    bits of the hot lanes whose word moved are XORed in by a scatter
+    (:func:`_xor_lanes`).  The ``moves`` read the rows after the scatter
+    and after each other, so a step with moves reads a copy of its rows;
+    any other step, such as a diagonal one without empty columns, reads
+    views of them.
 
     ``hits`` is None in a walk that multiplies its factors: the hot lanes'
     factors replace the class factor (1.0 there) in the full-lane factor
     array, so every weight is multiplied once, by the branch's sign * l1
-    double.  In a counted walk (:func:`_counted_factor`) ``hits`` holds the
-    lanes' counters, and the step adds its class plane into them, as a
-    diagonal step does (:func:`_class_hits`).  Every other factor it has
-    is 1.0, its hot branches' included, so it neither reads the hot lanes'
-    factors nor touches ``w``.
+    double, or by its class's value.  In a counted walk
+    (:func:`_counted_factor`) ``hits`` holds the lanes' counters, and the
+    step adds its one class plane, the lanes whose factor is f, into them.
+    Every other factor it has is 1.0, its hot branches' included, so it
+    neither reads the hot lanes' factors nor touches ``w``.
     """
     f = step.form
     b = w.size
-    v = planes[step.rows]  # a copy: the rows are written below
+    v = planes[step.rows] if f.moves else [planes[r] for r in step.rows]
     factors = None
     if hits is not None:
         if f.classes[1]:
-            hits += _class_hits(f.classes, v, b)
+            hits += _unpack(f.classes[1][0].value(v), b)
     else:
         factors = _class_factors(f.classes, v, b)
         if not f.classes[1]:
             factors = None if factors == 1.0 else np.full(b, factors)
-    hot = _lane_set(f.hot, v, b)
-    lanes = () if hot is None else np.flatnonzero(_unpack(hot, b).view(bool))
+    lanes = () if f.hot is None else \
+        np.flatnonzero(_unpack(_lane_set(f.hot, v, b), b).view(bool))
     if len(lanes):
         u = uniforms(lanes, step.ordinal)
         p = _row_index(v, b)[lanes].astype(np.intp) if f.hot_p is None \
@@ -1490,8 +1508,9 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     matrix entry the lane used there, as its index tau * 4^m + s into the
     sampled matrix (the PTM backward, its transpose forward): s is the word
     the lane brought (the entry's input word), tau the word it left with
-    (its output word).  A site outside the light cone records 0, the
-    identity entry.  None unless requested.
+    (its output word; the identity, 0, when the lane died at an empty
+    column).  A site outside the light cone records 0, the identity entry.
+    None unless requested.
 
     The walk state is bit-sliced: ``planes`` holds the x row of every qubit,
     then every z row, then the sign row, each a lane plane.  Lane-major
@@ -1500,19 +1519,18 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
     under 64 qubits leaves empty.  The walk follows the fused program
     (:func:`_fused_program`): one step per layer of rotations, and per
     Clifford and channel.  Rotation layers, Clifford steps
-    (:func:`_clifford`), diagonal channel steps (:func:`_diag_factors`) and
-    sampled branching channel steps (:func:`_branch`) work on the planes;
-    only ``collect_flags`` unpacks a step's rows to per-lane codes
-    (:func:`_local_codes`).  A program whose channel factors can be
-    counted (its ``counted`` factor f, see :func:`_counted_factor`) does
-    not multiply at its channel steps, diagonal or sampled: each adds the
-    lanes it multiplies by f (:func:`_class_hits`) into a per-lane counter,
-    uint8 or past 255 counting steps uint16, and the weights are read from
-    the power table of |f| at the end (:func:`_fold_hits`).  The sign row
-    is folded into the weights last (:func:`_fold_signs`).
+    (:func:`_clifford`) and channel steps, diagonal or not
+    (:func:`_branch`), work on the planes; only ``collect_flags`` unpacks a
+    step's rows to per-lane codes (:func:`_local_codes`).  A program whose
+    channel factors can be counted (its ``counted`` factor f, see
+    :func:`_counted_factor`) does not multiply at its channel steps: each
+    adds the lanes it multiplies by f (its class plane) into a per-lane
+    counter, uint8 or past 255 counting steps uint16, and the weights are
+    read from the power table of |f| at the end (:func:`_fold_hits`).  The
+    sign row is folded into the weights last (:func:`_fold_signs`).
 
     The walk stops early once no lane has a non-zero weight.  Only a step
-    with a zero factor (``kills``, set at compile time) can zero a weight,
+    with a zero factor (``_BranchForm.kills``) can zero a weight,
     so the test runs after such a step, and after the first channel step
     when ``w0`` is given; a sampled branch's own factor is never 0.  A
     product of non-zero factors can still underflow to 0, and a batch that
@@ -1571,19 +1589,12 @@ def _run_batch(circuit: Circuit, direction: str, x0, z0, theta, *,
         if isinstance(step, _CliffStep):
             _clifford(planes, n, step)
             continue
-        ch = step.channel
         col = None if flags is None else _local_codes(planes, step.rows, b)
-        if not ch.diagonal:
-            _branch(planes, step, w, hits, uniforms)
-        elif hits is None:
-            w *= _diag_factors(planes, step, b)
-        elif step.classes[1]:  # counted; with no class plane every factor is 1
-            hits += _class_hits(step.classes, [planes[r] for r in step.rows],
-                                b)
+        _branch(planes, step, w, hits, uniforms)
         if flags is not None:
-            tau = col if ch.diagonal else _local_codes(planes, step.rows, b)
-            flags[:, step.ordinal] = tau * len(ch.ptm) + col
-        if (step.kills or test_w0) and not w.any():
+            flags[:, step.ordinal] = _local_codes(planes, step.rows, b) \
+                * len(step.channel.ptm) + col
+        if (step.form.kills or test_w0) and not w.any():
             break
         test_w0 = False
     if hits is not None:

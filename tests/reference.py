@@ -19,6 +19,7 @@ the batched walker's terminal closure in complex arithmetic
 (:func:`complex_terminal_values`), which its real one must match.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +177,14 @@ class AdjointSample:
     weight: float
 
 
+@functools.lru_cache(maxsize=None)
+def _columns(ptm: bytes) -> "engine._BranchTables":
+    """The column tables of a PTM, given as its float64 bytes, built once."""
+    flat = np.frombuffer(ptm, dtype=np.float64)
+    d = round(flat.size ** 0.5)
+    return engine._BranchTables(flat.reshape(d, d))
+
+
 def adjoint_sample(channel, s_local: int, u: float) -> AdjointSample:
     """Draw a predecessor word from PTM column ``s_local`` by uniform ``u``.
 
@@ -184,7 +193,7 @@ def adjoint_sample(channel, s_local: int, u: float) -> AdjointSample:
     the exact column action.  An all-zero column yields a terminal sample of
     weight 0.
     """
-    tables = channel.cols
+    tables = _columns(channel.ptm.tobytes())
     l1 = tables.l1[s_local]
     if l1 <= 0.0:
         return AdjointSample(0, 0.0)
@@ -250,8 +259,9 @@ def backprop_term(circuit, theta, term: PauliString, state,
     One sampled path, walked over the full backward program on
     PauliStrings.  Returns the signed path value c-free (multiply by the term
     coefficient outside): weight x sign x tr(P_final rho).  The walk
-    consumes one uniform per non-diagonal noise site, keyed by the site's
-    ordinal.
+    draws one uniform per noise site that is not diagonal, keyed by the
+    site's ordinal; a zero diagonal entry is an empty column, where the walk
+    dies on the identity word as it does at any other.
     """
     circuit.check_theta(theta)
     sp = SignedPauli(term, 0)
@@ -263,9 +273,9 @@ def backprop_term(circuit, theta, term: PauliString, state,
         else:
             ch = step.channel
             idx = sp.pauli.local_index(ch.support)
-            if ch.diagonal:
+            if ch.diagonal and ch.ptm[idx, idx]:
                 w *= float(ch.ptm[idx, idx])
-            else:
+            else:  # an empty column ends the walk on the identity word
                 smp = adjoint_sample(ch, idx, stream.uniform_at(step.ordinal))
                 w *= smp.weight
                 sp = SignedPauli(sp.pauli.with_local(ch.support, smp.tau),

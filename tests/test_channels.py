@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqcdiag import channels as ch
+from pqcdiag import engine
 from reference import RngStream, adjoint_sample
 
 strength = st.floats(0.0, 1.0, allow_nan=False)
@@ -239,7 +240,6 @@ def test_with_support_shares_the_tables():
     c = parent.with_support([7, 3])
     assert c.support == (7, 3) and parent.support == (0, 1)
     assert c.ptm is parent.ptm and c.diagonal == parent.diagonal
-    assert c.cols is parent.cols and c.rows is parent.rows
     assert c.flags is parent.flags and c.flags == parent.flags
     assert c.label == parent.label and c.params == parent.params
     assert c.params is not parent.params
@@ -252,9 +252,11 @@ def test_with_support_refuses_a_bad_support(parent, support):
         ch.make_depolarizing(0.1, parent).with_support(support)
 
 
-def branches(tables, j):
-    """{tau: signed entry} of the branches that ``tables`` lists for j: each
-    branch's probability (its cdf step) times its factor sign * l1."""
+def branches(matrix, j):
+    """{tau: signed entry} of the branches that the sampling tables of
+    ``matrix`` list for column j: each branch's probability (its cdf step)
+    times its factor sign * l1."""
+    tables = engine._BranchTables(matrix)
     n = int(tables.count[j])
     p = np.diff(tables.cdf[j, :n], prepend=0.0)
     return dict(zip(tables.tau[j, :n].tolist(),
@@ -265,9 +267,9 @@ class TestSampling:
     def test_enumeration_is_the_column(self):
         c = ch.make_amplitude_damping(0.37)
         # column Z holds gamma at I and 1-gamma at Z
-        assert branches(c.cols, 3) == pytest.approx({0: 0.37, 3: 0.63})
+        assert branches(c.ptm, 3) == pytest.approx({0: 0.37, 3: 0.63})
         # forward from I reaches I and Z (the non-unital leak)
-        assert branches(c.rows, 0) == pytest.approx({0: 1.0, 3: 0.37})
+        assert branches(c.ptm.T, 0) == pytest.approx({0: 1.0, 3: 0.37})
 
     def test_single_branch_columns_are_deterministic(self):
         c = ch.make_depolarizing(0.25)
@@ -296,7 +298,7 @@ class TestSampling:
         r = RngStream(seed=1, stream_id=0)
         out = adjoint_sample(c, 1, r.uniform_at(0))
         assert out.weight == 0.0
-        assert c.cols.count[1] == 0 and branches(c.cols, 1) == {}
+        assert branches(c.ptm, 1) == {}
 
     def test_sample_replay_is_pure(self):
         c = ch.make_amplitude_damping(0.4)

@@ -201,14 +201,11 @@ class TestSchedule:
         assert [s.channel for s in chans] \
             == [sites[k].channel for k in ("b", "a", "last")]
 
-        def form(ch, sampled):
-            # a walk samples the PTM's columns backward, its rows forward
-            return engine._diag_form(ch.ptm.diagonal().tobytes()) \
-                if ch.diagonal else engine._branch_form(sampled.tobytes())
-
-        assert all(s.form is form(s.channel, s.channel.ptm.T) for s in chans)
-        assert all(s.form is form(s.channel, s.channel.ptm) for s in bwd
-                   if isinstance(s, engine._ChanStep))
+        # a walk samples the PTM's columns backward, its rows forward
+        assert all(s.form is engine._branch_form(s.channel.ptm.T.tobytes())
+                   for s in chans)
+        assert all(s.form is engine._branch_form(s.channel.ptm.tobytes())
+                   for s in bwd if isinstance(s, engine._ChanStep))
         assert [s.pinned for s in chans] == [True, False, False]
 
 

@@ -416,6 +416,16 @@ class TestConfigResolution:
         assert main(["diagnose", "mse", circ, "--config", str(cfg),
                      "-o", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("top", [5, None, ["n_theta"], "abc"])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, top):
+        circ = gen_toy(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(top))
+        assert main(["diagnose", "mse", circ, "--config", str(cfg),
+                     "-o", str(tmp_path / "x")]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("spec", [{"n_theta": 40.9}, {"seed": 2.5},
                                       {"n_tau": True}])
     def test_non_integral_config_value(self, tmp_path, spec):

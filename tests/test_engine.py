@@ -324,7 +324,7 @@ class TestDeadBatches:
             steps = sorted((s for s in engine._program(c, direction)
                             if isinstance(s, engine._ChanStep)),
                            key=lambda s: s.ordinal)
-            assert [s.kills for s in steps] == [k[d] for _, k in chans]
+            assert [s.form.kills for s in steps] == [k[d] for _, k in chans]
 
     def test_a_batch_stops_where_its_last_lane_dies(self):
         # site 1 zeroes the X and Y columns every lane meets; site 0 lies
@@ -653,9 +653,8 @@ class TestThetaContainers:
     def test_hashed_shift_is_quarter_turn(self):
         uids = np.arange(16, dtype=np.uint64)
         base = engine.HashedTheta(7, uids)
-        shifted = engine.HashedTheta(
-            7, uids, shift_param=np.full(16, 2, dtype=np.int64),
-            shift_delta=np.full(16, 1, dtype=np.int64))
+        shifted = engine.AngleSource(7, uids).view(shift=(
+            np.full(16, 2, dtype=np.int64), np.full(16, 1, dtype=np.int64)))
         assert np.array_equal(plane_angles(shifted, [1], 16),
                               plane_angles(base, [1], 16))
         assert np.array_equal(plane_angles(shifted, [2], 16),
@@ -824,18 +823,20 @@ class TestBranchTables:
     @settings(max_examples=200, deadline=None)
     @given(_channel(3))
     def test_stays_and_branches(self, ch):
-        self.check(ch.cols, ch.ptm)
-        self.check(ch.rows, ch.ptm.T)
+        for direction, matrix in (("backward", ch.ptm), ("forward", ch.ptm.T)):
+            self.check(_tables(ch, direction), matrix)
 
     def test_identity_of_amplitude_damping_and_raw_ptm(self):
         amp = make_amplitude_damping(0.25)
-        assert amp.cols.stays[0] and not amp.rows.stays[0]
-        assert amp.rows.branches[0]
+        cols, rows = (_tables(amp, d) for d in ("backward", "forward"))
+        assert cols.stays[0] and not rows.stays[0]
+        assert rows.branches[0]
         ptm = np.eye(4)
         ptm[3, 0] = 1.0
         raw = make_raw_ptm(ptm, (0,))
-        assert not raw.cols.stays[0] and raw.cols.branches[0]
-        assert raw.rows.stays[0]
+        cols, rows = (_tables(raw, d) for d in ("backward", "forward"))
+        assert not cols.stays[0] and cols.branches[0]
+        assert rows.stays[0]
 
 
 #: a spec in :func:`_spec` form with every kind the references walk:
@@ -1172,11 +1173,13 @@ _STEP_N = 130
 _DIAG_CHANNELS = {
     "depolarizing": make_depolarizing(0.3, _STEP_QUBITS[1]),
     "depolarizing_2q": make_depolarizing(0.2, _STEP_QUBITS[2]),
+    "depolarizing_3q": make_depolarizing(0.1, _STEP_QUBITS[3]),
     "pauli_three_values": make_pauli_channel(
         {"I": 0.75, "X": 0.0625, "Y": 0.0625, "Z": 0.125}, _STEP_QUBITS[1]),
     "pauli_2q": make_pauli_channel(
         {"II": 0.7, "XZ": 0.1, "YY": 0.15, "ZI": 0.05}, _STEP_QUBITS[2]),
     "mmff": make_mmff("II", _STEP_QUBITS[3]),
+    "thermal_dephasing": make_thermal(0.0, 0.3, _STEP_QUBITS[1]),
     "raw_not_tp": make_raw_ptm(np.diag([0.9, -0.5, 0.5, 0.25]),
                                _STEP_QUBITS[1]),
     "raw_zeros": make_raw_ptm(np.diag([1.0, 0.0, -0.0, 0.4]),
@@ -1211,7 +1214,8 @@ def _step_bits(qubits, seed):
 
 def _tables(ch, direction):
     """The branch tables a walk in ``direction`` samples."""
-    return ch.cols if direction == "backward" else ch.rows
+    return engine._BranchTables(ch.ptm if direction == "backward"
+                                else ch.ptm.T)
 
 
 def _chan_step(ch, direction):
@@ -1245,28 +1249,47 @@ class TestPlaneSteps:
     @pytest.mark.parametrize("direction", ["backward", "forward"])
     @pytest.mark.parametrize("name", sorted(_DIAG_CHANNELS))
     def test_diagonal_step_scales_by_the_diagonal(self, name, direction):
+        # each weight is multiplied by its word's diagonal entry; a lane at
+        # a zero entry dies there and ends on the identity word, as at any
+        # empty column, and every other lane keeps its word
         ch = _DIAG_CHANNELS[name]
         step = _chan_step(ch, direction)
         bits, local = _step_bits(ch.support, len(name))
-        planes = engine._pack(bits)
-        kept = planes.copy()
         w = np.random.default_rng(len(name)).standard_normal(local.size)
-        got = w * engine._diag_factors(planes, step, local.size)
-        want = w * np.diagonal(ch.ptm)[local]
-        assert got.tobytes() == want.tobytes()  # -0.0 is not 0.0 here
-        assert np.array_equal(planes, kept)
+        planes, got, _ = _walk_branch(step, bits, np.zeros(local.size), w)
+        diag = np.diagonal(ch.ptm)[local]
+        assert got.tobytes() == (w * diag).tobytes()  # -0.0 is not 0.0 here
+        _set_local(bits, ch.support, np.where(diag == 0.0, 0, local))
+        assert np.array_equal(planes, engine._pack(bits))
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    @pytest.mark.parametrize("name", sorted(_DIAG_CHANNELS))
+    def test_diagonal_forms_draw_nothing(self, name, direction):
+        # a diagonal channel compiles to a form with no hot lanes, whose
+        # class values are its diagonal's distinct bit patterns in order of
+        # first appearance (0.0 and -0.0 apart), and its step draws nothing
+        ch = _DIAG_CHANNELS[name]
+        step = _chan_step(ch, direction)
+        assert step.form.hot is None
+        patterns = np.diagonal(ch.ptm).view(np.uint64).tolist()
+        assert step.form.classes[0].view(np.uint64).tolist() \
+            == list(dict.fromkeys(patterns))
+        bits, local = _step_bits(ch.support, len(name))
+        _, _, drew = _walk_branch(step, bits, np.zeros(local.size),
+                                  np.ones(local.size))
+        assert drew == []
 
     def test_class_planes(self):
         # depolarizing needs one class plane, x | z, read a byte of lanes at
         # a time; the Pauli channel's three values need two
-        values, forms, by_byte = engine._diag_form(
-            np.diagonal(_DIAG_CHANNELS["depolarizing"].ptm).tobytes())
+        values, forms, by_byte = engine._branch_form(
+            _DIAG_CHANNELS["depolarizing"].ptm.tobytes()).classes
         assert values.tolist() == [1.0, 0.7] and len(forms) == 1
         assert forms[0] == engine._Form((0, 1), (), (), False)
         assert by_byte[0b10000101].tolist() == [0.7, 1.0, 0.7] + [1.0] * 4 \
             + [0.7]
-        values, forms, by_byte = engine._diag_form(
-            np.diagonal(_DIAG_CHANNELS["pauli_three_values"].ptm).tobytes())
+        values, forms, by_byte = engine._branch_form(
+            _DIAG_CHANNELS["pauli_three_values"].ptm.tobytes()).classes
         assert values.tolist() == [1.0, 0.625, 0.75] and len(forms) == 2
         assert by_byte is None
 
@@ -1420,7 +1443,8 @@ class TestBranchSteps:
     @pytest.mark.parametrize("direction", ["backward", "forward"])
     @pytest.mark.parametrize("name", [
         name for name, ch in sorted(_BRANCH_CHANNELS.items())
-        if ch.cols.branches.any() and ch.rows.branches.any()])
+        if _tables(ch, "backward").branches.any()
+        and _tables(ch, "forward").branches.any()])
     def test_branch_choice_at_boundary_uniforms(self, name, direction):
         # the cdf column loop picks min((u >= cdf[c]).sum(), width - 1) at
         # the uniforms 0 and 1 - 2^-53, and at the least uniform at or above
@@ -1683,7 +1707,8 @@ def _theta_sources(lanes, n_params, rnd):
     delta = np.array([rnd.choice((1, -1)) for _ in range(lanes)])
     half = lanes // 2
     return {"hashed": lambda: engine.HashedTheta(9, uids),
-            "shifted": lambda: engine.HashedTheta(9, uids, shift, delta),
+            "shifted": lambda: engine.AngleSource(9, uids).view(
+                shift=(shift, delta)),
             "tiled": lambda: engine.HashedTheta(9, uids[:half]).tiled(2)}
 
 
@@ -1837,10 +1862,10 @@ class TestAnglePlanes:
                     plane_angles(plain, params, lanes),
                     rng.grid_angle(3, uids[None, :],
                                    np.asarray(params)[:, None]))
-            shifted = engine.HashedTheta(3, uids, shift, delta)
+            shifted = engine.AngleSource(3, uids).view(shift=(shift, delta))
             assert np.array_equal(plane_angles(shifted, self.PARAMS, lanes),
                                   moved)
-            tiled = engine.HashedTheta(3, uids, shift, delta).tiled(3)
+            tiled = shifted.tiled(3)
             assert np.array_equal(
                 plane_angles(tiled, self.PARAMS, 3 * lanes),
                 np.tile(moved, 3))
@@ -1853,8 +1878,9 @@ class TestAnglePlanes:
     @pytest.mark.parametrize("draws", [1, 7])
     def test_runs_of_a_uid_give_the_grid_angles(self, r, draws):
         # each uid on r adjacent lanes, as the estimators lay out inner
-        # lanes; 7 draws of 1, 8, 45 or 65 lanes end in a partial word
-        draw_uids = 2 ** 33 + 7 * np.arange(draws, dtype=np.uint64)
+        # lanes; 7 draws of 1, 8, 45 or 65 lanes end in a partial word, and
+        # their uids cross a group edge
+        draw_uids = 2 ** 33 + 60 + np.arange(draws, dtype=np.uint64)
         source = engine.AngleSource(3, draw_uids)
         uids = np.repeat(draw_uids, r)
         lanes = uids.size
@@ -1948,18 +1974,15 @@ class TestAnglePlanes:
             _assert_same_walk(*walks)
 
     def test_estimators_never_gather_a_draw_at_a_time(self, monkeypatch):
-        # every job's draws are one run of uids, at any chunk size: the
-        # chain, MSE at n_tau 8, HS and its lower bound at n_sigma 64,
-        # shifted gradient walks and the one-lane set-up walk of the
-        # benchmark never take the gathering path, which uids that are not
-        # one run do take.  Nor do their random Pauli words, whose uids
-        # are one run too: HS at n_sigma 8 and 9 draws puts the overlaps'
-        # words at 72 and 144 past the quadratic's, runs that start inside
-        # a group, and the lower bound's 64-lane chunks make jobs of 32
-        # draws on the damped chip, so its words start inside a group too
-        def refuse(source, words):
-            raise AssertionError("angles gathered a draw at a time")
-
+        # angle sources refuse uids that are not one run, and every job's
+        # draws are one run of uids, at any chunk size: the chain, MSE at
+        # n_tau 8, HS and its lower bound at n_sigma 64, shifted gradient
+        # walks and the one-lane set-up walk of the benchmark run.  So do
+        # their random Pauli words, whose uids are one run too: HS at
+        # n_sigma 8 and 9 draws puts the overlaps' words at 72 and 144 past
+        # the quadratic's, runs that start inside a group, and the lower
+        # bound's 64-lane chunks make jobs of 32 draws on the damped chip,
+        # so its words start inside a group too
         starts, codes = set(), estimators.pauli_codes
 
         def noted(seed, uids, n, *, zx_only=False):
@@ -1967,13 +1990,13 @@ class TestAnglePlanes:
                 starts.add((zx_only, int(uids[0]) % 64 != 0))
             return codes(seed, uids, n, zx_only=zx_only)
 
-        monkeypatch.setattr(engine.AngleSource, "_gathered", refuse)
         monkeypatch.setattr(estimators, "pauli_codes", noted)
-        with pytest.raises(AssertionError, match="gathered"):
-            engine.HashedTheta(1, np.array([0, 2], dtype=np.uint64)).k_for(
-                [0])
-        with pytest.raises(AssertionError, match="gathered"):
-            engine.pauli_codes(1, np.array([0, 2], dtype=np.uint64), 9)
+        for uids in ([0, 2], [1, 0], [5, 3, 4], [2 ** 64 - 1, 0]):
+            uids = np.array(uids, dtype=np.uint64)
+            with pytest.raises(ValueError, match="one run"):
+                engine.HashedTheta(1, uids)
+            with pytest.raises(ValueError, match="one run"):
+                engine.pauli_codes(1, uids, 9)
         damped = gen_grid_chip(3, 3, 1, "rzz", make_amplitude_damping(0.05))
         depol = gen_grid_chip(3, 3, 1, "rzz", make_depolarizing(0.05))
         obs = observable_from_terms([(1.0, axis(9, "Z", (4,)))])
@@ -2009,9 +2032,9 @@ class TestAnglePlanes:
             return out
 
         monkeypatch.setattr(rng, "hash_words", counted)
-        # the key of each uid's group is hashed once: uids 0 to 117 are
+        # the key of each uid's group is hashed once: uids 100 to 139 are
         # two groups
-        u = np.arange(40, dtype=np.uint64) * 3
+        u = np.arange(100, 140, dtype=np.uint64)
         theta = engine.AngleSource(5, u).view(45, copies=2)
         got = plane_angles(theta, self.PARAMS, 2 * 45 * u.size)
         assert hashed == [2]

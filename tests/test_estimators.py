@@ -617,7 +617,7 @@ def test_term_major_walk_matches_per_term_walks(case, chunk, monkeypatch):
     assert c.branching()
     outer = np.repeat(np.arange(5, dtype=np.uint64), 3)
     inner = np.tile(np.arange(3, dtype=np.uint64), 5)
-    theta = engine.HashedTheta(7, outer)
+    theta = engine.AngleSource(7, np.arange(5, dtype=np.uint64)).view(3)
     want = _per_term_walk_values(c, obs, st, theta, 7, outer, inner)
     monkeypatch.setattr(est, "_CHUNK", chunk)
     got = est._walk_values(c, obs, st, theta, seed=7, outer=outer,

@@ -190,8 +190,8 @@ def test_hashed_theta_lanes_use_the_angle_hash():
                       for i in range(42)])  # each target meets both signs
     delta = np.where(np.arange(42) % 2 == 0, 1, -1)
     plain = engine.HashedTheta(4, uids)
-    shifted = engine.HashedTheta(4, uids, shift, delta)
-    tiled = engine.HashedTheta(4, uids, shift, delta).tiled(3)
+    shifted = engine.AngleSource(4, uids).view(shift=(shift, delta))
+    tiled = shifted.tiled(3)
     for p in _READ_ORDER:
         base = rng.grid_angle(4, uids, p)
         assert np.array_equal(plane_angles(plain, [p], 42)[0], base)
@@ -250,7 +250,8 @@ def _ref_sigma(seed: int, uids, n: int, zx_only: bool) -> tuple:
 
 #: uid layouts of each count: a run from a group edge; a run that starts
 #: 27 uids into a group and crosses 2**63; a run that ends at 2**64 - 1;
-#: and uids 3 apart, descending from 2**64 - 1, which are not a run
+#: and uids 3 apart, descending from 2**64 - 1, which are not a run past
+#: one uid and are refused
 _SIGMA_LAYOUTS = {
     "aligned": lambda c: 2 ** 40 + np.arange(c, dtype=np.uint64),
     "unaligned": lambda c: 2 ** 63 - 37 + np.arange(c, dtype=np.uint64),
@@ -263,13 +264,17 @@ _SIGMA_LAYOUTS = {
 @pytest.mark.parametrize("n", [1, 9, 32, 33, 63, 64, 65, 130])
 @pytest.mark.parametrize("zx_only", [False, True])
 def test_pauli_codes_are_the_sigma_stream(n, zx_only):
-    # every read path (an aligned run, a funnel shift of an unaligned one,
-    # a gather of uids that are not one) against the definition on Python
-    # integers, bit for bit, padding bits 0; 130 qubits are 260 x and z
-    # rows, five 64-row groups of the transpose
+    # every read path (an aligned run, a funnel shift of an unaligned one)
+    # against the definition on Python integers, bit for bit, padding bits
+    # 0; 130 qubits are 260 x and z rows, five 64-row groups of the
+    # transpose.  Uids that are not one run are refused
     for count in (0, 1, 63, 64, 65, 1000):
         for layout, make in _SIGMA_LAYOUTS.items():
             uids = make(count)
+            if layout == "strided" and count > 1:
+                with pytest.raises(ValueError, match="one run"):
+                    engine.pauli_codes(6, uids, n, zx_only=zx_only)
+                continue
             got = engine.pauli_codes(6, uids, n, zx_only=zx_only)
             for w, want in zip(got, _ref_sigma(6, uids, n, zx_only)):
                 assert w.dtype == np.uint64
@@ -278,14 +283,18 @@ def test_pauli_codes_are_the_sigma_stream(n, zx_only):
 
 
 def test_sigma_stream_is_the_grid_angle_in_its_domain():
-    # rng.grid_angle in DOMAIN_SIGMA is qubit q's code in word uid
-    uids = np.array(_EDGE_UIDS + tuple(range(2, 40)), dtype=np.uint64)
+    # rng.grid_angle in DOMAIN_SIGMA is qubit q's code in word uid, for runs
+    # of uids over the edge uids
     q = np.arange(70, dtype=np.uint64)
-    codes = rng.grid_angle(6, uids[:, None], q, rng.DOMAIN_SIGMA)
-    for zx_only in (False, True):
-        x, z = engine.pauli_codes(6, uids, 70, zx_only=zx_only)
-        want = 3 * (codes >> 1) if zx_only else codes
-        assert np.array_equal(_word_codes(x, z, 70), want)
+    for first, count in ((0, 40), (62, 70), (2 ** 63 - 1, 3),
+                         (2 ** 64 - 2, 2)):
+        uids = np.uint64(first) + np.arange(count, dtype=np.uint64)
+        assert set(_EDGE_UIDS) & set(uids.tolist())
+        codes = rng.grid_angle(6, uids[:, None], q, rng.DOMAIN_SIGMA)
+        for zx_only in (False, True):
+            x, z = engine.pauli_codes(6, uids, 70, zx_only=zx_only)
+            want = 3 * (codes >> 1) if zx_only else codes
+            assert np.array_equal(_word_codes(x, z, 70), want)
 
 
 #: chi-square critical values at a per-test level of 1e-3 / 143, the
