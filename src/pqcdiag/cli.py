@@ -71,8 +71,9 @@ def _default_threads() -> int:
 
 
 def resolve_config(args) -> DiagnosticConfig:
-    """Merge CLI flags over a config file over the defaults."""
-    merged = {"threads": _default_threads()}
+    """Merge CLI flags over a config file over the defaults; the threads
+    default is read from the environment only when neither sets threads."""
+    merged = {}
     if getattr(args, "config", None):
         spec = _read_json(args.config)
         if not isinstance(spec, dict):
@@ -87,6 +88,8 @@ def resolve_config(args) -> DiagnosticConfig:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
+    if "threads" not in merged:
+        merged["threads"] = _default_threads()
     try:
         return DiagnosticConfig(**merged)
     except (TypeError, ValueError) as exc:

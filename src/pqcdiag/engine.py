@@ -54,11 +54,13 @@ rotations in a few AND/XOR operations.  Its angles arrive as packed bit
 planes, two per rotation (`k_for`): a job's angle source keys each group
 of 64 consecutive uids once, and a view of it hashes the layer's 2L words
 a group from those keys in one call, each word one angle bit of one
-parameter for the group's 64 uids, and lays them out on the lanes,
-spreading each draw's bits to all of its lanes.  Grid rotations change no
-weight, and their sign flips XOR into the sign row, as do Clifford signs;
-the row is folded into the float weights once, at the end of the walk, by
-XORing it into their sign bits.  Negation is exact, so that is bit-identical to
+parameter for the group's 64 uids, and lays them out on the lanes in one
+layout: lane i reads draw i % draws, so every extra lane a draw needs (an
+inner replicate, a sub-draw, a sigma word, a sibling walk, a term) is one
+more whole copy of the draws.  Grid rotations change no weight, and their
+sign flips XOR into the sign row, as do Clifford signs; the row is folded
+into the float weights once, at the end of the walk, by XORing it into
+their sign bits.  Negation is exact, so that is bit-identical to
 negating along the way, and the fused walk is bit-identical to walking one
 rotation at a time.  Counted factors are folded in just before, and are
 bit-identical too: multiplying by 1.0 is exact, and IEEE rounding is
@@ -802,8 +804,8 @@ class AngleSource:
     the draws of every estimator's job are, so the planes are read straight
     from the words, joining two adjacent group words by a funnel shift when
     the run does not start on a multiple of 64; other uids are refused.
-    Walks read the angles through views (:meth:`view`), which lay the draws
-    out on their lanes.
+    Walks read the angles through views (:meth:`view`), which lay whole
+    copies of the draws end to end on their lanes.
     """
 
     def __init__(self, seed: int, uids, domain: int = DOMAIN_THETA):
@@ -824,14 +826,13 @@ class AngleSource:
         the source's groups, their padding bits 0; may be ``words``."""
         return _bit_field(words, self._offset, len(self))
 
-    def view(self, reps: int = 1, copies: int = 1,
-             shift=None) -> "HashedTheta":
-        """A :class:`HashedTheta` over ``copies * reps * len(self)`` lanes:
-        each draw on ``reps`` adjacent lanes, and that period ``copies``
-        times end to end.  ``shift`` is None or (param, delta), two arrays
+    def view(self, copies: int = 1, shift=None) -> "HashedTheta":
+        """A :class:`HashedTheta` over ``copies * len(self)`` lanes, the
+        draws ``copies`` times end to end: lane i reads draw
+        i % len(self).  ``shift`` is None or (param, delta), two arrays
         over every lane."""
         view = HashedTheta.__new__(HashedTheta)
-        view._setup(self, reps, copies, shift)
+        view._setup(self, copies, shift)
         return view
 
     def __len__(self) -> int:
@@ -844,23 +845,19 @@ class HashedTheta:
 
     Regenerating angles on demand keeps memory flat for huge parameter
     counts; the same (seed, uid) always yields the same assignment, so outer
-    samples are reproducible without storing them.  A view puts each of its
-    source's draws on r adjacent lanes (``np.repeat(uids, r)``: r = 1 for a
-    noiseless walk, r = n_tau for the inner replicates of a draw), and that
-    period ``copies`` times end to end (the sibling walks of a merged walk,
-    the terms of a multi-term pass).
+    samples are reproducible without storing them.  A view lays its
+    source's draws out ``copies`` times end to end (``np.tile(uids,
+    copies)``), so every extra lane a draw needs is one more whole copy of
+    the draws: the inner replicates, sub-draws and sigma words of a draw,
+    the sibling walks of a merged walk and the terms of a multi-term pass.
 
     Each ``k_for`` hashes its parameters' words for every group of the
     source in one ``rng.theta_words`` call, takes the source's draw planes
     from them (:meth:`AngleSource.draw_planes`) and lays those out on the
-    lanes (:meth:`_spread`); nothing is kept between calls.  With r = 1 the
-    draw planes are the lane planes.  When r divides 64, each byte of
-    draw bits becomes the 8r lane bits of its draws through a 256-entry
-    table (``_SPREAD``).  When 64 divides r, each draw's bit becomes r / 64
-    words -(bit).  Other r pick those words through a few masked selects a
-    plane word (:func:`_run_selects`).  A period that fills whole words is
-    copied word for word to each copy, and any other is shifted into place
-    (:meth:`_tile`).  ``shift`` = (param, delta) implements the
+    lanes (:meth:`_tile`); nothing is kept between calls.  One copy's lane
+    planes are the draw planes.  Draws that fill whole words are copied
+    word for word to each copy; others are unpacked to bits, tiled and
+    packed again.  ``shift`` = (param, delta) implements the
     quarter-turn parameter shift per lane (param -1 = no shift): +delta mod
     4, added with a 2-bit carry to the rows of the lanes' shift parameters
     (:meth:`_add_shift`).
@@ -870,13 +867,11 @@ class HashedTheta:
     """
 
     def __init__(self, seed: int, uids: np.ndarray):
-        self._setup(AngleSource(seed, uids), 1, 1, None)
+        self._setup(AngleSource(seed, uids), 1, None)
 
-    def _setup(self, source, reps, copies, shift) -> None:
-        self._source, self._reps, self._copies = source, reps, copies
-        self._period = reps * len(source)
-        self._lanes = copies * self._period
-        self._selects = None  # _run_selects of the runs, on first use
+    def _setup(self, source, copies, shift) -> None:
+        self._source, self._copies = source, copies
+        self._lanes = copies * len(source)
         self._shift = self._lanes_by_param = None
         if shift is not None:
             param = np.asarray(shift[0], dtype=np.int64)
@@ -895,7 +890,7 @@ class HashedTheta:
         if k == 1:
             return self
         return self._source.view(
-            self._reps, self._copies * k, None if self._shift is None
+            self._copies * k, None if self._shift is None
             else tuple(np.tile(a, k) for a in self._shift))
 
     def k_for(self, params) -> np.ndarray:
@@ -903,56 +898,24 @@ class HashedTheta:
         params = np.asarray(params, dtype=np.int64)
         if not self._lanes:
             return np.zeros((params.size, 2, 0), dtype=_LANE)
-        planes = self._spread(self._source.draw_planes(
-            theta_words(self._source.keys, params)))
+        planes = self._source.draw_planes(
+            theta_words(self._source.keys, params))
         if self._copies > 1:
             planes = self._tile(planes)
         if self._shift is not None:
             self._add_shift(planes, params)
         return planes
 
-    def _spread(self, d: np.ndarray) -> np.ndarray:
-        """The lane planes of one period from the draw planes ``d``: each
-        draw's bit on r adjacent lanes, the padding bits 0."""
-        r = self._reps
-        if r == 1:
-            return d
-        width = -(-self._period // 64)
-        if r % 64 and 64 % r == 0:
-            lanes = _SPREAD[r][d.view(np.uint8)]
-            return lanes.reshape(*d.shape[:2], -1).view(_LANE)[..., :width]
-        bits = _unpack(d, len(self._source)).astype(_LANE)
-        np.negative(bits, out=bits)  # each draw's bit as a word, -(bit)
-        if r % 64 == 0:
-            return np.repeat(bits, r // 64, axis=-1) if r > 64 else bits
-        if self._selects is None:
-            self._selects = _run_selects(len(self._source), r)
-        run, mask = self._selects
-        planes = bits[..., run[0]] & mask[0]
-        for run_s, mask_s in zip(run[1:], mask[1:]):
-            planes |= bits[..., run_s] & mask_s
-        return planes
-
-    def _tile(self, base: np.ndarray) -> np.ndarray:
-        """The (L, 2, W) planes of one period, ``base``, ``copies`` times
-        end to end: copied word for word when the period fills whole words,
-        else each copy shifted to its first lane."""
-        c, p = self._copies, self._period
-        width = base.shape[-1]
-        if p % 64 == 0:
-            out = np.empty((*base.shape[:2], c, width), dtype=_LANE)
-            out[...] = base[:, :, None]
-            return out.reshape(*base.shape[:2], c * width)
-        out = np.zeros((*base.shape[:2], -(-c * p // 64)), dtype=_LANE)
-        for j in range(c):
-            w0, o = divmod(j * p, 64)
-            n = min(width, out.shape[-1] - w0)
-            out[..., w0:w0 + n] |= base[..., :n] << np.uint64(o)
-            n = min(width, out.shape[-1] - w0 - 1)
-            if o and n > 0:
-                out[..., w0 + 1:w0 + 1 + n] |= \
-                    base[..., :n] >> np.uint64(64 - o)
-        return out
+    def _tile(self, d: np.ndarray) -> np.ndarray:
+        """The (L, 2, W) lane planes of the draw planes ``d``, ``copies``
+        times end to end: copied word for word when the draws fill whole
+        words, else unpacked to bits, tiled and packed again."""
+        c, u = self._copies, len(self._source)
+        if u % 64 == 0:
+            out = np.empty((*d.shape[:2], c, d.shape[-1]), dtype=_LANE)
+            out[...] = d[:, :, None]
+            return out.reshape(*d.shape[:2], -1)
+        return _pack(np.tile(_unpack(d, u), c))
 
     def _add_shift(self, planes: np.ndarray, params: np.ndarray) -> None:
         """planes += delta (mod 4) in place, at each row r, on the lanes
@@ -978,41 +941,6 @@ class HashedTheta:
 
     def __len__(self) -> int:
         return self._lanes
-
-
-def _spread_table(r: int) -> np.ndarray:
-    """[byte of 8 draw bits] -> their 8r lane bits, each draw's bit on r
-    adjacent lanes: a uint of 8r bits for r <= 8, else r / 8 words."""
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                         bitorder="little")
-    lanes = np.packbits(np.repeat(bits, r, axis=1), axis=1,
-                        bitorder="little")
-    return lanes.view(f"<u{r}")[:, 0] if r <= 8 else lanes.view(_LANE)
-
-
-#: [r] -> :func:`_spread_table` of r, for each r < 64 that divides 64
-_SPREAD = {r: _spread_table(r) for r in (2, 4, 8, 16, 32)}
-
-#: [k] -> the mask of the low k bits of a word, k = 0..64
-_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=_LANE)
-
-
-def _run_selects(u: int, r: int) -> tuple:
-    """Plane selects for ``u`` runs of ``r`` lanes: (run, mask), two (S, W)
-    arrays such that word j of a plane is the OR over s of ``mask[s, j]``
-    where the bit of run ``run[s, j]`` is set.  Select s picks in word j
-    the run that covers its first lane, plus s, and masks the lanes that
-    run covers there; a word meets at most ceil(63 / r) + 1 runs, and
-    selects that mask no lane anywhere are dropped.  The lanes past the
-    last run are in no mask."""
-    lane0 = np.arange(0, u * r, 64)
-    end = np.minimum(lane0 + 64, u * r) - lane0
-    run = lane0 // r + np.arange(-(-63 // r) + 1)[:, None]
-    lo = np.minimum(np.maximum(run * r - lane0, 0), end)
-    hi = np.maximum(np.minimum((run + 1) * r - lane0, end), lo)
-    used = (hi > lo).any(axis=1)
-    return (np.minimum(run[used], u - 1),
-            _LOW_BITS[hi[used]] ^ _LOW_BITS[lo[used]])
 
 
 def pauli_codes(seed: int, uids, n: int, *, zx_only: bool = False) -> tuple:

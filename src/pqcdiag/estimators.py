@@ -22,14 +22,19 @@ is built by :func:`_report`.  Within a job, the sibling walks of one
 circuit over the same draws, its inner replicates and parameter shifts, are
 walked as one engine walk while together they fit a chunk
 (:func:`_replicate_means`); each lane keeps its own angles and stream id,
-so this too only widens the walks.  A job hashes the angle key of each
-group of 64 consecutive uids its draws meet once, in one
-:class:`engine.AngleSource`; each walk reads a view of it, which hashes
-the angle words of the parameters the walk reads from those keys.  Every
-job's draws are a run of consecutive uids, whose angle planes are read
-straight from those words: the two circuit copies of an expressibility
-draw ``outer`` are keyed as the runs ``outer`` and ``outer + 2**63``, and
-its random Pauli words (``engine.pauli_codes``) are runs of word uids.
+so this too only widens the walks.  A walk's lanes are copy-major: every
+extra lane a draw needs (a sibling, sub-draw, inner replicate, sigma word
+or term) is one more whole copy of the job's draws, draw index fastest,
+and each mean over a draw's lanes is taken after copying them draw-major,
+so it adds in the same order as it would over adjacent lanes.  A job
+hashes the angle key of each group of 64 consecutive uids its draws meet
+once, in one :class:`engine.AngleSource`; each walk reads a view of it,
+which hashes the angle words of the parameters the walk reads from those
+keys.  Every job's draws are a run of consecutive uids, whose angle planes
+are read straight from those words: the two circuit copies of an
+expressibility draw ``outer`` are keyed as the runs ``outer`` and
+``outer + 2**63``, and its random Pauli words (``engine.pauli_codes``) are
+runs of word uids, built draw-major and then put in lane order.
 """
 
 from __future__ import annotations
@@ -143,11 +148,12 @@ def _drive(job, draws: int, lanes_per_draw: int, threads: int,
     each group's outer uids (uint64) and returns a tuple of per-draw sample
     arrays, and groups are mapped over ``threads`` workers.  ``width`` is
     the number of observable terms the job's widest pass walks side by
-    side (:func:`_pass_width`), so a job walks each of its passes once and
-    reads each of its angle blocks once (see :func:`_walk_values`).  Each
-    array is split back at chunk boundaries and the pieces are folded in
-    chunk order into one :class:`_Moments` per tuple slot, which are
-    returned; so neither the grouping nor the worker count moves a float.
+    side (:func:`_pass_width`), so a job walks each of its passes once,
+    and each pass hashes the angle words of a parameter once for all of its
+    terms (see :func:`_walk_values`).  Each array is split back at chunk
+    boundaries and the pieces are folded in chunk order into one
+    :class:`_Moments` per tuple slot, which are returned; so neither the
+    grouping nor the worker count moves a float.
     """
     lanes = max(1, lanes_per_draw)
     chunk = max(1, _CHUNK // lanes)
@@ -300,18 +306,36 @@ def _sibling_groups(variants: list, lanes: int) -> list:
     return [variants[lo:lo + size] for lo in range(0, len(variants), size)]
 
 
+def _replicate_mean(values: np.ndarray, n_tau: int, draws: int):
+    """Mean over the ``n_tau`` replicates of copy-major lane values, one row
+    a (draw, sub-draw), draw-major.
+
+    The lanes of ``values`` have the axes (sub-draw, replicate, draw), draw
+    fastest, before any trailing axes.  They are first copied draw-major,
+    and the (draws * sub-draws, n_tau, ...) copy is reduced over its
+    replicate axis, so each mean adds its values in the order it would if
+    the lanes were draw-major: numpy adds a contiguous axis pairwise and a
+    leading one a row at a time, which differ in the last bit from
+    n_tau = 8 on.
+    """
+    tail = values.shape[1:]
+    v = np.moveaxis(values.reshape(-1, n_tau, draws, *tail), 2, 0)
+    return np.ascontiguousarray(v).reshape(-1, n_tau, *tail).mean(axis=1)
+
+
 def _replicate_means(circuit, obs, state, source, seed, n_tau, variants, *,
                      spread=1, theta=None, collect=False):
     """Inner-replicate mean of <O> per sub-draw, for each of ``variants``.
 
     Each draw of the :class:`engine.AngleSource` ``source`` spans
-    ``spread`` consecutive sub-draws (the walked parameters of a gradient
-    job; 1 elsewhere), and each sub-draw ``n_tau`` inner lanes, so a
-    variant walks r = ``spread * n_tau`` lanes a draw.  The variants are
-    sibling walks of the same draws, each a pair ``(rep, shift)``.
-    Replicates 0 and 1 use disjoint inner-draw id ranges, which is all
-    'independent' means here.  ``shift = (params, delta)`` walks sub-draw i
-    with parameter ``params[i]`` moved by ``delta`` quarter turns; a call's
+    ``spread`` sub-draws (the walked parameters of a gradient job; 1
+    elsewhere), and each sub-draw ``n_tau`` inner replicates, so a variant
+    walks ``spread * n_tau`` copies of the draws: its lanes have the axes
+    (sub-draw, replicate, draw), draw fastest.  The variants are sibling
+    walks of the same draws, each a pair ``(rep, shift)``.  Replicates 0
+    and 1 use disjoint inner-draw id ranges, which is all 'independent'
+    means here.  ``shift = (params, delta)`` walks sub-draw i with
+    parameter ``params[i]`` moved by ``delta`` quarter turns; a call's
     variants are either all shifted or all ``None``.  Consecutive variants
     are walked together (:func:`_sibling_groups`), one :func:`_walk_values`
     call a group: a narrow walk pays each step's numpy call overhead on few
@@ -319,45 +343,48 @@ def _replicate_means(circuit, obs, state, source, seed, n_tau, variants, *,
     variants' lanes end to end, each keeping its own stream id (inner ids
     offset by ``rep * n_tau``); walks are per-lane pure, so grouping moves
     no float.  Unshifted variants read ``theta``, a view of ``source`` with
-    r lanes a draw (made here when not given; a job that walks other
-    circuits over the same draws passes one in), tiled once a variant of
-    the group.  A shifted group reads a view of ``source`` tiled once a
-    variant, with its variants' shift parameters and deltas end to end.
+    ``spread * n_tau`` copies (made here when not given; a job that walks
+    other circuits over the same draws passes one in), tiled once a
+    variant of the group.  A shifted group reads a view of ``source`` with
+    as many copies as the group has lanes a draw, and with its variants'
+    shift parameters (sub-draw i's on all of its lanes) and deltas end to
+    end.
 
-    Returns one per-sub-draw mean array per variant, or with ``collect``
-    one (means, score sums) pair per variant.
+    Returns one per-sub-draw mean array per variant, draw-major
+    (:func:`_replicate_mean`), or with ``collect`` one (means, score sums)
+    pair per variant.
     """
-    b = len(source) * spread
-    reps = spread * n_tau
-    lanes = b * n_tau
-    # each lane's draw, as (draw, sub-draw, replicate) axes
-    outer = np.broadcast_to(source.uids[:, None, None],
-                            (len(source), spread, 1))
+    draws = len(source)
+    copies = spread * n_tau
+    lanes = copies * draws
+    # each lane's draw, as (sub-draw, replicate, draw) axes
+    outer = np.broadcast_to(source.uids, (spread, 1, draws))
     groups = _sibling_groups(variants, lanes)
     if theta is None and variants[0][1] is None:
-        theta = source.view(reps)
+        theta = source.view(copies)
 
     def walk(group):  # a generator, so a group's lanes die before the next
         k = len(group)
         if group[0][1] is None:
             th = theta.tiled(k)
         else:
-            th = source.view(reps, k, (
-                np.concatenate([np.repeat(params, n_tau)
+            th = source.view(k * copies, (
+                np.concatenate([np.repeat(params, n_tau * draws)
                                 for _, (params, _) in group]),
                 np.repeat(np.array([delta for _, (_, delta) in group],
                                    dtype=np.int64), lanes)))
-        # each lane's inner id, as (variant, draw, sub-draw, replicate) axes
+        # each lane's inner id, as (variant, sub-draw, replicate, draw) axes
         inner = np.array([rep for rep, _ in group], dtype=np.uint64).reshape(
-            -1, 1, 1, 1) * np.uint64(n_tau) + np.arange(n_tau, dtype=np.uint64)
+            -1, 1, 1, 1) * np.uint64(n_tau) \
+            + np.arange(n_tau, dtype=np.uint64)[:, None]
         out = _walk_values(circuit, obs, state, th, seed=seed, outer=outer,
                            inner=inner, collect=collect)
         vals, wsum = out if collect else (out, None)
         for v in range(k):
             part = slice(v * lanes, (v + 1) * lanes)
-            mean = vals[part].reshape(b, n_tau).mean(axis=1)
+            mean = _replicate_mean(vals[part], n_tau, draws)
             if collect:
-                mean = (mean, wsum[part].reshape(b, n_tau, -1).mean(axis=1))
+                mean = (mean, _replicate_mean(wsum[part], n_tau, draws))
             yield mean
 
     return [mean for group in groups for mean in walk(group)]
@@ -599,7 +626,7 @@ def bottleneck_first_plan(circuit: Circuit, obs: ObservableSum, state=None,
 def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
     """Per-draw samples of sum_k g_k^2 over ``params``, plus sum_k g_k.
 
-    Each (outer draw, walked parameter) pair is one draw of
+    Each (outer draw, walked parameter) pair is one sub-draw of
     :func:`_replicate_means` at the +pi/2 and the -pi/2 shift; the two
     shifts of one replicate share inner ids and stream ids, so their walks
     see common randomness and the difference concentrates.  The shifts of
@@ -621,8 +648,7 @@ def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
         b = outer.shape[0]
         grads = [np.zeros((b, len(params))) for _ in reps]
         if walked.size:
-            shifted = np.tile(walked, b)
-            variants = [(rep, (shifted, delta))
+            variants = [(rep, (walked, delta))
                         for rep in reps for delta in (1, -1)]
             means = _replicate_means(
                 circuit, obs, state, AngleSource(cfg.seed, outer), cfg.seed,
@@ -733,28 +759,37 @@ def estimate_expressibility_hs(circuit: Circuit,
 
     def job(outer):
         b = outer.shape[0]
-        lane_uid = np.repeat(outer * np.uint64(ns), ns) \
+        # the draws' word uids, draw-major: a run of consecutive uids
+        word_uid = np.repeat(outer * np.uint64(ns), ns) \
             + np.tile(np.arange(ns, dtype=np.uint64), b)
+        # each lane's word uid, as (word, draw) axes
+        lane_uid = (outer * np.uint64(ns)
+                    + np.arange(ns, dtype=np.uint64)[:, None]).ravel()
         th1, th2 = (AngleSource(cfg.seed, outer + _COPY_UIDS * i).view(ns)
                     for i in (0, 1))
 
+        def lanes(words):  # draw-major words, as (word, draw) axes
+            return words.reshape(b, ns, -1).swapaxes(0, 1).reshape(b * ns, -1)
+
         # one function a piece, so that its lanes die before the next one's
         def quadratic():  # same sigma, independent paths per replicate
-            x0, z0 = pauli_codes(cfg.seed, lane_uid, n)
+            x0, z0 = map(lanes, pauli_codes(cfg.seed, word_uid, n))
             ta = t_walk(x0, z0, th1, 0, lane_uid)
             tb = t_walk(x0, z0, th1, 1, lane_uid) if branching else ta
-            return (ta * tb).reshape(b, ns).mean(axis=1)
+            return _replicate_mean(ta * tb, ns, b)
 
         def overlap(rep):  # fresh sigma AND fresh paths per replicate
-            sig_uid = lane_uid + np.uint64(cfg.n_theta * ns * (1 + rep))
-            xf, zf = pauli_codes(cfg.seed, sig_uid, n, zx_only=True)
+            _, zf = pauli_codes(cfg.seed, word_uid + np.uint64(
+                cfg.n_theta * ns * (1 + rep)), n, zx_only=True)
+            zf = lanes(zf)
             sids = compose_stream_array(lane_uid, 0, 2 + rep) \
                 if branching else None
-            x1, z1, w1 = run_forward_batch(circuit, xf, zf, th2,
-                                           seed=cfg.seed, stream_ids=sids)
+            x1, z1, w1 = run_forward_batch(circuit, np.zeros_like(zf), zf,
+                                           th2, seed=cfg.seed,
+                                           stream_ids=sids)
             v = t_walk(x1, z1, th1, 2 + rep, lane_uid,
                        slot_offset=n_sites, w0=w1)
-            return v.reshape(b, ns).mean(axis=1)
+            return _replicate_mean(v, ns, b)
 
         t2 = quadratic()
         return (overlap(0) * overlap(1) - c2 * t2,)
@@ -796,11 +831,10 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
 
     def job(outer):
         b = outer.shape[0]
-        xw, zw = pauli_codes(cfg.seed, outer, n)
-        lanes = np.repeat(np.arange(b), nt)
-        x0, z0 = xw[lanes], zw[lanes]
-        outer_rep = np.repeat(outer, nt)
-        inner_base = np.tile(np.arange(nt, dtype=np.uint64), b)
+        # each lane's word and ids, as (replicate, draw) axes
+        x0, z0 = (np.tile(w, (nt, 1)) for w in pauli_codes(cfg.seed, outer, n))
+        outer_rep = np.tile(outer, nt)
+        inner_base = np.repeat(np.arange(nt, dtype=np.uint64), b)
 
         th_a, th_b = (AngleSource(cfg.seed, outer + _COPY_UIDS * i).view(nt)
                       for i in (0, 1))
@@ -811,7 +845,7 @@ def estimate_expressibility_lower_bound(circuit: Circuit,
                 if branching else None
             v = run_backward_batch(circuit, state, x0, z0, th, seed=cfg.seed,
                                    stream_ids=sids)
-            return v.reshape(b, nt).mean(axis=1)
+            return _replicate_mean(v, nt, b)
 
         ta0 = group_mean(th_a, 0)
         ta1 = group_mean(th_a, 1) if branching else ta0

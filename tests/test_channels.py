@@ -35,6 +35,7 @@ def ptm_from_kraus(kraus, m):
 
 
 class TestConstructors:
+    @settings(deadline=None)
     @given(strength)
     def test_depolarizing_ptm(self, lam):
         c = ch.make_depolarizing(lam)
@@ -43,6 +44,7 @@ class TestConstructors:
         flags = c.flags
         assert flags == {"pcs1": True, "prs1": True, "tp": True}
 
+    @settings(deadline=None)
     @given(strength)
     def test_amplitude_damping_vs_kraus(self, gamma):
         c = ch.make_amplitude_damping(gamma)
@@ -55,6 +57,7 @@ class TestConstructors:
         # (flags at tolerance 1e-12)
         assert flags["prs1"] == (gamma <= 1e-12)
 
+    @settings(deadline=None)
     @given(st.tuples(strength, strength).filter(lambda t: t[0] + t[1] <= 1.0))
     def test_thermal_vs_kraus(self, gl):
         gamma, lam = gl

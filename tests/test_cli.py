@@ -458,6 +458,31 @@ class TestConfigResolution:
         # threads are an execution detail: never in the payload
         assert "threads" not in read_json(out + ".json")["config"]
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_set_threads_ignore_a_bad_threads_env(self, tmp_path, monkeypatch,
+                                                  how):
+        # the environment is only the default: a flag or a config file
+        # that sets threads never reads it
+        monkeypatch.setenv("PQCDIAG_THREADS", "abc")
+        circ = gen_toy(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 1}))
+        extra = ["--threads", "1"] if how == "flag" else ["--config",
+                                                          str(cfg)]
+        out = str(tmp_path / "set")
+        assert main(["diagnose", "mse", circ, "--n-theta", "16", *extra,
+                     "-o", out]) == 0
+        assert read_json(out + ".json")["n_theta"] == 16
+
+    def test_bad_threads_env_alone_is_validation_error(self, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.setenv("PQCDIAG_THREADS", "abc")
+        circ = gen_toy(tmp_path)
+        assert main(["diagnose", "mse", circ, "--n-theta", "16",
+                     "-o", str(tmp_path / "x")]) == 2
+        assert "PQCDIAG_THREADS must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestBenchmarkPlanOracle:
     def test_benchmark_single_trial_csv(self, tmp_path):

@@ -1874,42 +1874,42 @@ class TestAnglePlanes:
                 plane_angles(MaterializedTheta(values), self.PARAMS,
                              lanes), want)
 
-    @pytest.mark.parametrize("r", [1, 8, 45, 64, 65, 128])
+    @pytest.mark.parametrize("copies", [1, 8, 45, 64, 65, 128])
     @pytest.mark.parametrize("draws", [1, 7])
-    def test_runs_of_a_uid_give_the_grid_angles(self, r, draws):
-        # each uid on r adjacent lanes, as the estimators lay out inner
-        # lanes; 7 draws of 1, 8, 45 or 65 lanes end in a partial word, and
-        # their uids cross a group edge
+    def test_runs_of_a_uid_give_the_grid_angles(self, copies, draws):
+        # each uid on one lane of each of ``copies`` whole copies of the
+        # draws, as the estimators lay out inner lanes; 7 draws of 1, 8, 45
+        # or 65 copies end in a partial word, and their uids cross a group
+        # edge
         draw_uids = 2 ** 33 + 60 + np.arange(draws, dtype=np.uint64)
         source = engine.AngleSource(3, draw_uids)
-        uids = np.repeat(draw_uids, r)
+        uids = np.tile(draw_uids, copies)
         lanes = uids.size
         params = np.append(self.PARAMS, 2 ** 40)
         want = rng.grid_angle(3, uids[None, :], params[:, None])
-        shift = np.random.default_rng(r).choice(np.append(params, -1),
-                                                size=lanes)
+        shift = np.random.default_rng(copies).choice(np.append(params, -1),
+                                                     size=lanes)
         for delta in (1, -1):
             moved = (want + np.where(shift == params[:, None], delta, 0)) % 4
             for theta, got in (
-                    (source.view(r), want),
-                    (source.view(r, shift=(shift, np.full(lanes, delta))),
+                    (source.view(copies), want),
+                    (source.view(copies, (shift, np.full(lanes, delta))),
                      moved)):
                 assert len(theta) == lanes
                 assert np.array_equal(plane_angles(theta, params, lanes), got)
-                # again, from the cached blocks and out of block order
+                # again, out of parameter order
                 assert np.array_equal(
                     plane_angles(theta, params[::-1], lanes), got[::-1])
                 k = theta.k_for(params)
                 if lanes % 64:  # padding bits of the last word stay 0
                     assert not (k[..., -1] >> np.uint64(lanes % 64)).any()
-            tiled = source.view(r, shift=(shift, np.full(lanes, delta))
+            tiled = source.view(copies, (shift, np.full(lanes, delta))
                                 ).tiled(3)
             assert len(tiled) == 3 * lanes
             assert np.array_equal(plane_angles(tiled, params, 3 * lanes),
                                   np.tile(moved, 3))
-        # unshifted views tiled three times, and the tiled views of a view,
-        # read twice
-        for theta in (source.view(r, 3), source.view(r).tiled(3)):
+        # three times the copies, and the tiled views of a view, read twice
+        for theta in (source.view(3 * copies), source.view(copies).tiled(3)):
             for _ in range(2):
                 assert np.array_equal(plane_angles(theta, params, 3 * lanes),
                                       np.tile(want, 3))
@@ -1919,48 +1919,44 @@ class TestAnglePlanes:
     #: first group, one meeting three groups, and a one-uid source
     RUNS = ((0, 64), (5, 7), (2 ** 40 + 63, 130), (2 ** 63 - 3, 2), (9, 1))
 
-    @pytest.mark.parametrize("r", [1, 2, 8, 20, 64, 128])
-    def test_every_read_path_gives_the_grid_angles(self, r):
-        # r = 1 reads the words (shifted when unaligned, masked when short),
-        # 2 and 8 a spread table, 64 and 128 -(bit) words, 20 run selects;
-        # each one, two and three copies, plain and shifted
+    @pytest.mark.parametrize("copies", [1, 2, 3, 8, 20, 64, 90, 128])
+    def test_every_read_path_gives_the_grid_angles(self, copies):
+        # one copy reads the words (shifted when unaligned, masked when
+        # short); more copies of 64 draws are copied word for word, and of
+        # 1, 2, 7 or 130 draws unpacked, tiled and packed; plain and shifted
         params = np.append(self.PARAMS, 2 ** 40)
         for first, draws in self.RUNS:
             uids = np.uint64(first) + np.arange(draws, dtype=np.uint64)
             source = engine.AngleSource(6, uids)
-            for copies in (1, 2, 3):
-                lane_uids = np.tile(np.repeat(uids, r), copies)
-                lanes = lane_uids.size
-                want = rng.grid_angle(6, lane_uids[None, :], params[:, None])
-                rnd = np.random.default_rng(lanes)
-                shift = rnd.choice(np.append(params, -1), size=lanes)
-                delta = rnd.choice((1, -1), size=lanes)
-                moved = (want + np.where(shift == params[:, None], delta,
-                                         0)) % 4
-                for theta, got in ((source.view(r, copies), want),
-                                   (source.view(r, copies, (shift, delta)),
-                                    moved)):
-                    assert len(theta) == lanes
-                    assert np.array_equal(plane_angles(theta, params, lanes),
-                                          got)
-                    k = theta.k_for(params)
-                    if lanes % 64:  # padding bits of the last word stay 0
-                        assert not (k[..., -1] >> np.uint64(lanes % 64)).any()
+            lane_uids = np.tile(uids, copies)
+            lanes = lane_uids.size
+            want = rng.grid_angle(6, lane_uids[None, :], params[:, None])
+            rnd = np.random.default_rng(lanes)
+            shift = rnd.choice(np.append(params, -1), size=lanes)
+            delta = rnd.choice((1, -1), size=lanes)
+            moved = (want + np.where(shift == params[:, None], delta, 0)) % 4
+            for theta, got in ((source.view(copies), want),
+                               (source.view(copies, (shift, delta)), moved)):
+                assert len(theta) == lanes
+                assert np.array_equal(plane_angles(theta, params, lanes), got)
+                k = theta.k_for(params)
+                assert k.shape == (params.size, 2, -(-lanes // 64))
+                if lanes % 64:  # padding bits of the last word stay 0
+                    assert not (k[..., -1] >> np.uint64(lanes % 64)).any()
 
     @pytest.mark.parametrize("n", [70, 130])
     def test_walks_past_a_word_of_qubits_read_the_grid_angles(self, n):
-        # walks on registers past 64 and 128 qubits with views of every
-        # read path, shifted, are bit for bit the walks of their lanes' grid
-        # angles held in full
+        # walks on registers past 64 and 128 qubits with shifted views of
+        # one and of many copies, through both ways of tiling, are bit for
+        # bit the walks of their lanes' grid angles held in full
         c = _damped_register(n)
-        for (first, draws), r, copies in zip(self.RUNS[1:] + self.RUNS[:1],
-                                             (1, 8, 20, 64, 128), (3, 2, 2,
-                                                                   1, 1)):
+        for (first, draws), copies in zip(self.RUNS[1:] + self.RUNS[:1],
+                                          (3, 2, 8, 90, 2)):
             uids = np.uint64(first) + np.arange(draws, dtype=np.uint64)
-            lane_uids = np.tile(np.repeat(uids, r), copies)
+            lane_uids = np.tile(uids, copies)
             b = lane_uids.size
-            x0, z0, _, sids = _register_words(n, b, r)
-            rnd = np.random.default_rng(r)
+            x0, z0, _, sids = _register_words(n, b, copies)
+            rnd = np.random.default_rng(copies)
             shift = rnd.choice(np.arange(-1, c.n_params), size=b)
             delta = rnd.choice((1, -1), size=b)
             values = angle_indices(2, lane_uids, c.n_params).astype(np.int64)
@@ -1969,7 +1965,7 @@ class TestAnglePlanes:
             walks = [engine._run_batch(c, "backward", x0, z0, theta, seed=4,
                                        stream_ids=sids)
                      for theta in (engine.AngleSource(2, uids).view(
-                         r, copies, (shift, delta)),
+                         copies, (shift, delta)),
                          MaterializedTheta(values % 4))]
             _assert_same_walk(*walks)
 
@@ -2032,14 +2028,14 @@ class TestAnglePlanes:
             return out
 
         monkeypatch.setattr(rng, "hash_words", counted)
-        # the key of each uid's group is hashed once: uids 100 to 139 are
-        # two groups
+        # the key of each uid's group is hashed once, whatever the copies:
+        # uids 100 to 139 are two groups
         u = np.arange(100, 140, dtype=np.uint64)
-        theta = engine.AngleSource(5, u).view(45, copies=2)
-        got = plane_angles(theta, self.PARAMS, 2 * 45 * u.size)
+        theta = engine.AngleSource(5, u).view(90)
+        got = plane_angles(theta, self.PARAMS, 90 * u.size)
         assert hashed == [2]
         assert np.array_equal(got, np.tile(rng.grid_angle(
-            5, np.repeat(u, 45)[None, :], self.PARAMS[:, None]), 2))
+            5, u[None, :], self.PARAMS[:, None]), 90))
 
     @staticmethod
     def _line_angle_hashes(monkeypatch):

@@ -615,14 +615,37 @@ def test_term_major_walk_matches_per_term_walks(case, chunk, monkeypatch):
     # chunk 1 walks one term a pass
     c, st, obs = case()
     assert c.branching()
-    outer = np.repeat(np.arange(5, dtype=np.uint64), 3)
-    inner = np.tile(np.arange(3, dtype=np.uint64), 5)
+    # three copies of five draws, as (replicate, draw) axes
+    outer = np.tile(np.arange(5, dtype=np.uint64), 3)
+    inner = np.repeat(np.arange(3, dtype=np.uint64), 5)
     theta = engine.AngleSource(7, np.arange(5, dtype=np.uint64)).view(3)
     want = _per_term_walk_values(c, obs, st, theta, 7, outer, inner)
     monkeypatch.setattr(est, "_CHUNK", chunk)
     got = est._walk_values(c, obs, st, theta, seed=7, outer=outer,
                            inner=inner, collect=True)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("n_tau", [8, 20])
+def test_replicate_means_add_as_draw_major_rows(n_tau):
+    # copy-major lanes, as (sub-draw, replicate, draw) axes, give the mean
+    # of each (draw, sub-draw) bit for bit as its n_tau draw-major lanes
+    # did, a contiguous row added pairwise: adding the leading replicate
+    # axis a row at a time differs, and so it does for score sums of one
+    # site, whose trailing axis numpy drops
+    rnd = np.random.default_rng(n_tau)
+    draws, spread = 300, 3
+    for tail in ((), (1,), (3,)):
+        shape = (draws, spread, n_tau, *tail)
+        by_draw = rnd.standard_normal(shape) * 10.0 ** rnd.uniform(-3, 3,
+                                                                  shape)
+        lanes = np.moveaxis(by_draw, 0, 2).reshape(-1, *tail)
+        want = by_draw.reshape(draws * spread, n_tau, *tail).mean(axis=1)
+        got = est._replicate_mean(lanes, n_tau, draws)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if tail != (3,):
+            leading = lanes.reshape(spread, n_tau, draws, *tail).mean(axis=1)
+            assert np.moveaxis(leading, 1, 0).tobytes() != want.tobytes()
 
 
 class TestSiblingWalks:

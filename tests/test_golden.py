@@ -27,11 +27,11 @@ sample non-diagonal channels.
 The three ``_cz`` cases, the only ones that walk Clifford steps, were
 pinned on the engine that walked Cliffords through per-lane code tables.
 ``sum_gradvar_cz_runs``, ``expr_hs_sigma64`` and ``mse_tau20`` give each
-outer draw's uid to 22, 64 and 20 adjacent lanes, so their views spread
-each draw's angle bits over its lanes by run selects (22 and 20, where a
-draw straddles plane words) or by -(bit) words (64); every other case has
-fewer than 16 lanes a draw.  They were pinned on the engine that hashed
-every lane's uid.
+outer draw's uid to 22, 64 and 20 lanes, as many whole copies of the
+draws; every other case has fewer than 16 lanes a draw.  They were pinned
+on the engine that hashed every lane's uid, and held when a draw's lanes
+moved from adjacent runs, read through run selects and -(bit) words, to
+copies of the draws.
 ``sum_gradvar_siblings`` is the one case whose four sibling walks (two
 inner replicates x two parameter shifts) fit one chunk, so they are walked
 as one; it was pinned when each sibling was still its own walk.

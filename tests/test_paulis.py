@@ -67,18 +67,20 @@ class TestBasics:
         with pytest.raises(ValueError):
             PauliString(2, 4, 0)
 
+    @settings(deadline=None)
     @given(codes_strategy)
     def test_codes_round_trip(self, codes):
         p = word(codes)
         assert [p.code_at(j) for j in range(p.n)] == codes
         assert p.weight == sum(c != 0 for c in codes)
 
+    @settings(deadline=None)
     @given(codes_strategy)
     def test_dense_matches_convention(self, codes):
         assert np.allclose(pauli_dense(word(codes)), dense(codes))
 
     @given(st.data())
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     def test_local_index_round_trip(self, data):
         # every support straddles qubit 64, where the masks pass a uint64
         n = data.draw(st.integers(65, 140))
@@ -112,7 +114,7 @@ class TestProducts:
         lambda a: st.tuples(st.just(a),
                             st.lists(st.integers(0, 3), min_size=len(a),
                                      max_size=len(a)))))
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     def test_multiply_vs_dense(self, pair):
         a, b = map(word, pair)
         out = multiply(a, b)
@@ -120,6 +122,7 @@ class TestProducts:
         rhs = (1j ** out.phase_q) * pauli_dense(out.pauli)
         assert np.allclose(lhs, rhs)
 
+    @settings(deadline=None)
     @given(codes_strategy)
     def test_self_product_is_identity(self, codes):
         p = word(codes)
@@ -130,7 +133,7 @@ class TestProducts:
         lambda a: st.tuples(st.just(a),
                             st.lists(st.integers(0, 3), min_size=len(a),
                                      max_size=len(a)))))
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     def test_commutes_matches_dense(self, pair):
         a, b = map(word, pair)
         da, db = dense(pair[0]), dense(pair[1])
@@ -262,7 +265,7 @@ class TestTraces:
             == pytest.approx(0.0)
 
     @given(codes_strategy)
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     def test_vs_dense_random_state(self, codes):
         n = len(codes)
         rng = np.random.default_rng(sum(codes) + 7 * n)
@@ -281,12 +284,14 @@ class TestTraces:
 
 
 class TestWordArrays:
+    @settings(deadline=None)
     @given(st.integers(0, 2 ** 130 - 1))
     def test_mask_round_trip(self, mask):
         words = paulis.mask_to_words(mask, 130)
         assert words.shape == (3,)
         assert sum(int(w) << (64 * i) for i, w in enumerate(words)) == mask
 
+    @settings(deadline=None)
     @given(st.lists(st.integers(0, 2 ** 70 - 1), min_size=1, max_size=8))
     def test_popcount_and_parity(self, masks):
         arr = np.stack([paulis.mask_to_words(m, 70) for m in masks])

@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import plane_angles
@@ -15,6 +15,7 @@ from pqcdiag.paulis import XZ_TO_CODE, n_words
 u64 = st.integers(0, 2 ** 64 - 1)
 
 
+@settings(deadline=None)
 @given(u64)
 def test_mix64_deterministic_and_bijective_sample(v):
     a = rng.mix64(np.uint64(v))
@@ -24,6 +25,7 @@ def test_mix64_deterministic_and_bijective_sample(v):
         assert a != rng.mix64(np.uint64(v + 1))
 
 
+@settings(deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), u64, u64)
 def test_uniforms_pure_and_in_range(seed, stream, slot):
     a = uniforms(seed, rng.DOMAIN_TAU, stream, slot)
@@ -344,6 +346,7 @@ class TestComposeStream:
         assert (s >> 12) & ((1 << 20) - 1) == 13
         assert s & 0xFFF == 5
 
+    @settings(deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 20 - 1),
            st.integers(0, 2 ** 12 - 1))
     def test_array_form_agrees(self, outer, inner, term):
