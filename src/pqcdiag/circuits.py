@@ -86,6 +86,8 @@ class Clifford:
             raise ValueError(f"unknown clifford kind {self.kind!r}")
         if len(self.qubits) != want:
             raise ValueError(f"{self.kind} takes {want} qubit(s)")
+        if len(set(self.qubits)) != want:
+            raise ValueError(f"repeated qubit in {self.kind} {self.qubits}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,6 +341,8 @@ def _axis_on_register(n: int, letters: str, qubits) -> PauliString:
     if len(letters) != len(qubits):
         raise ValueError(f"axis {letters!r} does not match {len(qubits)} "
                          "qubit(s)")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"repeated qubit in axis {letters!r} on {qubits}")
     codes = [0] * n
     for ch, q in zip(letters, qubits):
         q = exact_int(q, "qubit")

@@ -76,9 +76,6 @@ def resolve_config(args) -> DiagnosticConfig:
     merged = {}
     if getattr(args, "config", None):
         spec = _read_json(args.config)
-        if not isinstance(spec, dict):
-            raise CliError(f"{args.config} must hold a JSON object, got "
-                           f"{type(spec).__name__}")
         unknown = set(spec) - set(_CONFIG_KEYS)
         if unknown:
             raise CliError(f"unknown config keys {sorted(unknown)!r} in "
@@ -122,14 +119,20 @@ def _sha256_file(path: str) -> str:
 
 
 def _read_json(path: str) -> dict:
+    """The JSON object a config or circuit file holds; CliError when the
+    file is missing, is not JSON or holds something else."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            spec = json.load(f)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON "
                        f"({exc.msg})")
+    if not isinstance(spec, dict):
+        raise CliError(f"{path} must hold a JSON object, got "
+                       f"{type(spec).__name__}")
+    return spec
 
 
 class RunWriter:

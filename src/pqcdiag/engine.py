@@ -57,7 +57,8 @@ a group from those keys in one call, each word one angle bit of one
 parameter for the group's 64 uids, and lays them out on the lanes in one
 layout: lane i reads draw i % draws, so every extra lane a draw needs (an
 inner replicate, a sub-draw, a sigma word, a sibling walk, a term) is one
-more whole copy of the draws.  Grid rotations change no weight, and their
+more whole copy of the draws, and a parameter shift, a quarter turn of one
+parameter, is set per copy.  Grid rotations change no weight, and their
 sign flips XOR into the sign row, as do Clifford signs; the row is folded
 into the float weights once, at the end of the walk, by XORing it into
 their sign bits.  Negation is exact, so that is bit-identical to
@@ -829,8 +830,10 @@ class AngleSource:
     def view(self, copies: int = 1, shift=None) -> "HashedTheta":
         """A :class:`HashedTheta` over ``copies * len(self)`` lanes, the
         draws ``copies`` times end to end: lane i reads draw
-        i % len(self).  ``shift`` is None or (param, delta), two arrays
-        over every lane."""
+        i % len(self).  ``shift`` is None or (param, delta), two arrays of
+        one entry a copy (ValueError otherwise): every lane of copy c has
+        parameter param[c] moved by delta[c] quarter turns, none when
+        param[c] is -1."""
         view = HashedTheta.__new__(HashedTheta)
         view._setup(self, copies, shift)
         return view
@@ -857,9 +860,10 @@ class HashedTheta:
     lanes (:meth:`_tile`); nothing is kept between calls.  One copy's lane
     planes are the draw planes.  Draws that fill whole words are copied
     word for word to each copy; others are unpacked to bits, tiled and
-    packed again.  ``shift`` = (param, delta) implements the
-    quarter-turn parameter shift per lane (param -1 = no shift): +delta mod
-    4, added with a 2-bit carry to the rows of the lanes' shift parameters
+    packed again.  A parameter shift belongs to a copy: ``shift`` =
+    (param, delta) moves parameter param[c] of every lane of copy c by
+    delta[c] quarter turns (param -1 = no shift), +delta mod 4 added with
+    a 2-bit carry to the rows of the copies' shift parameters
     (:meth:`_add_shift`).
 
     ``HashedTheta(seed, uids)`` is the view, one lane a uid, of a source of
@@ -872,17 +876,14 @@ class HashedTheta:
     def _setup(self, source, copies, shift) -> None:
         self._source, self._copies = source, copies
         self._lanes = copies * len(source)
-        self._shift = self._lanes_by_param = None
+        self._shift = None
         if shift is not None:
-            param = np.asarray(shift[0], dtype=np.int64)
-            delta = np.asarray(shift[1], dtype=np.int64)
-            self._shift = (param, delta)
-            order = np.argsort(param, kind="stable")
-            d = (delta & 3).astype(np.uint8)
-            # the lanes in parameter order, their parameters, and the
-            # planes of bit i of each lane's delta, (2, W)
-            self._lanes_by_param = (order, param[order],
-                                    _pack(np.stack((d & 1, d >> 1))))
+            self._shift = tuple(np.asarray(a, dtype=np.int64) for a in shift)
+            if any(a.shape != (copies,) for a in self._shift):
+                raise ValueError(
+                    f"a shift has one parameter and one delta a copy: "
+                    f"{copies} copies, shift arrays of "
+                    f"{[a.size for a in self._shift]}")
 
     def tiled(self, k: int) -> "HashedTheta":
         """This view's lanes ``k`` times end to end: the angles of a walk
@@ -918,26 +919,20 @@ class HashedTheta:
         return _pack(np.tile(_unpack(d, u), c))
 
     def _add_shift(self, planes: np.ndarray, params: np.ndarray) -> None:
-        """planes += delta (mod 4) in place, at each row r, on the lanes
-        whose shift parameter is params[r]: those lanes become a mask row
-        (looked up in the lanes sorted by parameter), and the mask rows
-        ANDed with the planes of the lanes' deltas are added with a 2-bit
-        carry."""
-        order, by_param, deltas = self._lanes_by_param
-        lo = np.searchsorted(by_param, params)
-        count = np.searchsorted(by_param, params, side="right") - lo
-        total = int(count.sum())
-        if not total:
+        """planes += delta (mod 4) in place, at each row r, on the copies
+        whose shift parameter is params[r]: the (L, copies) table of each
+        row's delta on each copy (0 off its parameter) is spread over each
+        copy's draws into the planes of its two bits, which are added with
+        a 2-bit carry."""
+        param, delta = self._shift
+        table = np.where(param == params[:, None], delta & 3, 0).astype(
+            np.uint8)
+        if not table.any():
             return
-        lanes = order[np.arange(total)
-                      + np.repeat(lo - (np.cumsum(count) - count), count)]
-        on = np.zeros((params.size, planes.shape[-1]), dtype=_LANE)
-        # each lane's bit is its word's only one in its row, so adding ORs it
-        np.add.at(on, (np.repeat(np.arange(params.size), count), lanes >> 6),
-                  np.left_shift(np.uint64(1), (lanes & 63).astype(_LANE)))
-        d0, d1 = on & deltas[0], on & deltas[1]
-        planes[:, 1] ^= d1 ^ (planes[:, 0] & d0)
-        planes[:, 0] ^= d0
+        d = _pack(np.repeat(np.stack((table & 1, table >> 1), axis=1),
+                            len(self._source), axis=-1))
+        planes[:, 1] ^= d[:, 1] ^ (planes[:, 0] & d[:, 0])
+        planes[:, 0] ^= d[:, 0]
 
     def __len__(self) -> int:
         return self._lanes

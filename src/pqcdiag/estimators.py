@@ -24,17 +24,19 @@ walked as one engine walk while together they fit a chunk
 (:func:`_replicate_means`); each lane keeps its own angles and stream id,
 so this too only widens the walks.  A walk's lanes are copy-major: every
 extra lane a draw needs (a sibling, sub-draw, inner replicate, sigma word
-or term) is one more whole copy of the job's draws, draw index fastest,
-and each mean over a draw's lanes is taken after copying them draw-major,
-so it adds in the same order as it would over adjacent lanes.  A job
-hashes the angle key of each group of 64 consecutive uids its draws meet
-once, in one :class:`engine.AngleSource`; each walk reads a view of it,
-which hashes the angle words of the parameters the walk reads from those
-keys.  Every job's draws are a run of consecutive uids, whose angle planes
-are read straight from those words: the two circuit copies of an
-expressibility draw ``outer`` are keyed as the runs ``outer`` and
-``outer + 2**63``, and its random Pauli words (``engine.pauli_codes``) are
-runs of word uids, built draw-major and then put in lane order.
+or term) is one more whole copy of the job's draws, draw index fastest; a
+parameter shift is set per copy, so each walked parameter of a gradient is
+a sub-draw of its own.  Each mean over a draw's lanes is taken after
+copying them draw-major, so it adds in the same order as it would over
+adjacent lanes.  A job hashes the angle key of each group of 64
+consecutive uids its draws meet once, in one :class:`engine.AngleSource`;
+each walk reads a view of it, which hashes the angle words of the
+parameters the walk reads from those keys.  Every job's draws are a run
+of consecutive uids, whose angle planes are read straight from those
+words: the two circuit copies of an expressibility draw ``outer`` are
+keyed as the runs ``outer`` and ``outer + 2**63``, and its random Pauli
+words (``engine.pauli_codes``) are runs of word uids, built draw-major and
+then put in lane order.
 """
 
 from __future__ import annotations
@@ -324,70 +326,58 @@ def _replicate_mean(values: np.ndarray, n_tau: int, draws: int):
 
 
 def _replicate_means(circuit, obs, state, source, seed, n_tau, variants, *,
-                     spread=1, theta=None, collect=False):
-    """Inner-replicate mean of <O> per sub-draw, for each of ``variants``.
+                     collect=False):
+    """Inner-replicate mean of <O> per (draw, variant, sub-draw).
 
-    Each draw of the :class:`engine.AngleSource` ``source`` spans
-    ``spread`` sub-draws (the walked parameters of a gradient job; 1
-    elsewhere), and each sub-draw ``n_tau`` inner replicates, so a variant
-    walks ``spread * n_tau`` copies of the draws: its lanes have the axes
-    (sub-draw, replicate, draw), draw fastest.  The variants are sibling
-    walks of the same draws, each a pair ``(rep, shift)``.  Replicates 0
-    and 1 use disjoint inner-draw id ranges, which is all 'independent'
-    means here.  ``shift = (params, delta)`` walks sub-draw i with
-    parameter ``params[i]`` moved by ``delta`` quarter turns; a call's
-    variants are either all shifted or all ``None``.  Consecutive variants
-    are walked together (:func:`_sibling_groups`), one :func:`_walk_values`
+    The variants are sibling walks of the draws of the
+    :class:`engine.AngleSource` ``source``, each a pair ``(rep, shift)``.
+    Replicates 0 and 1 use disjoint inner-draw id ranges, which is all
+    'independent' means here.  A call's variants are either all ``None``
+    shifts, one sub-draw a draw, or all shifts ``(params, delta)`` of
+    equal length, whose sub-draw i walks parameter ``params[i]`` moved by
+    ``delta`` quarter turns (the walked parameters of a gradient job).
+    Each sub-draw spans ``n_tau`` inner replicates, so a variant walks
+    ``sub-draws * n_tau`` copies of the draws.  Consecutive variants are
+    walked together (:func:`_sibling_groups`), one :func:`_walk_values`
     call a group: a narrow walk pays each step's numpy call overhead on few
-    lanes, and past a chunk merging stops paying.  A group's lanes are its
-    variants' lanes end to end, each keeping its own stream id (inner ids
-    offset by ``rep * n_tau``); walks are per-lane pure, so grouping moves
-    no float.  Unshifted variants read ``theta``, a view of ``source`` with
-    ``spread * n_tau`` copies (made here when not given; a job that walks
-    other circuits over the same draws passes one in), tiled once a
-    variant of the group.  A shifted group reads a view of ``source`` with
-    as many copies as the group has lanes a draw, and with its variants'
-    shift parameters (sub-draw i's on all of its lanes) and deltas end to
-    end.
+    lanes, and past a chunk merging stops paying.  A group reads a view of
+    ``source`` with one copy a (variant, sub-draw, replicate), its lanes
+    having those axes and then the draw, draw fastest; a shifted group's
+    view takes each copy's shift parameter and delta from its sub-draw and
+    variant.  Each lane keeps its own stream id (inner ids offset by
+    ``rep * n_tau``); walks are per-lane pure, so grouping moves no float.
 
-    Returns one per-sub-draw mean array per variant, draw-major
-    (:func:`_replicate_mean`), or with ``collect`` one (means, score sums)
-    pair per variant.
+    Returns the (draws, variants, sub-draws) array of means, each a group's
+    :func:`_replicate_mean`, or with ``collect`` that and the
+    (draws, variants, sub-draws, sites) score sums.
     """
     draws = len(source)
-    copies = spread * n_tau
-    lanes = copies * draws
+    shifted = variants[0][1] is not None
+    subs = len(variants[0][1][0]) if shifted else 1
+    copies = subs * n_tau
     # each lane's draw, as (sub-draw, replicate, draw) axes
-    outer = np.broadcast_to(source.uids, (spread, 1, draws))
-    groups = _sibling_groups(variants, lanes)
-    if theta is None and variants[0][1] is None:
-        theta = source.view(copies)
+    outer = np.broadcast_to(source.uids, (subs, 1, draws))
 
-    def walk(group):  # a generator, so a group's lanes die before the next
-        k = len(group)
-        if group[0][1] is None:
-            th = theta.tiled(k)
-        else:
-            th = source.view(k * copies, (
-                np.concatenate([np.repeat(params, n_tau * draws)
-                                for _, (params, _) in group]),
-                np.repeat(np.array([delta for _, (_, delta) in group],
-                                   dtype=np.int64), lanes)))
+    def walk(group):  # a function, so a group's lanes die before the next
+        shift = None
+        if shifted:  # per copy, as (variant, sub-draw, replicate) axes
+            shift = (np.repeat(np.concatenate([p for _, (p, _) in group]),
+                               n_tau),
+                     np.repeat([d for _, (_, d) in group], copies))
         # each lane's inner id, as (variant, sub-draw, replicate, draw) axes
         inner = np.array([rep for rep, _ in group], dtype=np.uint64).reshape(
             -1, 1, 1, 1) * np.uint64(n_tau) \
             + np.arange(n_tau, dtype=np.uint64)[:, None]
-        out = _walk_values(circuit, obs, state, th, seed=seed, outer=outer,
-                           inner=inner, collect=collect)
-        vals, wsum = out if collect else (out, None)
-        for v in range(k):
-            part = slice(v * lanes, (v + 1) * lanes)
-            mean = _replicate_mean(vals[part], n_tau, draws)
-            if collect:
-                mean = (mean, _replicate_mean(wsum[part], n_tau, draws))
-            yield mean
+        out = _walk_values(circuit, obs, state,
+                           source.view(len(group) * copies, shift), seed=seed,
+                           outer=outer, inner=inner, collect=collect)
+        return [_replicate_mean(v, n_tau, draws).reshape(
+            draws, len(group), subs, *v.shape[1:])
+            for v in (out if collect else (out,))]
 
-    return [mean for group in groups for mean in walk(group)]
+    means = [np.concatenate(part, axis=1) for part in zip(
+        *map(walk, _sibling_groups(variants, copies * draws)))]
+    return tuple(means) if collect else means[0]
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +434,9 @@ def estimate_mse(circuit: Circuit, obs: ObservableSum, state=None,
     def job(outer):
         source = AngleSource(cfg.seed, outer)
         vclean = _walk_values(clean, obs, state, source.view(), seed=cfg.seed)
-        d = [vclean - m for m in _replicate_means(
-            circuit, obs, state, source, cfg.seed, n_tau, variants)]
-        return (d[0] * d[-1],)
+        m = _replicate_means(circuit, obs, state, source, cfg.seed, n_tau,
+                             variants)
+        return ((vclean - m[:, 0, 0]) * (vclean - m[:, -1, 0]),)
 
     mom, = _drive(job, cfg.n_theta, n_tau, cfg.threads,
                   _pass_width(circuit, obs, n_tau))
@@ -531,12 +521,11 @@ def estimate_sensitivity_map(circuit: Circuit, obs: ObservableSum, state=None,
     def job(outer):
         source = AngleSource(cfg.seed, outer)
         vclean = _walk_values(clean, obs, state, source.view(), seed=cfg.seed)
-        th = source.view(n_tau)
 
         def means(circ, rep, collect=False):
-            return _replicate_means(circ, obs, state, source, cfg.seed, n_tau,
-                                    [(rep, None)], theta=th,
-                                    collect=collect)[0]
+            out = _replicate_means(circ, obs, state, source, cfg.seed, n_tau,
+                                   [(rep, None)], collect=collect)
+            return tuple(a[:, 0, 0] for a in out) if collect else out[:, 0, 0]
 
         vals, dsum = means(circuit, 1, collect=True)
         if branching:
@@ -627,15 +616,18 @@ def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
     """Per-draw samples of sum_k g_k^2 over ``params``, plus sum_k g_k.
 
     Each (outer draw, walked parameter) pair is one sub-draw of
-    :func:`_replicate_means` at the +pi/2 and the -pi/2 shift; the two
-    shifts of one replicate share inner ids and stream ids, so their walks
-    see common randomness and the difference concentrates.  The shifts of
-    every replicate (two when channels branch, else one) are the job's
-    sibling variants, in the order (rep 0, +), (rep 0, -), (rep 1, +),
-    (rep 1, -), so narrow ones are walked as one engine walk.  A parameter
-    with no rotation in any term's light cone has gradient exactly 0.0
-    (both shifted walks are bit-identical), so only the others are walked;
-    the rest stay 0.0 in the (draw, parameter) array.
+    :func:`_replicate_means` at the +pi/2 and the -pi/2 shift, so the walked
+    parameters are the sub-draws of one variant, and a parameter shift is
+    set per copy of the draws; the two shifts of one replicate share inner
+    ids and stream ids, so their walks see common randomness and the
+    difference concentrates.  The shifts of every replicate (two when
+    channels branch, else one) are the job's sibling variants, in the order
+    (rep 0, +), (rep 0, -), (rep 1, +), (rep 1, -), so narrow ones are
+    walked as one engine walk, and the gradient of replicate r is half the
+    difference of the (draw, parameter) means of variants 2r and 2r + 1.
+    A parameter with no rotation in any term's light cone has gradient
+    exactly 0.0 (both shifted walks are bit-identical), so only the others
+    are walked; the rest stay 0.0 in the (draw, parameter) array.
     """
     t0 = time.perf_counter()
     state, cfg, n_tau = _observable_setup(circuit, obs, state, config)
@@ -652,9 +644,9 @@ def _gradvar_report(circuit, obs, state, config, params, quantity, extra_cfg):
                         for rep in reps for delta in (1, -1)]
             means = _replicate_means(
                 circuit, obs, state, AngleSource(cfg.seed, outer), cfg.seed,
-                n_tau, variants, spread=walked.size)
-            for g, plus, minus in zip(grads, means[::2], means[1::2]):
-                g[:, live] = ((plus - minus) / 2.0).reshape(b, walked.size)
+                n_tau, variants)
+            for r, g in enumerate(grads):
+                g[:, live] = (means[:, 2 * r] - means[:, 2 * r + 1]) / 2.0
         ga, gb = grads[0], grads[-1]
         return (ga * gb).sum(axis=1), ga.sum(axis=1)
 

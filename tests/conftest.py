@@ -36,6 +36,15 @@ def plane_angles(theta, params, lanes):
         | engine._unpack(k[:, 1], lanes) << 1
 
 
+def copy_shifted(angles, params, shift, delta):
+    """``angles``, the (L, lanes) grid angles of ``params`` on whole copies
+    of the draws, with each lane of copy c moved by delta[c] quarter turns
+    at parameter shift[c] (at none when it is -1), as a view shifted per
+    copy reads them."""
+    on = np.where(np.asarray(shift) == np.asarray(params)[:, None], delta, 0)
+    return (angles + np.repeat(on, angles.shape[1] // len(shift), axis=1)) % 4
+
+
 def rx_dep_circuit(lam):
     """1-qubit R_X then depolarizing(lam); measure Z from |0>.
 

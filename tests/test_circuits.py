@@ -16,7 +16,7 @@ from pqcdiag.circuits import (Circuit, Clifford, FixedAngle, NoiseSite,
                               gen_line_benchmark, gen_ring, grid_edge_layers,
                               load_bundle, observable_from_terms, serialize,
                               zero_state)
-from pqcdiag.paulis import PauliString
+from pqcdiag.paulis import CLIFFORD_2Q_KINDS, PauliString
 from pqcdiag.reports import canonical_json
 
 
@@ -52,6 +52,9 @@ class TestOps:
             Clifford("cz", (0,))
         with pytest.raises(ValueError):
             Clifford("ccx", (0, 1))
+        for kind in CLIFFORD_2Q_KINDS:
+            with pytest.raises(ValueError, match="repeated qubit"):
+                Clifford(kind, (1, 1))
 
 
 class TestTheta:
@@ -242,6 +245,19 @@ class TestSerialization:
     def test_unknown_gate(self):
         with pytest.raises(ValueError):
             build_circuit({"n": 1, "gates": [{"gate": "warp", "qubits": [0]}]})
+
+    @pytest.mark.parametrize("gate", [
+        {"gate": "cz", "qubits": [0, 0]},
+        {"gate": "swap", "qubits": [1, 1]},
+        {"gate": "rzz", "qubits": [0, 0], "param": 0},
+        {"gate": "rxx", "qubits": [1, 1], "param": 0},
+        {"gate": "rot", "axis": "XZ", "qubits": [0, 0], "param": 0},
+        {"gate": "rot", "axis": "XYZ", "qubits": [2, 0, 2], "param": 0}])
+    def test_a_gate_naming_a_qubit_twice_is_refused(self, gate):
+        # as a channel's support is: the walk and the oracle have no
+        # meaning for it, and a rot axis would keep one of its letters
+        with pytest.raises(ValueError, match="repeated qubit"):
+            build_circuit({"n": 3, "gates": [gate]})
 
     def test_zero_state_shorthand(self):
         c, _, _ = random_circuit(2, 2, seed=1, channels=())

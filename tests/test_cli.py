@@ -682,6 +682,17 @@ def test_missing_file_is_validation_error(tmp_path):
                  "-o", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("top", [[], 5, None, "abc"])
+def test_circuit_file_must_hold_an_object(tmp_path, capsys, top):
+    circ = tmp_path / "c.json"
+    circ.write_text(json.dumps(top))
+    assert main(["diagnose", "mse", str(circ), "-o", str(tmp_path / "x")]) \
+        == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must hold a JSON object" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("argv, code", [(["--help"], 0),
                                         (["benchmark", "--n", "2"], 2)])
 def test_package_runs_as_a_module(argv, code):

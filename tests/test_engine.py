@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (axis, exact_expectation, plane_angles, random_circuit,
-                      rotations_only, rx_dep_circuit, wide_circuit)
+from conftest import (axis, copy_shifted, exact_expectation, plane_angles,
+                      random_circuit, rotations_only, rx_dep_circuit,
+                      wide_circuit)
 from pqcdiag import engine, estimators, oracle, rng
 from pqcdiag.channels import (make_amplitude_damping, make_depolarizing,
                               make_mmff, make_pauli_channel, make_raw_ptm,
@@ -651,14 +652,29 @@ class TestThetaContainers:
             assert np.array_equal(plane_angles(ht, [k], 40)[0], want[:, k])
 
     def test_hashed_shift_is_quarter_turn(self):
+        # the first copy moves parameter 2 a quarter turn, the second no
+        # parameter
         uids = np.arange(16, dtype=np.uint64)
         base = engine.HashedTheta(7, uids)
-        shifted = engine.AngleSource(7, uids).view(shift=(
-            np.full(16, 2, dtype=np.int64), np.full(16, 1, dtype=np.int64)))
-        assert np.array_equal(plane_angles(shifted, [1], 16),
-                              plane_angles(base, [1], 16))
-        assert np.array_equal(plane_angles(shifted, [2], 16),
+        shifted = engine.AngleSource(7, uids).view(2, ([2, -1], [1, 1]))
+        assert np.array_equal(plane_angles(shifted, [1], 32),
+                              np.tile(plane_angles(base, [1], 16), 2))
+        assert np.array_equal(plane_angles(shifted, [2], 32)[:, :16],
                               (plane_angles(base, [2], 16) + 1) % 4)
+        assert np.array_equal(plane_angles(shifted, [2], 32)[:, 16:],
+                              plane_angles(base, [2], 16))
+
+    def test_a_shift_has_one_entry_a_copy(self):
+        # per-lane arrays, short or long ones, one short array of two, and
+        # a 2-D table are refused
+        source = engine.AngleSource(7, np.arange(16, dtype=np.uint64))
+        for copies, shift in ((1, ([2] * 16, [1] * 16)), (2, ([2], [1])),
+                              (2, ([2, 3, 4], [1, 1, 1])),
+                              (2, ([2, 3], [1])),
+                              (3, ([[2, 3, 4]], [[1, 1, 1]]))):
+            with pytest.raises(ValueError, match="one delta a copy"):
+                source.view(copies, shift)
+        assert len(source.view(2, ([2, -1], [1, 1])).tiled(3)) == 96
 
 
 # ---------------------------------------------------------------------------
@@ -1698,18 +1714,20 @@ def _assert_same_walk(got, want):
 
 
 def _theta_sources(lanes, n_params, rnd):
-    """Fresh angle sources of ``lanes`` lanes: hashed, hashed with a
-    per-lane parameter shift, and twice a source of lanes // 2 lanes (the
-    walk then has lanes rounded down to even)."""
+    """(walk lanes, fresh angle source) pairs of at most ``lanes`` lanes:
+    hashed; a random number of whole copies of a run of draws, each copy
+    with a parameter shift of its own; and twice a source of lanes // 2
+    lanes."""
     uids = np.arange(11, 11 + lanes, dtype=np.uint64)
-    shift = np.array([rnd.choice([-1, *range(n_params)])
-                      for _ in range(lanes)])
-    delta = np.array([rnd.choice((1, -1)) for _ in range(lanes)])
-    half = lanes // 2
-    return {"hashed": lambda: engine.HashedTheta(9, uids),
-            "shifted": lambda: engine.AngleSource(9, uids).view(
-                shift=(shift, delta)),
-            "tiled": lambda: engine.HashedTheta(9, uids[:half]).tiled(2)}
+    copies = rnd.randint(1, lanes)
+    shift = [rnd.choice([-1, *range(n_params)]) for _ in range(copies)]
+    delta = [rnd.choice((1, -1)) for _ in range(copies)]
+    draws, half = lanes // copies, lanes // 2
+    return {"hashed": (lanes, lambda: engine.HashedTheta(9, uids)),
+            "shifted": (copies * draws, lambda: engine.AngleSource(
+                9, uids[:draws]).view(copies, (shift, delta))),
+            "tiled": (2 * half,
+                      lambda: engine.HashedTheta(9, uids[:half]).tiled(2))}
 
 
 def _check_schedule(prog, fused):
@@ -1765,8 +1783,7 @@ class TestFusion:
             for direction in ("backward", "forward"):
                 _check_schedule(engine._program(fused, direction),
                                 engine._fused_program(fused, direction)[0])
-            for name, make in sources.items():
-                b = lanes - lanes % 2 if name == "tiled" else lanes
+            for b, make in sources.values():
                 x0, z0 = engine.words_for_paulis(
                     [words[i % len(words)][1] for i in range(b)], fused.n)
                 streams = np.arange(b, dtype=np.uint64) * np.uint64(7919)
@@ -1852,22 +1869,21 @@ class TestAnglePlanes:
             uids = np.arange(2 ** 33, 2 ** 33 + lanes, dtype=np.uint64)
             want = rng.grid_angle(3, uids[None, :], self.PARAMS[:, None])
             r = np.random.default_rng(lanes)
-            shift = r.choice(np.append(self.PARAMS, -1), size=lanes)
-            delta = r.choice((1, -1), size=lanes)
-            moved = (want + np.where(shift == self.PARAMS[:, None], delta,
-                                     0)) % 4
+            shift = r.choice(np.append(self.PARAMS, -1), size=5)
+            delta = r.choice((1, -1), size=5)
+            moved = copy_shifted(np.tile(want, 5), self.PARAMS, shift, delta)
             for params in (self.PARAMS, self.PARAMS[:3], [2 ** 40]):
                 plain = engine.HashedTheta(3, uids)
                 assert np.array_equal(
                     plane_angles(plain, params, lanes),
                     rng.grid_angle(3, uids[None, :],
                                    np.asarray(params)[:, None]))
-            shifted = engine.AngleSource(3, uids).view(shift=(shift, delta))
-            assert np.array_equal(plane_angles(shifted, self.PARAMS, lanes),
-                                  moved)
+            shifted = engine.AngleSource(3, uids).view(5, (shift, delta))
+            assert np.array_equal(
+                plane_angles(shifted, self.PARAMS, 5 * lanes), moved)
             tiled = shifted.tiled(3)
             assert np.array_equal(
-                plane_angles(tiled, self.PARAMS, 3 * lanes),
+                plane_angles(tiled, self.PARAMS, 15 * lanes),
                 np.tile(moved, 3))
             values = rng.angle_indices(3, uids, 66)
             assert np.array_equal(
@@ -1878,9 +1894,9 @@ class TestAnglePlanes:
     @pytest.mark.parametrize("draws", [1, 7])
     def test_runs_of_a_uid_give_the_grid_angles(self, copies, draws):
         # each uid on one lane of each of ``copies`` whole copies of the
-        # draws, as the estimators lay out inner lanes; 7 draws of 1, 8, 45
-        # or 65 copies end in a partial word, and their uids cross a group
-        # edge
+        # draws, as the estimators lay out inner lanes, each copy with a
+        # shift of its own; 7 draws of 1, 8, 45 or 65 copies end in a
+        # partial word, and their uids cross a group edge
         draw_uids = 2 ** 33 + 60 + np.arange(draws, dtype=np.uint64)
         source = engine.AngleSource(3, draw_uids)
         uids = np.tile(draw_uids, copies)
@@ -1888,13 +1904,12 @@ class TestAnglePlanes:
         params = np.append(self.PARAMS, 2 ** 40)
         want = rng.grid_angle(3, uids[None, :], params[:, None])
         shift = np.random.default_rng(copies).choice(np.append(params, -1),
-                                                     size=lanes)
-        for delta in (1, -1):
-            moved = (want + np.where(shift == params[:, None], delta, 0)) % 4
-            for theta, got in (
-                    (source.view(copies), want),
-                    (source.view(copies, (shift, np.full(lanes, delta))),
-                     moved)):
+                                                     size=copies)
+        for sign in (1, -1):
+            delta = np.full(copies, sign)
+            moved = copy_shifted(want, params, shift, delta)
+            for theta, got in ((source.view(copies), want),
+                               (source.view(copies, (shift, delta)), moved)):
                 assert len(theta) == lanes
                 assert np.array_equal(plane_angles(theta, params, lanes), got)
                 # again, out of parameter order
@@ -1903,8 +1918,7 @@ class TestAnglePlanes:
                 k = theta.k_for(params)
                 if lanes % 64:  # padding bits of the last word stay 0
                     assert not (k[..., -1] >> np.uint64(lanes % 64)).any()
-            tiled = source.view(copies, (shift, np.full(lanes, delta))
-                                ).tiled(3)
+            tiled = source.view(copies, (shift, delta)).tiled(3)
             assert len(tiled) == 3 * lanes
             assert np.array_equal(plane_angles(tiled, params, 3 * lanes),
                                   np.tile(moved, 3))
@@ -1923,7 +1937,8 @@ class TestAnglePlanes:
     def test_every_read_path_gives_the_grid_angles(self, copies):
         # one copy reads the words (shifted when unaligned, masked when
         # short); more copies of 64 draws are copied word for word, and of
-        # 1, 2, 7 or 130 draws unpacked, tiled and packed; plain and shifted
+        # 1, 2, 7 or 130 draws unpacked, tiled and packed; plain, and with
+        # a parameter shift of each copy's own
         params = np.append(self.PARAMS, 2 ** 40)
         for first, draws in self.RUNS:
             uids = np.uint64(first) + np.arange(draws, dtype=np.uint64)
@@ -1932,9 +1947,9 @@ class TestAnglePlanes:
             lanes = lane_uids.size
             want = rng.grid_angle(6, lane_uids[None, :], params[:, None])
             rnd = np.random.default_rng(lanes)
-            shift = rnd.choice(np.append(params, -1), size=lanes)
-            delta = rnd.choice((1, -1), size=lanes)
-            moved = (want + np.where(shift == params[:, None], delta, 0)) % 4
+            shift = rnd.choice(np.append(params, -1), size=copies)
+            delta = rnd.choice((1, -1), size=copies)
+            moved = copy_shifted(want, params, shift, delta)
             for theta, got in ((source.view(copies), want),
                                (source.view(copies, (shift, delta)), moved)):
                 assert len(theta) == lanes
@@ -1946,9 +1961,9 @@ class TestAnglePlanes:
 
     @pytest.mark.parametrize("n", [70, 130])
     def test_walks_past_a_word_of_qubits_read_the_grid_angles(self, n):
-        # walks on registers past 64 and 128 qubits with shifted views of
-        # one and of many copies, through both ways of tiling, are bit for
-        # bit the walks of their lanes' grid angles held in full
+        # walks on registers past 64 and 128 qubits with views of many
+        # copies, each shifted on its own, through both ways of tiling, are
+        # bit for bit the walks of their lanes' grid angles held in full
         c = _damped_register(n)
         for (first, draws), copies in zip(self.RUNS[1:] + self.RUNS[:1],
                                           (3, 2, 8, 90, 2)):
@@ -1957,16 +1972,15 @@ class TestAnglePlanes:
             b = lane_uids.size
             x0, z0, _, sids = _register_words(n, b, copies)
             rnd = np.random.default_rng(copies)
-            shift = rnd.choice(np.arange(-1, c.n_params), size=b)
-            delta = rnd.choice((1, -1), size=b)
-            values = angle_indices(2, lane_uids, c.n_params).astype(np.int64)
-            values[np.flatnonzero(shift >= 0), shift[shift >= 0]] += \
-                delta[shift >= 0]
+            shift = rnd.choice(np.arange(-1, c.n_params), size=copies)
+            delta = rnd.choice((1, -1), size=copies)
+            values = copy_shifted(angle_indices(2, lane_uids, c.n_params).T,
+                                  np.arange(c.n_params), shift, delta).T
             walks = [engine._run_batch(c, "backward", x0, z0, theta, seed=4,
                                        stream_ids=sids)
                      for theta in (engine.AngleSource(2, uids).view(
                          copies, (shift, delta)),
-                         MaterializedTheta(values % 4))]
+                         MaterializedTheta(values))]
             _assert_same_walk(*walks)
 
     def test_estimators_never_gather_a_draw_at_a_time(self, monkeypatch):

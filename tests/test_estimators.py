@@ -689,6 +689,34 @@ class TestSiblingWalks:
             c, obs, None, DiagnosticConfig(n_theta=4096, n_tau=8, seed=1)))
         assert lanes == [4096, 32768, 32768]
 
+    def test_split_shifted_groups_match_one_parameter_calls(self,
+                                                           monkeypatch):
+        # five walked parameters of 4 replicates of 6 draws are 120 lanes a
+        # variant, so a 250-lane chunk walks the four variants in two
+        # groups; each parameter's means and score sums are bit for bit
+        # those of a call that walks it alone
+        c, obs = _amp_chip_z4()
+        walked = np.array(sorted(engine.cone_params(
+            c, [w for _, w in obs.terms]))[:5])
+        source = engine.AngleSource(3, np.arange(60, 66, dtype=np.uint64))
+
+        def means(params):
+            return est._replicate_means(
+                c, obs, zero_state(9), source, 3, 4,
+                [(rep, (params, delta)) for rep in (0, 1)
+                 for delta in (1, -1)], collect=True)
+
+        alone = [means(walked[i:i + 1]) for i in range(walked.size)]
+        monkeypatch.setattr(est, "_CHUNK", 250)
+        merged = []
+        lanes = self._walk_lanes(monkeypatch,
+                                 lambda: merged.extend(means(walked)))
+        assert lanes == [240, 240]
+        assert [m.shape[:3] for m in merged] == [(6, 4, 5)] * 2
+        for i, one in enumerate(alone):
+            for got, want in zip(merged, one):
+                assert got[:, :, i].tobytes() == want[:, :, 0].tobytes()
+
     @pytest.mark.parametrize("run", [est.estimate_mse,
                                      est.estimate_sensitivity_map])
     def test_replicate_walks_share_one_angle_source(self, monkeypatch, run):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plane_angles
+from conftest import copy_shifted, plane_angles
 from pqcdiag import engine, rng
 from reference import RngStream, uniforms
 from pqcdiag.paulis import XZ_TO_CODE, n_words
@@ -180,26 +180,29 @@ def test_angles_are_uniform_and_pairwise_independent():
     assert max(joint) < _CHI2_DF15, joint
 
 
-#: parameters read out of order, re-reading blocks 0, 1, 2 and 2**35
+#: parameters read out of order and read again: small ones, and one past
+#: 2**32, whose counters 2 * param + bit flip high bits of the group keys
 _READ_ORDER = (64, 0, 2 ** 40, 31, 63, 32, 0, 64, 31, 2 ** 40, 63, 1)
 
 
 def test_hashed_theta_lanes_use_the_angle_hash():
-    # the cached block hash gives rng.grid_angle at block edges read in any
-    # order, plain, per-lane shifted by +-1 and tiled
+    # the words hashed from a source's group keys give rng.grid_angle for
+    # parameters read in any order: plain, with 14 copies of the draws
+    # each shifted by +-1 on a parameter of its own (each target meets both
+    # signs), and that view tiled
     uids = np.arange(2 ** 40, 2 ** 40 + 42, dtype=np.uint64)
-    shift = np.array([(0, 31, 32, 63, 64, 2 ** 40, -1)[i % 7]
-                      for i in range(42)])  # each target meets both signs
-    delta = np.where(np.arange(42) % 2 == 0, 1, -1)
+    shift = np.array([(0, 31, 32, 63, 64, 2 ** 40, -1)[c % 7]
+                      for c in range(14)])
+    delta = np.where(np.arange(14) % 2 == 0, 1, -1)
     plain = engine.HashedTheta(4, uids)
-    shifted = engine.AngleSource(4, uids).view(shift=(shift, delta))
+    shifted = engine.AngleSource(4, uids).view(14, (shift, delta))
     tiled = shifted.tiled(3)
     for p in _READ_ORDER:
         base = rng.grid_angle(4, uids, p)
         assert np.array_equal(plane_angles(plain, [p], 42)[0], base)
-        moved = (base.astype(np.int64) + np.where(shift == p, delta, 0)) % 4
-        assert np.array_equal(plane_angles(shifted, [p], 42)[0], moved)
-        assert np.array_equal(plane_angles(tiled, [p], 126)[0],
+        moved = copy_shifted(np.tile(base, 14)[None, :], [p], shift, delta)
+        assert np.array_equal(plane_angles(shifted, [p], 588), moved)
+        assert np.array_equal(plane_angles(tiled, [p], 1764),
                               np.tile(moved, 3))
 
 
